@@ -19,8 +19,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .exactfield import (IndeterminateProduct, PP_INF, PP_ONE, PP_ZERO,
                          ProjPoint, UnstableConfiguration, cross_ratio)
 from .strata import is_admissible, order_key
-from .trees import (MarkedTree, bar_mark, mark_key, path_vertices, sort_marks,
-                    split_marks)
+from .trees import (MarkedTree, bar_mark, mark_key, sort_marks, split_marks,
+                    subtree_split)
 
 
 class ChartError(Exception):
@@ -46,8 +46,6 @@ def systematic_marking(t: MarkedTree) -> Dict[Tuple[int, int], object]:
 
 def is_marking_map(t: MarkedTree, eta) -> bool:
     """eta assigns to each oriented edge a mark on its far side."""
-    from .trees import subtree_split
-
     if set(eta.keys()) != set(t.oriented_edges()):
         return False
     for (u, v), m in eta.items():
@@ -321,8 +319,6 @@ def v_gamma(t: MarkedTree, rho_star) -> List[int]:
     """Vertices common to the near sides of all stratum edges above rho*."""
     labels = a_gamma(t, rho_star)
     verts = set(range(t.vertex_count))
-    from .trees import subtree_split
-
     for _rho, e in labels:
         near, _far = subtree_split(t, e)
         verts &= near

@@ -17,9 +17,8 @@ import os
 import random
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from . import charts, curves, localmodels, quotient, strata, trees
 from .exactfield import (
@@ -37,23 +36,6 @@ MAX_L_VERIFY = 6      # sampling-based verification guardrail
 
 class UsageError(Exception):
     pass
-
-
-def _threads() -> int:
-    try:
-        n = int(os.environ.get("DM_LAB_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, n)
-
-
-def _run_cases(cases: Sequence, fn: Callable) -> List:
-    """Run independent verification cases, optionally in a worker pool."""
-    n = _threads()
-    if n == 1 or len(cases) <= 1:
-        return [fn(c) for c in cases]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, cases))
 
 
 def _check_l(l: int, real: bool, verify: bool, override: Optional[int]) -> None:
@@ -221,8 +203,7 @@ def verify_basis_suite(l: int, samples: int = 200, seed: int = 0,
     marks = trees.sort_marks(trees.real_marks(l) if real else trees.complex_marks(l))
     quads = list(itertools.combinations(marks, 4))
 
-    def case(idx_t):
-        idx, t = idx_t
+    def case(idx, t):
         basis = charts.gamma_basis(t)
         mismatches = 0
         for s in range(samples):
@@ -239,7 +220,7 @@ def verify_basis_suite(l: int, samples: int = 200, seed: int = 0,
             "mismatches": mismatches,
         }
 
-    cases = _run_cases(list(enumerate(ts)), case)
+    cases = [case(idx, t) for idx, t in enumerate(ts)]
     total = sum(c["mismatches"] for c in cases)
     return {
         "l": l,
@@ -263,16 +244,13 @@ def verify_quotient_suite(l: int, real: bool = False, samples: int = 60,
         ordered = strata.build_a_ell(l)
     rho_stars = [frozenset()] + [lab.rho_set for lab in ordered]
 
-    def case(idx_pair):
-        idx, (t, rho_star) = idx_pair
-        rep = quotient.verify_injectivity(
+    reports = [
+        quotient.verify_injectivity(
             t, rho_star, n_samples=samples, seed=(str(seed), idx),
             real=real, bound=bound,
         )
-        return rep
-
-    pairs = list(enumerate(itertools.product(ts, rho_stars)))
-    reports = _run_cases(pairs, case)
+        for idx, (t, rho_star) in enumerate(itertools.product(ts, rho_stars))
+    ]
     collisions = sum(r["key_collisions_across_classes"] for r in reports)
     splits = sum(r["intra_class_key_splits"] for r in reports)
     return {
@@ -290,18 +268,17 @@ def verify_quotient_suite(l: int, real: bool = False, samples: int = 60,
                                "intra_class_key_splits")}
             for r in reports
         ],
-        "ok": collisions == 0 and splits == 0,
+        "ok": (collisions == 0 and splits == 0
+               and all(r["in_domain"] > 0 for r in reports)),
     }
 
 
 def verify_localmodels_suite(samples: int = 500, seed: int = 0,
                              bound: int = 20) -> dict:
-    reports = _run_cases(
-        sorted(localmodels.PRESETS),
-        lambda preset: localmodels.verify_model(
-            preset, n_samples=samples, seed=seed, bound=bound
-        ),
-    )
+    reports = [
+        localmodels.verify_model(preset, n_samples=samples, seed=seed, bound=bound)
+        for preset in sorted(localmodels.PRESETS)
+    ]
     return {
         "presets": {r["preset"]: r for r in reports},
         "ok": all(r["ok"] for r in reports),
@@ -352,7 +329,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(bound=20)
 
     p = sub.add_parser("all")
-    common(p, samples_default=0)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", type=str, default=None)
 
     return ap
 

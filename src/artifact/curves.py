@@ -41,9 +41,6 @@ class StableCurve:
     def is_real(self) -> bool:
         return self.tree.is_real
 
-    def slot_value(self, v: int, slot: Slot) -> ProjPoint:
-        return self.coords[v][slot]
-
     def expected_slots(self, v: int) -> List[Slot]:
         t = self.tree
         slots = [("m", m) for m in t.mu_inv(v)]
@@ -127,10 +124,6 @@ def curve_from_json(d: dict) -> StableCurve:
                 slot = ("e", (int(a), int(b)))
             coords[v][slot] = ProjPoint.parse(lit)
     return StableCurve(t, coords)
-
-
-def dual_graph(c: StableCurve) -> MarkedTree:
-    return c.tree
 
 
 # ---------------------------------------------------------------------------

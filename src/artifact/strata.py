@@ -10,11 +10,11 @@ the blowup type of a schedule step is determined by the class.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .trees import (MarkedTree, bar_mark, complex_marks, mark_key, real_marks,
-                    sort_marks, split_marks)
+                    sort_marks)
 
 
 class StrataError(Exception):
@@ -155,7 +155,6 @@ BLOWUP_TYPE = {
 class ScheduleStep:
     label: StratumLabel
     blowup_type: str
-    predecessor: Optional[StratumLabel]  # None encodes the zero label
 
 
 @dataclass(frozen=True)
@@ -188,46 +187,21 @@ def schedule(l: int, real: bool = False) -> BlowupSchedule:
         _, labels = build_a_ell_real(l)
     else:
         labels = build_a_ell(l)
-    steps = []
-    prev = None
-    for lab in labels:
-        steps.append(ScheduleStep(lab, BLOWUP_TYPE[lab.kind], prev))
-        prev = lab
-    return BlowupSchedule(l, real, tuple(steps))
+    steps = tuple(ScheduleStep(lab, BLOWUP_TYPE[lab.kind]) for lab in labels)
+    return BlowupSchedule(l, real, steps)
 
 
 def stratum_edge(t: MarkedTree, rho) -> Optional[Tuple[int, int]]:
-    """The oriented edge whose tail-side marks are exactly rho, if any."""
+    """The oriented edge whose tail-side marks are exactly rho, if any
+    (unique on a stable tree)."""
+    bits = t.mark_bits()
     rho = frozenset(rho)
-    for e in t.oriented_edges():
-        if split_marks(t, e) == rho:
-            return e
+    if not rho <= bits.keys():
+        return None
+    mask = sum(bits[m] for m in rho)
+    marks = t.split_index()[0]
+    for v, nbrs in enumerate(t.adjacency()):
+        for w, side in zip(nbrs, marks[v]):
+            if side == mask:
+                return (w, v)
     return None
-
-
-def neighbor_compat(rho, rho2, mode: str) -> bool:
-    """Nesting disjunction for coexisting divisor memberships.
-
-    mode "l":    rho > rho2, rho < rho2, or rho contains the complement of
-                 rho2 in [l] (the two labels must be over the same [l]);
-    mode "l1":   nested only (labels of A_l seen inside the (l+1)-space);
-    mode "real": nested only (conjugate-pair labels via the D~'' loci).
-    """
-    a, b = frozenset(rho), frozenset(rho2)
-    nested = a <= b or b <= a
-    if mode in ("l1", "real"):
-        return nested
-    if mode == "l":
-        universe = frozenset(range(1, max(max(a), max(b)) + 1))
-        # complement is taken in the ambient [l]; infer the smallest valid l
-        return nested or a >= (universe - b)
-    raise StrataError("unknown mode %r" % (mode,))
-
-
-def neighbor_compat_in(rho, rho2, universe, mode: str) -> bool:
-    """neighbor_compat with an explicit ambient mark set."""
-    a, b = frozenset(rho), frozenset(rho2)
-    nested = a <= b or b <= a
-    if mode in ("l1", "real"):
-        return nested
-    return nested or a >= (frozenset(universe) - b)

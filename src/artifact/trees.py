@@ -10,8 +10,8 @@ Every tree here is trivalent: |mu^-1(v)| + deg(v) >= 3 at each vertex.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 Mark = object  # int for complex marks, str like "3+" for conjugate pairs
@@ -45,6 +45,17 @@ def sort_marks(ms) -> List:
     return sorted(ms, key=mark_key)
 
 
+@functools.lru_cache(maxsize=None)
+def _mark_bits(marks: FrozenSet) -> Dict:
+    """mark -> bit, in mark_key order: bit i stands for the i-th mark."""
+    return {m: 1 << i for i, m in enumerate(sort_marks(marks))}
+
+
+def _marks_of_mask(bits: Dict, mask: int) -> List:
+    """The marks whose bits are set, in mark_key order."""
+    return [m for m, b in bits.items() if mask & b]
+
+
 def complex_marks(l: int) -> List[int]:
     return list(range(1, l + 1))
 
@@ -70,6 +81,8 @@ class MarkedTree:
         self.mu: Dict = dict(mu)
         self._adj: Optional[List[List[int]]] = None
         self._mu_inv: Optional[Dict[int, List]] = None
+        self._bits: Optional[Dict] = None
+        self._index: Optional[Tuple] = None
 
     phi = None  # real subclass overrides
 
@@ -113,7 +126,58 @@ class MarkedTree:
         return out
 
     def has_edge(self, u: int, v: int) -> bool:
-        return tuple(sorted((u, v))) in set(self.edges)
+        return 0 <= u < self.vertex_count and v in self.adjacency()[u]
+
+    # -- split-mask index ---------------------------------------------------
+    #
+    # For each vertex v and each neighbour w = adjacency()[v][i], the index
+    # holds two bitmasks of the branch at v through w, i.e. of the tail side
+    # of the oriented edge (w, v): the marks on it (bits in mark_key order,
+    # see mark_bits) and the vertices on it (bit w for vertex w).  Every
+    # side, direction, path and canonical id of the tree is read from it.
+
+    def mark_bits(self) -> Dict:
+        if self._bits is None:
+            self._bits = _mark_bits(frozenset(self.mu))
+        return self._bits
+
+    def split_index(self) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[Tuple[int, ...], ...]]:
+        """(branch mark masks, branch vertex masks), per vertex, aligned
+        with adjacency(); built once, in one traversal from vertex 0."""
+        if self._index is None:
+            n = self.vertex_count
+            adj = self.adjacency()
+            bits = self.mark_bits()
+            down_m = [0] * n
+            for m, v in self.mu.items():
+                down_m[v] |= bits[m]
+            down_v = [1 << v for v in range(n)]
+            parent = [-1] * n
+            order = [0]
+            for v in order:
+                for w in adj[v]:
+                    if w != parent[v]:
+                        parent[w] = v
+                        order.append(w)
+            for v in reversed(order[1:]):
+                down_m[parent[v]] |= down_m[v]
+                down_v[parent[v]] |= down_v[v]
+            all_m, all_v = down_m[0], down_v[0]
+            self._index = (
+                tuple(tuple(down_m[w] if w != parent[v] else all_m ^ down_m[v]
+                            for w in adj[v]) for v in range(n)),
+                tuple(tuple(down_v[w] if w != parent[v] else all_v ^ down_v[v]
+                            for w in adj[v]) for v in range(n)),
+            )
+        return self._index
+
+    def side_masks(self, u: int, v: int) -> Tuple[int, int]:
+        """(mark mask, vertex mask) of the tail side of the edge (u, v)."""
+        if not self.has_edge(u, v):
+            raise TreeError("edge (%r,%r) not in tree" % (u, v))
+        i = self.adjacency()[v].index(u)
+        marks, verts = self.split_index()
+        return marks[v][i], verts[v][i]
 
     def validate(self) -> List[str]:
         bad = []
@@ -216,22 +280,6 @@ class RealMarkedTree(MarkedTree):
         super().__init__(vertex_count, edges, mu)
         self.phi: Tuple[int, ...] = tuple(phi)
 
-    def fixed_vertices(self) -> List[int]:
-        return [v for v in range(self.vertex_count) if self.phi[v] == v]
-
-    def edge_type(self, e: Edge) -> str:
-        """H: both ends fixed; E: phi swaps the ends; C: conjugate pair."""
-        u, v = sorted(e)
-        pu, pv = self.phi[u], self.phi[v]
-        if (pu, pv) == (u, v):
-            return "H"
-        if {pu, pv} == {u, v}:
-            return "E"
-        return "C"
-
-    def edges_of_type(self, kind: str) -> List[Edge]:
-        return [e for e in self.edges if self.edge_type(e) == kind]
-
 
 def tree_from_json(d: dict) -> MarkedTree:
     mu = {}
@@ -251,51 +299,37 @@ def subtree_split(t: MarkedTree, e: Edge) -> Tuple[FrozenSet[int], FrozenSet[int
 
     The tail u lies in Ver_e~ (the first component).
     """
-    u, v = e
-    if not t.has_edge(u, v):
-        raise TreeError("edge (%r,%r) not in tree" % (u, v))
-    adj = t.adjacency()
-    side = {u}
-    stack = [u]
-    while stack:
-        w = stack.pop()
-        for x in adj[w]:
-            if x not in side and not (w == u and x == v):
-                side.add(x)
-                stack.append(x)
-    return frozenset(side), frozenset(range(t.vertex_count)) - frozenset(side)
+    side = t.side_masks(*e)[1]
+    near = frozenset(w for w in range(t.vertex_count) if side >> w & 1)
+    return near, frozenset(range(t.vertex_count)) - near
 
 
 def split_marks(t: MarkedTree, e: Edge) -> FrozenSet:
     """Marks carried by the tail side Ver_e~ of the oriented edge."""
-    side, _ = subtree_split(t, e)
-    return frozenset(m for m, v in t.mu.items() if v in side)
+    return frozenset(_marks_of_mask(t.mark_bits(), t.side_masks(*e)[0]))
 
 
 def direction(t: MarkedTree, v: int, m) -> Tuple:
     """How mark m is seen from vertex v: the mark itself or an outgoing edge."""
     if t.mu[m] == v:
         return ("m", m)
-    nxt = path_vertices(t, v, t.mu[m])[1]
-    return ("e", (v, nxt))
+    bit = t.mark_bits()[m]
+    for w, side in zip(t.adjacency()[v], t.split_index()[0][v]):
+        if side & bit:
+            return ("e", (v, w))
+    raise TreeError("mark %r not reachable from vertex %r" % (m, v))
 
 
 def path_vertices(t: MarkedTree, a: int, b: int) -> List[int]:
-    adj = t.adjacency()
-    prev = {a: None}
-    stack = [a]
-    while stack:
-        u = stack.pop()
-        if u == b:
-            break
-        for w in adj[u]:
-            if w not in prev:
-                prev[w] = u
-                stack.append(w)
-    path = [b]
-    while path[-1] != a:
-        path.append(prev[path[-1]])
-    return path[::-1]
+    n = t.vertex_count
+    if not (0 <= a < n and 0 <= b < n):
+        raise TreeError("no path between %r and %r" % (a, b))
+    adj, verts = t.adjacency(), t.split_index()[1]
+    path = [a]
+    while path[-1] != b:
+        v = path[-1]
+        path.append(next(w for w, side in zip(adj[v], verts[v]) if side >> b & 1))
+    return path
 
 
 def independence(t: MarkedTree, v: int, i, j) -> bool:
@@ -323,7 +357,7 @@ def contract_edges(t: MarkedTree, edges_to_collapse) -> Tuple[MarkedTree, Tuple[
     """Collapse the given edges; returns (tree, kappa) with kappa old->new."""
     collapse = {tuple(sorted(e)) for e in edges_to_collapse}
     for e in collapse:
-        if e not in set(t.edges):
+        if not t.has_edge(*e):
             raise TreeError("cannot collapse missing edge %r" % (e,))
     parent = list(range(t.vertex_count))
 
@@ -380,68 +414,6 @@ def contractions(t: MarkedTree) -> List[Tuple[MarkedTree, Tuple[int, ...]]]:
 
 
 # ---------------------------------------------------------------------------
-# attachments
-
-def _next_mark(t: MarkedTree):
-    l1 = t.l + 1
-    if t.is_real:
-        return "%d+" % l1, "%d-" % l1
-    return l1
-
-
-def attach_point(t: MarkedTree, v: int) -> MarkedTree:
-    """Attach mark l+1 at v (and its conjugate at phi(v) for real trees)."""
-    if not (0 <= v < t.vertex_count):
-        raise TreeError("no vertex %r" % (v,))
-    mu = dict(t.mu)
-    if t.is_real:
-        mp, mm = _next_mark(t)
-        mu[mp] = v
-        mu[mm] = t.phi[v]
-        return RealMarkedTree(t.vertex_count, t.edges, mu, t.phi)
-    mu[_next_mark(t)] = v
-    return MarkedTree(t.vertex_count, t.edges, mu)
-
-
-def attach_at_edge(t: MarkedTree, e: Edge) -> MarkedTree:
-    """Subdivide edge e with a new vertex carrying mark l+1.
-
-    Real trees: an H- or E-edge gets a single phi-fixed middle vertex
-    carrying both (l+1)+ and (l+1)-; a conjugate edge pair gets two middle
-    vertices swapped by phi, each with one of the new marks.
-    """
-    e = tuple(sorted(e))
-    if e not in set(t.edges):
-        raise TreeError("no edge %r" % (e,))
-    u, v = e
-    if not t.is_real:
-        w = t.vertex_count
-        edges = [x for x in t.edges if x != e] + [(u, w), (w, v)]
-        mu = dict(t.mu)
-        mu[_next_mark(t)] = w
-        return MarkedTree(t.vertex_count + 1, edges, mu)
-    mp, mm = _next_mark(t)
-    kind = t.edge_type(e)
-    if kind in ("H", "E"):
-        w = t.vertex_count
-        edges = [x for x in t.edges if x != e] + [(u, w), (w, v)]
-        mu = dict(t.mu)
-        mu[mp] = w
-        mu[mm] = w
-        phi = list(t.phi) + [w]
-        return RealMarkedTree(t.vertex_count + 1, edges, mu, phi)
-    eb = tuple(sorted((t.phi[u], t.phi[v])))
-    w, wb = t.vertex_count, t.vertex_count + 1
-    edges = [x for x in t.edges if x not in (e, eb)]
-    edges += [(u, w), (w, v), (eb[0], wb), (wb, eb[1])]
-    mu = dict(t.mu)
-    mu[mp] = w
-    mu[mm] = wb
-    phi = list(t.phi) + [wb, w]
-    return RealMarkedTree(t.vertex_count + 2, edges, mu, phi)
-
-
-# ---------------------------------------------------------------------------
 # enumeration
 
 def _canonical_split_candidates(marks: List) -> List[FrozenSet]:
@@ -477,35 +449,30 @@ def _tree_from_family(marks: List, family: Sequence[FrozenSet]) -> Tuple[int, Li
 
 
 def _phi_from_structure(n: int, edges: List[Edge], mu: Dict) -> List[int]:
-    """The unique involution compatible with mark conjugation, via edge splits."""
+    """The unique involution compatible with mark conjugation.
+
+    Conjugating the mark mask of the branch at v through w (the tail side
+    of the edge (w, v)) by the bit permutation of bar_mark gives the tail
+    side of the image edge, whose head is phi(v).
+    """
     if n == 1:
         return [0]
     t = MarkedTree(n, edges, mu)
-    by_split = {}
-    for u, v in t.edges:
-        by_split[split_marks(t, (u, v))] = (u, v)
-        by_split[split_marks(t, (v, u))] = (v, u)
-    edge_img = {}
-    for u, v in t.edges:
-        s = split_marks(t, (u, v))
-        sb = frozenset(bar_mark(m) for m in s)
-        if sb not in by_split:
-            raise TreeError("split system not conjugation-closed")
-        edge_img[(u, v)] = by_split[sb]
-        edge_img[(v, u)] = (by_split[sb][1], by_split[sb][0])
-    phi = [None] * n
-    adj = t.adjacency()
+    bits = t.mark_bits()
+    bar_bits = [bits[bar_mark(m)] for m in bits]
+    marks = t.split_index()[0]
+    heads = {side: v for v in range(n) for side in marks[v]}
+    phi = []
     for v in range(n):
-        inc = [(v, w) for w in adj[v]]
-        if len(inc) >= 2:
-            (a1, b1), (a2, b2) = edge_img[inc[0]], edge_img[inc[1]]
-            # phi(v) is the shared endpoint of the two image edges
-            common = {a1, b1} & {a2, b2}
-            if len(common) != 1:
-                raise TreeError("involution not determined")
-            phi[v] = common.pop()
-        else:
-            phi[v] = edge_img[inc[0]][0]
+        imgs = set()
+        for side in marks[v]:
+            conj = sum(b for i, b in enumerate(bar_bits) if side >> i & 1)
+            if conj not in heads:
+                raise TreeError("split system not conjugation-closed")
+            imgs.add(heads[conj])
+        if len(imgs) != 1:
+            raise TreeError("involution not determined")
+        phi.append(imgs.pop())
     return phi
 
 
@@ -611,8 +578,9 @@ def canonical_form(t: MarkedTree) -> str:
     out = "%s%d:%s" % (head, t.l, body)
     if t.is_real:
         # orbit structure of the involution, in canonical vertex encodings
+        ids = [_ahu_id(t, v) for v in range(t.vertex_count)]
         pairs = sorted(
-            sorted([_ahu_id(t, v), _ahu_id(t, t.phi[v])])[0] + "~" + sorted([_ahu_id(t, v), _ahu_id(t, t.phi[v])])[1]
+            "~".join(sorted((ids[v], ids[t.phi[v]])))
             for v in range(t.vertex_count) if v <= t.phi[v]
         )
         out += "/phi:" + ";".join(pairs)
@@ -621,49 +589,29 @@ def canonical_form(t: MarkedTree) -> str:
 
 def _ahu_id(t: MarkedTree, v: int) -> str:
     """A canonical identifier for a vertex: its sorted branch mark-sets."""
+    bits = t.mark_bits()
     parts = [",".join(str(m) for m in t.mu_inv(v))]
-    for w in t.adjacency()[v]:
-        s = split_marks(t, (w, v))
-        parts.append("{" + ",".join(str(m) for m in sort_marks(s)) + "}")
+    for side in t.split_index()[0][v]:
+        parts.append("{" + ",".join(str(m) for m in _marks_of_mask(bits, side)) + "}")
     return "[" + "|".join(sorted(parts)) + "]"
 
 
 def canonical_vertex_order(t: MarkedTree) -> Dict[int, int]:
     """Relabeling-invariant vertex ranks: BFS from the vertex of the minimal
-    mark, children ordered by the minimal mark of their branch.
+    mark, children ordered by the minimal mark of their branch (the lowest
+    bit of the branch's mark mask).
 
     Two trees that differ only by a vertex relabeling assign the same rank
     to corresponding vertices, so ranks identify vertices canonically.
     """
     root = t.mu[min(t.mu.keys(), key=mark_key)]
-    adj = t.adjacency()
-
-    def branch_min(v, p):
-        best = None
-        stack = [(v, p)]
-        while stack:
-            u, pu = stack.pop()
-            for m in t.mu_inv(u):
-                k = mark_key(m)
-                best = k if best is None or k < best else best
-            for w in adj[u]:
-                if w != pu:
-                    stack.append((w, u))
-        return best
-
+    adj, marks = t.adjacency(), t.split_index()[0]
     order = {root: 0}
-    queue = [(root, -1)]
-    while queue:
-        v, p = queue.pop(0)
-        kids = sorted(
-            (w for w in adj[v] if w != p),
-            key=lambda w: branch_min(w, v),
-        )
-        for w in kids:
+    queue = [root]
+    for v in queue:
+        kids = sorted((side & -side, w) for w, side in zip(adj[v], marks[v])
+                      if w not in order)
+        for _low, w in kids:
             order[w] = len(order)
-            queue.append((w, v))
+            queue.append(w)
     return order
-
-
-def tree_json_str(t: MarkedTree) -> str:
-    return json.dumps(t.to_json(), sort_keys=True)

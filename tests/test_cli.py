@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from artifact import cli
+from artifact import cli, quotient, trees
 
 
 def run_json(argv, tmp_path, name="report.json"):
@@ -105,14 +105,35 @@ class TestReports:
         rep = json.loads(capsys.readouterr().out)
         assert rep["count"] == 4
 
-    def test_thread_pool_same_result(self, tmp_path, monkeypatch):
+    def test_verify_quotient_deterministic(self, tmp_path):
         _, rep1 = run_json(
             ["verify-quotient", "--l", "4", "--samples", "20"], tmp_path, "s.json"
         )
-        monkeypatch.setenv("DM_LAB_THREADS", "4")
         _, rep2 = run_json(
             ["verify-quotient", "--l", "4", "--samples", "20"], tmp_path, "t.json"
         )
         rep1.pop("timestamp")
         rep2.pop("timestamp")
         assert rep1 == rep2
+
+
+class TestNonVacuity:
+    def test_all_rejects_ignored_flags(self):
+        assert cli.run(["all", "--samples", "5"]) == 2
+        assert cli.run(["all", "--bound", "5"]) == 2
+
+    def test_quotient_with_nothing_in_domain_fails(self, tmp_path, monkeypatch):
+        def empty_case(t, rho_star, **kwargs):
+            return {"tree": trees.canonical_form(t),
+                    "rho_star": [str(m) for m in trees.sort_marks(rho_star)],
+                    "samples": kwargs["n_samples"], "in_domain": 0,
+                    "classes": 0, "classes_out_of_domain": 0,
+                    "key_collisions_across_classes": 0,
+                    "intra_class_key_splits": 0}
+
+        monkeypatch.setattr(quotient, "verify_injectivity", empty_case)
+        assert cli.verify_quotient_suite(4, samples=10)["ok"] is False
+        status, rep = run_json(
+            ["verify-quotient", "--l", "4", "--samples", "10"], tmp_path
+        )
+        assert status == 1 and rep["ok"] is False

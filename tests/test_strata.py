@@ -12,7 +12,6 @@ from artifact.strata import (
     classify_real,
     distinct_real_divisors,
     is_admissible,
-    neighbor_compat,
     order_key,
     real_kind_counts,
     schedule,
