@@ -317,7 +317,11 @@ def a_gamma(t: MarkedTree, rho_star) -> List[Tuple[FrozenSet, Tuple[int, int]]]:
 
 def v_gamma(t: MarkedTree, rho_star) -> List[int]:
     """Vertices common to the near sides of all stratum edges above rho*."""
-    labels = a_gamma(t, rho_star)
+    return near_vertices(t, a_gamma(t, rho_star))
+
+
+def near_vertices(t: MarkedTree, labels) -> List[int]:
+    """Vertices common to the near sides of the edges of a_gamma labels."""
     verts = set(range(t.vertex_count))
     for _rho, e in labels:
         near, _far = subtree_split(t, e)
@@ -332,7 +336,12 @@ def extended_basis(t: MarkedTree, eta, v_plus: int, rho_star) -> ChartBasis:
     the real case) to the basis of t."""
     if v_plus not in v_gamma(t, rho_star):
         raise ChartError("v_plus is not in the admissible vertex set")
-    basis = gamma_basis(t, eta)
+    return extend_basis(gamma_basis(t, eta), v_plus)
+
+
+def extend_basis(basis: ChartBasis, v_plus: int) -> ChartBasis:
+    """Set the extension of a basis at an admissible vertex v_plus."""
+    t = basis.tree
     i, j, k = basis.gamma_v[v_plus][:3]
     if t.is_real:
         lp = "%d+" % (t.l + 1)

@@ -12,7 +12,7 @@ import json
 import random
 from typing import Dict, List, Optional, Tuple
 
-from .exactfield import (GaussRat, ProjPoint, cross_ratio)
+from .exactfield import GaussRat, ProjPoint, cross_ratio, frame
 from .strata import classify_real, is_admissible, stratum_edge
 from .trees import (MarkedTree, RealMarkedTree, bar_mark,
                     canonical_vertex_order, direction, mark_key, real_marks,
@@ -31,7 +31,17 @@ def _edge_slot(e) -> Slot:
 
 
 class StableCurve:
-    """tree + per-vertex dict {slot -> ProjPoint}."""
+    """tree + per-vertex dict {slot -> ProjPoint}.
+
+    A curve is not mutated after construction (its tree and coordinates
+    are fixed), so what is derived from it is kept on first use: its
+    moduli_key string, and the stabilized base that quotient.base_of
+    computes by forgetting the extra mark(s).
+    """
+
+    # filled on first use
+    _moduli_key: Optional[str] = None
+    _base: Optional["StableCurve"] = None
 
     def __init__(self, tree: MarkedTree, coords: Dict[int, Dict[Slot, ProjPoint]]):
         self.tree = tree
@@ -143,46 +153,51 @@ def forget(c: StableCurve, keep) -> StableCurve:
     elif len(keep) < 3:
         raise CurveError("keep too small: need at least 3 marks")
 
-    # mutable working copy over the original vertex ids
+    # mutable working copy over the original vertex ids; inc[v] and at[v]
+    # are the edges and the kept marks at v
     verts = set(range(t.vertex_count))
-    edges = {tuple(sorted(e)) for e in t.edges}
+    edges = set(t.edges)
+    inc = {v: {e for e in t.edges if v in e} for v in verts}
     mu = {m: v for m, v in t.mu.items() if m in keep}
+    at = {v: [m for m in t.mu_inv(v) if m in keep] for v in verts}
     coords = {
         v: {s: p for s, p in c.coords[v].items() if s[0] == "e" or s[1] in keep}
         for v in verts
     }
 
-    def neighbors(v):
-        return [e for e in edges if v in e]
-
     changed = True
     while changed:
         changed = False
         for v in sorted(verts):
-            inc = neighbors(v)
-            marks_here = [m for m, u in mu.items() if u == v]
-            nspecial = len(inc) + len(marks_here)
-            if nspecial >= 3 or (len(inc) == 0 and len(verts) == 1):
+            iv, marks_here = inc[v], at[v]
+            nspecial = len(iv) + len(marks_here)
+            if nspecial >= 3 or (len(iv) == 0 and len(verts) == 1):
                 continue
             changed = True
-            if len(inc) == 2:
-                (e1, e2) = sorted(inc)
+            if len(iv) == 2:
+                (e1, e2) = sorted(iv)
                 a = e1[0] if e1[1] == v else e1[1]
                 b = e2[0] if e2[1] == v else e2[1]
                 edges -= {e1, e2}
                 newe = tuple(sorted((a, b)))
                 edges.add(newe)
+                inc[a].remove(e1)
+                inc[a].add(newe)
+                inc[b].remove(e2)
+                inc[b].add(newe)
                 coords[a][_edge_slot(newe)] = coords[a].pop(_edge_slot(e1))
                 coords[b][_edge_slot(newe)] = coords[b].pop(_edge_slot(e2))
-            elif len(inc) == 1:
-                (e,) = inc
+            elif len(iv) == 1:
+                (e,) = iv
                 a = e[0] if e[1] == v else e[1]
                 edges.discard(e)
+                inc[a].discard(e)
                 node = coords[a].pop(_edge_slot(e))
                 if marks_here:
                     # the remaining mark lands at the node position
                     m = marks_here[0]
                     mu[m] = a
+                    at[a].append(m)
                     coords[a][("m", m)] = node
             else:
                 raise CurveError("keep too small for stability")
@@ -388,29 +403,35 @@ def moduli_key(c: StableCurve) -> str:
     three special points (in canonical slot order) to infinity, zero and
     one, so equal strings mean equal points of the moduli space.  In
     particular a component with exactly three special points contributes no
-    coordinate data, as it has no moduli.
+    coordinate data, as it has no moduli.  Computed once per curve.
     """
+    if c._moduli_key is None:
+        c._moduli_key = _moduli_key(c)
+    return c._moduli_key
+
+
+def _moduli_key(c: StableCurve) -> str:
     t = c.tree
     order = canonical_vertex_order(t)
+    bits = t.mark_bits()  # bit order is mark_key order
 
     def slot_sort_key(v):
         def k(slot):
             if slot[0] == "m":
-                return (0, mark_key(slot[1]))
+                return (0, bits[slot[1]])
             u, w = slot[1]
-            other = w if u == v else u
-            return (1, (order[other], 0))
+            return (1, order[w if u == v else u])
         return k
 
     parts = []
     for v in sorted(order, key=order.get):
-        slots = sorted(c.coords[v], key=slot_sort_key(v))
-        refs = [c.coords[v][s] for s in slots[:3]]
+        cv = c.coords[v]
+        slots = sorted(cv, key=slot_sort_key(v))
+        # (refs[0], refs[1], refs[2]) -> (inf, 0, 1)
+        to_frame = frame(*(cv[s] for s in slots[:3]))
         items = []
         for s in slots:
-            z = c.coords[v][s]
-            # frame (refs[0], refs[1], refs[2]) -> (inf, 0, 1)
-            val = cross_ratio(z, refs[2], refs[1], refs[0])
+            val = to_frame(cv[s])
             if s[0] == "m":
                 items.append("m%s=%s" % (s[1], val.serialize()))
             else:

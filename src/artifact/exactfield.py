@@ -340,6 +340,31 @@ def cross_ratio(z1: ProjPoint, z2: ProjPoint, z3: ProjPoint, z4: ProjPoint) -> P
     return _make(ProjPoint, _normal(nr, ni, dr, di))
 
 
+def frame(r0: ProjPoint, r1: ProjPoint, r2: ProjPoint):
+    """The Mobius map sending r0, r1, r2 to inf, 0, 1, as a function of z.
+
+    Its value at z is cross_ratio(z, r2, r1, r0), by the same homogeneous
+    formula with the two differences free of z computed once.
+    """
+    p0, q0, d0 = r0._k
+    p1, q1, d1 = r1._k
+    p2, q2, d2 = r2._k
+    r20, i20 = p2 * d0 - p0 * d2, q2 * d0 - q0 * d2
+    r21, i21 = p2 * d1 - p1 * d2, q2 * d1 - q1 * d2
+
+    def apply(z: ProjPoint) -> ProjPoint:
+        p, q, d = z._k
+        rz1, iz1 = p * d1 - p1 * d, q * d1 - q1 * d
+        rz0, iz0 = p * d0 - p0 * d, q * d0 - q0 * d
+        nr, ni = rz1 * r20 - iz1 * i20, rz1 * i20 + iz1 * r20
+        dr, di = rz0 * r21 - iz0 * i21, rz0 * i21 + iz0 * r21
+        if nr == 0 and ni == 0 and dr == 0 and di == 0:
+            raise UnstableConfiguration("three or more coincident points")
+        return _make(ProjPoint, _normal(nr, ni, dr, di))
+
+    return apply
+
+
 def mobius(z: ProjPoint, al, be, ga, de) -> ProjPoint:
     """[a:b] -> [al*a+be*b : ga*a+de*b]; requires al*de - be*ga != 0."""
     al, be, ga, de = map(_coerce, (al, be, ga, de))

@@ -13,12 +13,13 @@ characterize the closure classes inside the chart domain.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .charts import (ChartDomainError, a_gamma, extended_basis, gamma_basis,
-                     v_gamma)
+from .charts import (ChartDomainError, a_gamma, extend_basis, gamma_basis,
+                     near_vertices)
 from .curves import (CurveError, StableCurve, _edge_slot, cross_ratio_q,
                      forget, in_D_tilde, in_divisor, moduli_key, sample_curve)
 from .exactfield import PP_INF, PP_ZERO, GaussRat, ProjPoint
@@ -43,10 +44,11 @@ def extra_marks(t: MarkedTree) -> List:
 
 
 def base_of(c: StableCurve) -> StableCurve:
-    """Forget the extra mark(s) and stabilize."""
-    drop = set(extra_marks(c.tree))
-    keep = [m for m in c.tree.mu if m not in drop]
-    return forget(c, keep)
+    """Forget the extra mark(s) and stabilize; computed once per curve."""
+    if c._base is None:
+        drop = set(extra_marks(c.tree))
+        c._base = forget(c, [m for m in c.tree.mu if m not in drop])
+    return c._base
 
 
 def equivalent(c1: StableCurve, c2: StableCurve, rho, real: bool = False) -> bool:
@@ -149,7 +151,10 @@ def excluded_labels(t: MarkedTree, v_plus: int, rho_star=()) -> List[FrozenSet]:
     """Splits seen from v_plus's side of any node, minus the admissible
     splits realized above rho*.  The boundary loci over these labels are
     removed from the chart domain of (t, v_plus)."""
-    allowed = {rho for rho, _e in a_gamma(t, rho_star)}
+    return _excluded(t, v_plus, {rho for rho, _e in a_gamma(t, rho_star)})
+
+
+def _excluded(t: MarkedTree, v_plus: int, allowed) -> List[FrozenSet]:
     out, seen = [], set()
     for e in t.oriented_edges():
         near, _far = subtree_split(t, e)
@@ -188,20 +193,54 @@ class ClassKey:
         }
 
 
-def class_key(c: StableCurve, rho_star=(), real: bool = False,
-              v_plus_rank: Optional[int] = None) -> ClassKey:
-    """The chart tuple of the curve's class, over the tree of its base.
+@dataclass(frozen=True)
+class ChartPlan:
+    """The part of a class key fixed by the base tree, rho* and the rank
+    choice: the chart vertex, the excluded labels (sorted by order_key)
+    and the extended-basis quadruples, sorted, with their text."""
 
-    The chart vertex is chosen by canonical rank so that equal bases yield
-    the same choice regardless of vertex numbering.  Raises
-    ChartDomainError when the curve lies on an excluded boundary locus.
+    tree: str
+    v_plus: int
+    v_rank: int
+    excluded: Tuple[FrozenSet, ...]
+    quads: Tuple[Tuple[str, Tuple], ...]
+
+
+#: base trees whose chart plans are kept; the oldest goes first
+PLAN_CACHE_SIZE = 256
+
+# labelled base tree -> {(rho*, rank): ChartPlan}.  Keys are compared by
+# labelled structure and held weakly, so a tree's plans last as long as
+# the tree object they were first built for.
+_PLANS: "weakref.WeakKeyDictionary[MarkedTree, Dict]" = weakref.WeakKeyDictionary()
+
+
+def chart_plan(t: MarkedTree, rho_star=(),
+               v_plus_rank: Optional[int] = None) -> ChartPlan:
+    """The chart plan of base tree t at cut rho*, computed once per
+    labelled tree structure, so every base with the same tree shares it.
+
+    Without a rank, the chart vertex is the admissible vertex of least
+    canonical rank, so equal bases yield the same choice regardless of
+    vertex numbering.  Raises QuotientError when no admissible vertex has
+    the given rank; errors are not kept.
     """
-    if bool(c.is_real) != bool(real):
-        raise QuotientError("real flag does not match the curve")
-    b = base_of(c)
-    t = b.tree
+    plans = _PLANS.get(t)
+    if plans is None:
+        if len(_PLANS) >= PLAN_CACHE_SIZE:
+            del _PLANS[next(iter(_PLANS))]
+        plans = _PLANS[t] = {}
+    key = (frozenset(rho_star), v_plus_rank)
+    if key not in plans:
+        plans[key] = _make_plan(t, *key)
+    return plans[key]
+
+
+def _make_plan(t: MarkedTree, rho_star: FrozenSet,
+               v_plus_rank: Optional[int]) -> ChartPlan:
     order = canonical_vertex_order(t)
-    cands = v_gamma(t, rho_star)
+    labels = a_gamma(t, rho_star)
+    cands = near_vertices(t, labels)
     if v_plus_rank is None:
         v_plus = min(cands, key=lambda v: order[v])
     else:
@@ -210,20 +249,36 @@ def class_key(c: StableCurve, rho_star=(), real: bool = False,
             raise QuotientError(
                 "no admissible chart vertex with rank %r" % (v_plus_rank,))
         v_plus = match[0]
-    for rho in excluded_labels(t, v_plus, rho_star):
+    excluded = _excluded(t, v_plus, {rho for rho, _e in labels})
+    basis = extend_basis(gamma_basis(t), v_plus)
+    quads = sorted(set(basis.all_quadruples),
+                   key=lambda q: tuple(mark_key(m) for m in q))
+    return ChartPlan(canonical_form(t), v_plus, order[v_plus], tuple(excluded),
+                     tuple((",".join(str(m) for m in q), q) for q in quads))
+
+
+def class_key(c: StableCurve, rho_star=(), real: bool = False,
+              v_plus_rank: Optional[int] = None) -> ClassKey:
+    """The chart tuple of the curve's class, over the tree of its base.
+
+    The chart vertex, excluded labels and quadruples come from the chart
+    plan of the base tree (see chart_plan); only the membership tests
+    and the cross ratios are evaluated on the curve.  Raises
+    ChartDomainError when the curve lies on an excluded boundary locus.
+    """
+    if bool(c.is_real) != bool(real):
+        raise QuotientError("real flag does not match the curve")
+    b = base_of(c)
+    plan = chart_plan(b.tree, rho_star, v_plus_rank)
+    for rho in plan.excluded:
         hit = in_D_tilde(c, rho, '"') if real else in_divisor(c, rho)
         if hit:
             raise ChartDomainError(
                 "curve lies on the excluded boundary locus of rho=%r"
                 % (sort_marks(rho),))
-    basis = extended_basis(t, None, v_plus, rho_star)
-    quads = sorted(set(basis.all_quadruples),
-                   key=lambda q: tuple(mark_key(m) for m in q))
-    chart = tuple(
-        (",".join(str(m) for m in q), cross_ratio_q(c, q).serialize())
-        for q in quads
-    )
-    return ClassKey(moduli_key(b), canonical_form(t), order[v_plus], chart)
+    chart = tuple((text, cross_ratio_q(c, q).serialize())
+                  for text, q in plan.quads)
+    return ClassKey(moduli_key(b), plan.tree, plan.v_rank, chart)
 
 
 def y_membership(c: StableCurve, rho, bullet: str) -> bool:
@@ -443,12 +498,23 @@ def verify_injectivity(t: MarkedTree, rho_star=(), v_plus: Optional[int] = None,
     A closure class is compared only when every member passes the chart
     domain check; classes touching an excluded locus are counted and
     skipped, since the removed loci are saturated under the relations.
+    A v_plus outside the admissible vertex set raises QuotientError,
+    naming the seed, the tree and rho*, before any curve is sampled.
     """
     if bool(t.is_real) != bool(real):
         raise QuotientError("real flag does not match the tree")
+    try:
+        v_rank = None
+        if v_plus is not None:
+            v_rank = canonical_vertex_order(t).get(v_plus)
+            if v_rank is None:
+                raise QuotientError("v_plus=%r is not a vertex" % (v_plus,))
+        plan = chart_plan(t, rho_star, v_rank)
+    except QuotientError as e:
+        raise QuotientError("seed %r, tree %s, rho_star %r: %s" % (
+            seed, canonical_form(t), [str(m) for m in sort_marks(rho_star)],
+            e)) from None
     rng = random.Random("%r:quotient" % (seed,))
-    order = canonical_vertex_order(t)
-    v_rank = order[v_plus] if v_plus is not None else None
 
     samples: List[StableCurve] = []
     base_idx = 0
@@ -503,7 +569,7 @@ def verify_injectivity(t: MarkedTree, rho_star=(), v_plus: Optional[int] = None,
         "l": t.l,
         "real": bool(real),
         "rho_star": [str(m) for m in sort_marks(rho_star)],
-        "tree": canonical_form(t),
+        "tree": plan.tree,
         "v_plus_rank": v_rank,
         "samples": len(samples),
         "in_domain": sum(1 for k in keys if k is not None),

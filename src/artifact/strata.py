@@ -198,10 +198,4 @@ def stratum_edge(t: MarkedTree, rho) -> Optional[Tuple[int, int]]:
     rho = frozenset(rho)
     if not rho <= bits.keys():
         return None
-    mask = sum(bits[m] for m in rho)
-    marks = t.split_index()[0]
-    for v, nbrs in enumerate(t.adjacency()):
-        for w, side in zip(nbrs, marks[v]):
-            if side == mask:
-                return (w, v)
-    return None
+    return t.edge_of_mask().get(sum(bits[m] for m in rho))

@@ -71,7 +71,12 @@ def real_marks(l: int) -> List[str]:
 # trees
 
 class MarkedTree:
-    """Tree (Ver, Edg, mu) with dense vertices 0..n-1 and sorted edges."""
+    """Tree (Ver, Edg, mu) with dense vertices 0..n-1 and sorted edges.
+
+    A tree is not mutated after construction: its adjacency, split-mask
+    index, mask -> edge table, canonical vertex ranks and structural key
+    are computed on first use and kept on the object.
+    """
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge], mu: Dict):
         self.vertex_count = int(vertex_count)
@@ -85,6 +90,11 @@ class MarkedTree:
         self._index: Optional[Tuple] = None
 
     phi = None  # real subclass overrides
+    # filled on first use; class defaults keep trees that never use them
+    # as small as before
+    _edge_of: Optional[Dict[int, Edge]] = None
+    _order: Optional[Dict[int, int]] = None
+    _skey: Optional[Tuple] = None
 
     @property
     def is_real(self) -> bool:
@@ -171,6 +181,18 @@ class MarkedTree:
             )
         return self._index
 
+    def edge_of_mask(self) -> Dict[int, Edge]:
+        """Tail-side mark mask -> oriented edge (w, v); the first edge in
+        the order vertex v ascending, then neighbour w, wins."""
+        if self._edge_of is None:
+            marks = self.split_index()[0]
+            edge_of: Dict[int, Edge] = {}
+            for v, nbrs in enumerate(self.adjacency()):
+                for w, side in zip(nbrs, marks[v]):
+                    edge_of.setdefault(side, (w, v))
+            self._edge_of = edge_of
+        return self._edge_of
+
     def side_masks(self, u: int, v: int) -> Tuple[int, int]:
         """(mark mask, vertex mask) of the tail side of the edge (u, v)."""
         if not self.has_edge(u, v):
@@ -241,12 +263,14 @@ class MarkedTree:
 
     # structural (labeled) equality; use canonical_form for isomorphism
     def _key(self):
-        return (
-            self.vertex_count,
-            self.edges,
-            tuple(sorted(self.mu.items(), key=lambda kv: mark_key(kv[0]))),
-            self.phi,
-        )
+        if self._skey is None:
+            self._skey = (
+                self.vertex_count,
+                self.edges,
+                tuple(sorted(self.mu.items(), key=lambda kv: mark_key(kv[0]))),
+                self.phi,
+            )
+        return self._skey
 
     def __eq__(self, other):
         if not isinstance(other, MarkedTree):
@@ -603,7 +627,10 @@ def canonical_vertex_order(t: MarkedTree) -> Dict[int, int]:
 
     Two trees that differ only by a vertex relabeling assign the same rank
     to corresponding vertices, so ranks identify vertices canonically.
+    Computed once per tree; callers must not modify the returned dict.
     """
+    if t._order is not None:
+        return t._order
     root = t.mu[min(t.mu.keys(), key=mark_key)]
     adj, marks = t.adjacency(), t.split_index()[0]
     order = {root: 0}
@@ -614,4 +641,5 @@ def canonical_vertex_order(t: MarkedTree) -> Dict[int, int]:
         for _low, w in kids:
             order[w] = len(order)
             queue.append(w)
+    t._order = order
     return order

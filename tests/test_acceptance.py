@@ -5,7 +5,9 @@ marks the criterion red.  Runtime budgets are enforced with monotonic
 clocks around the checked computation.
 """
 
+import hashlib
 import itertools
+import json
 import random
 import time
 from fractions import Fraction
@@ -260,3 +262,30 @@ def test_criterion_11_real_slice():
     _report(11, "real slice accepts all %d sampled real curves and rejects "
                 "perturbed non-real assignments (%d perturbation triples)"
             % (accepted, rejected_cases))
+
+
+# sha256 of the `dm-lab verify-quotient --l 3 --real --samples 40` report
+# (sorted-key JSON without its timestamp), pinned before the per-curve
+# and per-tree memos were added
+REAL_L3_SWEEP_SHA256 = (
+    "295e1e3914adbd8d8e03435ed2deab08ca8d50e7a3c2d19b0c2eb39adb849f38")
+
+
+def test_criterion_12_real_l3_quotient_sweep():
+    t0 = time.monotonic()
+    rep = cli.verify_quotient_suite(3, real=True, samples=40, seed=0)
+    dt = time.monotonic() - t0
+    assert rep["ok"]
+    assert (rep["trees"], rep["cut_labels"], len(rep["cases"])) == (36, 20, 720)
+    for case in rep["cases"]:
+        assert case["key_collisions_across_classes"] == 0
+        assert case["intra_class_key_splits"] == 0
+        assert case["in_domain"] > 0
+    kinds = {strata.classify_real(c["rho_star"], 3)
+             for c in rep["cases"] if c["rho_star"]}
+    assert kinds == {"H", "E", "D1", "D2", "D3"}
+    text = json.dumps(dict(rep, v=1, command="verify-quotient"), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == REAL_L3_SWEEP_SHA256
+    assert dt < 120.0
+    _report(12, "class keys == closure classes on all 720 real l=3 cases "
+                "(H, E, D1, D2, D3 cuts), report unchanged, in %.1fs" % dt)

@@ -1,5 +1,10 @@
 """Gluing relations, closure classes, chart class keys, boundary images."""
 
+import gc
+import hashlib
+import json
+import random
+
 import pytest
 
 from artifact import charts, curves, quotient, strata, trees
@@ -186,3 +191,175 @@ class TestRealDTilde:
                 lhs = in_D_tilde(c, rho, '"')
                 rhs = in_divisor(c, rho) or in_divisor(c, rho | {"3-"})
                 assert lhs == rhs
+
+
+# ---------------------------------------------------------------------------
+# memoised bases, moduli keys and chart plans
+
+def _relabel_curve(c, perm):
+    """The same curve with vertex v renamed perm[v]."""
+    d = c.to_json()
+    d["edges"] = [sorted((perm[u], perm[v])) for u, v in d["edges"]]
+    d["mu"] = {m: perm[v] for m, v in d["mu"].items()}
+    if d["phi"] is not None:
+        phi = [0] * len(d["phi"])
+        for v, w in enumerate(d["phi"]):
+            phi[perm[v]] = perm[w]
+        d["phi"] = phi
+    coords = {}
+    for vs, cv in d["coords"].items():
+        out = {}
+        for key, lit in cv.items():
+            if key.startswith("edge:"):
+                a, b = sorted(perm[int(x)] for x in key[5:].split("-"))
+                key = "edge:%d-%d" % (a, b)
+            out[key] = lit
+        coords[str(perm[int(vs)])] = out
+    d["coords"] = coords
+    return curves.curve_from_json(d)
+
+
+def _memo_cases():
+    """Seeded (tree, cut, real, samples) cases: four real l=3 and three
+    complex l=5 trees, with fiber samples over two bases each, so that
+    samples of one case share their trees but not their bases."""
+    real_ts = trees.enumerate_trees(3, real=True)
+    real_cuts = [frozenset()] + [s.rho_set for s in strata.build_a_ell_real(3)[1]]
+    cx_ts = trees.enumerate_trees(5)
+    cx_cuts = [frozenset()] + [s.rho_set for s in strata.build_a_ell(5)]
+    picks = [(real_ts[i], real_cuts[j], True) for i, j in
+             ((0, 0), (7, 5), (20, 13), (35, 19))]
+    picks += [(cx_ts[i], cx_cuts[j], False) for i, j in ((0, 3), (12, 7), (25, 10))]
+    out = []
+    for idx, (t, rho, real) in enumerate(picks):
+        rng = random.Random("memo:%d" % idx)
+        samples = []
+        for k in range(2):
+            base = sample_curve(t, 40, ("memo", idx, k))
+            samples += fiber_samples(base, rng, per_site=1, bound=40)
+        out.append((t, rho, real, samples))
+    return out
+
+
+def _key_text(c, rho, real, rank=None):
+    try:
+        k = class_key(c, rho, real=real, v_plus_rank=rank)
+    except (ChartDomainError, QuotientError) as e:
+        return type(e).__name__
+    return json.dumps(k.to_json(), sort_keys=True)
+
+
+def _sample_record(c, rho, real):
+    return "\n".join([
+        moduli_key(c),
+        json.dumps(base_of(c).to_json(), sort_keys=True),
+        moduli_key(base_of(c)),
+        _key_text(c, rho, real),
+    ])
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# computed with the code before bases, moduli keys and chart plans were
+# memoised
+MEMO_CASES_DIGEST = "62674c881be063b0d03e329797e06d3505d2b444258836d3d9b68a352d91d2e4"
+RELABELLED_DIGEST = "8a75d43334d2866b9248e5ee2aaf7eac8ed4ded9553b4192f610080fca12cb0b"
+FIBER_KEYS_DIGEST = "35305790c6b7afc307e897a0520008a4ba7fa913ec25978b6549531352aca1ea"
+
+
+@pytest.fixture(scope="module")
+def memo_cases():
+    return _memo_cases()
+
+
+class TestMemoEquivalence:
+    def test_warm_equals_fresh(self, memo_cases):
+        lines = []
+        for _t, rho, real, samples in memo_cases:
+            for c in samples:
+                warm = [_sample_record(c, rho, real) for _ in range(2)]
+                fresh = _sample_record(curves.curve_from_json(c.to_json()), rho, real)
+                assert warm[0] == warm[1] == fresh
+                assert base_of(c) is base_of(c)
+                lines.append(fresh)
+        assert _digest(lines) == MEMO_CASES_DIGEST
+
+    def test_relabelled_base_tree(self, memo_cases):
+        # a relabelled base has another labelled tree, so another plan;
+        # the chart basis follows the vertex numbering, so the keys are
+        # pinned rather than compared with the unrelabelled ones
+        rnd = random.Random("memo-relabel")
+        lines = []
+        for _t, rho, real, samples in memo_cases:
+            for c in samples[::3]:
+                perm = list(range(c.tree.vertex_count))
+                rnd.shuffle(perm)
+                c2 = _relabel_curve(c, perm)
+                assert c2.validate() == []
+                assert moduli_key(c2) == moduli_key(c)
+                lines.append(_sample_record(c2, rho, real))
+        assert _digest(lines) == RELABELLED_DIGEST
+
+    def test_fiber_curves_over_another_base(self, engineered_triple):
+        # verify a case first, so the plan cache holds another tree
+        t = trees.enumerate_trees(4)[0]
+        verify_injectivity(t, (), n_samples=10, seed=3)
+        lines = []
+        labels = [()] + [s.rho_set for s in strata.build_a_ell(4)]
+        for c in engineered_triple:
+            for rho in labels:
+                for rank in (None, 0, 1, 2):
+                    lines.append(_key_text(c, rho, False, rank))
+        assert _digest(lines) == FIBER_KEYS_DIGEST
+
+    def test_absent_rank_raises_every_time(self, engineered_triple):
+        c = engineered_triple[0]
+        for _ in range(3):
+            with pytest.raises(QuotientError):
+                class_key(c, (), v_plus_rank=99)
+        assert class_key(c, (), v_plus_rank=0).v_rank == 0
+
+    def test_plan_cache_is_bounded(self):
+        ts = (trees.enumerate_trees(3, real=True) + trees.enumerate_trees(5)
+              + trees.enumerate_trees(6))
+        assert len(ts) > quotient.PLAN_CACHE_SIZE
+        for t in ts:
+            quotient.chart_plan(t, ())
+            assert len(quotient._PLANS) <= quotient.PLAN_CACHE_SIZE
+        assert len(quotient._PLANS) == quotient.PLAN_CACHE_SIZE
+        # a tree's plans go with the last reference to the tree (the list
+        # enumerate_trees returns sits in a reference cycle, hence collect)
+        del ts, t
+        gc.collect()
+        assert len(quotient._PLANS) == 0
+
+
+class TestInadmissibleVPlus:
+    # the {1,2,3}|{4,5} tree at the cut {1,2}: only vertex 0 is admissible
+    T = trees.enumerate_trees(5)[1]
+    CUT = frozenset({1, 2})
+
+    def test_fails_before_sampling(self, monkeypatch):
+        assert charts.v_gamma(self.T, self.CUT) == [0]
+
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before checking v_plus")
+
+        monkeypatch.setattr(quotient, "sample_curve", no_sampling)
+        for v in (1, 99):
+            with pytest.raises(QuotientError) as err:
+                verify_injectivity(self.T, self.CUT, v_plus=v, n_samples=40,
+                                   seed=("s", 5))
+            msg = str(err.value)
+            assert repr(("s", 5)) in msg
+            assert trees.canonical_form(self.T) in msg
+            assert "['1', '2']" in msg
+
+    def test_admissible_v_plus_runs(self):
+        rep = verify_injectivity(self.T, self.CUT, v_plus=0, n_samples=40, seed=4)
+        assert rep["v_plus_rank"] == trees.canonical_vertex_order(self.T)[0]
+        assert rep["in_domain"] > 0
+        assert rep["key_collisions_across_classes"] == 0
+        assert rep["intra_class_key_splits"] == 0
