@@ -35,12 +35,13 @@ class ChartDomainError(ChartError):
 # marking maps
 
 def systematic_marking(t: MarkedTree) -> Dict[Tuple[int, int], object]:
-    """eta(e~) = minimal mark on the far side of the oriented edge e~."""
+    """eta(e~) = minimal mark on the far side of the oriented edge e~, the
+    lowest set bit of that branch's mark mask."""
+    marks = t.marks()  # marks[i] has bit 1 << i
     eta = {}
-    for e in t.oriented_edges():
-        u, v = e
-        far = split_marks(t, (v, u))  # marks on the v side
-        eta[e] = min(far, key=mark_key)
+    for u, v in t.oriented_edges():
+        far = t.side_masks(v, u)[0]  # marks on the v side
+        eta[(u, v)] = marks[(far & -far).bit_length() - 1]
     return eta
 
 
@@ -124,14 +125,15 @@ def gamma_basis(t: MarkedTree, eta=None) -> ChartBasis:
         vertex_quads[v] = [
             (ms[0], ms[1], ms[2], ms[r]) for r in range(3, len(ms))
         ]
+    bits = t.mark_bits()
     edge_quads: Dict[Tuple[int, int], Tuple] = {}
     for e in t.edges:
         u, w = e  # oriented with the smaller index as the near vertex
-        near = split_marks(t, (u, w))
+        near = t.side_masks(u, w)[0]
         i_e = eta[(w, u)]
         j_e = eta[(u, w)]
-        k_cand = [m for m in gv[u] if m in near and m != i_e]
-        m_cand = [m for m in gv[w] if m not in near and m != j_e]
+        k_cand = [m for m in gv[u] if bits[m] & near and m != i_e]
+        m_cand = [m for m in gv[w] if not bits[m] & near and m != j_e]
         if not k_cand or not m_cand:
             raise ChartError("cannot complete edge quadruple at %r" % (e,))
         edge_quads[e] = (i_e, j_e, k_cand[0], m_cand[0])
@@ -168,11 +170,19 @@ _PERMUTED = {tuple(s[k] for k in v): f
 def _permuted_value(ref: Tuple, value: ProjPoint, q: Tuple) -> ProjPoint:
     """CR_q for a reordering q of ref, given value = CR_ref; exact on all of
     the projective line, including value in {0, 1, inf}."""
-    return _PERMUTED[tuple(ref.index(m) for m in q)](value)
+    if q == ref:
+        return value
+    i = ref.index
+    return _PERMUTED[i(q[0]), i(q[1]), i(q[2]), i(q[3])](value)
 
 
 class ReconstructionTable:
-    """Known cross-ratio values, one per 4-subset of marks."""
+    """Known cross-ratio values, one per 4-subset of marks.
+
+    The table is keyed by the OR of the four marks' bits (t.mark_bits()),
+    so every key has exactly four bits set; each entry is the ordering the
+    value was found in and the value.
+    """
 
     def __init__(self, t: MarkedTree, eta=None,
                  values: Optional[Dict[Tuple, ProjPoint]] = None,
@@ -182,23 +192,32 @@ class ReconstructionTable:
         if values is None:
             raise ChartError("basis values required")
         self.values = dict(values)
-        self.table: Dict[FrozenSet, Tuple[Tuple, ProjPoint]] = {}
+        self.bits = t.mark_bits()
+        self.table: Dict[int, Tuple[Tuple, ProjPoint]] = {}
         self._build()
 
+    def _mask(self, q: Tuple) -> int:
+        """The table key of q; it has four bits set only if q is four
+        distinct marks of the tree."""
+        bits = self.bits
+        try:
+            i, j, k, m = q
+            return bits[i] | bits[j] | bits[k] | bits[m]
+        except (ValueError, KeyError):  # not four marks of the tree
+            return 0
+
     def _store(self, q: Tuple, val: ProjPoint) -> None:
-        self.table.setdefault(frozenset(q), (tuple(q), val))
+        self.table.setdefault(self._mask(q), (q, val))
 
     def known(self, q) -> bool:
-        return frozenset(q) in self.table
+        return self._mask(tuple(q)) in self.table
 
     def value(self, q) -> ProjPoint:
-        fs = frozenset(q)
-        if fs not in self.table:
+        q = tuple(q)
+        entry = self.table.get(self._mask(q))
+        if entry is None:
             raise ChartDomainError(self._diagnose(q))
-        ref, val = self.table[fs]
-        if tuple(q) == ref:
-            return val
-        return _permuted_value(ref, val, tuple(q))
+        return _permuted_value(*entry, q)
 
     def _diagnose(self, q) -> str:
         msg = "reconstruction left %r undetermined" % (sort_marks(q),)
@@ -222,7 +241,7 @@ class ReconstructionTable:
             if val is not None:
                 model[q[3]] = val
         for combo in itertools.combinations(sort_marks(model), 4):
-            if frozenset(combo) in self.table:
+            if self._mask(combo) in self.table:
                 continue
             try:
                 self._store(combo, cross_ratio(*(model[m] for m in combo)))
@@ -236,25 +255,31 @@ class ReconstructionTable:
         while changed:
             changed = False
             for combo in itertools.combinations(marks, 4):
-                if frozenset(combo) in self.table:
+                if self._mask(combo) in self.table:
                     continue
                 if self._try_fill(combo, marks):
                     changed = True
 
     def _try_fill(self, combo: Tuple, marks: Sequence) -> bool:
+        # CR_{ijkn} = CR_{ijkm} * CR_{ijmn} for some known pair of factors
+        bits, table = self.bits, self.table
         for i, j in itertools.permutations(combo, 2):
             k, n = [m for m in combo if m not in (i, j)]
+            ij = bits[i] | bits[j]
             for m in marks:
                 if m in combo:
                     continue
-                f1, f2 = (i, j, k, m), (i, j, m, n)
-                if self.known(f1) and self.known(f2):
-                    try:
-                        val = self.value(f1).mul(self.value(f2))
-                    except (IndeterminateProduct, ChartDomainError):
-                        continue
-                    self._store((i, j, k, n), val)
-                    return True
+                e1 = table.get(ij | bits[k] | bits[m])
+                e2 = table.get(ij | bits[m] | bits[n])
+                if e1 is None or e2 is None:
+                    continue
+                try:
+                    val = _permuted_value(*e1, (i, j, k, m)).mul(
+                        _permuted_value(*e2, (i, j, m, n)))
+                except IndeterminateProduct:
+                    continue
+                self._store((i, j, k, n), val)
+                return True
         return False
 
     def _build(self) -> None:

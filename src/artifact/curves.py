@@ -12,11 +12,11 @@ import json
 import random
 from typing import Dict, List, Optional, Tuple
 
-from .exactfield import GaussRat, ProjPoint, cross_ratio, frame
+from .exactfield import PP_INF, ProjPoint, cross_ratio, finite_point, frame
 from .strata import classify_real, is_admissible, stratum_edge
 from .trees import (MarkedTree, RealMarkedTree, bar_mark,
-                    canonical_vertex_order, direction, mark_key, real_marks,
-                    sort_marks, _phi_from_structure)
+                    canonical_vertex_order, mark_key, real_marks, sort_marks,
+                    _phi_from_structure, _sorted_edge_slot)
 
 
 class CurveError(Exception):
@@ -27,7 +27,8 @@ Slot = Tuple  # ("m", mark) or ("e", (u, v)) with u < v
 
 
 def _edge_slot(e) -> Slot:
-    return ("e", tuple(sorted(e)))
+    u, v = e
+    return _sorted_edge_slot(u, v) if u < v else _sorted_edge_slot(v, u)
 
 
 class StableCurve:
@@ -243,19 +244,16 @@ def cross_ratio_q(c: StableCurve, q) -> ProjPoint:
     if len(set(q)) != 4:
         raise CurveError("cross ratio needs 4 distinct marks")
     t = c.tree
+    bits = t.mark_bits()
     for m in q:
-        if m not in t.mu:
+        if m not in bits:
             raise CurveError("mark %r not on the curve" % (m,))
-    for v in range(t.vertex_count):
-        dirs = [direction(t, v, m) for m in q]
-        if len(set(dirs)) >= 3:
-            proj = []
-            for d in dirs:
-                if d[0] == "m":
-                    proj.append(c.coords[v][("m", d[1])])
-                else:
-                    proj.append(c.coords[v][_edge_slot(d[1])])
-            return cross_ratio(*proj)
+    i, j, k, n = [bits[m].bit_length() - 1 for m in q]
+    for v, row in enumerate(t.slot_table()):
+        slots = (row[i], row[j], row[k], row[n])
+        if len(set(slots)) >= 3:
+            cv = c.coords[v]
+            return cross_ratio(cv[slots[0]], cv[slots[1]], cv[slots[2]], cv[slots[3]])
     raise CurveError("no component separates three of the marks")  # unreachable
 
 
@@ -308,23 +306,16 @@ def in_D_tilde(c: StableCurve, rho, bullet: str) -> bool:
 # ---------------------------------------------------------------------------
 # sampling
 
-def _rand_fraction(rng: random.Random, bound: int):
-    from fractions import Fraction
-
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-
-
-def _rand_gauss(rng: random.Random, bound: int, real_only=False) -> GaussRat:
-    re = _rand_fraction(rng, bound)
-    im = 0 if real_only else _rand_fraction(rng, bound)
-    return GaussRat(re, im)
-
-
 def _rand_point(rng: random.Random, bound: int, real_only=False) -> ProjPoint:
     # infinity shows up with small probability so charts get exercised there
     if rng.randrange(12) == 0:
-        return ProjPoint(GaussRat(1), GaussRat(0))
-    return ProjPoint(_rand_gauss(rng, bound, real_only))
+        return PP_INF
+    p, d = rng.randint(-bound, bound), rng.randint(1, bound)
+    if real_only:
+        return finite_point(p, 0, d)
+    q, e = rng.randint(-bound, bound), rng.randint(1, bound)
+    # p/d + (q/e)*i = (p*e + q*d*i) / (d*e)
+    return finite_point(p * e, q * d, d * e)
 
 
 def sample_curve(t: MarkedTree, bound: int, seed) -> StableCurve:

@@ -315,6 +315,11 @@ def pp(x) -> ProjPoint:
     return ProjPoint(_coerce(x))
 
 
+def finite_point(p: int, q: int, d: int) -> ProjPoint:
+    """The point (p + q*i)/d for integers p, q and d > 0, reduced by one gcd."""
+    return _make(ProjPoint, _reduced(p, q, d))
+
+
 def cross_ratio(z1: ProjPoint, z2: ProjPoint, z3: ProjPoint, z4: ProjPoint) -> ProjPoint:
     """CR(z1,z2,z3,z4) = ((z1-z3)/(z1-z4)) : ((z2-z3)/(z2-z4)).
 

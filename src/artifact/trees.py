@@ -51,6 +51,17 @@ def _mark_bits(marks: FrozenSet) -> Dict:
     return {m: 1 << i for i, m in enumerate(sort_marks(marks))}
 
 
+@functools.lru_cache(maxsize=None)
+def _mark_slot(m) -> Tuple:
+    return ("m", m)
+
+
+@functools.lru_cache(maxsize=None)
+def _sorted_edge_slot(a: int, b: int) -> Tuple:
+    """The slot of the edge (a, b), a < b, one tuple per edge."""
+    return ("e", (a, b))
+
+
 def _marks_of_mask(bits: Dict, mask: int) -> List:
     """The marks whose bits are set, in mark_key order."""
     return [m for m, b in bits.items() if mask & b]
@@ -74,8 +85,8 @@ class MarkedTree:
     """Tree (Ver, Edg, mu) with dense vertices 0..n-1 and sorted edges.
 
     A tree is not mutated after construction: its adjacency, split-mask
-    index, mask -> edge table, canonical vertex ranks and structural key
-    are computed on first use and kept on the object.
+    index, slot table, mask -> edge table, canonical vertex ranks and
+    structural key are computed on first use and kept on the object.
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge], mu: Dict):
@@ -92,6 +103,7 @@ class MarkedTree:
     phi = None  # real subclass overrides
     # filled on first use; class defaults keep trees that never use them
     # as small as before
+    _slots: Optional[Tuple[Tuple, ...]] = None
     _edge_of: Optional[Dict[int, Edge]] = None
     _order: Optional[Dict[int, int]] = None
     _skey: Optional[Tuple] = None
@@ -180,6 +192,31 @@ class MarkedTree:
                             for w in adj[v]) for v in range(n)),
             )
         return self._index
+
+    def slot_table(self) -> Tuple[Tuple[Tuple, ...], ...]:
+        """Per vertex v, the coordinate slot through which v sees each mark,
+        in bit order (entry i for the mark with bit 1 << i): ("m", m) for a
+        mark at v, else ("e", (a, b)) for the sorted edge from v into the
+        branch whose mark mask holds the bit.  The slot tuples are shared
+        by all trees (and by curve coordinates), so a table costs one tuple
+        per vertex."""
+        if self._slots is None:
+            marks = list(self.mark_bits())  # mark_key order is bit order
+            index = self.split_index()[0]
+            rows = []
+            for v, nbrs in enumerate(self.adjacency()):
+                row = [None] * len(marks)
+                for w, side in zip(nbrs, index[v]):
+                    slot = _sorted_edge_slot(v, w) if v < w else _sorted_edge_slot(w, v)
+                    for i in range(len(marks)):
+                        if side >> i & 1:
+                            row[i] = slot
+                for i, m in enumerate(marks):
+                    if row[i] is None:
+                        row[i] = _mark_slot(m)
+                rows.append(tuple(row))
+            self._slots = tuple(rows)
+        return self._slots
 
     def edge_of_mask(self) -> Dict[int, Edge]:
         """Tail-side mark mask -> oriented edge (w, v); the first edge in
@@ -534,21 +571,22 @@ def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
     else:
         units = [(s,) for s in cands]
 
+    # depth-first over compatible families, children in unit order; an
+    # explicit stack, so no closure holds the result list in a cycle
     results: List[MarkedTree] = []
-
-    def dfs(start: int, chosen: List[FrozenSet]):
+    stack: List[Tuple[int, List[FrozenSet]]] = [(0, [])]
+    while stack:
+        start, chosen = stack.pop()
         n, edges, mu = _tree_from_family(marks, chosen)
         if real:
             phi = _phi_from_structure(n, edges, mu)
             results.append(RealMarkedTree(n, edges, mu, phi))
         else:
             results.append(MarkedTree(n, edges, mu))
-        for i in range(start, len(units)):
+        for i in range(len(units) - 1, start - 1, -1):
             unit = units[i]
             if all(_laminar(a, b) for a in unit for b in chosen):
-                dfs(i + 1, chosen + list(unit))
-
-    dfs(0, [])
+                stack.append((i + 1, chosen + list(unit)))
     results.sort(key=canonical_form)
     return results
 

@@ -1,6 +1,8 @@
 """Coordinate bases, reconstruction recursion, real slice equations."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -51,6 +53,29 @@ class TestBasisDimension:
                 assert len(set(q)) == 4
 
 
+# sha256 of ChartBasis.to_json() (sorted-key JSON, one line per tree) over
+# enumerate_trees(l, real), pinned before eta and the edge quadruples were
+# read from the split-mask index
+BASIS_DIGESTS = {
+    (3, False): "02ae3ad7cfdee9064f18324aca478a5f7cb4021112d270c1800fcd7293ec207a",
+    (4, False): "929953f3cd6fdb4bc81f8a3e61ae40517d1e42e4faaa03db565e145004f2aaa2",
+    (5, False): "7e16bf0cd8a75c8243a9c674ddf04aa076a2a55cda30a8f51a17514770f5aa0f",
+    (6, False): "430d92c2b4c8b0676a0285f5b2f375b4aa3a8e0d14a28fb47b77665073591144",
+    (7, False): "dc78c58874ab7a528cce76a26f8422d9d3ae7e23c32cc5554dd85704e39deb4d",
+    (2, True): "789f0b6d21d169df18f85c263bf05789c6fdb45715d1e0cd247fcba70270bb3f",
+    (3, True): "54270217381cad695a7f990adc9e0312b52d7c26d80034e25a844a6d9bf42f71",
+    (4, True): "4c713e42e1a5be5f34ed86fe4e35c4586ffe8f3284f6cb8e687388e6c3dc3998",
+}
+
+
+@pytest.mark.parametrize("l,real", sorted(BASIS_DIGESTS))
+def test_bases_pinned(l, real):
+    h = hashlib.sha256()
+    for t in trees.enumerate_trees(l, real=real):
+        h.update(json.dumps(gamma_basis(t).to_json(), sort_keys=True).encode() + b"\n")
+    assert h.hexdigest() == BASIS_DIGESTS[(l, real)]
+
+
 class TestReconstruction:
     @pytest.mark.parametrize("l", (4, 5))
     def test_matches_direct_cross_ratio(self, l):
@@ -65,14 +90,44 @@ class TestReconstruction:
                     assert table.value(q) == curves.cross_ratio_q(c, q)
 
     def test_permutations_too(self):
-        t = trees.enumerate_trees(5)[7]
-        c = curves.sample_curve(t, 30, ("perm",))
-        basis = gamma_basis(t)
-        table = ReconstructionTable(
-            t, values=basis_values(c, basis), basis=basis
-        )
-        for q in itertools.permutations((1, 2, 4, 5)):
-            assert table.value(q) == curves.cross_ratio_q(c, q)
+        # all 24 orderings of every quadruple, on every l = 5 tree and every
+        # real l = 2 tree
+        for l, real in ((5, False), (2, True)):
+            marks = trees.real_marks(l) if real else trees.complex_marks(l)
+            for idx, t in enumerate(trees.enumerate_trees(l, real=real)):
+                c = curves.sample_curve(t, 30, ("perm", idx))
+                basis = gamma_basis(t)
+                table = ReconstructionTable(
+                    t, values=basis_values(c, basis), basis=basis
+                )
+                for q4 in itertools.combinations(marks, 4):
+                    for q in itertools.permutations(q4):
+                        assert table.value(q) == curves.cross_ratio_q(c, q)
+
+    def test_malformed_quadruples(self):
+        # a repeated mark, a mark not on the tree or a wrong length is
+        # never known and its value is a ChartDomainError
+        for l, real in ((5, False), (2, True)):
+            for idx, t in enumerate(trees.enumerate_trees(l, real=real)):
+                c = curves.sample_curve(t, 30, ("bad", idx))
+                basis = gamma_basis(t)
+                table = ReconstructionTable(
+                    t, values=basis_values(c, basis), basis=basis
+                )
+                m1, m2, m3, m4 = t.marks()[:4]
+                other = "9+" if real else 9
+                assert table.known((m1, m2, m3, m4))
+                for q in ((m1, m1, m2, m3), (m1, m2, m2, m2), (m1, m2, m3, other),
+                          (other, m1, m2, m3), (m1, m2, m3),
+                          # five entries on four marks (a frozenset key read it as
+                          # known, and value raised KeyError)
+                          (m1, m2, m3, m4, m1),
+                          (m1, m2, m3, m4, other), (), [m1, m2, m3, m1]):
+                    assert not table.known(q), (idx, q)
+                    with pytest.raises(charts.ChartDomainError):
+                        table.value(q)
+                assert table.known([m4, m3, m2, m1])
+                assert table.value([m4, m3, m2, m1]) == table.value((m4, m3, m2, m1))
 
     @pytest.mark.parametrize("x", [
         PP_ZERO, PP_ONE, PP_INF, pp(GaussRat(3, -2)), pp(GaussRat(-7, 5) / 3),

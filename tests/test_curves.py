@@ -1,5 +1,7 @@
 """Stable curves: coordinates, degeneration values, membership, sampling."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -53,6 +55,33 @@ class TestSamplingAndValidation:
         for i, t in enumerate(trees.enumerate_trees(3, real=True)):
             c = sample_curve(t, 30, ("conj", i))
             assert curve_key(conjugate_curve(c)) == curve_key(c)
+
+
+# sha256 over enumerate_trees(l, real), bounds 1, 2, 5, 40 and three seeds
+# of the sorted-key JSON of sample_curve (or its CurveError text), one line
+# per call; pinned while coordinates were drawn through fractions.Fraction,
+# so integer sampling must draw the same curves from the same seeds
+SAMPLE_DIGESTS = {
+    (5, False): "3188ccb619b78845d1207ab9352e43c3803cdc28993fda037d5028a58d9fb786",
+    (6, False): "44470e08d8582844e60b1f20e32cb51ff142ed0e2cb824e6a1ec7f4af1640beb",
+    (3, True): "06135981d17b5125a996b1734fb5b1c1655da8306531ea735cebc1d81d5f280f",
+    (4, True): "f73515a0353e384222e2961e4d1844905d304393f19fef4c4cbb54d2827b6caa",
+}
+
+
+@pytest.mark.parametrize("l,real", sorted(SAMPLE_DIGESTS))
+def test_sampling_pinned(l, real):
+    h = hashlib.sha256()
+    for idx, t in enumerate(trees.enumerate_trees(l, real=real)):
+        for bound in (1, 2, 5, 40):
+            for s in range(3):
+                try:
+                    line = json.dumps(sample_curve(t, bound, ("pin", idx, s)).to_json(),
+                                      sort_keys=True)
+                except curves.CurveError as e:
+                    line = "CurveError: %s" % e
+                h.update(line.encode() + b"\n")
+    assert h.hexdigest() == SAMPLE_DIGESTS[(l, real)]
 
 
 def _smoothing_limit(split_pair, q):

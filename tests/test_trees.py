@@ -1,15 +1,17 @@
 """Dual-graph trees: enumeration, canonical forms, splits, contractions."""
 
 import functools
+import gc
 import hashlib
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact import strata, trees
+from artifact import curves, strata, trees
 from artifact.trees import (
     MarkedTree,
     bar_mark,
@@ -72,6 +74,21 @@ class TestEnumeration:
         splits = {frozenset(map(str, split_marks(t, t.oriented_edges()[0])))
                   for t in nodal}
         assert len(splits) == 3
+
+    @pytest.mark.parametrize("l,real", [(5, False), (3, True)])
+    def test_no_reference_cycle(self, l, real):
+        # the returned trees die with the caller's last reference, without
+        # waiting for the cyclic garbage collector
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            ts = enumerate_trees(l, real=real)
+            refs = [weakref.ref(ts[0]), weakref.ref(ts[-1])]
+            del ts
+            assert [r() for r in refs] == [None, None]
+        finally:
+            if enabled:
+                gc.enable()
 
 
 def _relabel(t: MarkedTree, perm):
@@ -244,6 +261,25 @@ class TestSplitIndex:
                 for m, w in t.mu.items():
                     want = ("m", m) if w == v else ("e", (v, _bfs_path(t, v, w)[1]))
                     assert direction(t, v, m) == want, (name, v, m)
+
+    def test_slot_table(self):
+        # entry i at vertex v is ("m", m) at the mark's own vertex, else the
+        # sorted edge to the next vertex on the path to it, for the mark m
+        # with bit 1 << i
+        for name, t in _index_cases():
+            table = t.slot_table()
+            marks = t.marks()
+            assert [t.mark_bits()[m] for m in marks] == [1 << i for i in range(len(marks))]
+            assert len(table) == t.vertex_count, name
+            for v in range(t.vertex_count):
+                assert len(table[v]) == len(marks), (name, v)
+                for i, m in enumerate(marks):
+                    w = t.mu[m]
+                    want = ("m", m) if w == v else curves._edge_slot(
+                        (v, _bfs_path(t, v, w)[1]))
+                    d = direction(t, v, m)
+                    assert table[v][i] == want == (
+                        d if d[0] == "m" else curves._edge_slot(d[1])), (name, v, m)
 
     def test_phi_from_splits(self):
         for name, t in _index_cases():
