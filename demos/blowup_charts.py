@@ -11,6 +11,7 @@ from artifact.localmodels import (
     PRESETS,
     BlowupPoint,
     blowdown,
+    chart_moves,
     cocycle_check,
     exceptional_classify,
     transition,
@@ -36,7 +37,7 @@ def main():
     show("round trip", back)
     print("round trip exact:", back.coords == p.coords)
     print("cocycle (1,1),(2,1),(2,0):",
-          cocycle_check(p, (1, 1), (2, 1), (2, 0)))
+          cocycle_check(chart_moves(p), (1, 1), (2, 1)))
 
     print("\nexceptional tags:")
     show("v-block zero", BlowupPoint(m, (2, 0), (G(2), G(0), G(0), G(7))))

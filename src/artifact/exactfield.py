@@ -315,6 +315,11 @@ def pp(x) -> ProjPoint:
     return ProjPoint(_coerce(x))
 
 
+def gauss_rat(p: int, q: int, d: int) -> GaussRat:
+    """The scalar (p + q*i)/d for integers p, q and d > 0, reduced by one gcd."""
+    return _make(GaussRat, _reduced(p, q, d))
+
+
 def finite_point(p: int, q: int, d: int) -> ProjPoint:
     """The point (p + q*i)/d for integers p, q and d > 0, reduced by one gcd."""
     return _make(ProjPoint, _reduced(p, q, d))

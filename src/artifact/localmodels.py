@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .exactfield import GaussRat, ZERO, ONE
+from .exactfield import GaussRat, ZERO, ONE, gauss_rat
 
 Scalar = GaussRat
 ChartId = Tuple[int, int]
@@ -50,12 +49,14 @@ class Model:
     ``c`` is the codimension of the center (number of blown-up slots),
     ``c1`` the size of the first block for augmented models (None
     otherwise) and ``m`` the number of untouched base slots.
+    ``chart_set`` holds the ids of :meth:`charts` for membership tests.
     """
 
     kind: str
     c: int
     m: int
     c1: Optional[int] = None
+    chart_set: FrozenSet[ChartId] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("real", "complex", "augmented"):
@@ -67,6 +68,7 @@ class Model:
                 raise LocalModelError("augmented model needs 1 <= c1 < c")
         elif self.c1 is not None:
             raise LocalModelError("c1 only applies to augmented models")
+        object.__setattr__(self, "chart_set", frozenset(self.charts()))
 
     @property
     def c2(self) -> int:
@@ -106,17 +108,18 @@ class BlowupPoint:
     coords: Tuple[Scalar, ...]
 
     def __post_init__(self):
-        if self.chart not in self.model.charts():
+        m = self.model
+        if self.chart not in m.chart_set:
             raise LocalModelError("chart %r not in model" % (self.chart,))
-        if len(self.coords) != self.model.c + self.model.m:
+        if len(self.coords) != m.c + m.m:
             raise LocalModelError(
-                "expected %d coordinates, got %d"
-                % (self.model.c + self.model.m, len(self.coords))
+                "expected %d coordinates, got %d" % (m.c + m.m, len(self.coords))
             )
+        real_from = m.c if m.is_complex else 0
         for k, z in enumerate(self.coords):
             if not isinstance(z, GaussRat):
                 raise LocalModelError("coordinate %d is not exact" % (k,))
-            if (k >= self.model.c or not self.model.is_complex) and not z.is_real():
+            if k >= real_from and not z.is_real():
                 raise LocalModelError(
                     "coordinate %d must be real in this model" % (k,)
                 )
@@ -206,7 +209,7 @@ def transition(p: BlowupPoint, target: ChartId) -> BlowupPoint:
     cross-family move needs a nonzero v-block / second-block direction).
     """
     m = p.model
-    if target not in m.charts():
+    if target not in m.chart_set:
         raise LocalModelError("chart %r not in model" % (target,))
     if target == p.chart:
         return p
@@ -304,18 +307,35 @@ def _first_to_second(p: BlowupPoint, target: ChartId) -> BlowupPoint:
     return _chart_from_line(m, target, r, lam, p.base)
 
 
-def cocycle_check(p: BlowupPoint, a: ChartId, a1: ChartId, a2: ChartId) -> bool:
-    """Exact cocycle identity: moving p -> a2 -> a1 -> a equals p -> a2 -> a.
+def chart_moves(p: BlowupPoint) -> Dict[ChartId, Optional[BlowupPoint]]:
+    """``p`` moved into every chart of its model (``p`` itself in its own
+    chart), or None where the point is outside that chart's domain."""
+    moves: Dict[ChartId, Optional[BlowupPoint]] = {}
+    for target in p.model.charts():
+        try:
+            moves[target] = transition(p, target)
+        except TransitionDomainError:
+            moves[target] = None
+    return moves
 
-    ``p`` must lie in the triple-overlap domain; an out-of-domain move
-    counts as failure only if the direct route succeeds (and vice versa).
+
+def cocycle_check(
+    moves: Dict[ChartId, Optional[BlowupPoint]], a: ChartId, a1: ChartId
+) -> bool:
+    """Exact cocycle identity for a point p in chart a2: moving
+    p -> a2 -> a1 -> a equals p -> a2 -> a.
+
+    ``moves`` is :func:`chart_moves` of p, so the direct route is the stored
+    move into ``a`` and the other route moves the stored point in ``a1`` on
+    to ``a``.  Raises :class:`TransitionDomainError` when p is outside the
+    triple-overlap domain.
     """
-    try:
-        q2 = transition(p, a2)
-        direct = transition(q2, a)
-        via = transition(transition(q2, a1), a)
-    except TransitionDomainError:
-        raise
+    direct, q1 = moves[a], moves[a1]
+    if direct is None or q1 is None:
+        raise TransitionDomainError(
+            "point outside the overlap of charts %r and %r" % (a, a1)
+        )
+    via = transition(q1, a)
     return direct.coords == via.coords and direct.chart == via.chart
 
 
@@ -447,13 +467,18 @@ def sample_point(
     """A random exact point of ``chart``; ``avoid_zero`` makes every
     coordinate nonzero (convenient for overlap sampling)."""
 
+    def frac() -> Tuple[int, int]:
+        n = rng.randint(-bound, bound)
+        if avoid_zero and n == 0:
+            n = rng.choice([-1, 1]) * rng.randint(1, bound)
+        return n, rng.randint(1, bound)
+
     def scalar(cplx: bool) -> Scalar:
-        def frac() -> Fraction:
-            n = rng.randint(-bound, bound)
-            if avoid_zero and n == 0:
-                n = rng.choice([-1, 1]) * rng.randint(1, bound)
-            return Fraction(n, rng.randint(1, bound))
-        return GaussRat(frac(), frac() if cplx else 0)
+        p, d = frac()
+        if not cplx:
+            return gauss_rat(p, 0, d)
+        q, e = frac()
+        return gauss_rat(p * e, q * d, d * e)
 
     coords = tuple(
         scalar(model.is_complex and j < model.c)
@@ -471,7 +496,9 @@ def verify_model(
     relations in every chart, blowdown invariance and the cocycle
     identity over all chart triples (on overlap points), and injectivity
     of the blowdown off the exceptional locus (by hashing images).
-    Returns a JSON-ready report with per-relation pass counts.
+    Each point is blown down once and moved into each chart once; the
+    invariance and cocycle checks read those moves.  Returns a JSON-ready
+    report with per-relation pass counts.
     """
     model = PRESETS[preset]
     rng = random.Random("%s:%r" % (preset, seed))
@@ -482,13 +509,14 @@ def verify_model(
     invariance_pass = invariance_total = 0
     control_pass = control_total = 0
     failures: List[str] = []
-    image_index: Dict[Tuple[str, ...], str] = {}
+    image_index: Dict[Tuple[Scalar, ...], BlowupPoint] = {}
     injective = True
 
     for n in range(n_samples):
         chart = charts[n % len(charts)]
         p = sample_point(model, chart, rng, bound=bound, avoid_zero=True)
-        rep = lemma_hypothesis_check(model, p)
+        img = blowdown(p)
+        rep = lemma_hypothesis_check(model, p, image=img)
         for name, ok in rep.items():
             if name == "all_ok":
                 continue
@@ -502,14 +530,13 @@ def verify_model(
             control_pass += 1
         else:
             failures.append("negative control passed at %s" % p.serialize())
-        img = tuple(z.serialize() for z in blowdown(p))
+        moves = chart_moves(p)
         for target in charts:
-            try:
-                q = transition(p, target)
-            except TransitionDomainError:
+            q = moves[target]
+            if q is None:
                 continue
             invariance_total += 1
-            if tuple(z.serialize() for z in blowdown(q)) == img:
+            if blowdown(q) == img:
                 invariance_pass += 1
             else:
                 failures.append(
@@ -519,7 +546,7 @@ def verify_model(
             if a == a1 == p.chart:
                 continue
             try:
-                ok = cocycle_check(p, a, a1, p.chart)
+                ok = cocycle_check(moves, a, a1)
             except TransitionDomainError:
                 continue
             cocycle_total += 1
@@ -529,15 +556,15 @@ def verify_model(
                     "cocycle %r,%r,%r at %s" % (a, a1, p.chart, p.serialize())
                 )
         if exceptional_classify(p) == OFF:
-            key_pt = p.serialize()
             prev = image_index.get(img)
             if prev is None:
-                image_index[img] = key_pt
+                image_index[img] = p
             # distinct chart presentations of one point share the image;
             # that is not an injectivity failure, so compare as points
-            elif not _same_point(model, prev, key_pt):
+            elif not _same_point(prev, p):
                 injective = False
-                failures.append("blowdown collision %s vs %s" % (prev, key_pt))
+                failures.append("blowdown collision %s vs %s"
+                                % (prev.serialize(), p.serialize()))
 
     return {
         "v": 1,
@@ -557,19 +584,8 @@ def verify_model(
     }
 
 
-def _parse_point(model: Model, s: str) -> BlowupPoint:
-    _, k, i, coords = s.split(";")
-    return BlowupPoint(
-        model,
-        (int(k[1:]), int(i[1:])),
-        tuple(GaussRat.parse(t) for t in coords.split(",")),
-    )
-
-
-def _same_point(model: Model, s1: str, s2: str) -> bool:
-    """Whether two serialized points coincide in the blown-up space."""
-    p1 = _parse_point(model, s1)
-    p2 = _parse_point(model, s2)
+def _same_point(p1: BlowupPoint, p2: BlowupPoint) -> bool:
+    """Whether two points coincide in the blown-up space."""
     if p1.chart == p2.chart:
         return p1.coords == p2.coords
     try:

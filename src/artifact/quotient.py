@@ -15,14 +15,13 @@ from __future__ import annotations
 import random
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .charts import (ChartDomainError, a_gamma, extend_basis, gamma_basis,
                      near_vertices)
 from .curves import (CurveError, StableCurve, _edge_slot, cross_ratio_q,
                      forget, in_D_tilde, in_divisor, moduli_key, sample_curve)
-from .exactfield import PP_INF, PP_ZERO, GaussRat, ProjPoint
+from .exactfield import PP_INF, PP_ZERO, GaussRat, ProjPoint, finite_point
 from .strata import build_a_ell, build_a_ell_real, is_admissible, order_key
 from .trees import (MarkedTree, RealMarkedTree, bar_mark, canonical_form,
                     canonical_vertex_order, mark_key, sort_marks, split_marks,
@@ -121,12 +120,17 @@ def relation_closure(samples: Sequence[StableCurve], rho_star=(),
     for i, c in enumerate(samples):
         by_base.setdefault(moduli_key(base_of(c)), []).append(i)
 
+    # membership of a sample in a label's locus is an edge of its tree
+    # with one of the label's tail-side mark masks
+    bits = samples[0].tree.mark_bits()
+    label_masks = [(r, _locus_masks(bits, r, real, l + 1)) for r in labels]
     member = []
     for c in samples:
-        if real:
-            member.append({r for r in labels if in_D_tilde(c, r, '"')})
-        else:
-            member.append({r for r in labels if in_divisor(c, r)})
+        if c.tree.mark_bits() != bits or bool(c.is_real) != bool(real):
+            raise QuotientError("samples must share one mark set and the real flag")
+        edges = c.tree.edge_of_mask()
+        member.append({r for r, masks in label_masks
+                       if any(mask in edges for mask in masks)})
 
     for group in by_base.values():
         for rho in labels:
@@ -142,6 +146,18 @@ def relation_closure(samples: Sequence[StableCurve], rho_star=(),
     for i in range(n):
         classes.setdefault(find(i), []).append(i)
     return [sorted(v) for _k, v in sorted(classes.items())]
+
+
+def _locus_masks(bits: Dict, rho, real: bool, l1: int) -> Tuple[int, ...]:
+    """Tail-side mark masks of the edges that put a curve with mark bits
+    ``bits`` in rho's relation locus: the divisor of rho, and for a real
+    label also that of rho + {(l+1)-}, as in ``in_D_tilde(c, rho, '"')``."""
+    if not rho <= bits.keys():
+        return ()
+    mask = sum(bits[m] for m in rho)
+    if not real:
+        return (mask,)
+    return (mask, mask | bits["%d-" % l1])
 
 
 # ---------------------------------------------------------------------------
@@ -447,10 +463,9 @@ def mark_at_node(c: StableCurve, e, point: ProjPoint) -> StableCurve:
 def _rand_pos(rng: random.Random, bound: int) -> ProjPoint:
     # nonzero imaginary part keeps the position legal in every real
     # configuration (conjugate-distinct) and is harmless for complex ones
-    return ProjPoint(GaussRat(
-        Fraction(rng.randint(-bound, bound), rng.randint(1, bound)),
-        Fraction(rng.randint(1, bound), rng.randint(1, bound)),
-    ))
+    a, b = rng.randint(-bound, bound), rng.randint(1, bound)
+    c, d = rng.randint(1, bound), rng.randint(1, bound)
+    return finite_point(a * d, c * b, b * d)
 
 
 def fiber_samples(base: StableCurve, rng: random.Random, per_site: int = 2,

@@ -1,5 +1,6 @@
 """Command-line front end: subcommands, reports, guardrails, determinism."""
 
+import hashlib
 import json
 import os
 
@@ -104,6 +105,16 @@ class TestReports:
         assert cli.run(["trees", "--l", "4"]) == 0
         rep = json.loads(capsys.readouterr().out)
         assert rep["count"] == 4
+
+    def test_all_report_pinned(self, tmp_path):
+        # sha256 of the sorted-key JSON of `dm-lab all --seed 0` without its
+        # timestamp, pinned before the local-model verifier reused its moves
+        status, rep = run_json(["all", "--seed", "0"], tmp_path)
+        assert status == 0
+        rep.pop("timestamp")
+        text = json.dumps(rep, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b71695dd5b6905fee0b08a0fb4abd66a58dfb40771d860f2bd3d25fbfdbfba3d")
 
     def test_verify_quotient_deterministic(self, tmp_path):
         _, rep1 = run_json(

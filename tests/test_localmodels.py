@@ -1,10 +1,13 @@
 """Blowup local models: blowdowns, transitions, cocycles, exceptional loci."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
+from artifact import cli, localmodels
 from artifact.exactfield import GaussRat
 from artifact.localmodels import (
     PRESETS,
@@ -13,6 +16,7 @@ from artifact.localmodels import (
     Model,
     TransitionDomainError,
     blowdown,
+    chart_moves,
     cocycle_check,
     corrupted_chart_control,
     exceptional_classify,
@@ -109,9 +113,10 @@ class TestCocycle:
         for n in range(40):
             p = sample_point(m, m.charts()[n % len(m.charts())], rng,
                              avoid_zero=True)
+            moves = chart_moves(p)
             for a, a1 in itertools.product(m.charts(), repeat=2):
                 try:
-                    ok = cocycle_check(p, a, a1, p.chart)
+                    ok = cocycle_check(moves, a, a1)
                 except TransitionDomainError:
                     continue
                 checked += 1
@@ -191,3 +196,63 @@ class TestVerifyModel:
         assert rep["injective_off_exceptional"]
         assert rep["negative_control"]["pass"] == rep["negative_control"]["total"]
         assert all(v["pass"] == v["total"] for v in rep["relations"].values())
+
+
+class TestNonVacuity:
+    # one chart move per preset; its base coordinate is made off by one
+    ROUTES = {
+        "real3": ((1, 2), (1, 1)),
+        "complex2": ((1, 2), (1, 1)),
+        "aug31": ((2, 0), (1, 1)),
+    }
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_one_wrong_route_fails(self, preset, monkeypatch):
+        honest_rep = verify_model(preset, n_samples=30)
+        src, dst = self.ROUTES[preset]
+        honest = localmodels.transition
+
+        def perturbed(p, target):
+            q = honest(p, target)
+            if p.chart == src and target == dst:
+                q = BlowupPoint(q.model, q.chart, q.coords[:-1] + (q.coords[-1] + 1,))
+            return q
+
+        monkeypatch.setattr(localmodels, "transition", perturbed)
+        rep = verify_model(preset, n_samples=30)
+        assert rep["ok"] is False
+        for check in ("cocycle", "blowdown_invariance"):
+            assert rep[check]["total"] == honest_rep[check]["total"]
+            assert 0 < rep[check]["pass"] < rep[check]["total"]
+
+
+# sha256 of the serialized sample_point output (50 points per preset, chart,
+# bound and avoid_zero flag) and of the sorted-key JSON of
+# verify_localmodels_suite(300, seed=5, bound=3), pinned when sampling drew
+# its scalars through Fraction and the verifier moved each point per check
+SAMPLE_POINTS_SHA256 = (
+    "03e310a69b5a7e759e88c5af4ba638b4b127b901e11700f52bc147ff616100ba")
+SUITE_SHA256 = (
+    "e8e9d65a71dd774d852124bce5e6769b7e0794c162e401aa1db3d8dcc7bbdee4")
+
+
+class TestPinnedOutputs:
+    def test_sample_points(self):
+        h = hashlib.sha256()
+        for name in sorted(PRESETS):
+            m = PRESETS[name]
+            for chart in m.charts():
+                for bound in (1, 2, 20):
+                    for avoid_zero in (False, True):
+                        rng = random.Random(
+                            "%s:%r:%d:%d" % (name, chart, bound, avoid_zero))
+                        for _ in range(50):
+                            p = sample_point(m, chart, rng, bound=bound,
+                                             avoid_zero=avoid_zero)
+                            h.update((p.serialize() + "\n").encode())
+        assert h.hexdigest() == SAMPLE_POINTS_SHA256
+
+    def test_suite_report(self):
+        rep = cli.verify_localmodels_suite(300, seed=5, bound=3)
+        text = json.dumps(rep, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == SUITE_SHA256
