@@ -311,12 +311,6 @@ class ReconstructionTable:
             self._close(seen_marks)
 
 
-def reconstruct_cr(values: Dict[Tuple, ProjPoint], t: MarkedTree, eta, q) -> ProjPoint:
-    """The value of CR_q determined by the basis values; exact."""
-    table = ReconstructionTable(t, eta, values)
-    return table.value(q)
-
-
 # ---------------------------------------------------------------------------
 # stratum-adapted vertex sets and extended bases
 

@@ -32,6 +32,7 @@ from .exactfield import (
 MAX_L_ENUM = 10       # tree/stratum enumeration guardrail (complex)
 MAX_L_ENUM_REAL = 6   # ... and with conjugate mark pairs
 MAX_L_VERIFY = 6      # sampling-based verification guardrail
+MAX_TREES = 50_000    # projected complex trees `trees` may build
 
 
 class UsageError(Exception):
@@ -85,6 +86,13 @@ def _stamp(report: dict, command: str, cfg: argparse.Namespace) -> dict:
 
 def cmd_trees(cfg) -> dict:
     _check_l(cfg.l, cfg.real, verify=False, override=cfg.max_l_override)
+    if not cfg.real and cfg.max_l_override is None:
+        projected = trees.stable_tree_count(cfg.l)
+        if projected > MAX_TREES:
+            raise UsageError(
+                "l=%d would build %d trees, over the guardrail %d "
+                "(use --max-l-override)" % (cfg.l, projected, MAX_TREES)
+            )
     ts = trees.enumerate_trees(cfg.l, real=cfg.real)
     by_edges: Dict[int, int] = {}
     for t in ts:

@@ -9,11 +9,12 @@ the blowup type of a schedule step is determined by the class.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from .trees import (MarkedTree, bar_mark, complex_marks, mark_key, real_marks,
+from .trees import (MarkedTree, _conj_mask, complex_marks, mark_key, real_marks,
                     sort_marks)
 
 
@@ -28,18 +29,10 @@ def order_key(rho) -> Tuple:
     return (len(ms), tuple(mark_key(m) for m in ms))
 
 
-def bar_set(rho) -> FrozenSet:
-    return frozenset(bar_mark(m) for m in rho)
-
-
 @dataclass(frozen=True)
 class StratumLabel:
-    rho: Tuple
+    rho: Tuple  # marks in mark_key order
     kind: Optional[str]  # "Complex", "H", "E", "D1", "D2", "D3", or None
-
-    @staticmethod
-    def make(rho, kind=None) -> "StratumLabel":
-        return StratumLabel(tuple(sort_marks(rho)), kind)
 
     @property
     def rho_set(self) -> FrozenSet:
@@ -50,55 +43,85 @@ class StratumLabel:
         return order_key(self.rho)
 
 
+# Labels as mark masks: bit i is the i-th mark of the universe [l] or
+# [l^pm] in mark_key order, so the anchor {1, 2, 3} or {1+, 1-, 2+} is
+# bits 0, 1, 2, and conjugation swaps bits i and i^1.
+
+@functools.lru_cache(maxsize=None)
+def _universe(l: int, real: bool) -> Tuple[Tuple, Dict]:
+    """(the marks in mark_key order, mark -> bit); callers must not modify
+    the dict."""
+    marks = tuple(real_marks(l) if real else complex_marks(l))
+    return marks, {m: 1 << i for i, m in enumerate(marks)}
+
+
+def _admissible(mask: int, n: int) -> bool:
+    """At least two anchor marks in rho and at least two marks outside."""
+    return (mask & 7).bit_count() >= 2 and mask.bit_count() <= n - 2
+
+
+def _real_kind(mask: int, n: int) -> Optional[str]:
+    """The class of an admissible conjugate-pair label over n marks."""
+    full = (1 << n) - 1
+    rb = _conj_mask(mask, full // 3)
+    rc = full ^ mask
+    if rb == mask:
+        return "H"
+    if rb == rc:
+        return "E"
+    if rb & rc == rb:
+        return "D1"
+    if rb & rc == rc:
+        # D2 = image of D1 under rho -> complement of rho-bar
+        return "D2" if _admissible(full ^ rb, n) else "D3"
+    return None
+
+
+def _labels(l: int, real: bool) -> Iterator[Tuple[int, Tuple]]:
+    """(mask, rho) for each admissible label, in order_key order:
+    combinations of the sorted marks come out lexicographically, size by
+    size."""
+    marks, _ = _universe(l, real)
+    n = len(marks)
+    for r in range(2, n - 1):
+        for combo in itertools.combinations(range(n), r):
+            mask = sum(1 << i for i in combo)
+            if _admissible(mask, n):
+                yield mask, tuple([marks[i] for i in combo])
+
+
+def _mask_of(rho, l: int, real: bool) -> Optional[int]:
+    """The mark mask of rho, or None if rho has a mark outside the universe."""
+    bits = _universe(l, real)[1]
+    mask = 0
+    for m in rho:
+        b = bits.get(m)
+        if b is None:
+            return None
+        mask |= b
+    return mask
+
+
 def is_admissible(rho, l: int, real: bool) -> bool:
-    rho = frozenset(rho)
-    if real:
-        universe = frozenset(real_marks(l))
-        anchor = frozenset(["1+", "1-", "2+"])
-    else:
-        universe = frozenset(complex_marks(l))
-        anchor = frozenset([1, 2, 3])
-    return (rho <= universe and len(rho & anchor) >= 2
-            and len(universe - rho) >= 2)
+    mask = _mask_of(rho, l, real)
+    return mask is not None and _admissible(mask, len(_universe(l, real)[0]))
 
 
 def build_a_ell(l: int) -> List[StratumLabel]:
     """The ordered complex index set A_l."""
     if l < 3:
         raise StrataError("complex index set requires l >= 3")
-    marks = complex_marks(l)
-    out = []
-    for r in range(2, l - 1):
-        for combo in itertools.combinations(marks, r):
-            if is_admissible(combo, l, real=False):
-                out.append(StratumLabel.make(combo, "Complex"))
-    out.sort(key=lambda s: s.order_key)
-    return out
+    return [StratumLabel(rho, "Complex") for _, rho in _labels(l, False)]
 
 
 def classify_real(rho, l: int) -> Optional[str]:
     """Class of rho in A_l^pm: H/E/D1/D2/D3, or None when rho-bar and the
     complement of rho are incomparable (the label is skipped by the real
     quotient's blowup typing but still indexes an equivalence relation)."""
-    rho = frozenset(rho)
-    if not is_admissible(rho, l, real=True):
+    mask = _mask_of(rho, l, True)
+    if mask is None or not _admissible(mask, 2 * l):
         raise StrataError("label not in the conjugate-pair index set")
-    universe = frozenset(real_marks(l))
-    rb = bar_set(rho)
-    rc = universe - rho
-    if rb == rho:
-        return "H"
-    if rb == rc:
-        return "E"
-    if rb < rc:
-        return "D1"
-    if rb > rc:
-        # D2 = image of D1 under rho -> complement of rho-bar
-        pre = universe - rb
-        if is_admissible(pre, l, real=True):
-            return "D2"
-        return "D3"
-    return None
+    return _real_kind(mask, 2 * l)
 
 
 def build_a_ell_real(l: int) -> Tuple[List[StratumLabel], List[StratumLabel]]:
@@ -106,20 +129,9 @@ def build_a_ell_real(l: int) -> Tuple[List[StratumLabel], List[StratumLabel]]:
     sublist; both sorted by order key."""
     if l < 1:
         raise StrataError("real index set requires l >= 1")
-    marks = real_marks(l)
-    allpm, realpart = [], []
-    n = len(marks)
-    for r in range(2, n - 1):
-        for combo in itertools.combinations(marks, r):
-            if not is_admissible(combo, l, real=True):
-                continue
-            kind = classify_real(combo, l)
-            allpm.append(StratumLabel.make(combo, kind))
-            if kind is not None:
-                realpart.append(StratumLabel.make(combo, kind))
-    allpm.sort(key=lambda s: s.order_key)
-    realpart.sort(key=lambda s: s.order_key)
-    return allpm, realpart
+    allpm = [StratumLabel(rho, _real_kind(mask, 2 * l))
+             for mask, rho in _labels(l, True)]
+    return allpm, [lab for lab in allpm if lab.kind is not None]
 
 
 def real_kind_counts(l: int) -> Dict[str, int]:

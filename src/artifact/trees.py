@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 Mark = object  # int for complex marks, str like "3+" for conjugate pairs
@@ -85,8 +86,9 @@ class MarkedTree:
     """Tree (Ver, Edg, mu) with dense vertices 0..n-1 and sorted edges.
 
     A tree is not mutated after construction: its adjacency, split-mask
-    index, slot table, mask -> edge table, canonical vertex ranks and
-    structural key are computed on first use and kept on the object.
+    index, slot table, mask -> edge table, canonical vertex ranks,
+    canonical form and structural key are computed on first use and kept
+    on the object.
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge], mu: Dict):
@@ -107,6 +109,7 @@ class MarkedTree:
     _edge_of: Optional[Dict[int, Edge]] = None
     _order: Optional[Dict[int, int]] = None
     _skey: Optional[Tuple] = None
+    _canon: Optional[str] = None
 
     @property
     def is_real(self) -> bool:
@@ -185,11 +188,13 @@ class MarkedTree:
                 down_m[parent[v]] |= down_m[v]
                 down_v[parent[v]] |= down_v[v]
             all_m, all_v = down_m[0], down_v[0]
+            up_m = [all_m ^ m for m in down_m]
+            up_v = [all_v ^ m for m in down_v]
             self._index = (
-                tuple(tuple(down_m[w] if w != parent[v] else all_m ^ down_m[v]
-                            for w in adj[v]) for v in range(n)),
-                tuple(tuple(down_v[w] if w != parent[v] else all_v ^ down_v[v]
-                            for w in adj[v]) for v in range(n)),
+                tuple([tuple([down_m[w] if w != parent[v] else up_m[v] for w in adj[v]])
+                       for v in range(n)]),
+                tuple([tuple([down_v[w] if w != parent[v] else up_v[v] for w in adj[v]])
+                       for v in range(n)]),
             )
         return self._index
 
@@ -476,58 +481,67 @@ def contractions(t: MarkedTree) -> List[Tuple[MarkedTree, Tuple[int, ...]]]:
 
 # ---------------------------------------------------------------------------
 # enumeration
+#
+# A split is the mark mask (bits in mark_key order) of the side of an edge
+# that avoids the minimal mark, bit 0.  A tree is the laminar family of its
+# splits, listed in (size, lexicographic) order.
 
-def _canonical_split_candidates(marks: List) -> List[FrozenSet]:
-    """All canonical splits: subsets avoiding the minimal mark, sizes 2..n-2."""
-    m0 = marks[0]
-    rest = marks[1:]
-    n = len(marks)
-    out = []
-    for r in range(2, n - 1):
-        for combo in itertools.combinations(rest, r):
-            out.append(frozenset(combo))
-    out.sort(key=lambda s: (len(s), [mark_key(m) for m in sort_marks(s)]))
-    return out
+def _laminar(a: int, b: int) -> bool:
+    return a & b in (0, a, b)
 
 
-def _laminar(a: FrozenSet, b: FrozenSet) -> bool:
-    return a <= b or b <= a or not (a & b)
+def _conj_mask(mask: int, even: int) -> int:
+    """bar_mark on a mark mask of a conjugation-closed mark set: i+ and i-
+    hold the adjacent bits 2k and 2k+1, so conjugation swaps bits i and
+    i^1.  `even` is the mask of the even bits, the + marks."""
+    return (mask & even) << 1 | (mask >> 1) & even
 
 
-def _tree_from_family(marks: List, family: Sequence[FrozenSet]) -> Tuple[int, List[Edge], Dict]:
-    sets = sorted(family, key=lambda s: (len(s), [mark_key(m) for m in sort_marks(s)]))
-    idx = {s: i + 1 for i, s in enumerate(sets)}
+def _tree_from_family(marks: List, family: Sequence[int]) -> Tuple[int, List[Edge], Dict]:
+    """(vertex count, edges, mu) of the tree with the given splits, which
+    are in (size, lexicographic) order.  Vertex i + 1 is the side of
+    family[i] at its edge; its parent is the side of the first later
+    superset, else vertex 0, and a mark sits at the first side that holds
+    its bit, else at vertex 0."""
+    k = len(family)
     edges = []
-    for s in sets:
-        sups = [u for u in sets if s < u]
-        parent = idx[min(sups, key=len)] if sups else 0
-        edges.append((parent, idx[s]))
-    mu = {}
-    for m in marks:
-        holders = [s for s in sets if m in s]
-        mu[m] = idx[min(holders, key=len)] if holders else 0
-    return len(sets) + 1, edges, mu
+    at = [0] * len(marks)
+    free = (1 << len(marks)) - 1  # the bits no earlier side holds
+    for i, s in enumerate(family):
+        parent = 0
+        for j in range(i + 1, k):
+            if family[j] & s == s:
+                parent = j + 1
+                break
+        edges.append((parent, i + 1))
+        new = s & free
+        free ^= new
+        while new:
+            low = new & -new
+            at[low.bit_length() - 1] = i + 1
+            new ^= low
+    return k + 1, edges, dict(zip(marks, at))
 
 
 def _phi_from_structure(n: int, edges: List[Edge], mu: Dict) -> List[int]:
-    """The unique involution compatible with mark conjugation.
+    """The unique involution compatible with mark conjugation; the marks
+    of mu must be conjugation-closed.
 
     Conjugating the mark mask of the branch at v through w (the tail side
-    of the edge (w, v)) by the bit permutation of bar_mark gives the tail
-    side of the image edge, whose head is phi(v).
+    of the edge (w, v)) gives the tail side of the image edge, whose head
+    is phi(v).
     """
     if n == 1:
         return [0]
     t = MarkedTree(n, edges, mu)
-    bits = t.mark_bits()
-    bar_bits = [bits[bar_mark(m)] for m in bits]
+    even = ((1 << len(mu)) - 1) // 3
     marks = t.split_index()[0]
     heads = {side: v for v in range(n) for side in marks[v]}
     phi = []
     for v in range(n):
         imgs = set()
         for side in marks[v]:
-            conj = sum(b for i, b in enumerate(bar_bits) if side >> i & 1)
+            conj = _conj_mask(side, even)
             if conj not in heads:
                 raise TreeError("split system not conjugation-closed")
             imgs.add(heads[conj])
@@ -535,6 +549,17 @@ def _phi_from_structure(n: int, edges: List[Edge], mu: Dict) -> List[int]:
             raise TreeError("involution not determined")
         phi.append(imgs.pop())
     return phi
+
+
+def stable_tree_count(l: int) -> int:
+    """len(enumerate_trees(l)) for l >= 3 complex marks, without building
+    a tree: A000311(l - 1), by a(n + 1) = (n + 2) a(n)
+    + 2 sum_{k=2}^{n-1} C(n, k) a(k) a(n - k + 1), a(1) = a(2) = 1."""
+    a = [0, 1, 1]
+    for n in range(2, l - 1):
+        a.append((n + 2) * a[n] + 2 * sum(math.comb(n, k) * a[k] * a[n - k + 1]
+                                          for k in range(2, n)))
+    return a[l - 1]
 
 
 def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
@@ -547,46 +572,55 @@ def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
         if l < 3:
             raise TreeError("complex enumeration requires l >= 3")
         marks = complex_marks(l)
-    cands = _canonical_split_candidates(marks)
+    n = len(marks)
+    bits = _mark_bits(frozenset(marks))
+    # candidate splits: 2..n-2 of the bits 1..n-1; combinations come out
+    # size by size in lexicographic order, the order of _tree_from_family
+    cands = [sum(1 << i for i in c) for r in range(2, n - 1)
+             for c in itertools.combinations(range(1, n), r)]
     if real:
-        # group candidate splits into conjugation orbits
-        m0 = marks[0]
-        allset = frozenset(marks)
-
-        def conj_split(s):
-            sb = frozenset(bar_mark(m) for m in s)
-            return sb if m0 not in sb else allset - sb
-
-        pos = {s: i for i, s in enumerate(cands)}
-        units: List[Tuple[FrozenSet, ...]] = []
+        # a unit is a conjugation orbit of splits, as candidate ranks; an
+        # orbit whose two splits cross can never appear
+        full = (1 << n) - 1
+        rank = {s: i for i, s in enumerate(cands)}
+        units = []
         for i, s in enumerate(cands):
-            sb = conj_split(s)
-            if pos[sb] < i:
-                continue
-            if sb == s:
-                units.append((s,))
-            elif _laminar(s, sb):
-                units.append((s, sb))
-            # incompatible conjugate pair: orbit can never appear
+            sb = _conj_mask(s, full // 3)
+            j = rank[sb ^ full if sb & 1 else sb]
+            if j == i:
+                units.append((i,))
+            elif j > i and _laminar(s, cands[j]):
+                units.append((i, j))
     else:
-        units = [(s,) for s in cands]
+        units = [(i,) for i in range(len(cands))]
+    # compat[u]: bitmask of the later units whose splits are all laminar
+    # with those of unit u
+    compat = []
+    for u, unit in enumerate(units):
+        mask = 0
+        for w in range(u + 1, len(units)):
+            if all(_laminar(cands[a], cands[b]) for a in unit for b in units[w]):
+                mask |= 1 << w
+        compat.append(mask)
 
-    # depth-first over compatible families, children in unit order; an
-    # explicit stack, so no closure holds the result list in a cycle
+    # depth-first over compatible families; an explicit stack, so no
+    # closure holds the result list in a cycle
     results: List[MarkedTree] = []
-    stack: List[Tuple[int, List[FrozenSet]]] = [(0, [])]
+    stack: List[Tuple[int, Tuple[int, ...]]] = [((1 << len(units)) - 1, ())]
     while stack:
-        start, chosen = stack.pop()
-        n, edges, mu = _tree_from_family(marks, chosen)
+        avail, chosen = stack.pop()
+        n_v, edges, mu = _tree_from_family(marks, [cands[i] for i in sorted(chosen)])
         if real:
-            phi = _phi_from_structure(n, edges, mu)
-            results.append(RealMarkedTree(n, edges, mu, phi))
+            t = RealMarkedTree(n_v, edges, mu, _phi_from_structure(n_v, edges, mu))
         else:
-            results.append(MarkedTree(n, edges, mu))
-        for i in range(len(units) - 1, start - 1, -1):
-            unit = units[i]
-            if all(_laminar(a, b) for a in unit for b in chosen):
-                stack.append((i + 1, chosen + list(unit)))
+            t = MarkedTree(n_v, edges, mu)
+        t._bits = bits
+        results.append(t)
+        while avail:
+            low = avail & -avail
+            avail ^= low
+            u = low.bit_length() - 1
+            stack.append((avail & compat[u], chosen + units[u]))
     results.sort(key=canonical_form)
     return results
 
@@ -594,68 +628,61 @@ def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
 # ---------------------------------------------------------------------------
 # canonical form
 
-def _centroids(t: MarkedTree) -> List[int]:
-    n = t.vertex_count
-    if n == 1:
-        return [0]
-    adj = t.adjacency()
-    size = [1] * n
-    order = []
-    seen = [False] * n
-    stack = [(0, -1)]
-    while stack:
-        v, p = stack.pop()
-        seen[v] = True
-        order.append((v, p))
-        for w in adj[v]:
-            if not seen[w]:
-                stack.append((w, v))
-    for v, p in reversed(order):
-        if p >= 0:
-            size[p] += size[v]
-    best, cents = None, []
-    parent = {v: p for v, p in order}
-    for v in range(n):
-        heavy = n - size[v]
+def _centroids(adj: List[List[int]]) -> List[int]:
+    """The vertices whose largest branch has the fewest vertices."""
+    n = len(adj)
+    parent = [-1] * n
+    order = [0]
+    for v in order:
         for w in adj[v]:
             if w != parent[v]:
-                heavy = max(heavy, size[w])
-        if best is None or heavy < best:
-            best, cents = heavy, [v]
-        elif heavy == best:
-            cents.append(v)
-    return cents
+                parent[w] = v
+                order.append(w)
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    heavy = [max([n - size[v]] + [size[w] for w in adj[v] if w != parent[v]])
+             for v in range(n)]
+    least = min(heavy)
+    return [v for v in range(n) if heavy[v] == least]
 
 
-def _ahu(t: MarkedTree, v: int, p: int) -> str:
-    marks = ",".join(str(m) for m in t.mu_inv(v))
-    kids = sorted(_ahu(t, w, v) for w in t.adjacency()[v] if w != p)
-    return "(" + marks + ("|" + ";".join(kids) if kids else "") + ")"
+def _ahu(adj: List[List[int]], here: List[str], v: int, p: int) -> str:
+    kids = sorted([_ahu(adj, here, w, v) for w in adj[v] if w != p])
+    return "(" + here[v] + ("|" + ";".join(kids) if kids else "") + ")"
 
 
 def canonical_form(t: MarkedTree) -> str:
-    """Equal strings iff label-preserving isomorphic; stable across runs."""
-    body = min(_ahu(t, c, -1) for c in _centroids(t))
-    head = "RT" if t.is_real else "T"
-    out = "%s%d:%s" % (head, t.l, body)
-    if t.is_real:
-        # orbit structure of the involution, in canonical vertex encodings
-        ids = [_ahu_id(t, v) for v in range(t.vertex_count)]
-        pairs = sorted(
-            "~".join(sorted((ids[v], ids[t.phi[v]])))
-            for v in range(t.vertex_count) if v <= t.phi[v]
-        )
-        out += "/phi:" + ";".join(pairs)
-    return out
+    """Equal strings iff label-preserving isomorphic; stable across runs.
 
-
-def _ahu_id(t: MarkedTree, v: int) -> str:
-    """A canonical identifier for a vertex: its sorted branch mark-sets."""
+    The AHU string of the tree rooted at a centroid (the smaller string,
+    if there are two), each vertex written with its marks; a real tree adds
+    the orbits of phi, each vertex written with its marks and the mark
+    sets of its branches.  Computed once per tree.
+    """
+    if t._canon is not None:
+        return t._canon
+    n = t.vertex_count
     bits = t.mark_bits()
-    parts = [",".join(str(m) for m in t.mu_inv(v))]
-    for side in t.split_index()[0][v]:
-        parts.append("{" + ",".join(str(m) for m in _marks_of_mask(bits, side)) + "}")
-    return "[" + "|".join(sorted(parts)) + "]"
+    at: List[List[str]] = [[] for _ in range(n)]
+    for m in bits:  # mark_key order
+        at[t.mu[m]].append(str(m))
+    here = [",".join(a) for a in at]
+    adj = t.adjacency()
+    body = min(_ahu(adj, here, c, -1) for c in _centroids(adj))
+    out = "%s%d:%s" % ("RT" if t.is_real else "T", t.l, body)
+    if t.is_real:
+        sides = t.split_index()[0]
+        ids = ["[" + "|".join(sorted([here[v]] + [
+                   "{" + ",".join(map(str, _marks_of_mask(bits, s))) + "}"
+                   for s in sides[v]])) + "]"
+               for v in range(n)]
+        phi = t.phi
+        out += "/phi:" + ";".join(sorted(
+            "~".join(sorted((ids[v], ids[phi[v]]))) for v in range(n) if v <= phi[v]
+        ))
+    t._canon = out
+    return out
 
 
 def canonical_vertex_order(t: MarkedTree) -> Dict[int, int]:

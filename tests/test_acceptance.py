@@ -289,3 +289,56 @@ def test_criterion_12_real_l3_quotient_sweep():
     assert dt < 120.0
     _report(12, "class keys == closure classes on all 720 real l=3 cases "
                 "(H, E, D1, D2, D3 cuts), report unchanged, in %.1fs" % dt)
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_add(a, b):
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + (b[i] if i < len(b) else 0) for i, x in enumerate(a)]
+
+
+def _open_count(k):
+    """|M_{0,k}(F_q)| = (q-2)(q-3)...(q-k+2): a vertex of valence k."""
+    p = [1]
+    for c in range(2, k - 1):
+        p = _poly_mul(p, [-c, 1])
+    return p
+
+
+def test_criterion_13_keel_recursion():
+    # |M-bar_{0,n}(F_q)| two ways, as integer coefficient lists in q: over
+    # the strata, one per tree, and by Keel's blowup recursion over A_{n-1}
+    t0 = time.monotonic()
+    keel = {3: [1]}
+    for n in range(4, 8):
+        s = [0]
+        for lab in strata.build_a_ell(n - 1):
+            r = len(lab.rho)
+            s = _poly_add(s, _poly_mul(keel[r + 1], keel[n - r]))
+        keel[n] = _poly_add(_poly_mul([1, 1], keel[n - 1]), [0] + s)
+        by_trees = [0]
+        for t in trees.enumerate_trees(n):
+            p = [1]
+            for v in range(t.vertex_count):
+                p = _poly_mul(p, _open_count(t.valence(v)))
+            by_trees = _poly_add(by_trees, p)
+        while by_trees[-1] == 0:
+            by_trees.pop()
+        assert by_trees == keel[n], n
+        assert keel[n] == keel[n][::-1], n  # Poincare duality
+        assert len(keel[n]) == n - 2
+        # the q coefficient is the Picard rank 2^(n-1) - C(n,2) - 1
+        assert keel[n][1] == 2 ** (n - 1) - n * (n - 1) // 2 - 1, n
+    dt = time.monotonic() - t0
+    assert keel[7] == [1, 42, 127, 42, 1]
+    assert dt < 5.0
+    _report(13, "sum over trees == Keel's recursion for n=4..7, palindromic, "
+                "P_7 = 1+42q+127q^2+42q^3+q^4, in %.2fs" % dt)

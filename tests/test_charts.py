@@ -18,7 +18,6 @@ from artifact.charts import (
     is_marking_map,
     is_systematic,
     real_slice_check,
-    reconstruct_cr,
     systematic_marking,
     v_gamma,
 )
@@ -143,13 +142,14 @@ class TestReconstruction:
         for q in orderings:
             assert charts._permuted_value(ref, x, q) == cross_ratio(*(model[m] for m in q))
 
-    def test_functional_wrapper(self):
+    def test_table_built_from_eta(self):
+        # the table builds the basis from eta when it is given no basis
         t = trees.enumerate_trees(4)[0]
         c = curves.sample_curve(t, 30, ("wrap",))
         basis = gamma_basis(t)
         vals = basis_values(c, basis)
         q = (1, 2, 3, 4)
-        assert reconstruct_cr(vals, t, basis.eta, q) == curves.cross_ratio_q(c, q)
+        assert ReconstructionTable(t, basis.eta, vals).value(q) == curves.cross_ratio_q(c, q)
 
 
 class TestExtendedCharts:

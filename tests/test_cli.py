@@ -87,6 +87,24 @@ class TestGuardrailsAndErrors:
     def test_verify_guardrail(self):
         assert cli.run(["verify-basis", "--l", "9"]) == 2
 
+    def test_trees_guard_on_projected_count(self, monkeypatch, tmp_path):
+        # l=10 is under the l cap but would build 12,818,912 trees; the
+        # guard must refuse it before enumerating anything
+        def refuse(l, real=False):
+            raise AssertionError("enumerate_trees called for l=%d" % l)
+
+        monkeypatch.setattr(trees, "enumerate_trees", refuse)
+        assert cli.run(["trees", "--l", "10"]) == 2
+        assert cli.run(["trees", "--l", "9"]) == 2
+        built = []
+        monkeypatch.setattr(trees, "enumerate_trees",
+                            lambda l, real=False: built.append(l) or [])
+        # l=8 (39,208 trees) passes, and the override lifts the guard
+        assert run_json(["trees", "--l", "8"], tmp_path)[0] == 0
+        assert run_json(["trees", "--l", "10", "--max-l-override", "10"],
+                        tmp_path)[0] == 0
+        assert built == [8, 10]
+
 
 class TestReports:
     def test_deterministic_modulo_timestamp(self, tmp_path):

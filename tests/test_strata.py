@@ -1,6 +1,8 @@
 """Boundary stratum index sets, real classification, blowup schedules."""
 
+import hashlib
 import itertools
+import json
 
 import pytest
 
@@ -15,6 +17,7 @@ from artifact.strata import (
     order_key,
     real_kind_counts,
     schedule,
+    StrataError,
     stratum_edge,
 )
 from artifact.trees import bar_mark, real_marks
@@ -131,3 +134,52 @@ class TestStratumEdge:
     def test_absent_for_smooth(self):
         t = [x for x in trees.enumerate_trees(4) if not x.edges][0]
         assert stratum_edge(t, frozenset({1, 2})) is None
+
+
+# sha256 of the outputs of the label builders, the schedules and
+# classify_real, one JSON line per label (or per subset of marks); pinned
+# before the builders moved onto mark bitmasks, so they pin the order of
+# the labels as well as the labels and their kinds
+def _label_lines(l, labels):
+    return [json.dumps([l, list(s.rho), s.kind]) for s in labels]
+
+
+def _strata_lines(name):
+    if name == "build_a_ell":
+        return [x for l in range(3, 9) for x in _label_lines(l, build_a_ell(l))]
+    if name == "build_a_ell_real":
+        return [x for l in range(1, 7) for part in build_a_ell_real(l)
+                for x in _label_lines(l, part) + ["--"]]
+    if name == "schedule":
+        return [json.dumps(schedule(l, real=real).to_json(), sort_keys=True)
+                for real, ls in ((False, range(3, 9)), (True, range(2, 7)))
+                for l in ls]
+    out = []  # classify_real on every subset of [l^pm], "-" if not a label
+    for l in range(2, 6):
+        marks = real_marks(l)
+        for r in range(len(marks) + 1):
+            for rho in itertools.combinations(marks, r):
+                try:
+                    kind = classify_real(rho, l)
+                except StrataError:
+                    kind = "-"
+                out.append(json.dumps([l, list(rho), kind]))
+    return out
+
+
+STRATA_DIGESTS = {
+    "build_a_ell":
+        "ee4929bcdd91b462ac52874fbed14a6ce467f05fa71350046c4b5b2570f223da",
+    "build_a_ell_real":
+        "857579215ceca2653d8fcf2a2ddc8205bbbdf453d982a2152ade34abe56f0a4c",
+    "schedule":
+        "eeaef7321642a5b83a95c6e84ffd29a9e435843e940d4f70f64ffa3299e56f5b",
+    "classify_real":
+        "0f611e3b55b3c959ef2d0b30510b01596b4b1c4b9cdc110099a2fc4556aa64a5",
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRATA_DIGESTS))
+def test_strata_pinned(name):
+    text = "\n".join(_strata_lines(name))
+    assert hashlib.sha256(text.encode()).hexdigest() == STRATA_DIGESTS[name]
