@@ -110,14 +110,14 @@ def cmd_strata(cfg) -> dict:
     _check_l(cfg.l, cfg.real, verify=False, override=cfg.max_l_override)
     if cfg.real:
         labels, ordered = strata.build_a_ell_real(cfg.l)
-        kinds = strata.real_kind_counts(cfg.l)
+        kinds = strata.kind_counts(ordered)
         return {
             "l": cfg.l,
             "real": True,
             "count": len(labels),
             "scheduled": len(ordered),
             "kind_counts": kinds,
-            "distinct_divisors": strata.distinct_real_divisors(cfg.l),
+            "distinct_divisors": strata.distinct_divisor_count(kinds),
             "formula": 2 ** (2 * cfg.l - 1) - 2 * cfg.l - 1,
             "ok": len(labels) == 2 ** (2 * cfg.l - 1) - 2 * cfg.l - 1,
         }

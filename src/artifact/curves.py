@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import json
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .exactfield import PP_INF, ProjPoint, cross_ratio, finite_point, frame
 from .strata import classify_real, is_admissible, stratum_edge
 from .trees import (MarkedTree, RealMarkedTree, bar_mark,
-                    canonical_vertex_order, mark_key, real_marks, sort_marks,
-                    _phi_from_structure, _sorted_edge_slot)
+                    canonical_vertex_order, mark_key, real_marks,
+                    shared_tree, sort_marks, _mark_slot, _phi_from_structure,
+                    _sorted_edge_slot)
 
 
 class CurveError(Exception):
@@ -37,7 +38,9 @@ class StableCurve:
     A curve is not mutated after construction (its tree and coordinates
     are fixed), so what is derived from it is kept on first use: its
     moduli_key string, and the stabilized base that quotient.base_of
-    computes by forgetting the extra mark(s).
+    computes by forgetting the extra mark(s).  What depends only on the
+    tree (the expected slots, their conjugate partners, the moduli-key
+    layout and the forget plans) is kept on the tree.
     """
 
     # filled on first use
@@ -52,25 +55,18 @@ class StableCurve:
     def is_real(self) -> bool:
         return self.tree.is_real
 
-    def expected_slots(self, v: int) -> List[Slot]:
-        t = self.tree
-        slots = [("m", m) for m in t.mu_inv(v)]
-        slots += [_edge_slot((v, w)) for w in t.adjacency()[v]]
-        return slots
-
     def validate(self) -> List[str]:
-        bad = list(self.tree.validate())
+        bad = self.tree.validate()
         t = self.tree
         if set(self.coords.keys()) != set(range(t.vertex_count)):
             bad.append("coords must cover every vertex")
             return bad
-        for v in range(t.vertex_count):
-            want = set(self.expected_slots(v))
-            have = set(self.coords[v].keys())
-            if want != have:
-                bad.append("vertex %d: slots %r != expected %r" % (v, have, want))
+        for v, (slots, want) in enumerate(_vertex_slots(t)):
+            cv = self.coords[v]
+            if cv.keys() != want:
+                bad.append("vertex %d: slots %r != expected %r" % (v, set(cv), set(slots)))
                 continue
-            vals = list(self.coords[v].values())
+            vals = list(cv.values())
             if len(set(vals)) != len(vals):
                 bad.append("vertex %d: special points not pairwise distinct" % v)
             if len(vals) < 3:
@@ -81,12 +77,11 @@ class StableCurve:
 
     def _validate_real(self) -> List[str]:
         bad = []
-        t = self.tree
-        phi = t.phi
-        for v in range(t.vertex_count):
-            for slot, val in self.coords[v].items():
-                pv, pslot = _partner(t, v, slot)
-                if self.coords[pv][pslot] != val.conj():
+        coords = self.coords
+        for v, partner in enumerate(_partners(self.tree)):
+            for slot, val in coords[v].items():
+                pv, pslot = partner[slot]
+                if coords[pv][pslot] != val.conj():
                     bad.append("conjugation symmetry fails at vertex %d slot %r" % (v, slot))
         return bad
 
@@ -109,13 +104,40 @@ class StableCurve:
         return "StableCurve(%s)" % (json.dumps(self.to_json(), sort_keys=True),)
 
 
-def _partner(t: MarkedTree, v: int, slot: Slot) -> Tuple[int, Slot]:
-    """Conjugate slot under the real structure."""
-    phi = t.phi
-    if slot[0] == "m":
-        return t.mu[bar_mark(slot[1])], ("m", bar_mark(slot[1]))
-    u, w = slot[1]
-    return phi[v], _edge_slot((phi[u], phi[w]))
+def _vertex_slots(t: MarkedTree) -> Tuple[Tuple[Tuple[Slot, ...], FrozenSet[Slot]], ...]:
+    """Per vertex, the slots of its special points, as a tuple (its marks
+    in mu_inv order, then its edges by neighbour) and as a set; kept on
+    the tree."""
+    if t._vertex_slots is None:
+        adj = t.adjacency()
+        rows = []
+        for v in range(t.vertex_count):
+            slots = tuple([_mark_slot(m) for m in t.mu_inv(v)]
+                          + [_edge_slot((v, w)) for w in adj[v]])
+            rows.append((slots, frozenset(slots)))
+        t._vertex_slots = tuple(rows)
+    return t._vertex_slots
+
+
+def _partners(t: MarkedTree) -> Tuple[Dict[Slot, Tuple[int, Slot]], ...]:
+    """Per vertex v of a real tree, slot -> (vertex, slot) of its
+    conjugate: the conjugate mark where it sits, or the image of the edge
+    at phi(v); kept on the tree."""
+    if t._partners is None:
+        phi = t.phi
+        rows = []
+        for v, (slots, _want) in enumerate(_vertex_slots(t)):
+            row = {}
+            for slot in slots:
+                if slot[0] == "m":
+                    mb = bar_mark(slot[1])
+                    row[slot] = (t.mu[mb], _mark_slot(mb))
+                else:
+                    u, w = slot[1]
+                    row[slot] = (phi[v], _edge_slot((phi[u], phi[w])))
+            rows.append(row)
+        t._partners = tuple(rows)
+    return t._partners
 
 
 def curve_from_json(d: dict) -> StableCurve:
@@ -141,12 +163,41 @@ def curve_from_json(d: dict) -> StableCurve:
 # forgetful map with stabilization
 
 def forget(c: StableCurve, keep) -> StableCurve:
-    keep = set(keep)
+    """Forget the marks outside keep and stabilize.
+
+    The stabilization depends only on the tree and keep, so it is planned
+    once per (tree, kept marks) and replayed here on the coordinates.
+    """
     t = c.tree
-    all_marks = set(t.mu.keys())
-    if not keep <= all_marks:
+    keep = frozenset(keep)
+    plans = t._forget_plans
+    if plans is None:
+        plans = t._forget_plans = {}
+    plan = plans.get(keep)
+    if plan is None:
+        plan = plans[keep] = _plan_forget(t, keep)
+    nt, moves = plan
+    coords = c.coords
+    out = StableCurve(t if nt is None else nt,
+                      {v: {slot: coords[u][old] for slot, u, old in mv}
+                       for v, mv in enumerate(moves)})
+    bad = out.validate()
+    if bad:
+        raise CurveError("stabilization produced an invalid curve: %r" % (bad,))
+    return out
+
+
+def _plan_forget(t: MarkedTree, keep: FrozenSet) -> Tuple[Optional[MarkedTree], Tuple]:
+    """(output tree, moves) of forgetting all but keep on tree t.
+
+    moves[i] lists, for output vertex i, (new slot, old vertex, old slot):
+    where each coordinate of the stabilized curve comes from.  The output
+    tree is None when it is t itself, so that no tree refers to itself.
+    Raises CurveError for a bad keep set; errors are not kept.
+    """
+    if not keep <= t.mu.keys():
         raise CurveError("keep contains unknown marks")
-    if c.is_real:
+    if t.is_real:
         if {bar_mark(m) for m in keep} != keep:
             raise CurveError("real keep set must be conjugation-closed")
         if len(keep) < 4:
@@ -154,17 +205,16 @@ def forget(c: StableCurve, keep) -> StableCurve:
     elif len(keep) < 3:
         raise CurveError("keep too small: need at least 3 marks")
 
-    # mutable working copy over the original vertex ids; inc[v] and at[v]
-    # are the edges and the kept marks at v
+    # working copy over the original vertex ids; inc[v] and at[v] are the
+    # edges and the kept marks at v, src[v] maps each current slot at v to
+    # the slot of v that holds its coordinate
     verts = set(range(t.vertex_count))
     edges = set(t.edges)
     inc = {v: {e for e in t.edges if v in e} for v in verts}
     mu = {m: v for m, v in t.mu.items() if m in keep}
     at = {v: [m for m in t.mu_inv(v) if m in keep] for v in verts}
-    coords = {
-        v: {s: p for s, p in c.coords[v].items() if s[0] == "e" or s[1] in keep}
-        for v in verts
-    }
+    src = {v: {s: s for s in slots if s[0] == "e" or s[1] in keep}
+           for v, (slots, _want) in enumerate(_vertex_slots(t))}
 
     changed = True
     while changed:
@@ -186,49 +236,43 @@ def forget(c: StableCurve, keep) -> StableCurve:
                 inc[a].add(newe)
                 inc[b].remove(e2)
                 inc[b].add(newe)
-                coords[a][_edge_slot(newe)] = coords[a].pop(_edge_slot(e1))
-                coords[b][_edge_slot(newe)] = coords[b].pop(_edge_slot(e2))
+                src[a][_edge_slot(newe)] = src[a].pop(_edge_slot(e1))
+                src[b][_edge_slot(newe)] = src[b].pop(_edge_slot(e2))
             elif len(iv) == 1:
                 (e,) = iv
                 a = e[0] if e[1] == v else e[1]
                 edges.discard(e)
                 inc[a].discard(e)
-                node = coords[a].pop(_edge_slot(e))
+                node = src[a].pop(_edge_slot(e))
                 if marks_here:
                     # the remaining mark lands at the node position
                     m = marks_here[0]
                     mu[m] = a
                     at[a].append(m)
-                    coords[a][("m", m)] = node
+                    src[a][_mark_slot(m)] = node
             else:
                 raise CurveError("keep too small for stability")
             verts.discard(v)
-            coords.pop(v, None)
+            src.pop(v, None)
             break
 
     newid = {v: i for i, v in enumerate(sorted(verts))}
     new_edges = [tuple(sorted((newid[a], newid[b]))) for a, b in edges]
     new_mu = {m: newid[v] for m, v in mu.items()}
-    new_coords: Dict[int, Dict[Slot, ProjPoint]] = {}
-    for v in verts:
-        cv = {}
-        for slot, val in coords[v].items():
+    moves = []
+    for v in sorted(verts):
+        mv = []
+        for slot, old in src[v].items():
             if slot[0] == "e":
                 a, b = slot[1]
-                cv[_edge_slot((newid[a], newid[b]))] = val
-            else:
-                cv[slot] = val
-        new_coords[newid[v]] = cv
-    if c.is_real:
-        phi = _phi_from_structure(len(verts), new_edges, new_mu)
-        nt = RealMarkedTree(len(verts), new_edges, new_mu, phi)
-    else:
-        nt = MarkedTree(len(verts), new_edges, new_mu)
-    out = StableCurve(nt, new_coords)
-    bad = out.validate()
-    if bad:
-        raise CurveError("stabilization produced an invalid curve: %r" % (bad,))
-    return out
+                slot = _edge_slot((newid[a], newid[b]))
+            mv.append((slot, v, old))
+        moves.append(tuple(mv))
+    phi = None
+    if t.is_real:
+        phi = _phi_from_structure(MarkedTree(len(verts), new_edges, new_mu))
+    nt = shared_tree(len(verts), new_edges, new_mu, phi)
+    return (None if nt is t else nt), tuple(moves)
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +371,17 @@ def sample_curve(t: MarkedTree, bound: int, seed) -> StableCurve:
     if bound < 2:
         raise CurveError("bound too small")
     rng = random.Random(repr(seed))
+    rows = _vertex_slots(t)
+    partners = _partners(t) if t.is_real else None
     for _attempt in range(200):
         coords: Dict[int, Dict[Slot, ProjPoint]] = {v: {} for v in range(t.vertex_count)}
         ok = True
-        for v in range(t.vertex_count):
-            slots = [("m", m) for m in t.mu_inv(v)]
-            slots += [_edge_slot((v, w)) for w in t.adjacency()[v]]
+        for v, (slots, _want) in enumerate(rows):
             for slot in slots:
                 if slot in coords[v]:
                     continue
-                if t.is_real:
-                    pv, pslot = _partner(t, v, slot)
+                if partners is not None:
+                    pv, pslot = partners[v][slot]
                     if (pv, pslot) == (v, slot):
                         val = _rand_point(rng, bound, real_only=True)
                     else:
@@ -402,34 +446,43 @@ def moduli_key(c: StableCurve) -> str:
 
 
 def _moduli_key(c: StableCurve) -> str:
-    t = c.tree
-    order = canonical_vertex_order(t)
-    bits = t.mark_bits()  # bit order is mark_key order
-
-    def slot_sort_key(v):
-        def k(slot):
-            if slot[0] == "m":
-                return (0, bits[slot[1]])
-            u, w = slot[1]
-            return (1, order[w if u == v else u])
-        return k
-
     parts = []
-    for v in sorted(order, key=order.get):
+    for v, head, slots, texts in _key_layout(c.tree):
         cv = c.coords[v]
-        slots = sorted(cv, key=slot_sort_key(v))
         # (refs[0], refs[1], refs[2]) -> (inf, 0, 1)
-        to_frame = frame(*(cv[s] for s in slots[:3]))
-        items = []
-        for s in slots:
-            val = to_frame(cv[s])
-            if s[0] == "m":
-                items.append("m%s=%s" % (s[1], val.serialize()))
-            else:
-                a, b = sorted((order[s[1][0]], order[s[1][1]]))
-                items.append("e%d-%d=%s" % (a, b, val.serialize()))
-        parts.append("v%d{%s}" % (order[v], ";".join(items)))
+        to_frame = frame(cv[slots[0]], cv[slots[1]], cv[slots[2]])
+        parts.append(head + ";".join([text + to_frame(cv[s]).serialize()
+                                      for s, text in zip(slots, texts)]) + "}")
     return "|".join(parts)
+
+
+def _key_layout(t: MarkedTree) -> Tuple:
+    """What moduli_key reads off the tree, kept on it: per vertex, in
+    canonical order, (vertex, "v<rank>{", its slots in canonical order,
+    the "m<mark>=" / "e<rank>-<rank>=" text of each slot).  Marks come
+    first in mark_key order, then edges by the rank of the neighbour."""
+    if t._key_layout is None:
+        order = canonical_vertex_order(t)
+        bits = t.mark_bits()  # bit order is mark_key order
+        rows = _vertex_slots(t)
+        layout = []
+        for v in sorted(order, key=order.get):
+            def k(slot):
+                if slot[0] == "m":
+                    return (0, bits[slot[1]])
+                u, w = slot[1]
+                return (1, order[w if u == v else u])
+            slots = sorted(rows[v][0], key=k)
+            texts = []
+            for s in slots:
+                if s[0] == "m":
+                    texts.append("m%s=" % (s[1],))
+                else:
+                    a, b = sorted((order[s[1][0]], order[s[1][1]]))
+                    texts.append("e%d-%d=" % (a, b))
+            layout.append((v, "v%d{" % order[v], tuple(slots), tuple(texts)))
+        t._key_layout = tuple(layout)
+    return t._key_layout
 
 
 def curve_key(c: StableCurve) -> str:

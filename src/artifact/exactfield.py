@@ -116,22 +116,22 @@ class GaussRat:
 
     def __add__(self, other):
         p1, q1, d1 = self._k
-        p2, q2, d2 = _coerce(other)._k
+        p2, q2, d2 = (other if type(other) is GaussRat else _coerce(other))._k
         return _make(GaussRat, _reduced(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2))
 
     def __sub__(self, other):
         p1, q1, d1 = self._k
-        p2, q2, d2 = _coerce(other)._k
+        p2, q2, d2 = (other if type(other) is GaussRat else _coerce(other))._k
         return _make(GaussRat, _reduced(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2))
 
     def __mul__(self, other):
         p1, q1, d1 = self._k
-        p2, q2, d2 = _coerce(other)._k
+        p2, q2, d2 = (other if type(other) is GaussRat else _coerce(other))._k
         return _make(GaussRat, _reduced(p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2))
 
     def __truediv__(self, other):
         p1, q1, d1 = self._k
-        p2, q2, d2 = _coerce(other)._k
+        p2, q2, d2 = (other if type(other) is GaussRat else _coerce(other))._k
         n = p2 * p2 + q2 * q2
         if n == 0:
             raise DivisionByZero("division by zero GaussRat")
@@ -163,6 +163,8 @@ class GaussRat:
         return self._k[1] == 0
 
     def __eq__(self, other):
+        if type(other) is GaussRat:
+            return self._k == other._k
         if isinstance(other, (int, Fraction)):
             other = GaussRat(other)
         if not isinstance(other, GaussRat):

@@ -438,20 +438,22 @@ def lemma_hypothesis_check(
     return report
 
 
-def corrupted_chart_control(model: Model, p: BlowupPoint) -> bool:
+def corrupted_chart_control(model: Model, p: BlowupPoint,
+                            image: Optional[Tuple[Scalar, ...]] = None) -> bool:
     """Negative control: a chart with two swapped coordinates must fail.
 
     Swaps the first two chart coordinates of ``p`` (perturbing one of
     them if they happen to coincide) and checks that the corrupted chart
     no longer satisfies the blowup-recognition relations against the
-    honest blowdown image.  Returns True iff the relations fail.
+    honest blowdown image, ``image`` if given, else ``blowdown(p)``.
+    Returns True iff the relations fail.
     """
     swapped = list(p.coords)
     swapped[0], swapped[1] = swapped[1], swapped[0]
     if tuple(swapped) == p.coords:
         swapped[0] = swapped[0] + ONE
     q = BlowupPoint(model, p.chart, tuple(swapped))
-    rep = lemma_hypothesis_check(model, q, image=blowdown(p))
+    rep = lemma_hypothesis_check(model, q, image=blowdown(p) if image is None else image)
     return not rep["all_ok"]
 
 
@@ -526,7 +528,7 @@ def verify_model(
             if not ok:
                 failures.append("relation %s at %s" % (name, p.serialize()))
         control_total += 1
-        if corrupted_chart_control(model, p):
+        if corrupted_chart_control(model, p, img):
             control_pass += 1
         else:
             failures.append("negative control passed at %s" % p.serialize())

@@ -23,9 +23,9 @@ from .curves import (CurveError, StableCurve, _edge_slot, cross_ratio_q,
                      forget, in_D_tilde, in_divisor, moduli_key, sample_curve)
 from .exactfield import PP_INF, PP_ZERO, GaussRat, ProjPoint, finite_point
 from .strata import build_a_ell, build_a_ell_real, is_admissible, order_key
-from .trees import (MarkedTree, RealMarkedTree, bar_mark, canonical_form,
-                    canonical_vertex_order, mark_key, sort_marks, split_marks,
-                    subtree_split)
+from .trees import (MarkedTree, bar_mark, canonical_form,
+                    canonical_vertex_order, mark_key, shared_tree, sort_marks,
+                    split_marks, subtree_split)
 
 
 class QuotientError(Exception):
@@ -329,12 +329,10 @@ def add_mark(c: StableCurve, v: int, point: ProjPoint) -> StableCurve:
         mu[mm] = t.phi[v]
         coords[v][("m", mp)] = point
         coords[t.phi[v]][("m", mm)] = point.conj()
-        nt = RealMarkedTree(t.vertex_count, t.edges, mu, t.phi)
     else:
         mu[t.l + 1] = v
         coords[v][("m", t.l + 1)] = point
-        nt = MarkedTree(t.vertex_count, t.edges, mu)
-    out = StableCurve(nt, coords)
+    out = StableCurve(shared_tree(t.vertex_count, t.edges, mu, t.phi), coords)
     bad = out.validate()
     if bad:
         raise QuotientError("bad placement: %r" % (bad,))
@@ -377,11 +375,11 @@ def bubble_at_mark(c: StableCurve, m, point: ProjPoint) -> StableCurve:
         coords[wb] = {_edge_slot((vb, wb)): PP_INF, ("m", mb): PP_ZERO,
                       ("m", mm): point.conj()}
         phi = list(t.phi) + [wb, w]
-        nt = RealMarkedTree(t.vertex_count + 2, edges, mu, phi)
+        nt = shared_tree(t.vertex_count + 2, edges, mu, phi)
     else:
         mu[t.l + 1] = w
         coords[w][("m", t.l + 1)] = point
-        nt = MarkedTree(t.vertex_count + 1, edges, mu)
+        nt = shared_tree(t.vertex_count + 1, edges, mu)
     out = StableCurve(nt, coords)
     bad = out.validate()
     if bad:
@@ -407,8 +405,7 @@ def mark_at_node(c: StableCurve, e, point: ProjPoint) -> StableCurve:
         mu[t.l + 1] = w
         coords[w] = {_edge_slot((u, w)): PP_INF, _edge_slot((w, x)): PP_ZERO,
                      ("m", t.l + 1): point}
-        nt = MarkedTree(t.vertex_count + 1, edges, mu)
-        out = StableCurve(nt, coords)
+        out = StableCurve(shared_tree(t.vertex_count + 1, edges, mu), coords)
         bad = out.validate()
         if bad:
             raise QuotientError("bad node insertion: %r" % (bad,))
@@ -434,7 +431,7 @@ def mark_at_node(c: StableCurve, e, point: ProjPoint) -> StableCurve:
                   ("m", mp): point, ("m", mm): point.conj()}
         coords[w] = cw
         phi = list(t.phi) + [w]
-        nt = RealMarkedTree(t.vertex_count + 1, edges, mu, phi)
+        nt = shared_tree(t.vertex_count + 1, edges, mu, phi)
     else:
         w, wb = t.vertex_count, t.vertex_count + 1
         edges = [y for y in t.edges if y not in (e, eb)]
@@ -452,7 +449,7 @@ def mark_at_node(c: StableCurve, e, point: ProjPoint) -> StableCurve:
                       _edge_slot((wb, xb)): PP_ZERO,
                       ("m", mm): point.conj()}
         phi = list(t.phi) + [wb, w]
-        nt = RealMarkedTree(t.vertex_count + 2, edges, mu, phi)
+        nt = shared_tree(t.vertex_count + 2, edges, mu, phi)
     out = StableCurve(nt, coords)
     bad = out.validate()
     if bad:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .trees import (MarkedTree, _conj_mask, complex_marks, mark_key, real_marks,
                     sort_marks)
@@ -135,22 +135,31 @@ def build_a_ell_real(l: int) -> Tuple[List[StratumLabel], List[StratumLabel]]:
 
 
 def real_kind_counts(l: int) -> Dict[str, int]:
-    _, rl = build_a_ell_real(l)
+    return kind_counts(build_a_ell_real(l)[1])
+
+
+def kind_counts(classified: Sequence[StratumLabel]) -> Dict[str, int]:
+    """Labels per kind in the classified real labels A_l^R."""
     out = {"H": 0, "E": 0, "D1": 0, "D2": 0, "D3": 0}
-    for s in rl:
+    for s in classified:
         out[s.kind] += 1
     return out
 
 
 def distinct_real_divisors(l: int) -> int:
-    """Codimension-two boundary divisors up to coincidence: D1 + D3/2.
+    """distinct_divisor_count of A_l^R."""
+    return distinct_divisor_count(real_kind_counts(l))
+
+
+def distinct_divisor_count(kinds: Dict[str, int]) -> int:
+    """Codimension-two boundary divisors up to coincidence: D1 + D3/2,
+    from the kind counts of A_l^R.
 
     D_{l;rho} = D_{l;bar(rho)^c} identifies each D1 label with a D2 label,
     and D_{l;rho} = D_{l;bar(rho)} pairs up D3 labels.  H and E labels are
     the codimension-one hypersurfaces and are counted by kind instead.
     """
-    c = real_kind_counts(l)
-    return c["D1"] + c["D3"] // 2
+    return kinds["D1"] + kinds["D3"] // 2
 
 
 BLOWUP_TYPE = {

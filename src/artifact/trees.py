@@ -13,6 +13,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import weakref
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 Mark = object  # int for complex marks, str like "3+" for conjugate pairs
@@ -87,8 +88,9 @@ class MarkedTree:
 
     A tree is not mutated after construction: its adjacency, split-mask
     index, slot table, mask -> edge table, canonical vertex ranks,
-    canonical form and structural key are computed on first use and kept
-    on the object.
+    canonical form, structural key and validation result are computed on
+    first use and kept on the object, as are the tables that curves on
+    the tree share (see curves.py).
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge], mu: Dict):
@@ -110,6 +112,13 @@ class MarkedTree:
     _order: Optional[Dict[int, int]] = None
     _skey: Optional[Tuple] = None
     _canon: Optional[str] = None
+    _bad: Optional[Tuple[str, ...]] = None
+    # kept for the curves on the tree by curves.py: per-vertex slots, real
+    # slot partners, the moduli-key layout and the forget plans
+    _vertex_slots: Optional[Tuple] = None
+    _partners: Optional[Tuple] = None
+    _key_layout: Optional[Tuple] = None
+    _forget_plans: Optional[Dict] = None
 
     @property
     def is_real(self) -> bool:
@@ -244,6 +253,12 @@ class MarkedTree:
         return marks[v][i], verts[v][i]
 
     def validate(self) -> List[str]:
+        """The tree's defects, [] for a valid tree; checked once per tree."""
+        if self._bad is None:
+            self._bad = tuple(self._defects())
+        return list(self._bad)
+
+    def _defects(self) -> List[str]:
         bad = []
         n = self.vertex_count
         if n < 1:
@@ -306,12 +321,7 @@ class MarkedTree:
     # structural (labeled) equality; use canonical_form for isomorphism
     def _key(self):
         if self._skey is None:
-            self._skey = (
-                self.vertex_count,
-                self.edges,
-                tuple(sorted(self.mu.items(), key=lambda kv: mark_key(kv[0]))),
-                self.phi,
-            )
+            self._skey = _structure_key(self.vertex_count, self.edges, self.mu, self.phi)
         return self._skey
 
     def __eq__(self, other):
@@ -340,11 +350,56 @@ class MarkedTree:
 
 
 class RealMarkedTree(MarkedTree):
-    """Marked tree over [l^pm] with an involution phi on vertices."""
+    """Marked tree over [l^pm] with an involution phi on vertices.
 
-    def __init__(self, vertex_count, edges, mu, phi: Sequence[int]):
+    Without phi, the tree takes the unique involution compatible with
+    mark conjugation, read off its own split-mask index.
+    """
+
+    def __init__(self, vertex_count, edges, mu, phi: Optional[Sequence[int]] = None):
         super().__init__(vertex_count, edges, mu)
+        if phi is None:
+            phi = _phi_from_structure(self)
         self.phi: Tuple[int, ...] = tuple(phi)
+
+
+def _structure_key(vertex_count: int, edges: Iterable[Edge], mu: Dict,
+                   phi: Optional[Sequence[int]]) -> Tuple:
+    """(vertex count, sorted edges, mu items in mark_key order, phi): the
+    labelled structure that tree equality compares."""
+    return (
+        int(vertex_count),
+        tuple(sorted(tuple(sorted(e)) for e in edges)),
+        tuple(sorted(mu.items(), key=lambda kv: mark_key(kv[0]))),
+        None if phi is None else tuple(phi),
+    )
+
+
+# labelled structure -> the tree shared_tree returns for it, held only
+# while some curve or tree still refers to it
+_SHARED: "weakref.WeakValueDictionary[Tuple, MarkedTree]" = weakref.WeakValueDictionary()
+
+
+def shared_tree(vertex_count: int, edges: Iterable[Edge], mu: Dict,
+                phi: Optional[Sequence[int]] = None) -> MarkedTree:
+    """The one tree object for a labelled structure; a RealMarkedTree when
+    phi is given.
+
+    Curves built from other curves (stabilized bases, added marks) get
+    their trees here, so every curve on one labelled tree shares what is
+    kept on the tree.  Trees do not refer to themselves, so a tree leaves
+    the table as soon as its last curve is gone.
+    """
+    key = _structure_key(vertex_count, edges, mu, phi)
+    t = _SHARED.get(key)
+    if t is None:
+        if phi is None:
+            t = MarkedTree(key[0], key[1], mu)
+        else:
+            t = RealMarkedTree(key[0], key[1], mu, key[3])
+        t._skey = key
+        _SHARED[key] = t
+    return t
 
 
 def tree_from_json(d: dict) -> MarkedTree:
@@ -523,18 +578,19 @@ def _tree_from_family(marks: List, family: Sequence[int]) -> Tuple[int, List[Edg
     return k + 1, edges, dict(zip(marks, at))
 
 
-def _phi_from_structure(n: int, edges: List[Edge], mu: Dict) -> List[int]:
-    """The unique involution compatible with mark conjugation; the marks
-    of mu must be conjugation-closed.
+def _phi_from_structure(t: MarkedTree) -> List[int]:
+    """The unique involution of t's vertices compatible with mark
+    conjugation, read off t's split-mask index; the marks of t must be
+    conjugation-closed.
 
     Conjugating the mark mask of the branch at v through w (the tail side
     of the edge (w, v)) gives the tail side of the image edge, whose head
     is phi(v).
     """
+    n = t.vertex_count
     if n == 1:
         return [0]
-    t = MarkedTree(n, edges, mu)
-    even = ((1 << len(mu)) - 1) // 3
+    even = ((1 << len(t.mu)) - 1) // 3
     marks = t.split_index()[0]
     heads = {side: v for v in range(n) for side in marks[v]}
     phi = []
@@ -610,10 +666,7 @@ def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
     while stack:
         avail, chosen = stack.pop()
         n_v, edges, mu = _tree_from_family(marks, [cands[i] for i in sorted(chosen)])
-        if real:
-            t = RealMarkedTree(n_v, edges, mu, _phi_from_structure(n_v, edges, mu))
-        else:
-            t = MarkedTree(n_v, edges, mu)
+        t = RealMarkedTree(n_v, edges, mu) if real else MarkedTree(n_v, edges, mu)
         t._bits = bits
         results.append(t)
         while avail:

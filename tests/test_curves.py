@@ -20,7 +20,7 @@ from artifact.curves import (
     moduli_key,
     sample_curve,
 )
-from artifact.exactfield import PP_INF, PP_ONE, PP_ZERO, cross_ratio, pp
+from artifact.exactfield import PP_INF, PP_ONE, PP_ZERO, GaussRat, cross_ratio, pp
 
 
 def tree_with_split(l, rho, real=False):
@@ -182,3 +182,116 @@ class TestModuliKey:
         b = sample_curve(t, 30, ("sep", 1))
         if cross_ratio_q(a, (1, 2, 3, 4)) != cross_ratio_q(b, (1, 2, 3, 4)):
             assert moduli_key(a) != moduli_key(b)
+
+
+def _on_shared_tree(c):
+    """The curve c on the shared tree of its structure, whose validation
+    result is already kept."""
+    t = c.tree
+    st = trees.shared_tree(t.vertex_count, t.edges, t.mu, t.phi)
+    st.validate()
+    return StableCurve(st, c.coords)
+
+
+def _moved(c, v, change):
+    """c with change applied to the coordinates at v, on a fresh copy of
+    its tree that has not been validated yet."""
+    t = c.tree
+    fresh = (trees.RealMarkedTree(t.vertex_count, t.edges, t.mu, t.phi) if t.is_real
+             else trees.MarkedTree(t.vertex_count, t.edges, t.mu))
+    coords = {u: dict(cv) for u, cv in c.coords.items()}
+    change(coords[v])
+    return StableCurve(fresh, coords)
+
+
+class TestValidationFailures:
+    """Each failure StableCurve.validate reports, on a fresh tree and on a
+    shared tree that keeps its validation result."""
+
+    @staticmethod
+    def _reports(c, text):
+        for curve in (c, _on_shared_tree(c)):
+            bad = list(curve.validate())
+            assert any(text in b for b in bad), (text, bad)
+            assert curve.validate() == bad
+
+    @pytest.fixture
+    def cplx(self):
+        t = [x for x in trees.enumerate_trees(5) if len(x.edges) == 2][0]
+        return sample_curve(t, 30, ("fail", 0))
+
+    @pytest.fixture
+    def real(self):
+        t = [x for x in trees.enumerate_trees(3, real=True) if x.edges][0]
+        return sample_curve(t, 30, ("fail", 1))
+
+    def test_valid_on_both(self, cplx, real):
+        for c in (cplx, real):
+            assert c.validate() == [] == _on_shared_tree(c).validate()
+
+    def test_missing_slot(self, cplx):
+        slot = cplx.tree.edges[0]
+        c = _moved(cplx, slot[0], lambda cv: cv.pop(curves._edge_slot(slot)))
+        self._reports(c, "vertex %d: slots" % slot[0])
+
+    def test_extra_slot(self, cplx):
+        c = _moved(cplx, 0, lambda cv: cv.__setitem__(("m", 99), PP_ONE))
+        self._reports(c, "vertex 0: slots")
+
+    def test_coincident_points(self, cplx):
+        def clash(cv):
+            a, b = list(cv)[:2]
+            cv[b] = cv[a]
+        self._reports(_moved(cplx, 1, clash),
+                      "vertex 1: special points not pairwise distinct")
+
+    def test_fewer_than_three_points(self):
+        t = trees.MarkedTree(2, [(0, 1)], {1: 0, 2: 0, 3: 1})
+        c = StableCurve(t, {0: {("m", 1): PP_ZERO, ("m", 2): PP_ONE,
+                                ("e", (0, 1)): PP_INF},
+                            1: {("m", 3): PP_ZERO, ("e", (0, 1)): PP_INF}})
+        self._reports(c, "vertex 1: fewer than 3 special points")
+        self._reports(c, "vertex 1 has valence 2 < 3")
+
+    def test_conjugation_symmetry(self, real):
+        v, slot = next((v, s) for v, cv in real.coords.items() for s, z in cv.items()
+                       if z != z.conj() and s[0] == "m")
+        # outside the sampling bound, so distinct from every other point
+        c = _moved(real, v, lambda cv: cv.__setitem__(slot, pp(GaussRat(1000, 999))))
+        self._reports(c, "conjugation symmetry fails at vertex %d slot %r" % (v, slot))
+
+    def test_invalid_tree(self):
+        mu = {"1+": 0, "1-": 0, "2+": 1, "2-": 1}
+        t = trees.RealMarkedTree(2, [(0, 1)], mu, [1, 0])
+        i = pp(GaussRat(0, 1))
+        c = StableCurve(t, {0: {("m", "1+"): i, ("m", "1-"): i.conj(),
+                                ("e", (0, 1)): PP_INF},
+                            1: {("m", "2+"): i, ("m", "2-"): i.conj(),
+                                ("e", (0, 1)): PP_INF}})
+        self._reports(c, "phi(mu('1+')) != mu('1-')")
+
+
+class TestForgetErrors:
+    """A bad keep set raises on every call: its error is not kept as a
+    plan."""
+
+    @pytest.mark.parametrize("real,keep,text", [
+        (False, [1, 2, 9], "unknown marks"),
+        (False, [1, 2], "need at least 3 marks"),
+        (True, ["1+", "1-", "2+"], "conjugation-closed"),
+        (True, ["1+", "1-"], "need at least 2 conjugate pairs"),
+    ])
+    def test_raised_again_with_the_same_plan_key(self, real, keep, text):
+        t = trees.enumerate_trees(3, real=real)[-1] if real else trees.enumerate_trees(5)[-1]
+        c = sample_curve(t, 30, ("forget-err",))
+        for _call in range(2):
+            with pytest.raises(curves.CurveError, match=text):
+                forget(c, keep)
+        assert frozenset(keep) not in (t._forget_plans or {})
+
+    def test_plan_shared_by_curves_on_one_tree(self):
+        t = trees.enumerate_trees(3, real=True)[-1]
+        keep = ["1+", "1-", "2+", "2-"]
+        a, b = (forget(sample_curve(t, 30, ("plan", i)), keep) for i in range(2))
+        assert a.tree is b.tree
+        assert a.validate() == [] == b.validate()

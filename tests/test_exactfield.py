@@ -51,6 +51,18 @@ class TestGaussRat:
         assert GaussRat(0, Fraction(-6, 4)).serialize() == "0/1-3/2*i"
         assert GaussRat(-5).serialize() == "-5/1+0/1*i"
 
+    def test_equality_with_other_types(self):
+        z = GaussRat(2)
+        assert z == 2 and 2 == z and z != 3
+        assert GaussRat(Fraction(1, 2)) == Fraction(1, 2) != GaussRat(Fraction(1, 3))
+        assert GaussRat(1) != ProjPoint(GaussRat(1))
+        assert GaussRat(1) != "1/1+0/1*i"
+        assert GaussRat(1).__eq__(ProjPoint(GaussRat(1))) is NotImplemented
+        assert GaussRat(1).__eq__("1") is NotImplemented
+        assert z + 1 == 3 == 1 + z and z * Fraction(1, 2) == 1
+        with pytest.raises(TypeError):
+            z + "1"
+
     def test_parse_rejects_junk(self):
         for bad in ("", "i", "1..2", "1/0x", "one"):
             with pytest.raises(ParseError):

@@ -256,3 +256,14 @@ class TestPinnedOutputs:
         rep = cli.verify_localmodels_suite(300, seed=5, bound=3)
         text = json.dumps(rep, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == SUITE_SHA256
+
+
+def test_control_reads_the_given_image():
+    for preset in sorted(PRESETS):
+        m = PRESETS[preset]
+        rng = random.Random("control-image:" + preset)
+        p = sample_point(m, m.charts()[0], rng, avoid_zero=True)
+        assert corrupted_chart_control(m, p, blowdown(p))
+        # a wrong image fails the honest chart too, so the control reads it
+        wrong = tuple(z + 1 for z in blowdown(p))
+        assert not lemma_hypothesis_check(m, p, image=wrong)["all_ok"]

@@ -361,3 +361,32 @@ class TestInadmissibleVPlus:
         assert rep["in_domain"] > 0
         assert rep["key_collisions_across_classes"] == 0
         assert rep["intra_class_key_splits"] == 0
+
+
+class TestSharedTrees:
+    def test_add_mark_curves_share_one_tree_and_leave_no_tree_behind(self):
+        import gc
+        import weakref
+
+        t = [x for x in trees.enumerate_trees(3, real=True) if x.edges][0]
+        gc.collect()
+        gc.disable()
+        try:
+            before = len(trees._SHARED)
+            base = sample_curve(t, 30, ("shared",))
+            a = add_mark(base, 0, pp(GaussRat(1, 2)))
+            b = add_mark(base, 0, pp(GaussRat(3, 1)))
+            assert a.tree is b.tree
+            # stabilizing, keying and validating keep tables on the trees
+            assert moduli_key(base_of(a)) == moduli_key(base_of(b)) == moduli_key(base)
+            assert a.validate() == [] == b.validate()
+            # forgetting nothing plans a's own tree, which must not keep
+            # itself alive
+            assert curves.forget(a, a.tree.mu).tree is a.tree
+            made = [weakref.ref(a.tree), weakref.ref(base_of(a).tree)]
+            assert len(trees._SHARED) == before + 2
+            del a, b, base
+            assert [r() for r in made] == [None, None]
+            assert len(trees._SHARED) == before
+        finally:
+            gc.enable()

@@ -284,7 +284,8 @@ class TestSplitIndex:
     def test_phi_from_splits(self):
         for name, t in _index_cases():
             if t.is_real:
-                got = trees._phi_from_structure(t.vertex_count, t.edges, t.mu)
+                got = trees._phi_from_structure(
+                    trees.MarkedTree(t.vertex_count, t.edges, t.mu))
                 assert tuple(got) == t.phi, name
 
     def test_stratum_edge(self):
