@@ -18,9 +18,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .exactfield import (IndeterminateProduct, PP_INF, PP_ONE, PP_ZERO,
                          ProjPoint, UnstableConfiguration, cross_ratio)
-from .strata import is_admissible, order_key
-from .trees import (MarkedTree, bar_mark, mark_key, sort_marks, split_marks,
-                    subtree_split)
+from .strata import _admissible, _universe, order_key
+from .trees import (MarkedTree, _marks_of_mask, bar_mark, mark_key, sort_marks,
+                    split_marks)
 
 
 class ChartError(Exception):
@@ -46,14 +46,11 @@ def systematic_marking(t: MarkedTree) -> Dict[Tuple[int, int], object]:
 
 
 def is_marking_map(t: MarkedTree, eta) -> bool:
-    """eta assigns to each oriented edge a mark on its far side."""
-    if set(eta.keys()) != set(t.oriented_edges()):
+    """eta assigns to each oriented edge a mark of t on its far side."""
+    if eta.keys() != set(t.oriented_edges()):
         return False
-    for (u, v), m in eta.items():
-        far_side, _ = subtree_split(t, (v, u))
-        if t.mu[m] not in far_side:
-            return False
-    return True
+    bits = t.mark_bits()
+    return all(bits.get(m, 0) & t.side_masks(v, u)[0] for (u, v), m in eta.items())
 
 
 def gamma_v_sets(t: MarkedTree, eta) -> Dict[int, List]:
@@ -116,6 +113,8 @@ def gamma_basis(t: MarkedTree, eta=None) -> ChartBasis:
     """The basis of cross-ratio coordinates attached to (t, eta)."""
     if eta is None:
         eta = systematic_marking(t)
+    elif not is_marking_map(t, eta):
+        raise ChartError("eta is not a marking map")
     if not is_systematic(t, eta):
         raise ChartError("marking map is not systematic")
     gv = gamma_v_sets(t, eta)
@@ -316,20 +315,17 @@ class ReconstructionTable:
 
 def a_gamma(t: MarkedTree, rho_star) -> List[Tuple[FrozenSet, Tuple[int, int]]]:
     """Labels rho > rho* realized by an edge of t, with their edges."""
+    bits = t.mark_bits()
+    # a split's mark mask is its label's mask only over [l] or [l^pm]
+    if bits != _universe(t.l, t.is_real)[1]:
+        raise ChartError("labels need a tree marked by [l] or [l^pm]")
     key0 = order_key(rho_star) if rho_star else None
     out = []
-    seen = set()
-    l = t.l
-    for e in t.oriented_edges():
-        rho = split_marks(t, e)
-        if rho in seen:
-            continue
-        if not is_admissible(rho, l, real=t.is_real):
-            continue
-        if key0 is not None and order_key(rho) <= key0:
-            continue
-        seen.add(rho)
-        out.append((rho, e))
+    for mask, e in t.edge_of_mask().items():
+        if _admissible(mask, len(bits)):
+            rho = frozenset(_marks_of_mask(bits, mask))
+            if key0 is None or order_key(rho) > key0:
+                out.append((rho, e))
     out.sort(key=lambda p: order_key(p[0]))
     return out
 
@@ -341,13 +337,12 @@ def v_gamma(t: MarkedTree, rho_star) -> List[int]:
 
 def near_vertices(t: MarkedTree, labels) -> List[int]:
     """Vertices common to the near sides of the edges of a_gamma labels."""
-    verts = set(range(t.vertex_count))
+    verts = (1 << t.vertex_count) - 1
     for _rho, e in labels:
-        near, _far = subtree_split(t, e)
-        verts &= near
+        verts &= t.side_masks(*e)[1]
     if not verts:
         raise ChartError("empty vertex set; tree/label data inconsistent")
-    return sorted(verts)
+    return [v for v in range(t.vertex_count) if verts >> v & 1]
 
 
 def extended_basis(t: MarkedTree, eta, v_plus: int, rho_star) -> ChartBasis:

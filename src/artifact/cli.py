@@ -350,6 +350,12 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
+        # no sample, or too small a bound to place distinct points, would
+        # make a vacuous pass or a traceback
+        if getattr(cfg, "samples", 1) < 1:
+            raise UsageError("--samples must be at least 1")
+        if getattr(cfg, "bound", 2) < 2:
+            raise UsageError("--bound must be at least 2")
         if cfg.command == "trees":
             report = cmd_trees(cfg)
         elif cfg.command == "strata":

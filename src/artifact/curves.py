@@ -15,7 +15,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 from .exactfield import PP_INF, ProjPoint, cross_ratio, finite_point, frame
 from .strata import classify_real, is_admissible, stratum_edge
 from .trees import (MarkedTree, RealMarkedTree, bar_mark,
-                    canonical_vertex_order, mark_key, real_marks,
+                    canonical_vertex_order, real_marks,
                     shared_tree, sort_marks, _mark_slot, _phi_from_structure,
                     _sorted_edge_slot)
 
@@ -484,24 +484,3 @@ def _key_layout(t: MarkedTree) -> Tuple:
         t._key_layout = tuple(layout)
     return t._key_layout
 
-
-def curve_key(c: StableCurve) -> str:
-    """Canonical serialization: equal strings iff the curves agree up to a
-    relabeling of dual-graph vertices (coordinates compared literally)."""
-    t = c.tree
-    order = canonical_vertex_order(t)
-    parts = []
-    for v in sorted(order, key=order.get):
-        items = []
-        for slot in sorted(
-            c.coords[v],
-            key=lambda s: (0, mark_key(s[1]), 0) if s[0] == "m"
-            else (1, (order[s[1][0]], order[s[1][1]]) if s[1][0] in order else s[1], 1),
-        ):
-            if slot[0] == "m":
-                items.append("m%s=%s" % (slot[1], c.coords[v][slot].serialize()))
-            else:
-                a, b = sorted((order[slot[1][0]], order[slot[1][1]]))
-                items.append("e%d-%d=%s" % (a, b, c.coords[v][slot].serialize()))
-        parts.append("v%d{%s}" % (order[v], ";".join(items)))
-    return "|".join(parts)

@@ -97,23 +97,6 @@ class GaussRat:
     def im(self) -> Fraction:
         return Fraction(self._k[1], self._k[2])
 
-    # reduced-fraction field access per the documented layout
-    @property
-    def re_num(self):
-        return self.re.numerator
-
-    @property
-    def re_den(self):
-        return self.re.denominator
-
-    @property
-    def im_num(self):
-        return self.im.numerator
-
-    @property
-    def im_den(self):
-        return self.im.denominator
-
     def __add__(self, other):
         p1, q1, d1 = self._k
         p2, q2, d2 = (other if type(other) is GaussRat else _coerce(other))._k
@@ -204,7 +187,6 @@ def _coerce(x) -> GaussRat:
 
 ZERO = GaussRat(0)
 ONE = GaussRat(1)
-I = GaussRat(0, 1)
 
 _INF = (1, 0, 0)
 

@@ -13,19 +13,18 @@ characterize the closure classes inside the chart domain.
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .charts import (ChartDomainError, a_gamma, extend_basis, gamma_basis,
                      near_vertices)
-from .curves import (CurveError, StableCurve, _edge_slot, cross_ratio_q,
-                     forget, in_D_tilde, in_divisor, moduli_key, sample_curve)
+from .curves import (StableCurve, _edge_slot, cross_ratio_q, forget,
+                     in_D_tilde, in_divisor, moduli_key, sample_curve)
 from .exactfield import PP_INF, PP_ZERO, GaussRat, ProjPoint, finite_point
 from .strata import build_a_ell, build_a_ell_real, is_admissible, order_key
-from .trees import (MarkedTree, bar_mark, canonical_form,
-                    canonical_vertex_order, mark_key, shared_tree, sort_marks,
-                    split_marks, subtree_split)
+from .trees import (MarkedTree, _marks_of_mask, bar_mark, canonical_form,
+                    canonical_vertex_order, mark_key, share, shared_tree,
+                    sort_marks)
 
 
 class QuotientError(Exception):
@@ -167,22 +166,20 @@ def excluded_labels(t: MarkedTree, v_plus: int, rho_star=()) -> List[FrozenSet]:
     """Splits seen from v_plus's side of any node, minus the admissible
     splits realized above rho*.  The boundary loci over these labels are
     removed from the chart domain of (t, v_plus)."""
-    return _excluded(t, v_plus, {rho for rho, _e in a_gamma(t, rho_star)})
+    return _excluded(t, v_plus, a_gamma(t, rho_star))
 
 
-def _excluded(t: MarkedTree, v_plus: int, allowed) -> List[FrozenSet]:
-    out, seen = [], set()
-    for e in t.oriented_edges():
-        near, _far = subtree_split(t, e)
-        if v_plus not in near:
-            continue
-        rho = split_marks(t, e)
-        if rho in allowed or rho in seen:
-            continue
-        seen.add(rho)
-        out.append(rho)
-    out.sort(key=order_key)
-    return out
+def _excluded(t: MarkedTree, v_plus: int, labels) -> List[FrozenSet]:
+    """The tail-side mark masks of the edges whose tail side holds v_plus,
+    minus those of the a_gamma labels, as labels sorted by order_key."""
+    allowed = {t.side_masks(*e)[0] for _rho, e in labels}
+    bits = t.mark_bits()
+    out = {side
+           for marks, verts in zip(*t.split_index())
+           for side, near in zip(marks, verts)
+           if near >> v_plus & 1 and side not in allowed}
+    return sorted((frozenset(_marks_of_mask(bits, side)) for side in out),
+                  key=order_key)
 
 
 @dataclass(frozen=True)
@@ -222,34 +219,24 @@ class ChartPlan:
     quads: Tuple[Tuple[str, Tuple], ...]
 
 
-#: base trees whose chart plans are kept; the oldest goes first
-PLAN_CACHE_SIZE = 256
-
-# labelled base tree -> {(rho*, rank): ChartPlan}.  Keys are compared by
-# labelled structure and held weakly, so a tree's plans last as long as
-# the tree object they were first built for.
-_PLANS: "weakref.WeakKeyDictionary[MarkedTree, Dict]" = weakref.WeakKeyDictionary()
-
-
 def chart_plan(t: MarkedTree, rho_star=(),
                v_plus_rank: Optional[int] = None) -> ChartPlan:
-    """The chart plan of base tree t at cut rho*, computed once per
-    labelled tree structure, so every base with the same tree shares it.
+    """The chart plan of base tree t at cut rho*, computed once per tree
+    and kept on it, so every base on the same (shared) tree uses it.
 
     Without a rank, the chart vertex is the admissible vertex of least
     canonical rank, so equal bases yield the same choice regardless of
     vertex numbering.  Raises QuotientError when no admissible vertex has
     the given rank; errors are not kept.
     """
-    plans = _PLANS.get(t)
+    plans = t._chart_plans
     if plans is None:
-        if len(_PLANS) >= PLAN_CACHE_SIZE:
-            del _PLANS[next(iter(_PLANS))]
-        plans = _PLANS[t] = {}
+        plans = t._chart_plans = {}
     key = (frozenset(rho_star), v_plus_rank)
-    if key not in plans:
-        plans[key] = _make_plan(t, *key)
-    return plans[key]
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _make_plan(t, *key)
+    return plan
 
 
 def _make_plan(t: MarkedTree, rho_star: FrozenSet,
@@ -265,7 +252,7 @@ def _make_plan(t: MarkedTree, rho_star: FrozenSet,
             raise QuotientError(
                 "no admissible chart vertex with rank %r" % (v_plus_rank,))
         v_plus = match[0]
-    excluded = _excluded(t, v_plus, {rho for rho, _e in labels})
+    excluded = _excluded(t, v_plus, labels)
     basis = extend_basis(gamma_basis(t), v_plus)
     quads = sorted(set(basis.all_quadruples),
                    key=lambda q: tuple(mark_key(m) for m in q))
@@ -515,6 +502,8 @@ def verify_injectivity(t: MarkedTree, rho_star=(), v_plus: Optional[int] = None,
     """
     if bool(t.is_real) != bool(real):
         raise QuotientError("real flag does not match the tree")
+    # the bases forget builds are then t itself, which keeps their plans
+    t = share(t)
     try:
         v_rank = None
         if v_plus is not None:

@@ -90,7 +90,7 @@ class MarkedTree:
     index, slot table, mask -> edge table, canonical vertex ranks,
     canonical form, structural key and validation result are computed on
     first use and kept on the object, as are the tables that curves on
-    the tree share (see curves.py).
+    the tree share (see curves.py) and its chart plans (see quotient.py).
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge], mu: Dict):
@@ -119,6 +119,8 @@ class MarkedTree:
     _partners: Optional[Tuple] = None
     _key_layout: Optional[Tuple] = None
     _forget_plans: Optional[Dict] = None
+    # kept by quotient.chart_plan: (rho*, rank) -> chart plan
+    _chart_plans: Optional[Dict] = None
 
     @property
     def is_real(self) -> bool:
@@ -402,6 +404,12 @@ def shared_tree(vertex_count: int, edges: Iterable[Edge], mu: Dict,
     return t
 
 
+def share(t: MarkedTree) -> MarkedTree:
+    """Make t the tree shared_tree returns for its labelled structure,
+    unless another tree already is; returns the shared tree."""
+    return _SHARED.setdefault(t._key(), t)
+
+
 def tree_from_json(d: dict) -> MarkedTree:
     mu = {}
     for k, v in d["mu"].items():
@@ -451,24 +459,6 @@ def path_vertices(t: MarkedTree, a: int, b: int) -> List[int]:
         v = path[-1]
         path.append(next(w for w, side in zip(adj[v], verts[v]) if side >> b & 1))
     return path
-
-
-def independence(t: MarkedTree, v: int, i, j) -> bool:
-    """Marks i, j reach component v through distinct special points."""
-    if i == j:
-        raise TreeError("marks must be distinct")
-    return direction(t, v, i) != direction(t, v, j)
-
-
-def pivot_vertex(t: MarkedTree, i, j, k) -> int:
-    """The unique vertex at which i, j, k are pairwise independent."""
-    if len({i, j, k}) != 3:
-        raise TreeError("marks must be distinct")
-    for v in path_vertices(t, t.mu[i], t.mu[j]):
-        if (independence(t, v, i, j) and independence(t, v, i, k)
-                and independence(t, v, j, k)):
-            return v
-    raise TreeError("no pivot vertex found")  # impossible on valid trees
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,19 @@ class TestMarkingMaps:
             assert is_marking_map(t, eta)
             assert is_systematic(t, eta)
 
+    def test_non_marking_maps_rejected(self):
+        t = trees.enumerate_trees(5)[1]
+        eta = systematic_marking(t)
+        e = next(iter(eta))
+        partial = {k: m for k, m in eta.items() if k != e}
+        unknown = {**eta, e: 99}
+        extra = {**eta, (0, 99): 1}
+        near = {**eta, e: t.mu_inv(e[0])[0]}  # a mark on the near side
+        for bad in (partial, unknown, extra, near):
+            assert not is_marking_map(t, bad)
+            with pytest.raises(charts.ChartError):
+                gamma_basis(t, bad)
+
     def test_gamma_v_partition_sizes(self):
         # the union of the per-vertex label sets has l - 3 surplus over
         # the tree structure: total basis size below checks this
@@ -173,6 +186,12 @@ class TestExtendedCharts:
             vp = v_gamma(t, rho)[0]
             basis = extended_basis(t, None, vp, rho)
             assert len(basis.extension) == 2
+
+    def test_labels_need_the_marks_1_to_l(self):
+        # split masks over {1, 2, 4, 5} are not label masks over [4]
+        t = trees.MarkedTree(2, [(0, 1)], {1: 0, 2: 0, 4: 1, 5: 1})
+        with pytest.raises(charts.ChartError):
+            a_gamma(t, ())
 
     def test_v_gamma_nonempty_for_boundary(self):
         for t in trees.enumerate_trees(5):

@@ -87,6 +87,17 @@ class TestGuardrailsAndErrors:
     def test_verify_guardrail(self):
         assert cli.run(["verify-basis", "--l", "9"]) == 2
 
+    @pytest.mark.parametrize("command", [["verify-cr"],
+                                         ["verify-basis", "--l", "4"],
+                                         ["verify-quotient", "--l", "4"],
+                                         ["verify-localmodels"]])
+    def test_too_few_samples_or_too_small_a_bound(self, command, capsys):
+        for flags in (["--samples", "0"], ["--samples", "-3"],
+                      ["--bound", "0"], ["--bound", "1"]):
+            assert cli.run(command + flags) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "error:" in err
+
     def test_trees_guard_on_projected_count(self, monkeypatch, tmp_path):
         # l=10 is under the l cap but would build 12,818,912 trees; the
         # guard must refuse it before enumerating anything

@@ -36,7 +36,7 @@ points = st.one_of(
 class TestGaussRat:
     def test_reduced_components(self):
         z = GaussRat(Fraction(2, 4), Fraction(-3, 9))
-        assert (z.re_num, z.re_den, z.im_num, z.im_den) == (1, 2, -1, 3)
+        assert (z.re, z.im) == (Fraction(1, 2), Fraction(-1, 3))
 
     def test_immutable(self):
         with pytest.raises(AttributeError):

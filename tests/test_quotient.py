@@ -167,6 +167,20 @@ class TestInjectivity:
             verify_injectivity(t, (), real=True)
 
 
+# sha256 over enumerate_trees(l, real) and every cut (the empty one and
+# each scheduled label) of a_gamma, v_gamma and excluded_labels at each
+# admissible vertex, one JSON line per (tree, cut); pinned while they were
+# computed from split_marks and subtree_split
+CHART_LABEL_DIGESTS = {
+    (6, False): "f4a14f98c60f59a55ed50746c145ac8b8981f1740b95b0353e894abb39846615",
+    (3, True): "b6c5837fe746706fbc34075f49e170fcf268abb38b82869e89bd86633dec9c20",
+}
+
+
+def _labels_text(labels):
+    return [[str(m) for m in trees.sort_marks(rho)] for rho in labels]
+
+
 class TestExcludedLabels:
     def test_worked_example(self):
         # on the {1,2}|{3,4} tree at the deepest cut, the label {1,2}
@@ -177,6 +191,24 @@ class TestExcludedLabels:
         vp = charts.v_gamma(t, rho_max)[0]
         labels = excluded_labels(t, vp, rho_max)
         assert any(r in (RHO, frozenset({3, 4})) for r in labels)
+
+    @pytest.mark.parametrize("l,real", sorted(CHART_LABEL_DIGESTS))
+    def test_chart_labels_pinned(self, l, real):
+        cuts = strata.build_a_ell_real(l)[1] if real else strata.build_a_ell(l)
+        cuts = [frozenset()] + [s.rho_set for s in cuts]
+        h = hashlib.sha256()
+        for t in trees.enumerate_trees(l, real=real):
+            for cut in cuts:
+                labels = charts.a_gamma(t, cut)
+                verts = charts.v_gamma(t, cut)
+                line = json.dumps([
+                    _labels_text(rho for rho, _e in labels),
+                    [list(e) for _rho, e in labels],
+                    verts,
+                    [_labels_text(excluded_labels(t, v, cut)) for v in verts],
+                ])
+                h.update(line.encode() + b"\n")
+        assert h.hexdigest() == CHART_LABEL_DIGESTS[(l, real)]
 
 
 class TestRealDTilde:
@@ -301,8 +333,35 @@ class TestMemoEquivalence:
                 lines.append(_sample_record(c2, rho, real))
         assert _digest(lines) == RELABELLED_DIGEST
 
+    def test_closure_matches_pairwise_relations(self, memo_cases):
+        # union-find over moduli_key equality and equivalent() at every
+        # active label, pair by pair
+        multi = 0
+        for _t, rho, real, samples in memo_cases:
+            labels = relation_labels(samples[0].tree.l - 1, rho, real)
+            parent = list(range(len(samples)))
+
+            def find(x):
+                while parent[x] != x:
+                    x = parent[x]
+                return x
+
+            for j, cj in enumerate(samples):
+                for i in range(j):
+                    ci = samples[i]
+                    if (moduli_key(ci) == moduli_key(cj)
+                            or any(equivalent(ci, cj, r, real) for r in labels)):
+                        parent[find(j)] = find(i)
+            want = {}
+            for i in range(len(samples)):
+                want.setdefault(find(i), []).append(i)
+            got = relation_closure(samples, rho, real=real)
+            assert sorted(got) == sorted(want.values())
+            multi += sum(1 for cls in got if len(cls) > 1)
+        assert multi == 23
+
     def test_fiber_curves_over_another_base(self, engineered_triple):
-        # verify a case first, so the plan cache holds another tree
+        # verify a case first, so another tree already holds plans
         t = trees.enumerate_trees(4)[0]
         verify_injectivity(t, (), n_samples=10, seed=3)
         lines = []
@@ -320,18 +379,38 @@ class TestMemoEquivalence:
                 class_key(c, (), v_plus_rank=99)
         assert class_key(c, (), v_plus_rank=0).v_rank == 0
 
-    def test_plan_cache_is_bounded(self):
-        ts = (trees.enumerate_trees(3, real=True) + trees.enumerate_trees(5)
-              + trees.enumerate_trees(6))
-        assert len(ts) > quotient.PLAN_CACHE_SIZE
-        for t in ts:
-            quotient.chart_plan(t, ())
-            assert len(quotient._PLANS) <= quotient.PLAN_CACHE_SIZE
-        assert len(quotient._PLANS) == quotient.PLAN_CACHE_SIZE
-        # a tree's plans go with the last reference to the tree, with no
-        # collection: the lists enumerate_trees returns are in no cycle
-        del ts, t
-        assert len(quotient._PLANS) == 0
+    def test_plans_built_once_and_freed_with_the_tree(self, monkeypatch):
+        import gc
+        import weakref
+
+        made = []
+        make = quotient._make_plan
+
+        def counting(t, *key):
+            made.append((id(t), key))
+            return make(t, *key)
+
+        monkeypatch.setattr(quotient, "_make_plan", counting)
+        cuts = [frozenset()] + [s.rho_set for s in strata.build_a_ell_real(3)[1][:2]]
+        gc.collect()
+        gc.disable()
+        try:
+            # a tree that no fixture of this module samples on
+            ts = trees.enumerate_trees(3, real=True)
+            t = ts[12]
+            del ts
+            for seed in range(2):
+                for cut in cuts:
+                    verify_injectivity(t, cut, n_samples=20, seed=seed, real=True)
+            # one plan per cut, built on t, which the bases of every call share
+            assert made == [(id(t), (cut, None)) for cut in cuts]
+            refs = [weakref.ref(t)] + [weakref.ref(p) for p in t._chart_plans.values()]
+            # the plans go with the last reference to the tree, with no
+            # collection
+            del t
+            assert [r() for r in refs] == [None] * (len(cuts) + 1)
+        finally:
+            gc.enable()
 
 
 class TestInadmissibleVPlus:

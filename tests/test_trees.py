@@ -21,9 +21,7 @@ from artifact.trees import (
     contractions,
     direction,
     enumerate_trees,
-    independence,
     mark_key,
-    pivot_vertex,
     real_marks,
     sort_marks,
     split_marks,
@@ -162,12 +160,13 @@ class TestSplitsAndContractions:
 class TestGeometryHelpers:
     def test_pivot_and_direction(self):
         for t in enumerate_trees(5):
-            # the pivot of three marks sees them in pairwise distinct
-            # directions
-            v = pivot_vertex(t, 1, 2, 3)
-            dirs = {direction(t, v, m) for m in (1, 2, 3)}
-            assert len(dirs) == 3
-            assert independence(t, v, 1, 2)
+            # exactly one vertex, the pivot of three marks, sees them in
+            # pairwise distinct directions, and it lies on the path
+            # between any two of them
+            pivots = [v for v in range(t.vertex_count)
+                      if len({direction(t, v, m) for m in (1, 2, 3)}) == 3]
+            assert len(pivots) == 1
+            assert pivots[0] in trees.path_vertices(t, t.mu[1], t.mu[2])
 
     def test_real_structure(self):
         for t in enumerate_trees(3, real=True):
