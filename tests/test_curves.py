@@ -259,6 +259,42 @@ class TestValidationFailures:
         c = _moved(real, v, lambda cv: cv.__setitem__(slot, pp(GaussRat(1000, 999))))
         self._reports(c, "conjugation symmetry fails at vertex %d slot %r" % (v, slot))
 
+    @staticmethod
+    def _reports_exactly(c, expected):
+        for curve in (c, _on_shared_tree(c)):
+            assert curve.validate() == expected
+            assert curve.validate() == expected
+
+    # a point outside the sampling bound, distinct from every other point
+    FAR = pp(GaussRat(1000, 999))
+    CONJ = "conjugation symmetry fails at vertex %d slot %r"
+
+    def test_broken_mark_pair_lists_both_slots(self, real):
+        # 1+ and 1- both sit at vertex 0; the sampler stores 1- first, so
+        # its message comes first
+        assert list(real.coords[0])[:2] == [("m", "1-"), ("m", "1+")]
+        c = _moved(real, 0, lambda cv: cv.__setitem__(("m", "1+"), self.FAR))
+        self._reports_exactly(c, [self.CONJ % (0, ("m", "1-")),
+                                  self.CONJ % (0, ("m", "1+"))])
+
+    def test_self_conjugate_edge_made_non_real(self, real):
+        # phi fixes both ends of the edge (0, 1): each of its slots is its
+        # own partner
+        assert real.tree.phi == (0, 1) and real.tree.edges == ((0, 1),)
+        slot = ("e", (0, 1))
+        c = _moved(real, 0, lambda cv: cv.__setitem__(slot, self.FAR))
+        self._reports_exactly(c, [self.CONJ % (0, slot)])
+
+    def test_broken_edge_pair_across_vertices(self):
+        # phi swaps vertices 1 and 2, so the node of (0, 1) at vertex 1
+        # pairs with the node of (0, 2) at vertex 2
+        mu = {"1+": 0, "1-": 0, "2+": 1, "2-": 2, "3+": 1, "3-": 2}
+        t = trees.RealMarkedTree(3, [(0, 1), (0, 2)], mu, [0, 2, 1])
+        c = sample_curve(t, 30, ("fail", 2))
+        c = _moved(c, 1, lambda cv: cv.__setitem__(("e", (0, 1)), self.FAR))
+        self._reports_exactly(c, [self.CONJ % (1, ("e", (0, 1))),
+                                  self.CONJ % (2, ("e", (0, 2)))])
+
     def test_invalid_tree(self):
         mu = {"1+": 0, "1-": 0, "2+": 1, "2-": 1}
         t = trees.RealMarkedTree(2, [(0, 1)], mu, [1, 0])
