@@ -12,9 +12,10 @@ import json
 import random
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .exactfield import PP_INF, ProjPoint, cross_ratio, finite_point, frame
+from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, UnstableConfiguration,
+                         cross_ratio, finite_point, frame)
 from .strata import classify_real, is_admissible, stratum_edge
-from .trees import (MarkedTree, RealMarkedTree, bar_mark,
+from .trees import (MarkedTree, RealMarkedTree, bar_mark, canonical_form,
                     canonical_vertex_order, real_marks,
                     shared_tree, sort_marks, _mark_slot, _phi_from_structure,
                     _sorted_edge_slot)
@@ -66,22 +67,37 @@ class StableCurve:
             if cv.keys() != want:
                 bad.append("vertex %d: slots %r != expected %r" % (v, set(cv), set(slots)))
                 continue
-            vals = list(cv.values())
-            if len(set(vals)) != len(vals):
+            if len({z._k for z in cv.values()}) != len(cv):
                 bad.append("vertex %d: special points not pairwise distinct" % v)
-            if len(vals) < 3:
+            if len(cv) < 3:
                 bad.append("vertex %d: fewer than 3 special points" % v)
         if not bad and self.is_real:
             bad.extend(self._validate_real())
         return bad
 
     def _validate_real(self) -> List[str]:
-        bad = []
+        """Each conjugate pair is checked once, on the integer keys:
+        conjugation maps (p, q, d) to (p, -q, d).  On a failure every slot
+        whose partner is not its conjugate is reported, by vertex and then
+        in the order of the vertex's coordinates."""
         coords = self.coords
-        for v, partner in enumerate(_partners(self.tree)):
+        pairs = _conj_pairs(self.tree)
+        for v, slot, pv, pslot in pairs:
+            p, q, d = coords[v][slot]._k
+            if coords[pv][pslot]._k != (p, -q, d):
+                break
+        else:
+            return []
+        partner = {}
+        for v, slot, pv, pslot in pairs:
+            partner[v, slot] = (pv, pslot)
+            partner[pv, pslot] = (v, slot)
+        bad = []
+        for v in range(self.tree.vertex_count):
             for slot, val in coords[v].items():
-                pv, pslot = partner[slot]
-                if coords[pv][pslot] != val.conj():
+                pv, pslot = partner[v, slot]
+                p, q, d = val._k
+                if coords[pv][pslot]._k != (p, -q, d):
                     bad.append("conjugation symmetry fails at vertex %d slot %r" % (v, slot))
         return bad
 
@@ -119,25 +135,30 @@ def _vertex_slots(t: MarkedTree) -> Tuple[Tuple[Tuple[Slot, ...], FrozenSet[Slot
     return t._vertex_slots
 
 
-def _partners(t: MarkedTree) -> Tuple[Dict[Slot, Tuple[int, Slot]], ...]:
-    """Per vertex v of a real tree, slot -> (vertex, slot) of its
-    conjugate: the conjugate mark where it sits, or the image of the edge
-    at phi(v); kept on the tree."""
-    if t._partners is None:
+def _conj_pairs(t: MarkedTree) -> Tuple[Tuple[int, Slot, int, Slot], ...]:
+    """Each conjugate pair of slots of a real tree once, as (v, slot, pv,
+    pslot): the partner is the conjugate mark where it sits, or the image
+    of the edge at phi(v); a self-conjugate slot is its own partner.
+    Pairs come in the order sample_curve draws them, by first occurrence
+    over v ascending and _vertex_slots order.  Kept on the tree."""
+    if t._conj_pairs is None:
         phi = t.phi
-        rows = []
+        seen = set()
+        pairs = []
         for v, (slots, _want) in enumerate(_vertex_slots(t)):
-            row = {}
             for slot in slots:
+                if (v, slot) in seen:
+                    continue
                 if slot[0] == "m":
                     mb = bar_mark(slot[1])
-                    row[slot] = (t.mu[mb], _mark_slot(mb))
+                    pv, pslot = t.mu[mb], _mark_slot(mb)
                 else:
                     u, w = slot[1]
-                    row[slot] = (phi[v], _edge_slot((phi[u], phi[w])))
-            rows.append(row)
-        t._partners = tuple(rows)
-    return t._partners
+                    pv, pslot = phi[v], _edge_slot((phi[u], phi[w]))
+                seen.add((pv, pslot))
+                pairs.append((v, slot, pv, pslot))
+        t._conj_pairs = tuple(pairs)
+    return t._conj_pairs
 
 
 def curve_from_json(d: dict) -> StableCurve:
@@ -372,36 +393,36 @@ def sample_curve(t: MarkedTree, bound: int, seed) -> StableCurve:
         raise CurveError("bound too small")
     rng = random.Random(repr(seed))
     rows = _vertex_slots(t)
-    partners = _partners(t) if t.is_real else None
+    pairs = _conj_pairs(t) if t.is_real else None
     for _attempt in range(200):
         coords: Dict[int, Dict[Slot, ProjPoint]] = {v: {} for v in range(t.vertex_count)}
-        ok = True
-        for v, (slots, _want) in enumerate(rows):
-            for slot in slots:
-                if slot in coords[v]:
-                    continue
-                if partners is not None:
-                    pv, pslot = partners[v][slot]
-                    if (pv, pslot) == (v, slot):
-                        val = _rand_point(rng, bound, real_only=True)
-                    else:
-                        val = _rand_point(rng, bound)
-                        coords[pv][pslot] = val.conj()
+        if pairs is None:
+            for v, (slots, _want) in enumerate(rows):
+                cv = coords[v]
+                for slot in slots:
+                    cv[slot] = _rand_point(rng, bound)
+        else:
+            for v, slot, pv, pslot in pairs:
+                if pv == v and pslot == slot:
+                    coords[v][slot] = _rand_point(rng, bound, real_only=True)
                 else:
                     val = _rand_point(rng, bound)
-                coords[v][slot] = val
-        for v in range(t.vertex_count):
-            vals = list(coords[v].values())
-            if len(set(vals)) != len(vals):
-                ok = False
-                break
-        if ok:
+                    coords[pv][pslot] = val.conj()
+                    coords[v][slot] = val
+        if all(len({z._k for z in cv.values()}) == len(cv) for cv in coords.values()):
             c = StableCurve(t, coords)
             bad = c.validate()
             if bad:
-                raise CurveError("sampled invalid curve: %r" % (bad,))
+                raise CurveError("%s: sampled invalid curve: %r" % (_case(t, seed), bad))
             return c
-    raise CurveError("bound too small to fit distinct special points")
+    raise CurveError("%s: bound too small to fit distinct special points"
+                     % (_case(t, seed),))
+
+
+def _case(t: MarkedTree, seed) -> str:
+    """The seed and the tree of a sampling failure, for its message: the
+    tree by its canonical form, or by repr when it is not a valid tree."""
+    return "seed %r, tree %s" % (seed, repr(t) if t.validate() else canonical_form(t))
 
 
 def conjugate_curve(c: StableCurve) -> StableCurve:
@@ -447,20 +468,35 @@ def moduli_key(c: StableCurve) -> str:
 
 def _moduli_key(c: StableCurve) -> str:
     parts = []
-    for v, head, slots, texts in _key_layout(c.tree):
+    for v, refs, head, rest in _key_layout(c.tree):
         cv = c.coords[v]
-        # (refs[0], refs[1], refs[2]) -> (inf, 0, 1)
-        to_frame = frame(cv[slots[0]], cv[slots[1]], cv[slots[2]])
-        parts.append(head + ";".join([text + to_frame(cv[s]).serialize()
-                                      for s, text in zip(slots, texts)]) + "}")
+        r0, r1, r2 = cv[refs[0]], cv[refs[1]], cv[refs[2]]
+        if r0._k == r1._k or r0._k == r2._k or r1._k == r2._k:
+            raise UnstableConfiguration("three or more coincident points")
+        if rest:
+            # (r0, r1, r2) -> (inf, 0, 1); the head already holds their text
+            to_frame = frame(r0, r1, r2)
+            parts.append(head + ";".join([text + to_frame(cv[s]).serialize()
+                                          for s, text in rest]) + "}")
+        else:
+            parts.append(head)
     return "|".join(parts)
+
+
+# the text of inf, 0 and 1, where a component's frame sends its references
+_REF_TEXTS = (PP_INF.serialize(), PP_ZERO.serialize(), PP_ONE.serialize())
 
 
 def _key_layout(t: MarkedTree) -> Tuple:
     """What moduli_key reads off the tree, kept on it: per vertex, in
-    canonical order, (vertex, "v<rank>{", its slots in canonical order,
-    the "m<mark>=" / "e<rank>-<rank>=" text of each slot).  Marks come
-    first in mark_key order, then edges by the rank of the neighbour."""
+    canonical order, (vertex, its three reference slots, head, rest).
+    Slots are in canonical order: marks first in mark_key order, then
+    edges by the rank of the neighbour; each is written "m<mark>=" or
+    "e<rank>-<rank>=" and its framed value.  The references frame to inf,
+    0 and 1 whatever the coordinates, so the head is the finished text
+    "v<rank>{<ref>=inf;<ref>=0;<ref>=1" of the vertex up to them, closed
+    with "}" when it has no other slot; rest lists (slot, text) for the
+    slots after the references."""
     if t._key_layout is None:
         order = canonical_vertex_order(t)
         bits = t.mark_bits()  # bit order is mark_key order
@@ -480,7 +516,10 @@ def _key_layout(t: MarkedTree) -> Tuple:
                 else:
                     a, b = sorted((order[s[1][0]], order[s[1][1]]))
                     texts.append("e%d-%d=" % (a, b))
-            layout.append((v, "v%d{" % order[v], tuple(slots), tuple(texts)))
+            head = "v%d{" % order[v] + ";".join(
+                [text + ref for text, ref in zip(texts, _REF_TEXTS)])
+            rest = tuple(zip(slots[3:], texts[3:]))
+            layout.append((v, tuple(slots[:3]), head + (";" if rest else "}"), rest))
         t._key_layout = tuple(layout)
     return t._key_layout
 

@@ -504,6 +504,8 @@ def verify_injectivity(t: MarkedTree, rho_star=(), v_plus: Optional[int] = None,
         raise QuotientError("real flag does not match the tree")
     # the bases forget builds are then t itself, which keeps their plans
     t = share(t)
+    case = "seed %r, tree %s, rho_star %r" % (
+        seed, canonical_form(t), [str(m) for m in sort_marks(rho_star)])
     try:
         v_rank = None
         if v_plus is not None:
@@ -512,9 +514,7 @@ def verify_injectivity(t: MarkedTree, rho_star=(), v_plus: Optional[int] = None,
                 raise QuotientError("v_plus=%r is not a vertex" % (v_plus,))
         plan = chart_plan(t, rho_star, v_rank)
     except QuotientError as e:
-        raise QuotientError("seed %r, tree %s, rho_star %r: %s" % (
-            seed, canonical_form(t), [str(m) for m in sort_marks(rho_star)],
-            e)) from None
+        raise QuotientError("%s: %s" % (case, e)) from None
     rng = random.Random("%r:quotient" % (seed,))
 
     samples: List[StableCurve] = []
@@ -524,7 +524,7 @@ def verify_injectivity(t: MarkedTree, rho_star=(), v_plus: Optional[int] = None,
         base_idx += 1
         samples.extend(fiber_samples(base, rng, per_site=2, bound=bound))
         if base_idx > 200:
-            raise QuotientError("could not build enough samples")
+            raise QuotientError("%s: could not build enough samples" % (case,))
 
     classes = relation_closure(samples, rho_star, real=real)
 

@@ -114,9 +114,9 @@ class MarkedTree:
     _canon: Optional[str] = None
     _bad: Optional[Tuple[str, ...]] = None
     # kept for the curves on the tree by curves.py: per-vertex slots, real
-    # slot partners, the moduli-key layout and the forget plans
+    # conjugate slot pairs, the moduli-key layout and the forget plans
     _vertex_slots: Optional[Tuple] = None
-    _partners: Optional[Tuple] = None
+    _conj_pairs: Optional[Tuple] = None
     _key_layout: Optional[Tuple] = None
     _forget_plans: Optional[Dict] = None
     # kept by quotient.chart_plan: (rho*, rank) -> chart plan
@@ -372,7 +372,7 @@ def _structure_key(vertex_count: int, edges: Iterable[Edge], mu: Dict,
     return (
         int(vertex_count),
         tuple(sorted(tuple(sorted(e)) for e in edges)),
-        tuple(sorted(mu.items(), key=lambda kv: mark_key(kv[0]))),
+        tuple([(m, mu[m]) for m in _mark_bits(frozenset(mu))]),
         None if phi is None else tuple(phi),
     )
 

@@ -1,7 +1,9 @@
 """Stable curves: coordinates, degeneration values, membership, sampling."""
 
 import hashlib
+import itertools
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,7 +21,10 @@ from artifact.curves import (
     moduli_key,
     sample_curve,
 )
-from artifact.exactfield import PP_INF, PP_ONE, PP_ZERO, GaussRat, cross_ratio, pp
+from artifact.exactfield import (PP_INF, PP_ONE, PP_ZERO, GaussRat,
+                                 UnstableConfiguration, cross_ratio,
+                                 finite_point, frame, pp)
+from artifact.quotient import fiber_samples
 
 
 def tree_with_split(l, rho, real=False):
@@ -183,6 +188,59 @@ class TestModuliKey:
             assert moduli_key(a) != moduli_key(b)
 
 
+def _reference_key(c):
+    """moduli_key by its formula, framing every slot: per vertex in
+    canonical order, "v<rank>{" and each slot's text and value under the
+    Mobius map that sends the first three slots to inf, 0 and 1."""
+    t = c.tree
+    order = trees.canonical_vertex_order(t)
+    bits = t.mark_bits()
+    parts = []
+    for v in sorted(order, key=order.get):
+        cv = c.coords[v]
+        slots = sorted(cv, key=lambda s: (0, bits[s[1]]) if s[0] == "m"
+                       else (1, order[s[1][0] if s[1][1] == v else s[1][1]]))
+        to_frame = frame(*(cv[s] for s in slots[:3]))
+        texts = []
+        for s in slots:
+            if s[0] == "m":
+                name = "m%s" % (s[1],)
+            else:
+                name = "e%d-%d" % tuple(sorted(order[u] for u in s[1]))
+            texts.append("%s=%s" % (name, to_frame(cv[s]).serialize()))
+        parts.append("v%d{%s}" % (order[v], ";".join(texts)))
+    return "|".join(parts)
+
+
+class TestModuliKeyReference:
+    """moduli_key frames only the slots after the three references; the
+    reference frames all of them."""
+
+    @pytest.mark.parametrize("l,real", [(3, True), (5, False)])
+    def test_equals_reference_on_samples_and_fibers(self, l, real):
+        rng = random.Random("reference-key")
+        count = 0
+        for i, t in enumerate(trees.enumerate_trees(l, real=real)):
+            base = sample_curve(t, 30, ("ref-key", i))
+            for c in [base] + fiber_samples(base, rng, per_site=1, bound=30):
+                assert moduli_key(c) == _reference_key(c)
+                count += 1
+        assert count > 10 * len(trees.enumerate_trees(l, real=real))
+
+    @pytest.mark.parametrize("l", [3, 4])
+    @pytest.mark.parametrize("a,b", [(1, 2), (1, 3), (2, 3)])
+    def test_coincident_references_raise(self, l, a, b):
+        # one smooth component with l marks, left unvalidated, with the
+        # references a and b (marks are the first slots) at one point
+        t = trees.MarkedTree(1, [], {m: 0 for m in range(1, l + 1)})
+        pts = [PP_INF, PP_ZERO, PP_ONE, pp(GaussRat(5, 3))][:l]
+        pts[b - 1] = pts[a - 1]
+        c = StableCurve(t, {0: {("m", m): z for m, z in zip(range(1, l + 1), pts)}})
+        for key in (moduli_key, _reference_key):
+            with pytest.raises(UnstableConfiguration):
+                key(c)
+
+
 def _on_shared_tree(c):
     """The curve c on the shared tree of its structure, whose validation
     result is already kept."""
@@ -304,6 +362,34 @@ class TestValidationFailures:
                             1: {("m", "2+"): i, ("m", "2-"): i.conj(),
                                 ("e", (0, 1)): PP_INF}})
         self._reports(c, "phi(mu('1+')) != mu('1-')")
+
+
+class TestSamplingErrors:
+    """A sampling failure names its seed and the tree's canonical form."""
+
+    def test_no_room_for_distinct_points(self, monkeypatch):
+        monkeypatch.setattr(curves, "_rand_point", lambda *args, **kwargs: PP_INF)
+        t = trees.enumerate_trees(5)[3]
+        with pytest.raises(curves.CurveError) as err:
+            sample_curve(t, 30, ("crowded", 7))
+        assert str(err.value) == (
+            "seed ('crowded', 7), tree %s: bound too small to fit distinct"
+            " special points" % (trees.canonical_form(t),))
+
+    def test_sampled_invalid_curve(self, monkeypatch):
+        # distinct points off the real line, also where a real one is
+        # asked for: self-conjugate slots then break conjugation symmetry
+        nums = itertools.count(1)
+        monkeypatch.setattr(curves, "_rand_point",
+                            lambda *args, **kwargs: finite_point(next(nums), 1, 1))
+        t = [x for x in trees.enumerate_trees(3, real=True) if x.edges][0]
+        with pytest.raises(curves.CurveError) as err:
+            sample_curve(t, 30, ("non-real", 1))
+        msg = str(err.value)
+        prefix = "seed ('non-real', 1), tree %s: sampled invalid curve: " % (
+            trees.canonical_form(t),)
+        assert msg.startswith(prefix)
+        assert "conjugation symmetry fails at vertex 0 slot ('e', (0, 1))" in msg
 
 
 class TestForgetErrors:

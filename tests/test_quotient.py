@@ -442,6 +442,17 @@ class TestInadmissibleVPlus:
         assert rep["intra_class_key_splits"] == 0
 
 
+class TestTooFewSamples:
+    def test_names_the_case(self, monkeypatch):
+        monkeypatch.setattr(quotient, "fiber_samples", lambda *args, **kwargs: [])
+        t = trees.enumerate_trees(5)[1]
+        with pytest.raises(QuotientError) as err:
+            verify_injectivity(t, frozenset({1, 2}), n_samples=10, seed=("few", 3))
+        assert str(err.value) == (
+            "seed ('few', 3), tree %s, rho_star ['1', '2']: could not build"
+            " enough samples" % (trees.canonical_form(t),))
+
+
 class TestSharedTrees:
     def test_add_mark_curves_share_one_tree_and_leave_no_tree_behind(self):
         import gc
