@@ -40,7 +40,7 @@ class StableCurve:
     are fixed), so what is derived from it is kept on first use: its
     moduli_key string, and the stabilized base that quotient.base_of
     computes by forgetting the extra mark(s).  What depends only on the
-    tree (the expected slots, their conjugate partners, the moduli-key
+    tree (the expected slots, their conjugate pairs, the moduli-key
     layout and the forget plans) is kept on the tree.
     """
 
