@@ -3,7 +3,8 @@
 A curve is a tree of projective lines: each vertex of the dual graph
 carries coordinates for its marks and for the node of every incident
 edge.  A node is stored twice, once on each of the two components it
-joins; no global coordinate exists on a nodal curve.
+joins; no global coordinate exists on a nodal curve.  A curve holds its
+coordinates as one tuple, numbered by its tree's slot layout.
 """
 
 from __future__ import annotations
@@ -17,8 +18,7 @@ from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, UnstableConfigurati
 from .strata import classify_real, is_admissible, stratum_edge
 from .trees import (MarkedTree, RealMarkedTree, bar_mark, canonical_form,
                     canonical_vertex_order, real_marks,
-                    shared_tree, sort_marks, _mark_slot, _phi_from_structure,
-                    _sorted_edge_slot)
+                    shared_tree, sort_marks, _phi_from_structure)
 
 
 class CurveError(Exception):
@@ -30,46 +30,161 @@ Slot = Tuple  # ("m", mark) or ("e", (u, v)) with u < v
 
 def _edge_slot(e) -> Slot:
     u, v = e
-    return _sorted_edge_slot(u, v) if u < v else _sorted_edge_slot(v, u)
+    return ("e", (u, v) if u < v else (v, u))
+
+
+class SlotLayout:
+    """The one numbering of a tree's coordinate slots, kept on the tree.
+
+    Slots go vertex by vertex: its marks in mu_inv order, then its edges
+    by neighbour.  slots[i] is the slot with index i and vertex[i] its
+    vertex; the slots of v are offsets[v]:offsets[v + 1], and index maps
+    (v, slot) to its index.  Two tables are filled on first use: rows
+    (see _rows) and, on a real tree, partner (see _partner).
+    """
+
+    rows: Optional[Tuple[Tuple[int, ...], ...]] = None
+    partner: Optional[Tuple[int, ...]] = None
+
+    def __init__(self, t: MarkedTree):
+        adj = t.adjacency()
+        slots: List[Slot] = []
+        vertex: List[int] = []
+        offsets = [0]
+        for v in range(t.vertex_count):
+            slots += [("m", m) for m in t.mu_inv(v)]
+            slots += [_edge_slot((v, w)) for w in adj[v]]
+            vertex += [v] * (len(slots) - offsets[-1])
+            offsets.append(len(slots))
+        self.slots: Tuple[Slot, ...] = tuple(slots)
+        self.vertex: Tuple[int, ...] = tuple(vertex)
+        self.offsets: Tuple[int, ...] = tuple(offsets)
+        self.index: Dict[Tuple[int, Slot], int] = {
+            vs: i for i, vs in enumerate(zip(vertex, slots))}
+
+
+def slot_layout(t: MarkedTree) -> SlotLayout:
+    if t._layout is None:
+        t._layout = SlotLayout(t)
+    return t._layout
+
+
+def _rows(t: MarkedTree) -> Tuple[Tuple[int, ...], ...]:
+    """Per vertex v, the index through which v sees each mark, in bit
+    order (entry i for the mark with bit 1 << i): the mark's own slot at
+    its vertex, else the edge into the branch whose mark mask holds the
+    bit.  Read off the split-mask index; kept on the layout."""
+    lay = slot_layout(t)
+    if lay.rows is None:
+        bits, index = t.mark_bits(), lay.index
+        rows = []
+        for v, sides in enumerate(t.split_index()[0]):
+            edge0 = lay.offsets[v + 1] - len(sides)  # the edges are v's last slots
+            rows.append(tuple([
+                index[v, ("m", m)] if t.mu[m] == v
+                else edge0 + next(j for j, side in enumerate(sides) if side & b)
+                for m, b in bits.items()]))
+        lay.rows = tuple(rows)
+    return lay.rows
+
+
+def _partner(t: MarkedTree) -> Tuple[int, ...]:
+    """Per index of a real tree, the index of its conjugate slot: the
+    conjugate mark where it sits, or the image of the edge at phi(v); a
+    self-conjugate slot is its own partner.  Kept on the layout."""
+    lay = slot_layout(t)
+    if lay.partner is None:
+        phi, mu, index = t.phi, t.mu, lay.index
+        out = []
+        for v, (kind, x) in zip(lay.vertex, lay.slots):
+            if kind == "m":
+                mb = bar_mark(x)
+                out.append(index[mu[mb], ("m", mb)])
+            else:
+                out.append(index[phi[v], _edge_slot((phi[x[0]], phi[x[1]]))])
+        lay.partner = tuple(out)
+    return lay.partner
 
 
 class StableCurve:
-    """tree + per-vertex dict {slot -> ProjPoint}.
+    """tree + one tuple of points, numbered by the tree's slot layout.
 
-    A curve is not mutated after construction (its tree and coordinates
-    are fixed), so what is derived from it is kept on first use: its
+    A curve is not mutated after construction (its tree and points are
+    fixed), so what is derived from it is kept on first use: its
     moduli_key string, and the stabilized base that quotient.base_of
     computes by forgetting the extra mark(s).  What depends only on the
-    tree (the expected slots, their conjugate pairs, the moduli-key
-    layout and the forget plans) is kept on the tree.
+    tree (the slot layout, the moduli-key layout and the forget plans)
+    is kept on the tree.
     """
 
     # filled on first use
     _moduli_key: Optional[str] = None
     _base: Optional["StableCurve"] = None
+    # coordinates whose slots are not the tree's, kept for validate
+    _raw: Optional[Dict[int, Dict[Slot, ProjPoint]]] = None
 
     def __init__(self, tree: MarkedTree, coords: Dict[int, Dict[Slot, ProjPoint]]):
+        """The curve with coordinates {vertex: {slot: point}}.  When the
+        slots are not exactly the tree's, points is None and validate
+        reports what differs."""
         self.tree = tree
-        self.coords = {v: dict(sl) for v, sl in coords.items()}
+        lay = slot_layout(tree)
+        try:
+            points = tuple([coords[v][s] for v, s in zip(lay.vertex, lay.slots)])
+        except KeyError:
+            points = None
+        if (points is None or coords.keys() != set(range(tree.vertex_count))
+                or sum(map(len, coords.values())) != len(points)):
+            self._raw = {v: dict(sl) for v, sl in coords.items()}
+            points = None
+        self.points: Optional[Tuple[ProjPoint, ...]] = points
+
+    @classmethod
+    def _of(cls, tree: MarkedTree, points: Tuple[ProjPoint, ...]) -> "StableCurve":
+        """The curve with the given points, in the tree's slot order."""
+        c = cls.__new__(cls)
+        c.tree = tree
+        c.points = points
+        return c
+
+    @property
+    def coords(self) -> Dict[int, Dict[Slot, ProjPoint]]:
+        """A fresh {vertex: {slot: point}} copy of the coordinates, each
+        vertex's slots in layout order; changing it leaves the curve as
+        it is."""
+        if self.points is None:
+            return {v: dict(sl) for v, sl in self._raw.items()}
+        lay = slot_layout(self.tree)
+        out: Dict[int, Dict[Slot, ProjPoint]] = {v: {} for v in range(self.tree.vertex_count)}
+        for v, s, z in zip(lay.vertex, lay.slots, self.points):
+            out[v][s] = z
+        return out
 
     @property
     def is_real(self) -> bool:
         return self.tree.is_real
 
     def validate(self) -> List[str]:
-        bad = self.tree.validate()
         t = self.tree
-        if set(self.coords.keys()) != set(range(t.vertex_count)):
+        bad = t.validate()
+        raw = self._raw
+        if raw is not None and raw.keys() != set(range(t.vertex_count)):
             bad.append("coords must cover every vertex")
             return bad
-        for v, (slots, want) in enumerate(_vertex_slots(t)):
-            cv = self.coords[v]
-            if cv.keys() != want:
-                bad.append("vertex %d: slots %r != expected %r" % (v, set(cv), set(slots)))
-                continue
-            if len({z._k for z in cv.values()}) != len(cv):
+        lay = slot_layout(t)
+        off = lay.offsets
+        for v in range(t.vertex_count):
+            if raw is None:
+                pts = self.points[off[v]:off[v + 1]]
+            else:
+                want = set(lay.slots[off[v]:off[v + 1]])
+                if raw[v].keys() != want:
+                    bad.append("vertex %d: slots %r != expected %r" % (v, set(raw[v]), want))
+                    continue
+                pts = list(raw[v].values())
+            if len({z._k for z in pts}) != len(pts):
                 bad.append("vertex %d: special points not pairwise distinct" % v)
-            if len(cv) < 3:
+            if len(pts) < 3:
                 bad.append("vertex %d: fewer than 3 special points" % v)
         if not bad and self.is_real:
             bad.extend(self._validate_real())
@@ -77,107 +192,52 @@ class StableCurve:
 
     def _validate_real(self) -> List[str]:
         """Each conjugate pair is checked once, on the integer keys:
-        conjugation maps (p, q, d) to (p, -q, d).  On a failure every slot
-        whose partner is not its conjugate is reported, by vertex and then
-        in the order of the vertex's coordinates."""
-        coords = self.coords
-        pairs = _conj_pairs(self.tree)
-        for v, slot, pv, pslot in pairs:
-            p, q, d = coords[v][slot]._k
-            if coords[pv][pslot]._k != (p, -q, d):
-                break
-        else:
-            return []
-        partner = {}
-        for v, slot, pv, pslot in pairs:
-            partner[v, slot] = (pv, pslot)
-            partner[pv, pslot] = (v, slot)
-        bad = []
-        for v in range(self.tree.vertex_count):
-            for slot, val in coords[v].items():
-                pv, pslot = partner[v, slot]
-                p, q, d = val._k
-                if coords[pv][pslot]._k != (p, -q, d):
-                    bad.append("conjugation symmetry fails at vertex %d slot %r" % (v, slot))
-        return bad
+        conjugation maps (p, q, d) to (p, -q, d).  On a failure both slots
+        of every failing pair are reported, in slot order."""
+        pts = self.points
+        fails = set()
+        for i, j in enumerate(_partner(self.tree)):
+            if j >= i:
+                p, q, d = pts[i]._k
+                if pts[j]._k != (p, -q, d):
+                    fails.update((i, j))
+        lay = slot_layout(self.tree)
+        return ["conjugation symmetry fails at vertex %d slot %r" % (lay.vertex[i], lay.slots[i])
+                for i in sorted(fails)]
 
     def to_json(self) -> dict:
         d = self.tree.to_json()
-        coords = {}
-        for v in range(self.tree.vertex_count):
-            cv = {}
-            for slot, val in self.coords[v].items():
-                if slot[0] == "m":
-                    key = "mark:%s" % (slot[1],)
-                else:
-                    key = "edge:%d-%d" % slot[1]
-                cv[key] = val.serialize()
-            coords[str(v)] = cv
-        d["coords"] = coords
+        d["coords"] = {
+            str(v): {("mark:%s" % (s[1],) if s[0] == "m" else "edge:%d-%d" % s[1]):
+                     z.serialize() for s, z in cv.items()}
+            for v, cv in self.coords.items()}
         return d
 
     def __repr__(self):
         return "StableCurve(%s)" % (json.dumps(self.to_json(), sort_keys=True),)
 
 
-def _vertex_slots(t: MarkedTree) -> Tuple[Tuple[Tuple[Slot, ...], FrozenSet[Slot]], ...]:
-    """Per vertex, the slots of its special points, as a tuple (its marks
-    in mu_inv order, then its edges by neighbour) and as a set; kept on
-    the tree."""
-    if t._vertex_slots is None:
-        adj = t.adjacency()
-        rows = []
-        for v in range(t.vertex_count):
-            slots = tuple([_mark_slot(m) for m in t.mu_inv(v)]
-                          + [_edge_slot((v, w)) for w in adj[v]])
-            rows.append((slots, frozenset(slots)))
-        t._vertex_slots = tuple(rows)
-    return t._vertex_slots
-
-
-def _conj_pairs(t: MarkedTree) -> Tuple[Tuple[int, Slot, int, Slot], ...]:
-    """Each conjugate pair of slots of a real tree once, as (v, slot, pv,
-    pslot): the partner is the conjugate mark where it sits, or the image
-    of the edge at phi(v); a self-conjugate slot is its own partner.
-    Pairs come in the order sample_curve draws them, by first occurrence
-    over v ascending and _vertex_slots order.  Kept on the tree."""
-    if t._conj_pairs is None:
-        phi = t.phi
-        seen = set()
-        pairs = []
-        for v, (slots, _want) in enumerate(_vertex_slots(t)):
-            for slot in slots:
-                if (v, slot) in seen:
-                    continue
-                if slot[0] == "m":
-                    mb = bar_mark(slot[1])
-                    pv, pslot = t.mu[mb], _mark_slot(mb)
-                else:
-                    u, w = slot[1]
-                    pv, pslot = phi[v], _edge_slot((phi[u], phi[w]))
-                seen.add((pv, pslot))
-                pairs.append((v, slot, pv, pslot))
-        t._conj_pairs = tuple(pairs)
-    return t._conj_pairs
-
-
 def curve_from_json(d: dict) -> StableCurve:
     from .trees import tree_from_json
 
     t = tree_from_json(d)
-    coords: Dict[int, Dict[Slot, ProjPoint]] = {}
-    for vs, cv in d["coords"].items():
-        v = int(vs)
-        coords[v] = {}
-        for key, lit in cv.items():
-            kind, rest = key.split(":", 1)
-            if kind == "mark":
-                slot = ("m", rest if t.is_real else int(rest))
-            else:
-                a, b = rest.split("-")
-                slot = ("e", (int(a), int(b)))
-            coords[v][slot] = ProjPoint.parse(lit)
-    return StableCurve(t, coords)
+    return StableCurve(t, {int(vs): {_slot_of_key(key, t.is_real): ProjPoint.parse(lit)
+                                     for key, lit in cv.items()}
+                           for vs, cv in d["coords"].items()})
+
+
+def _slot_of_key(key: str, real: bool) -> Slot:
+    """The slot of a coordinate key "mark:<mark>" or "edge:<u>-<v>"."""
+    kind, _colon, rest = key.partition(":")
+    try:
+        if kind == "mark":
+            return ("m", rest if real else int(rest))
+        if kind == "edge":
+            a, b = rest.split("-")
+            return ("e", (int(a), int(b)))
+    except ValueError:
+        pass
+    raise CurveError("bad coordinate key %r" % (key,))
 
 
 # ---------------------------------------------------------------------------
@@ -197,11 +257,9 @@ def forget(c: StableCurve, keep) -> StableCurve:
     plan = plans.get(keep)
     if plan is None:
         plan = plans[keep] = _plan_forget(t, keep)
-    nt, moves = plan
-    coords = c.coords
-    out = StableCurve(t if nt is None else nt,
-                      {v: {slot: coords[u][old] for slot, u, old in mv}
-                       for v, mv in enumerate(moves)})
+    nt, gather = plan
+    pts = c.points
+    out = StableCurve._of(t if nt is None else nt, tuple([pts[i] for i in gather]))
     bad = out.validate()
     if bad:
         raise CurveError("stabilization produced an invalid curve: %r" % (bad,))
@@ -209,11 +267,11 @@ def forget(c: StableCurve, keep) -> StableCurve:
 
 
 def _plan_forget(t: MarkedTree, keep: FrozenSet) -> Tuple[Optional[MarkedTree], Tuple]:
-    """(output tree, moves) of forgetting all but keep on tree t.
+    """(output tree, gather) of forgetting all but keep on tree t.
 
-    moves[i] lists, for output vertex i, (new slot, old vertex, old slot):
-    where each coordinate of the stabilized curve comes from.  The output
-    tree is None when it is t itself, so that no tree refers to itself.
+    gather[i] is the index on t of the point that the stabilized curve
+    takes for its slot i.  The output tree is None when it is t itself,
+    so that no tree refers to itself.
     Raises CurveError for a bad keep set; errors are not kept.
     """
     if not keep <= t.mu.keys():
@@ -234,8 +292,10 @@ def _plan_forget(t: MarkedTree, keep: FrozenSet) -> Tuple[Optional[MarkedTree], 
     inc = {v: {e for e in t.edges if v in e} for v in verts}
     mu = {m: v for m, v in t.mu.items() if m in keep}
     at = {v: [m for m in t.mu_inv(v) if m in keep] for v in verts}
-    src = {v: {s: s for s in slots if s[0] == "e" or s[1] in keep}
-           for v, (slots, _want) in enumerate(_vertex_slots(t))}
+    lay = slot_layout(t)
+    src = {v: {s: s for s in lay.slots[lay.offsets[v]:lay.offsets[v + 1]]
+               if s[0] == "e" or s[1] in keep}
+           for v in verts}
 
     changed = True
     while changed:
@@ -270,7 +330,7 @@ def _plan_forget(t: MarkedTree, keep: FrozenSet) -> Tuple[Optional[MarkedTree], 
                     m = marks_here[0]
                     mu[m] = a
                     at[a].append(m)
-                    src[a][_mark_slot(m)] = node
+                    src[a][("m", m)] = node
             else:
                 raise CurveError("keep too small for stability")
             verts.discard(v)
@@ -280,20 +340,20 @@ def _plan_forget(t: MarkedTree, keep: FrozenSet) -> Tuple[Optional[MarkedTree], 
     newid = {v: i for i, v in enumerate(sorted(verts))}
     new_edges = [tuple(sorted((newid[a], newid[b]))) for a, b in edges]
     new_mu = {m: newid[v] for m, v in mu.items()}
-    moves = []
-    for v in sorted(verts):
-        mv = []
-        for slot, old in src[v].items():
-            if slot[0] == "e":
-                a, b = slot[1]
-                slot = _edge_slot((newid[a], newid[b]))
-            mv.append((slot, v, old))
-        moves.append(tuple(mv))
     phi = None
     if t.is_real:
         phi = _phi_from_structure(MarkedTree(len(verts), new_edges, new_mu))
     nt = shared_tree(len(verts), new_edges, new_mu, phi)
-    return (None if nt is t else nt), tuple(moves)
+    # (output vertex, output slot) -> index on t of its point
+    old = {}
+    for v in verts:
+        for slot, s in src[v].items():
+            if slot[0] == "e":
+                a, b = slot[1]
+                slot = _edge_slot((newid[a], newid[b]))
+            old[newid[v], slot] = lay.index[v, s]
+    out = slot_layout(nt)
+    return (None if nt is t else nt), tuple([old[vs] for vs in zip(out.vertex, out.slots)])
 
 
 # ---------------------------------------------------------------------------
@@ -314,11 +374,11 @@ def cross_ratio_q(c: StableCurve, q) -> ProjPoint:
         if m not in bits:
             raise CurveError("mark %r not on the curve" % (m,))
     i, j, k, n = [bits[m].bit_length() - 1 for m in q]
-    for v, row in enumerate(t.slot_table()):
-        slots = (row[i], row[j], row[k], row[n])
-        if len(set(slots)) >= 3:
-            cv = c.coords[v]
-            return cross_ratio(cv[slots[0]], cv[slots[1]], cv[slots[2]], cv[slots[3]])
+    pts = c.points
+    for row in _rows(t):
+        a, b, x, y = row[i], row[j], row[k], row[n]
+        if len({a, b, x, y}) >= 3:
+            return cross_ratio(pts[a], pts[b], pts[x], pts[y])
     raise CurveError("no component separates three of the marks")  # unreachable
 
 
@@ -392,25 +452,19 @@ def sample_curve(t: MarkedTree, bound: int, seed) -> StableCurve:
     if bound < 2:
         raise CurveError("bound too small")
     rng = random.Random(repr(seed))
-    rows = _vertex_slots(t)
-    pairs = _conj_pairs(t) if t.is_real else None
+    off = slot_layout(t).offsets
+    # each conjugate pair is drawn at its first slot
+    partner = _partner(t) if t.is_real else range(off[-1])
     for _attempt in range(200):
-        coords: Dict[int, Dict[Slot, ProjPoint]] = {v: {} for v in range(t.vertex_count)}
-        if pairs is None:
-            for v, (slots, _want) in enumerate(rows):
-                cv = coords[v]
-                for slot in slots:
-                    cv[slot] = _rand_point(rng, bound)
-        else:
-            for v, slot, pv, pslot in pairs:
-                if pv == v and pslot == slot:
-                    coords[v][slot] = _rand_point(rng, bound, real_only=True)
-                else:
-                    val = _rand_point(rng, bound)
-                    coords[pv][pslot] = val.conj()
-                    coords[v][slot] = val
-        if all(len({z._k for z in cv.values()}) == len(cv) for cv in coords.values()):
-            c = StableCurve(t, coords)
+        pts: List[ProjPoint] = [PP_INF] * len(partner)
+        for i, j in enumerate(partner):
+            if j == i:
+                pts[i] = _rand_point(rng, bound, real_only=t.is_real)
+            elif j > i:
+                pts[i] = val = _rand_point(rng, bound)
+                pts[j] = val.conj()
+        if all(len({z._k for z in pts[a:b]}) == b - a for a, b in zip(off, off[1:])):
+            c = StableCurve._of(t, tuple(pts))
             bad = c.validate()
             if bad:
                 raise CurveError("%s: sampled invalid curve: %r" % (_case(t, seed), bad))
@@ -435,18 +489,12 @@ def conjugate_curve(c: StableCurve) -> StableCurve:
         nt = RealMarkedTree(t.vertex_count, t.edges, new_mu, t.phi)
     else:
         nt = MarkedTree(t.vertex_count, t.edges, new_mu)
-    coords: Dict[int, Dict[Slot, ProjPoint]] = {}
-    for v in range(t.vertex_count):
-        # marks of the new curve at v are bar of the old ones at v
-        cv = {}
-        for m, u in new_mu.items():
-            if u == v:
-                cv[("m", m)] = c.coords[v][("m", bar_mark(m))].conj()
-        for slot, val in c.coords[v].items():
-            if slot[0] == "e":
-                cv[slot] = val.conj()
-        coords[v] = cv
-    return StableCurve(nt, coords)
+    # marks of the new curve at v are bar of the old ones at v
+    old, pts = slot_layout(t).index, c.points
+    lay = slot_layout(nt)
+    return StableCurve._of(nt, tuple([
+        pts[old[v, ("m", bar_mark(s[1])) if s[0] == "m" else s]].conj()
+        for v, s in zip(lay.vertex, lay.slots)]))
 
 
 # ---------------------------------------------------------------------------
@@ -467,17 +515,17 @@ def moduli_key(c: StableCurve) -> str:
 
 
 def _moduli_key(c: StableCurve) -> str:
+    pts = c.points
     parts = []
-    for v, refs, head, rest in _key_layout(c.tree):
-        cv = c.coords[v]
-        r0, r1, r2 = cv[refs[0]], cv[refs[1]], cv[refs[2]]
+    for (a, b, d), head, rest in _key_layout(c.tree):
+        r0, r1, r2 = pts[a], pts[b], pts[d]
         if r0._k == r1._k or r0._k == r2._k or r1._k == r2._k:
             raise UnstableConfiguration("three or more coincident points")
         if rest:
             # (r0, r1, r2) -> (inf, 0, 1); the head already holds their text
             to_frame = frame(r0, r1, r2)
-            parts.append(head + ";".join([text + to_frame(cv[s]).serialize()
-                                          for s, text in rest]) + "}")
+            parts.append(head + ";".join([text + to_frame(pts[i]).serialize()
+                                          for i, text in rest]) + "}")
         else:
             parts.append(head)
     return "|".join(parts)
@@ -489,37 +537,38 @@ _REF_TEXTS = (PP_INF.serialize(), PP_ZERO.serialize(), PP_ONE.serialize())
 
 def _key_layout(t: MarkedTree) -> Tuple:
     """What moduli_key reads off the tree, kept on it: per vertex, in
-    canonical order, (vertex, its three reference slots, head, rest).
-    Slots are in canonical order: marks first in mark_key order, then
-    edges by the rank of the neighbour; each is written "m<mark>=" or
-    "e<rank>-<rank>=" and its framed value.  The references frame to inf,
-    0 and 1 whatever the coordinates, so the head is the finished text
-    "v<rank>{<ref>=inf;<ref>=0;<ref>=1" of the vertex up to them, closed
-    with "}" when it has no other slot; rest lists (slot, text) for the
-    slots after the references."""
+    canonical order, (the indices of its three reference slots, head,
+    rest).  Slots are in canonical order: marks first in mark_key order,
+    then edges by the rank of the neighbour; each is written "m<mark>="
+    or "e<rank>-<rank>=" and its framed value.  The references frame to
+    inf, 0 and 1 whatever the coordinates, so the head is the finished
+    text "v<rank>{<ref>=inf;<ref>=0;<ref>=1" of the vertex up to them,
+    closed with "}" when it has no other slot; rest lists (index, text)
+    for the slots after the references."""
     if t._key_layout is None:
         order = canonical_vertex_order(t)
         bits = t.mark_bits()  # bit order is mark_key order
-        rows = _vertex_slots(t)
+        lay = slot_layout(t)
         layout = []
         for v in sorted(order, key=order.get):
-            def k(slot):
-                if slot[0] == "m":
-                    return (0, bits[slot[1]])
-                u, w = slot[1]
-                return (1, order[w if u == v else u])
-            slots = sorted(rows[v][0], key=k)
+            def k(i):
+                kind, x = lay.slots[i]
+                if kind == "m":
+                    return (0, bits[x])
+                return (1, order[x[1] if x[0] == v else x[0]])
+            idx = sorted(range(lay.offsets[v], lay.offsets[v + 1]), key=k)
             texts = []
-            for s in slots:
-                if s[0] == "m":
-                    texts.append("m%s=" % (s[1],))
+            for i in idx:
+                kind, x = lay.slots[i]
+                if kind == "m":
+                    texts.append("m%s=" % (x,))
                 else:
-                    a, b = sorted((order[s[1][0]], order[s[1][1]]))
+                    a, b = sorted((order[x[0]], order[x[1]]))
                     texts.append("e%d-%d=" % (a, b))
             head = "v%d{" % order[v] + ";".join(
                 [text + ref for text, ref in zip(texts, _REF_TEXTS)])
-            rest = tuple(zip(slots[3:], texts[3:]))
-            layout.append((v, tuple(slots[:3]), head + (";" if rest else "}"), rest))
+            rest = tuple(zip(idx[3:], texts[3:]))
+            layout.append((tuple(idx[:3]), head + (";" if rest else "}"), rest))
         t._key_layout = tuple(layout)
     return t._key_layout
 

@@ -308,7 +308,7 @@ def add_mark(c: StableCurve, v: int, point: ProjPoint) -> StableCurve:
     """Attach the next mark at `point` on component v (with its conjugate
     at phi(v) for real curves)."""
     t = c.tree
-    coords = {u: dict(sl) for u, sl in c.coords.items()}
+    coords = c.coords
     mu = dict(t.mu)
     if t.is_real:
         mp, mm = "%d+" % (t.l + 1), "%d-" % (t.l + 1)
@@ -342,7 +342,7 @@ def bubble_at_mark(c: StableCurve, m, point: ProjPoint) -> StableCurve:
     w = t.vertex_count
     mu = dict(t.mu)
     edges = list(t.edges) + [(v, w)]
-    coords = {u: dict(sl) for u, sl in c.coords.items()}
+    coords = c.coords
     old = coords[v].pop(("m", m))
     coords[v][_edge_slot((v, w))] = old
     mu[m] = w
@@ -382,7 +382,7 @@ def mark_at_node(c: StableCurve, e, point: ProjPoint) -> StableCurve:
     if e not in set(t.edges):
         raise QuotientError("no edge %r" % (e,))
     u, x = e
-    coords = {q: dict(sl) for q, sl in c.coords.items()}
+    coords = c.coords
     mu = dict(t.mu)
     if not t.is_real:
         w = t.vertex_count

@@ -53,17 +53,6 @@ def _mark_bits(marks: FrozenSet) -> Dict:
     return {m: 1 << i for i, m in enumerate(sort_marks(marks))}
 
 
-@functools.lru_cache(maxsize=None)
-def _mark_slot(m) -> Tuple:
-    return ("m", m)
-
-
-@functools.lru_cache(maxsize=None)
-def _sorted_edge_slot(a: int, b: int) -> Tuple:
-    """The slot of the edge (a, b), a < b, one tuple per edge."""
-    return ("e", (a, b))
-
-
 def _marks_of_mask(bits: Dict, mask: int) -> List:
     """The marks whose bits are set, in mark_key order."""
     return [m for m, b in bits.items() if mask & b]
@@ -87,7 +76,7 @@ class MarkedTree:
     """Tree (Ver, Edg, mu) with dense vertices 0..n-1 and sorted edges.
 
     A tree is not mutated after construction: its adjacency, split-mask
-    index, slot table, mask -> edge table, canonical vertex ranks,
+    index, mask -> edge table, canonical vertex ranks,
     canonical form, structural key and validation result are computed on
     first use and kept on the object, as are the tables that curves on
     the tree share (see curves.py) and its chart plans (see quotient.py).
@@ -107,16 +96,14 @@ class MarkedTree:
     phi = None  # real subclass overrides
     # filled on first use; class defaults keep trees that never use them
     # as small as before
-    _slots: Optional[Tuple[Tuple, ...]] = None
     _edge_of: Optional[Dict[int, Edge]] = None
     _order: Optional[Dict[int, int]] = None
     _skey: Optional[Tuple] = None
     _canon: Optional[str] = None
     _bad: Optional[Tuple[str, ...]] = None
-    # kept for the curves on the tree by curves.py: per-vertex slots, real
-    # conjugate slot pairs, the moduli-key layout and the forget plans
-    _vertex_slots: Optional[Tuple] = None
-    _conj_pairs: Optional[Tuple] = None
+    # kept for the curves on the tree by curves.py: the slot layout, the
+    # moduli-key layout and the forget plans
+    _layout = None
     _key_layout: Optional[Tuple] = None
     _forget_plans: Optional[Dict] = None
     # kept by quotient.chart_plan: (rho*, rank) -> chart plan
@@ -146,9 +133,9 @@ class MarkedTree:
     def mu_inv(self, v: int) -> List:
         if self._mu_inv is None:
             inv: Dict[int, List] = {u: [] for u in range(self.vertex_count)}
-            for m, u in self.mu.items():
-                inv[u].append(m)
-            self._mu_inv = {u: sort_marks(ms) for u, ms in inv.items()}
+            for m in self.mark_bits():  # mark_key order
+                inv[self.mu[m]].append(m)
+            self._mu_inv = inv
         return self._mu_inv[v]
 
     def valence(self, v: int) -> int:
@@ -209,31 +196,6 @@ class MarkedTree:
             )
         return self._index
 
-    def slot_table(self) -> Tuple[Tuple[Tuple, ...], ...]:
-        """Per vertex v, the coordinate slot through which v sees each mark,
-        in bit order (entry i for the mark with bit 1 << i): ("m", m) for a
-        mark at v, else ("e", (a, b)) for the sorted edge from v into the
-        branch whose mark mask holds the bit.  The slot tuples are shared
-        by all trees (and by curve coordinates), so a table costs one tuple
-        per vertex."""
-        if self._slots is None:
-            marks = list(self.mark_bits())  # mark_key order is bit order
-            index = self.split_index()[0]
-            rows = []
-            for v, nbrs in enumerate(self.adjacency()):
-                row = [None] * len(marks)
-                for w, side in zip(nbrs, index[v]):
-                    slot = _sorted_edge_slot(v, w) if v < w else _sorted_edge_slot(w, v)
-                    for i in range(len(marks)):
-                        if side >> i & 1:
-                            row[i] = slot
-                for i, m in enumerate(marks):
-                    if row[i] is None:
-                        row[i] = _mark_slot(m)
-                rows.append(tuple(row))
-            self._slots = tuple(rows)
-        return self._slots
-
     def edge_of_mask(self) -> Dict[int, Edge]:
         """Tail-side mark mask -> oriented edge (w, v); the first edge in
         the order vertex v ascending, then neighbour w, wins."""
@@ -285,8 +247,8 @@ class MarkedTree:
                         stack.append(w)
             if len(seen) != n:
                 bad.append("not connected")
+        self.mark_bits()  # raises TreeError for a bad mark
         for m, v in self.mu.items():
-            mark_key(m)
             if not (0 <= v < n):
                 bad.append("mark %r at bad vertex %r" % (m, v))
         if not bad:
@@ -739,7 +701,7 @@ def canonical_vertex_order(t: MarkedTree) -> Dict[int, int]:
     """
     if t._order is not None:
         return t._order
-    root = t.mu[min(t.mu.keys(), key=mark_key)]
+    root = t.mu[next(iter(t.mark_bits()))]
     adj, marks = t.adjacency(), t.split_index()[0]
     order = {root: 0}
     queue = [root]

@@ -262,22 +262,25 @@ class TestSplitIndex:
                     assert direction(t, v, m) == want, (name, v, m)
 
     def test_slot_table(self):
-        # entry i at vertex v is ("m", m) at the mark's own vertex, else the
-        # sorted edge to the next vertex on the path to it, for the mark m
-        # with bit 1 << i
+        # the layout's row of vertex v, mapped back through its slots, has
+        # as entry i ("m", m) at the mark's own vertex, else the sorted
+        # edge to the next vertex on the path to it, for the mark m with
+        # bit 1 << i; every entry is one of v's own slots
         for name, t in _index_cases():
-            table = t.slot_table()
+            lay = curves.slot_layout(t)
+            rows = curves._rows(t)
             marks = t.marks()
             assert [t.mark_bits()[m] for m in marks] == [1 << i for i in range(len(marks))]
-            assert len(table) == t.vertex_count, name
+            assert len(rows) == t.vertex_count, name
             for v in range(t.vertex_count):
-                assert len(table[v]) == len(marks), (name, v)
+                assert len(rows[v]) == len(marks), (name, v)
                 for i, m in enumerate(marks):
+                    assert lay.vertex[rows[v][i]] == v, (name, v, m)
                     w = t.mu[m]
                     want = ("m", m) if w == v else curves._edge_slot(
                         (v, _bfs_path(t, v, w)[1]))
                     d = direction(t, v, m)
-                    assert table[v][i] == want == (
+                    assert lay.slots[rows[v][i]] == want == (
                         d if d[0] == "m" else curves._edge_slot(d[1])), (name, v, m)
 
     def test_phi_from_splits(self):
