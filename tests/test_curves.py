@@ -328,12 +328,12 @@ class TestValidationFailures:
     CONJ = "conjugation symmetry fails at vertex %d slot %r"
 
     def test_broken_mark_pair_lists_both_slots(self, real):
-        # 1+ and 1- both sit at vertex 0; the sampler stores 1- first, so
-        # its message comes first
-        assert list(real.coords[0])[:2] == [("m", "1-"), ("m", "1+")]
+        # 1+ and 1- both sit at vertex 0, 1+ in the earlier slot, so its
+        # message comes first
+        assert list(real.coords[0])[:2] == [("m", "1+"), ("m", "1-")]
         c = _moved(real, 0, lambda cv: cv.__setitem__(("m", "1+"), self.FAR))
-        self._reports_exactly(c, [self.CONJ % (0, ("m", "1-")),
-                                  self.CONJ % (0, ("m", "1+"))])
+        self._reports_exactly(c, [self.CONJ % (0, ("m", "1+")),
+                                  self.CONJ % (0, ("m", "1-"))])
 
     def test_self_conjugate_edge_made_non_real(self, real):
         # phi fixes both ends of the edge (0, 1): each of its slots is its
