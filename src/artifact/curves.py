@@ -39,8 +39,12 @@ class SlotLayout:
     Slots go vertex by vertex: its marks in mu_inv order, then its edges
     by neighbour.  slots[i] is the slot with index i and vertex[i] its
     vertex; the slots of v are offsets[v]:offsets[v + 1], and index maps
-    (v, slot) to its index.  Two tables are filled on first use: rows
-    (see _rows) and, on a real tree, partner (see _partner).
+    (v, slot) to its index.  On a valid tree, rows[v] lists in bit order
+    the index through which v sees each mark (the mark's own slot at its
+    vertex, else the edge into the mark's branch); on a valid real tree,
+    partner[i] is the index of the conjugate of slot i (the conjugate
+    mark where it sits, or the image of the edge at phi(v)), i itself
+    for a self-conjugate slot.
     """
 
     rows: Optional[Tuple[Tuple[int, ...], ...]] = None
@@ -56,54 +60,30 @@ class SlotLayout:
             slots += [_edge_slot((v, w)) for w in adj[v]]
             vertex += [v] * (len(slots) - offsets[-1])
             offsets.append(len(slots))
-        self.slots: Tuple[Slot, ...] = tuple(slots)
-        self.vertex: Tuple[int, ...] = tuple(vertex)
-        self.offsets: Tuple[int, ...] = tuple(offsets)
-        self.index: Dict[Tuple[int, Slot], int] = {
-            vs: i for i, vs in enumerate(zip(vertex, slots))}
+        self.slots, self.vertex, self.offsets = tuple(slots), tuple(vertex), tuple(offsets)
+        self.index = index = {vs: i for i, vs in enumerate(zip(vertex, slots))}
+        if t.validate():
+            return
+        bits, rows = t.mark_bits(), []
+        for v, sides in enumerate(t.split_index()[0]):
+            edge0 = offsets[v + 1] - len(sides)  # the edges are v's last slots
+            rows.append(tuple([
+                index[v, ("m", m)] if t.mu[m] == v
+                else edge0 + next(j for j, side in enumerate(sides) if side & b)
+                for m, b in bits.items()]))
+        self.rows = tuple(rows)
+        if t.is_real:
+            phi = t.phi
+            self.partner = tuple([
+                index[t.mu[bar_mark(x)], ("m", bar_mark(x))] if kind == "m"
+                else index[phi[v], _edge_slot((phi[x[0]], phi[x[1]]))]
+                for v, (kind, x) in zip(vertex, slots)])
 
 
 def slot_layout(t: MarkedTree) -> SlotLayout:
     if t._layout is None:
         t._layout = SlotLayout(t)
     return t._layout
-
-
-def _rows(t: MarkedTree) -> Tuple[Tuple[int, ...], ...]:
-    """Per vertex v, the index through which v sees each mark, in bit
-    order (entry i for the mark with bit 1 << i): the mark's own slot at
-    its vertex, else the edge into the branch whose mark mask holds the
-    bit.  Read off the split-mask index; kept on the layout."""
-    lay = slot_layout(t)
-    if lay.rows is None:
-        bits, index = t.mark_bits(), lay.index
-        rows = []
-        for v, sides in enumerate(t.split_index()[0]):
-            edge0 = lay.offsets[v + 1] - len(sides)  # the edges are v's last slots
-            rows.append(tuple([
-                index[v, ("m", m)] if t.mu[m] == v
-                else edge0 + next(j for j, side in enumerate(sides) if side & b)
-                for m, b in bits.items()]))
-        lay.rows = tuple(rows)
-    return lay.rows
-
-
-def _partner(t: MarkedTree) -> Tuple[int, ...]:
-    """Per index of a real tree, the index of its conjugate slot: the
-    conjugate mark where it sits, or the image of the edge at phi(v); a
-    self-conjugate slot is its own partner.  Kept on the layout."""
-    lay = slot_layout(t)
-    if lay.partner is None:
-        phi, mu, index = t.phi, t.mu, lay.index
-        out = []
-        for v, (kind, x) in zip(lay.vertex, lay.slots):
-            if kind == "m":
-                mb = bar_mark(x)
-                out.append(index[mu[mb], ("m", mb)])
-            else:
-                out.append(index[phi[v], _edge_slot((phi[x[0]], phi[x[1]]))])
-        lay.partner = tuple(out)
-    return lay.partner
 
 
 class StableCurve:
@@ -154,11 +134,9 @@ class StableCurve:
         it is."""
         if self.points is None:
             return {v: dict(sl) for v, sl in self._raw.items()}
-        lay = slot_layout(self.tree)
-        out: Dict[int, Dict[Slot, ProjPoint]] = {v: {} for v in range(self.tree.vertex_count)}
-        for v, s, z in zip(lay.vertex, lay.slots, self.points):
-            out[v][s] = z
-        return out
+        lay, pts = slot_layout(self.tree), self.points
+        return {v: dict(zip(lay.slots[a:b], pts[a:b]))
+                for v, (a, b) in enumerate(zip(lay.offsets, lay.offsets[1:]))}
 
     @property
     def is_real(self) -> bool:
@@ -196,12 +174,12 @@ class StableCurve:
         of every failing pair are reported, in slot order."""
         pts = self.points
         fails = set()
-        for i, j in enumerate(_partner(self.tree)):
+        lay = slot_layout(self.tree)
+        for i, j in enumerate(lay.partner):
             if j >= i:
                 p, q, d = pts[i]._k
                 if pts[j]._k != (p, -q, d):
                     fails.update((i, j))
-        lay = slot_layout(self.tree)
         return ["conjugation symmetry fails at vertex %d slot %r" % (lay.vertex[i], lay.slots[i])
                 for i in sorted(fails)]
 
@@ -286,15 +264,15 @@ def _plan_forget(t: MarkedTree, keep: FrozenSet) -> Tuple[Optional[MarkedTree], 
 
     # working copy over the original vertex ids; inc[v] and at[v] are the
     # edges and the kept marks at v, src[v] maps each current slot at v to
-    # the slot of v that holds its coordinate
+    # the index on t of its coordinate
     verts = set(range(t.vertex_count))
     edges = set(t.edges)
     inc = {v: {e for e in t.edges if v in e} for v in verts}
     mu = {m: v for m, v in t.mu.items() if m in keep}
     at = {v: [m for m in t.mu_inv(v) if m in keep] for v in verts}
     lay = slot_layout(t)
-    src = {v: {s: s for s in lay.slots[lay.offsets[v]:lay.offsets[v + 1]]
-               if s[0] == "e" or s[1] in keep}
+    src = {v: {lay.slots[i]: i for i in range(lay.offsets[v], lay.offsets[v + 1])
+               if lay.slots[i][0] == "e" or lay.slots[i][1] in keep}
            for v in verts}
 
     changed = True
@@ -347,11 +325,11 @@ def _plan_forget(t: MarkedTree, keep: FrozenSet) -> Tuple[Optional[MarkedTree], 
     # (output vertex, output slot) -> index on t of its point
     old = {}
     for v in verts:
-        for slot, s in src[v].items():
+        for slot, i in src[v].items():
             if slot[0] == "e":
                 a, b = slot[1]
                 slot = _edge_slot((newid[a], newid[b]))
-            old[newid[v], slot] = lay.index[v, s]
+            old[newid[v], slot] = i
     out = slot_layout(nt)
     return (None if nt is t else nt), tuple([old[vs] for vs in zip(out.vertex, out.slots)])
 
@@ -374,8 +352,10 @@ def cross_ratio_q(c: StableCurve, q) -> ProjPoint:
         if m not in bits:
             raise CurveError("mark %r not on the curve" % (m,))
     i, j, k, n = [bits[m].bit_length() - 1 for m in q]
-    pts = c.points
-    for row in _rows(t):
+    pts, rows = c.points, slot_layout(t).rows
+    if pts is None or rows is None:
+        raise CurveError("cross ratio on an invalid curve: %r" % (c.validate(),))
+    for row in rows:
         a, b, x, y = row[i], row[j], row[k], row[n]
         if len({a, b, x, y}) >= 3:
             return cross_ratio(pts[a], pts[b], pts[x], pts[y])
@@ -452,9 +432,11 @@ def sample_curve(t: MarkedTree, bound: int, seed) -> StableCurve:
     if bound < 2:
         raise CurveError("bound too small")
     rng = random.Random(repr(seed))
-    off = slot_layout(t).offsets
-    # each conjugate pair is drawn at its first slot
-    partner = _partner(t) if t.is_real else range(off[-1])
+    lay = slot_layout(t)
+    off = lay.offsets
+    # each conjugate pair is drawn at its first slot; without partners
+    # (a complex or an invalid tree) each slot is its own
+    partner = lay.partner or range(off[-1])
     for _attempt in range(200):
         pts: List[ProjPoint] = [PP_INF] * len(partner)
         for i, j in enumerate(partner):

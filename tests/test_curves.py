@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,59 @@ class TestSamplingAndValidation:
         for i, t in enumerate(trees.enumerate_trees(3, real=True)):
             c = sample_curve(t, 30, ("conj", i))
             assert moduli_key(conjugate_curve(c)) == moduli_key(c)
+
+
+class TestJsonKeys:
+    """A coordinate key that is neither "mark:<mark>" nor "edge:<u>-<v>"
+    raises CurveError naming it."""
+
+    @pytest.mark.parametrize("old,new", [
+        ("edge:0-1", "node:0-1"),  # unknown kind
+        ("edge:0-1", "edge:0"),    # one end
+        ("mark:1", "mark:x"),      # a complex mark that is not an integer
+    ])
+    def test_bad_key(self, old, new):
+        t = [x for x in trees.enumerate_trees(4) if x.edges][0]
+        d = sample_curve(t, 30, ("keys",)).to_json()
+        cv = next(cv for cv in d["coords"].values() if old in cv)
+        cv[new] = cv.pop(old)
+        with pytest.raises(curves.CurveError, match=re.escape(repr(new))):
+            curve_from_json(d)
+
+
+LAYOUT_CASES = [(5, False), (2, True), (3, True), (4, True)]
+
+
+class TestSlotLayout:
+    """A curve's points follow its tree's slot numbering, through the
+    coords view, JSON and, on a real tree, the conjugate partners."""
+
+    @pytest.mark.parametrize("l,real", LAYOUT_CASES)
+    def test_points_round_trip(self, l, real):
+        for i, t in enumerate(trees.enumerate_trees(l, real=real)):
+            c = sample_curve(t, 30, ("layout", i))
+            lay = curves.slot_layout(t)
+            assert len(c.points) == len(lay.slots) == lay.offsets[-1]
+            for v in range(t.vertex_count):
+                assert set(lay.vertex[lay.offsets[v]:lay.offsets[v + 1]]) == {v}
+            assert StableCurve(t, c.coords).points == c.points
+            assert curve_from_json(c.to_json()).points == c.points
+
+    @pytest.mark.parametrize("l", [l for l, real in LAYOUT_CASES if real])
+    def test_partner_is_the_conjugate_slot(self, l):
+        for t in trees.enumerate_trees(l, real=True):
+            lay = curves.slot_layout(t)
+            where = list(zip(lay.vertex, lay.slots))
+            want = []
+            for v, (kind, x) in where:
+                if kind == "m":
+                    image = (t.mu[trees.bar_mark(x)], ("m", trees.bar_mark(x)))
+                else:
+                    image = (t.phi[v], ("e", tuple(sorted(t.phi[u] for u in x))))
+                want.append(where.index(image))
+            partner = lay.partner
+            assert list(partner) == want
+            assert all(partner[j] == i for i, j in enumerate(partner))
 
 
 # sha256 over enumerate_trees(l, real), bounds 1, 2, 5, 40 and three seeds
@@ -136,6 +190,15 @@ class TestCrossRatioQ:
         c = sample_curve(t, 30, ("smooth",))
         pts = [c.coords[0][("m", m)] for m in (1, 2, 3, 4)]
         assert cross_ratio_q(c, (1, 2, 3, 4)) == cross_ratio(*pts)
+
+    def test_invalid_curve(self):
+        # vertex 1 has valence 2; no rows are kept for an invalid tree
+        t = trees.MarkedTree(2, [(0, 1)], {1: 0, 2: 0, 3: 0, 4: 1})
+        c = StableCurve(t, {0: {("m", 1): PP_ZERO, ("m", 2): PP_ONE, ("m", 3): PP_INF,
+                                ("e", (0, 1)): pp(GaussRat(2))},
+                            1: {("m", 4): PP_ZERO, ("e", (0, 1)): PP_INF}})
+        with pytest.raises(curves.CurveError, match="valence 2 < 3"):
+            cross_ratio_q(c, (1, 2, 3, 4))
 
     def test_forget_compatible(self):
         # the cross ratio of four kept marks is stable under forgetting

@@ -268,7 +268,7 @@ class TestSplitIndex:
         # bit 1 << i; every entry is one of v's own slots
         for name, t in _index_cases():
             lay = curves.slot_layout(t)
-            rows = curves._rows(t)
+            rows = lay.rows
             marks = t.marks()
             assert [t.mark_bits()[m] for m in marks] == [1 << i for i in range(len(marks))]
             assert len(rows) == t.vertex_count, name
