@@ -88,6 +88,11 @@ def test_bases_pinned(l, real):
     assert h.hexdigest() == BASIS_DIGESTS[(l, real)]
 
 
+# sha256 of test_tables_pinned's lines over the 2,934 tables (20,088 of the
+# lookups are undetermined), pinned before the closure read a route table
+TABLES_DIGEST = "b96ab3b203438acedc311f699259598c9ec317af5d71cdfa3e5bddc45275ecbc"
+
+
 class TestReconstruction:
     @pytest.mark.parametrize("l", (4, 5))
     def test_matches_direct_cross_ratio(self, l):
@@ -154,6 +159,31 @@ class TestReconstruction:
         assert len(set(orderings)) == 24
         for q in orderings:
             assert charts._permuted_value(ref, x, q) == cross_ratio(*(model[m] for m in q))
+
+    def test_tables_pinned(self):
+        # every table of complex l = 4, 5, 6 and real l = 2, 3, built from the
+        # sampled basis values and from each basis value replaced by 0, 1 and
+        # inf, read at four orderings of every 4-subset: the values and the
+        # ChartDomainError texts are pinned by one sha256
+        h = hashlib.sha256()
+        for l, real in ((4, False), (5, False), (6, False), (2, True), (3, True)):
+            marks = trees.real_marks(l) if real else trees.complex_marks(l)
+            quads = list(itertools.combinations(marks, 4))
+            for idx, t in enumerate(trees.enumerate_trees(l, real=real)):
+                basis = gamma_basis(t)
+                vals = basis_values(curves.sample_curve(t, 30, ("pin", idx)), basis)
+                variants = [vals] + [{**vals, q: x} for q in basis.quadruples
+                                     for x in (PP_ZERO, PP_ONE, PP_INF)]
+                for values in variants:
+                    table = ReconstructionTable(t, values=values, basis=basis)
+                    for i, j, k, m in quads:
+                        for q in ((i, j, k, m), (m, k, j, i), (j, i, k, m), (k, i, m, j)):
+                            try:
+                                text = table.value(q).serialize()
+                            except charts.ChartDomainError as exc:
+                                text = "error: %s" % exc
+                            h.update(("%r %s\n" % (q, text)).encode())
+        assert h.hexdigest() == TABLES_DIGEST
 
     def test_table_built_from_eta(self):
         # the table builds the basis from eta when it is given no basis
