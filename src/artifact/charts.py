@@ -8,18 +8,31 @@ infinity, 0, 1) and grows the set of known 4-point values by the cocycle
 relation CR_{ijkn} = CR_{ijkm} * CR_{ijmn}, skipping routes that hit the
 indeterminate product 0 * inf.  Failure to determine a value signals a
 point outside the chart domain.
+
+The routes depend on the number of marks alone: `_routes(n)`, built once
+per n, lists for each 4-bit mask K its 6 * (n - 4) routes, one per
+unordered pair {i, j} in K and mark m outside K, as the two factor masks
+and the anharmonic maps between increasing bit order and the orderings
+the relation uses.  After the vertex seeds and the edge values, the
+closure passes over the masks still unknown until a pass fills nothing.
+Every filled value is the true cross ratio, and whether a route applies
+depends only on its two factor values, so the known masks are the least
+fixpoint of the routes: the fill order changes no value and no known set.
+At the verify guardrail, 12 marks (real l = 6), the table has 495 masks
+and 23,760 routes.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .exactfield import (IndeterminateProduct, PP_INF, PP_ONE, PP_ZERO,
                          ProjPoint, UnstableConfiguration, cross_ratio)
 from .strata import _admissible, _universe, order_key
-from .trees import (MarkedTree, _marks_of_mask, bar_mark, mark_key, sort_marks,
+from .trees import (MarkedTree, _marks_of_mask, bar_mark, sort_marks,
                     split_marks)
 
 
@@ -55,19 +68,26 @@ def is_marking_map(t: MarkedTree, eta) -> bool:
 
 def gamma_v_sets(t: MarkedTree, eta) -> Dict[int, List]:
     """[Gamma]_{eta;v}: own marks plus eta of each outgoing edge, sorted."""
+    bits = t.mark_bits()
+    adj = t.adjacency()
     out = {}
     for v in range(t.vertex_count):
         ms = list(t.mu_inv(v))
-        for w in t.adjacency()[v]:
-            ms.append(eta[(v, w)])
+        ms.extend(eta[(v, w)] for w in adj[v])
         if len(set(ms)) != len(ms):
             raise ChartError("marking map not injective at vertex %d" % v)
-        out[v] = sort_marks(ms)
+        if not all(m in bits for m in ms):
+            raise ChartError("marking map names a mark not on the tree")
+        out[v] = sorted(ms, key=bits.__getitem__)  # mark_key order
     return out
 
 
 def is_systematic(t: MarkedTree, eta) -> bool:
-    gv = gamma_v_sets(t, eta)
+    return _systematic_on(t, eta, gamma_v_sets(t, eta))
+
+
+def _systematic_on(t: MarkedTree, eta, gv: Dict[int, List]) -> bool:
+    """eta of each oriented edge is one of the [Gamma] marks at its head."""
     return all(eta[(u, v)] in gv[v] for (u, v) in t.oriented_edges())
 
 
@@ -115,9 +135,9 @@ def gamma_basis(t: MarkedTree, eta=None) -> ChartBasis:
         eta = systematic_marking(t)
     elif not is_marking_map(t, eta):
         raise ChartError("eta is not a marking map")
-    if not is_systematic(t, eta):
-        raise ChartError("marking map is not systematic")
     gv = gamma_v_sets(t, eta)
+    if not _systematic_on(t, eta, gv):
+        raise ChartError("marking map is not systematic")
     vertex_quads: Dict[int, List[Tuple]] = {}
     for v in range(t.vertex_count):
         ms = gv[v]
@@ -175,12 +195,46 @@ def _permuted_value(ref: Tuple, value: ProjPoint, q: Tuple) -> ProjPoint:
     return _PERMUTED[i(q[0]), i(q[1]), i(q[2]), i(q[3])](value)
 
 
+@functools.lru_cache(maxsize=None)
+def _routes(n: int) -> Tuple[Tuple[int, Tuple[Tuple, ...]], ...]:
+    """The cocycle routes for n marks (bits 0..n-1), one row (K, routes) per
+    4-bit mask K.
+
+    A route (e1, f1, e2, f2, g) stands for one unordered pair {i, j} of K,
+    with k < p the other two bits of K, and one bit m outside K:
+    CR_{ijkp} = CR_{ijkm} * CR_{ijmp}, with e1 = {i, j, k, m} and
+    e2 = {i, j, m, p}.  Values are kept in increasing bit order, so f1 and
+    f2 carry the values of e1 and e2 to the orderings (i, j, k, m) and
+    (i, j, m, p), and g carries CR_{ijkp} back to K's order.  Swapping i and
+    j (or k and p) inverts all three cross ratios, so the other orderings
+    give no further route.  There are 6 * (n - 4) routes per mask.
+    """
+    def perm(ref, q):
+        # the anharmonic map taking CR_ref to CR_q
+        return _PERMUTED[tuple(ref.index(x) for x in q)]
+
+    rows = []
+    for quad in itertools.combinations(range(n), 4):
+        routes = []
+        for i, j in itertools.combinations(quad, 2):
+            k, p = [b for b in quad if b not in (i, j)]
+            g = perm((i, j, k, p), quad)
+            for m in range(n):
+                if m in quad:
+                    continue
+                q1, q2 = (i, j, k, m), (i, j, m, p)
+                routes.append((sum(1 << b for b in q1), perm(sorted(q1), q1),
+                               sum(1 << b for b in q2), perm(sorted(q2), q2), g))
+        rows.append((sum(1 << b for b in quad), tuple(routes)))
+    return tuple(rows)
+
+
 class ReconstructionTable:
     """Known cross-ratio values, one per 4-subset of marks.
 
     The table is keyed by the OR of the four marks' bits (t.mark_bits()),
-    so every key has exactly four bits set; each entry is the ordering the
-    value was found in and the value.
+    so every key has exactly four bits set; each entry is the cross ratio
+    of the four marks in increasing bit order.
     """
 
     def __init__(self, t: MarkedTree, eta=None,
@@ -192,7 +246,7 @@ class ReconstructionTable:
             raise ChartError("basis values required")
         self.values = dict(values)
         self.bits = t.mark_bits()
-        self.table: Dict[int, Tuple[Tuple, ProjPoint]] = {}
+        self.table: Dict[int, ProjPoint] = {}
         self._build()
 
     def _mask(self, q: Tuple) -> int:
@@ -205,18 +259,27 @@ class ReconstructionTable:
         except (ValueError, KeyError):  # not four marks of the tree
             return 0
 
-    def _store(self, q: Tuple, val: ProjPoint) -> None:
-        self.table.setdefault(self._mask(q), (q, val))
-
     def known(self, q) -> bool:
         return self._mask(tuple(q)) in self.table
 
     def value(self, q) -> ProjPoint:
         q = tuple(q)
-        entry = self.table.get(self._mask(q))
-        if entry is None:
+        bits = self.bits
+        try:
+            i, j, k, m = q
+            bi, bj, bk, bm = bits[i], bits[j], bits[k], bits[m]
+        except (ValueError, KeyError):  # not four marks of the tree
+            raise ChartDomainError(self._diagnose(q)) from None
+        key = bi | bj | bk | bm
+        val = self.table.get(key)
+        if val is None:
             raise ChartDomainError(self._diagnose(q))
-        return _permuted_value(*entry, q)
+        if bi < bj < bk < bm:
+            return val
+        # the rank of a mark's bit among the four is the position of the
+        # mark in the stored ordering
+        return _PERMUTED[(key & (bi - 1)).bit_count(), (key & (bj - 1)).bit_count(),
+                         (key & (bk - 1)).bit_count(), (key & (bm - 1)).bit_count()](val)
 
     def _diagnose(self, q) -> str:
         msg = "reconstruction left %r undetermined" % (sort_marks(q),)
@@ -232,82 +295,54 @@ class ReconstructionTable:
             msg += " (point outside the chart domain: %s)" % "; ".join(bad)
         return msg
 
-    def _seed_vertex(self, v: int) -> List:
-        ms = self.basis.gamma_v[v]
-        model = {ms[0]: PP_INF, ms[1]: PP_ZERO, ms[2]: PP_ONE}
-        for q in self.basis.vertex_quads[v]:
-            val = self.values.get(q)
-            if val is not None:
-                model[q[3]] = val
-        for combo in itertools.combinations(sort_marks(model), 4):
-            if self._mask(combo) in self.table:
-                continue
-            try:
-                self._store(combo, cross_ratio(*(model[m] for m in combo)))
-            except UnstableConfiguration:
-                pass
-        return ms
-
-    def _close(self, marks: Sequence) -> None:
-        marks = sort_marks(marks)
-        changed = True
-        while changed:
-            changed = False
-            for combo in itertools.combinations(marks, 4):
-                if self._mask(combo) in self.table:
-                    continue
-                if self._try_fill(combo, marks):
-                    changed = True
-
-    def _try_fill(self, combo: Tuple, marks: Sequence) -> bool:
-        # CR_{ijkn} = CR_{ijkm} * CR_{ijmn} for some known pair of factors
-        bits, table = self.bits, self.table
-        for i, j in itertools.permutations(combo, 2):
-            k, n = [m for m in combo if m not in (i, j)]
-            ij = bits[i] | bits[j]
-            for m in marks:
-                if m in combo:
-                    continue
-                e1 = table.get(ij | bits[k] | bits[m])
-                e2 = table.get(ij | bits[m] | bits[n])
-                if e1 is None or e2 is None:
-                    continue
-                try:
-                    val = _permuted_value(*e1, (i, j, k, m)).mul(
-                        _permuted_value(*e2, (i, j, m, n)))
-                except IndeterminateProduct:
-                    continue
-                self._store((i, j, k, n), val)
-                return True
-        return False
-
     def _build(self) -> None:
-        t = self.tree
-        for v in range(t.vertex_count):
-            self._seed_vertex(v)
-        for e, qe in self.basis.edge_quads.items():
-            val = self.values.get(qe)
-            if val is not None:
-                self._store(qe, val)
-        root = t.mu[min(t.mu.keys(), key=mark_key)]
-        seen_marks = set(self.basis.gamma_v[root])
-        visited = {root}
-        queue = [root]
-        order = []
-        while queue:
-            v = queue.pop(0)
-            order.append(v)
-            for w in t.adjacency()[v]:
-                if w not in visited:
-                    visited.add(w)
-                    queue.append(w)
-        for v in order[1:]:
-            seen_marks |= set(self.basis.gamma_v[v])
-            self._close(seen_marks)
-        all_marks = set(t.mu.keys())
-        if all_marks - seen_marks:
-            seen_marks = all_marks
-            self._close(seen_marks)
+        bits, table, values, basis = self.bits, self.table, self.values, self.basis
+        rank = bits.__getitem__
+        # each vertex in normalized local coordinates: its first three basis
+        # marks at inf, 0 and 1, each further mark at its basis value
+        for v, ms in basis.gamma_v.items():
+            model = {ms[0]: PP_INF, ms[1]: PP_ZERO, ms[2]: PP_ONE}
+            for q in basis.vertex_quads[v]:
+                val = values.get(q)
+                if val is not None:
+                    model[q[3]] = val
+            for combo in itertools.combinations(sorted(model, key=rank), 4):
+                key = bits[combo[0]] | bits[combo[1]] | bits[combo[2]] | bits[combo[3]]
+                if key not in table:
+                    try:
+                        table[key] = cross_ratio(*(model[m] for m in combo))
+                    except UnstableConfiguration:
+                        pass
+        for qe in basis.edge_quads.values():
+            val = values.get(qe)
+            key = self._mask(qe)
+            if val is not None and key not in table:
+                table[key] = _permuted_value(qe, val, tuple(sorted(qe, key=rank)))
+        # the cocycle closure: a route applies once both factors are known
+        # and their product is not 0 * inf, which depends on the two values
+        # alone, so the known set grows to one least fixpoint whatever the
+        # order of the passes
+        pending = [row for row in _routes(len(bits)) if row[0] not in table]
+        while pending:
+            left = []
+            for row in pending:
+                for e1, f1, e2, f2, g in row[1]:
+                    x1 = table.get(e1)
+                    if x1 is None:
+                        continue
+                    x2 = table.get(e2)
+                    if x2 is None:
+                        continue
+                    try:
+                        table[row[0]] = g(f1(x1).mul(f2(x2)))
+                    except IndeterminateProduct:
+                        continue
+                    break
+                else:
+                    left.append(row)
+            if len(left) == len(pending):
+                break
+            pending = left
 
 
 # ---------------------------------------------------------------------------

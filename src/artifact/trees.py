@@ -114,7 +114,7 @@ class MarkedTree:
         return self.phi is not None
 
     def marks(self) -> List:
-        return sort_marks(self.mu.keys())
+        return list(self.mark_bits())  # mark_key order
 
     @property
     def l(self) -> int:

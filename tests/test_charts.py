@@ -5,6 +5,7 @@ import itertools
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from artifact import charts, curves, trees
 from artifact.charts import (
@@ -21,8 +22,9 @@ from artifact.charts import (
     systematic_marking,
     v_gamma,
 )
-from artifact.exactfield import (PP_INF, PP_ONE, PP_ZERO, GaussRat, ProjPoint,
-                                 cross_ratio, pp)
+from artifact.exactfield import (PP_INF, PP_ONE, PP_ZERO, GaussRat,
+                                 IndeterminateProduct, ProjPoint, cross_ratio,
+                                 finite_point, pp)
 
 
 class TestMarkingMaps:
@@ -193,6 +195,50 @@ class TestReconstruction:
         vals = basis_values(c, basis)
         q = (1, 2, 3, 4)
         assert ReconstructionTable(t, basis.eta, vals).value(q) == curves.cross_ratio_q(c, q)
+
+
+@st.composite
+def model_points(draw):
+    """5 to 8 distinct points of the projective line, 0, 1 and inf among
+    them, in a random order."""
+    n = draw(st.integers(5, 8))
+    finite = st.builds(finite_point, st.integers(-9, 9), st.integers(-9, 9),
+                       st.integers(1, 9))
+    others = draw(st.lists(finite.filter(lambda z: z not in (PP_ZERO, PP_ONE)),
+                           min_size=n - 3, max_size=n - 3, unique=True))
+    return draw(st.permutations([PP_INF, PP_ZERO, PP_ONE] + others))
+
+
+class TestRouteTable:
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_route_shape(self, n):
+        # one row per 4-bit mask; 6 * (n - 4) distinct routes, each factor
+        # mask four of the n bits, three of them in K
+        rows = charts._routes(n)
+        assert sorted(mask for mask, _ in rows) == [
+            mask for mask in range(1 << n) if mask.bit_count() == 4]
+        for mask, routes in rows:
+            assert len(routes) == 6 * (n - 4)
+            assert len({frozenset((e1, e2)) for e1, _, e2, _, _ in routes}) == len(routes)
+            for e1, _f1, e2, _f2, _g in routes:
+                for e in (e1, e2):
+                    assert e >> n == 0 and e.bit_count() == 4
+                    assert (e & mask).bit_count() == 3
+
+    @settings(max_examples=30, deadline=None)
+    @given(model_points())
+    def test_routes_match_direct_cross_ratio(self, zs):
+        # g(f1(CR_e1) * f2(CR_e2)) is CR_K, all in increasing bit order
+        n = len(zs)
+        direct = {mask: cross_ratio(*(z for b, z in enumerate(zs) if mask >> b & 1))
+                  for mask in range(1 << n) if mask.bit_count() == 4}
+        for mask, routes in charts._routes(n):
+            for e1, f1, e2, f2, g in routes:
+                try:
+                    got = g(f1(direct[e1]).mul(f2(direct[e2])))
+                except IndeterminateProduct:
+                    continue
+                assert got == direct[mask]
 
 
 class TestExtendedCharts:
