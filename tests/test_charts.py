@@ -22,9 +22,8 @@ from artifact.charts import (
     systematic_marking,
     v_gamma,
 )
-from artifact.exactfield import (PP_INF, PP_ONE, PP_ZERO, GaussRat,
-                                 IndeterminateProduct, ProjPoint, cross_ratio,
-                                 finite_point, pp)
+from artifact.exactfield import (PP_INF, PP_ONE, PP_ZERO, GaussRat, ProjPoint,
+                                 cross_ratio, finite_point, pp)
 
 
 class TestMarkingMaps:
@@ -46,6 +45,19 @@ class TestMarkingMaps:
             assert not is_marking_map(t, bad)
             with pytest.raises(charts.ChartError):
                 gamma_basis(t, bad)
+        # the vertex sets name no mark that is not on the tree
+        with pytest.raises(charts.ChartError, match="not on the tree"):
+            gamma_v_sets(t, unknown)
+
+    def test_non_systematic_map_rejected(self):
+        # on the path {1, 2} - {3} - {4, 5}, mark 5 lies beyond vertex 1 but
+        # is not one of its [Gamma] marks {1, 3, 4}
+        t = trees.MarkedTree(3, [(0, 1), (1, 2)], {1: 0, 2: 0, 3: 1, 4: 2, 5: 2})
+        eta = {**systematic_marking(t), (0, 1): 5}
+        assert is_marking_map(t, eta)
+        assert not is_systematic(t, eta)
+        with pytest.raises(charts.ChartError, match="not systematic"):
+            gamma_basis(t, eta)
 
     def test_gamma_v_partition_sizes(self):
         # the union of the per-vertex label sets has l - 3 surplus over
@@ -228,17 +240,15 @@ class TestRouteTable:
     @settings(max_examples=30, deadline=None)
     @given(model_points())
     def test_routes_match_direct_cross_ratio(self, zs):
-        # g(f1(CR_e1) * f2(CR_e2)) is CR_K, all in increasing bit order
+        # g(f1(CR_e1) * f2(CR_e2)) is CR_K, all in increasing bit order;
+        # distinct points have no cross ratio 0 or inf, so every product is
+        # determinate
         n = len(zs)
         direct = {mask: cross_ratio(*(z for b, z in enumerate(zs) if mask >> b & 1))
                   for mask in range(1 << n) if mask.bit_count() == 4}
         for mask, routes in charts._routes(n):
             for e1, f1, e2, f2, g in routes:
-                try:
-                    got = g(f1(direct[e1]).mul(f2(direct[e2])))
-                except IndeterminateProduct:
-                    continue
-                assert got == direct[mask]
+                assert g(f1(direct[e1]).mul(f2(direct[e2]))) == direct[mask]
 
 
 class TestExtendedCharts:
