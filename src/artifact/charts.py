@@ -318,10 +318,8 @@ class ReconstructionTable:
             key = self._mask(qe)
             if val is not None and key not in table:
                 table[key] = _permuted_value(qe, val, tuple(sorted(qe, key=rank)))
-        # the cocycle closure: a route applies once both factors are known
-        # and their product is not 0 * inf, which depends on the two values
-        # alone, so the known set grows to one least fixpoint whatever the
-        # order of the passes
+        # the cocycle closure; any pass order reaches the same least fixpoint
+        # (see the module docstring)
         pending = [row for row in _routes(len(bits)) if row[0] not in table]
         while pending:
             left = []
