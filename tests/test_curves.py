@@ -479,3 +479,57 @@ class TestForgetErrors:
         a, b = (forget(sample_curve(t, 30, ("plan", i)), keep) for i in range(2))
         assert a.tree is b.tree
         assert a.validate() == [] == b.validate()
+
+
+# sha256 of the sorted-key JSON of forget's output, one line per (tree,
+# keep set) of TestForgetOracle, taken while forget stabilized by a
+# contraction loop
+FORGET_DIGEST = "ab3974d0ce5345169e3e12fae7d1cad21ae13f68bff7ec3b8d589838aca594e0"
+
+
+def _keep_sets(t):
+    """Every keep set forget allows on t: 3 or more marks, or 2 or more
+    conjugate pairs on a real tree."""
+    if not t.is_real:
+        marks = t.marks()
+        return [set(k) for r in range(3, len(marks) + 1)
+                for k in itertools.combinations(marks, r)]
+    pairs = [(m, trees.bar_mark(m)) for m in t.marks() if m.endswith("+")]
+    return [{m for pair in k for m in pair} for r in range(2, len(pairs) + 1)
+            for k in itertools.combinations(pairs, r)]
+
+
+class TestForgetOracle:
+    """forget against what a stabilization must keep, on every tree of
+    complex l=4..6 and real l=2, 3 with every allowed keep set: the splits
+    of the input with 2 or more kept marks on each side, the cross ratio
+    of every kept quadruple and, on a real tree, the involution that the
+    output's splits determine."""
+
+    def test_every_keep_set(self):
+        h = hashlib.sha256()
+        count = 0
+        for l, real in ((4, False), (5, False), (6, False), (2, True), (3, True)):
+            for idx, t in enumerate(trees.enumerate_trees(l, real=real)):
+                c = sample_curve(t, 30, ("forget-oracle", l, idx))
+                for keep in _keep_sets(t):
+                    out = forget(c, keep)
+                    nt = out.tree
+                    assert out.validate() == []
+                    assert set(nt.mu) == keep
+                    want = set()
+                    for e in t.edges:
+                        side = trees.split_marks(t, e) & keep
+                        if len(side) >= 2 and len(keep - side) >= 2:
+                            want.add(frozenset([side, frozenset(keep - side)]))
+                    got = [frozenset([trees.split_marks(nt, e), frozenset(keep)
+                                      - trees.split_marks(nt, e)]) for e in nt.edges]
+                    assert len(got) == len(set(got)) and set(got) == want
+                    for q in itertools.combinations(trees.sort_marks(keep), 4):
+                        assert cross_ratio_q(out, q) == cross_ratio_q(c, q)
+                    if real:
+                        assert list(nt.phi) == trees._phi_from_structure(nt)
+                    h.update(json.dumps(out.to_json(), sort_keys=True).encode() + b"\n")
+                    count += 1
+        assert count == 4 * 5 + 26 * 16 + 236 * 42 + 4 * 1 + 36 * 4
+        assert h.hexdigest() == FORGET_DIGEST

@@ -15,7 +15,7 @@ from artifact.curves import (
     moduli_key,
     sample_curve,
 )
-from artifact.exactfield import GaussRat, ProjPoint, pp
+from artifact.exactfield import PP_INF, GaussRat, ProjPoint, pp
 from artifact.quotient import (
     QuotientError,
     add_mark,
@@ -480,3 +480,48 @@ class TestSharedTrees:
             assert len(trees._SHARED) == before
         finally:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# placements of the extra mark, pinned at every site
+
+# positions of the extra mark; a real one collides with its conjugate on a
+# fixed component, and 0, 1 and infinity with the framed points of a base
+PLACE_POINTS = [pp(0), pp(1), PP_INF, pp(-1), pp(GaussRat(1, 2)),
+                pp(GaussRat(0, 1)), pp(GaussRat(1, 1)), pp(GaussRat(-2, 3))]
+
+# sha256 of test_placements_pinned's lines, taken before add_mark,
+# bubble_at_mark and mark_at_node were built on one split-off routine
+PLACEMENTS_DIGEST = "c783bba70a61618988775e5d140beb44c192fa76db216a5d927e830298a4c2d4"
+
+
+class TestPlacementsPinned:
+    def test_placements_pinned(self):
+        # bases with coordinates bounded by 6 on every tree of complex l=4
+        # and real l=2, 3; each placement writes its curve's JSON and its
+        # tree's repr (mu in insertion order), or ERR
+        h = hashlib.sha256()
+        counts = {"ok": 0, "ERR": 0}
+        for l, real in ((4, False), (2, True), (3, True)):
+            for idx, t in enumerate(trees.enumerate_trees(l, real=real)):
+                for k in range(2):
+                    base = sample_curve(t, 6, ("place", l, real, idx, k))
+                    calls = [(add_mark, v) for v in range(t.vertex_count)]
+                    calls += [(bubble_at_mark, m) for m in t.marks()]
+                    calls += [(mark_at_node, e) for e in t.edges]
+                    for place, site in calls:
+                        for p in PLACE_POINTS:
+                            try:
+                                c = place(base, site, p)
+                            except QuotientError:
+                                line = "ERR"
+                                counts["ERR"] += 1
+                            else:
+                                assert c.validate() == []
+                                line = "%s %r" % (json.dumps(c.to_json(), sort_keys=True),
+                                                  c.tree)
+                                counts["ok"] += 1
+                            h.update(("%s %r %s: %s\n" % (place.__name__, site, p, line))
+                                     .encode())
+        assert counts["ok"] > 0 and counts["ERR"] > 0
+        assert h.hexdigest() == PLACEMENTS_DIGEST, counts
