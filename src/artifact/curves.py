@@ -228,6 +228,8 @@ def forget(c: StableCurve, keep) -> StableCurve:
     once per (tree, kept marks) and replayed here on the coordinates.
     """
     t = c.tree
+    if c.points is None:
+        raise CurveError("forget on an invalid curve: %r" % (c.validate(),))
     keep = frozenset(keep)
     plans = t._forget_plans
     if plans is None:
@@ -492,6 +494,8 @@ def moduli_key(c: StableCurve) -> str:
     coordinate data, as it has no moduli.  Computed once per curve.
     """
     if c._moduli_key is None:
+        if c.points is None or slot_layout(c.tree).rows is None:
+            raise CurveError("moduli key of an invalid curve: %r" % (c.validate(),))
         c._moduli_key = _moduli_key(c)
     return c._moduli_key
 

@@ -308,6 +308,8 @@ def add_mark(c: StableCurve, v: int, point: ProjPoint) -> StableCurve:
     """Attach the next mark at `point` on component v (with its conjugate
     at phi(v) for real curves)."""
     t = c.tree
+    if v not in range(t.vertex_count):
+        raise QuotientError("no vertex %r" % (v,))
     coords = c.coords
     mu = dict(t.mu)
     if t.is_real:

@@ -481,6 +481,22 @@ class TestForgetErrors:
         assert a.validate() == [] == b.validate()
 
 
+class TestInvalidCurveErrors:
+    """forget and moduli_key on a curve whose slots are not its tree's
+    raise CurveError with the validate() messages."""
+
+    @pytest.mark.parametrize("call", [lambda c: forget(c, c.tree.marks()[:4]), moduli_key],
+                             ids=["forget", "moduli_key"])
+    @pytest.mark.parametrize("real", [False, True])
+    def test_slots_not_the_trees(self, call, real):
+        t = trees.enumerate_trees(3, real=True)[-1] if real else trees.enumerate_trees(5)[-1]
+        c = _moved(sample_curve(t, 30, ("unslotted",)), 0,
+                   lambda cv: cv.__setitem__(("m", 99), PP_ONE))
+        assert c.points is None
+        with pytest.raises(curves.CurveError, match=re.escape(repr(c.validate()))):
+            call(c)
+
+
 # sha256 of the sorted-key JSON of forget's output, one line per (tree,
 # keep set) of TestForgetOracle, taken while forget stabilized by a
 # contraction loop

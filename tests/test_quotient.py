@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 
 import pytest
 
@@ -480,6 +481,16 @@ class TestSharedTrees:
             assert len(trees._SHARED) == before
         finally:
             gc.enable()
+
+
+class TestPlacementErrors:
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("v", [99, -1, "a"])
+    def test_add_mark_at_no_vertex(self, real, v):
+        t = trees.enumerate_trees(3, real=True)[-1] if real else trees.enumerate_trees(4)[-1]
+        base = sample_curve(t, 30, ("no-vertex",))
+        with pytest.raises(QuotientError, match=re.escape("no vertex %r" % (v,))):
+            add_mark(base, v, pp(GaussRat(1, 2)))
 
 
 # ---------------------------------------------------------------------------
