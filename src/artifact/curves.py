@@ -18,7 +18,7 @@ from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, UnstableConfigurati
 from .strata import classify_real, is_admissible, stratum_edge
 from .trees import (MarkedTree, RealMarkedTree, bar_mark, canonical_form,
                     canonical_vertex_order, real_marks,
-                    shared_tree, sort_marks, _phi_from_structure)
+                    shared_tree, sort_marks)
 
 
 class CurveError(Exception):
@@ -227,8 +227,8 @@ def forget(c: StableCurve, keep) -> StableCurve:
     The stabilization depends only on the tree and keep, so it is planned
     once per (tree, kept marks) and replayed here on the coordinates.
     """
-    t = c.tree
-    if c.points is None:
+    t, pts = c.tree, c.points
+    if pts is None:
         raise CurveError("forget on an invalid curve: %r" % (c.validate(),))
     keep = frozenset(keep)
     plans = t._forget_plans
@@ -238,7 +238,6 @@ def forget(c: StableCurve, keep) -> StableCurve:
     if plan is None:
         plan = plans[keep] = _plan_forget(t, keep)
     nt, gather = plan
-    pts = c.points
     out = StableCurve._of(t if nt is None else nt, tuple([pts[i] for i in gather]))
     bad = out.validate()
     if bad:
@@ -247,12 +246,18 @@ def forget(c: StableCurve, keep) -> StableCurve:
 
 
 def _plan_forget(t: MarkedTree, keep: FrozenSet) -> Tuple[Optional[MarkedTree], Tuple]:
-    """(output tree, gather) of forgetting all but keep on tree t.
+    """(output tree, gather) of forgetting all but keep on tree t, read
+    off the rows of t's slot layout.
 
-    gather[i] is the index on t of the point that the stabilized curve
-    takes for its slot i.  The output tree is None when it is t itself,
-    so that no tree refers to itself.
-    Raises CurveError for a bad keep set; errors are not kept.
+    A vertex survives iff the kept marks lie in 3 or more of its slots.
+    At a survivor, a slot that holds one kept mark becomes that mark, and
+    a slot that holds more becomes the edge to the survivor whose slot
+    holds the other kept marks; either way it keeps its point.  The
+    survivors keep their order, and phi is read through them.  gather[i]
+    is the index on t of the point that the stabilized curve takes for
+    its slot i.  The output tree is None when it is t itself, so that no
+    tree refers to itself.  Raises CurveError for a bad keep set or an
+    invalid tree; errors are not kept.
     """
     if not keep <= t.mu.keys():
         raise CurveError("keep contains unknown marks")
@@ -263,75 +268,41 @@ def _plan_forget(t: MarkedTree, keep: FrozenSet) -> Tuple[Optional[MarkedTree], 
             raise CurveError("keep too small: need at least 2 conjugate pairs")
     elif len(keep) < 3:
         raise CurveError("keep too small: need at least 3 marks")
+    rows = slot_layout(t).rows
+    if rows is None:
+        raise CurveError("forget on an invalid tree: %r" % (t.validate(),))
 
-    # working copy over the original vertex ids; inc[v] and at[v] are the
-    # edges and the kept marks at v, src[v] maps each current slot at v to
-    # the index on t of its coordinate
-    verts = set(range(t.vertex_count))
-    edges = set(t.edges)
-    inc = {v: {e for e in t.edges if v in e} for v in verts}
-    mu = {m: v for m, v in t.mu.items() if m in keep}
-    at = {v: [m for m in t.mu_inv(v) if m in keep] for v in verts}
-    lay = slot_layout(t)
-    src = {v: {lay.slots[i]: i for i in range(lay.offsets[v], lay.offsets[v + 1])
-               if lay.slots[i][0] == "e" or lay.slots[i][1] in keep}
-           for v in verts}
-
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(verts):
-            iv, marks_here = inc[v], at[v]
-            nspecial = len(iv) + len(marks_here)
-            if nspecial >= 3 or (len(iv) == 0 and len(verts) == 1):
-                continue
-            changed = True
-            if len(iv) == 2:
-                (e1, e2) = sorted(iv)
-                a = e1[0] if e1[1] == v else e1[1]
-                b = e2[0] if e2[1] == v else e2[1]
-                edges -= {e1, e2}
-                newe = tuple(sorted((a, b)))
-                edges.add(newe)
-                inc[a].remove(e1)
-                inc[a].add(newe)
-                inc[b].remove(e2)
-                inc[b].add(newe)
-                src[a][_edge_slot(newe)] = src[a].pop(_edge_slot(e1))
-                src[b][_edge_slot(newe)] = src[b].pop(_edge_slot(e2))
-            elif len(iv) == 1:
-                (e,) = iv
-                a = e[0] if e[1] == v else e[1]
-                edges.discard(e)
-                inc[a].discard(e)
-                node = src[a].pop(_edge_slot(e))
-                if marks_here:
-                    # the remaining mark lands at the node position
-                    m = marks_here[0]
-                    mu[m] = a
-                    at[a].append(m)
-                    src[a][("m", m)] = node
+    bits = t.mark_bits()
+    kept = [(i, bits[m]) for i, m in enumerate(bits) if m in keep]
+    mark_of = {bits[m]: m for m in keep}
+    full = sum(mark_of)
+    # held[v]: slot index at v -> mask of the kept marks it holds
+    held = []
+    for row in rows:
+        h: Dict[int, int] = {}
+        for i, b in kept:
+            h[row[i]] = h.get(row[i], 0) | b
+        held.append(h)
+    survivors = [v for v, h in enumerate(held) if len(h) >= 3]
+    newid = {v: i for i, v in enumerate(survivors)}
+    # the survivor whose slot holds a mask of 2 or more kept marks
+    far = {mask: newid[v] for v in survivors for mask in held[v].values()
+           if mask & (mask - 1)}
+    at, edges = {}, set()
+    old = {}  # (output vertex, output slot) -> index on t of its point
+    for v in survivors:
+        u = newid[v]
+        for i, mask in held[v].items():
+            if mask & (mask - 1):
+                slot = _edge_slot((u, far[full ^ mask]))
+                edges.add(slot[1])
             else:
-                raise CurveError("keep too small for stability")
-            verts.discard(v)
-            src.pop(v, None)
-            break
-
-    newid = {v: i for i, v in enumerate(sorted(verts))}
-    new_edges = [tuple(sorted((newid[a], newid[b]))) for a, b in edges]
-    new_mu = {m: newid[v] for m, v in mu.items()}
-    phi = None
-    if t.is_real:
-        phi = _phi_from_structure(MarkedTree(len(verts), new_edges, new_mu))
-    nt = shared_tree(len(verts), new_edges, new_mu, phi)
-    # (output vertex, output slot) -> index on t of its point
-    old = {}
-    for v in verts:
-        for slot, i in src[v].items():
-            if slot[0] == "e":
-                a, b = slot[1]
-                slot = _edge_slot((newid[a], newid[b]))
-            old[newid[v], slot] = i
+                slot = ("m", mark_of[mask])
+                at[slot[1]] = u
+            old[u, slot] = i
+    mu = {m: at[m] for m in t.mu if m in keep}
+    phi = [newid[t.phi[v]] for v in survivors] if t.is_real else None
+    nt = shared_tree(len(survivors), edges, mu, phi)
     out = slot_layout(nt)
     return (None if nt is t else nt), tuple([old[vs] for vs in zip(out.vertex, out.slots)])
 

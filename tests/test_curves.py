@@ -482,8 +482,9 @@ class TestForgetErrors:
 
 
 class TestInvalidCurveErrors:
-    """forget and moduli_key on a curve whose slots are not its tree's
-    raise CurveError with the validate() messages."""
+    """forget and moduli_key on a curve whose slots are not its tree's,
+    and forget on an invalid tree, raise CurveError with the validate()
+    messages."""
 
     @pytest.mark.parametrize("call", [lambda c: forget(c, c.tree.marks()[:4]), moduli_key],
                              ids=["forget", "moduli_key"])
@@ -495,6 +496,17 @@ class TestInvalidCurveErrors:
         assert c.points is None
         with pytest.raises(curves.CurveError, match=re.escape(repr(c.validate()))):
             call(c)
+
+    def test_forget_on_an_invalid_tree(self):
+        # vertex 1 has valence 2: the tree keeps no layout rows to read the
+        # stabilization from
+        t = trees.MarkedTree(2, [(0, 1)], {1: 0, 2: 0, 3: 0, 4: 1})
+        c = StableCurve(t, {0: {("m", 1): PP_ZERO, ("m", 2): PP_ONE, ("m", 3): PP_INF,
+                                ("e", (0, 1)): pp(GaussRat(2))},
+                            1: {("m", 4): PP_ZERO, ("e", (0, 1)): PP_INF}})
+        for _call in range(2):
+            with pytest.raises(curves.CurveError, match="valence 2 < 3"):
+                forget(c, [1, 2, 3, 4])
 
 
 # sha256 of the sorted-key JSON of forget's output, one line per (tree,
