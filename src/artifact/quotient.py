@@ -304,28 +304,71 @@ def y_membership(c: StableCurve, rho, bullet: str) -> bool:
 # ---------------------------------------------------------------------------
 # engineered placements of the extra mark over a fixed base
 
+# the nodes of a middle component whose two sides conjugation swaps sit
+# at i and -i
+_I = ProjPoint(GaussRat(0, 1))
+
+
+def _place(c: StableCurve, sites, point: ProjPoint) -> StableCurve:
+    """c with the next mark placed at sites[0], and on a real curve its
+    conjugate at sites[1], the conjugate site; the first mark is at
+    `point`, the second at point.conj().
+
+    A site (v, None) is a point of component v.  A site (v, slot) splits
+    a new component off v's mark or edge slot: on it the node to v is at
+    infinity and the old content of the slot at 0, and v keeps the old
+    position for the node.  Both sites on one node put both marks on one
+    new component; its nodes are at i and -i when phi swaps the node's
+    sides.  Raises QuotientError when the result is not a valid curve.
+    """
+    t = c.tree
+    n = t.vertex_count
+    coords, mu, edges = c.coords, dict(t.mu), set(t.edges)
+    l1 = t.l + 1
+    marks = ["%d+" % l1, "%d-" % l1] if t.is_real else [l1]
+    new: Dict = {}  # split slot -> its new component
+    at = []  # the component of each new mark
+    for (v, slot), m, z in zip(sites, marks, (point, point.conj())):
+        w = v if slot is None else new.get(slot)
+        if w is None:
+            w = new[slot] = n + len(new)
+            node = _edge_slot((v, w))
+            coords[v][node] = coords[v].pop(slot)
+            edges.add(node[1])
+            if slot[0] == "m":
+                mu[slot[1]] = w
+                coords[w] = {node: PP_INF, slot: PP_ZERO}
+            else:
+                y = sum(slot[1]) - v
+                far = _edge_slot((w, y))
+                edges.remove(slot[1])
+                edges.add(far[1])
+                coords[y][far] = coords[y].pop(slot)
+                swap = t.is_real and t.phi[v] == y
+                coords[w] = {node: _I, far: _I.conj()} if swap else {node: PP_INF, far: PP_ZERO}
+        mu[m] = w
+        coords[w][("m", m)] = z
+        at.append(w)
+    phi = None
+    if t.is_real:
+        phi = list(t.phi) + [at[1 - at.index(w)] for w in range(n, n + len(new))]
+    out = StableCurve(shared_tree(n + len(new), edges, mu, phi), coords)
+    bad = out.validate()
+    if bad:
+        raise QuotientError("bad placement: %r" % (bad,))
+    return out
+
+
 def add_mark(c: StableCurve, v: int, point: ProjPoint) -> StableCurve:
     """Attach the next mark at `point` on component v (with its conjugate
     at phi(v) for real curves)."""
     t = c.tree
     if v not in range(t.vertex_count):
         raise QuotientError("no vertex %r" % (v,))
-    coords = c.coords
-    mu = dict(t.mu)
+    sites = [(v, None)]
     if t.is_real:
-        mp, mm = "%d+" % (t.l + 1), "%d-" % (t.l + 1)
-        mu[mp] = v
-        mu[mm] = t.phi[v]
-        coords[v][("m", mp)] = point
-        coords[t.phi[v]][("m", mm)] = point.conj()
-    else:
-        mu[t.l + 1] = v
-        coords[v][("m", t.l + 1)] = point
-    out = StableCurve(shared_tree(t.vertex_count, t.edges, mu, t.phi), coords)
-    bad = out.validate()
-    if bad:
-        raise QuotientError("bad placement: %r" % (bad,))
-    return out
+        sites.append((t.phi[v], None))
+    return _place(c, sites, point)
 
 
 def bubble_at_mark(c: StableCurve, m, point: ProjPoint) -> StableCurve:
@@ -340,40 +383,10 @@ def bubble_at_mark(c: StableCurve, m, point: ProjPoint) -> StableCurve:
         raise QuotientError("no mark %r" % (m,))
     if point in (PP_ZERO, PP_INF):
         raise QuotientError("bubble position must avoid the node and m")
-    v = t.mu[m]
-    w = t.vertex_count
-    mu = dict(t.mu)
-    edges = list(t.edges) + [(v, w)]
-    coords = c.coords
-    old = coords[v].pop(("m", m))
-    coords[v][_edge_slot((v, w))] = old
-    mu[m] = w
-    coords[w] = {_edge_slot((v, w)): PP_INF, ("m", m): PP_ZERO}
+    sites = [(t.mu[m], ("m", m))]
     if t.is_real:
-        mp, mm = "%d+" % (t.l + 1), "%d-" % (t.l + 1)
-        mu[mp] = w
-        coords[w][("m", mp)] = point
-        mb = bar_mark(m)
-        vb = t.mu[mb]
-        wb = w + 1
-        edges.append((vb, wb))
-        oldb = coords[vb].pop(("m", mb))
-        coords[vb][_edge_slot((vb, wb))] = oldb
-        mu[mb] = wb
-        mu[mm] = wb
-        coords[wb] = {_edge_slot((vb, wb)): PP_INF, ("m", mb): PP_ZERO,
-                      ("m", mm): point.conj()}
-        phi = list(t.phi) + [wb, w]
-        nt = shared_tree(t.vertex_count + 2, edges, mu, phi)
-    else:
-        mu[t.l + 1] = w
-        coords[w][("m", t.l + 1)] = point
-        nt = shared_tree(t.vertex_count + 1, edges, mu)
-    out = StableCurve(nt, coords)
-    bad = out.validate()
-    if bad:
-        raise QuotientError("bad bubble: %r" % (bad,))
-    return out
+        sites.append((t.mu[bar_mark(m)], ("m", bar_mark(m))))
+    return _place(c, sites, point)
 
 
 def mark_at_node(c: StableCurve, e, point: ProjPoint) -> StableCurve:
@@ -384,66 +397,10 @@ def mark_at_node(c: StableCurve, e, point: ProjPoint) -> StableCurve:
     if e not in set(t.edges):
         raise QuotientError("no edge %r" % (e,))
     u, x = e
-    coords = c.coords
-    mu = dict(t.mu)
-    if not t.is_real:
-        w = t.vertex_count
-        edges = [y for y in t.edges if y != e] + [(u, w), (w, x)]
-        coords[u][_edge_slot((u, w))] = coords[u].pop(_edge_slot(e))
-        coords[x][_edge_slot((w, x))] = coords[x].pop(_edge_slot(e))
-        mu[t.l + 1] = w
-        coords[w] = {_edge_slot((u, w)): PP_INF, _edge_slot((w, x)): PP_ZERO,
-                     ("m", t.l + 1): point}
-        out = StableCurve(shared_tree(t.vertex_count + 1, edges, mu), coords)
-        bad = out.validate()
-        if bad:
-            raise QuotientError("bad node insertion: %r" % (bad,))
-        return out
-    mp, mm = "%d+" % (t.l + 1), "%d-" % (t.l + 1)
-    eb = tuple(sorted((t.phi[u], t.phi[x])))
-    if eb == e:
-        # the node is preserved by conjugation: one fixed middle vertex
-        w = t.vertex_count
-        edges = [y for y in t.edges if y != e] + [(u, w), (w, x)]
-        coords[u][_edge_slot((u, w))] = coords[u].pop(_edge_slot(e))
-        coords[x][_edge_slot((w, x))] = coords[x].pop(_edge_slot(e))
-        mu[mp] = w
-        mu[mm] = w
-        if t.phi[u] == u:
-            # both sides fixed: real nodes, conjugate pair of marks
-            cw = {_edge_slot((u, w)): PP_INF, _edge_slot((w, x)): PP_ZERO,
-                  ("m", mp): point, ("m", mm): point.conj()}
-        else:
-            # conjugation swaps the two sides: conjugate node positions
-            i_pt = ProjPoint(GaussRat(0, 1))
-            cw = {_edge_slot((u, w)): i_pt, _edge_slot((w, x)): i_pt.conj(),
-                  ("m", mp): point, ("m", mm): point.conj()}
-        coords[w] = cw
-        phi = list(t.phi) + [w]
-        nt = shared_tree(t.vertex_count + 1, edges, mu, phi)
-    else:
-        w, wb = t.vertex_count, t.vertex_count + 1
-        edges = [y for y in t.edges if y not in (e, eb)]
-        edges += [(u, w), (w, x), (eb[0], wb), (wb, eb[1])]
-        coords[u][_edge_slot((u, w))] = coords[u].pop(_edge_slot(e))
-        coords[x][_edge_slot((w, x))] = coords[x].pop(_edge_slot(e))
-        ub, xb = t.phi[u], t.phi[x]
-        coords[ub][_edge_slot((ub, wb))] = coords[ub].pop(_edge_slot(eb))
-        coords[xb][_edge_slot((wb, xb))] = coords[xb].pop(_edge_slot(eb))
-        mu[mp] = w
-        mu[mm] = wb
-        coords[w] = {_edge_slot((u, w)): PP_INF, _edge_slot((w, x)): PP_ZERO,
-                     ("m", mp): point}
-        coords[wb] = {_edge_slot((ub, wb)): PP_INF,
-                      _edge_slot((wb, xb)): PP_ZERO,
-                      ("m", mm): point.conj()}
-        phi = list(t.phi) + [wb, w]
-        nt = shared_tree(t.vertex_count + 2, edges, mu, phi)
-    out = StableCurve(nt, coords)
-    bad = out.validate()
-    if bad:
-        raise QuotientError("bad node insertion: %r" % (bad,))
-    return out
+    sites = [(u, ("e", e))]
+    if t.is_real:
+        sites.append((t.phi[u], _edge_slot((t.phi[u], t.phi[x]))))
+    return _place(c, sites, point)
 
 
 def _rand_pos(rng: random.Random, bound: int) -> ProjPoint:
