@@ -285,7 +285,8 @@ def _plan_forget(t: MarkedTree, keep: FrozenSet) -> Tuple[Optional[MarkedTree], 
         held.append(h)
     survivors = [v for v, h in enumerate(held) if len(h) >= 3]
     newid = {v: i for i, v in enumerate(survivors)}
-    # the survivor whose slot holds a mask of 2 or more kept marks
+    # far[mask]: the new id of the one survivor with a slot that holds
+    # the kept marks of mask, for masks of 2 or more marks
     far = {mask: newid[v] for v in survivors for mask in held[v].values()
            if mask & (mask - 1)}
     at, edges = {}, set()
@@ -300,7 +301,7 @@ def _plan_forget(t: MarkedTree, keep: FrozenSet) -> Tuple[Optional[MarkedTree], 
                 slot = ("m", mark_of[mask])
                 at[slot[1]] = u
             old[u, slot] = i
-    mu = {m: at[m] for m in t.mu if m in keep}
+    mu = {m: at[m] for m in t.mu if m in keep}  # in t's order, as repr shows
     phi = [newid[t.phi[v]] for v in survivors] if t.is_real else None
     nt = shared_tree(len(survivors), edges, mu, phi)
     out = slot_layout(nt)

@@ -497,16 +497,19 @@ class TestInvalidCurveErrors:
         with pytest.raises(curves.CurveError, match=re.escape(repr(c.validate()))):
             call(c)
 
-    def test_forget_on_an_invalid_tree(self):
-        # vertex 1 has valence 2: the tree keeps no layout rows to read the
-        # stabilization from
+    @pytest.mark.parametrize("call", [lambda c: forget(c, [1, 2, 3, 4]), moduli_key],
+                             ids=["forget", "moduli_key"])
+    def test_invalid_tree(self, call):
+        # vertex 1 has valence 2: the tree keeps no layout rows, and the
+        # curve's slots are the tree's
         t = trees.MarkedTree(2, [(0, 1)], {1: 0, 2: 0, 3: 0, 4: 1})
         c = StableCurve(t, {0: {("m", 1): PP_ZERO, ("m", 2): PP_ONE, ("m", 3): PP_INF,
                                 ("e", (0, 1)): pp(GaussRat(2))},
                             1: {("m", 4): PP_ZERO, ("e", (0, 1)): PP_INF}})
+        assert c.points is not None
         for _call in range(2):
             with pytest.raises(curves.CurveError, match="valence 2 < 3"):
-                forget(c, [1, 2, 3, 4])
+                call(c)
 
 
 # sha256 of the sorted-key JSON of forget's output, one line per (tree,
