@@ -267,3 +267,55 @@ def test_control_reads_the_given_image():
         # a wrong image fails the honest chart too, so the control reads it
         wrong = tuple(z + 1 for z in blowdown(p))
         assert not lemma_hypothesis_check(m, p, image=wrong)["all_ok"]
+
+
+# the presets plus two augmented models with c1 >= 2, where the second-family
+# chart coordinates shift by more than one slot
+CHART_ALGEBRA_MODELS = [PRESETS[name] for name in sorted(PRESETS)] + [
+    Model("augmented", c=4, m=1, c1=2),
+    Model("augmented", c=5, m=0, c1=3),
+]
+# sha256 over the lines below for every model, chart pair and point, pinned
+# when each family pair had its own transition helper
+CHART_ALGEBRA_SHA256 = (
+    "086351709bf276d69144d8123d39f2b4d3a5ebd7f8a9419ca7f684ae41c54b21")
+
+
+class TestChartAlgebraPinned:
+    @staticmethod
+    def _points(m, chart, rng):
+        # seeded samples with and without avoid_zero, each also with one
+        # blown-up coordinate zeroed in turn
+        for bound in (1, 3):
+            for avoid_zero in (False, True):
+                for _ in range(3):
+                    p = sample_point(m, chart, rng, bound=bound,
+                                     avoid_zero=avoid_zero)
+                    yield p
+                    for j in range(m.c):
+                        coords = list(p.coords)
+                        coords[j] = GaussRat(0)
+                        yield BlowupPoint(m, chart, tuple(coords))
+
+    def test_chart_algebra(self):
+        h = hashlib.sha256()
+        errors, tags = set(), set()
+        for m in CHART_ALGEBRA_MODELS:
+            rng = random.Random("chart-algebra:%r" % (m,))
+            for chart in m.charts():
+                for p in self._points(m, chart, rng):
+                    img = ",".join(z.serialize() for z in blowdown(p))
+                    tag = exceptional_classify(p)
+                    tags.add(tag)
+                    lines = ["%s -> %s %s" % (p.serialize(), img, tag)]
+                    for target in m.charts():
+                        try:
+                            lines.append(transition(p, target).serialize())
+                        except TransitionDomainError as e:
+                            lines.append("ERR %s" % (e,))
+                            errors.add(str(e).split(";")[0].split(" ")[0])
+                    h.update(("\n".join(lines) + "\n").encode())
+        # every domain error and every locus tag is reached
+        assert errors == {"line", "v-block", "second-block"}
+        assert tags == {"off", "E", "E0", "E-", "E0&E-"}
+        assert h.hexdigest() == CHART_ALGEBRA_SHA256
