@@ -26,12 +26,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from .exactfield import GaussRat, ZERO, ONE, gauss_rat
 
 Scalar = GaussRat
 ChartId = Tuple[int, int]
+#: the fiber part of line data: a scale, or a second-family direction
+Fiber = Union[Scalar, List[Scalar]]
 
 
 class LocalModelError(Exception):
@@ -149,24 +151,17 @@ class BlowupPoint:
 def blowdown(p: BlowupPoint) -> Tuple[Scalar, ...]:
     """Image of ``p`` in the model space R^c x R^m (or C^c x R^m).
 
-    Standard chart i: slot j maps to u_j * u_i for j != i <= c, to u_i
-    for j = i, and base slots are untouched.  Second-family augmented
-    chart i: the first block of slots carries r_0 * r_j * |lam|^2 and the
-    second block r_0 * lam_{j-c1}, where the line coordinates r and the
-    fiber direction lam are read off the chart coordinates.
+    With the line data (line, x) of :func:`_line_data`, a standard or
+    first-family chart maps slot j to x * rho_j.  A second-family chart
+    maps the first block of slots to r_0 * r_j * |lam|^2 and the second
+    block to r_0 * lam_{j-c1}, the first-family image of its glued line
+    data, which this formula extends over the v-block zero locus.
     """
-    m = p.model
-    k, i = p.chart
-    if m.kind != "augmented" or k == 1:
-        t = p.u(i)
-        out = [p.u(j) * t for j in range(1, m.c + 1)]
-        out[i - 1] = t
-        return tuple(out) + p.base
-    r, lam = _second_family_lift(p)
-    s2 = _sum_sq(lam)
-    out = [r[0] * r[j] * s2 for j in range(1, m.c1 + 1)]
-    out += [r[0] * lam[j] for j in range(m.c2)]
-    return tuple(out) + p.base
+    line, x = _line_data(p)
+    if p.chart[0] == 2:
+        s2 = _sum_sq(x)
+        line, x = [rj * s2 for rj in line[1:]] + x, line[0]
+    return tuple(x * rj for rj in line) + p.base
 
 
 def _sum_sq(vals: Sequence[Scalar]) -> Scalar:
@@ -176,29 +171,75 @@ def _sum_sq(vals: Sequence[Scalar]) -> Scalar:
     return acc
 
 
-def _second_family_lift(p: BlowupPoint) -> Tuple[List[Scalar], List[Scalar]]:
-    """Line coordinates r_0..r_{c1} (with r_i = 1) and the fiber vector.
-
-    In second-family chart i the coordinates list r_0, .., r_{i-1},
-    r_{i+1}, .., r_{c1} (the slot of r_i is dropped and everything below
-    shifts up by one) followed by the v-row v_{i,1..c2} = r_i * lam.
-    With r_i = 1 the v-row *is* lam.
-    """
-    m = p.model
-    _, i = p.chart
-    r: List[Scalar] = [ZERO] * (m.c1 + 1)
-    r[i] = ONE
-    for j in range(1, i + 1):
-        r[j - 1] = p.u(j)
-    for j in range(i + 1, m.c1 + 1):
-        r[j] = p.u(j)
-    lam = [p.u(m.c1 + jp) for jp in range(1, m.c2 + 1)]
-    return r, lam
-
-
 # ---------------------------------------------------------------------------
 # chart transitions
 # ---------------------------------------------------------------------------
+#
+# A chart move reads the point as line data (line, x), glues it to the
+# other augmented family when the two charts' families differ, and writes
+# it into the target chart.  Rescaling the line only changes the
+# representative; the chart being written normalizes it.
+
+
+def _line_data(p: BlowupPoint) -> Tuple[List[Scalar], Fiber]:
+    """(line, x) of ``p``.
+
+    Standard or first-family chart i: the line rho with rho_i = 1 and the
+    fiber scale x = u_i, so model slot j carries x * rho_j.  Second-family
+    chart i: the line r = (r_0, .., r_{c1}) with r_i = 1, whose other
+    entries the chart lists in order, and x = lam, the v-row after them.
+    """
+    m = p.model
+    k, i = p.chart
+    if k == 1:
+        line = list(p.coords[: m.c])
+        line[i - 1] = ONE
+        return line, p.u(i)
+    return (list(p.coords[:i]) + [ONE] + list(p.coords[i: m.c1]),
+            list(p.coords[m.c1: m.c]))
+
+
+def _in_chart(model: Model, target: ChartId, line: List[Scalar], x: Fiber,
+              base: Tuple[Scalar, ...]) -> BlowupPoint:
+    """The point with line data (line, x) in chart ``target``, where the
+    target's line coordinate must not vanish."""
+    k, it = target
+    slot = it - 1 if k == 1 else it
+    ri = line[slot]
+    if ri.is_zero():
+        raise TransitionDomainError(
+            "line coordinate %d vanishes; chart %r unreachable" % (it, target)
+        )
+    out = [rj / ri for rj in line]
+    if k == 1:
+        out[slot] = x * ri
+    else:
+        del out[slot]
+        out += [ri * lam for lam in x]
+    return BlowupPoint(model, target, tuple(out) + base)
+
+
+def _glued(model: Model, k: int, line: List[Scalar], x: Fiber
+           ) -> Tuple[List[Scalar], Fiber]:
+    """Line data of family ``k`` moved to the other augmented family.
+
+    Second-family (r, lam) glues, where the v-block is nonzero, to the
+    first-family direction (r_j * |lam|^2)_{j in [c1]} followed by lam,
+    with fiber scale r_0.  The inverse needs a nonzero second-block
+    direction lam = rho[c1:]; it gives r = (x, rho_j / |lam|^2)_{j in [c1]}.
+    """
+    if k == 2:
+        s2 = _sum_sq(x)
+        if s2.is_zero():
+            raise TransitionDomainError("v-block vanishes; point not glued to first family")
+        return [rj * s2 for rj in line[1:]] + x, line[0]
+    lam = line[model.c1:]
+    s2 = _sum_sq(lam)
+    if s2.is_zero():
+        raise TransitionDomainError(
+            "second-block direction vanishes; point not glued to second family"
+        )
+    return [x] + [rj / s2 for rj in line[: model.c1]], lam
 
 
 def transition(p: BlowupPoint, target: ChartId) -> BlowupPoint:
@@ -213,98 +254,10 @@ def transition(p: BlowupPoint, target: ChartId) -> BlowupPoint:
         raise LocalModelError("chart %r not in model" % (target,))
     if target == p.chart:
         return p
-    k, _ = p.chart
-    kt, it = target
-    if m.kind != "augmented" or (k == 1 and kt == 1):
-        return _standard_transition(p, target)
-    if k == 2 and kt == 2:
-        return _second_to_second(p, target)
-    if k == 2 and kt == 1:
-        return _second_to_first(p, target)
-    return _first_to_second(p, target)
-
-
-def _standard_transition(p: BlowupPoint, target: ChartId) -> BlowupPoint:
-    m = p.model
-    _, i = p.chart
-    _, it = target
-    # line coordinates with r_i = 1; fiber scale t = u_i
-    r = list(p.coords[: m.c])
-    r[i - 1] = ONE
-    t = p.u(i)
-    ri = r[it - 1]
-    if ri.is_zero():
-        raise TransitionDomainError(
-            "line coordinate %d vanishes; chart %r unreachable" % (it, target)
-        )
-    out = [rj / ri for rj in r]
-    out[it - 1] = t * ri
-    return BlowupPoint(m, target, tuple(out) + p.base)
-
-
-def _chart_from_line(
-    m: Model, target: ChartId, r: List[Scalar], lam: List[Scalar], base: Tuple[Scalar, ...]
-) -> BlowupPoint:
-    """Second-family chart coordinates from line data (r, lam)."""
-    _, it = target
-    ri = r[it]
-    if ri.is_zero():
-        raise TransitionDomainError(
-            "line coordinate %d vanishes; chart %r unreachable" % (it, target)
-        )
-    out: List[Scalar] = []
-    for j in range(1, it + 1):
-        out.append(r[j - 1] / ri)
-    for j in range(it + 1, m.c1 + 1):
-        out.append(r[j] / ri)
-    for jp in range(m.c2):
-        out.append(ri * lam[jp])
-    return BlowupPoint(m, target, tuple(out) + base)
-
-
-def _second_to_second(p: BlowupPoint, target: ChartId) -> BlowupPoint:
-    r, lam = _second_family_lift(p)
-    return _chart_from_line(p.model, target, r, lam, p.base)
-
-
-def _second_to_first(p: BlowupPoint, target: ChartId) -> BlowupPoint:
-    """Gluing map onto the first family, defined where the v-block is nonzero.
-
-    The glued direction in RP^{c-1} is (r_j * |lam|^2)_{j in [c1]}
-    followed by lam, and the fiber scale over it is r_0.
-    """
-    m = p.model
-    _, it = target
-    r, lam = _second_family_lift(p)
-    s2 = _sum_sq(lam)
-    if s2.is_zero():
-        raise TransitionDomainError("v-block vanishes; point not glued to first family")
-    direction = [r[j] * s2 for j in range(1, m.c1 + 1)] + lam
-    di = direction[it - 1]
-    if di.is_zero():
-        raise TransitionDomainError(
-            "line coordinate %d vanishes; chart %r unreachable" % (it, target)
-        )
-    out = [dj / di for dj in direction]
-    out[it - 1] = r[0] * di
-    return BlowupPoint(m, target, tuple(out) + p.base)
-
-
-def _first_to_second(p: BlowupPoint, target: ChartId) -> BlowupPoint:
-    """Inverse gluing: needs a nonzero second-block line direction."""
-    m = p.model
-    _, i = p.chart
-    rho = list(p.coords[: m.c])
-    rho[i - 1] = ONE
-    t = p.u(i)  # fiber scale: model slot j carries t * rho_j
-    lam = rho[m.c1:]
-    s2 = _sum_sq(lam)
-    if s2.is_zero():
-        raise TransitionDomainError(
-            "second-block direction vanishes; point not glued to second family"
-        )
-    r = [t] + [rho_j / s2 for rho_j in rho[: m.c1]]
-    return _chart_from_line(m, target, r, lam, p.base)
+    line, x = _line_data(p)
+    if target[0] != p.chart[0]:
+        line, x = _glued(m, p.chart[0], line, x)
+    return _in_chart(m, target, line, x, p.base)
 
 
 def chart_moves(p: BlowupPoint) -> Dict[ChartId, Optional[BlowupPoint]]:
@@ -351,29 +304,23 @@ E_BOTH = "E0&E-"
 
 
 def exceptional_classify(p: BlowupPoint) -> str:
-    """Locus tag of ``p``.
+    """Locus tag of ``p``, read off its line data (line, x).
 
-    Standard models: "E" iff the fiber coordinate u_i vanishes, else
-    "off".  Augmented models: first-family charts only meet the lower
-    stratum ("E-" iff u_i = 0); second-family chart i has "E0" iff the
-    v-block vanishes and "E-" iff i >= 1 and the zeroth line coordinate
-    u_1 vanishes (chart 0 normalizes r_0 = 1 and misses E- entirely).
+    Standard models: "E" iff the fiber scale x vanishes, else "off".
+    Augmented models: first-family charts only meet the lower stratum
+    ("E-" iff x = 0); a second-family chart has "E0" iff the v-block x
+    vanishes and "E-" iff the line coordinate r_0 vanishes (chart 0
+    normalizes r_0 = 1 and misses E- entirely).
     """
-    m = p.model
-    k, i = p.chart
-    if m.kind != "augmented":
-        return EXC if p.u(i).is_zero() else OFF
-    if k == 1:
-        return E_MINUS if p.u(i).is_zero() else OFF
-    e0 = all(p.u(m.c1 + jp).is_zero() for jp in range(1, m.c2 + 1))
-    em = i >= 1 and p.u(1).is_zero()
-    if e0 and em:
-        return E_BOTH
-    if e0:
-        return E_ZERO
-    if em:
-        return E_MINUS
-    return OFF
+    line, x = _line_data(p)
+    if p.chart[0] == 1:
+        if not x.is_zero():
+            return OFF
+        return E_MINUS if p.model.kind == "augmented" else EXC
+    e0 = all(v.is_zero() for v in x)
+    em = line[0].is_zero()
+    return {(False, False): OFF, (True, False): E_ZERO,
+            (False, True): E_MINUS, (True, True): E_BOTH}[e0, em]
 
 
 # ---------------------------------------------------------------------------
@@ -382,10 +329,7 @@ def exceptional_classify(p: BlowupPoint) -> str:
 
 
 def lemma_hypothesis_check(
-    model: Model,
-    p: BlowupPoint,
-    base_chart: Optional[ChartId] = None,
-    image: Optional[Tuple[Scalar, ...]] = None,
+    p: BlowupPoint, image: Optional[Tuple[Scalar, ...]] = None
 ) -> Dict[str, object]:
     """Verify, exactly at ``p``, the relations that recognize a blowup.
 
@@ -405,8 +349,6 @@ def lemma_hypothesis_check(
     chart presentation exposes a corrupted chart.  Returns a report dict
     with one boolean per relation and ``all_ok``.
     """
-    if base_chart is not None and base_chart != p.chart:
-        raise LocalModelError("point must be sampled in the base chart")
     m = p.model
     k, i = p.chart
     img = blowdown(p) if image is None else image
@@ -438,7 +380,7 @@ def lemma_hypothesis_check(
     return report
 
 
-def corrupted_chart_control(model: Model, p: BlowupPoint,
+def corrupted_chart_control(p: BlowupPoint,
                             image: Optional[Tuple[Scalar, ...]] = None) -> bool:
     """Negative control: a chart with two swapped coordinates must fail.
 
@@ -452,8 +394,8 @@ def corrupted_chart_control(model: Model, p: BlowupPoint,
     swapped[0], swapped[1] = swapped[1], swapped[0]
     if tuple(swapped) == p.coords:
         swapped[0] = swapped[0] + ONE
-    q = BlowupPoint(model, p.chart, tuple(swapped))
-    rep = lemma_hypothesis_check(model, q, image=blowdown(p) if image is None else image)
+    q = BlowupPoint(p.model, p.chart, tuple(swapped))
+    rep = lemma_hypothesis_check(q, image=blowdown(p) if image is None else image)
     return not rep["all_ok"]
 
 
@@ -518,7 +460,7 @@ def verify_model(
         chart = charts[n % len(charts)]
         p = sample_point(model, chart, rng, bound=bound, avoid_zero=True)
         img = blowdown(p)
-        rep = lemma_hypothesis_check(model, p, image=img)
+        rep = lemma_hypothesis_check(p, image=img)
         for name, ok in rep.items():
             if name == "all_ok":
                 continue
@@ -528,7 +470,7 @@ def verify_model(
             if not ok:
                 failures.append("relation %s at %s" % (name, p.serialize()))
         control_total += 1
-        if corrupted_chart_control(model, p, img):
+        if corrupted_chart_control(p, img):
             control_pass += 1
         else:
             failures.append("negative control passed at %s" % p.serialize())

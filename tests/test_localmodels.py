@@ -161,7 +161,7 @@ class TestLemmaRelations:
         rng = random.Random("lemma:" + preset)
         for n in range(60):
             p = sample_point(m, m.charts()[n % len(m.charts())], rng)
-            assert lemma_hypothesis_check(m, p)["all_ok"]
+            assert lemma_hypothesis_check(p)["all_ok"]
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_corrupted_chart_fails(self, preset):
@@ -170,7 +170,7 @@ class TestLemmaRelations:
         for n in range(40):
             p = sample_point(m, m.charts()[n % len(m.charts())], rng,
                              avoid_zero=True)
-            assert corrupted_chart_control(m, p)
+            assert corrupted_chart_control(p)
 
 
 class TestInjectivity:
@@ -263,10 +263,10 @@ def test_control_reads_the_given_image():
         m = PRESETS[preset]
         rng = random.Random("control-image:" + preset)
         p = sample_point(m, m.charts()[0], rng, avoid_zero=True)
-        assert corrupted_chart_control(m, p, blowdown(p))
+        assert corrupted_chart_control(p, blowdown(p))
         # a wrong image fails the honest chart too, so the control reads it
         wrong = tuple(z + 1 for z in blowdown(p))
-        assert not lemma_hypothesis_check(m, p, image=wrong)["all_ok"]
+        assert not lemma_hypothesis_check(p, image=wrong)["all_ok"]
 
 
 # the presets plus two augmented models with c1 >= 2, where the second-family
