@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .exactfield import (IndeterminateProduct, PP_INF, PP_ONE, PP_ZERO,
@@ -379,25 +379,18 @@ def near_vertices(t: MarkedTree, labels) -> List[int]:
 
 
 def extended_basis(t: MarkedTree, eta, v_plus: int, rho_star) -> ChartBasis:
-    """Append the quadruple (i, j, k, l+1) at v_plus (plus its conjugate in
-    the real case) to the basis of t."""
+    """The basis of t extended by the quadruple (i, j, k, l+1) at v_plus
+    (plus its conjugate in the real case)."""
     if v_plus not in v_gamma(t, rho_star):
         raise ChartError("v_plus is not in the admissible vertex set")
-    return extend_basis(gamma_basis(t, eta), v_plus)
-
-
-def extend_basis(basis: ChartBasis, v_plus: int) -> ChartBasis:
-    """Set the extension of a basis at an admissible vertex v_plus."""
-    t = basis.tree
+    basis = gamma_basis(t, eta)
     i, j, k = basis.gamma_v[v_plus][:3]
     if t.is_real:
-        lp = "%d+" % (t.l + 1)
-        lm = "%d-" % (t.l + 1)
-        basis.extension = [(i, j, k, lp),
-                           (bar_mark(i), bar_mark(j), bar_mark(k), lm)]
+        ext = [(i, j, k, "%d+" % (t.l + 1)),
+               (bar_mark(i), bar_mark(j), bar_mark(k), "%d-" % (t.l + 1))]
     else:
-        basis.extension = [(i, j, k, t.l + 1)]
-    return basis
+        ext = [(i, j, k, t.l + 1)]
+    return replace(basis, extension=ext)
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,12 @@ from typing import Dict, List, Optional, Sequence
 
 from . import charts, curves, localmodels, quotient, strata, trees
 from .exactfield import (
-    GaussRat,
+    PP_INF,
     ProjPoint,
     UnstableConfiguration,
     IndeterminateProduct,
     cross_ratio,
+    finite_point,
 )
 
 MAX_L_ENUM = 10       # tree/stratum enumeration guardrail (complex)
@@ -145,11 +146,13 @@ def cmd_schedule(cfg) -> dict:
 
 
 def _rand_pp(rng: random.Random, bound: int) -> ProjPoint:
+    """Infinity with probability 1/20, else (p/d) + (q/e)i for integers
+    drawn in [-bound, bound] and [1, bound]."""
     if rng.random() < Fraction(1, 20):
-        return ProjPoint(GaussRat(1), GaussRat(0))
-    def frac():
-        return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
-    return ProjPoint(GaussRat(frac(), frac()))
+        return PP_INF
+    p, d = rng.randint(-bound, bound), rng.randint(1, bound)
+    q, e = rng.randint(-bound, bound), rng.randint(1, bound)
+    return finite_point(p * e, q * d, d * e)
 
 
 def _neg_over_one_minus(x: ProjPoint) -> ProjPoint:

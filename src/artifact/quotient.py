@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from .charts import (ChartDomainError, a_gamma, extend_basis, gamma_basis,
+from .charts import (ChartDomainError, a_gamma, extended_basis,
                      near_vertices)
 from .curves import (StableCurve, _edge_slot, cross_ratio_q, forget,
                      in_D_tilde, in_divisor, moduli_key, sample_curve)
@@ -253,7 +253,7 @@ def _make_plan(t: MarkedTree, rho_star: FrozenSet,
                 "no admissible chart vertex with rank %r" % (v_plus_rank,))
         v_plus = match[0]
     excluded = _excluded(t, v_plus, labels)
-    basis = extend_basis(gamma_basis(t), v_plus)
+    basis = extended_basis(t, None, v_plus, rho_star)
     quads = sorted(set(basis.all_quadruples),
                    key=lambda q: tuple(mark_key(m) for m in q))
     return ChartPlan(canonical_form(t), v_plus, order[v_plus], tuple(excluded),
