@@ -174,11 +174,6 @@ def _sum_sq(vals: Sequence[Scalar]) -> Scalar:
 # ---------------------------------------------------------------------------
 # chart transitions
 # ---------------------------------------------------------------------------
-#
-# A chart move reads the point as line data (line, x), glues it to the
-# other augmented family when the two charts' families differ, and writes
-# it into the target chart.  Rescaling the line only changes the
-# representative; the chart being written normalizes it.
 
 
 def _line_data(p: BlowupPoint) -> Tuple[List[Scalar], Fiber]:
@@ -202,7 +197,8 @@ def _line_data(p: BlowupPoint) -> Tuple[List[Scalar], Fiber]:
 def _in_chart(model: Model, target: ChartId, line: List[Scalar], x: Fiber,
               base: Tuple[Scalar, ...]) -> BlowupPoint:
     """The point with line data (line, x) in chart ``target``, where the
-    target's line coordinate must not vanish."""
+    target's line coordinate must not vanish.  The line need not be
+    normalized: rescaling it (and x inversely) is the same point."""
     k, it = target
     slot = it - 1 if k == 1 else it
     ri = line[slot]
@@ -243,7 +239,9 @@ def _glued(model: Model, k: int, line: List[Scalar], x: Fiber
 
 
 def transition(p: BlowupPoint, target: ChartId) -> BlowupPoint:
-    """Express ``p`` in another chart of the same model.
+    """Express ``p`` in another chart of the same model: read its line
+    data, glue it to the other augmented family when the two charts'
+    families differ, and write it into the target chart.
 
     Raises :class:`TransitionDomainError` when the point lies outside the
     target chart's domain (the relevant line coordinate vanishes, or a
