@@ -1,5 +1,6 @@
 """Coordinate bases, reconstruction recursion, real slice equations."""
 
+import functools
 import hashlib
 import itertools
 import json
@@ -77,6 +78,48 @@ class TestBasisDimension:
         for t in trees.enumerate_trees(5):
             for q in gamma_basis(t).quadruples:
                 assert len(set(q)) == 4
+
+
+class TestReferenceBasis:
+    """[Gamma]_v and the edge quadruples from the definition, with the
+    branch sides found by a search over the adjacency lists and mu."""
+
+    @staticmethod
+    def _branch(t, v, w):
+        # the marks on the branch at v through its neighbour w
+        adj = t.adjacency()
+        seen, queue = {v, w}, [w]
+        for x in queue:
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    queue.append(y)
+        seen.discard(v)
+        return {m for m, x in t.mu.items() if x in seen}
+
+    @pytest.mark.parametrize("l,real", [(l, False) for l in range(3, 8)]
+                             + [(l, True) for l in range(2, 5)])
+    def test_basis_matches_definition(self, l, real):
+        least = functools.partial(min, key=trees.mark_key)
+        for t in trees.enumerate_trees(l, real=real):
+            adj = t.adjacency()
+            # own marks plus the least mark beyond each edge out of v
+            gamma = {v: trees.sort_marks([m for m, x in t.mu.items() if x == v]
+                                         + [least(self._branch(t, v, w)) for w in adj[v]])
+                     for v in range(t.vertex_count)}
+            quads = {}
+            for u, w in t.edges:  # u < w: the smaller index is the near vertex
+                near = self._branch(t, w, u)  # the marks on the u side
+                far = set(t.mu) - near
+                i, j = least(near), least(far)
+                k = least(m for m in gamma[u] if m in near and m != i)
+                m = least(x for x in gamma[w] if x in far and x != j)
+                quads[(u, w)] = (i, j, k, m)
+            basis = gamma_basis(t)
+            assert basis.gamma_v == gamma
+            assert basis.edge_quads == quads
+            assert all(len(set(q)) == 4 for q in quads.values())
+            assert all(len(ms) >= 3 for ms in gamma.values())
 
 
 # sha256 of ChartBasis.to_json() (sorted-key JSON, one line per tree) over
