@@ -2,7 +2,14 @@
 all cross ratios from basis values.
 
 A basis consists of one quadruple per extra unit of valence at each
-vertex plus one quadruple per edge, l-3 in total.  Reconstruction seeds
+vertex plus one quadruple per edge, l-3 in total.  It is read off the
+tree's split-mask index under the systematic marking, which sends each
+oriented edge to the least mark beyond it; there is no marking
+parameter.  [Gamma]_v is the mask of v's own marks and the lowest bit of
+each branch mask at v, and the quadruple (i, j, k, m) of an edge (u, w),
+u < w, takes i and j as the least marks on the u and w sides, k as the
+next [Gamma]_u mark on the u side and m as the next [Gamma]_w mark on the
+w side.  Reconstruction seeds
 each vertex with normalized local coordinates (first three basis marks at
 infinity, 0, 1) and grows the set of known 4-point values by the cocycle
 relation CR_{ijkn} = CR_{ijkm} * CR_{ijmn}, skipping routes that hit the
@@ -29,6 +36,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
+from .curves import cross_ratio_q
 from .exactfield import (IndeterminateProduct, PP_INF, PP_ONE, PP_ZERO,
                          ProjPoint, UnstableConfiguration, cross_ratio)
 from .strata import _admissible, _universe, order_key
@@ -45,59 +53,10 @@ class ChartDomainError(ChartError):
 
 
 # ---------------------------------------------------------------------------
-# marking maps
-
-def systematic_marking(t: MarkedTree) -> Dict[Tuple[int, int], object]:
-    """eta(e~) = minimal mark on the far side of the oriented edge e~, the
-    lowest set bit of that branch's mark mask."""
-    marks = t.marks()  # marks[i] has bit 1 << i
-    eta = {}
-    for u, v in t.oriented_edges():
-        far = t.side_masks(v, u)[0]  # marks on the v side
-        eta[(u, v)] = marks[(far & -far).bit_length() - 1]
-    return eta
-
-
-def is_marking_map(t: MarkedTree, eta) -> bool:
-    """eta assigns to each oriented edge a mark of t on its far side."""
-    if eta.keys() != set(t.oriented_edges()):
-        return False
-    bits = t.mark_bits()
-    return all(bits.get(m, 0) & t.side_masks(v, u)[0] for (u, v), m in eta.items())
-
-
-def gamma_v_sets(t: MarkedTree, eta) -> Dict[int, List]:
-    """[Gamma]_{eta;v}: own marks plus eta of each outgoing edge, sorted."""
-    bits = t.mark_bits()
-    adj = t.adjacency()
-    out = {}
-    for v in range(t.vertex_count):
-        ms = list(t.mu_inv(v))
-        ms.extend(eta[(v, w)] for w in adj[v])
-        if len(set(ms)) != len(ms):
-            raise ChartError("marking map not injective at vertex %d" % v)
-        if not all(m in bits for m in ms):
-            raise ChartError("marking map names a mark not on the tree")
-        out[v] = sorted(ms, key=bits.__getitem__)  # mark_key order
-    return out
-
-
-def is_systematic(t: MarkedTree, eta) -> bool:
-    return _systematic_on(t, eta, gamma_v_sets(t, eta))
-
-
-def _systematic_on(t: MarkedTree, eta, gv: Dict[int, List]) -> bool:
-    """eta of each oriented edge is one of the [Gamma] marks at its head."""
-    return all(eta[(u, v)] in gv[v] for (u, v) in t.oriented_edges())
-
-
-# ---------------------------------------------------------------------------
 # bases
 
 @dataclass
 class ChartBasis:
-    tree: MarkedTree
-    eta: Dict
     gamma_v: Dict[int, List]
     vertex_quads: Dict[int, List[Tuple]]
     edge_quads: Dict[Tuple[int, int], Tuple]
@@ -129,40 +88,42 @@ class ChartBasis:
         }
 
 
-def gamma_basis(t: MarkedTree, eta=None) -> ChartBasis:
-    """The basis of cross-ratio coordinates attached to (t, eta)."""
-    if eta is None:
-        eta = systematic_marking(t)
-    elif not is_marking_map(t, eta):
-        raise ChartError("eta is not a marking map")
-    gv = gamma_v_sets(t, eta)
-    if not _systematic_on(t, eta, gv):
-        raise ChartError("marking map is not systematic")
-    vertex_quads: Dict[int, List[Tuple]] = {}
-    for v in range(t.vertex_count):
-        ms = gv[v]
-        vertex_quads[v] = [
-            (ms[0], ms[1], ms[2], ms[r]) for r in range(3, len(ms))
-        ]
+def gamma_basis(t: MarkedTree) -> ChartBasis:
+    """The basis of cross-ratio coordinates attached to t under the
+    systematic marking, which sends each oriented edge to the least mark
+    beyond it: the lowest set bit of that branch's mark mask."""
     bits = t.mark_bits()
+    marks = t.marks()  # marks[b] has bit 1 << b
+    full = (1 << len(marks)) - 1
+    gamma: List[int] = []  # [Gamma]_v as a mark mask
+    gamma_v: Dict[int, List] = {}
+    vertex_quads: Dict[int, List[Tuple]] = {}
+    for v, sides in enumerate(t.split_index()[0]):
+        mask = full
+        for side in sides:
+            mask ^= side ^ (side & -side)  # keep only the branch's least mark
+        gamma.append(mask)
+        ms = gamma_v[v] = _marks_of_mask(bits, mask)
+        vertex_quads[v] = [(ms[0], ms[1], ms[2], ms[r]) for r in range(3, len(ms))]
+
+    def least(mask):
+        return marks[(mask & -mask).bit_length() - 1]
+
     edge_quads: Dict[Tuple[int, int], Tuple] = {}
     for e in t.edges:
         u, w = e  # oriented with the smaller index as the near vertex
         near = t.side_masks(u, w)[0]
-        i_e = eta[(w, u)]
-        j_e = eta[(u, w)]
-        k_cand = [m for m in gv[u] if bits[m] & near and m != i_e]
-        m_cand = [m for m in gv[w] if not bits[m] & near and m != j_e]
-        if not k_cand or not m_cand:
+        far = full ^ near
+        i, j = near & -near, far & -far
+        k, m = gamma[u] & near & ~i, gamma[w] & far & ~j
+        if not k or not m:
             raise ChartError("cannot complete edge quadruple at %r" % (e,))
-        edge_quads[e] = (i_e, j_e, k_cand[0], m_cand[0])
-    return ChartBasis(t, eta, gv, vertex_quads, edge_quads)
+        edge_quads[e] = (least(i), least(j), least(k), least(m))
+    return ChartBasis(gamma_v, vertex_quads, edge_quads)
 
 
 def basis_values(curve, basis: ChartBasis) -> Dict[Tuple, ProjPoint]:
     """Evaluate every basis quadruple on a curve (curves.cross_ratio_q)."""
-    from .curves import cross_ratio_q
-
     return {q: cross_ratio_q(curve, q) for q in basis.all_quadruples}
 
 
@@ -186,13 +147,10 @@ _PERMUTED = {tuple(s[k] for k in v): f
              for s, f in _ANHARMONIC.items() for v in _KLEIN}
 
 
-def _permuted_value(ref: Tuple, value: ProjPoint, q: Tuple) -> ProjPoint:
-    """CR_q for a reordering q of ref, given value = CR_ref; exact on all of
-    the projective line, including value in {0, 1, inf}."""
-    if q == ref:
-        return value
-    i = ref.index
-    return _PERMUTED[i(q[0]), i(q[1]), i(q[2]), i(q[3])](value)
+def _perm(ref: Tuple, q: Tuple):
+    """The anharmonic map taking CR_ref to CR_q, for a reordering q of ref;
+    exact on all of the projective line, including 0, 1 and inf."""
+    return _PERMUTED[tuple(ref.index(x) for x in q)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -209,22 +167,18 @@ def _routes(n: int) -> Tuple[Tuple[int, Tuple[Tuple, ...]], ...]:
     j (or k and p) inverts all three cross ratios, so the other orderings
     give no further route.  There are 6 * (n - 4) routes per mask.
     """
-    def perm(ref, q):
-        # the anharmonic map taking CR_ref to CR_q
-        return _PERMUTED[tuple(ref.index(x) for x in q)]
-
     rows = []
     for quad in itertools.combinations(range(n), 4):
         routes = []
         for i, j in itertools.combinations(quad, 2):
             k, p = [b for b in quad if b not in (i, j)]
-            g = perm((i, j, k, p), quad)
+            g = _perm((i, j, k, p), quad)
             for m in range(n):
                 if m in quad:
                     continue
                 q1, q2 = (i, j, k, m), (i, j, m, p)
-                routes.append((sum(1 << b for b in q1), perm(sorted(q1), q1),
-                               sum(1 << b for b in q2), perm(sorted(q2), q2), g))
+                routes.append((sum(1 << b for b in q1), _perm(sorted(q1), q1),
+                               sum(1 << b for b in q2), _perm(sorted(q2), q2), g))
         rows.append((sum(1 << b for b in quad), tuple(routes)))
     return tuple(rows)
 
@@ -237,13 +191,10 @@ class ReconstructionTable:
     of the four marks in increasing bit order.
     """
 
-    def __init__(self, t: MarkedTree, eta=None,
-                 values: Optional[Dict[Tuple, ProjPoint]] = None,
+    def __init__(self, t: MarkedTree, values: Dict[Tuple, ProjPoint],
                  basis: Optional[ChartBasis] = None):
         self.tree = t
-        self.basis = basis if basis is not None else gamma_basis(t, eta)
-        if values is None:
-            raise ChartError("basis values required")
+        self.basis = basis if basis is not None else gamma_basis(t)
         self.values = dict(values)
         self.bits = t.mark_bits()
         self.table: Dict[int, ProjPoint] = {}
@@ -317,7 +268,7 @@ class ReconstructionTable:
             val = values.get(qe)
             key = self._mask(qe)
             if val is not None and key not in table:
-                table[key] = _permuted_value(qe, val, tuple(sorted(qe, key=rank)))
+                table[key] = _perm(qe, sorted(qe, key=rank))(val)
         # the cocycle closure; any pass order reaches the same least fixpoint
         # (see the module docstring)
         pending = [row for row in _routes(len(bits)) if row[0] not in table]
@@ -378,12 +329,12 @@ def near_vertices(t: MarkedTree, labels) -> List[int]:
     return [v for v in range(t.vertex_count) if verts >> v & 1]
 
 
-def extended_basis(t: MarkedTree, eta, v_plus: int, rho_star) -> ChartBasis:
+def extended_basis(t: MarkedTree, v_plus: int, rho_star) -> ChartBasis:
     """The basis of t extended by the quadruple (i, j, k, l+1) at v_plus
     (plus its conjugate in the real case)."""
     if v_plus not in v_gamma(t, rho_star):
         raise ChartError("v_plus is not in the admissible vertex set")
-    basis = gamma_basis(t, eta)
+    basis = gamma_basis(t)
     i, j, k = basis.gamma_v[v_plus][:3]
     if t.is_real:
         ext = [(i, j, k, "%d+" % (t.l + 1)),
@@ -396,11 +347,11 @@ def extended_basis(t: MarkedTree, eta, v_plus: int, rho_star) -> ChartBasis:
 # ---------------------------------------------------------------------------
 # real slice
 
-def real_slice_check(values: Dict[Tuple, ProjPoint], t: MarkedTree, eta=None) -> bool:
+def real_slice_check(values: Dict[Tuple, ProjPoint], t: MarkedTree) -> bool:
     """Fixed-locus equations: conj(CR_q) = CR_{q-bar} for every basis q."""
     if not t.is_real:
         raise ChartError("real slice check needs a real tree")
-    table = ReconstructionTable(t, eta, values)
+    table = ReconstructionTable(t, values)
     for q in table.basis.quadruples:
         qb = tuple(bar_mark(m) for m in q)
         if values[q].conj() != table.value(qb):

@@ -69,17 +69,6 @@ def _write_report(report: dict, out: Optional[str]) -> None:
         raise
 
 
-def _stamp(report: dict, command: str, cfg: argparse.Namespace) -> dict:
-    report.update(
-        {
-            "v": 1,
-            "command": command,
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
-        }
-    )
-    return report
-
-
 # ---------------------------------------------------------------------------
 # enumeration commands
 # ---------------------------------------------------------------------------
@@ -393,7 +382,8 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except UsageError as e:
         sys.stderr.write("error: %s\n" % (e,))
         return 2
-    _stamp(report, cfg.command, cfg)
+    report.update(v=1, command=cfg.command,
+                  timestamp=datetime.datetime.now(datetime.timezone.utc).isoformat())
     try:
         _write_report(report, cfg.out)
     except OSError as e:

@@ -18,7 +18,7 @@ from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, UnstableConfigurati
 from .strata import classify_real, is_admissible, stratum_edge
 from .trees import (MarkedTree, RealMarkedTree, bar_mark, canonical_form,
                     canonical_vertex_order, real_marks,
-                    shared_tree, sort_marks)
+                    shared_tree, sort_marks, tree_from_json)
 
 
 class CurveError(Exception):
@@ -196,8 +196,6 @@ class StableCurve:
 
 
 def curve_from_json(d: dict) -> StableCurve:
-    from .trees import tree_from_json
-
     t = tree_from_json(d)
     return StableCurve(t, {int(vs): {_slot_of_key(key, t.is_real): ProjPoint.parse(lit)
                                      for key, lit in cv.items()}

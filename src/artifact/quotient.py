@@ -253,7 +253,7 @@ def _make_plan(t: MarkedTree, rho_star: FrozenSet,
                 "no admissible chart vertex with rank %r" % (v_plus_rank,))
         v_plus = match[0]
     excluded = _excluded(t, v_plus, labels)
-    basis = extended_basis(t, None, v_plus, rho_star)
+    basis = extended_basis(t, v_plus, rho_star)
     quads = sorted(set(basis.all_quadruples),
                    key=lambda q: tuple(mark_key(m) for m in q))
     return ChartPlan(canonical_form(t), v_plus, order[v_plus], tuple(excluded),

@@ -16,11 +16,7 @@ from artifact.charts import (
     basis_values,
     extended_basis,
     gamma_basis,
-    gamma_v_sets,
-    is_marking_map,
-    is_systematic,
     real_slice_check,
-    systematic_marking,
     v_gamma,
 )
 from artifact.exactfield import (PP_INF, PP_ONE, PP_ZERO, GaussRat, ProjPoint,
@@ -28,43 +24,11 @@ from artifact.exactfield import (PP_INF, PP_ONE, PP_ZERO, GaussRat, ProjPoint,
 
 
 class TestMarkingMaps:
-    def test_systematic_marking_valid(self):
-        for t in trees.enumerate_trees(5):
-            eta = systematic_marking(t)
-            assert is_marking_map(t, eta)
-            assert is_systematic(t, eta)
-
-    def test_non_marking_maps_rejected(self):
-        t = trees.enumerate_trees(5)[1]
-        eta = systematic_marking(t)
-        e = next(iter(eta))
-        partial = {k: m for k, m in eta.items() if k != e}
-        unknown = {**eta, e: 99}
-        extra = {**eta, (0, 99): 1}
-        near = {**eta, e: t.mu_inv(e[0])[0]}  # a mark on the near side
-        for bad in (partial, unknown, extra, near):
-            assert not is_marking_map(t, bad)
-            with pytest.raises(charts.ChartError):
-                gamma_basis(t, bad)
-        # the vertex sets name no mark that is not on the tree
-        with pytest.raises(charts.ChartError, match="not on the tree"):
-            gamma_v_sets(t, unknown)
-
-    def test_non_systematic_map_rejected(self):
-        # on the path {1, 2} - {3} - {4, 5}, mark 5 lies beyond vertex 1 but
-        # is not one of its [Gamma] marks {1, 3, 4}
-        t = trees.MarkedTree(3, [(0, 1), (1, 2)], {1: 0, 2: 0, 3: 1, 4: 2, 5: 2})
-        eta = {**systematic_marking(t), (0, 1): 5}
-        assert is_marking_map(t, eta)
-        assert not is_systematic(t, eta)
-        with pytest.raises(charts.ChartError, match="not systematic"):
-            gamma_basis(t, eta)
-
     def test_gamma_v_partition_sizes(self):
         # the union of the per-vertex label sets has l - 3 surplus over
         # the tree structure: total basis size below checks this
         for t in trees.enumerate_trees(5):
-            gv = gamma_v_sets(t, systematic_marking(t))
+            gv = gamma_basis(t).gamma_v
             assert set(gv) == set(range(len(t.adjacency())))
 
 
@@ -215,7 +179,7 @@ class TestReconstruction:
         orderings = list(itertools.permutations(ref))
         assert len(set(orderings)) == 24
         for q in orderings:
-            assert charts._permuted_value(ref, x, q) == cross_ratio(*(model[m] for m in q))
+            assert charts._perm(ref, q)(x) == cross_ratio(*(model[m] for m in q))
 
     def test_tables_pinned(self):
         # every table of complex l = 4, 5, 6 and real l = 2, 3, built from the
@@ -243,13 +207,14 @@ class TestReconstruction:
         assert h.hexdigest() == TABLES_DIGEST
 
     def test_table_built_from_eta(self):
-        # the table builds the basis from eta when it is given no basis
+        # the table builds the basis of t under the systematic marking eta
+        # when it is given no basis
         t = trees.enumerate_trees(4)[0]
         c = curves.sample_curve(t, 30, ("wrap",))
         basis = gamma_basis(t)
         vals = basis_values(c, basis)
         q = (1, 2, 3, 4)
-        assert ReconstructionTable(t, basis.eta, vals).value(q) == curves.cross_ratio_q(c, q)
+        assert ReconstructionTable(t, vals).value(q) == curves.cross_ratio_q(c, q)
 
 
 @st.composite
@@ -304,7 +269,7 @@ class TestExtendedCharts:
             e = t.oriented_edges()[0]
             rho = trees.split_marks(t, e)
             vp = v_gamma(t, rho)[0]
-            basis = extended_basis(t, None, vp, rho)
+            basis = extended_basis(t, vp, rho)
             assert len(basis.extension) == 1
             assert basis.extension[0][3] == t.l + 1
         for t in trees.enumerate_trees(2, real=True):
@@ -313,7 +278,7 @@ class TestExtendedCharts:
             e = t.oriented_edges()[0]
             rho = trees.split_marks(t, e)
             vp = v_gamma(t, rho)[0]
-            basis = extended_basis(t, None, vp, rho)
+            basis = extended_basis(t, vp, rho)
             assert len(basis.extension) == 2
 
     def test_labels_need_the_marks_1_to_l(self):
