@@ -197,9 +197,13 @@ class StableCurve:
 
 def curve_from_json(d: dict) -> StableCurve:
     t = tree_from_json(d)
-    return StableCurve(t, {int(vs): {_slot_of_key(key, t.is_real): ProjPoint.parse(lit)
-                                     for key, lit in cv.items()}
-                           for vs, cv in d["coords"].items()})
+    try:
+        coords = {int(vs): {_slot_of_key(key, t.is_real): ProjPoint.parse(lit)
+                            for key, lit in cv.items()}
+                  for vs, cv in d["coords"].items()}
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise CurveError("malformed curve JSON: %r" % (e,)) from e
+    return StableCurve(t, coords)
 
 
 def _slot_of_key(key: str, real: bool) -> Slot:

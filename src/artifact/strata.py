@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
-from .trees import (MarkedTree, _conj_mask, complex_marks, mark_key, real_marks,
-                    sort_marks)
+from .trees import (MarkedTree, _conj_mask, _mark_bits, complex_marks, mark_key,
+                    real_marks, sort_marks)
 
 
 class StrataError(Exception):
@@ -38,10 +38,6 @@ class StratumLabel:
     def rho_set(self) -> FrozenSet:
         return frozenset(self.rho)
 
-    @property
-    def order_key(self) -> Tuple:
-        return order_key(self.rho)
-
 
 # Labels as mark masks: bit i is the i-th mark of the universe [l] or
 # [l^pm] in mark_key order, so the anchor {1, 2, 3} or {1+, 1-, 2+} is
@@ -52,7 +48,7 @@ def _universe(l: int, real: bool) -> Tuple[Tuple, Dict]:
     """(the marks in mark_key order, mark -> bit); callers must not modify
     the dict."""
     marks = tuple(real_marks(l) if real else complex_marks(l))
-    return marks, {m: 1 << i for i, m in enumerate(marks)}
+    return marks, _mark_bits(frozenset(marks))
 
 
 def _admissible(mask: int, n: int) -> bool:

@@ -16,7 +16,6 @@ import math
 import weakref
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
-Mark = object  # int for complex marks, str like "3+" for conjugate pairs
 Edge = Tuple[int, int]
 
 
@@ -373,13 +372,17 @@ def share(t: MarkedTree) -> MarkedTree:
 
 
 def tree_from_json(d: dict) -> MarkedTree:
-    mu = {}
-    for k, v in d["mu"].items():
-        mu[k if d["real"] else int(k)] = v
-    n = 1 + max([max(e) for e in d["edges"]], default=max(mu.values()))
-    if d["real"]:
-        return RealMarkedTree(n, [tuple(e) for e in d["edges"]], mu, d["phi"])
-    return MarkedTree(n, [tuple(e) for e in d["edges"]], mu)
+    try:
+        real = d["real"]
+        mu = {k if real else int(k): v for k, v in d["mu"].items()}
+        edges = [tuple(e) for e in d["edges"]]
+        n = 1 + max([max(e) for e in edges], default=max(mu.values()))
+        phi = d["phi"] if real else None
+    except (KeyError, TypeError, ValueError, AttributeError) as e:
+        raise TreeError("malformed tree JSON: %r" % (e,)) from e
+    if real:
+        return RealMarkedTree(n, edges, mu, phi)
+    return MarkedTree(n, edges, mu)
 
 
 # ---------------------------------------------------------------------------
@@ -421,69 +424,6 @@ def path_vertices(t: MarkedTree, a: int, b: int) -> List[int]:
         v = path[-1]
         path.append(next(w for w, side in zip(adj[v], verts[v]) if side >> b & 1))
     return path
-
-
-# ---------------------------------------------------------------------------
-# contractions
-
-def contract_edges(t: MarkedTree, edges_to_collapse) -> Tuple[MarkedTree, Tuple[int, ...]]:
-    """Collapse the given edges; returns (tree, kappa) with kappa old->new."""
-    collapse = {tuple(sorted(e)) for e in edges_to_collapse}
-    for e in collapse:
-        if not t.has_edge(*e):
-            raise TreeError("cannot collapse missing edge %r" % (e,))
-    parent = list(range(t.vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in collapse:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    reps = sorted({find(v) for v in range(t.vertex_count)})
-    newid = {r: i for i, r in enumerate(reps)}
-    kappa = tuple(newid[find(v)] for v in range(t.vertex_count))
-    new_edges = [
-        (kappa[u], kappa[v]) for u, v in t.edges if tuple(sorted((u, v))) not in collapse
-    ]
-    new_mu = {m: kappa[v] for m, v in t.mu.items()}
-    if t.is_real:
-        new_phi = [0] * len(reps)
-        for v in range(t.vertex_count):
-            new_phi[kappa[v]] = kappa[t.phi[v]]
-        return RealMarkedTree(len(reps), new_edges, new_mu, new_phi), kappa
-    return MarkedTree(len(reps), new_edges, new_mu), kappa
-
-
-def contractions(t: MarkedTree) -> List[Tuple[MarkedTree, Tuple[int, ...]]]:
-    """All contractions of t (the set T(Gamma)), including the identity.
-
-    For real trees only phi-invariant edge sets are collapsed, so that the
-    collapse map commutes with the involutions.
-    """
-    if t.is_real:
-        orbits = []
-        seen = set()
-        for u, v in t.edges:
-            e = (u, v)
-            if e in seen:
-                continue
-            img = tuple(sorted((t.phi[u], t.phi[v])))
-            seen.add(e)
-            seen.add(img)
-            orbits.append({e, img})
-    else:
-        orbits = [{e} for e in t.edges]
-    out = []
-    for r in range(len(orbits) + 1):
-        for combo in itertools.combinations(range(len(orbits)), r):
-            subset = set().union(*[orbits[i] for i in combo]) if combo else set()
-            out.append(contract_edges(t, subset))
-    return out
 
 
 # ---------------------------------------------------------------------------

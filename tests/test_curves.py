@@ -80,6 +80,35 @@ class TestJsonKeys:
             curve_from_json(d)
 
 
+def _drop(key):
+    return lambda d: {k: v for k, v in d.items() if k != key}
+
+
+class TestMalformedJson:
+    """Malformed tree or curve JSON raises TreeError or CurveError, not the
+    KeyError, TypeError, ValueError or AttributeError of its parsing."""
+
+    @pytest.mark.parametrize("real,edit,error", [
+        (False, lambda d: {"edges": [], "mu": {}, "real": False}, trees.TreeError),
+        (False, lambda d: {**d, "mu": {("x" if k == "1" else k): v
+                                       for k, v in d["mu"].items()}}, trees.TreeError),
+        (False, _drop("real"), trees.TreeError),
+        (True, _drop("phi"), trees.TreeError),
+        (False, lambda d: {**d, "edges": d["edges"] + [[0, "a"]]}, trees.TreeError),
+        (False, _drop("coords"), curves.CurveError),
+        (False, lambda d: {**d, "coords": {("a" if k == "0" else k): v
+                                           for k, v in d["coords"].items()}},
+         curves.CurveError),
+        (False, lambda d: {**d, "coords": {**d["coords"], "0": []}}, curves.CurveError),
+    ], ids=["empty", "mark_key", "no_real", "no_phi", "edge_end", "no_coords",
+            "vertex_key", "vertex_list"])
+    def test_typed_error(self, real, edit, error):
+        t = [x for x in trees.enumerate_trees(3 if real else 4, real=real) if x.edges][0]
+        d = edit(sample_curve(t, 30, ("malformed",)).to_json())
+        with pytest.raises(error, match="malformed"):
+            curve_from_json(d)
+
+
 LAYOUT_CASES = [(5, False), (2, True), (3, True), (4, True)]
 
 

@@ -1,4 +1,4 @@
-"""Dual-graph trees: enumeration, canonical forms, splits, contractions."""
+"""Dual-graph trees: enumeration, canonical forms, splits."""
 
 import functools
 import gc
@@ -18,7 +18,6 @@ from artifact.trees import (
     canonical_form,
     canonical_vertex_order,
     complex_marks,
-    contractions,
     direction,
     enumerate_trees,
     mark_key,
@@ -131,7 +130,7 @@ class TestCanonical:
         assert len(set(forms)) == len(forms)
 
 
-class TestSplitsAndContractions:
+class TestSplits:
     def test_split_sides_partition(self):
         for t in enumerate_trees(5):
             marks = set(map(str, t.marks()))
@@ -139,15 +138,6 @@ class TestSplitsAndContractions:
                 rho = set(map(str, split_marks(t, e)))
                 co = set(map(str, split_marks(t, (e[1], e[0]))))
                 assert rho | co == marks and not (rho & co)
-
-    def test_contractions_are_valid_and_coarser(self):
-        for t in enumerate_trees(5):
-            got = contractions(t)
-            # identity contraction included; the rest strictly coarser
-            assert len(got) == 2 ** len(t.edges)
-            for t2, _ in got:
-                assert t2.validate() == []
-                assert len(t2.edges) <= len(t.edges)
 
     def test_subtree_split_components(self):
         for t in enumerate_trees(5):
