@@ -12,9 +12,9 @@ next [Gamma]_u mark on the u side and m as the next [Gamma]_w mark on the
 w side.  Reconstruction seeds
 each vertex with normalized local coordinates (first three basis marks at
 infinity, 0, 1) and grows the set of known 4-point values by the cocycle
-relation CR_{ijkn} = CR_{ijkm} * CR_{ijmn}, skipping routes that hit the
-indeterminate product 0 * inf.  Failure to determine a value signals a
-point outside the chart domain.
+relation CR_{ijkn} = CR_{ijkm} * CR_{ijmn}, skipping routes whose two
+factors are 0 and inf, an indeterminate product.  Failure to determine a
+value signals a point outside the chart domain.
 
 The routes depend on the number of marks alone: `_routes(n)`, built once
 per n, lists for each 4-bit mask K its 6 * (n - 4) routes, one per
@@ -37,8 +37,8 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .curves import cross_ratio_q
-from .exactfield import (IndeterminateProduct, PP_INF, PP_ONE, PP_ZERO,
-                         ProjPoint, UnstableConfiguration, cross_ratio)
+from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint,
+                         UnstableConfiguration, cross_ratio)
 from .strata import _admissible, _universe, order_key
 from .trees import (MarkedTree, _marks_of_mask, bar_mark, sort_marks,
                     split_marks)
@@ -145,6 +145,8 @@ _ANHARMONIC = {
 _KLEIN = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 _PERMUTED = {tuple(s[k] for k in v): f
              for s, f in _ANHARMONIC.items() for v in _KLEIN}
+# the keys of 0 and inf, the two factors whose product is indeterminate
+_ENDS = (PP_ZERO._k, PP_INF._k)
 
 
 def _perm(ref: Tuple, q: Tuple):
@@ -282,10 +284,10 @@ class ReconstructionTable:
                     x2 = table.get(e2)
                     if x2 is None:
                         continue
-                    try:
-                        table[row[0]] = g(f1(x1).mul(f2(x2)))
-                    except IndeterminateProduct:
-                        continue
+                    y1, y2 = f1(x1), f2(x2)
+                    if y1._k in _ENDS and y2._k in _ENDS and y1._k != y2._k:
+                        continue  # 0 * inf
+                    table[row[0]] = g(y1.mul(y2))
                     break
                 else:
                     left.append(row)

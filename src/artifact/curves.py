@@ -27,10 +27,19 @@ class CurveError(Exception):
 
 Slot = Tuple  # ("m", mark) or ("e", (u, v)) with u < v
 
+# one tuple per slot, so that the layouts kept on many trees share them
+_SLOTS: Dict[Slot, Slot] = {}
+
 
 def _edge_slot(e) -> Slot:
     u, v = e
-    return ("e", (u, v) if u < v else (v, u))
+    s = ("e", (u, v) if u < v else (v, u))
+    return _SLOTS.setdefault(s, s)
+
+
+def _mark_slot(m) -> Slot:
+    s = ("m", m)
+    return _SLOTS.setdefault(s, s)
 
 
 class SlotLayout:
@@ -38,13 +47,14 @@ class SlotLayout:
 
     Slots go vertex by vertex: its marks in mu_inv order, then its edges
     by neighbour.  slots[i] is the slot with index i and vertex[i] its
-    vertex; the slots of v are offsets[v]:offsets[v + 1], and index maps
-    (v, slot) to its index.  On a valid tree, rows[v] lists in bit order
-    the index through which v sees each mark (the mark's own slot at its
-    vertex, else the edge into the mark's branch); on a valid real tree,
-    partner[i] is the index of the conjugate of slot i (the conjugate
-    mark where it sits, or the image of the edge at phi(v)), i itself
-    for a self-conjugate slot.
+    vertex; the slots of v are offsets[v]:offsets[v + 1].  On a valid
+    tree, rows[v] lists in bit order the index through which v sees each
+    mark (the mark's own slot at its vertex, else the edge into the
+    mark's branch); on a valid real tree, partner[i] is the index of the
+    conjugate of slot i (the conjugate mark where it sits, or the image
+    of the edge at phi(v)), i itself for a self-conjugate slot.  A layout
+    refers to no tree, and its slot tuples are shared between layouts,
+    so a layout can be kept for a tree that is built again later.
     """
 
     rows: Optional[Tuple[Tuple[int, ...], ...]] = None
@@ -56,14 +66,14 @@ class SlotLayout:
         vertex: List[int] = []
         offsets = [0]
         for v in range(t.vertex_count):
-            slots += [("m", m) for m in t.mu_inv(v)]
+            slots += [_mark_slot(m) for m in t.mu_inv(v)]
             slots += [_edge_slot((v, w)) for w in adj[v]]
             vertex += [v] * (len(slots) - offsets[-1])
             offsets.append(len(slots))
         self.slots, self.vertex, self.offsets = tuple(slots), tuple(vertex), tuple(offsets)
-        self.index = index = {vs: i for i, vs in enumerate(zip(vertex, slots))}
         if t.validate():
             return
+        index = {vs: i for i, vs in enumerate(zip(vertex, slots))}
         bits, rows = t.mark_bits(), []
         for v, sides in enumerate(t.split_index()[0]):
             edge0 = offsets[v + 1] - len(sides)  # the edges are v's last slots
@@ -91,15 +101,17 @@ class StableCurve:
 
     A curve is not mutated after construction (its tree and points are
     fixed), so what is derived from it is kept on first use: its
-    moduli_key string, and the stabilized base that quotient.base_of
-    computes by forgetting the extra mark(s).  What depends only on the
-    tree (the slot layout, the moduli-key layout and the forget plans)
-    is kept on the tree.
+    moduli_key string, the stabilized base that quotient.base_of
+    computes by forgetting the extra mark(s), and whether validate has
+    passed.  What depends only on the tree (the slot layout, the
+    moduli-key layout and the forget plans) is kept on the tree.
     """
 
     # filled on first use
     _moduli_key: Optional[str] = None
     _base: Optional["StableCurve"] = None
+    # set once validate has found nothing wrong
+    _valid = False
     # coordinates whose slots are not the tree's, kept for validate
     _raw: Optional[Dict[int, Dict[Slot, ProjPoint]]] = None
 
@@ -166,6 +178,8 @@ class StableCurve:
                 bad.append("vertex %d: fewer than 3 special points" % v)
         if not bad and self.is_real:
             bad.extend(self._validate_real())
+        if not bad:
+            self._valid = True
         return bad
 
     def _validate_real(self) -> List[str]:
@@ -448,7 +462,8 @@ def conjugate_curve(c: StableCurve) -> StableCurve:
     else:
         nt = MarkedTree(t.vertex_count, t.edges, new_mu)
     # marks of the new curve at v are bar of the old ones at v
-    old, pts = slot_layout(t).index, c.points
+    was, pts = slot_layout(t), c.points
+    old = {vs: i for i, vs in enumerate(zip(was.vertex, was.slots))}
     lay = slot_layout(nt)
     return StableCurve._of(nt, tuple([
         pts[old[v, ("m", bar_mark(s[1])) if s[0] == "m" else s]].conj()

@@ -168,9 +168,12 @@ class GaussRat:
         m = _GR_RE.match(s)
         if m is None:
             raise ParseError("bad GaussRat literal: %r" % (s,))
-        re_part = Fraction(m.group("re"))
         im_txt = m.group("im")
-        im_part = Fraction(im_txt.replace(" ", "")) if im_txt else Fraction(0)
+        try:
+            re_part = Fraction(m.group("re"))
+            im_part = Fraction(im_txt.replace(" ", "")) if im_txt else Fraction(0)
+        except ZeroDivisionError:
+            raise ParseError("zero denominator in GaussRat literal: %r" % (s,)) from None
         return GaussRat(re_part, im_part)
 
     def __repr__(self):

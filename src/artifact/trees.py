@@ -78,7 +78,8 @@ class MarkedTree:
     index, mask -> edge table, canonical vertex ranks,
     canonical form, structural key and validation result are computed on
     first use and kept on the object, as are the tables that curves on
-    the tree share (see curves.py) and its chart plans (see quotient.py).
+    the tree share (see curves.py) and its chart and placement plans
+    (see quotient.py).
     """
 
     def __init__(self, vertex_count: int, edges: Iterable[Edge], mu: Dict):
@@ -105,8 +106,10 @@ class MarkedTree:
     _layout = None
     _key_layout: Optional[Tuple] = None
     _forget_plans: Optional[Dict] = None
-    # kept by quotient.chart_plan: (rho*, rank) -> chart plan
+    # kept by quotient.chart_plan: (rho*, rank) -> chart plan, and by
+    # quotient._place: sites -> placement plan
     _chart_plans: Optional[Dict] = None
+    _place_plans: Optional[Dict] = None
 
     @property
     def is_real(self) -> bool:

@@ -22,7 +22,7 @@ from artifact.curves import (
     moduli_key,
     sample_curve,
 )
-from artifact.exactfield import (PP_INF, PP_ONE, PP_ZERO, GaussRat,
+from artifact.exactfield import (PP_INF, PP_ONE, PP_ZERO, GaussRat, ParseError,
                                  UnstableConfiguration, cross_ratio,
                                  finite_point, frame, pp)
 from artifact.quotient import fiber_samples
@@ -78,6 +78,17 @@ class TestJsonKeys:
         cv[new] = cv.pop(old)
         with pytest.raises(curves.CurveError, match=re.escape(repr(new))):
             curve_from_json(d)
+
+
+def test_zero_denominator_coordinate_raises_parse_error():
+    # the literal passes the coordinate syntax, so the exact field's own
+    # ParseError comes through curve_from_json, not ZeroDivisionError
+    t = [x for x in trees.enumerate_trees(4) if x.edges][0]
+    d = sample_curve(t, 30, ("zero-denominator",)).to_json()
+    cv = d["coords"]["0"]
+    cv[next(iter(cv))] = "[1/0:1]"
+    with pytest.raises(ParseError, match=re.escape(repr("1/0"))):
+        curve_from_json(d)
 
 
 def _drop(key):

@@ -68,6 +68,13 @@ class TestGaussRat:
             with pytest.raises(ParseError):
                 GaussRat.parse(bad)
 
+    @pytest.mark.parametrize("bad", ["1/0", "2+3/0*i", "0/0"])
+    def test_parse_rejects_zero_denominator(self, bad):
+        with pytest.raises(ParseError, match="zero denominator"):
+            GaussRat.parse(bad)
+        with pytest.raises(ParseError, match="zero denominator"):
+            ProjPoint.parse("[%s:1]" % (bad,))
+
     @settings(max_examples=150, deadline=None)
     @given(gauss)
     def test_serialize_round_trip(self, z):

@@ -536,3 +536,147 @@ class TestPlacementsPinned:
                                      .encode())
         assert counts["ok"] > 0 and counts["ERR"] > 0
         assert h.hexdigest() == PLACEMENTS_DIGEST, counts
+
+
+# ---------------------------------------------------------------------------
+# placements against the dict-edit construction they replaced
+
+_I = pp(GaussRat(0, 1))
+
+
+def _reference_place(c, sites, point):
+    """The placement built coordinate by coordinate: copy the coords view,
+    edit it, build the curve through the dict constructor and validate it
+    in full."""
+    t = c.tree
+    n = t.vertex_count
+    coords, mu, edges = c.coords, dict(t.mu), set(t.edges)
+    l1 = t.l + 1
+    marks = ["%d+" % l1, "%d-" % l1] if t.is_real else [l1]
+    new = {}
+    at = []
+    for (v, slot), m, z in zip(sites, marks, (point, point.conj())):
+        w = v if slot is None else new.get(slot)
+        if w is None:
+            w = new[slot] = n + len(new)
+            node = curves._edge_slot((v, w))
+            coords[v][node] = coords[v].pop(slot)
+            edges.add(node[1])
+            if slot[0] == "m":
+                mu[slot[1]] = w
+                coords[w] = {node: PP_INF, slot: pp(0)}
+            else:
+                y = sum(slot[1]) - v
+                far = curves._edge_slot((w, y))
+                edges.remove(slot[1])
+                edges.add(far[1])
+                coords[y][far] = coords[y].pop(slot)
+                swap = t.is_real and t.phi[v] == y
+                coords[w] = {node: _I, far: _I.conj()} if swap else {node: PP_INF, far: pp(0)}
+        mu[m] = w
+        coords[w][("m", m)] = z
+        at.append(w)
+    phi = None
+    if t.is_real:
+        phi = list(t.phi) + [at[1 - at.index(w)] for w in range(n, n + len(new))]
+    out = curves.StableCurve(trees.shared_tree(n + len(new), edges, mu, phi), coords)
+    bad = out.validate()
+    if bad:
+        raise QuotientError("bad placement: %r" % (bad,))
+    return out
+
+
+def _place_sites(t):
+    """The sites add_mark, bubble_at_mark and mark_at_node give _place on
+    t, and on a real tree both new marks on each one component, which is
+    not a real placement where phi moves the component."""
+    out = []
+    for v in range(t.vertex_count):
+        out.append([(v, None)] + ([(t.phi[v], None)] if t.is_real else []))
+        if t.is_real and t.phi[v] != v:
+            out.append([(v, None), (v, None)])
+    for m in t.marks():
+        site = (t.mu[m], ("m", m))
+        out.append([site] + ([(t.mu[trees.bar_mark(m)], ("m", trees.bar_mark(m)))]
+                             if t.is_real else []))
+    for u, x in t.edges:
+        site = (u, ("e", (u, x)))
+        out.append([site] + ([(t.phi[u], curves._edge_slot((t.phi[u], t.phi[x])))]
+                             if t.is_real else []))
+    return out
+
+
+def _curve_text(c):
+    """The curve's JSON and its tree's repr (mu in insertion order)."""
+    return "%s %r" % (json.dumps(c.to_json(), sort_keys=True), c.tree)
+
+
+def _placed(place, c, sites, point):
+    try:
+        out = place(c, sites, point)
+    except QuotientError as e:
+        return "ERR " + str(e)
+    assert out.validate() == []
+    return _curve_text(out)
+
+
+# positions on top of the fixed node positions 0, inf, i and -i, and of a
+# base's framed points 0, 1 and inf
+REFERENCE_POINTS = PLACE_POINTS + [pp(GaussRat(0, -1))]
+
+
+class TestPlacementsAgainstReference:
+    def test_every_site_and_point(self):
+        counts = {"ok": 0, "ERR": 0}
+        for l, real in ((4, False), (2, True), (3, True)):
+            for idx, t in enumerate(trees.enumerate_trees(l, real=real)):
+                for k in range(2):
+                    base = sample_curve(t, 6, ("reference", l, real, idx, k))
+                    for sites in _place_sites(t):
+                        for p in REFERENCE_POINTS:
+                            # the reference first, so that its tree is
+                            # built from its own mu, and gone before _place
+                            want = _placed(_reference_place, base, sites, p)
+                            got = _placed(quotient._place, base, sites, p)
+                            assert got == want, (l, real, idx, sites, p)
+                            counts["ERR" if got.startswith("ERR") else "ok"] += 1
+        assert counts["ok"] > 0 and counts["ERR"] > 0
+
+    def test_invalid_base_is_validated_in_full(self):
+        # a base with two coincident points on a component that gets no new
+        # mark: the plan's own check cannot see it, the full validation does
+        t = [x for x in trees.enumerate_trees(4) if x.edges][0]
+        d = sample_curve(t, 30, ("invalid-base",)).to_json()
+        cv = d["coords"]["0"]
+        a, b = list(cv)[:2]
+        cv[b] = cv[a]
+        base = curves.curve_from_json(d)
+        for sites in _place_sites(t):
+            want = _placed(_reference_place, base, sites, pp(GaussRat(1, 3)))
+            assert want.startswith("ERR bad placement: ['vertex 0: special points")
+            assert _placed(quotient._place, base, sites, pp(GaussRat(1, 3))) == want
+
+    def test_plan_replayed_after_its_tree_is_freed(self):
+        import gc
+        import weakref
+
+        t = [x for x in trees.enumerate_trees(3, real=True) if len(x.edges) > 1][0]
+        base = sample_curve(t, 30, ("replay",))
+        gc.collect()
+        gc.disable()
+        try:
+            for e in t.edges:
+                a = mark_at_node(base, e, pp(GaussRat(2, 5)))
+                want = _curve_text(a)
+                layout = a.tree._layout
+                # the base tree holds the placed tree only weakly
+                ref = weakref.ref(a.tree)
+                del a
+                assert ref() is None
+                b = mark_at_node(base, e, pp(GaussRat(2, 5)))
+                assert _curve_text(b) == want and b.validate() == []
+                # the kept layout goes to the rebuilt tree
+                assert b.tree._layout is layout
+                del b
+        finally:
+            gc.enable()
