@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import random
+import weakref
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, UnstableConfiguration,
@@ -104,13 +105,14 @@ class StableCurve:
     moduli_key string, the stabilized base that quotient.base_of
     computes by forgetting the extra mark(s), and whether validate has
     passed.  What depends only on the tree (the slot layout, the
-    moduli-key layout and the forget plans) is kept on the tree.
+    moduli-key layout and the gather plans) is kept on the tree.
     """
 
     # filled on first use
     _moduli_key: Optional[str] = None
     _base: Optional["StableCurve"] = None
-    # set once validate has found nothing wrong
+    # set once validate, or the check of the gather replay that built
+    # the curve (_derive), has found nothing wrong
     _valid = False
     # coordinates whose slots are not the tree's, kept for validate
     _raw: Optional[Dict[int, Dict[Slot, ProjPoint]]] = None
@@ -235,45 +237,104 @@ def _slot_of_key(key: str, real: bool) -> Slot:
 
 
 # ---------------------------------------------------------------------------
+# curves derived by a gather of points
+
+class _Gather:
+    """How to build a curve from the points of a curve on one tree (see
+    _derive), made from the output tree's shared_tree arguments, a
+    {(vertex, slot): index} map and the output vertices to check.
+
+    gather[i] is the index, in the input points followed by the caller's
+    extra points, of the point that the output takes for its slot i.
+    ranges holds the slot ranges of the vertices to check, or None when
+    the output tree is invalid.  The output tree is held only through a
+    weakref, so that it goes with its last curve; tree() rebuilds it
+    through shared_tree (mu in the plan's insertion order, which repr
+    shows) and attaches the kept slot and moduli-key layouts, which
+    refer to no tree.
+    """
+
+    __slots__ = ("ref", "args", "layout", "key_layout", "gather", "ranges")
+
+    def __init__(self, vertex_count: int, edges, mu: Dict, phi, index: Dict, check=()):
+        nt = shared_tree(vertex_count, edges, mu, phi)
+        self.ref = weakref.ref(nt)
+        self.args = (nt.vertex_count, nt.edges, mu, nt.phi)
+        self.layout = lay = slot_layout(nt)
+        self.gather = tuple([index[vs] for vs in zip(lay.vertex, lay.slots)])
+        if nt.validate():
+            self.key_layout = self.ranges = None
+        else:
+            self.key_layout = _key_layout(nt)
+            self.ranges = tuple((lay.offsets[w], lay.offsets[w + 1]) for w in check)
+
+    def tree(self) -> MarkedTree:
+        nt = self.ref()
+        if nt is None:
+            nt = shared_tree(*self.args)
+            if nt._layout is None:
+                nt._layout = self.layout
+            if nt._key_layout is None:
+                nt._key_layout = self.key_layout
+            self.ref = weakref.ref(nt)
+        return nt
+
+
+def _derive(c: StableCurve, key, plan_fn, extra: Tuple = ()) -> Tuple[StableCurve, List[str]]:
+    """(the curve that the gather plan of c's tree at key builds from
+    c's points followed by extra, what is wrong with it).
+
+    plan_fn(tree, key) makes the plan on first use, kept in the tree's
+    one dict of gather plans; errors are not kept.  When c has passed
+    validate and the output tree is valid, only the plan's ranges are
+    checked and a passing output is marked valid; otherwise the output
+    is validated in full."""
+    t = c.tree
+    plans = t._gathers
+    if plans is None:
+        plans = t._gathers = {}
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = plan_fn(t, key)
+    pts = c.points + extra
+    new = tuple([pts[i] for i in plan.gather])
+    out = StableCurve._of(plan.tree(), new)
+    if (c._valid and plan.ranges is not None
+            and all(len({z._k for z in new[a:b]}) == b - a for a, b in plan.ranges)):
+        out._valid = True
+        return out, []
+    return out, out.validate()
+
+
+# ---------------------------------------------------------------------------
 # forgetful map with stabilization
 
 def forget(c: StableCurve, keep) -> StableCurve:
     """Forget the marks outside keep and stabilize.
 
     The stabilization depends only on the tree and keep, so it is planned
-    once per (tree, kept marks) and replayed here on the coordinates.
+    once per (tree, kept marks) and replayed by _derive.  It checks no
+    points: a component that survives keeps some of the distinct points
+    of one component.
     """
-    t, pts = c.tree, c.points
-    if pts is None:
+    if c.points is None:
         raise CurveError("forget on an invalid curve: %r" % (c.validate(),))
-    keep = frozenset(keep)
-    plans = t._forget_plans
-    if plans is None:
-        plans = t._forget_plans = {}
-    plan = plans.get(keep)
-    if plan is None:
-        plan = plans[keep] = _plan_forget(t, keep)
-    nt, gather = plan
-    out = StableCurve._of(t if nt is None else nt, tuple([pts[i] for i in gather]))
-    bad = out.validate()
+    out, bad = _derive(c, frozenset(keep), _plan_forget)
     if bad:
         raise CurveError("stabilization produced an invalid curve: %r" % (bad,))
     return out
 
 
-def _plan_forget(t: MarkedTree, keep: FrozenSet) -> Tuple[Optional[MarkedTree], Tuple]:
-    """(output tree, gather) of forgetting all but keep on tree t, read
-    off the rows of t's slot layout.
+def _plan_forget(t: MarkedTree, keep: FrozenSet) -> _Gather:
+    """The gather plan of forgetting all but keep on tree t, read off the
+    rows of t's slot layout.
 
     A vertex survives iff the kept marks lie in 3 or more of its slots.
     At a survivor, a slot that holds one kept mark becomes that mark, and
     a slot that holds more becomes the edge to the survivor whose slot
     holds the other kept marks; either way it keeps its point.  The
-    survivors keep their order, and phi is read through them.  gather[i]
-    is the index on t of the point that the stabilized curve takes for
-    its slot i.  The output tree is None when it is t itself, so that no
-    tree refers to itself.  Raises CurveError for a bad keep set or an
-    invalid tree; errors are not kept.
+    survivors keep their order, and phi is read through them.  Raises
+    CurveError for a bad keep set or an invalid tree.
     """
     if not keep <= t.mu.keys():
         raise CurveError("keep contains unknown marks")
@@ -319,9 +380,7 @@ def _plan_forget(t: MarkedTree, keep: FrozenSet) -> Tuple[Optional[MarkedTree], 
             old[u, slot] = i
     mu = {m: at[m] for m in t.mu if m in keep}  # in t's order, as repr shows
     phi = [newid[t.phi[v]] for v in survivors] if t.is_real else None
-    nt = shared_tree(len(survivors), edges, mu, phi)
-    out = slot_layout(nt)
-    return (None if nt is t else nt), tuple([old[vs] for vs in zip(out.vertex, out.slots)])
+    return _Gather(len(survivors), edges, mu, phi, old)
 
 
 # ---------------------------------------------------------------------------

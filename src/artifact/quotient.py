@@ -14,21 +14,19 @@ from __future__ import annotations
 
 import functools
 import random
-import weakref
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .charts import (ChartDomainError, a_gamma, extended_basis,
                      near_vertices)
-from .curves import (StableCurve, _edge_slot, cross_ratio_q, forget,
-                     in_D_tilde, in_divisor, moduli_key, sample_curve,
+from .curves import (StableCurve, _derive, _edge_slot, _Gather, cross_ratio_q,
+                     forget, in_D_tilde, in_divisor, moduli_key, sample_curve,
                      slot_layout)
 from .exactfield import PP_INF, PP_ZERO, GaussRat, ProjPoint, finite_point
 from .strata import (_labels, build_a_ell, build_a_ell_real, is_admissible,
                      order_key)
 from .trees import (MarkedTree, _marks_of_mask, bar_mark, canonical_form,
-                    canonical_vertex_order, mark_key, share, shared_tree,
-                    sort_marks)
+                    canonical_vertex_order, mark_key, share, sort_marks)
 
 
 class QuotientError(Exception):
@@ -122,39 +120,23 @@ def relation_closure(samples: Sequence[StableCurve], rho_star=(),
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    by_key: Dict[str, int] = {}
-    for i, c in enumerate(samples):
-        k = moduli_key(c)
-        if k in by_key:
-            union(by_key[k], i)
-        else:
-            by_key[k] = i
-
-    by_base: Dict[str, List[int]] = {}
-    for i, c in enumerate(samples):
-        by_base.setdefault(moduli_key(base_of(c)), []).append(i)
-
-    # membership of a sample in a label's locus is an edge of its tree
-    # with one of the label's tail-side mark masks
+    # a sample is in a label's locus when its tree has an edge with one of
+    # the label's masks, and distinct labels' masks never coincide (only
+    # real second masks hold the (l+1)- bit).  Each sample joins the first
+    # sample with its moduli key and, for each label whose locus holds
+    # it, the first sample with its base key there.
     bits = samples[0].tree.mark_bits()
-    label_masks = [(r, _locus_masks(bits, r, real, l + 1)) for r in labels]
-    member = []
-    for c in samples:
+    label_of = {mask: r for r in labels for mask in _locus_masks(bits, r, real, l + 1)}
+    first: Dict = {}
+    for i, c in enumerate(samples):
         if c.tree.mark_bits() != bits or bool(c.is_real) != bool(real):
             raise QuotientError("samples must share one mark set and the real flag")
-        edges = c.tree.edge_of_mask()
-        member.append({r for r, masks in label_masks
-                       if any(mask in edges for mask in masks)})
-
-    for group in by_base.values():
-        for rho in labels:
-            anchor = None
-            for i in group:
-                if rho in member[i]:
-                    if anchor is None:
-                        anchor = i
-                    else:
-                        union(anchor, i)
+        base = moduli_key(base_of(c))
+        for key in [moduli_key(c)] + [(base, label_of[mask]) for mask in c.tree.edge_of_mask()
+                                      if mask in label_of]:
+            j = first.setdefault(key, i)
+            if j != i:
+                union(j, i)
 
     classes: Dict[int, List[int]] = {}
     for i in range(n):
@@ -288,9 +270,10 @@ def class_key(c: StableCurve, rho_star=(), real: bool = False,
         raise QuotientError("real flag does not match the curve")
     b = base_of(c)
     plan = chart_plan(b.tree, rho_star, v_plus_rank)
+    t = c.tree
+    bits, edges = t.mark_bits(), t.edge_of_mask()
     for rho in plan.excluded:
-        hit = in_D_tilde(c, rho, '"') if real else in_divisor(c, rho)
-        if hit:
+        if any(mask in edges for mask in _locus_masks(bits, rho, real, t.l)):
             raise ChartDomainError(
                 "curve lies on the excluded boundary locus of rho=%r"
                 % (sort_marks(rho),))
@@ -325,41 +308,6 @@ _I = ProjPoint(GaussRat(0, 1))
 _I_BAR = _I.conj()
 
 
-class _Placement:
-    """A placement of the next mark(s) planned on a base tree.
-
-    gather[i] is the index, in the base curve's points followed by
-    (point, point.conj(), inf, 0, i, -i), of the point that the placed
-    curve takes for its slot i.  ranges lists the slot ranges of the
-    components that receive a new mark, or is None when the placed tree
-    itself is invalid.  The placed tree is held only weakly, so that it
-    goes with its last curve (it refers back to the base tree through
-    its forget plans); args rebuilds it through shared_tree, and its
-    slot layout, which refers to no tree, is kept here and attached to
-    the rebuilt tree.
-    """
-
-    __slots__ = ("ref", "args", "layout", "gather", "ranges")
-
-    def __init__(self, nt: MarkedTree, mu: Dict, gather: Tuple[int, ...],
-                 ranges: Optional[Tuple[Tuple[int, int], ...]]):
-        self.ref = weakref.ref(nt)
-        # mu in the placement's insertion order, which repr shows
-        self.args = (nt.vertex_count, nt.edges, mu, nt.phi)
-        self.layout = slot_layout(nt)
-        self.gather = gather
-        self.ranges = ranges
-
-    def tree(self) -> MarkedTree:
-        nt = self.ref()
-        if nt is None:
-            nt = shared_tree(*self.args)
-            if nt._layout is None:
-                nt._layout = self.layout
-            self.ref = weakref.ref(nt)
-        return nt
-
-
 def _place(c: StableCurve, sites, point: ProjPoint) -> StableCurve:
     """c with the next mark placed at sites[0], and on a real curve its
     conjugate at sites[1], the conjugate site; the first mark is at
@@ -373,45 +321,28 @@ def _place(c: StableCurve, sites, point: ProjPoint) -> StableCurve:
     sides.
 
     What goes where depends only on the base tree and the sites, so it
-    is planned once per (tree, sites) and kept on the base tree (see
-    _plan_place); here the plan's gather is replayed on the points.  On
-    a base curve that has passed validate and a valid placed tree, only
-    the points of the components that receive a new mark can collide, so
-    only they are checked; otherwise the whole placed curve is validated.
-    Raises QuotientError when the result is not a valid curve.
+    is planned once per (tree, sites) (see _plan_place) and replayed by
+    curves._derive, which checks only the components that receive a new
+    mark.  Raises QuotientError when the result is not a valid curve.
     """
-    t, pts = c.tree, c.points
-    if pts is None:
+    if c.points is None:
         raise QuotientError("placement on an invalid curve: %r" % (c.validate(),))
-    sites = tuple(sites)
-    plans = t._place_plans
-    if plans is None:
-        plans = t._place_plans = {}
-    plan = plans.get(sites)
-    if plan is None:
-        plan = plans[sites] = _plan_place(t, sites)
-    ext = pts + (point, point.conj(), PP_INF, PP_ZERO, _I, _I_BAR)
-    new = tuple([ext[i] for i in plan.gather])
-    out = StableCurve._of(plan.tree(), new)
-    ranges = plan.ranges
-    if (ranges is None or (not c._valid and c.validate())
-            or any(len({z._k for z in new[a:b]}) != b - a for a, b in ranges)):
-        bad = out.validate()
-        if bad:
-            raise QuotientError("bad placement: %r" % (bad,))
+    out, bad = _derive(c, tuple(sites), _plan_place,
+                       (point, point.conj(), PP_INF, PP_ZERO, _I, _I_BAR))
+    if bad:
+        raise QuotientError("bad placement: %r" % (bad,))
     return out
 
 
-def _plan_place(t: MarkedTree, sites: Tuple) -> _Placement:
-    """The placement at sites on tree t (see _place), made on the indices
-    of the points instead of the points: the base's {vertex: {slot:
-    index}} is edited as the placement edits coordinates, then read in
-    the placed tree's slot order.  Errors are not kept."""
+def _plan_place(t: MarkedTree, sites: Tuple) -> _Gather:
+    """The gather plan of the placement at sites on tree t (see _place):
+    the base's {(vertex, slot): index} is edited as the placement edits
+    coordinates, with (point, point.conj(), inf, 0, i, -i) indexed after
+    the base's points."""
     lay = slot_layout(t)
     n, size = t.vertex_count, lay.offsets[-1]
     point, conj, inf, zero, i, i_bar = range(size, size + 6)
-    coords = {v: dict(zip(lay.slots[a:b], range(a, b)))
-              for v, (a, b) in enumerate(zip(lay.offsets, lay.offsets[1:]))}
+    index = {vs: k for k, vs in enumerate(zip(lay.vertex, lay.slots))}
     mu, edges = dict(t.mu), set(t.edges)
     l1 = t.l + 1
     marks = ["%d+" % l1, "%d-" % l1] if t.is_real else [l1]
@@ -422,31 +353,26 @@ def _plan_place(t: MarkedTree, sites: Tuple) -> _Placement:
         if w is None:
             w = new[slot] = n + len(new)
             node = _edge_slot((v, w))
-            coords[v][node] = coords[v].pop(slot)
+            index[v, node] = index.pop((v, slot))
             edges.add(node[1])
             if slot[0] == "m":
                 mu[slot[1]] = w
-                coords[w] = {node: inf, slot: zero}
+                index[w, node], index[w, slot] = inf, zero
             else:
                 y = sum(slot[1]) - v
                 far = _edge_slot((w, y))
                 edges.remove(slot[1])
                 edges.add(far[1])
-                coords[y][far] = coords[y].pop(slot)
+                index[y, far] = index.pop((y, slot))
                 swap = t.is_real and t.phi[v] == y
-                coords[w] = {node: i, far: i_bar} if swap else {node: inf, far: zero}
+                index[w, node], index[w, far] = (i, i_bar) if swap else (inf, zero)
         mu[m] = w
-        coords[w][("m", m)] = z
+        index[w, ("m", m)] = z
         at.append(w)
     phi = None
     if t.is_real:
         phi = list(t.phi) + [at[1 - at.index(w)] for w in range(n, n + len(new))]
-    nt = shared_tree(n + len(new), edges, mu, phi)
-    out = slot_layout(nt)
-    gather = tuple([coords[v][s] for v, s in zip(out.vertex, out.slots)])
-    ranges = None if nt.validate() else tuple(
-        (out.offsets[w], out.offsets[w + 1]) for w in sorted(set(at)))
-    return _Placement(nt, mu, gather, ranges)
+    return _Gather(n + len(new), edges, mu, phi, index, sorted(set(at)))
 
 
 def add_mark(c: StableCurve, v: int, point: ProjPoint) -> StableCurve:

@@ -77,8 +77,8 @@ class MarkedTree:
     A tree is not mutated after construction: its adjacency, split-mask
     index, mask -> edge table, canonical vertex ranks,
     canonical form, structural key and validation result are computed on
-    first use and kept on the object, as are the tables that curves on
-    the tree share (see curves.py) and its chart and placement plans
+    first use and kept on the object, as are the tables and gather plans
+    that curves on the tree share (see curves.py) and its chart plans
     (see quotient.py).
     """
 
@@ -102,14 +102,14 @@ class MarkedTree:
     _canon: Optional[str] = None
     _bad: Optional[Tuple[str, ...]] = None
     # kept for the curves on the tree by curves.py: the slot layout, the
-    # moduli-key layout and the forget plans
+    # moduli-key layout and the gather plans of the curves derived from
+    # them (curves._derive), keyed by the frozenset of kept marks for
+    # forget and by the tuple of sites for quotient._place
     _layout = None
     _key_layout: Optional[Tuple] = None
-    _forget_plans: Optional[Dict] = None
-    # kept by quotient.chart_plan: (rho*, rank) -> chart plan, and by
-    # quotient._place: sites -> placement plan
+    _gathers: Optional[Dict] = None
+    # kept by quotient.chart_plan: (rho*, rank) -> chart plan
     _chart_plans: Optional[Dict] = None
-    _place_plans: Optional[Dict] = None
 
     @property
     def is_real(self) -> bool:

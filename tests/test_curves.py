@@ -511,7 +511,7 @@ class TestForgetErrors:
         for _call in range(2):
             with pytest.raises(curves.CurveError, match=text):
                 forget(c, keep)
-        assert frozenset(keep) not in (t._forget_plans or {})
+        assert frozenset(keep) not in (t._gathers or {})
 
     def test_plan_shared_by_curves_on_one_tree(self):
         t = trees.enumerate_trees(3, real=True)[-1]
@@ -519,6 +519,37 @@ class TestForgetErrors:
         a, b = (forget(sample_curve(t, 30, ("plan", i)), keep) for i in range(2))
         assert a.tree is b.tree
         assert a.validate() == [] == b.validate()
+
+
+class TestForgetPlan:
+    def test_plan_replayed_after_its_tree_is_freed(self):
+        import gc
+        import weakref
+
+        t = trees.share(trees.enumerate_trees(5)[-1])
+        c = sample_curve(t, 30, ("forget-replay",))
+        gc.collect()
+        gc.disable()
+        try:
+            for keep in _keep_sets(t):
+                a = forget(c, keep)
+                if a.tree is t:
+                    continue  # forgetting nothing gives the source tree
+                want = "%s %r" % (json.dumps(a.to_json(), sort_keys=True), a.tree)
+                layouts = (a.tree._layout, a.tree._key_layout)
+                before = len(trees._SHARED)
+                # the source tree holds the output tree only weakly
+                ref = weakref.ref(a.tree)
+                del a
+                assert ref() is None and len(trees._SHARED) == before - 1
+                b = forget(c, keep)
+                assert "%s %r" % (json.dumps(b.to_json(), sort_keys=True), b.tree) == want
+                assert b.validate() == []
+                # the kept layouts go to the rebuilt tree
+                assert b.tree._layout is layouts[0] and b.tree._key_layout is layouts[1]
+                del b
+        finally:
+            gc.enable()
 
 
 class TestInvalidCurveErrors:
@@ -586,6 +617,8 @@ class TestForgetOracle:
                 for keep in _keep_sets(t):
                     out = forget(c, keep)
                     nt = out.tree
+                    # forget checks no points of a validated curve's output
+                    assert out._valid and StableCurve._of(nt, out.points).validate() == []
                     assert out.validate() == []
                     assert set(nt.mu) == keep
                     want = set()

@@ -616,6 +616,9 @@ def _placed(place, c, sites, point):
         out = place(c, sites, point)
     except QuotientError as e:
         return "ERR " + str(e)
+    # a curve that _place checked only in part validates in full when
+    # built fresh
+    assert out._valid and curves.StableCurve._of(out.tree, out.points).validate() == []
     assert out.validate() == []
     return _curve_text(out)
 
@@ -668,15 +671,15 @@ class TestPlacementsAgainstReference:
             for e in t.edges:
                 a = mark_at_node(base, e, pp(GaussRat(2, 5)))
                 want = _curve_text(a)
-                layout = a.tree._layout
+                layout, key_layout = a.tree._layout, a.tree._key_layout
                 # the base tree holds the placed tree only weakly
                 ref = weakref.ref(a.tree)
                 del a
                 assert ref() is None
                 b = mark_at_node(base, e, pp(GaussRat(2, 5)))
                 assert _curve_text(b) == want and b.validate() == []
-                # the kept layout goes to the rebuilt tree
-                assert b.tree._layout is layout
+                # the kept layouts go to the rebuilt tree
+                assert b.tree._layout is layout and b.tree._key_layout is key_layout
                 del b
         finally:
             gc.enable()
