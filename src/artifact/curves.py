@@ -14,8 +14,8 @@ import random
 import weakref
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, UnstableConfiguration,
-                         cross_ratio, finite_point, frame)
+from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, cross_ratio, finite_point,
+                         frame)
 from .strata import classify_real, is_admissible, stratum_edge
 from .trees import (MarkedTree, RealMarkedTree, bar_mark, canonical_form,
                     canonical_vertex_order, real_marks,
@@ -100,42 +100,54 @@ def slot_layout(t: MarkedTree) -> SlotLayout:
 class StableCurve:
     """tree + one tuple of points, numbered by the tree's slot layout.
 
+    Every curve is a stable curve: each component has three or more
+    pairwise distinct special points, its tree is valid and, on a real
+    tree, the points are conjugation-symmetric.  The dict constructor
+    checks this in full; the other builders keep it (sample_curve
+    validates what it draws, _derive checks what it gathers and
+    conjugate_curve maps a curve to a curve).
+
     A curve is not mutated after construction (its tree and points are
     fixed), so what is derived from it is kept on first use: its
-    moduli_key string, the stabilized base that quotient.base_of
-    computes by forgetting the extra mark(s), and whether validate has
-    passed.  What depends only on the tree (the slot layout, the
-    moduli-key layout and the gather plans) is kept on the tree.
+    moduli_key string and the stabilized base that quotient.base_of
+    computes by forgetting the extra mark(s).  What depends only on the
+    tree (the slot layout, the moduli-key layout and the gather plans)
+    is kept on the tree.
     """
 
     # filled on first use
     _moduli_key: Optional[str] = None
     _base: Optional["StableCurve"] = None
-    # set once validate, or the check of the gather replay that built
-    # the curve (_derive), has found nothing wrong
-    _valid = False
-    # coordinates whose slots are not the tree's, kept for validate
-    _raw: Optional[Dict[int, Dict[Slot, ProjPoint]]] = None
 
     def __init__(self, tree: MarkedTree, coords: Dict[int, Dict[Slot, ProjPoint]]):
-        """The curve with coordinates {vertex: {slot: point}}.  When the
-        slots are not exactly the tree's, points is None and validate
-        reports what differs."""
+        """The curve with coordinates {vertex: {slot: point}}, or
+        CurveError("invalid curve: [...]") listing what validate reports,
+        with a vertex whose slots are not the tree's named in place of
+        the checks of its points."""
         self.tree = tree
         lay = slot_layout(tree)
-        try:
-            points = tuple([coords[v][s] for v, s in zip(lay.vertex, lay.slots)])
-        except KeyError:
-            points = None
-        if (points is None or coords.keys() != set(range(tree.vertex_count))
-                or sum(map(len, coords.values())) != len(points)):
-            self._raw = {v: dict(sl) for v, sl in coords.items()}
-            points = None
-        self.points: Optional[Tuple[ProjPoint, ...]] = points
+        off = lay.offsets
+        bad = tree.validate()
+        if coords.keys() != set(range(tree.vertex_count)):
+            bad.append("coords must cover every vertex")
+        else:
+            for v, (a, b) in enumerate(zip(off, off[1:])):
+                want = set(lay.slots[a:b])
+                if coords[v].keys() != want:
+                    bad.append("vertex %d: slots %r != expected %r" % (v, set(coords[v]), want))
+                else:
+                    bad += _vertex_problems(v, list(coords[v].values()))
+        if not bad:
+            self.points = tuple([coords[v][s] for v, s in zip(lay.vertex, lay.slots)])
+            if tree.is_real:
+                bad = self._validate_real()
+        if bad:
+            raise CurveError("invalid curve: %r" % (bad,))
 
     @classmethod
     def _of(cls, tree: MarkedTree, points: Tuple[ProjPoint, ...]) -> "StableCurve":
-        """The curve with the given points, in the tree's slot order."""
+        """The curve with the given points, in the tree's slot order; the
+        caller checks them."""
         c = cls.__new__(cls)
         c.tree = tree
         c.points = points
@@ -146,8 +158,6 @@ class StableCurve:
         """A fresh {vertex: {slot: point}} copy of the coordinates, each
         vertex's slots in layout order; changing it leaves the curve as
         it is."""
-        if self.points is None:
-            return {v: dict(sl) for v, sl in self._raw.items()}
         lay, pts = slot_layout(self.tree), self.points
         return {v: dict(zip(lay.slots[a:b], pts[a:b]))
                 for v, (a, b) in enumerate(zip(lay.offsets, lay.offsets[1:]))}
@@ -157,31 +167,14 @@ class StableCurve:
         return self.tree.is_real
 
     def validate(self) -> List[str]:
+        """What makes the tree and points no stable curve, [] for none."""
         t = self.tree
+        off = slot_layout(t).offsets
         bad = t.validate()
-        raw = self._raw
-        if raw is not None and raw.keys() != set(range(t.vertex_count)):
-            bad.append("coords must cover every vertex")
-            return bad
-        lay = slot_layout(t)
-        off = lay.offsets
-        for v in range(t.vertex_count):
-            if raw is None:
-                pts = self.points[off[v]:off[v + 1]]
-            else:
-                want = set(lay.slots[off[v]:off[v + 1]])
-                if raw[v].keys() != want:
-                    bad.append("vertex %d: slots %r != expected %r" % (v, set(raw[v]), want))
-                    continue
-                pts = list(raw[v].values())
-            if len({z._k for z in pts}) != len(pts):
-                bad.append("vertex %d: special points not pairwise distinct" % v)
-            if len(pts) < 3:
-                bad.append("vertex %d: fewer than 3 special points" % v)
-        if not bad and self.is_real:
-            bad.extend(self._validate_real())
-        if not bad:
-            self._valid = True
+        for v, (a, b) in enumerate(zip(off, off[1:])):
+            bad += _vertex_problems(v, self.points[a:b])
+        if not bad and t.is_real:
+            bad = self._validate_real()
         return bad
 
     def _validate_real(self) -> List[str]:
@@ -209,6 +202,16 @@ class StableCurve:
 
     def __repr__(self):
         return "StableCurve(%s)" % (json.dumps(self.to_json(), sort_keys=True),)
+
+
+def _vertex_problems(v: int, pts) -> List[str]:
+    """What is wrong with the points of component v."""
+    bad = []
+    if len({z._k for z in pts}) != len(pts):
+        bad.append("vertex %d: special points not pairwise distinct" % v)
+    if len(pts) < 3:
+        bad.append("vertex %d: fewer than 3 special points" % v)
+    return bad
 
 
 def curve_from_json(d: dict) -> StableCurve:
@@ -285,10 +288,9 @@ def _derive(c: StableCurve, key, plan_fn, extra: Tuple = ()) -> Tuple[StableCurv
     c's points followed by extra, what is wrong with it).
 
     plan_fn(tree, key) makes the plan on first use, kept in the tree's
-    one dict of gather plans; errors are not kept.  When c has passed
-    validate and the output tree is valid, only the plan's ranges are
-    checked and a passing output is marked valid; otherwise the output
-    is validated in full."""
+    one dict of gather plans; errors are not kept.  c is a valid curve,
+    so only the plan's ranges are checked, unless the output tree is
+    invalid: then the output is validated in full."""
     t = c.tree
     plans = t._gathers
     if plans is None:
@@ -299,9 +301,8 @@ def _derive(c: StableCurve, key, plan_fn, extra: Tuple = ()) -> Tuple[StableCurv
     pts = c.points + extra
     new = tuple([pts[i] for i in plan.gather])
     out = StableCurve._of(plan.tree(), new)
-    if (c._valid and plan.ranges is not None
+    if (plan.ranges is not None
             and all(len({z._k for z in new[a:b]}) == b - a for a, b in plan.ranges)):
-        out._valid = True
         return out, []
     return out, out.validate()
 
@@ -317,8 +318,6 @@ def forget(c: StableCurve, keep) -> StableCurve:
     points: a component that survives keeps some of the distinct points
     of one component.
     """
-    if c.points is None:
-        raise CurveError("forget on an invalid curve: %r" % (c.validate(),))
     out, bad = _derive(c, frozenset(keep), _plan_forget)
     if bad:
         raise CurveError("stabilization produced an invalid curve: %r" % (bad,))
@@ -333,8 +332,9 @@ def _plan_forget(t: MarkedTree, keep: FrozenSet) -> _Gather:
     At a survivor, a slot that holds one kept mark becomes that mark, and
     a slot that holds more becomes the edge to the survivor whose slot
     holds the other kept marks; either way it keeps its point.  The
-    survivors keep their order, and phi is read through them.  Raises
-    CurveError for a bad keep set or an invalid tree.
+    survivors keep their order, and phi is read through them.  t is the
+    tree of a curve, so it is valid and its layout has rows.  Raises
+    CurveError for a bad keep set.
     """
     if not keep <= t.mu.keys():
         raise CurveError("keep contains unknown marks")
@@ -346,9 +346,6 @@ def _plan_forget(t: MarkedTree, keep: FrozenSet) -> _Gather:
     elif len(keep) < 3:
         raise CurveError("keep too small: need at least 3 marks")
     rows = slot_layout(t).rows
-    if rows is None:
-        raise CurveError("forget on an invalid tree: %r" % (t.validate(),))
-
     bits = t.mark_bits()
     kept = [(i, bits[m]) for i, m in enumerate(bits) if m in keep]
     mark_of = {bits[m]: m for m in keep}
@@ -401,10 +398,8 @@ def cross_ratio_q(c: StableCurve, q) -> ProjPoint:
         if m not in bits:
             raise CurveError("mark %r not on the curve" % (m,))
     i, j, k, n = [bits[m].bit_length() - 1 for m in q]
-    pts, rows = c.points, slot_layout(t).rows
-    if pts is None or rows is None:
-        raise CurveError("cross ratio on an invalid curve: %r" % (c.validate(),))
-    for row in rows:
+    pts = c.points
+    for row in slot_layout(t).rows:
         a, b, x, y = row[i], row[j], row[k], row[n]
         if len({a, b, x, y}) >= 3:
             return cross_ratio(pts[a], pts[b], pts[x], pts[y])
@@ -542,8 +537,6 @@ def moduli_key(c: StableCurve) -> str:
     coordinate data, as it has no moduli.  Computed once per curve.
     """
     if c._moduli_key is None:
-        if c.points is None or slot_layout(c.tree).rows is None:
-            raise CurveError("moduli key of an invalid curve: %r" % (c.validate(),))
         c._moduli_key = _moduli_key(c)
     return c._moduli_key
 
@@ -552,12 +545,9 @@ def _moduli_key(c: StableCurve) -> str:
     pts = c.points
     parts = []
     for (a, b, d), head, rest in _key_layout(c.tree):
-        r0, r1, r2 = pts[a], pts[b], pts[d]
-        if r0._k == r1._k or r0._k == r2._k or r1._k == r2._k:
-            raise UnstableConfiguration("three or more coincident points")
         if rest:
-            # (r0, r1, r2) -> (inf, 0, 1); the head already holds their text
-            to_frame = frame(r0, r1, r2)
+            # the references -> (inf, 0, 1); the head already holds their text
+            to_frame = frame(pts[a], pts[b], pts[d])
             parts.append(head + ";".join([text + to_frame(pts[i]).serialize()
                                           for i, text in rest]) + "}")
         else:

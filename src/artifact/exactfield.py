@@ -286,7 +286,10 @@ class ProjPoint:
         if not (s.startswith("[") and s.endswith("]")) or ":" not in s:
             raise ParseError("bad ProjPoint literal: %r" % (s,))
         left, right = s[1:-1].split(":", 1)
-        return ProjPoint(GaussRat.parse(left), GaussRat.parse(right))
+        a, b = GaussRat.parse(left), GaussRat.parse(right)
+        if not (a or b):
+            raise ParseError("bad ProjPoint literal: %r (both coordinates zero)" % (s,))
+        return ProjPoint(a, b)
 
     def __repr__(self):
         return "ProjPoint(%r)" % (self.serialize(),)

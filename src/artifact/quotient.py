@@ -325,8 +325,6 @@ def _place(c: StableCurve, sites, point: ProjPoint) -> StableCurve:
     curves._derive, which checks only the components that receive a new
     mark.  Raises QuotientError when the result is not a valid curve.
     """
-    if c.points is None:
-        raise QuotientError("placement on an invalid curve: %r" % (c.validate(),))
     out, bad = _derive(c, tuple(sites), _plan_place,
                        (point, point.conj(), PP_INF, PP_ZERO, _I, _I_BAR))
     if bad:

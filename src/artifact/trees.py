@@ -506,6 +506,8 @@ def stable_tree_count(l: int) -> int:
     """len(enumerate_trees(l)) for l >= 3 complex marks, without building
     a tree: A000311(l - 1), by a(n + 1) = (n + 2) a(n)
     + 2 sum_{k=2}^{n-1} C(n, k) a(k) a(n - k + 1), a(1) = a(2) = 1."""
+    if l < 3:
+        raise TreeError("complex enumeration requires l >= 3")
     a = [0, 1, 1]
     for n in range(2, l - 1):
         a.append((n + 2) * a[n] + 2 * sum(math.comb(n, k) * a[k] * a[n - k + 1]

@@ -61,6 +61,17 @@ class TestSamplingAndValidation:
             c = sample_curve(t, 30, ("conj", i))
             assert moduli_key(conjugate_curve(c)) == moduli_key(c)
 
+    def test_conjugate_builds_through_the_constructor(self):
+        # conjugate_curve checks nothing (it builds through _of): the dict
+        # constructor, which validates in full, accepts what it returns
+        count = 0
+        for l in (2, 3, 4):
+            for i, t in enumerate(trees.enumerate_trees(l, real=True)):
+                o = conjugate_curve(sample_curve(t, 30, ("conjugate", l, i)))
+                assert StableCurve(o.tree, o.coords).points == o.points
+                count += 1
+        assert count == 4 + 36 + 520
+
 
 class TestJsonKeys:
     """A coordinate key that is neither "mark:<mark>" nor "edge:<u>-<v>"
@@ -88,6 +99,16 @@ def test_zero_denominator_coordinate_raises_parse_error():
     cv = d["coords"]["0"]
     cv[next(iter(cv))] = "[1/0:1]"
     with pytest.raises(ParseError, match=re.escape(repr("1/0"))):
+        curve_from_json(d)
+
+
+@pytest.mark.parametrize("lit", ["[0:0]", "[0/1:0/5]"])
+def test_zero_pair_coordinate_raises_parse_error(lit):
+    t = [x for x in trees.enumerate_trees(4) if x.edges][0]
+    d = sample_curve(t, 30, ("zero-pair",)).to_json()
+    cv = d["coords"]["0"]
+    cv[next(iter(cv))] = lit
+    with pytest.raises(ParseError, match=re.escape("bad ProjPoint literal: %r" % (lit,))):
         curve_from_json(d)
 
 
@@ -232,13 +253,16 @@ class TestCrossRatioQ:
         assert cross_ratio_q(c, (1, 2, 3, 4)) == cross_ratio(*pts)
 
     def test_invalid_curve(self):
-        # vertex 1 has valence 2; no rows are kept for an invalid tree
+        # vertex 1 has valence 2: the constructor raises, so no cross ratio
+        # is taken on an invalid tree
         t = trees.MarkedTree(2, [(0, 1)], {1: 0, 2: 0, 3: 0, 4: 1})
-        c = StableCurve(t, {0: {("m", 1): PP_ZERO, ("m", 2): PP_ONE, ("m", 3): PP_INF,
-                                ("e", (0, 1)): pp(GaussRat(2))},
-                            1: {("m", 4): PP_ZERO, ("e", (0, 1)): PP_INF}})
-        with pytest.raises(curves.CurveError, match="valence 2 < 3"):
-            cross_ratio_q(c, (1, 2, 3, 4))
+        with pytest.raises(curves.CurveError, match=re.escape(
+                "invalid curve: ['vertex 1 has valence 2 < 3', "
+                "'vertex 1: fewer than 3 special points']")):
+            cross_ratio_q(StableCurve(t, {0: {("m", 1): PP_ZERO, ("m", 2): PP_ONE,
+                                              ("m", 3): PP_INF, ("e", (0, 1)): pp(GaussRat(2))},
+                                          1: {("m", 4): PP_ZERO, ("e", (0, 1)): PP_INF}}),
+                          (1, 2, 3, 4))
 
     def test_forget_compatible(self):
         # the cross ratio of four kept marks is stable under forgetting
@@ -333,47 +357,59 @@ class TestModuliKeyReference:
     @pytest.mark.parametrize("l", [3, 4])
     @pytest.mark.parametrize("a,b", [(1, 2), (1, 3), (2, 3)])
     def test_coincident_references_raise(self, l, a, b):
-        # one smooth component with l marks, left unvalidated, with the
-        # references a and b (marks are the first slots) at one point
+        # one smooth component with l marks and the references a and b
+        # (marks are the first slots) at one point, which no frame sends to
+        # two of inf, 0 and 1: the constructor raises, so moduli_key never
+        # frames it
         t = trees.MarkedTree(1, [], {m: 0 for m in range(1, l + 1)})
         pts = [PP_INF, PP_ZERO, PP_ONE, pp(GaussRat(5, 3))][:l]
         pts[b - 1] = pts[a - 1]
-        c = StableCurve(t, {0: {("m", m): z for m, z in zip(range(1, l + 1), pts)}})
-        for key in (moduli_key, _reference_key):
-            with pytest.raises(UnstableConfiguration):
-                key(c)
+        to_frame = frame(*pts[:3])
+        with pytest.raises(UnstableConfiguration):
+            [to_frame(z) for z in pts[:3]]
+        with pytest.raises(curves.CurveError, match=re.escape(
+                "invalid curve: ['vertex 0: special points not pairwise distinct']")):
+            moduli_key(StableCurve(t, {0: {("m", m): z for m, z in zip(range(1, l + 1), pts)}}))
 
 
-def _on_shared_tree(c):
-    """The curve c on the shared tree of its structure, whose validation
-    result is already kept."""
-    t = c.tree
+def _trees_of(t):
+    """A fresh copy of t that has not been validated yet, and the shared
+    tree of t's structure, whose validation result is already kept."""
+    fresh = (trees.RealMarkedTree(t.vertex_count, t.edges, t.mu, t.phi) if t.is_real
+             else trees.MarkedTree(t.vertex_count, t.edges, t.mu))
     st = trees.shared_tree(t.vertex_count, t.edges, t.mu, t.phi)
     st.validate()
-    return StableCurve(st, c.coords)
+    return fresh, st
 
 
 def _moved(c, v, change):
-    """c with change applied to the coordinates at v, on a fresh copy of
-    its tree that has not been validated yet."""
-    t = c.tree
-    fresh = (trees.RealMarkedTree(t.vertex_count, t.edges, t.mu, t.phi) if t.is_real
-             else trees.MarkedTree(t.vertex_count, t.edges, t.mu))
-    coords = {u: dict(cv) for u, cv in c.coords.items()}
+    """(c's tree, c's coordinates with change applied to those at v)."""
+    coords = c.coords
     change(coords[v])
-    return StableCurve(fresh, coords)
+    return c.tree, coords
+
+
+def _errors(t, coords):
+    """The texts of the CurveErrors of building the curve from coords,
+    twice on each tree of _trees_of(t)."""
+    texts = set()
+    for tree in _trees_of(t) * 2:
+        with pytest.raises(curves.CurveError) as err:
+            StableCurve(tree, coords)
+        texts.add(str(err.value))
+    return texts
 
 
 class TestValidationFailures:
-    """Each failure StableCurve.validate reports, on a fresh tree and on a
-    shared tree that keeps its validation result."""
+    """Each failure the dict constructor reports (the messages of
+    StableCurve.validate, and the vertices whose slots are not the
+    tree's), on a fresh tree and on a shared tree that keeps its
+    validation result."""
 
     @staticmethod
-    def _reports(c, text):
-        for curve in (c, _on_shared_tree(c)):
-            bad = list(curve.validate())
-            assert any(text in b for b in bad), (text, bad)
-            assert curve.validate() == bad
+    def _reports(t, coords, text):
+        texts = _errors(t, coords)
+        assert len(texts) == 1 and text in next(iter(texts)), (text, texts)
 
     @pytest.fixture
     def cplx(self):
@@ -387,44 +423,43 @@ class TestValidationFailures:
 
     def test_valid_on_both(self, cplx, real):
         for c in (cplx, real):
-            assert c.validate() == [] == _on_shared_tree(c).validate()
+            for t in _trees_of(c.tree):
+                built = StableCurve(t, c.coords)
+                assert built.points == c.points and built.validate() == []
 
     def test_missing_slot(self, cplx):
         slot = cplx.tree.edges[0]
-        c = _moved(cplx, slot[0], lambda cv: cv.pop(curves._edge_slot(slot)))
-        self._reports(c, "vertex %d: slots" % slot[0])
+        t, coords = _moved(cplx, slot[0], lambda cv: cv.pop(curves._edge_slot(slot)))
+        self._reports(t, coords, "vertex %d: slots" % slot[0])
 
     def test_extra_slot(self, cplx):
-        c = _moved(cplx, 0, lambda cv: cv.__setitem__(("m", 99), PP_ONE))
-        self._reports(c, "vertex 0: slots")
+        t, coords = _moved(cplx, 0, lambda cv: cv.__setitem__(("m", 99), PP_ONE))
+        self._reports(t, coords, "vertex 0: slots")
 
     def test_coincident_points(self, cplx):
         def clash(cv):
             a, b = list(cv)[:2]
             cv[b] = cv[a]
-        self._reports(_moved(cplx, 1, clash),
+        self._reports(*_moved(cplx, 1, clash),
                       "vertex 1: special points not pairwise distinct")
 
     def test_fewer_than_three_points(self):
         t = trees.MarkedTree(2, [(0, 1)], {1: 0, 2: 0, 3: 1})
-        c = StableCurve(t, {0: {("m", 1): PP_ZERO, ("m", 2): PP_ONE,
-                                ("e", (0, 1)): PP_INF},
-                            1: {("m", 3): PP_ZERO, ("e", (0, 1)): PP_INF}})
-        self._reports(c, "vertex 1: fewer than 3 special points")
-        self._reports(c, "vertex 1 has valence 2 < 3")
+        coords = {0: {("m", 1): PP_ZERO, ("m", 2): PP_ONE, ("e", (0, 1)): PP_INF},
+                  1: {("m", 3): PP_ZERO, ("e", (0, 1)): PP_INF}}
+        self._reports(t, coords, "vertex 1: fewer than 3 special points")
+        self._reports(t, coords, "vertex 1 has valence 2 < 3")
 
     def test_conjugation_symmetry(self, real):
         v, slot = next((v, s) for v, cv in real.coords.items() for s, z in cv.items()
                        if z != z.conj() and s[0] == "m")
         # outside the sampling bound, so distinct from every other point
-        c = _moved(real, v, lambda cv: cv.__setitem__(slot, pp(GaussRat(1000, 999))))
-        self._reports(c, "conjugation symmetry fails at vertex %d slot %r" % (v, slot))
+        t, coords = _moved(real, v, lambda cv: cv.__setitem__(slot, pp(GaussRat(1000, 999))))
+        self._reports(t, coords, "conjugation symmetry fails at vertex %d slot %r" % (v, slot))
 
     @staticmethod
-    def _reports_exactly(c, expected):
-        for curve in (c, _on_shared_tree(c)):
-            assert curve.validate() == expected
-            assert curve.validate() == expected
+    def _reports_exactly(t, coords, expected):
+        assert _errors(t, coords) == {"invalid curve: %r" % (expected,)}
 
     # a point outside the sampling bound, distinct from every other point
     FAR = pp(GaussRat(1000, 999))
@@ -434,17 +469,17 @@ class TestValidationFailures:
         # 1+ and 1- both sit at vertex 0, 1+ in the earlier slot, so its
         # message comes first
         assert list(real.coords[0])[:2] == [("m", "1+"), ("m", "1-")]
-        c = _moved(real, 0, lambda cv: cv.__setitem__(("m", "1+"), self.FAR))
-        self._reports_exactly(c, [self.CONJ % (0, ("m", "1+")),
-                                  self.CONJ % (0, ("m", "1-"))])
+        t, coords = _moved(real, 0, lambda cv: cv.__setitem__(("m", "1+"), self.FAR))
+        self._reports_exactly(t, coords, [self.CONJ % (0, ("m", "1+")),
+                                          self.CONJ % (0, ("m", "1-"))])
 
     def test_self_conjugate_edge_made_non_real(self, real):
         # phi fixes both ends of the edge (0, 1): each of its slots is its
         # own partner
         assert real.tree.phi == (0, 1) and real.tree.edges == ((0, 1),)
         slot = ("e", (0, 1))
-        c = _moved(real, 0, lambda cv: cv.__setitem__(slot, self.FAR))
-        self._reports_exactly(c, [self.CONJ % (0, slot)])
+        t, coords = _moved(real, 0, lambda cv: cv.__setitem__(slot, self.FAR))
+        self._reports_exactly(t, coords, [self.CONJ % (0, slot)])
 
     def test_broken_edge_pair_across_vertices(self):
         # phi swaps vertices 1 and 2, so the node of (0, 1) at vertex 1
@@ -452,19 +487,17 @@ class TestValidationFailures:
         mu = {"1+": 0, "1-": 0, "2+": 1, "2-": 2, "3+": 1, "3-": 2}
         t = trees.RealMarkedTree(3, [(0, 1), (0, 2)], mu, [0, 2, 1])
         c = sample_curve(t, 30, ("fail", 2))
-        c = _moved(c, 1, lambda cv: cv.__setitem__(("e", (0, 1)), self.FAR))
-        self._reports_exactly(c, [self.CONJ % (1, ("e", (0, 1))),
-                                  self.CONJ % (2, ("e", (0, 2)))])
+        t, coords = _moved(c, 1, lambda cv: cv.__setitem__(("e", (0, 1)), self.FAR))
+        self._reports_exactly(t, coords, [self.CONJ % (1, ("e", (0, 1))),
+                                          self.CONJ % (2, ("e", (0, 2)))])
 
     def test_invalid_tree(self):
         mu = {"1+": 0, "1-": 0, "2+": 1, "2-": 1}
         t = trees.RealMarkedTree(2, [(0, 1)], mu, [1, 0])
         i = pp(GaussRat(0, 1))
-        c = StableCurve(t, {0: {("m", "1+"): i, ("m", "1-"): i.conj(),
-                                ("e", (0, 1)): PP_INF},
-                            1: {("m", "2+"): i, ("m", "2-"): i.conj(),
-                                ("e", (0, 1)): PP_INF}})
-        self._reports(c, "phi(mu('1+')) != mu('1-')")
+        coords = {0: {("m", "1+"): i, ("m", "1-"): i.conj(), ("e", (0, 1)): PP_INF},
+                  1: {("m", "2+"): i, ("m", "2-"): i.conj(), ("e", (0, 1)): PP_INF}}
+        self._reports(t, coords, "phi(mu('1+')) != mu('1-')")
 
 
 class TestSamplingErrors:
@@ -553,34 +586,35 @@ class TestForgetPlan:
 
 
 class TestInvalidCurveErrors:
-    """forget and moduli_key on a curve whose slots are not its tree's,
-    and forget on an invalid tree, raise CurveError with the validate()
-    messages."""
+    """Coordinates whose slots are not their tree's, or on an invalid tree,
+    raise CurveError from the constructor, with what it reports, before
+    forget or moduli_key can see them."""
 
-    @pytest.mark.parametrize("call", [lambda c: forget(c, c.tree.marks()[:4]), moduli_key],
-                             ids=["forget", "moduli_key"])
+    @pytest.mark.parametrize("call", [lambda c: forget(c, c.tree.marks()[:4]).to_json(),
+                                      moduli_key], ids=["forget", "moduli_key"])
     @pytest.mark.parametrize("real", [False, True])
     def test_slots_not_the_trees(self, call, real):
         t = trees.enumerate_trees(3, real=True)[-1] if real else trees.enumerate_trees(5)[-1]
-        c = _moved(sample_curve(t, 30, ("unslotted",)), 0,
-                   lambda cv: cv.__setitem__(("m", 99), PP_ONE))
-        assert c.points is None
-        with pytest.raises(curves.CurveError, match=re.escape(repr(c.validate()))):
-            call(c)
+        c = sample_curve(t, 30, ("unslotted",))
+        fresh, coords = _trees_of(t)[0], c.coords
+        coords[0][("m", 99)] = PP_ONE
+        bad = ["vertex 0: slots %r != expected %r" % (set(coords[0]), set(c.coords[0]))]
+        with pytest.raises(curves.CurveError, match=re.escape("invalid curve: %r" % (bad,))):
+            call(StableCurve(fresh, coords))
+        # the tree's own slots build a curve on the same tree
+        assert call(StableCurve(fresh, c.coords)) == call(c)
 
     @pytest.mark.parametrize("call", [lambda c: forget(c, [1, 2, 3, 4]), moduli_key],
                              ids=["forget", "moduli_key"])
     def test_invalid_tree(self, call):
-        # vertex 1 has valence 2: the tree keeps no layout rows, and the
-        # curve's slots are the tree's
+        # vertex 1 has valence 2, and the curve's slots are the tree's
         t = trees.MarkedTree(2, [(0, 1)], {1: 0, 2: 0, 3: 0, 4: 1})
-        c = StableCurve(t, {0: {("m", 1): PP_ZERO, ("m", 2): PP_ONE, ("m", 3): PP_INF,
-                                ("e", (0, 1)): pp(GaussRat(2))},
-                            1: {("m", 4): PP_ZERO, ("e", (0, 1)): PP_INF}})
-        assert c.points is not None
+        coords = {0: {("m", 1): PP_ZERO, ("m", 2): PP_ONE, ("m", 3): PP_INF,
+                      ("e", (0, 1)): pp(GaussRat(2))},
+                  1: {("m", 4): PP_ZERO, ("e", (0, 1)): PP_INF}}
         for _call in range(2):
             with pytest.raises(curves.CurveError, match="valence 2 < 3"):
-                call(c)
+                call(StableCurve(t, coords))
 
 
 # sha256 of the sorted-key JSON of forget's output, one line per (tree,
@@ -617,8 +651,8 @@ class TestForgetOracle:
                 for keep in _keep_sets(t):
                     out = forget(c, keep)
                     nt = out.tree
-                    # forget checks no points of a validated curve's output
-                    assert out._valid and StableCurve._of(nt, out.points).validate() == []
+                    # forget checks no points of its output
+                    assert StableCurve._of(nt, out.points).validate() == []
                     assert out.validate() == []
                     assert set(nt.mu) == keep
                     want = set()

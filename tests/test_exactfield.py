@@ -1,5 +1,7 @@
 """Exact scalar and projective-line arithmetic."""
 
+import re
+
 import pytest
 from fractions import Fraction
 
@@ -116,6 +118,12 @@ class TestProjPoint:
     def test_zero_zero_rejected(self):
         with pytest.raises(ExactFieldError):
             ProjPoint(GaussRat(0), GaussRat(0))
+
+    @pytest.mark.parametrize("bad", ["[0:0]", "[0/1:0/5]"])
+    def test_parse_rejects_zero_pair(self, bad):
+        # both coordinates zero: ParseError, not the constructor's error
+        with pytest.raises(ParseError, match=re.escape("bad ProjPoint literal: %r" % (bad,))):
+            ProjPoint.parse(bad)
 
     def test_indeterminate_product(self):
         with pytest.raises(IndeterminateProduct):

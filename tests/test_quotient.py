@@ -546,8 +546,8 @@ _I = pp(GaussRat(0, 1))
 
 def _reference_place(c, sites, point):
     """The placement built coordinate by coordinate: copy the coords view,
-    edit it, build the curve through the dict constructor and validate it
-    in full."""
+    edit it and build the curve through the dict constructor, which
+    validates it in full."""
     t = c.tree
     n = t.vertex_count
     coords, mu, edges = c.coords, dict(t.mu), set(t.edges)
@@ -579,11 +579,13 @@ def _reference_place(c, sites, point):
     phi = None
     if t.is_real:
         phi = list(t.phi) + [at[1 - at.index(w)] for w in range(n, n + len(new))]
-    out = curves.StableCurve(trees.shared_tree(n + len(new), edges, mu, phi), coords)
-    bad = out.validate()
-    if bad:
-        raise QuotientError("bad placement: %r" % (bad,))
-    return out
+    try:
+        return curves.StableCurve(trees.shared_tree(n + len(new), edges, mu, phi), coords)
+    except curves.CurveError as e:
+        # the same list of messages, under the placement's text
+        text = str(e)
+        assert text.startswith("invalid curve: [")
+        raise QuotientError("bad placement: " + text[len("invalid curve: "):]) from None
 
 
 def _place_sites(t):
@@ -618,7 +620,7 @@ def _placed(place, c, sites, point):
         return "ERR " + str(e)
     # a curve that _place checked only in part validates in full when
     # built fresh
-    assert out._valid and curves.StableCurve._of(out.tree, out.points).validate() == []
+    assert curves.StableCurve._of(out.tree, out.points).validate() == []
     assert out.validate() == []
     return _curve_text(out)
 
@@ -646,18 +648,17 @@ class TestPlacementsAgainstReference:
         assert counts["ok"] > 0 and counts["ERR"] > 0
 
     def test_invalid_base_is_validated_in_full(self):
-        # a base with two coincident points on a component that gets no new
-        # mark: the plan's own check cannot see it, the full validation does
+        # a base with two coincident points on a component that would get
+        # no new mark, which the plan's own check cannot see: reading it
+        # validates it in full and rejects it, so no placement starts there
         t = [x for x in trees.enumerate_trees(4) if x.edges][0]
         d = sample_curve(t, 30, ("invalid-base",)).to_json()
         cv = d["coords"]["0"]
         a, b = list(cv)[:2]
         cv[b] = cv[a]
-        base = curves.curve_from_json(d)
-        for sites in _place_sites(t):
-            want = _placed(_reference_place, base, sites, pp(GaussRat(1, 3)))
-            assert want.startswith("ERR bad placement: ['vertex 0: special points")
-            assert _placed(quotient._place, base, sites, pp(GaussRat(1, 3))) == want
+        with pytest.raises(curves.CurveError, match=re.escape(
+                "invalid curve: ['vertex 0: special points not pairwise distinct']")):
+            curves.curve_from_json(d)
 
     def test_plan_replayed_after_its_tree_is_freed(self):
         import gc

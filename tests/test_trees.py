@@ -53,6 +53,11 @@ class TestEnumeration:
         assert len(ts) == n == trees.stable_tree_count(l)
         assert len({canonical_form(t) for t in ts}) == n
 
+    @pytest.mark.parametrize("l", [-1, 0, 1, 2])
+    def test_count_below_three_marks_raises(self, l):
+        with pytest.raises(trees.TreeError, match="requires l >= 3"):
+            trees.stable_tree_count(l)
+
     def test_real_counts(self):
         assert len(enumerate_trees(2, real=True)) == 4
         assert len(enumerate_trees(3, real=True)) == 36
