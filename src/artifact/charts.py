@@ -38,7 +38,7 @@ from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .curves import cross_ratio_q
 from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint,
-                         UnstableConfiguration, cross_ratio)
+                         UnstableConfiguration, _normal, _point, cross_ratio)
 from .strata import _admissible, _universe, order_key
 from .trees import (MarkedTree, _marks_of_mask, bar_mark, sort_marks,
                     split_marks)
@@ -133,14 +133,34 @@ def basis_values(curve, basis: ChartBasis) -> Dict[Tuple, ProjPoint]:
 # CR of ref reordered to (ref[s0], ref[s1], ref[s2], ref[s3]) as a function of
 # x = CR_ref.  Orderings that start with ref[0] give the six anharmonic maps;
 # the double transpositions of positions fix the cross ratio and carry each
-# of the 24 orderings to one of these.
+# of the 24 orderings to one of these.  Each map is one integer formula on
+# the key (p, q, d) of x = [p + q*i : d] that builds one point (1/x and 1-x
+# are ProjPoint.inv and one_minus); no pair below is [0 : 0], so each map
+# is exact at 0, 1 and inf.
+
+
+def _recip_one_minus(x: ProjPoint) -> ProjPoint:
+    p, q, d = x._k
+    return _point(_normal(d, 0, d - p, -q))  # 1/(1-x) = [d : d-p-qi]
+
+
+def _one_minus_recip(x: ProjPoint) -> ProjPoint:
+    p, q, d = x._k
+    return _point(_normal(p - d, q, p, q))  # (x-1)/x = [p-d+qi : p+qi]
+
+
+def _over_x_minus_one(x: ProjPoint) -> ProjPoint:
+    p, q, d = x._k
+    return _point(_normal(p, q, p - d, q))  # x/(x-1) = [p+qi : p-d+qi]
+
+
 _ANHARMONIC = {
     (0, 1, 2, 3): lambda x: x,
-    (0, 1, 3, 2): lambda x: x.inv(),                        # 1/x
-    (0, 2, 1, 3): lambda x: x.one_minus(),                  # 1-x
-    (0, 2, 3, 1): lambda x: x.one_minus().inv(),            # 1/(1-x)
-    (0, 3, 1, 2): lambda x: x.inv().one_minus(),            # (x-1)/x
-    (0, 3, 2, 1): lambda x: x.inv().one_minus().inv(),      # x/(x-1)
+    (0, 1, 3, 2): ProjPoint.inv,                # 1/x = [d : p+qi]
+    (0, 2, 1, 3): ProjPoint.one_minus,          # 1-x = [d-p-qi : d]
+    (0, 2, 3, 1): _recip_one_minus,             # 1/(1-x)
+    (0, 3, 1, 2): _one_minus_recip,             # (x-1)/x
+    (0, 3, 2, 1): _over_x_minus_one,            # x/(x-1)
 }
 _KLEIN = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 _PERMUTED = {tuple(s[k] for k in v): f
@@ -259,11 +279,11 @@ class ReconstructionTable:
                 val = values.get(q)
                 if val is not None:
                     model[q[3]] = val
-            for combo in itertools.combinations(sorted(model, key=rank), 4):
-                key = bits[combo[0]] | bits[combo[1]] | bits[combo[2]] | bits[combo[3]]
+            for a, b, c, d in itertools.combinations(sorted(model, key=rank), 4):
+                key = bits[a] | bits[b] | bits[c] | bits[d]
                 if key not in table:
                     try:
-                        table[key] = cross_ratio(*(model[m] for m in combo))
+                        table[key] = cross_ratio(model[a], model[b], model[c], model[d])
                     except UnstableConfiguration:
                         pass
         for qe in basis.edge_quads.values():

@@ -28,6 +28,7 @@ from .exactfield import (
     IndeterminateProduct,
     cross_ratio,
     finite_point,
+    randbelow,
 )
 
 MAX_L_ENUM = 10       # tree/stratum enumeration guardrail (complex)
@@ -139,8 +140,9 @@ def _rand_pp(rng: random.Random, bound: int) -> ProjPoint:
     drawn in [-bound, bound] and [1, bound]."""
     if rng.random() < Fraction(1, 20):
         return PP_INF
-    p, d = rng.randint(-bound, bound), rng.randint(1, bound)
-    q, e = rng.randint(-bound, bound), rng.randint(1, bound)
+    width = 2 * bound + 1
+    p, d = randbelow(rng, width) - bound, randbelow(rng, bound) + 1
+    q, e = randbelow(rng, width) - bound, randbelow(rng, bound) + 1
     return finite_point(p * e, q * d, d * e)
 
 

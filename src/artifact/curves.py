@@ -15,7 +15,7 @@ import weakref
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, cross_ratio, finite_point,
-                         frame)
+                         frame, randbelow)
 from .strata import classify_real, is_admissible, stratum_edge
 from .trees import (MarkedTree, RealMarkedTree, bar_mark, canonical_form,
                     canonical_vertex_order, real_marks,
@@ -51,11 +51,15 @@ class SlotLayout:
     vertex; the slots of v are offsets[v]:offsets[v + 1].  On a valid
     tree, rows[v] lists in bit order the index through which v sees each
     mark (the mark's own slot at its vertex, else the edge into the
-    mark's branch); on a valid real tree, partner[i] is the index of the
-    conjugate of slot i (the conjugate mark where it sits, or the image
-    of the edge at phi(v)), i itself for a self-conjugate slot.  A layout
-    refers to no tree, and its slot tuples are shared between layouts,
-    so a layout can be kept for a tree that is built again later.
+    mark's branch), built in one pass over v's branch masks: each bit of
+    branch j maps to v's edge slot j, and v's own marks, the bits in no
+    branch, are its first slots in bit order.  On a valid real tree,
+    partner[i] is the index of the conjugate of slot i (the conjugate
+    mark where it sits, or the image of the edge at phi(v)), i itself
+    for a self-conjugate slot; only it needs a (vertex, slot) -> index
+    dict.  A layout refers to no tree, and its slot tuples are shared
+    between layouts, so a layout can be kept for a tree that is built
+    again later.
     """
 
     rows: Optional[Tuple[Tuple[int, ...], ...]] = None
@@ -74,16 +78,30 @@ class SlotLayout:
         self.slots, self.vertex, self.offsets = tuple(slots), tuple(vertex), tuple(offsets)
         if t.validate():
             return
-        index = {vs: i for i, vs in enumerate(zip(vertex, slots))}
-        bits, rows = t.mark_bits(), []
+        n = len(t.mark_bits())
+        full = (1 << n) - 1
+        rows = []
         for v, sides in enumerate(t.split_index()[0]):
-            edge0 = offsets[v + 1] - len(sides)  # the edges are v's last slots
-            rows.append(tuple([
-                index[v, ("m", m)] if t.mu[m] == v
-                else edge0 + next(j for j, side in enumerate(sides) if side & b)
-                for m, b in bits.items()]))
+            row = [0] * n
+            own = full
+            i = offsets[v + 1] - len(sides)  # the edges are v's last slots
+            for side in sides:
+                own ^= side
+                while side:
+                    low = side & -side
+                    row[low.bit_length() - 1] = i
+                    side ^= low
+                i += 1
+            i = offsets[v]  # v's own marks are its first slots, in bit order
+            while own:
+                low = own & -own
+                row[low.bit_length() - 1] = i
+                own ^= low
+                i += 1
+            rows.append(tuple(row))
         self.rows = tuple(rows)
         if t.is_real:
+            index = {vs: i for i, vs in enumerate(zip(vertex, slots))}
             phi = t.phi
             self.partner = tuple([
                 index[t.mu[bar_mark(x)], ("m", bar_mark(x))] if kind == "m"
@@ -123,7 +141,9 @@ class StableCurve:
         """The curve with coordinates {vertex: {slot: point}}, or
         CurveError("invalid curve: [...]") listing what validate reports,
         with a vertex whose slots are not the tree's named in place of
-        the checks of its points."""
+        the checks of its points: its slots and the expected ones as
+        lists in layout order, any unknown slots last, sorted by repr,
+        so that the text does not depend on the hash seed."""
         self.tree = tree
         lay = slot_layout(tree)
         off = lay.offsets
@@ -132,9 +152,11 @@ class StableCurve:
             bad.append("coords must cover every vertex")
         else:
             for v, (a, b) in enumerate(zip(off, off[1:])):
-                want = set(lay.slots[a:b])
-                if coords[v].keys() != want:
-                    bad.append("vertex %d: slots %r != expected %r" % (v, set(coords[v]), want))
+                want = lay.slots[a:b]
+                if coords[v].keys() != set(want):
+                    got = ([s for s in want if s in coords[v]]
+                           + sorted(coords[v].keys() - set(want), key=repr))
+                    bad.append("vertex %d: slots %r != expected %r" % (v, got, list(want)))
                 else:
                     bad += _vertex_problems(v, list(coords[v].values()))
         if not bad:
@@ -389,21 +411,36 @@ def cross_ratio_q(c: StableCurve, q) -> ProjPoint:
     Agrees with the cross ratio of the 4-marked stabilization; exactly two
     coincident projections resolve by the degenerate 2|2 value table.
     """
-    q = tuple(q)
-    if len(set(q)) != 4:
-        raise CurveError("cross ratio needs 4 distinct marks")
+    if type(q) is not tuple:
+        q = tuple(q)
     t = c.tree
-    bits = t.mark_bits()
-    for m in q:
-        if m not in bits:
-            raise CurveError("mark %r not on the curve" % (m,))
-    i, j, k, n = [bits[m].bit_length() - 1 for m in q]
+    bits = t._bits or t.mark_bits()
+    try:
+        a, b, x, y = q
+        a, b, x, y = bits[a], bits[b], bits[x], bits[y]
+    except (ValueError, KeyError, TypeError):
+        a = b = x = y = 0
+    if (a | b | x | y).bit_count() != 4:
+        _bad_quadruple(q, bits)
+    i, j, k, n = a.bit_length() - 1, b.bit_length() - 1, x.bit_length() - 1, y.bit_length() - 1
     pts = c.points
-    for row in slot_layout(t).rows:
+    for row in (t._layout or slot_layout(t)).rows:
         a, b, x, y = row[i], row[j], row[k], row[n]
         if len({a, b, x, y}) >= 3:
             return cross_ratio(pts[a], pts[b], pts[x], pts[y])
     raise CurveError("no component separates three of the marks")  # unreachable
+
+
+def _bad_quadruple(q: Tuple, bits: Dict) -> None:
+    """Raise the error of a q that is not four distinct marks of the
+    curve: the first of a repeat or a wrong length, a mark not on the
+    curve, or (more than four entries) the unpacking's ValueError."""
+    if len(set(q)) != 4:
+        raise CurveError("cross ratio needs 4 distinct marks")
+    for m in q:
+        if m not in bits:
+            raise CurveError("mark %r not on the curve" % (m,))
+    _i, _j, _k, _n = [bits[m] for m in q]
 
 
 # ---------------------------------------------------------------------------
@@ -456,13 +493,15 @@ def in_D_tilde(c: StableCurve, rho, bullet: str) -> bool:
 # sampling
 
 def _rand_point(rng: random.Random, bound: int, real_only=False) -> ProjPoint:
-    # infinity shows up with small probability so charts get exercised there
-    if rng.randrange(12) == 0:
+    # infinity shows up with small probability so charts get exercised
+    # there; p and q in [-bound, bound], d and e in [1, bound]
+    if randbelow(rng, 12) == 0:
         return PP_INF
-    p, d = rng.randint(-bound, bound), rng.randint(1, bound)
+    width = 2 * bound + 1
+    p, d = randbelow(rng, width) - bound, randbelow(rng, bound) + 1
     if real_only:
         return finite_point(p, 0, d)
-    q, e = rng.randint(-bound, bound), rng.randint(1, bound)
+    q, e = randbelow(rng, width) - bound, randbelow(rng, bound) + 1
     # p/d + (q/e)*i = (p*e + q*d*i) / (d*e)
     return finite_point(p * e, q * d, d * e)
 

@@ -44,14 +44,7 @@ _GR_RE = re.compile(
 )
 
 
-_set = object.__setattr__
-
-
-def _make(cls, key):
-    """An instance of GaussRat or ProjPoint with an already reduced key."""
-    z = object.__new__(cls)
-    _set(z, "_k", key)
-    return z
+_new = object.__new__
 
 
 def _reduced(p: int, q: int, d: int):
@@ -84,7 +77,7 @@ class GaussRat:
             d = d1 * d2 // gcd(d1, d2)
             # both parts reduced, so the common denominator leaves the triple reduced
             key = (re.numerator * (d // d1), im.numerator * (d // d2), d)
-        _set(self, "_k", key)
+        _gauss_k(self, key)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussRat is immutable")
@@ -97,20 +90,28 @@ class GaussRat:
     def im(self) -> Fraction:
         return Fraction(self._k[1], self._k[2])
 
+    # each operation reduces its result by one gcd, inline
+
     def __add__(self, other):
         p1, q1, d1 = self._k
         p2, q2, d2 = (other if type(other) is GaussRat else _coerce(other))._k
-        return _make(GaussRat, _reduced(p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2))
+        p, q, d = p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2
+        g = gcd(p, q, d)
+        return _gauss((p, q, d) if g == 1 else (p // g, q // g, d // g))
 
     def __sub__(self, other):
         p1, q1, d1 = self._k
         p2, q2, d2 = (other if type(other) is GaussRat else _coerce(other))._k
-        return _make(GaussRat, _reduced(p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2))
+        p, q, d = p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2
+        g = gcd(p, q, d)
+        return _gauss((p, q, d) if g == 1 else (p // g, q // g, d // g))
 
     def __mul__(self, other):
         p1, q1, d1 = self._k
         p2, q2, d2 = (other if type(other) is GaussRat else _coerce(other))._k
-        return _make(GaussRat, _reduced(p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2))
+        p, q, d = p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2
+        g = gcd(p, q, d)
+        return _gauss((p, q, d) if g == 1 else (p // g, q // g, d // g))
 
     def __truediv__(self, other):
         p1, q1, d1 = self._k
@@ -119,8 +120,9 @@ class GaussRat:
         if n == 0:
             raise DivisionByZero("division by zero GaussRat")
         # (p1 + q1*i)/d1 * d2/(p2 + q2*i) = (p1 + q1*i)(p2 - q2*i) d2 / (d1 n)
-        return _make(GaussRat, _reduced((p1 * p2 + q1 * q2) * d2,
-                                        (q1 * p2 - p1 * q2) * d2, d1 * n))
+        p, q, d = (p1 * p2 + q1 * q2) * d2, (q1 * p2 - p1 * q2) * d2, d1 * n
+        g = gcd(p, q, d)
+        return _gauss((p, q, d) if g == 1 else (p // g, q // g, d // g))
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -133,11 +135,11 @@ class GaussRat:
 
     def __neg__(self):
         p, q, d = self._k
-        return _make(GaussRat, (-p, -q, d))
+        return _gauss((-p, -q, d))
 
     def conj(self):
         p, q, d = self._k
-        return _make(GaussRat, (p, -q, d))
+        return _gauss((p, -q, d))
 
     def is_zero(self):
         return self._k[0] == 0 and self._k[1] == 0
@@ -178,6 +180,17 @@ class GaussRat:
 
     def __repr__(self):
         return "GaussRat(%r)" % (self.serialize(),)
+
+
+_gauss_k = GaussRat._k.__set__
+
+
+def _gauss(key) -> GaussRat:
+    """The GaussRat with an already reduced key: the one constructor that
+    skips __init__, setting _k through the slot's descriptor."""
+    z = _new(GaussRat)
+    _gauss_k(z, key)
+    return z
 
 
 def _coerce(x) -> GaussRat:
@@ -223,14 +236,14 @@ class ProjPoint:
         if pa == 0 and qa == 0 and pb == 0 and qb == 0:
             raise ExactFieldError("[0:0] is not a projective point")
         # clear denominators: [a : b] = [(pa + qa*i) db : (pb + qb*i) da]
-        _set(self, "_k", _normal(pa * db, qa * db, pb * da, qb * da))
+        _point_k(self, _normal(pa * db, qa * db, pb * da, qb * da))
 
     def __setattr__(self, name, value):
         raise AttributeError("ProjPoint is immutable")
 
     @property
     def a(self) -> GaussRat:
-        return ONE if self._k[2] == 0 else _make(GaussRat, self._k)
+        return ONE if self._k[2] == 0 else _gauss(self._k)
 
     @property
     def b(self) -> GaussRat:
@@ -250,7 +263,7 @@ class ProjPoint:
 
     def conj(self):
         p, q, d = self._k
-        return _make(ProjPoint, (p, -q, d))
+        return _point((p, -q, d))
 
     def mul(self, other: "ProjPoint") -> "ProjPoint":
         """Projective product [a:b]*[c:d] = [ac:bd]; 0*inf is an error."""
@@ -259,11 +272,11 @@ class ProjPoint:
         ar, ai, br = p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2
         if ar == 0 and ai == 0 and br == 0:
             raise IndeterminateProduct("0*inf product")
-        return _make(ProjPoint, _normal(ar, ai, br, 0))
+        return _point(_normal(ar, ai, br, 0))
 
     def inv(self) -> "ProjPoint":
         p, q, d = self._k
-        return _make(ProjPoint, _normal(d, 0, p, q))
+        return _point(_normal(d, 0, p, q))
 
     def one_minus(self) -> "ProjPoint":
         """1 - [a:b] = [b-a : b]; 1 - inf = inf."""
@@ -271,7 +284,7 @@ class ProjPoint:
         if d == 0:
             return self
         # gcd(d - p, q, d) = gcd(p, q, d) = 1: already canonical
-        return _make(ProjPoint, (d - p, -q, d))
+        return _point((d - p, -q, d))
 
     def serialize(self) -> str:
         if self._k[2] == 0:
@@ -295,6 +308,17 @@ class ProjPoint:
         return "ProjPoint(%r)" % (self.serialize(),)
 
 
+_point_k = ProjPoint._k.__set__
+
+
+def _point(key) -> ProjPoint:
+    """The ProjPoint with an already canonical key: the one constructor
+    that skips __init__, setting _k through the slot's descriptor."""
+    z = _new(ProjPoint)
+    _point_k(z, key)
+    return z
+
+
 PP_INF = ProjPoint(ONE, ZERO)
 PP_ZERO = ProjPoint(ZERO)
 PP_ONE = ProjPoint(ONE)
@@ -307,12 +331,24 @@ def pp(x) -> ProjPoint:
 
 def gauss_rat(p: int, q: int, d: int) -> GaussRat:
     """The scalar (p + q*i)/d for integers p, q and d > 0, reduced by one gcd."""
-    return _make(GaussRat, _reduced(p, q, d))
+    return _gauss(_reduced(p, q, d))
 
 
 def finite_point(p: int, q: int, d: int) -> ProjPoint:
     """The point (p + q*i)/d for integers p, q and d > 0, reduced by one gcd."""
-    return _make(ProjPoint, _reduced(p, q, d))
+    return _point(_reduced(p, q, d))
+
+
+def randbelow(rng, n: int) -> int:
+    """A uniform draw from range(n), n >= 1: getrandbits(n.bit_length())
+    until below n.  It is the draw that random.Random's randrange, randint
+    and choice make, so rng.randint(a, b) is a + randbelow(rng, b - a + 1)
+    on the same stream, without their frames."""
+    k = n.bit_length()
+    r = rng.getrandbits(k)
+    while r >= n:
+        r = rng.getrandbits(k)
+    return r
 
 
 def cross_ratio(z1: ProjPoint, z2: ProjPoint, z3: ProjPoint, z4: ProjPoint) -> ProjPoint:
@@ -337,7 +373,7 @@ def cross_ratio(z1: ProjPoint, z2: ProjPoint, z3: ProjPoint, z4: ProjPoint) -> P
     dr, di = r14 * r23 - i14 * i23, r14 * i23 + i14 * r23
     if nr == 0 and ni == 0 and dr == 0 and di == 0:
         raise UnstableConfiguration("three or more coincident points")
-    return _make(ProjPoint, _normal(nr, ni, dr, di))
+    return _point(_normal(nr, ni, dr, di))
 
 
 def frame(r0: ProjPoint, r1: ProjPoint, r2: ProjPoint):
@@ -360,7 +396,7 @@ def frame(r0: ProjPoint, r1: ProjPoint, r2: ProjPoint):
         dr, di = rz0 * r21 - iz0 * i21, rz0 * i21 + iz0 * r21
         if nr == 0 and ni == 0 and dr == 0 and di == 0:
             raise UnstableConfiguration("three or more coincident points")
-        return _make(ProjPoint, _normal(nr, ni, dr, di))
+        return _point(_normal(nr, ni, dr, di))
 
     return apply
 

@@ -28,9 +28,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from .exactfield import GaussRat, ZERO, ONE, gauss_rat
+from .exactfield import GaussRat, ZERO, ONE, gauss_rat, randbelow
 
 Scalar = GaussRat
+_set = object.__setattr__
 ChartId = Tuple[int, int]
 #: the fiber part of line data: a scale, or a second-family direction
 Fiber = Union[Scalar, List[Scalar]]
@@ -126,6 +127,16 @@ class BlowupPoint:
                     "coordinate %d must be real in this model" % (k,)
                 )
 
+    @classmethod
+    def _of(cls, model: Model, chart: ChartId, coords: Tuple[Scalar, ...]) -> "BlowupPoint":
+        """The point with the given fields, without the checks of
+        __post_init__; the caller guarantees them."""
+        p = object.__new__(cls)
+        _set(p, "model", model)
+        _set(p, "chart", chart)
+        _set(p, "coords", coords)
+        return p
+
     def u(self, j: int) -> Scalar:
         """1-based access to the blown-up chart coordinates."""
         return self.coords[j - 1]
@@ -212,7 +223,9 @@ def _in_chart(model: Model, target: ChartId, line: List[Scalar], x: Fiber,
     else:
         del out[slot]
         out += [ri * lam for lam in x]
-    return BlowupPoint(model, target, tuple(out) + base)
+    # target is a chart of model, and the coordinates are GaussRats from
+    # a valid point, real where it is
+    return BlowupPoint._of(model, target, tuple(out) + base)
 
 
 def _glued(model: Model, k: int, line: List[Scalar], x: Fiber
@@ -410,10 +423,12 @@ def sample_point(
     coordinate nonzero (convenient for overlap sampling)."""
 
     def frac() -> Tuple[int, int]:
-        n = rng.randint(-bound, bound)
+        # n in [-bound, bound] (a zero redrawn as a sign times [1, bound]),
+        # the denominator in [1, bound]
+        n = randbelow(rng, 2 * bound + 1) - bound
         if avoid_zero and n == 0:
-            n = rng.choice([-1, 1]) * rng.randint(1, bound)
-        return n, rng.randint(1, bound)
+            n = (-1, 1)[randbelow(rng, 2)] * (randbelow(rng, bound) + 1)
+        return n, randbelow(rng, bound) + 1
 
     def scalar(cplx: bool) -> Scalar:
         p, d = frac()

@@ -22,7 +22,7 @@ from .charts import (ChartDomainError, a_gamma, extended_basis,
 from .curves import (StableCurve, _derive, _edge_slot, _Gather, cross_ratio_q,
                      forget, in_D_tilde, in_divisor, moduli_key, sample_curve,
                      slot_layout)
-from .exactfield import PP_INF, PP_ZERO, GaussRat, ProjPoint, finite_point
+from .exactfield import PP_INF, PP_ZERO, GaussRat, ProjPoint, finite_point, randbelow
 from .strata import (_labels, build_a_ell, build_a_ell_real, is_admissible,
                      order_key)
 from .trees import (MarkedTree, _marks_of_mask, bar_mark, canonical_form,
@@ -419,9 +419,10 @@ def mark_at_node(c: StableCurve, e, point: ProjPoint) -> StableCurve:
 
 def _rand_pos(rng: random.Random, bound: int) -> ProjPoint:
     # nonzero imaginary part keeps the position legal in every real
-    # configuration (conjugate-distinct) and is harmless for complex ones
-    a, b = rng.randint(-bound, bound), rng.randint(1, bound)
-    c, d = rng.randint(1, bound), rng.randint(1, bound)
+    # configuration (conjugate-distinct) and is harmless for complex ones;
+    # a in [-bound, bound], b, c and d in [1, bound]
+    a, b = randbelow(rng, 2 * bound + 1) - bound, randbelow(rng, bound) + 1
+    c, d = randbelow(rng, bound) + 1, randbelow(rng, bound) + 1
     return finite_point(a * d, c * b, b * d)
 
 

@@ -578,28 +578,17 @@ def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
 # ---------------------------------------------------------------------------
 # canonical form
 
-def _centroids(adj: List[List[int]]) -> List[int]:
-    """The vertices whose largest branch has the fewest vertices."""
-    n = len(adj)
-    parent = [-1] * n
-    order = [0]
-    for v in order:
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
-    size = [1] * n
-    for v in reversed(order[1:]):
-        size[parent[v]] += size[v]
-    heavy = [max([n - size[v]] + [size[w] for w in adj[v] if w != parent[v]])
-             for v in range(n)]
-    least = min(heavy)
-    return [v for v in range(n) if heavy[v] == least]
+def _node(here: str, kids: List[str]) -> str:
+    """The AHU string of a vertex with mark string here and the sorted
+    strings of its child branches."""
+    return "(" + here + ("|" + ";".join(kids) if kids else "") + ")"
 
 
-def _ahu(adj: List[List[int]], here: List[str], v: int, p: int) -> str:
-    kids = sorted([_ahu(adj, here, w, v) for w in adj[v] if w != p])
-    return "(" + here[v] + ("|" + ";".join(kids) if kids else "") + ")"
+@functools.lru_cache(maxsize=None)
+def _set_texts(marks: FrozenSet) -> Dict[int, str]:
+    """mark mask -> "{m,...}", its marks in mark_key order, for one mark
+    set; filled by canonical_form on first use of each mask."""
+    return {}
 
 
 def canonical_form(t: MarkedTree) -> str:
@@ -609,6 +598,11 @@ def canonical_form(t: MarkedTree) -> str:
     if there are two), each vertex written with its marks; a real tree adds
     the orbits of phi, each vertex written with its marks and the mark
     sets of its branches.  Computed once per tree.
+
+    One traversal from vertex 0 gives every branch's size and, rooted at
+    0, its string.  A centroid other than vertex 0 is re-rooted only
+    along its path to vertex 0: each vertex on it swaps the string of the
+    branch towards the centroid for the one towards vertex 0.
     """
     if t._canon is not None:
         return t._canon
@@ -619,14 +613,59 @@ def canonical_form(t: MarkedTree) -> str:
         at[t.mu[m]].append(str(m))
     here = [",".join(a) for a in at]
     adj = t.adjacency()
-    body = min(_ahu(adj, here, c, -1) for c in _centroids(adj))
+    parent = [-1] * n
+    order = [0]
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    size = [1] * n
+    heavy = [0] * n  # the most vertices in a branch below v
+    kids: List[List[str]] = [[] for _ in range(n)]
+    down = [""] * n  # the string of v's branch away from vertex 0
+    for v in reversed(order):
+        kids[v].sort()
+        down[v] = _node(here[v], kids[v])
+        p = parent[v]
+        if p >= 0:
+            size[p] += size[v]
+            heavy[p] = max(heavy[p], size[v])
+            kids[p].append(down[v])
+    heavy = [max(h, n - s) for h, s in zip(heavy, size)]
+    least = min(heavy)
+    bodies = []
+    for c in range(n):
+        if heavy[c] != least:
+            continue
+        path = [c]  # c, parent[c], ..., 0
+        while path[-1]:
+            path.append(parent[path[-1]])
+        up = None  # the string of the branch at path[j] away from path[j - 1]
+        for j in range(len(path) - 1, 0, -1):
+            ks = list(kids[path[j]])
+            ks.remove(down[path[j - 1]])
+            if up is not None:
+                ks.append(up)
+                ks.sort()
+            up = _node(here[path[j]], ks)
+        ks = kids[c] if up is None else sorted(kids[c] + [up])
+        bodies.append(_node(here[c], ks))
+    body = min(bodies)
     out = "%s%d:%s" % ("RT" if t.is_real else "T", t.l, body)
     if t.is_real:
         sides = t.split_index()[0]
-        ids = ["[" + "|".join(sorted([here[v]] + [
-                   "{" + ",".join(map(str, _marks_of_mask(bits, s))) + "}"
-                   for s in sides[v]])) + "]"
-               for v in range(n)]
+        texts = _set_texts(frozenset(t.mu))
+        ids = []
+        for v in range(n):
+            parts = [here[v]]
+            for s in sides[v]:
+                text = texts.get(s)
+                if text is None:
+                    text = texts[s] = "{" + ",".join(map(str, _marks_of_mask(bits, s))) + "}"
+                parts.append(text)
+            parts.sort()
+            ids.append("[" + "|".join(parts) + "]")
         phi = t.phi
         out += "/phi:" + ";".join(sorted(
             "~".join(sorted((ids[v], ids[phi[v]]))) for v in range(n) if v <= phi[v]

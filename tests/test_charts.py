@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -227,6 +228,36 @@ def model_points(draw):
     others = draw(st.lists(finite.filter(lambda z: z not in (PP_ZERO, PP_ONE)),
                            min_size=n - 3, max_size=n - 3, unique=True))
     return draw(st.permutations([PP_INF, PP_ZERO, PP_ONE] + others))
+
+
+# the anharmonic maps as chains of inv and one_minus, one point per step
+_CHAINS = {
+    (0, 1, 2, 3): lambda x: x,
+    (0, 1, 3, 2): lambda x: x.inv(),
+    (0, 2, 1, 3): lambda x: x.one_minus(),
+    (0, 2, 3, 1): lambda x: x.one_minus().inv(),
+    (0, 3, 1, 2): lambda x: x.inv().one_minus(),
+    (0, 3, 2, 1): lambda x: x.inv().one_minus().inv(),
+}
+
+
+def test_anharmonic_maps_match_chains():
+    # each one-point map equals its chain on 0, 1, inf and 500 seeded
+    # points (finite complex, finite real, and inf), as canonical keys
+    rng = random.Random("anharmonic")
+    xs = [PP_ZERO, PP_ONE, PP_INF]
+    for _ in range(500):
+        kind = rng.randrange(10)
+        if kind == 0:
+            xs.append(PP_INF)
+        else:
+            q = 0 if kind < 3 else rng.randint(-30, 30)
+            xs.append(finite_point(rng.randint(-30, 30), q, rng.randint(1, 30)))
+    assert sorted(charts._ANHARMONIC) == sorted(_CHAINS)
+    for s, chain in _CHAINS.items():
+        f = charts._ANHARMONIC[s]
+        for x in xs:
+            assert f(x)._k == chain(x)._k, (s, x)
 
 
 class TestRouteTable:

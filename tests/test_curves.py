@@ -3,8 +3,11 @@
 import hashlib
 import itertools
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -598,11 +601,35 @@ class TestInvalidCurveErrors:
         c = sample_curve(t, 30, ("unslotted",))
         fresh, coords = _trees_of(t)[0], c.coords
         coords[0][("m", 99)] = PP_ONE
-        bad = ["vertex 0: slots %r != expected %r" % (set(coords[0]), set(c.coords[0]))]
+        want = list(c.coords[0])  # layout order
+        bad = ["vertex 0: slots %r != expected %r" % (want + [("m", 99)], want)]
         with pytest.raises(curves.CurveError, match=re.escape("invalid curve: %r" % (bad,))):
             call(StableCurve(fresh, coords))
         # the tree's own slots build a curve on the same tree
         assert call(StableCurve(fresh, c.coords)) == call(c)
+
+    def test_slots_text_independent_of_hash_seed(self):
+        # string marks hash differently under each PYTHONHASHSEED; the
+        # text lists the slots in layout order, the unknown one last
+        script = (
+            "from artifact import curves, trees\n"
+            "from artifact.exactfield import PP_ONE\n"
+            "t = trees.enumerate_trees(3, real=True)[-1]\n"
+            "coords = curves.sample_curve(t, 30, ('unslotted',)).coords\n"
+            "coords[0][('m', '9+')] = PP_ONE\n"
+            "try:\n"
+            "    curves.StableCurve(t, coords)\n"
+            "except curves.CurveError as e:\n"
+            "    print(e)\n")
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        texts = set()
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            texts.add(subprocess.run([sys.executable, "-c", script], env=env, timeout=60,
+                                     capture_output=True, text=True, check=True).stdout)
+        assert texts == {
+            "invalid curve: [\"vertex 0: slots [('m', '1+'), ('m', '3-'), ('e', (0, 3)), "
+            "('m', '9+')] != expected [('m', '1+'), ('m', '3-'), ('e', (0, 3))]\"]\n"}
 
     @pytest.mark.parametrize("call", [lambda c: forget(c, [1, 2, 3, 4]), moduli_key],
                              ids=["forget", "moduli_key"])

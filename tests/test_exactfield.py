@@ -22,6 +22,7 @@ from artifact.exactfield import (
     cross_ratio,
     mobius,
     pp,
+    randbelow,
 )
 
 fractions = st.builds(
@@ -154,6 +155,24 @@ class TestProjPoint:
     def test_inv_involutive(self, p):
         assert p.inv().inv() == p
         assert p.one_minus().one_minus() == p
+
+
+class TestRandbelow:
+    """randbelow makes the draws of random.Random's randrange, randint and
+    choice: the same values from the same stream, leaving the generator in
+    the same state."""
+
+    def test_same_streams(self):
+        import random
+        for seed in range(40):
+            a, b = random.Random(seed), random.Random(seed)
+            for n in range(1, 201):
+                assert a.randrange(n) == randbelow(b, n)
+                lo = seed - n // 2
+                assert a.randint(lo, lo + n - 1) == lo + randbelow(b, n)
+                seq = list(range(n))
+                assert a.choice(seq) == seq[randbelow(b, n)]
+            assert a.getstate() == b.getstate()
 
 
 def _distinct(ps):

@@ -124,6 +124,35 @@ class TestCocycle:
         assert checked > 0
 
 
+class TestTransitionOutput:
+    """transition builds its output without __post_init__; every output
+    must still pass the public constructor's checks, and that
+    constructor must still reject bad input."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_outputs_pass_the_public_checks(self, preset):
+        m = PRESETS[preset]
+        rng = random.Random("transition-output:" + preset)
+        moved = 0
+        for n in range(60):
+            p = sample_point(m, m.charts()[n % len(m.charts())], rng, bound=5)
+            for q in chart_moves(p).values():
+                if q is not None and q is not p:
+                    moved += 1
+                    assert type(q.coords) is tuple
+                    assert BlowupPoint(q.model, q.chart, q.coords) == q
+        assert moved > 0
+
+    def test_public_constructor_still_checks(self):
+        m = PRESETS["aug31"]
+        with pytest.raises(LocalModelError, match="not in model"):
+            BlowupPoint(m, (1, 2), (G(1),) * 4)
+        with pytest.raises(LocalModelError, match="expected 4 coordinates"):
+            BlowupPoint(m, (1, 1), (G(1),) * 3)
+        with pytest.raises(LocalModelError, match="not exact"):
+            BlowupPoint(m, (1, 1), (G(1), 1, G(1), G(1)))
+
+
 class TestExceptional:
     def test_standard(self):
         m = PRESETS["real3"]

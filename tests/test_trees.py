@@ -299,6 +299,77 @@ class TestSplitIndex:
             assert strata.stratum_edge(t, [marks[0], "9+" if t.is_real else 99]) is None
 
 
+# reference canonical form: the AHU string written at each centroid by a
+# recursive walk, with no shared traversal and no text table
+
+def _ref_centroids(adj):
+    n = len(adj)
+    parent = [-1] * n
+    order = [0]
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[parent[v]] += size[v]
+    heavy = [max([n - size[v]] + [size[w] for w in adj[v] if w != parent[v]])
+             for v in range(n)]
+    return [v for v in range(n) if heavy[v] == min(heavy)]
+
+
+def _ref_ahu(adj, here, v, p):
+    kids = sorted([_ref_ahu(adj, here, w, v) for w in adj[v] if w != p])
+    return "(" + here[v] + ("|" + ";".join(kids) if kids else "") + ")"
+
+
+def _ref_canonical_form(t):
+    n = t.vertex_count
+    bits = t.mark_bits()
+    at = [[] for _ in range(n)]
+    for m in bits:
+        at[t.mu[m]].append(str(m))
+    here = [",".join(a) for a in at]
+    adj = t.adjacency()
+    body = min(_ref_ahu(adj, here, c, -1) for c in _ref_centroids(adj))
+    out = "%s%d:%s" % ("RT" if t.is_real else "T", t.l, body)
+    if t.is_real:
+        sides = t.split_index()[0]
+        ids = ["[" + "|".join(sorted([here[v]] + [
+                   "{" + ",".join(map(str, trees._marks_of_mask(bits, s))) + "}"
+                   for s in sides[v]])) + "]"
+               for v in range(n)]
+        out += "/phi:" + ";".join(sorted(
+            "~".join(sorted((ids[v], ids[t.phi[v]]))) for v in range(n) if v <= t.phi[v]))
+    return out
+
+
+class TestCanonicalReference:
+    """canonical_form against the reference on every complex l = 4..7 and
+    real l = 2..4 tree, and on randomly relabelled copies of each tree
+    with two centroids, where the form takes the smaller of two strings
+    and a centroid other than vertex 0 is re-rooted."""
+
+    @pytest.mark.parametrize("l,real", [(4, False), (5, False), (6, False), (7, False),
+                                        (2, True), (3, True), (4, True)])
+    def test_matches_reference(self, l, real):
+        rnd = random.Random("canonical:%d:%s" % (l, real))
+        two = 0
+        for t in enumerate_trees(l, real=real):
+            want = _ref_canonical_form(t)
+            assert canonical_form(t) == want
+            if len(_ref_centroids(t.adjacency())) == 2:
+                two += 1
+                for _copy in range(3):
+                    perm = list(range(t.vertex_count))
+                    rnd.shuffle(perm)
+                    t2 = _relabel(t, perm)
+                    assert _ref_canonical_form(t2) == want
+                    assert canonical_form(t2) == want
+        assert two > 0
+
+
 # sha256 of the canonical forms and of the JSON of enumerate_trees(l, real),
 # one line per tree; test seeds index trees by position, so these pin the
 # enumeration order as well as the trees
