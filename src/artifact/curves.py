@@ -422,7 +422,8 @@ def cross_ratio_q(c: StableCurve, q) -> ProjPoint:
         a = b = x = y = 0
     if (a | b | x | y).bit_count() != 4:
         _bad_quadruple(q, bits)
-    i, j, k, n = a.bit_length() - 1, b.bit_length() - 1, x.bit_length() - 1, y.bit_length() - 1
+    i, j = a.bit_length() - 1, b.bit_length() - 1
+    k, n = x.bit_length() - 1, y.bit_length() - 1
     pts = c.points
     for row in (t._layout or slot_layout(t)).rows:
         a, b, x, y = row[i], row[j], row[k], row[n]

@@ -90,8 +90,6 @@ class GaussRat:
     def im(self) -> Fraction:
         return Fraction(self._k[1], self._k[2])
 
-    # each operation reduces its result by one gcd, inline
-
     def __add__(self, other):
         p1, q1, d1 = self._k
         p2, q2, d2 = (other if type(other) is GaussRat else _coerce(other))._k
