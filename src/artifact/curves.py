@@ -127,10 +127,11 @@ class StableCurve:
 
     A curve is not mutated after construction (its tree and points are
     fixed), so what is derived from it is kept on first use: its
-    moduli_key string and the stabilized base that quotient.base_of
-    computes by forgetting the extra mark(s).  What depends only on the
-    tree (the slot layout, the moduli-key layout and the gather plans)
-    is kept on the tree.
+    moduli_key string and its stabilized base (see quotient.base_of),
+    which a curve built by placing the extra mark(s) on a base holds
+    from the start and any other curve gets by forgetting them.  What
+    depends only on the tree (the slot layout, the moduli-key layout,
+    the edge table and the gather plans) is kept on the tree.
     """
 
     # filled on first use
@@ -275,11 +276,13 @@ class _Gather:
     the output tree is invalid.  The output tree is held only through a
     weakref, so that it goes with its last curve; tree() rebuilds it
     through shared_tree (mu in the plan's insertion order, which repr
-    shows) and attaches the kept slot and moduli-key layouts, which
-    refer to no tree.
+    shows) and attaches the kept slot layout and, for a valid tree, the
+    kept moduli-key layout and edge_of_mask() table, none of which
+    refers to a tree; so a rebuilt tree does not build its split index
+    again to find its edges.
     """
 
-    __slots__ = ("ref", "args", "layout", "key_layout", "gather", "ranges")
+    __slots__ = ("ref", "args", "layout", "key_layout", "edge_of", "gather", "ranges")
 
     def __init__(self, vertex_count: int, edges, mu: Dict, phi, index: Dict, check=()):
         nt = shared_tree(vertex_count, edges, mu, phi)
@@ -288,9 +291,10 @@ class _Gather:
         self.layout = lay = slot_layout(nt)
         self.gather = tuple([index[vs] for vs in zip(lay.vertex, lay.slots)])
         if nt.validate():
-            self.key_layout = self.ranges = None
+            self.key_layout = self.edge_of = self.ranges = None
         else:
             self.key_layout = _key_layout(nt)
+            self.edge_of = nt.edge_of_mask()
             self.ranges = tuple((lay.offsets[w], lay.offsets[w + 1]) for w in check)
 
     def tree(self) -> MarkedTree:
@@ -301,6 +305,8 @@ class _Gather:
                 nt._layout = self.layout
             if nt._key_layout is None:
                 nt._key_layout = self.key_layout
+            if nt._edge_of is None:
+                nt._edge_of = self.edge_of
             self.ref = weakref.ref(nt)
         return nt
 
@@ -434,14 +440,13 @@ def cross_ratio_q(c: StableCurve, q) -> ProjPoint:
 
 def _bad_quadruple(q: Tuple, bits: Dict) -> None:
     """Raise the error of a q that is not four distinct marks of the
-    curve: the first of a repeat or a wrong length, a mark not on the
-    curve, or (more than four entries) the unpacking's ValueError."""
-    if len(set(q)) != 4:
+    curve: the first of a wrong length or a repeat, then a mark not on
+    the curve."""
+    if len(q) != 4 or len(set(q)) != 4:
         raise CurveError("cross ratio needs 4 distinct marks")
     for m in q:
         if m not in bits:
             raise CurveError("mark %r not on the curve" % (m,))
-    _i, _j, _k, _n = [bits[m] for m in q]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ characterize the closure classes inside the chart domain.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import random
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from .curves import (StableCurve, _derive, _edge_slot, _Gather, cross_ratio_q,
 from .exactfield import PP_INF, PP_ZERO, GaussRat, ProjPoint, finite_point, randbelow
 from .strata import (_labels, build_a_ell, build_a_ell_real, is_admissible,
                      order_key)
-from .trees import (MarkedTree, _marks_of_mask, bar_mark, canonical_form,
+from .trees import (MarkedTree, _mark_bits, _marks_of_mask, bar_mark, canonical_form,
                     canonical_vertex_order, mark_key, share, sort_marks)
 
 
@@ -44,7 +45,10 @@ def extra_marks(t: MarkedTree) -> List:
 
 
 def base_of(c: StableCurve) -> StableCurve:
-    """Forget the extra mark(s) and stabilize; computed once per curve."""
+    """Forget the extra mark(s) and stabilize; computed once per curve.
+
+    A curve that _place built already holds its base, the curve it
+    placed the mark(s) on; any other curve forgets on first use."""
     if c._base is None:
         drop = set(extra_marks(c.tree))
         c._base = forget(c, [m for m in c.tree.mu if m not in drop])
@@ -87,13 +91,18 @@ def _all_labels(l: int, real: bool) -> Tuple[FrozenSet, ...]:
     return tuple([frozenset(rho) for _mask, rho in _labels(l, real)])
 
 
+@functools.lru_cache(maxsize=None)
+def _label_keys(l: int, real: bool) -> Tuple[Tuple, ...]:
+    """The order_key of each label of _all_labels(l, real); increasing."""
+    return tuple([order_key(rho) for rho in _all_labels(l, real)])
+
+
 def relation_labels(l: int, rho_star=(), real: bool = False) -> List[FrozenSet]:
     """The labels rho > rho* whose relations are active in the quotient."""
-    labels = list(_all_labels(l, bool(real)))
-    if rho_star:
-        k0 = order_key(rho_star)
-        labels = [r for r in labels if order_key(r) > k0]
-    return labels
+    labels = _all_labels(l, bool(real))
+    if not rho_star:
+        return list(labels)
+    return list(labels[bisect.bisect_right(_label_keys(l, bool(real)), order_key(rho_star)):])
 
 
 def relation_closure(samples: Sequence[StableCurve], rho_star=(),
@@ -105,7 +114,8 @@ def relation_closure(samples: Sequence[StableCurve], rho_star=(),
     if n == 0:
         return []
     l = samples[0].tree.l - 1
-    labels = relation_labels(l, rho_star, real)
+    bits = samples[0].tree.mark_bits()
+    label_of = _label_table(frozenset(bits), l, tuple(sort_marks(rho_star)), bool(real))
 
     parent = list(range(n))
 
@@ -120,13 +130,9 @@ def relation_closure(samples: Sequence[StableCurve], rho_star=(),
         if ra != rb:
             parent[max(ra, rb)] = min(ra, rb)
 
-    # a sample is in a label's locus when its tree has an edge with one of
-    # the label's masks, and distinct labels' masks never coincide (only
-    # real second masks hold the (l+1)- bit).  Each sample joins the first
-    # sample with its moduli key and, for each label whose locus holds
-    # it, the first sample with its base key there.
-    bits = samples[0].tree.mark_bits()
-    label_of = {mask: r for r in labels for mask in _locus_masks(bits, r, real, l + 1)}
+    # each sample joins the first sample with its moduli key and, for
+    # each label whose locus holds it, the first sample with its base key
+    # there
     first: Dict = {}
     for i, c in enumerate(samples):
         if c.tree.mark_bits() != bits or bool(c.is_real) != bool(real):
@@ -142,6 +148,18 @@ def relation_closure(samples: Sequence[StableCurve], rho_star=(),
     for i in range(n):
         classes.setdefault(find(i), []).append(i)
     return [sorted(v) for _k, v in sorted(classes.items())]
+
+
+@functools.lru_cache(maxsize=None)
+def _label_table(marks: FrozenSet, l: int, rho_star: Tuple, real: bool) -> Dict[int, FrozenSet]:
+    """{mask: label} over relation_labels(l, rho_star, real), for curves
+    with the given marks; built once per cut, and callers must not modify
+    it.  A sample is in a label's locus when its tree has an edge with one
+    of the label's masks, and distinct labels' masks never coincide (only
+    real second masks hold the (l+1)- bit)."""
+    bits = _mark_bits(marks)
+    return {mask: r for r in relation_labels(l, rho_star, real)
+            for mask in _locus_masks(bits, r, real, l + 1)}
 
 
 def _locus_masks(bits: Dict, rho, real: bool, l1: int) -> Tuple[int, ...]:
@@ -323,12 +341,15 @@ def _place(c: StableCurve, sites, point: ProjPoint) -> StableCurve:
     What goes where depends only on the base tree and the sites, so it
     is planned once per (tree, sites) (see _plan_place) and replayed by
     curves._derive, which checks only the components that receive a new
-    mark.  Raises QuotientError when the result is not a valid curve.
+    mark.  Forgetting the new mark(s) contracts every new component and
+    gives back c's tree and points, so c is the result's base (see
+    base_of).  Raises QuotientError when the result is not a valid curve.
     """
     out, bad = _derive(c, tuple(sites), _plan_place,
                        (point, point.conj(), PP_INF, PP_ZERO, _I, _I_BAR))
     if bad:
         raise QuotientError("bad placement: %r" % (bad,))
+    out._base = c
     return out
 
 

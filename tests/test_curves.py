@@ -267,6 +267,14 @@ class TestCrossRatioQ:
                                           1: {("m", 4): PP_ZERO, ("e", (0, 1)): PP_INF}}),
                           (1, 2, 3, 4))
 
+    @pytest.mark.parametrize("q", [(), (1, 2, 3), (1, 2, 3, 4, 1), (1, 2, 3, 4, 5),
+                                   (1, 2, 3, 99, 1), (1, 2, 3, 4, 5, 1)])
+    def test_wrong_length_is_a_curve_error(self, q):
+        c = sample_curve(trees.enumerate_trees(5)[0], 30, ("length",))
+        with pytest.raises(curves.CurveError,
+                           match=re.escape("cross ratio needs 4 distinct marks")):
+            cross_ratio_q(c, q)
+
     def test_forget_compatible(self):
         # the cross ratio of four kept marks is stable under forgetting
         for i, t in enumerate(trees.enumerate_trees(5)):

@@ -25,6 +25,7 @@ from artifact.quotient import (
     class_key,
     equivalent,
     excluded_labels,
+    extra_marks,
     fiber_samples,
     mark_at_node,
     relation_closure,
@@ -468,19 +469,59 @@ class TestSharedTrees:
             a = add_mark(base, 0, pp(GaussRat(1, 2)))
             b = add_mark(base, 0, pp(GaussRat(3, 1)))
             assert a.tree is b.tree
+            # a placement holds the curve it was placed on as its base
+            assert base_of(a) is base and base_of(b) is base
             # stabilizing, keying and validating keep tables on the trees
-            assert moduli_key(base_of(a)) == moduli_key(base_of(b)) == moduli_key(base)
+            keep = [m for m in a.tree.mu if m not in extra_marks(a.tree)]
+            f = curves.forget(a, keep)
+            assert f.tree is curves.forget(b, keep).tree
+            assert moduli_key(f) == moduli_key(base)
             assert a.validate() == [] == b.validate()
             # forgetting nothing plans a's own tree, which must not keep
             # itself alive
             assert curves.forget(a, a.tree.mu).tree is a.tree
-            made = [weakref.ref(a.tree), weakref.ref(base_of(a).tree)]
+            made = [weakref.ref(a.tree), weakref.ref(f.tree)]
             assert len(trees._SHARED) == before + 2
-            del a, b, base
+            del a, b, base, f
             assert [r() for r in made] == [None, None]
             assert len(trees._SHARED) == before
         finally:
             gc.enable()
+
+
+class TestPlaceThenForget:
+    # every tree of real l=3 and complex l=5, and 40 trees of real l=4
+    @pytest.mark.parametrize("l,real,count", [(3, True, None), (5, False, None),
+                                              (4, True, 40)])
+    def test_forgetting_the_placed_marks_gives_the_base(self, l, real, count):
+        ts = trees.enumerate_trees(l, real=real)
+        idxs = range(len(ts))
+        if count is not None:
+            idxs = sorted(random.Random("place-forget").sample(idxs, count))
+        n = 0
+        for idx in idxs:
+            # on the shared tree, forget's output tree is the base's own
+            t = trees.share(ts[idx])
+            base = sample_curve(t, 40, ("place-forget", idx))
+            keep = list(t.mu)
+            for c in fiber_samples(base, random.Random("place-forget:%d" % idx)):
+                f = curves.forget(c, keep)
+                assert f.tree is base.tree
+                assert f.points == base.points
+                assert base_of(c) is base
+                n += 1
+        assert n >= 10 * len(idxs)
+
+
+class TestRelationLabels:
+    @pytest.mark.parametrize("l,real", [(3, True), (4, True), (4, False), (5, False)])
+    def test_matches_the_order_key_filter(self, l, real):
+        labels = quotient._all_labels(l, real)
+        first = trees.real_marks(l)[0] if real else 1
+        # the empty cut, every label, and a set that is no label
+        for cut in [frozenset()] + list(labels) + [frozenset({first})]:
+            want = [r for r in labels if strata.order_key(r) > strata.order_key(cut)]
+            assert relation_labels(l, cut, real) == want
 
 
 class TestPlacementErrors:

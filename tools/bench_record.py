@@ -9,9 +9,11 @@ command in ROADMAP.md), and writes BENCH_<T>.json at the root of the
 checkout.  For each workload the file holds the median and the raw values
 of `items_per_s`, `setup_s` and `peak_rss_mib`, and each run's `correct`
 and `failed`; it also holds the tier-1 wall seconds and counts, the
-number of usable CPUs, the Python version and the commit (with `dirty`
-true when the working tree differs from it).  It takes about five
-minutes; nothing in CI runs it.
+`call` seconds of each test in tests/test_acceptance.py (under
+`tier1.criteria`, read from a JUnit XML report written to a temporary
+file outside the checkout), the number of usable CPUs, the Python
+version and the commit (with `dirty` true when the working tree differs
+from it).  It takes about five minutes; nothing in CI runs it.
 """
 
 import argparse
@@ -22,7 +24,9 @@ import re
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+import xml.etree.ElementTree as ET
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
@@ -47,14 +51,31 @@ def _bench(workload, seed):
 def _tier1():
     env = dict(os.environ)
     env["PYTHONPATH"] = "src" + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
-    t0 = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True, text=True)
-    wall = time.perf_counter() - t0
+    fd, junit = tempfile.mkstemp(prefix="tier1-", suffix=".xml")
+    os.close(fd)
+    try:
+        t0 = time.perf_counter()
+        proc = subprocess.run(TIER1 + ["--junitxml", junit, "-o", "junit_duration_report=call"],
+                              cwd=ROOT, env=env, capture_output=True, text=True)
+        wall = time.perf_counter() - t0
+        criteria = _criteria(junit)
+    finally:
+        os.unlink(junit)
     summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
     counts = {k: int(n) for n, k in re.findall(r"(\d+) (passed|failed|errors?)", summary)}
     return {"wall_s": round(wall, 2), "passed": counts.get("passed", 0),
             "failed": counts.get("failed", 0), "returncode": proc.returncode,
-            "summary": summary}
+            "summary": summary, "criteria": criteria}
+
+
+def _criteria(junit):
+    """Test name -> `call` seconds for the tests of tests/test_acceptance.py
+    in a JUnit XML report; {} when pytest wrote none."""
+    if not os.path.getsize(junit):
+        return {}
+    return {case.get("name"): round(float(case.get("time")), 3)
+            for case in ET.parse(junit).iter("testcase")
+            if case.get("classname") == "tests.test_acceptance"}
 
 
 def main(argv=None):
