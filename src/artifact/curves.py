@@ -19,7 +19,7 @@ from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, cross_ratio, finite
 from .strata import classify_real, is_admissible, stratum_edge
 from .trees import (MarkedTree, RealMarkedTree, bar_mark, canonical_form,
                     canonical_vertex_order, real_marks,
-                    shared_tree, sort_marks, tree_from_json)
+                    share, shared_tree, sort_marks, tree_from_json)
 
 
 class CurveError(Exception):
@@ -48,21 +48,19 @@ class SlotLayout:
 
     Slots go vertex by vertex: its marks in mu_inv order, then its edges
     by neighbour.  slots[i] is the slot with index i and vertex[i] its
-    vertex; the slots of v are offsets[v]:offsets[v + 1].  On a valid
-    tree, rows[v] lists in bit order the index through which v sees each
-    mark (the mark's own slot at its vertex, else the edge into the
-    mark's branch), built in one pass over v's branch masks: each bit of
-    branch j maps to v's edge slot j, and v's own marks, the bits in no
-    branch, are its first slots in bit order.  On a valid real tree,
-    partner[i] is the index of the conjugate of slot i (the conjugate
-    mark where it sits, or the image of the edge at phi(v)), i itself
-    for a self-conjugate slot; only it needs a (vertex, slot) -> index
-    dict.  A layout refers to no tree, and its slot tuples are shared
-    between layouts, so a layout can be kept for a tree that is built
-    again later.
+    vertex; the slots of v are offsets[v]:offsets[v + 1].  rows[v] lists
+    in bit order the index through which v sees each mark (the mark's
+    own slot at its vertex, else the edge into the mark's branch), built
+    in one pass over v's branch masks: each bit of branch j maps to v's
+    edge slot j, and v's own marks, the bits in no branch, are its first
+    slots in bit order.  On a real tree, partner[i] is the index of the
+    conjugate of slot i (the conjugate mark where it sits, or the image
+    of the edge at phi(v)), i itself for a self-conjugate slot; only it
+    needs a (vertex, slot) -> index dict.  A layout refers to no tree,
+    and its slot tuples are shared between layouts, so a layout can be
+    kept for a tree that is built again later.
     """
 
-    rows: Optional[Tuple[Tuple[int, ...], ...]] = None
     partner: Optional[Tuple[int, ...]] = None
 
     def __init__(self, t: MarkedTree):
@@ -76,8 +74,6 @@ class SlotLayout:
             vertex += [v] * (len(slots) - offsets[-1])
             offsets.append(len(slots))
         self.slots, self.vertex, self.offsets = tuple(slots), tuple(vertex), tuple(offsets)
-        if t.validate():
-            return
         n = len(t.mark_bits())
         full = (1 << n) - 1
         rows = []
@@ -99,7 +95,7 @@ class SlotLayout:
                 own ^= low
                 i += 1
             rows.append(tuple(row))
-        self.rows = tuple(rows)
+        self.rows: Tuple[Tuple[int, ...], ...] = tuple(rows)
         if t.is_real:
             index = {vs: i for i, vs in enumerate(zip(vertex, slots))}
             phi = t.phi
@@ -119,11 +115,12 @@ class StableCurve:
     """tree + one tuple of points, numbered by the tree's slot layout.
 
     Every curve is a stable curve: each component has three or more
-    pairwise distinct special points, its tree is valid and, on a real
-    tree, the points are conjugation-symmetric.  The dict constructor
-    checks this in full; the other builders keep it (sample_curve
-    validates what it draws, _derive checks what it gathers and
-    conjugate_curve maps a curve to a curve).
+    pairwise distinct special points (every tree is valid, so each
+    component has three or more slots) and, on a real tree, the points
+    are conjugation-symmetric.  The dict constructor checks this in
+    full; the other builders keep it (sample_curve validates what it
+    draws, _derive checks what it gathers and conjugate_curve maps a
+    curve to a curve).
 
     A curve is not mutated after construction (its tree and points are
     fixed), so what is derived from it is kept on first use: its
@@ -148,7 +145,7 @@ class StableCurve:
         self.tree = tree
         lay = slot_layout(tree)
         off = lay.offsets
-        bad = tree.validate()
+        bad = []
         if coords.keys() != set(range(tree.vertex_count)):
             bad.append("coords must cover every vertex")
         else:
@@ -190,10 +187,10 @@ class StableCurve:
         return self.tree.is_real
 
     def validate(self) -> List[str]:
-        """What makes the tree and points no stable curve, [] for none."""
+        """What makes the points no stable curve on the tree, [] for none."""
         t = self.tree
         off = slot_layout(t).offsets
-        bad = t.validate()
+        bad: List[str] = []
         for v, (a, b) in enumerate(zip(off, off[1:])):
             bad += _vertex_problems(v, self.points[a:b])
         if not bad and t.is_real:
@@ -229,12 +226,9 @@ class StableCurve:
 
 def _vertex_problems(v: int, pts) -> List[str]:
     """What is wrong with the points of component v."""
-    bad = []
     if len({z._k for z in pts}) != len(pts):
-        bad.append("vertex %d: special points not pairwise distinct" % v)
-    if len(pts) < 3:
-        bad.append("vertex %d: fewer than 3 special points" % v)
-    return bad
+        return ["vertex %d: special points not pairwise distinct" % v]
+    return []
 
 
 def curve_from_json(d: dict) -> StableCurve:
@@ -272,14 +266,14 @@ class _Gather:
 
     gather[i] is the index, in the input points followed by the caller's
     extra points, of the point that the output takes for its slot i.
-    ranges holds the slot ranges of the vertices to check, or None when
-    the output tree is invalid.  The output tree is held only through a
+    ranges holds the slot ranges of the vertices to check.  The output
+    tree is checked once, by shared_tree when the plan is made (an
+    invalid one raises its TreeError there), and held only through a
     weakref, so that it goes with its last curve; tree() rebuilds it
-    through shared_tree (mu in the plan's insertion order, which repr
-    shows) and attaches the kept slot layout and, for a valid tree, the
-    kept moduli-key layout and edge_of_mask() table, none of which
-    refers to a tree; so a rebuilt tree does not build its split index
-    again to find its edges.
+    unchecked (mu in the plan's insertion order, which repr shows) with
+    the kept slot layout, moduli-key layout and edge_of_mask() table,
+    none of which refers to a tree, and shares it; so a rebuilt tree
+    does not build its split index again to find its edges.
     """
 
     __slots__ = ("ref", "args", "layout", "key_layout", "edge_of", "gather", "ranges")
@@ -287,26 +281,20 @@ class _Gather:
     def __init__(self, vertex_count: int, edges, mu: Dict, phi, index: Dict, check=()):
         nt = shared_tree(vertex_count, edges, mu, phi)
         self.ref = weakref.ref(nt)
-        self.args = (nt.vertex_count, nt.edges, mu, nt.phi)
+        self.args = (type(nt), nt.vertex_count, nt.edges, mu) + ((nt.phi,) if nt.is_real else ())
         self.layout = lay = slot_layout(nt)
         self.gather = tuple([index[vs] for vs in zip(lay.vertex, lay.slots)])
-        if nt.validate():
-            self.key_layout = self.edge_of = self.ranges = None
-        else:
-            self.key_layout = _key_layout(nt)
-            self.edge_of = nt.edge_of_mask()
-            self.ranges = tuple((lay.offsets[w], lay.offsets[w + 1]) for w in check)
+        self.key_layout = _key_layout(nt)
+        self.edge_of = nt.edge_of_mask()
+        self.ranges = tuple((lay.offsets[w], lay.offsets[w + 1]) for w in check)
 
     def tree(self) -> MarkedTree:
         nt = self.ref()
         if nt is None:
-            nt = shared_tree(*self.args)
-            if nt._layout is None:
-                nt._layout = self.layout
-            if nt._key_layout is None:
-                nt._key_layout = self.key_layout
-            if nt._edge_of is None:
-                nt._edge_of = self.edge_of
+            cls, *args = self.args
+            nt = cls._of(*args)
+            nt._layout, nt._key_layout, nt._edge_of = self.layout, self.key_layout, self.edge_of
+            nt = share(nt)
             self.ref = weakref.ref(nt)
         return nt
 
@@ -317,8 +305,8 @@ def _derive(c: StableCurve, key, plan_fn, extra: Tuple = ()) -> Tuple[StableCurv
 
     plan_fn(tree, key) makes the plan on first use, kept in the tree's
     one dict of gather plans; errors are not kept.  c is a valid curve,
-    so only the plan's ranges are checked, unless the output tree is
-    invalid: then the output is validated in full."""
+    so only the plan's ranges are checked; when one fails, the output is
+    validated in full for the list."""
     t = c.tree
     plans = t._gathers
     if plans is None:
@@ -329,8 +317,7 @@ def _derive(c: StableCurve, key, plan_fn, extra: Tuple = ()) -> Tuple[StableCurv
     pts = c.points + extra
     new = tuple([pts[i] for i in plan.gather])
     out = StableCurve._of(plan.tree(), new)
-    if (plan.ranges is not None
-            and all(len({z._k for z in new[a:b]}) == b - a for a, b in plan.ranges)):
+    if all(len({z._k for z in new[a:b]}) == b - a for a, b in plan.ranges):
         return out, []
     return out, out.validate()
 
@@ -346,10 +333,7 @@ def forget(c: StableCurve, keep) -> StableCurve:
     points: a component that survives keeps some of the distinct points
     of one component.
     """
-    out, bad = _derive(c, frozenset(keep), _plan_forget)
-    if bad:
-        raise CurveError("stabilization produced an invalid curve: %r" % (bad,))
-    return out
+    return _derive(c, frozenset(keep), _plan_forget)[0]
 
 
 def _plan_forget(t: MarkedTree, keep: FrozenSet) -> _Gather:
@@ -523,8 +507,8 @@ def sample_curve(t: MarkedTree, bound: int, seed) -> StableCurve:
     rng = random.Random(repr(seed))
     lay = slot_layout(t)
     off = lay.offsets
-    # each conjugate pair is drawn at its first slot; without partners
-    # (a complex or an invalid tree) each slot is its own
+    # each conjugate pair is drawn at its first slot; on a complex tree
+    # each slot is its own
     partner = lay.partner or range(off[-1])
     for _attempt in range(200):
         pts: List[ProjPoint] = [PP_INF] * len(partner)
@@ -545,9 +529,9 @@ def sample_curve(t: MarkedTree, bound: int, seed) -> StableCurve:
 
 
 def _case(t: MarkedTree, seed) -> str:
-    """The seed and the tree of a sampling failure, for its message: the
-    tree by its canonical form, or by repr when it is not a valid tree."""
-    return "seed %r, tree %s" % (seed, repr(t) if t.validate() else canonical_form(t))
+    """The seed and the tree, by its canonical form, of a sampling
+    failure, for its message."""
+    return "seed %r, tree %s" % (seed, canonical_form(t))
 
 
 def conjugate_curve(c: StableCurve) -> StableCurve:

@@ -26,8 +26,8 @@ from .curves import (StableCurve, _derive, _edge_slot, _Gather, cross_ratio_q,
 from .exactfield import PP_INF, PP_ZERO, GaussRat, ProjPoint, finite_point, randbelow
 from .strata import (_labels, build_a_ell, build_a_ell_real, is_admissible,
                      order_key)
-from .trees import (MarkedTree, _mark_bits, _marks_of_mask, bar_mark, canonical_form,
-                    canonical_vertex_order, mark_key, share, sort_marks)
+from .trees import (MarkedTree, TreeError, _mark_bits, _marks_of_mask, bar_mark,
+                    canonical_form, canonical_vertex_order, mark_key, share, sort_marks)
 
 
 class QuotientError(Exception):
@@ -391,7 +391,10 @@ def _plan_place(t: MarkedTree, sites: Tuple) -> _Gather:
     phi = None
     if t.is_real:
         phi = list(t.phi) + [at[1 - at.index(w)] for w in range(n, n + len(new))]
-    return _Gather(n + len(new), edges, mu, phi, index, sorted(set(at)))
+    try:
+        return _Gather(n + len(new), edges, mu, phi, index, sorted(set(at)))
+    except TreeError as e:  # e.g. both marks on one component that phi moves
+        raise QuotientError("bad placement: " + str(e)[len("invalid tree: "):]) from None
 
 
 def add_mark(c: StableCurve, v: int, point: ProjPoint) -> StableCurve:

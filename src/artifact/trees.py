@@ -74,15 +74,29 @@ def real_marks(l: int) -> List[str]:
 class MarkedTree:
     """Tree (Ver, Edg, mu) with dense vertices 0..n-1 and sorted edges.
 
-    A tree is not mutated after construction: its adjacency, split-mask
-    index, mask -> edge table, canonical vertex ranks,
-    canonical form, structural key and validation result are computed on
-    first use and kept on the object, as are the tables and gather plans
-    that curves on the tree share (see curves.py) and its chart plans
-    (see quotient.py).
+    MarkedTree(vertex_count, edges, mu) raises TreeError("invalid tree:
+    [...]") listing the defects of anything but a stable tree.  A tree is
+    not mutated after construction: its adjacency, split-mask index,
+    mask -> edge table, canonical vertex ranks, canonical form and
+    structural key are computed on first use and kept on the object, as
+    are the tables and gather plans that curves on the tree share (see
+    curves.py) and its chart plans (see quotient.py).
     """
 
-    def __init__(self, vertex_count: int, edges: Iterable[Edge], mu: Dict):
+    def __init__(self, *args):
+        self._fill(*args)
+        bad = self._defects()
+        if bad:
+            raise TreeError("invalid tree: %r" % (bad,))
+
+    @classmethod
+    def _of(cls, *args) -> "MarkedTree":
+        """The tree of args, unchecked: the caller knows it is valid."""
+        t = cls.__new__(cls)
+        t._fill(*args)
+        return t
+
+    def _fill(self, vertex_count: int, edges: Iterable[Edge], mu: Dict) -> None:
         self.vertex_count = int(vertex_count)
         self.edges: Tuple[Edge, ...] = tuple(
             sorted(tuple(sorted(e)) for e in edges)
@@ -100,7 +114,6 @@ class MarkedTree:
     _order: Optional[Dict[int, int]] = None
     _skey: Optional[Tuple] = None
     _canon: Optional[str] = None
-    _bad: Optional[Tuple[str, ...]] = None
     # kept for the curves on the tree by curves.py: the slot layout, the
     # moduli-key layout and the gather plans of the curves derived from
     # them (curves._derive), keyed by the frozenset of kept marks for
@@ -218,26 +231,19 @@ class MarkedTree:
         marks, verts = self.split_index()
         return marks[v][i], verts[v][i]
 
-    def validate(self) -> List[str]:
-        """The tree's defects, [] for a valid tree; checked once per tree."""
-        if self._bad is None:
-            self._bad = tuple(self._defects())
-        return list(self._bad)
-
     def _defects(self) -> List[str]:
-        bad = []
+        """What makes the structure no stable tree, [] for none."""
         n = self.vertex_count
         if n < 1:
-            bad.append("no vertices")
-            return bad
-        for u, v in self.edges:
-            if not (0 <= u < n and 0 <= v < n and u != v):
-                bad.append("bad edge (%d,%d)" % (u, v))
+            return ["no vertices"]
+        bad = ["bad edge (%d,%d)" % (u, v) for u, v in self.edges
+               if not (0 <= u < n and 0 <= v < n and u != v)]
+        ends_ok = not bad  # the connectivity walk indexes by edge ends
         if len(set(self.edges)) != len(self.edges):
             bad.append("duplicate edges")
         if len(self.edges) != n - 1:
             bad.append("edge count %d != %d (not a tree)" % (len(self.edges), n - 1))
-        else:
+        elif ends_ok:
             seen = {0}
             stack = [0]
             adj = self.adjacency()
@@ -322,8 +328,8 @@ class RealMarkedTree(MarkedTree):
     mark conjugation, read off its own split-mask index.
     """
 
-    def __init__(self, vertex_count, edges, mu, phi: Optional[Sequence[int]] = None):
-        super().__init__(vertex_count, edges, mu)
+    def _fill(self, vertex_count, edges, mu, phi: Optional[Sequence[int]] = None) -> None:
+        super()._fill(vertex_count, edges, mu)
         if phi is None:
             phi = _phi_from_structure(self)
         self.phi: Tuple[int, ...] = tuple(phi)
@@ -379,8 +385,13 @@ def tree_from_json(d: dict) -> MarkedTree:
         real = d["real"]
         mu = {k if real else int(k): v for k, v in d["mu"].items()}
         edges = [tuple(e) for e in d["edges"]]
-        n = 1 + max([max(e) for e in edges], default=max(mu.values()))
         phi = d["phi"] if real else None
+        ends = [x for e in edges for x in e]
+        if any(len(e) != 2 for e in edges):
+            raise ValueError("an edge is not a pair")
+        if any(type(x) is not int for x in [*mu.values(), *ends, *(phi or ())]):
+            raise TypeError("a vertex, edge end or phi entry is not an integer")
+        n = 1 + max([max(e) for e in edges], default=max(mu.values()))
     except (KeyError, TypeError, ValueError, AttributeError) as e:
         raise TreeError("malformed tree JSON: %r" % (e,)) from e
     if real:
@@ -563,7 +574,7 @@ def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
     while stack:
         avail, chosen = stack.pop()
         n_v, edges, mu = _tree_from_family(marks, [cands[i] for i in sorted(chosen)])
-        t = RealMarkedTree(n_v, edges, mu) if real else MarkedTree(n_v, edges, mu)
+        t = (RealMarkedTree if real else MarkedTree)._of(n_v, edges, mu)
         t._bits = bits
         results.append(t)
         while avail:

@@ -135,8 +135,13 @@ class TestMalformedJson:
                                            for k, v in d["coords"].items()}},
          curves.CurveError),
         (False, lambda d: {**d, "coords": {**d["coords"], "0": []}}, curves.CurveError),
+        (False, lambda d: {**d, "mu": {**d["mu"], "1": 1.5}}, trees.TreeError),
+        (False, lambda d: {**d, "edges": [[0, 1.0]]}, trees.TreeError),
+        (False, lambda d: {**d, "edges": [[0]]}, trees.TreeError),
+        (True, lambda d: {**d, "phi": [1.0, 0]}, trees.TreeError),
     ], ids=["empty", "mark_key", "no_real", "no_phi", "edge_end", "no_coords",
-            "vertex_key", "vertex_list"])
+            "vertex_key", "vertex_list", "float_vertex", "float_edge", "short_edge",
+            "float_phi"])
     def test_typed_error(self, real, edit, error):
         t = [x for x in trees.enumerate_trees(3 if real else 4, real=real) if x.edges][0]
         d = edit(sample_curve(t, 30, ("malformed",)).to_json())
@@ -256,12 +261,11 @@ class TestCrossRatioQ:
         assert cross_ratio_q(c, (1, 2, 3, 4)) == cross_ratio(*pts)
 
     def test_invalid_curve(self):
-        # vertex 1 has valence 2: the constructor raises, so no cross ratio
-        # is taken on an invalid tree
-        t = trees.MarkedTree(2, [(0, 1)], {1: 0, 2: 0, 3: 0, 4: 1})
-        with pytest.raises(curves.CurveError, match=re.escape(
-                "invalid curve: ['vertex 1 has valence 2 < 3', "
-                "'vertex 1: fewer than 3 special points']")):
+        # vertex 1 has valence 2: the tree's constructor raises, so no
+        # curve and no cross ratio exist on an invalid tree
+        with pytest.raises(trees.TreeError, match=re.escape(
+                "invalid tree: ['vertex 1 has valence 2 < 3']")):
+            t = trees.MarkedTree(2, [(0, 1)], {1: 0, 2: 0, 3: 0, 4: 1})
             cross_ratio_q(StableCurve(t, {0: {("m", 1): PP_ZERO, ("m", 2): PP_ONE,
                                               ("m", 3): PP_INF, ("e", (0, 1)): pp(GaussRat(2))},
                                           1: {("m", 4): PP_ZERO, ("e", (0, 1)): PP_INF}}),
@@ -384,13 +388,10 @@ class TestModuliKeyReference:
 
 
 def _trees_of(t):
-    """A fresh copy of t that has not been validated yet, and the shared
-    tree of t's structure, whose validation result is already kept."""
+    """A fresh copy of t, with nothing kept on it yet, and t."""
     fresh = (trees.RealMarkedTree(t.vertex_count, t.edges, t.mu, t.phi) if t.is_real
              else trees.MarkedTree(t.vertex_count, t.edges, t.mu))
-    st = trees.shared_tree(t.vertex_count, t.edges, t.mu, t.phi)
-    st.validate()
-    return fresh, st
+    return fresh, t
 
 
 def _moved(c, v, change):
@@ -414,8 +415,9 @@ def _errors(t, coords):
 class TestValidationFailures:
     """Each failure the dict constructor reports (the messages of
     StableCurve.validate, and the vertices whose slots are not the
-    tree's), on a fresh tree and on a shared tree that keeps its
-    validation result."""
+    tree's), on a fresh copy of a tree and on the tree itself; and the
+    invalid trees on which no curve exists, since their constructor
+    raises."""
 
     @staticmethod
     def _reports(t, coords, text):
@@ -455,11 +457,10 @@ class TestValidationFailures:
                       "vertex 1: special points not pairwise distinct")
 
     def test_fewer_than_three_points(self):
-        t = trees.MarkedTree(2, [(0, 1)], {1: 0, 2: 0, 3: 1})
-        coords = {0: {("m", 1): PP_ZERO, ("m", 2): PP_ONE, ("e", (0, 1)): PP_INF},
-                  1: {("m", 3): PP_ZERO, ("e", (0, 1)): PP_INF}}
-        self._reports(t, coords, "vertex 1: fewer than 3 special points")
-        self._reports(t, coords, "vertex 1 has valence 2 < 3")
+        # a vertex of valence 2 would have two special points
+        with pytest.raises(trees.TreeError, match=re.escape(
+                "invalid tree: ['vertex 1 has valence 2 < 3']")):
+            trees.MarkedTree(2, [(0, 1)], {1: 0, 2: 0, 3: 1})
 
     def test_conjugation_symmetry(self, real):
         v, slot = next((v, s) for v, cv in real.coords.items() for s, z in cv.items()
@@ -503,12 +504,10 @@ class TestValidationFailures:
                                           self.CONJ % (2, ("e", (0, 2)))])
 
     def test_invalid_tree(self):
+        # phi swaps the two vertices, but each holds a conjugate pair
         mu = {"1+": 0, "1-": 0, "2+": 1, "2-": 1}
-        t = trees.RealMarkedTree(2, [(0, 1)], mu, [1, 0])
-        i = pp(GaussRat(0, 1))
-        coords = {0: {("m", "1+"): i, ("m", "1-"): i.conj(), ("e", (0, 1)): PP_INF},
-                  1: {("m", "2+"): i, ("m", "2-"): i.conj(), ("e", (0, 1)): PP_INF}}
-        self._reports(t, coords, "phi(mu('1+')) != mu('1-')")
+        with pytest.raises(trees.TreeError, match=re.escape("phi(mu('1+')) != mu('1-')")):
+            trees.RealMarkedTree(2, [(0, 1)], mu, [1, 0])
 
 
 class TestSamplingErrors:
@@ -566,12 +565,17 @@ class TestForgetErrors:
 
 
 class TestForgetPlan:
-    def test_plan_replayed_after_its_tree_is_freed(self):
+    def test_plan_replayed_after_its_tree_is_freed(self, monkeypatch):
         import gc
         import weakref
 
         t = trees.share(trees.enumerate_trees(5)[-1])
         c = sample_curve(t, 30, ("forget-replay",))
+        # a count of tree checks; holding the trees would keep them alive
+        checks = []
+        defects = trees.MarkedTree._defects
+        monkeypatch.setattr(trees.MarkedTree, "_defects",
+                            lambda self: checks.append(1) or defects(self))
         gc.collect()
         gc.disable()
         try:
@@ -586,7 +590,11 @@ class TestForgetPlan:
                 ref = weakref.ref(a.tree)
                 del a
                 assert ref() is None and len(trees._SHARED) == before - 1
+                checks.clear()
                 b = forget(c, keep)
+                # the plan checked the tree when it was made, so the
+                # rebuild does not check it again
+                assert checks == []
                 assert "%s %r" % (json.dumps(b.to_json(), sort_keys=True), b.tree) == want
                 assert b.validate() == []
                 # the kept layouts go to the rebuilt tree
@@ -597,9 +605,9 @@ class TestForgetPlan:
 
 
 class TestInvalidCurveErrors:
-    """Coordinates whose slots are not their tree's, or on an invalid tree,
-    raise CurveError from the constructor, with what it reports, before
-    forget or moduli_key can see them."""
+    """Coordinates whose slots are not their tree's raise CurveError from
+    the constructor, with what it reports, and an invalid tree raises
+    TreeError from its own, before forget or moduli_key can see them."""
 
     @pytest.mark.parametrize("call", [lambda c: forget(c, c.tree.marks()[:4]).to_json(),
                                       moduli_key], ids=["forget", "moduli_key"])
@@ -642,14 +650,16 @@ class TestInvalidCurveErrors:
     @pytest.mark.parametrize("call", [lambda c: forget(c, [1, 2, 3, 4]), moduli_key],
                              ids=["forget", "moduli_key"])
     def test_invalid_tree(self, call):
-        # vertex 1 has valence 2, and the curve's slots are the tree's
-        t = trees.MarkedTree(2, [(0, 1)], {1: 0, 2: 0, 3: 0, 4: 1})
+        # vertex 1 has valence 2: the tree's constructor raises, so no
+        # curve on it reaches forget or moduli_key
         coords = {0: {("m", 1): PP_ZERO, ("m", 2): PP_ONE, ("m", 3): PP_INF,
                       ("e", (0, 1)): pp(GaussRat(2))},
                   1: {("m", 4): PP_ZERO, ("e", (0, 1)): PP_INF}}
         for _call in range(2):
-            with pytest.raises(curves.CurveError, match="valence 2 < 3"):
-                call(StableCurve(t, coords))
+            with pytest.raises(trees.TreeError, match=re.escape(
+                    "invalid tree: ['vertex 1 has valence 2 < 3']")):
+                call(StableCurve(trees.MarkedTree(2, [(0, 1)], {1: 0, 2: 0, 3: 0, 4: 1}),
+                                 coords))
 
 
 # sha256 of the sorted-key JSON of forget's output, one line per (tree,

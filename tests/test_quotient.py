@@ -588,7 +588,8 @@ _I = pp(GaussRat(0, 1))
 def _reference_place(c, sites, point):
     """The placement built coordinate by coordinate: copy the coords view,
     edit it and build the curve through the dict constructor, which
-    validates it in full."""
+    validates it in full, on a tree built through shared_tree, which
+    checks it."""
     t = c.tree
     n = t.vertex_count
     coords, mu, edges = c.coords, dict(t.mu), set(t.edges)
@@ -620,13 +621,19 @@ def _reference_place(c, sites, point):
     phi = None
     if t.is_real:
         phi = list(t.phi) + [at[1 - at.index(w)] for w in range(n, n + len(new))]
+    # an invalid tree, or else invalid points: the same list of messages,
+    # under the placement's text
     try:
-        return curves.StableCurve(trees.shared_tree(n + len(new), edges, mu, phi), coords)
-    except curves.CurveError as e:
-        # the same list of messages, under the placement's text
-        text = str(e)
-        assert text.startswith("invalid curve: [")
-        raise QuotientError("bad placement: " + text[len("invalid curve: "):]) from None
+        placed = trees.shared_tree(n + len(new), edges, mu, phi)
+    except trees.TreeError as e:
+        prefix, text = "invalid tree: [", str(e)
+    else:
+        try:
+            return curves.StableCurve(placed, coords)
+        except curves.CurveError as e:
+            prefix, text = "invalid curve: [", str(e)
+    assert text.startswith(prefix)
+    raise QuotientError("bad placement: " + text[len(prefix) - 1:])
 
 
 def _place_sites(t):
@@ -701,12 +708,17 @@ class TestPlacementsAgainstReference:
                 "invalid curve: ['vertex 0: special points not pairwise distinct']")):
             curves.curve_from_json(d)
 
-    def test_plan_replayed_after_its_tree_is_freed(self):
+    def test_plan_replayed_after_its_tree_is_freed(self, monkeypatch):
         import gc
         import weakref
 
         t = [x for x in trees.enumerate_trees(3, real=True) if len(x.edges) > 1][0]
         base = sample_curve(t, 30, ("replay",))
+        # a count of tree checks; holding the trees would keep them alive
+        checks = []
+        defects = trees.MarkedTree._defects
+        monkeypatch.setattr(trees.MarkedTree, "_defects",
+                            lambda self: checks.append(1) or defects(self))
         gc.collect()
         gc.disable()
         try:
@@ -718,7 +730,11 @@ class TestPlacementsAgainstReference:
                 ref = weakref.ref(a.tree)
                 del a
                 assert ref() is None
+                checks.clear()
                 b = mark_at_node(base, e, pp(GaussRat(2, 5)))
+                # the plan checked the tree when it was made, so the
+                # rebuild does not check it again
+                assert checks == []
                 assert _curve_text(b) == want and b.validate() == []
                 # the kept layouts go to the rebuilt tree
                 assert b.tree._layout is layout and b.tree._key_layout is key_layout

@@ -63,8 +63,9 @@ class TestEnumeration:
         assert len(enumerate_trees(3, real=True)) == 36
 
     def test_all_valid(self):
+        # enumeration builds its trees unchecked
         for t in enumerate_trees(5) + enumerate_trees(2, real=True):
-            assert t.validate() == []
+            assert t._defects() == []
 
     def test_brute_force_census_l4(self):
         # independent oracle: a 4-marked tree is either the single smooth
@@ -91,6 +92,41 @@ class TestEnumeration:
         finally:
             if enabled:
                 gc.enable()
+
+
+class TestInvalidTrees:
+    """The constructors raise TreeError listing the defects of anything
+    but a stable tree."""
+
+    @pytest.mark.parametrize("args,defects", [
+        # an edge end out of range: no connectivity walk over it
+        ((2, [(0, 5)], {1: 0, 2: 0, 3: 1, 4: 1}), ["bad edge (0,5)"]),
+        ((0, [], {}), ["no vertices"]),
+        ((3, [(0, 1)], {1: 0, 2: 0, 3: 1, 4: 1}), ["edge count 1 != 2 (not a tree)"]),
+        ((3, [(0, 1), (0, 1)], {1: 0, 2: 0, 3: 1, 4: 1, 5: 2}),
+         ["duplicate edges", "not connected"]),
+        ((2, [(0, 1)], {1: 0, 2: 0, 3: 0, 4: 1}), ["vertex 1 has valence 2 < 3"]),
+    ], ids=["bad_edge", "no_vertices", "edge_count", "duplicate", "valence"])
+    def test_complex(self, args, defects):
+        with pytest.raises(trees.TreeError) as err:
+            MarkedTree(*args)
+        assert str(err.value) == "invalid tree: %r" % (defects,)
+
+    def test_real(self):
+        mu = {"1+": 0, "1-": 1, "2+": 0, "2-": 1}
+        trees.RealMarkedTree(2, [(0, 1)], mu, [1, 0])  # valid
+        with pytest.raises(trees.TreeError) as err:
+            trees.RealMarkedTree(2, [(0, 1)], mu, [0, 1])
+        assert str(err.value) == "invalid tree: %r" % ([
+            "phi(mu('1+')) != mu('1-')", "phi(mu('1-')) != mu('1+')",
+            "phi(mu('2+')) != mu('2-')", "phi(mu('2-')) != mu('2+')"],)
+
+    def test_from_json(self):
+        d = {"v": 1, "l": 4, "real": False, "edges": [[0, 1]],
+             "mu": {"1": 0, "2": 0, "3": 0, "4": 1}, "phi": None}
+        with pytest.raises(trees.TreeError) as err:
+            tree_from_json(d)
+        assert str(err.value) == "invalid tree: ['vertex 1 has valence 2 < 3']"
 
 
 def _relabel(t: MarkedTree, perm):

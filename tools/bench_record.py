@@ -11,12 +11,15 @@ of `items_per_s`, `setup_s` and `peak_rss_mib`, and each run's `correct`
 and `failed`; it also holds the tier-1 wall seconds and counts, the
 `call` seconds of each test in tests/test_acceptance.py (under
 `tier1.criteria`, read from a JUnit XML report written to a temporary
-file outside the checkout), the number of usable CPUs, the Python
-version and the commit (with `dirty` true when the working tree differs
-from it).  It takes about five minutes; nothing in CI runs it.
+file outside the checkout), the line counts of src/artifact/*.py and
+tests/*.py (under `lines`, as `wc -l` counts them), the number of usable
+CPUs, the Python version and the commit (with `dirty` true when the
+working tree differs from it).  It takes about five minutes; nothing in
+CI runs it.
 """
 
 import argparse
+import glob
 import json
 import os
 import platform
@@ -78,6 +81,18 @@ def _criteria(junit):
             if case.get("classname") == "tests.test_acceptance"}
 
 
+def _lines():
+    """{"src": N, "tests": M}: the newline counts of src/artifact/*.py and
+    tests/*.py."""
+    out = {}
+    for key, pattern in (("src", "src/artifact/*.py"), ("tests", "tests/*.py")):
+        out[key] = 0
+        for path in glob.glob(os.path.join(ROOT, pattern)):
+            with open(path, encoding="utf-8") as f:
+                out[key] += f.read().count("\n")
+    return out
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--tag", required=True)
@@ -98,6 +113,7 @@ def main(argv=None):
         "nproc": len(os.sched_getaffinity(0)),
         "seeds": list(SEEDS),
         "seconds": SECONDS,
+        "lines": _lines(),
         "workloads": {},
     }
     for w, rs in runs.items():
