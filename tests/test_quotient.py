@@ -621,19 +621,15 @@ def _reference_place(c, sites, point):
     phi = None
     if t.is_real:
         phi = list(t.phi) + [at[1 - at.index(w)] for w in range(n, n + len(new))]
-    # an invalid tree, or else invalid points: the same list of messages,
-    # under the placement's text
     try:
-        placed = trees.shared_tree(n + len(new), edges, mu, phi)
-    except trees.TreeError as e:
-        prefix, text = "invalid tree: [", str(e)
-    else:
-        try:
-            return curves.StableCurve(placed, coords)
-        except curves.CurveError as e:
-            prefix, text = "invalid curve: [", str(e)
-    assert text.startswith(prefix)
-    raise QuotientError("bad placement: " + text[len(prefix) - 1:])
+        return curves.StableCurve(trees.shared_tree(n + len(new), edges, mu, phi), coords)
+    except (trees.TreeError, curves.CurveError) as e:
+        # the same list of messages, the tree's defects if it is invalid
+        # and else the points', under the placement's text
+        text = str(e)
+        prefix = "invalid tree: " if isinstance(e, trees.TreeError) else "invalid curve: "
+        assert text.startswith(prefix + "[")
+        raise QuotientError("bad placement: " + text[len(prefix):]) from None
 
 
 def _place_sites(t):
