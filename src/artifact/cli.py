@@ -34,7 +34,7 @@ from .exactfield import (
 MAX_L_ENUM = 10       # tree/stratum enumeration guardrail (complex)
 MAX_L_ENUM_REAL = 6   # ... and with conjugate mark pairs
 MAX_L_VERIFY = 6      # sampling-based verification guardrail
-MAX_TREES = 50_000    # projected complex trees `trees` may build
+MAX_TREES = 50_000    # projected trees `trees` may build
 
 
 class UsageError(Exception):
@@ -77,8 +77,9 @@ def _write_report(report: dict, out: Optional[str]) -> None:
 
 def cmd_trees(cfg) -> dict:
     _check_l(cfg.l, cfg.real, verify=False, override=cfg.max_l_override)
-    if not cfg.real and cfg.max_l_override is None:
-        projected = trees.stable_tree_count(cfg.l)
+    if cfg.max_l_override is None:
+        count = trees.real_tree_count if cfg.real else trees.stable_tree_count
+        projected = count(cfg.l)
         if projected > MAX_TREES:
             raise UsageError(
                 "l=%d would build %d trees, over the guardrail %d "

@@ -14,6 +14,7 @@ import functools
 import itertools
 import math
 import weakref
+from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
@@ -70,6 +71,11 @@ def real_marks(l: int) -> List[str]:
 
 # ---------------------------------------------------------------------------
 # trees
+
+def _vertex_ok(v, n: int) -> bool:
+    """v is a vertex of a tree with n vertices."""
+    return type(v) is int and 0 <= v < n
+
 
 class MarkedTree:
     """Tree (Ver, Edg, mu) with dense vertices 0..n-1 and sorted edges.
@@ -236,8 +242,8 @@ class MarkedTree:
         n = self.vertex_count
         if n < 1:
             return ["no vertices"]
-        bad = ["bad edge (%d,%d)" % (u, v) for u, v in self.edges
-               if not (0 <= u < n and 0 <= v < n and u != v)]
+        bad = ["bad edge (%r,%r)" % (u, v) for u, v in self.edges
+               if not (_vertex_ok(u, n) and _vertex_ok(v, n) and u != v)]
         ends_ok = not bad  # the connectivity walk indexes by edge ends
         if len(set(self.edges)) != len(self.edges):
             bad.append("duplicate edges")
@@ -257,7 +263,7 @@ class MarkedTree:
                 bad.append("not connected")
         self.mark_bits()  # raises TreeError for a bad mark
         for m, v in self.mu.items():
-            if not (0 <= v < n):
+            if not _vertex_ok(v, n):
                 bad.append("mark %r at bad vertex %r" % (m, v))
         if not bad:
             for v in range(n):
@@ -325,13 +331,17 @@ class RealMarkedTree(MarkedTree):
     """Marked tree over [l^pm] with an involution phi on vertices.
 
     Without phi, the tree takes the unique involution compatible with
-    mark conjugation, read off its own split-mask index.
+    mark conjugation, read off the split-mask index of its structure,
+    which is checked as a complex tree first.
     """
 
-    def _fill(self, vertex_count, edges, mu, phi: Optional[Sequence[int]] = None) -> None:
-        super()._fill(vertex_count, edges, mu)
+    def __init__(self, vertex_count, edges, mu, phi: Optional[Sequence[int]] = None):
         if phi is None:
-            phi = _phi_from_structure(self)
+            phi = _phi_from_structure(MarkedTree(vertex_count, edges, mu))
+        super().__init__(vertex_count, edges, mu, phi)
+
+    def _fill(self, vertex_count, edges, mu, phi: Sequence[int]) -> None:
+        super()._fill(vertex_count, edges, mu)
         self.phi: Tuple[int, ...] = tuple(phi)
 
 
@@ -458,30 +468,30 @@ def _conj_mask(mask: int, even: int) -> int:
     return (mask & even) << 1 | (mask >> 1) & even
 
 
-def _tree_from_family(marks: List, family: Sequence[int]) -> Tuple[int, List[Edge], Dict]:
-    """(vertex count, edges, mu) of the tree with the given splits, which
-    are in (size, lexicographic) order.  Vertex i + 1 is the side of
-    family[i] at its edge; its parent is the side of the first later
+def _tree_from_family(n_marks: int, family: Sequence[int]) -> Tuple[List[int], List[int]]:
+    """(parent, at) of the tree with the given splits, which are in (size,
+    lexicographic) order: parent[v] is vertex v's parent (-1 at vertex 0)
+    and at[b] is the vertex of the mark of bit b.  Vertex i + 1 is the side
+    of family[i] at its edge; its parent is the side of the first later
     superset, else vertex 0, and a mark sits at the first side that holds
-    its bit, else at vertex 0."""
+    its bit, else at vertex 0.  A split comes after its subsets, so
+    1, ..., len(family), 0 lists each vertex after its children."""
     k = len(family)
-    edges = []
-    at = [0] * len(marks)
-    free = (1 << len(marks)) - 1  # the bits no earlier side holds
+    parent = [-1] + [0] * k
+    at = [0] * n_marks
+    free = (1 << n_marks) - 1  # the bits no earlier side holds
     for i, s in enumerate(family):
-        parent = 0
         for j in range(i + 1, k):
             if family[j] & s == s:
-                parent = j + 1
+                parent[i + 1] = j + 1
                 break
-        edges.append((parent, i + 1))
         new = s & free
         free ^= new
         while new:
             low = new & -new
             at[low.bit_length() - 1] = i + 1
             new ^= low
-    return k + 1, edges, dict(zip(marks, at))
+    return parent, at
 
 
 def _phi_from_structure(t: MarkedTree) -> List[int]:
@@ -513,21 +523,65 @@ def _phi_from_structure(t: MarkedTree) -> List[int]:
     return phi
 
 
+def _a000311(n: int) -> List[int]:
+    """A000311(0..n), n >= 1, by a(m + 1) = (m + 2) a(m)
+    + 2 sum_{k=2}^{m-1} C(m, k) a(k) a(m - k + 1), a(1) = a(2) = 1."""
+    a = [0, 1, 1]
+    for m in range(2, n):
+        a.append((m + 2) * a[m] + 2 * sum(math.comb(m, k) * a[k] * a[m - k + 1]
+                                          for k in range(2, m)))
+    return a[:n + 1]
+
+
 def stable_tree_count(l: int) -> int:
     """len(enumerate_trees(l)) for l >= 3 complex marks, without building
-    a tree: A000311(l - 1), by a(n + 1) = (n + 2) a(n)
-    + 2 sum_{k=2}^{n-1} C(n, k) a(k) a(n - k + 1), a(1) = a(2) = 1."""
+    a tree: A000311(l - 1)."""
     if l < 3:
         raise TreeError("complex enumeration requires l >= 3")
-    a = [0, 1, 1]
-    for n in range(2, l - 1):
-        a.append((n + 2) * a[n] + 2 * sum(math.comb(n, k) * a[k] * a[n - k + 1]
-                                          for k in range(2, n)))
-    return a[l - 1]
+    return _a000311(l - 1)[l - 1]
+
+
+def _exp_series(s: List[Fraction]) -> List[Fraction]:
+    """exp of the power series s, s[0] = 0, to the same degree: e' = s'e
+    gives m e[m] = sum_{k=1}^{m} k s[k] e[m - k]."""
+    e = [Fraction(1)]
+    for m in range(1, len(s)):
+        e.append(sum(k * s[k] * e[m - k] for k in range(1, m + 1)) / m)
+    return e
+
+
+def real_tree_count(l: int) -> int:
+    """len(enumerate_trees(l, real=True)) for l >= 2 conjugate mark pairs,
+    without building a tree.
+
+    In exponential generating functions in the pairs, B = sum_k 2^(k-1)
+    A000311(k) x^k / k! counts the swapped pairs of branches and F, the
+    solution of F = exp(F + B) - 1 - F, the rooted branches that phi maps
+    to themselves.  By the dissymmetry theorem the count is l! [x^l] of
+    V - F^2/2 + (B - x): the phi-fixed vertices V = exp(F + B) - 1 - F
+    - F^2/2 - B, less the phi-fixed edges, plus the trees whose phi
+    reverses an edge.  As exp(F + B) - 1 - F = F, that is F - F^2 - x.
+    """
+    if l < 2:
+        raise TreeError("real enumeration requires l >= 2")
+    a = _a000311(l)
+    b = [Fraction(0)] + [Fraction(2 ** (k - 1) * a[k], math.factorial(k))
+                         for k in range(1, l + 1)]
+    f = [Fraction(0)] * (l + 1)
+    for _ in range(l):  # each pass fixes one more coefficient of F
+        e = _exp_series([x + y for x, y in zip(f, b)])
+        f = [Fraction(0)] + [e[m] - f[m] for m in range(1, l + 1)]
+    f2 = sum(f[k] * f[l - k] for k in range(l + 1))
+    return int((f[l] - f2) * math.factorial(l))
 
 
 def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
-    """One tree per label-preserving isomorphism class, deterministic order."""
+    """One tree per label-preserving isomorphism class, deterministic order.
+
+    Each tree's phi and canonical form are read off its family of splits
+    as the tree is built, so enumeration builds no adjacency or split-mask
+    index: a tree builds them on first use.
+    """
     if real:
         if l < 2:
             raise TreeError("real enumeration requires l >= 2")
@@ -537,7 +591,12 @@ def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
             raise TreeError("complex enumeration requires l >= 3")
         marks = complex_marks(l)
     n = len(marks)
-    bits = _mark_bits(frozenset(marks))
+    mark_set = frozenset(marks)
+    bits = _mark_bits(mark_set)
+    names = [str(m) for m in marks]
+    head = "%s%d:" % ("RT" if real else "T", l)
+    full = (1 << n) - 1
+    even = full // 3  # the bits of the + marks, for _conj_mask
     # candidate splits: 2..n-2 of the bits 1..n-1; combinations come out
     # size by size in lexicographic order, the order of _tree_from_family
     cands = [sum(1 << i for i in c) for r in range(2, n - 1)
@@ -545,11 +604,10 @@ def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
     if real:
         # a unit is a conjugation orbit of splits, as candidate ranks; an
         # orbit whose two splits cross can never appear
-        full = (1 << n) - 1
         rank = {s: i for i, s in enumerate(cands)}
         units = []
         for i, s in enumerate(cands):
-            sb = _conj_mask(s, full // 3)
+            sb = _conj_mask(s, even)
             j = rank[sb ^ full if sb & 1 else sb]
             if j == i:
                 units.append((i,))
@@ -573,9 +631,38 @@ def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
     stack: List[Tuple[int, Tuple[int, ...]]] = [((1 << len(units)) - 1, ())]
     while stack:
         avail, chosen = stack.pop()
-        n_v, edges, mu = _tree_from_family(marks, [cands[i] for i in sorted(chosen)])
-        t = (RealMarkedTree if real else MarkedTree)._of(n_v, edges, mu)
+        family = [cands[i] for i in sorted(chosen)]
+        k = len(family)
+        parent, at = _tree_from_family(n, family)
+        edges = [(parent[v], v) for v in range(1, k + 1)]
+        mu = dict(zip(marks, at))
+        own: List[List[str]] = [[] for _ in range(k + 1)]
+        for name, v in zip(names, at):
+            own[v].append(name)
+        here = [",".join(a) for a in own]
+        form = head + _ahu(here, parent, [*range(1, k + 1), 0])
+        if real:
+            # vertex 0 holds the mark 1+ (bit 0), so phi(0) holds 1- (bit
+            # 1).  The image of vertex i + 1 is the side of the conjugate
+            # split sb at its edge: vertex pos[sb] if sb avoids bit 0,
+            # else the parent of the vertex of its complement
+            pos = {s: i + 1 for i, s in enumerate(family)}
+            phi = [at[1]]
+            for s in family:
+                sb = _conj_mask(s, even)
+                phi.append(parent[pos[sb ^ full]] if sb & 1 else pos[sb])
+            # the branches at a vertex: its children's splits and, towards
+            # its parent, the complement of its own
+            sides: List[List[int]] = [[] for _ in range(k + 1)]
+            for v, s in enumerate(family, 1):
+                sides[parent[v]].append(s)
+                sides[v].append(full ^ s)
+            form += _phi_suffix(here, sides, phi, mark_set)
+            t = RealMarkedTree._of(k + 1, edges, mu, phi)
+        else:
+            t = MarkedTree._of(k + 1, edges, mu)
         t._bits = bits
+        t._canon = form
         results.append(t)
         while avail:
             low = avail & -avail
@@ -595,62 +682,41 @@ def _node(here: str, kids: List[str]) -> str:
     return "(" + here + ("|" + ";".join(kids) if kids else "") + ")"
 
 
-@functools.lru_cache(maxsize=None)
-def _set_texts(marks: FrozenSet) -> Dict[int, str]:
-    """mark mask -> "{m,...}", its marks in mark_key order, for one mark
-    set; filled by canonical_form on first use of each mask."""
-    return {}
+def _ahu(here: List[str], parent: List[int], order: Iterable[int]) -> str:
+    """The AHU string of a tree rooted at a centroid (the smaller string,
+    if there are two), vertex v written with its mark string here[v].
 
-
-def canonical_form(t: MarkedTree) -> str:
-    """Equal strings iff label-preserving isomorphic; stable across runs.
-
-    The AHU string of the tree rooted at a centroid (the smaller string,
-    if there are two), each vertex written with its marks; a real tree adds
-    the orbits of phi, each vertex written with its marks and the mark
-    sets of its branches.  Computed once per tree.
-
-    One traversal from vertex 0 gives every branch's size and, rooted at
-    0, its string.  A centroid other than vertex 0 is re-rooted only
-    along its path to vertex 0: each vertex on it swaps the string of the
-    branch towards the centroid for the one towards vertex 0.
+    parent[v] is v's parent in some rooting of the tree (-1 at its root),
+    and order lists every vertex after its children.  One pass over order
+    gives every branch's size and its string in that rooting.  A centroid
+    other than the root is re-rooted only along its path to the root: each
+    vertex on it swaps the string of the branch towards the centroid for
+    the one towards the root.
     """
-    if t._canon is not None:
-        return t._canon
-    n = t.vertex_count
-    bits = t.mark_bits()
-    at: List[List[str]] = [[] for _ in range(n)]
-    for m in bits:  # mark_key order
-        at[t.mu[m]].append(str(m))
-    here = [",".join(a) for a in at]
-    adj = t.adjacency()
-    parent = [-1] * n
-    order = [0]
-    for v in order:
-        for w in adj[v]:
-            if w != parent[v]:
-                parent[w] = v
-                order.append(w)
+    n = len(here)
     size = [1] * n
     heavy = [0] * n  # the most vertices in a branch below v
     kids: List[List[str]] = [[] for _ in range(n)]
-    down = [""] * n  # the string of v's branch away from vertex 0
-    for v in reversed(order):
-        kids[v].sort()
-        down[v] = _node(here[v], kids[v])
+    down = [""] * n  # the string of v's branch away from the root
+    for v in order:
+        ks = kids[v]
+        ks.sort()
+        down[v] = d = _node(here[v], ks)
         p = parent[v]
         if p >= 0:
-            size[p] += size[v]
-            heavy[p] = max(heavy[p], size[v])
-            kids[p].append(down[v])
-    heavy = [max(h, n - s) for h, s in zip(heavy, size)]
+            s = size[v]
+            size[p] += s
+            if s > heavy[p]:
+                heavy[p] = s
+            kids[p].append(d)
+    heavy = [h if h > n - s else n - s for h, s in zip(heavy, size)]
     least = min(heavy)
     bodies = []
     for c in range(n):
         if heavy[c] != least:
             continue
-        path = [c]  # c, parent[c], ..., 0
-        while path[-1]:
+        path = [c]  # c, parent[c], ..., the root
+        while parent[path[-1]] >= 0:
             path.append(parent[path[-1]])
         up = None  # the string of the branch at path[j] away from path[j - 1]
         for j in range(len(path) - 1, 0, -1):
@@ -662,25 +728,66 @@ def canonical_form(t: MarkedTree) -> str:
             up = _node(here[path[j]], ks)
         ks = kids[c] if up is None else sorted(kids[c] + [up])
         bodies.append(_node(here[c], ks))
-    body = min(bodies)
-    out = "%s%d:%s" % ("RT" if t.is_real else "T", t.l, body)
+    return min(bodies)
+
+
+@functools.lru_cache(maxsize=None)
+def _set_texts(marks: FrozenSet) -> Dict[int, str]:
+    """mark mask -> "{m,...}", its marks in mark_key order, for one mark
+    set; filled by _phi_suffix on first use of each mask."""
+    return {}
+
+
+def _phi_suffix(here: List[str], sides: Sequence[Sequence[int]], phi: Sequence[int],
+                marks: FrozenSet) -> str:
+    """The "/phi:" part of a real tree's canonical form: the orbits of phi,
+    vertex v written with its mark string here[v] and the mark sets of its
+    branches, whose mark masks over the mark set marks are sides[v]."""
+    bits = _mark_bits(marks)
+    texts = _set_texts(marks)
+    ids = []
+    for v, masks in enumerate(sides):
+        parts = [here[v]]
+        for s in masks:
+            text = texts.get(s)
+            if text is None:
+                text = texts[s] = "{" + ",".join(map(str, _marks_of_mask(bits, s))) + "}"
+            parts.append(text)
+        parts.sort()
+        ids.append("[" + "|".join(parts) + "]")
+    return "/phi:" + ";".join(sorted(
+        "~".join(sorted((ids[v], ids[phi[v]]))) for v in range(len(ids)) if v <= phi[v]
+    ))
+
+
+def canonical_form(t: MarkedTree) -> str:
+    """Equal strings iff label-preserving isomorphic; stable across runs.
+
+    The AHU string of the tree rooted at a centroid (the smaller string,
+    if there are two), each vertex written with its marks; a real tree adds
+    the orbits of phi, each vertex written with its marks and the mark
+    sets of its branches.  Computed once per tree: from a traversal from
+    vertex 0 and the split-mask index here, and by enumerate_trees from
+    the tree's family of splits.
+    """
+    if t._canon is not None:
+        return t._canon
+    n = t.vertex_count
+    at: List[List[str]] = [[] for _ in range(n)]
+    for m in t.mark_bits():  # mark_key order
+        at[t.mu[m]].append(str(m))
+    here = [",".join(a) for a in at]
+    adj = t.adjacency()
+    parent = [-1] * n
+    order = [0]
+    for v in order:
+        for w in adj[v]:
+            if w != parent[v]:
+                parent[w] = v
+                order.append(w)
+    out = "%s%d:%s" % ("RT" if t.is_real else "T", t.l, _ahu(here, parent, reversed(order)))
     if t.is_real:
-        sides = t.split_index()[0]
-        texts = _set_texts(frozenset(t.mu))
-        ids = []
-        for v in range(n):
-            parts = [here[v]]
-            for s in sides[v]:
-                text = texts.get(s)
-                if text is None:
-                    text = texts[s] = "{" + ",".join(map(str, _marks_of_mask(bits, s))) + "}"
-                parts.append(text)
-            parts.sort()
-            ids.append("[" + "|".join(parts) + "]")
-        phi = t.phi
-        out += "/phi:" + ";".join(sorted(
-            "~".join(sorted((ids[v], ids[phi[v]]))) for v in range(n) if v <= phi[v]
-        ))
+        out += _phi_suffix(here, t.split_index()[0], t.phi, frozenset(t.mu))
     t._canon = out
     return out
 

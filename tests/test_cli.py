@@ -107,14 +107,20 @@ class TestGuardrailsAndErrors:
         monkeypatch.setattr(trees, "enumerate_trees", refuse)
         assert cli.run(["trees", "--l", "10"]) == 2
         assert cli.run(["trees", "--l", "9"]) == 2
+        # real l=6 is at the l cap but would build 264,320 trees
+        assert cli.run(["trees", "--l", "6", "--real"]) == 2
         built = []
         monkeypatch.setattr(trees, "enumerate_trees",
-                            lambda l, real=False: built.append(l) or [])
-        # l=8 (39,208 trees) passes, and the override lifts the guard
+                            lambda l, real=False: built.append((l, real)) or [])
+        # l=8 (39,208 trees) and real l=5 (10,368) pass, and the override
+        # lifts the guard
         assert run_json(["trees", "--l", "8"], tmp_path)[0] == 0
         assert run_json(["trees", "--l", "10", "--max-l-override", "10"],
                         tmp_path)[0] == 0
-        assert built == [8, 10]
+        assert run_json(["trees", "--l", "5", "--real"], tmp_path)[0] == 0
+        assert run_json(["trees", "--l", "6", "--real", "--max-l-override", "6"],
+                        tmp_path)[0] == 0
+        assert built == [(8, False), (10, False), (5, True), (6, True)]
 
 
 class TestReports:

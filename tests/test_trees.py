@@ -58,9 +58,14 @@ class TestEnumeration:
         with pytest.raises(trees.TreeError, match="requires l >= 3"):
             trees.stable_tree_count(l)
 
-    def test_real_counts(self):
-        assert len(enumerate_trees(2, real=True)) == 4
-        assert len(enumerate_trees(3, real=True)) == 36
+    @pytest.mark.parametrize("l,n", [(2, 4), (3, 36), (4, 520), (5, 10_368)])
+    def test_real_counts(self, l, n):
+        assert len(enumerate_trees(l, real=True)) == n == trees.real_tree_count(l)
+
+    @pytest.mark.parametrize("l", [-1, 0, 1])
+    def test_real_count_below_two_pairs_raises(self, l):
+        with pytest.raises(trees.TreeError, match="requires l >= 2"):
+            trees.real_tree_count(l)
 
     def test_all_valid(self):
         # enumeration builds its trees unchecked
@@ -106,7 +111,11 @@ class TestInvalidTrees:
         ((3, [(0, 1), (0, 1)], {1: 0, 2: 0, 3: 1, 4: 1, 5: 2}),
          ["duplicate edges", "not connected"]),
         ((2, [(0, 1)], {1: 0, 2: 0, 3: 0, 4: 1}), ["vertex 1 has valence 2 < 3"]),
-    ], ids=["bad_edge", "no_vertices", "edge_count", "duplicate", "valence"])
+        # a vertex that is no integer: no connectivity walk, no valence
+        ((2, [(0, 1.0)], {1: 0, 2: 0, 3: 1, 4: 1}), ["bad edge (0,1.0)"]),
+        ((2, [(0, 1)], {1: 0, 2: 0, 3: 1.5, 4: 1}), ["mark 3 at bad vertex 1.5"]),
+    ], ids=["bad_edge", "no_vertices", "edge_count", "duplicate", "valence",
+            "float_edge_end", "float_mark_vertex"])
     def test_complex(self, args, defects):
         with pytest.raises(trees.TreeError) as err:
             MarkedTree(*args)
@@ -120,6 +129,17 @@ class TestInvalidTrees:
         assert str(err.value) == "invalid tree: %r" % ([
             "phi(mu('1+')) != mu('1-')", "phi(mu('1-')) != mu('1+')",
             "phi(mu('2+')) != mu('2-')", "phi(mu('2-')) != mu('2+')"],)
+
+    @pytest.mark.parametrize("args,defects", [
+        ((2, [(0, 5)], {"1+": 0, "1-": 0, "2+": 1, "2-": 1}), ["bad edge (0,5)"]),
+        ((3, [(0, 1)], {"1+": 0, "1-": 0, "2+": 1, "2-": 1, "3+": 2, "3-": 2}),
+         ["edge count 1 != 2 (not a tree)"]),
+    ], ids=["bad_edge", "edge_count"])
+    def test_real_without_phi(self, args, defects):
+        # phi is derived only from a structure that passes the complex check
+        with pytest.raises(trees.TreeError) as err:
+            trees.RealMarkedTree(*args)
+        assert str(err.value) == "invalid tree: %r" % (defects,)
 
     def test_from_json(self):
         d = {"v": 1, "l": 4, "real": False, "edges": [[0, 1]],
@@ -404,6 +424,34 @@ class TestCanonicalReference:
                     assert _ref_canonical_form(t2) == want
                     assert canonical_form(t2) == want
         assert two > 0
+
+
+FAMILY_CASES = [(4, False), (5, False), (6, False), (7, False),
+                (2, True), (3, True), (4, True), (5, True)]
+
+
+class TestFromFamily:
+    """enumerate_trees reads each tree's phi and canonical form off its
+    family of splits; these must equal what the tree's own structure
+    gives, and no enumerated tree may keep an adjacency or index."""
+
+    @pytest.mark.parametrize("l,real", FAMILY_CASES)
+    def test_no_adjacency_or_index_kept(self, l, real):
+        for t in enumerate_trees(l, real=real):
+            assert t._adj is None and t._index is None
+
+    @pytest.mark.parametrize("l,real", FAMILY_CASES)
+    def test_form_equals_rebuilt_tree_form(self, l, real):
+        for t in enumerate_trees(l, real=real):
+            args = (t.vertex_count, t.edges, t.mu) + ((t.phi,) if real else ())
+            t2 = type(t)(*args)  # checked constructor: canonical_form traverses
+            assert t2._canon is None
+            assert canonical_form(t2) == t._canon
+
+    @pytest.mark.parametrize("l", [2, 3, 4, 5])
+    def test_phi_equals_phi_from_structure(self, l):
+        for t in enumerate_trees(l, real=True):
+            assert t.phi == tuple(trees._phi_from_structure(t))
 
 
 # sha256 of the canonical forms and of the JSON of enumerate_trees(l, real),
