@@ -58,9 +58,9 @@ class TestEnumeration:
         with pytest.raises(trees.TreeError, match="requires l >= 3"):
             trees.stable_tree_count(l)
 
-    @pytest.mark.parametrize("l,n", [(2, 4), (3, 36), (4, 520), (5, 10_368)])
-    def test_real_counts(self, l, n):
-        assert len(enumerate_trees(l, real=True)) == n == trees.real_tree_count(l)
+    def test_real_counts(self):
+        for l, n in [(2, 4), (3, 36), (4, 520), (5, 10_368)]:
+            assert len(enumerate_trees(l, real=True)) == n == trees.real_tree_count(l)
 
     @pytest.mark.parametrize("l", [-1, 0, 1])
     def test_real_count_below_two_pairs_raises(self, l):
