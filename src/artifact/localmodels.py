@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .exactfield import GaussRat, ZERO, ONE, gauss_rat, randbelow
 
@@ -217,11 +217,10 @@ def _in_chart(model: Model, target: ChartId, line: List[Scalar], x: Fiber,
         raise TransitionDomainError(
             "line coordinate %d vanishes; chart %r unreachable" % (it, target)
         )
-    out = [rj / ri for rj in line]
+    out = [rj / ri for j, rj in enumerate(line) if j != slot]
     if k == 1:
-        out[slot] = x * ri
+        out.insert(slot, x * ri)
     else:
-        del out[slot]
         out += [ri * lam for lam in x]
     # target is a chart of model, and the coordinates are GaussRats from
     # a valid point, real where it is
@@ -360,15 +359,22 @@ def lemma_hypothesis_check(
     chart presentation exposes a corrupted chart.  Returns a report dict
     with one boolean per relation and ``all_ok``.
     """
+    img = blowdown(p) if image is None else image
+    report: Dict[str, object] = dict(_relations(p, img))
+    report["all_ok"] = all(report.values())
+    return report
+
+
+def _relations(p: BlowupPoint, img: Tuple[Scalar, ...]) -> Iterator[Tuple[str, bool]]:
+    """(name, holds) for each relation of lemma_hypothesis_check, in
+    report order; each expected value is computed as it is reached, so a
+    caller that stops at the first failure computes no more."""
     m = p.model
     k, i = p.chart
-    img = blowdown(p) if image is None else image
-    checks: Dict[str, bool] = {}
     if m.kind != "augmented" or k == 1:
         t = p.u(i)
         for j in range(1, m.c + 1):
-            expect = t if j == i else p.u(j) * t
-            checks["slot%d" % j] = img[j - 1] == expect
+            yield "slot%d" % j, img[j - 1] == (t if j == i else p.u(j) * t)
     else:
         s2 = _sum_sq([p.u(m.c1 + jp) for jp in range(1, m.c2 + 1)])
         r0 = ONE if i == 0 else p.u(1)
@@ -381,14 +387,11 @@ def lemma_hypothesis_check(
                 expect = s2 * p.u(1) * p.u(j)
             else:
                 expect = s2 * p.u(1) * p.u(j + 1)
-            checks["slot%d" % j] = img[j - 1] == expect
+            yield "slot%d" % j, img[j - 1] == expect
         for j in range(m.c1 + 1, m.c + 1):
-            checks["slot%d" % j] = img[j - 1] == r0 * p.u(j)
+            yield "slot%d" % j, img[j - 1] == r0 * p.u(j)
     for j in range(m.c + 1, m.c + m.m + 1):
-        checks["base%d" % (j - m.c)] = img[j - 1] == p.coords[j - 1]
-    report = dict(checks)
-    report["all_ok"] = all(checks.values())
-    return report
+        yield "base%d" % (j - m.c), img[j - 1] == p.coords[j - 1]
 
 
 def corrupted_chart_control(p: BlowupPoint,
@@ -399,15 +402,18 @@ def corrupted_chart_control(p: BlowupPoint,
     them if they happen to coincide) and checks that the corrupted chart
     no longer satisfies the blowup-recognition relations against the
     honest blowdown image, ``image`` if given, else ``blowdown(p)``.
-    Returns True iff the relations fail.
+    Returns True iff the relations fail; the check stops at the first
+    relation that does.
     """
     swapped = list(p.coords)
     swapped[0], swapped[1] = swapped[1], swapped[0]
     if tuple(swapped) == p.coords:
         swapped[0] = swapped[0] + ONE
-    q = BlowupPoint(p.model, p.chart, tuple(swapped))
-    rep = lemma_hypothesis_check(q, image=blowdown(p) if image is None else image)
-    return not rep["all_ok"]
+    # both swapped slots are blown-up slots (c >= 2), so the point is as
+    # valid as p
+    q = BlowupPoint._of(p.model, p.chart, tuple(swapped))
+    img = blowdown(p) if image is None else image
+    return not all(ok for _name, ok in _relations(q, img))
 
 
 # ---------------------------------------------------------------------------
@@ -454,8 +460,10 @@ def verify_model(
     identity over all chart triples (on overlap points), and injectivity
     of the blowdown off the exceptional locus (by hashing images).
     Each point is blown down once and moved into each chart once; the
-    invariance and cocycle checks read those moves.  Returns a JSON-ready
-    report with per-relation pass counts.
+    invariance and cocycle checks read those moves, and a triple whose
+    middle chart a1 is the point's own chart reads the stored move into a
+    as its route.  Returns a JSON-ready report with per-relation pass
+    counts.
     """
     model = PRESETS[preset]
     rng = random.Random("%s:%r" % (preset, seed))
@@ -493,19 +501,28 @@ def verify_model(
             if q is None:
                 continue
             invariance_total += 1
-            if blowdown(q) == img:
+            # p in its own chart is p, whose image is img
+            if q is p or blowdown(q) == img:
                 invariance_pass += 1
             else:
                 failures.append(
                     "blowdown not invariant %r -> %r" % (p.chart, target)
                 )
         for a, a1 in itertools.product(charts, repeat=2):
-            if a == a1 == p.chart:
-                continue
-            try:
-                ok = cocycle_check(moves, a, a1)
-            except TransitionDomainError:
-                continue
+            if a1 == p.chart:
+                if a == a1:
+                    continue
+                # p -> a1 is the identity, so the route p -> a1 -> a is
+                # the stored move into a: the triple is counted, with no
+                # route of its own to compare
+                if moves[a] is None:
+                    continue
+                ok = True
+            else:
+                try:
+                    ok = cocycle_check(moves, a, a1)
+                except TransitionDomainError:
+                    continue
             cocycle_total += 1
             cocycle_pass += bool(ok)
             if not ok:

@@ -44,6 +44,12 @@ def extra_marks(t: MarkedTree) -> List:
     return [t.l]
 
 
+def _next_marks(t: MarkedTree) -> List:
+    """The mark (or conjugate pair) that a curve over t adds to t's marks."""
+    l1 = t.l + 1
+    return ["%d+" % l1, "%d-" % l1] if t.is_real else [l1]
+
+
 def base_of(c: StableCurve) -> StableCurve:
     """Forget the extra mark(s) and stabilize; computed once per curve.
 
@@ -224,13 +230,16 @@ class ClassKey:
 @dataclass(frozen=True)
 class ChartPlan:
     """The part of a class key fixed by the base tree, rho* and the rank
-    choice: the chart vertex, the excluded labels (sorted by order_key)
-    and the extended-basis quadruples, sorted, with their text."""
+    choice: the chart vertex, the excluded labels (sorted by order_key),
+    the tail-side mark masks of each excluded label's locus on a curve
+    over the tree (see _locus_masks) and the extended-basis quadruples,
+    sorted, with their text."""
 
     tree: str
     v_plus: int
     v_rank: int
     excluded: Tuple[FrozenSet, ...]
+    excluded_masks: Tuple[Tuple[int, ...], ...]
     quads: Tuple[Tuple[str, Tuple], ...]
 
 
@@ -267,11 +276,14 @@ def _make_plan(t: MarkedTree, rho_star: FrozenSet,
             raise QuotientError(
                 "no admissible chart vertex with rank %r" % (v_plus_rank,))
         v_plus = match[0]
-    excluded = _excluded(t, v_plus, labels)
+    excluded = tuple(_excluded(t, v_plus, labels))
+    # a curve over t has t's marks and the next mark(s)
+    bits = _mark_bits(frozenset(t.mu) | frozenset(_next_marks(t)))
+    masks = tuple(_locus_masks(bits, rho, t.is_real, t.l + 1) for rho in excluded)
     basis = extended_basis(t, v_plus, rho_star)
     quads = sorted(set(basis.all_quadruples),
                    key=lambda q: tuple(mark_key(m) for m in q))
-    return ChartPlan(canonical_form(t), v_plus, order[v_plus], tuple(excluded),
+    return ChartPlan(canonical_form(t), v_plus, order[v_plus], excluded, masks,
                      tuple((",".join(str(m) for m in q), q) for q in quads))
 
 
@@ -288,10 +300,9 @@ def class_key(c: StableCurve, rho_star=(), real: bool = False,
         raise QuotientError("real flag does not match the curve")
     b = base_of(c)
     plan = chart_plan(b.tree, rho_star, v_plus_rank)
-    t = c.tree
-    bits, edges = t.mark_bits(), t.edge_of_mask()
-    for rho in plan.excluded:
-        if any(mask in edges for mask in _locus_masks(bits, rho, real, t.l)):
+    edges = c.tree.edge_of_mask()
+    for rho, masks in zip(plan.excluded, plan.excluded_masks):
+        if any(mask in edges for mask in masks):
             raise ChartDomainError(
                 "curve lies on the excluded boundary locus of rho=%r"
                 % (sort_marks(rho),))
@@ -363,8 +374,7 @@ def _plan_place(t: MarkedTree, sites: Tuple) -> _Gather:
     point, conj, inf, zero, i, i_bar = range(size, size + 6)
     index = {vs: k for k, vs in enumerate(zip(lay.vertex, lay.slots))}
     mu, edges = dict(t.mu), set(t.edges)
-    l1 = t.l + 1
-    marks = ["%d+" % l1, "%d-" % l1] if t.is_real else [l1]
+    marks = _next_marks(t)
     new: Dict = {}  # split slot -> its new component
     at = []  # the component of each new mark
     for (v, slot), m, z in zip(sites, marks, (point, conj)):

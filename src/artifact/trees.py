@@ -497,7 +497,8 @@ def _tree_from_family(n_marks: int, family: Sequence[int]) -> Tuple[List[int], L
 def _phi_from_structure(t: MarkedTree) -> List[int]:
     """The unique involution of t's vertices compatible with mark
     conjugation, read off t's split-mask index; the marks of t must be
-    conjugation-closed.
+    conjugation-closed.  Raises TreeError("invalid tree: [...]") when the
+    conjugates of t's splits are not all splits of t.
 
     Conjugating the mark mask of the branch at v through w (the tail side
     of the edge (w, v)) gives the tail side of the image edge, whose head
@@ -515,10 +516,10 @@ def _phi_from_structure(t: MarkedTree) -> List[int]:
         for side in marks[v]:
             conj = _conj_mask(side, even)
             if conj not in heads:
-                raise TreeError("split system not conjugation-closed")
+                raise TreeError("invalid tree: ['split system not conjugation-closed']")
             imgs.add(heads[conj])
         if len(imgs) != 1:
-            raise TreeError("involution not determined")
+            raise TreeError("invalid tree: ['involution not determined']")
         phi.append(imgs.pop())
     return phi
 

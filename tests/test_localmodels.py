@@ -255,6 +255,78 @@ class TestNonVacuity:
             assert 0 < rep[check]["pass"] < rep[check]["total"]
 
 
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_wrong_transition_into_one_family_fails(self, preset, monkeypatch):
+        # every move into the last chart family (the second family of
+        # aug31) gets its base coordinate off by one
+        family = PRESETS[preset].charts()[-1][0]
+        honest = localmodels.transition
+
+        def wrong(p, target):
+            q = honest(p, target)
+            if target[0] == family and q is not p:
+                q = BlowupPoint(q.model, q.chart, q.coords[:-1] + (q.coords[-1] + 1,))
+            return q
+
+        monkeypatch.setattr(localmodels, "transition", wrong)
+        rep = verify_model(preset, n_samples=30)
+        assert rep["ok"] is False
+        for check in ("cocycle", "blowdown_invariance"):
+            assert 0 < rep[check]["pass"] < rep[check]["total"]
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_wrong_blowdown_of_moved_points_fails(self, preset, monkeypatch):
+        # the points transition moves out of their chart blow down with
+        # the base coordinate off by one; sampled points blow down honestly
+        moved = {}
+        honest_transition, honest_blowdown = localmodels.transition, localmodels.blowdown
+
+        def recording(p, target):
+            q = honest_transition(p, target)
+            if q is not p:
+                moved[id(q)] = q  # kept, so that no id is reused
+            return q
+
+        def wrong(p):
+            img = honest_blowdown(p)
+            return img[:-1] + (img[-1] + 1,) if id(p) in moved else img
+
+        monkeypatch.setattr(localmodels, "transition", recording)
+        monkeypatch.setattr(localmodels, "blowdown", wrong)
+        rep = verify_model(preset, n_samples=30)
+        assert rep["ok"] is False
+        # only the own-chart entries, one per sample, stay invariant
+        inv = rep["blowdown_invariance"]
+        assert inv["pass"] == 30 < inv["total"]
+        assert rep["cocycle"]["pass"] == rep["cocycle"]["total"]
+
+
+class TestVerifierWork:
+    """Calls per 500 samples.  A point is blown down once, and once more in
+    each other chart; it is written into each other chart once, and once
+    more per cocycle triple (a, a1) with a1 neither its own chart nor a;
+    the triples through its own chart read the stored moves."""
+
+    CALLS_AT_500 = {
+        "real3": {"_in_chart": 3000, "blowdown": 1500},
+        "complex2": {"_in_chart": 1000, "blowdown": 1000},
+        "aug31": {"_in_chart": 3000, "blowdown": 1500},
+    }
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_calls_at_500_samples(self, preset, monkeypatch):
+        counts = dict.fromkeys(self.CALLS_AT_500[preset], 0)
+        for name in counts:
+            def counting(*args, _honest=getattr(localmodels, name), _name=name):
+                counts[_name] += 1
+                return _honest(*args)
+
+            monkeypatch.setattr(localmodels, name, counting)
+        rep = verify_model(preset, n_samples=500)
+        assert rep["ok"]
+        assert counts == self.CALLS_AT_500[preset]
+
+
 # sha256 of the serialized sample_point output (50 points per preset, chart,
 # bound and avoid_zero flag) and of the sorted-key JSON of
 # verify_localmodels_suite(300, seed=5, bound=3), pinned when sampling drew

@@ -415,6 +415,25 @@ class TestMemoEquivalence:
             gc.enable()
 
 
+    def test_warm_case_reads_the_plans_locus_masks(self, monkeypatch):
+        # the locus masks of the excluded labels are kept on the chart
+        # plan, so a case whose plan and label table exist computes none
+        t = trees.share(trees.enumerate_trees(3, real=True)[1])
+        cut = strata.build_a_ell_real(3)[1][7].rho_set
+        verify_injectivity(t, cut, n_samples=20, seed=0, real=True)
+        assert quotient.chart_plan(t, cut).excluded_masks == ((15, 143),)
+        calls = {"_locus_masks": 0, "class_key": 0}
+        for name in calls:
+            def counting(*args, _honest=getattr(quotient, name), _name=name, **kw):
+                calls[_name] += 1
+                return _honest(*args, **kw)
+
+            monkeypatch.setattr(quotient, name, counting)
+        verify_injectivity(t, cut, n_samples=20, seed=1, real=True)
+        assert calls["class_key"] >= 20
+        assert calls["_locus_masks"] == 0
+
+
 class TestInadmissibleVPlus:
     # the {1,2,3}|{4,5} tree at the cut {1,2}: only vertex 0 is admissible
     T = trees.enumerate_trees(5)[1]

@@ -134,7 +134,13 @@ class TestInvalidTrees:
         ((2, [(0, 5)], {"1+": 0, "1-": 0, "2+": 1, "2-": 1}), ["bad edge (0,5)"]),
         ((3, [(0, 1)], {"1+": 0, "1-": 0, "2+": 1, "2-": 1, "3+": 2, "3-": 2}),
          ["edge count 1 != 2 (not a tree)"]),
-    ], ids=["bad_edge", "edge_count"])
+        # valid complex trees whose splits conjugation does not map to splits
+        ((2, [(0, 1)], {"1+": 0, "1-": 0, "2+": 0, "2-": 1, "3+": 1, "3-": 1}),
+         ["split system not conjugation-closed"]),
+        ((3, [(0, 1), (1, 2)], {"1+": 0, "1-": 0, "2+": 0, "2-": 0, "3+": 0,
+                                "3-": 1, "4+": 2, "4-": 2}),
+         ["split system not conjugation-closed"]),
+    ], ids=["bad_edge", "edge_count", "not_closed", "not_closed_path"])
     def test_real_without_phi(self, args, defects):
         # phi is derived only from a structure that passes the complex check
         with pytest.raises(trees.TreeError) as err:
@@ -147,6 +153,12 @@ class TestInvalidTrees:
         with pytest.raises(trees.TreeError) as err:
             tree_from_json(d)
         assert str(err.value) == "invalid tree: ['vertex 1 has valence 2 < 3']"
+        # a real tree without phi takes it from the structure
+        d = {"v": 1, "l": 3, "real": True, "edges": [[0, 1]], "phi": None,
+             "mu": {"1+": 0, "1-": 0, "2+": 0, "2-": 1, "3+": 1, "3-": 1}}
+        with pytest.raises(trees.TreeError) as err:
+            tree_from_json(d)
+        assert str(err.value) == "invalid tree: ['split system not conjugation-closed']"
 
 
 def _relabel(t: MarkedTree, perm):

@@ -4,11 +4,14 @@
     python3 tools/bench_record.py --tag T
 
 Runs `perfbench/run.py --trace 0` for every workload in BENCHMARK.json at
-seeds 1, 2 and 3, 15 s each, then one timed tier-1 pass (the pytest
-command in ROADMAP.md), and writes BENCH_<T>.json at the root of the
-checkout.  For each workload the file holds the median and the raw values
-of `items_per_s`, `setup_s` and `peak_rss_mib`, and each run's `correct`
-and `failed`; it also holds the tier-1 wall seconds and counts, the
+seeds 1, 2 and 3, 15 s each, and `perfbench/run.py --trace 1` for every
+workload at seed 1, then one timed tier-1 pass (the pytest command in
+ROADMAP.md), and writes BENCH_<T>.json at the root of the checkout.  For
+each workload the file holds the median and the raw values of
+`items_per_s`, `setup_s` and `peak_rss_mib`, and each run's `correct`
+and `failed`; under `per_layer` it holds the traced run's metrics, whose
+call counts repeat exactly from run to run (its seconds do not).  It
+also holds the tier-1 wall seconds and counts, the
 `call` seconds of each test in tests/test_acceptance.py (under
 `tier1.criteria`, read from a JUnit XML report written to a temporary
 file outside the checkout), the line counts of src/artifact/*.py and
@@ -33,6 +36,7 @@ import xml.etree.ElementTree as ET
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
+TRACE_SEED = 1
 SECONDS = 15
 METRICS = ("items_per_s", "setup_s", "peak_rss_mib")
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
@@ -43,10 +47,10 @@ def _git(*args):
                           check=True).stdout.strip()
 
 
-def _bench(workload, seed):
+def _bench(workload, seed, trace=0):
     out = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(SECONDS), "--trace", "0"],
+         "--seconds", str(SECONDS), "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
@@ -124,6 +128,11 @@ def main(argv=None):
         entry["correct"] = [r["correct"] for r in rs]
         entry["failed"] = [r["failed"] for r in rs]
         report["workloads"][w] = entry
+    report["per_layer"] = {}
+    for w in workloads:
+        traced = _bench(w, TRACE_SEED, trace=1)
+        report["per_layer"][w] = {name: m["value"] for name, m in traced["metrics"].items()}
+        print("%s traced at seed %d" % (w, TRACE_SEED), flush=True)
     report["tier1"] = _tier1()
     print("tier-1: %s" % (report["tier1"]["summary"],), flush=True)
     path = os.path.join(ROOT, "BENCH_%s.json" % (args.tag,))
