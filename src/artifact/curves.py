@@ -18,8 +18,7 @@ from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, cross_ratio, finite
                          frame, randbelow)
 from .strata import classify_real, is_admissible, stratum_edge
 from .trees import (MarkedTree, RealMarkedTree, bar_mark, canonical_form,
-                    canonical_vertex_order, real_marks,
-                    share, shared_tree, sort_marks, tree_from_json)
+                    canonical_vertex_order, real_marks, sort_marks, tree_from_json)
 
 
 class CurveError(Exception):
@@ -261,25 +260,29 @@ def _slot_of_key(key: str, real: bool) -> Slot:
 
 class _Gather:
     """How to build a curve from the points of a curve on one tree (see
-    _derive), made from the output tree's shared_tree arguments, a
-    {(vertex, slot): index} map and the output vertices to check.
+    _derive), made from the output tree's vertex count, edges, mu and phi
+    (None on a complex tree), a {(vertex, slot): index} map and the
+    output vertices to check.
 
     gather[i] is the index, in the input points followed by the caller's
     extra points, of the point that the output takes for its slot i.
     ranges holds the slot ranges of the vertices to check.  The output
-    tree is checked once, by shared_tree when the plan is made (an
-    invalid one raises its TreeError there), and held only through a
-    weakref, so that it goes with its last curve; tree() rebuilds it
-    unchecked (mu in the plan's insertion order, which repr shows) with
-    the kept slot layout, moduli-key layout and edge_of_mask() table,
-    none of which refers to a tree, and shares it; so a rebuilt tree
-    does not build its split index again to find its edges.
+    tree is built and checked once, when the plan is made (an invalid one
+    raises its TreeError there), and every curve of the plan shares it.
+    The plan holds it only through a weakref, so that it goes with its
+    last curve; tree() rebuilds it unchecked (mu in the plan's insertion
+    order, which repr shows) with the kept slot layout, moduli-key layout
+    and edge_of_mask() table, none of which refers to a tree; so a
+    rebuilt tree does not build its split index again to find its edges.
     """
 
     __slots__ = ("ref", "args", "layout", "key_layout", "edge_of", "gather", "ranges")
 
     def __init__(self, vertex_count: int, edges, mu: Dict, phi, index: Dict, check=()):
-        nt = shared_tree(vertex_count, edges, mu, phi)
+        if phi is None:
+            nt = MarkedTree(vertex_count, edges, mu)
+        else:
+            nt = RealMarkedTree(vertex_count, edges, mu, phi)
         self.ref = weakref.ref(nt)
         self.args = (type(nt), nt.vertex_count, nt.edges, mu) + ((nt.phi,) if nt.is_real else ())
         self.layout = lay = slot_layout(nt)
@@ -294,7 +297,6 @@ class _Gather:
             cls, *args = self.args
             nt = cls._of(*args)
             nt._layout, nt._key_layout, nt._edge_of = self.layout, self.key_layout, self.edge_of
-            nt = share(nt)
             self.ref = weakref.ref(nt)
         return nt
 

@@ -12,7 +12,6 @@ characterize the closure classes inside the chart domain.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import random
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from .exactfield import PP_INF, PP_ZERO, GaussRat, ProjPoint, finite_point, rand
 from .strata import (_labels, build_a_ell, build_a_ell_real, is_admissible,
                      order_key)
 from .trees import (MarkedTree, TreeError, _mark_bits, _marks_of_mask, bar_mark,
-                    canonical_form, canonical_vertex_order, mark_key, share, sort_marks)
+                    canonical_form, canonical_vertex_order, mark_key, sort_marks)
 
 
 class QuotientError(Exception):
@@ -83,32 +82,21 @@ def equivalent(c1: StableCurve, c2: StableCurve, rho, real: bool = False) -> boo
     return moduli_key(base_of(c1)) == moduli_key(base_of(c2))
 
 
-@functools.lru_cache(maxsize=None)
-def _all_labels(l: int, real: bool) -> Tuple[FrozenSet, ...]:
-    """Every label of the index set of l, in order; built once per (l, real).
+def relation_labels(l: int, rho_star=(), real: bool = False) -> List[FrozenSet]:
+    """The labels rho > rho* whose relations are active in the quotient,
+    in order_key order.
 
     The labels are read off strata's label masks, as build_a_ell and
-    build_a_ell_real read them, and not through those two: perfbench's
+    build_a_ell_real read them, and not through those two, which are
+    called only to raise StrataError for too small an l: perfbench's
     tracer counts their calls and checks the counts against cProfile's
-    over two runs in one process, which a kept result would make differ.
+    over two runs in one process, which _label_table's kept result would
+    make differ.
     """
     if l < (1 if real else 3):
         (build_a_ell_real if real else build_a_ell)(l)  # raises StrataError
-    return tuple([frozenset(rho) for _mask, rho in _labels(l, real)])
-
-
-@functools.lru_cache(maxsize=None)
-def _label_keys(l: int, real: bool) -> Tuple[Tuple, ...]:
-    """The order_key of each label of _all_labels(l, real); increasing."""
-    return tuple([order_key(rho) for rho in _all_labels(l, real)])
-
-
-def relation_labels(l: int, rho_star=(), real: bool = False) -> List[FrozenSet]:
-    """The labels rho > rho* whose relations are active in the quotient."""
-    labels = _all_labels(l, bool(real))
-    if not rho_star:
-        return list(labels)
-    return list(labels[bisect.bisect_right(_label_keys(l, bool(real)), order_key(rho_star)):])
+    cut = order_key(rho_star)
+    return [frozenset(rho) for _mask, rho in _labels(l, bool(real)) if order_key(rho) > cut]
 
 
 def relation_closure(samples: Sequence[StableCurve], rho_star=(),
@@ -246,7 +234,8 @@ class ChartPlan:
 def chart_plan(t: MarkedTree, rho_star=(),
                v_plus_rank: Optional[int] = None) -> ChartPlan:
     """The chart plan of base tree t at cut rho*, computed once per tree
-    and kept on it, so every base on the same (shared) tree uses it.
+    and kept on it, so every base on t, the tree that a verifier case
+    samples on, uses it.
 
     Without a rank, the chart vertex is the admissible vertex of least
     canonical rank, so equal bases yield the same choice regardless of
@@ -510,8 +499,6 @@ def verify_injectivity(t: MarkedTree, rho_star=(), v_plus: Optional[int] = None,
     """
     if bool(t.is_real) != bool(real):
         raise QuotientError("real flag does not match the tree")
-    # the bases forget builds are then t itself, which keeps their plans
-    t = share(t)
     case = "seed %r, tree %s, rho_star %r" % (
         seed, canonical_form(t), [str(m) for m in sort_marks(rho_star)])
     try:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import weakref
 from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
@@ -298,8 +297,10 @@ class MarkedTree:
 
     # structural (labeled) equality; use canonical_form for isomorphism
     def _key(self):
+        """(vertex count, edges, mu items in mark_key order, phi)."""
         if self._skey is None:
-            self._skey = _structure_key(self.vertex_count, self.edges, self.mu, self.phi)
+            self._skey = (self.vertex_count, self.edges,
+                          tuple([(m, self.mu[m]) for m in self.mark_bits()]), self.phi)
         return self._skey
 
     def __eq__(self, other):
@@ -343,51 +344,6 @@ class RealMarkedTree(MarkedTree):
     def _fill(self, vertex_count, edges, mu, phi: Sequence[int]) -> None:
         super()._fill(vertex_count, edges, mu)
         self.phi: Tuple[int, ...] = tuple(phi)
-
-
-def _structure_key(vertex_count: int, edges: Iterable[Edge], mu: Dict,
-                   phi: Optional[Sequence[int]]) -> Tuple:
-    """(vertex count, sorted edges, mu items in mark_key order, phi): the
-    labelled structure that tree equality compares."""
-    return (
-        int(vertex_count),
-        tuple(sorted(tuple(sorted(e)) for e in edges)),
-        tuple([(m, mu[m]) for m in _mark_bits(frozenset(mu))]),
-        None if phi is None else tuple(phi),
-    )
-
-
-# labelled structure -> the tree shared_tree returns for it, held only
-# while some curve or tree still refers to it
-_SHARED: "weakref.WeakValueDictionary[Tuple, MarkedTree]" = weakref.WeakValueDictionary()
-
-
-def shared_tree(vertex_count: int, edges: Iterable[Edge], mu: Dict,
-                phi: Optional[Sequence[int]] = None) -> MarkedTree:
-    """The one tree object for a labelled structure; a RealMarkedTree when
-    phi is given.
-
-    Curves built from other curves (stabilized bases, added marks) get
-    their trees here, so every curve on one labelled tree shares what is
-    kept on the tree.  Trees do not refer to themselves, so a tree leaves
-    the table as soon as its last curve is gone.
-    """
-    key = _structure_key(vertex_count, edges, mu, phi)
-    t = _SHARED.get(key)
-    if t is None:
-        if phi is None:
-            t = MarkedTree(key[0], key[1], mu)
-        else:
-            t = RealMarkedTree(key[0], key[1], mu, key[3])
-        t._skey = key
-        _SHARED[key] = t
-    return t
-
-
-def share(t: MarkedTree) -> MarkedTree:
-    """Make t the tree shared_tree returns for its labelled structure,
-    unless another tree already is; returns the shared tree."""
-    return _SHARED.setdefault(t._key(), t)
 
 
 def tree_from_json(d: dict) -> MarkedTree:
@@ -496,14 +452,19 @@ def _tree_from_family(n_marks: int, family: Sequence[int]) -> Tuple[List[int], L
 
 def _phi_from_structure(t: MarkedTree) -> List[int]:
     """The unique involution of t's vertices compatible with mark
-    conjugation, read off t's split-mask index; the marks of t must be
-    conjugation-closed.  Raises TreeError("invalid tree: [...]") when the
-    conjugates of t's splits are not all splits of t.
+    conjugation, read off t's split-mask index.  Raises TreeError("invalid
+    tree: [...]") listing, in mark_key order, the marks of t without a
+    conjugate partner, if any, and else when the conjugates of t's splits
+    are not all splits of t.
 
     Conjugating the mark mask of the branch at v through w (the tail side
     of the edge (w, v)) gives the tail side of the image edge, whose head
     is phi(v).
     """
+    unpaired = ["mark %r has no conjugate partner" % (m,) for m in t.mark_bits()
+                if bar_mark(m) == m or bar_mark(m) not in t.mu]
+    if unpaired:
+        raise TreeError("invalid tree: %r" % (unpaired,))
     n = t.vertex_count
     if n == 1:
         return [0]

@@ -418,7 +418,7 @@ class TestMemoEquivalence:
     def test_warm_case_reads_the_plans_locus_masks(self, monkeypatch):
         # the locus masks of the excluded labels are kept on the chart
         # plan, so a case whose plan and label table exist computes none
-        t = trees.share(trees.enumerate_trees(3, real=True)[1])
+        t = trees.enumerate_trees(3, real=True)[1]
         cut = strata.build_a_ell_real(3)[1][7].rho_set
         verify_injectivity(t, cut, n_samples=20, seed=0, real=True)
         assert quotient.chart_plan(t, cut).excluded_masks == ((15, 143),)
@@ -432,6 +432,19 @@ class TestMemoEquivalence:
         verify_injectivity(t, cut, n_samples=20, seed=1, real=True)
         assert calls["class_key"] >= 20
         assert calls["_locus_masks"] == 0
+
+    def test_warm_case_compares_no_trees(self, monkeypatch):
+        # the case samples on t and its placements rebuild their trees
+        # from the kept plans, so no tree is hashed or compared
+        t = trees.enumerate_trees(3, real=True)[12]
+        verify_injectivity(t, (), n_samples=20, seed=0, real=True)
+        calls = []
+        key = trees.MarkedTree._key
+        monkeypatch.setattr(trees.MarkedTree, "_key",
+                            lambda self: calls.append(1) or key(self))
+        rep = verify_injectivity(t, (), n_samples=20, seed=1, real=True)
+        assert rep["samples"] >= 20
+        assert calls == []
 
 
 class TestInadmissibleVPlus:
@@ -483,7 +496,6 @@ class TestSharedTrees:
         gc.collect()
         gc.disable()
         try:
-            before = len(trees._SHARED)
             base = sample_curve(t, 30, ("shared",))
             a = add_mark(base, 0, pp(GaussRat(1, 2)))
             b = add_mark(base, 0, pp(GaussRat(3, 1)))
@@ -498,12 +510,10 @@ class TestSharedTrees:
             assert a.validate() == [] == b.validate()
             # forgetting nothing plans a's own tree, which must not keep
             # itself alive
-            assert curves.forget(a, a.tree.mu).tree is a.tree
+            assert curves.forget(a, a.tree.mu).tree == a.tree
             made = [weakref.ref(a.tree), weakref.ref(f.tree)]
-            assert len(trees._SHARED) == before + 2
             del a, b, base, f
             assert [r() for r in made] == [None, None]
-            assert len(trees._SHARED) == before
         finally:
             gc.enable()
 
@@ -519,13 +529,13 @@ class TestPlaceThenForget:
             idxs = sorted(random.Random("place-forget").sample(idxs, count))
         n = 0
         for idx in idxs:
-            # on the shared tree, forget's output tree is the base's own
-            t = trees.share(ts[idx])
+            # forget's output tree equals the base's own
+            t = ts[idx]
             base = sample_curve(t, 40, ("place-forget", idx))
             keep = list(t.mu)
             for c in fiber_samples(base, random.Random("place-forget:%d" % idx)):
                 f = curves.forget(c, keep)
-                assert f.tree is base.tree
+                assert f.tree == base.tree
                 assert f.points == base.points
                 assert base_of(c) is base
                 n += 1
@@ -535,12 +545,18 @@ class TestPlaceThenForget:
 class TestRelationLabels:
     @pytest.mark.parametrize("l,real", [(3, True), (4, True), (4, False), (5, False)])
     def test_matches_the_order_key_filter(self, l, real):
-        labels = quotient._all_labels(l, real)
+        labels = [frozenset(s.rho) for s in
+                  (strata.build_a_ell_real(l)[0] if real else strata.build_a_ell(l))]
         first = trees.real_marks(l)[0] if real else 1
         # the empty cut, every label, and a set that is no label
         for cut in [frozenset()] + list(labels) + [frozenset({first})]:
             want = [r for r in labels if strata.order_key(r) > strata.order_key(cut)]
             assert relation_labels(l, cut, real) == want
+
+    @pytest.mark.parametrize("l,real", [(2, False), (0, True)])
+    def test_too_small_l(self, l, real):
+        with pytest.raises(strata.StrataError):
+            relation_labels(l, (), real)
 
 
 class TestPlacementErrors:
@@ -607,8 +623,8 @@ _I = pp(GaussRat(0, 1))
 def _reference_place(c, sites, point):
     """The placement built coordinate by coordinate: copy the coords view,
     edit it and build the curve through the dict constructor, which
-    validates it in full, on a tree built through shared_tree, which
-    checks it."""
+    validates it in full, on a tree built through the checked tree
+    constructor."""
     t = c.tree
     n = t.vertex_count
     coords, mu, edges = c.coords, dict(t.mu), set(t.edges)
@@ -641,7 +657,9 @@ def _reference_place(c, sites, point):
     if t.is_real:
         phi = list(t.phi) + [at[1 - at.index(w)] for w in range(n, n + len(new))]
     try:
-        return curves.StableCurve(trees.shared_tree(n + len(new), edges, mu, phi), coords)
+        nt = (trees.MarkedTree(n + len(new), edges, mu) if phi is None
+              else trees.RealMarkedTree(n + len(new), edges, mu, phi))
+        return curves.StableCurve(nt, coords)
     except (trees.TreeError, curves.CurveError) as e:
         # the same list of messages, the tree's defects if it is invalid
         # and else the points', under the placement's text

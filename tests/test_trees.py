@@ -99,6 +99,12 @@ class TestEnumeration:
                 gc.enable()
 
 
+# the defects of a real tree without phi whose marks 1+, ..., 6+ have no
+# conjugates
+UNPAIRED = ["mark '%s' has no conjugate partner" % m
+            for m in ("1+", "2+", "3+", "4+", "5+", "6+")]
+
+
 class TestInvalidTrees:
     """The constructors raise TreeError listing the defects of anything
     but a stable tree."""
@@ -140,7 +146,14 @@ class TestInvalidTrees:
         ((3, [(0, 1), (1, 2)], {"1+": 0, "1-": 0, "2+": 0, "2-": 0, "3+": 0,
                                 "3-": 1, "4+": 2, "4-": 2}),
          ["split system not conjugation-closed"]),
-    ], ids=["bad_edge", "edge_count", "not_closed", "not_closed_path"])
+        # mark sets that are not conjugation-closed: every unpaired mark,
+        # wherever the marks sit
+        ((2, [(0, 1)], {"1+": 0, "2+": 0, "3+": 0, "4+": 0, "5+": 1, "6+": 1}),
+         UNPAIRED),
+        ((2, [(0, 1)], {"1+": 0, "2+": 0, "3+": 0, "4+": 1, "5+": 0, "6+": 1}),
+         UNPAIRED),
+    ], ids=["bad_edge", "edge_count", "not_closed", "not_closed_path", "unpaired",
+            "unpaired_split"])
     def test_real_without_phi(self, args, defects):
         # phi is derived only from a structure that passes the complex check
         with pytest.raises(trees.TreeError) as err:
@@ -159,6 +172,11 @@ class TestInvalidTrees:
         with pytest.raises(trees.TreeError) as err:
             tree_from_json(d)
         assert str(err.value) == "invalid tree: ['split system not conjugation-closed']"
+        # and lists the marks without a partner before deriving it
+        d["mu"] = {"1+": 0, "2+": 0, "3+": 0, "4+": 1, "5+": 0, "6+": 1}
+        with pytest.raises(trees.TreeError) as err:
+            tree_from_json(d)
+        assert str(err.value) == "invalid tree: %r" % (UNPAIRED,)
 
 
 def _relabel(t: MarkedTree, perm):
