@@ -15,7 +15,7 @@ import weakref
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, cross_ratio, finite_point,
-                         frame, randbelow)
+                         frame, point_text, randbelow)
 from .strata import classify_real, is_admissible, stratum_edge
 from .trees import (MarkedTree, RealMarkedTree, bar_mark, canonical_form,
                     canonical_vertex_order, real_marks, sort_marks, tree_from_json)
@@ -73,6 +73,8 @@ class SlotLayout:
             vertex += [v] * (len(slots) - offsets[-1])
             offsets.append(len(slots))
         self.slots, self.vertex, self.offsets = tuple(slots), tuple(vertex), tuple(offsets)
+        # kept by quotient.class_key: chart plan -> the quad_slots of its quadruples
+        self.chart_slots: Dict = {}
         n = len(t.mark_bits())
         full = (1 << n) - 1
         rows = []
@@ -123,7 +125,7 @@ class StableCurve:
 
     A curve is not mutated after construction (its tree and points are
     fixed), so what is derived from it is kept on first use: its
-    moduli_key string and its stabilized base (see quotient.base_of),
+    moduli_tuple and its stabilized base (see quotient.base_of),
     which a curve built by placing the extra mark(s) on a base holds
     from the start and any other curve gets by forgetting them.  What
     depends only on the tree (the slot layout, the moduli-key layout,
@@ -131,7 +133,7 @@ class StableCurve:
     """
 
     # filled on first use
-    _moduli_key: Optional[str] = None
+    _moduli_key: Optional[Tuple] = None
     _base: Optional["StableCurve"] = None
 
     def __init__(self, tree: MarkedTree, coords: Dict[int, Dict[Slot, ProjPoint]]):
@@ -403,9 +405,17 @@ def cross_ratio_q(c: StableCurve, q) -> ProjPoint:
     Agrees with the cross ratio of the 4-marked stabilization; exactly two
     coincident projections resolve by the degenerate 2|2 value table.
     """
+    a, b, x, y = quad_slots(c.tree, q)
+    pts = c.points
+    return cross_ratio(pts[a], pts[b], pts[x], pts[y])
+
+
+def quad_slots(t: MarkedTree, q) -> Tuple[int, int, int, int]:
+    """The slot indices of the four points whose cross ratio is CR_q on a
+    curve over t: those through which the first component, in layout
+    order, that separates three or more of the marks q sees them."""
     if type(q) is not tuple:
         q = tuple(q)
-    t = c.tree
     bits = t._bits or t.mark_bits()
     try:
         a, b, x, y = q
@@ -416,11 +426,10 @@ def cross_ratio_q(c: StableCurve, q) -> ProjPoint:
         _bad_quadruple(q, bits)
     i, j = a.bit_length() - 1, b.bit_length() - 1
     k, n = x.bit_length() - 1, y.bit_length() - 1
-    pts = c.points
     for row in (t._layout or slot_layout(t)).rows:
         a, b, x, y = row[i], row[j], row[k], row[n]
         if len({a, b, x, y}) >= 3:
-            return cross_ratio(pts[a], pts[b], pts[x], pts[y])
+            return a, b, x, y
     raise CurveError("no component separates three of the marks")  # unreachable
 
 
@@ -565,25 +574,30 @@ def moduli_key(c: StableCurve) -> str:
     three special points (in canonical slot order) to infinity, zero and
     one, so equal strings mean equal points of the moduli space.  In
     particular a component with exactly three special points contributes no
-    coordinate data, as it has no moduli.  Computed once per curve.
+    coordinate data, as it has no moduli.  Rendered from moduli_tuple.
     """
+    return key_text(moduli_tuple(c))
+
+
+def moduli_tuple(c: StableCurve) -> Tuple:
+    """The moduli key as (shape, key of each framed value), equal exactly
+    when the moduli_key strings are; computed once per curve."""
     if c._moduli_key is None:
-        c._moduli_key = _moduli_key(c)
+        pts = c.points
+        shape, frames = _key_layout(c.tree)
+        key = [shape]
+        for (a, b, d), rest in frames:
+            # the references -> (inf, 0, 1); the shape already holds their text
+            to_frame = frame(pts[a], pts[b], pts[d])
+            key += [to_frame(pts[i])._k for i in rest]
+        c._moduli_key = tuple(key)
     return c._moduli_key
 
 
-def _moduli_key(c: StableCurve) -> str:
-    pts = c.points
-    parts = []
-    for (a, b, d), head, rest in _key_layout(c.tree):
-        if rest:
-            # the references -> (inf, 0, 1); the head already holds their text
-            to_frame = frame(pts[a], pts[b], pts[d])
-            parts.append(head + ";".join([text + to_frame(pts[i]).serialize()
-                                          for i, text in rest]) + "}")
-        else:
-            parts.append(head)
-    return "|".join(parts)
+def key_text(key: Tuple) -> str:
+    """The moduli_key string of a moduli_tuple: its shape with the text
+    of each framed value written in."""
+    return key[0] % tuple([point_text(k) for k in key[1:]])
 
 
 # the text of inf, 0 and 1, where a component's frame sends its references
@@ -591,20 +605,20 @@ _REF_TEXTS = (PP_INF.serialize(), PP_ZERO.serialize(), PP_ONE.serialize())
 
 
 def _key_layout(t: MarkedTree) -> Tuple:
-    """What moduli_key reads off the tree, kept on it: per vertex, in
-    canonical order, (the indices of its three reference slots, head,
-    rest).  Slots are in canonical order: marks first in mark_key order,
-    then edges by the rank of the neighbour; each is written "m<mark>="
-    or "e<rank>-<rank>=" and its framed value.  The references frame to
-    inf, 0 and 1 whatever the coordinates, so the head is the finished
-    text "v<rank>{<ref>=inf;<ref>=0;<ref>=1" of the vertex up to them,
-    closed with "}" when it has no other slot; rest lists (index, text)
-    for the slots after the references."""
+    """What moduli_tuple reads off the tree, kept on it: (shape, frames).
+    Vertices and their slots are in canonical order: marks first in
+    mark_key order, then edges by the rank of the neighbour; each is
+    written "m<mark>=" or "e<rank>-<rank>=" and its framed value.  The
+    first three, the references, frame to inf, 0 and 1 whatever the
+    coordinates, so the shape is the text "v<rank>{<ref>=inf;...}" of
+    the vertices, joined by "|", with "%s" for each later slot's value;
+    frames lists (reference indices, later slot indices) per vertex with
+    later slots."""
     if t._key_layout is None:
         order = canonical_vertex_order(t)
         bits = t.mark_bits()  # bit order is mark_key order
         lay = slot_layout(t)
-        layout = []
+        parts, frames = [], []
         for v in sorted(order, key=order.get):
             def k(i):
                 kind, x = lay.slots[i]
@@ -620,10 +634,10 @@ def _key_layout(t: MarkedTree) -> Tuple:
                 else:
                     a, b = sorted((order[x[0]], order[x[1]]))
                     texts.append("e%d-%d=" % (a, b))
-            head = "v%d{" % order[v] + ";".join(
-                [text + ref for text, ref in zip(texts, _REF_TEXTS)])
-            rest = tuple(zip(idx[3:], texts[3:]))
-            layout.append((tuple(idx[:3]), head + (";" if rest else "}"), rest))
-        t._key_layout = tuple(layout)
+            texts = [text + ref for text, ref in zip(texts, _REF_TEXTS)] + [
+                text + "%s" for text in texts[3:]]
+            parts.append("v%d{%s}" % (order[v], ";".join(texts)))
+            if idx[3:]:
+                frames.append((tuple(idx[:3]), tuple(idx[3:])))
+        t._key_layout = ("|".join(parts), tuple(frames))
     return t._key_layout
-

@@ -62,6 +62,11 @@ def _text(key) -> str:
     return "%d/%d%s%d/%d*i" % (p // g, d // g, "+" if q >= 0 else "-", abs(q) // h, d // h)
 
 
+def point_text(key) -> str:
+    """The text of the point with key (p, q, d), as ProjPoint.serialize writes it."""
+    return "[%s:1/1+0/1*i]" % (_text(key),) if key[2] else "inf"
+
+
 class GaussRat:
     """A Gaussian rational re + im*i, held as the reduced integer triple
     (p, q, d) with re = p/d, im = q/d and d > 0."""
@@ -285,9 +290,7 @@ class ProjPoint:
         return _point((d - p, -q, d))
 
     def serialize(self) -> str:
-        if self._k[2] == 0:
-            return "inf"
-        return "[%s:1/1+0/1*i]" % (_text(self._k),)
+        return point_text(self._k)
 
     @staticmethod
     def parse(s: str) -> "ProjPoint":

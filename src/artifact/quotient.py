@@ -4,25 +4,27 @@ keys built from chart cross-ratio tuples, and injectivity verification.
 Quotient classes are handled through representatives: two curves are
 related at a label rho when they are equal up to vertex relabeling, or
 share the same stabilized base curve and both lie in the boundary locus
-attached to rho.  The class key pairs the base curve's canonical
-serialization with the exact chart values, including the extended
-quadruple at a canonically chosen vertex; equal keys are expected to
-characterize the closure classes inside the chart domain.
+attached to rho.  The class key pairs the base curve's moduli key with
+the exact chart values, including the extended quadruple at a
+canonically chosen vertex; equal keys are expected to characterize the
+closure classes inside the chart domain.  Both compare on integer keys;
+text is written only for reports (moduli_key, ClassKey.to_json).
 """
 
 from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .charts import (ChartDomainError, a_gamma, extended_basis,
                      near_vertices)
-from .curves import (StableCurve, _derive, _edge_slot, _Gather, cross_ratio_q,
-                     forget, in_D_tilde, in_divisor, moduli_key, sample_curve,
+from .curves import (StableCurve, _derive, _edge_slot, _Gather, forget, in_D_tilde,
+                     in_divisor, key_text, moduli_tuple, quad_slots, sample_curve,
                      slot_layout)
-from .exactfield import PP_INF, PP_ZERO, GaussRat, ProjPoint, finite_point, randbelow
+from .exactfield import (PP_INF, PP_ZERO, GaussRat, ProjPoint, cross_ratio, finite_point,
+                         point_text, randbelow)
 from .strata import (_labels, build_a_ell, build_a_ell_real, is_admissible,
                      order_key)
 from .trees import (MarkedTree, TreeError, _mark_bits, _marks_of_mask, bar_mark,
@@ -70,7 +72,7 @@ def equivalent(c1: StableCurve, c2: StableCurve, rho, real: bool = False) -> boo
     l = c1.tree.l - 1
     if not is_admissible(rho, l, real):
         raise QuotientError("label %r is not in the index set" % (sort_marks(rho),))
-    if moduli_key(c1) == moduli_key(c2):
+    if moduli_tuple(c1) == moduli_tuple(c2):
         return True
     rho = frozenset(rho)
     if real:
@@ -79,7 +81,7 @@ def equivalent(c1: StableCurve, c2: StableCurve, rho, real: bool = False) -> boo
     else:
         if not (in_divisor(c1, rho) and in_divisor(c2, rho)):
             return False
-    return moduli_key(base_of(c1)) == moduli_key(base_of(c2))
+    return moduli_tuple(base_of(c1)) == moduli_tuple(base_of(c2))
 
 
 def relation_labels(l: int, rho_star=(), real: bool = False) -> List[FrozenSet]:
@@ -131,8 +133,8 @@ def relation_closure(samples: Sequence[StableCurve], rho_star=(),
     for i, c in enumerate(samples):
         if c.tree.mark_bits() != bits or bool(c.is_real) != bool(real):
             raise QuotientError("samples must share one mark set and the real flag")
-        base = moduli_key(base_of(c))
-        for key in [moduli_key(c)] + [(base, label_of[mask]) for mask in c.tree.edge_of_mask()
+        base = moduli_tuple(base_of(c))
+        for key in [moduli_tuple(c)] + [(base, label_of[mask]) for mask in c.tree.edge_of_mask()
                                       if mask in label_of]:
             j = first.setdefault(key, i)
             if j != i:
@@ -193,17 +195,27 @@ def _excluded(t: MarkedTree, v_plus: int, labels) -> List[FrozenSet]:
 
 @dataclass(frozen=True)
 class ClassKey:
-    """Exact class invariant: base serialization + chart value tuple.
+    """Exact class invariant: the base's moduli_tuple + the chart values.
 
     The tree identifier and the canonical rank of the chosen vertex pin the
-    chart; the chart tuple pairs each quadruple (as text) with the exact
-    serialized value of its cross ratio.
+    chart; values holds the integer key of the cross ratio of each of the
+    plan's (text, quadruple) quads.  Keys hash on all but quads, which
+    keys of one plan share; base and chart render the text.
     """
 
-    base: str
+    base_key: Tuple
     tree: str
     v_rank: int
-    chart: Tuple[Tuple[str, str], ...]
+    values: Tuple[Tuple[int, int, int], ...]
+    quads: Tuple[Tuple[str, Tuple], ...] = field(hash=False)
+
+    @property
+    def base(self) -> str:
+        return key_text(self.base_key)
+
+    @property
+    def chart(self) -> Tuple[Tuple[str, str], ...]:
+        return tuple([(q[0], point_text(k)) for q, k in zip(self.quads, self.values)])
 
     def to_json(self) -> dict:
         return {
@@ -215,13 +227,14 @@ class ClassKey:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChartPlan:
     """The part of a class key fixed by the base tree, rho* and the rank
     choice: the chart vertex, the excluded labels (sorted by order_key),
     the tail-side mark masks of each excluded label's locus on a curve
     over the tree (see _locus_masks) and the extended-basis quadruples,
-    sorted, with their text."""
+    sorted, with their text.  A plan hashes by identity: curves' slot
+    layouts key the quadruples' slot indices by it."""
 
     tree: str
     v_plus: int
@@ -282,8 +295,10 @@ def class_key(c: StableCurve, rho_star=(), real: bool = False,
 
     The chart vertex, excluded labels and quadruples come from the chart
     plan of the base tree (see chart_plan); only the membership tests
-    and the cross ratios are evaluated on the curve.  Raises
-    ChartDomainError when the curve lies on an excluded boundary locus.
+    and the cross ratios are evaluated on the curve, on the slot indices
+    of the quadruples (curves.quad_slots), which the curve's slot layout
+    keeps per plan.  Raises ChartDomainError when the curve lies on an
+    excluded boundary locus.
     """
     if bool(c.is_real) != bool(real):
         raise QuotientError("real flag does not match the curve")
@@ -295,9 +310,13 @@ def class_key(c: StableCurve, rho_star=(), real: bool = False,
             raise ChartDomainError(
                 "curve lies on the excluded boundary locus of rho=%r"
                 % (sort_marks(rho),))
-    chart = tuple((text, cross_ratio_q(c, q).serialize())
-                  for text, q in plan.quads)
-    return ClassKey(moduli_key(b), plan.tree, plan.v_rank, chart)
+    slots = (c.tree._layout or slot_layout(c.tree)).chart_slots
+    idx = slots.get(plan)
+    if idx is None:
+        idx = slots[plan] = tuple([quad_slots(c.tree, q) for _text, q in plan.quads])
+    pts = c.points
+    values = tuple([cross_ratio(pts[i], pts[j], pts[k], pts[n])._k for i, j, k, n in idx])
+    return ClassKey(moduli_tuple(b), plan.tree, plan.v_rank, values, plan.quads)
 
 
 def y_membership(c: StableCurve, rho, bullet: str) -> bool:

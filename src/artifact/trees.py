@@ -261,6 +261,8 @@ class MarkedTree:
             if len(seen) != n:
                 bad.append("not connected")
         self.mark_bits()  # raises TreeError for a bad mark
+        if len({isinstance(m, int) for m in self.mu}) > 1:  # mark_key ties 1 and "1+"
+            bad.append("marks mix integers and conjugate pairs")
         for m, v in self.mu.items():
             if not _vertex_ok(v, n):
                 bad.append("mark %r at bad vertex %r" % (m, v))

@@ -1,13 +1,14 @@
 """Gluing relations, closure classes, chart class keys, boundary images."""
 
 import hashlib
+import itertools
 import json
 import random
 import re
 
 import pytest
 
-from artifact import charts, curves, quotient, strata, trees
+from artifact import charts, curves, exactfield, quotient, strata, trees
 from artifact.charts import ChartDomainError
 from artifact.curves import (
     cross_ratio_q,
@@ -445,6 +446,60 @@ class TestMemoEquivalence:
         rep = verify_injectivity(t, (), n_samples=20, seed=1, real=True)
         assert rep["samples"] >= 20
         assert calls == []
+
+    def test_warm_case_writes_no_text(self, monkeypatch):
+        # samples and class keys compare on integer keys, so a case whose
+        # layouts and plans exist renders no value as text
+        t = trees.enumerate_trees(3, real=True)[12]
+        cut = strata.build_a_ell_real(3)[1][8].rho_set
+        verify_injectivity(t, cut, n_samples=20, seed=0, real=True)
+        calls = []
+        text = exactfield._text
+        monkeypatch.setattr(exactfield, "_text", lambda key: calls.append(1) or text(key))
+        rep = verify_injectivity(t, cut, n_samples=20, seed=1, real=True)
+        assert calls == []
+        # the report of the code that compared serialized keys
+        assert rep == {
+            "v": 1, "l": 3, "real": True, "rho_star": ["1+", "1-", "2+", "3+"],
+            "tree": "RT3:(1+|(1-|(2+,3-));(2-,3+))/phi:[1+|{1-,2+,3-}|{2-,3+}]~"
+                    "[1-|{1+,2-,3+}|{2+,3-}];[2+,3-|{1+,1-,2-,3+}]~[2-,3+|{1+,1-,2+,3-}]",
+            "v_plus_rank": None, "samples": 24, "in_domain": 12, "classes": 4,
+            "classes_out_of_domain": 6, "key_collisions_across_classes": 0,
+            "intra_class_key_splits": 0, "cases": []}
+
+    def test_integer_keys_compare_as_their_text(self, memo_cases, monkeypatch):
+        # the memo cases and the samples of one real l = 3 verifier case:
+        # over every pair of samples, the moduli tuples are equal exactly
+        # when the moduli_key strings are, and the class keys exactly when
+        # their to_json() texts are
+        seen = []
+        closure = quotient.relation_closure
+        monkeypatch.setattr(quotient, "relation_closure",
+                            lambda samples, *a, **kw: seen.append(samples) or closure(
+                                samples, *a, **kw))
+        t = trees.enumerate_trees(3, real=True)[20]
+        cut = strata.build_a_ell_real(3)[1][10].rho_set
+        verify_injectivity(t, cut, n_samples=40, seed=2, real=True)
+        cases = list(memo_cases) + [(t, cut, True, seen[0])]
+        moduli, classes = [], []
+        for _t, rho, real, samples in cases:
+            for c in samples:
+                moduli.append((curves.moduli_tuple(c), moduli_key(c)))
+                try:
+                    k = class_key(c, rho, real=real)
+                except ChartDomainError:
+                    continue
+                classes.append((k, json.dumps(k.to_json(), sort_keys=True)))
+        for pairs in (moduli, classes):
+            same = 0
+            for (a, text_a), (b, text_b) in itertools.combinations(pairs, 2):
+                assert (a == b) == (text_a == text_b)
+                same += a == b
+            assert same > 0
+        # curves whose components all have three special points have no
+        # framed value, so only the shape tells their keys apart
+        bare = {text for key, text in moduli if len(key) == 1}
+        assert len(bare) > 1
 
 
 class TestInadmissibleVPlus:

@@ -5,7 +5,10 @@ import gc
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import weakref
 
 import pytest
@@ -103,6 +106,8 @@ class TestEnumeration:
 # conjugates
 UNPAIRED = ["mark '%s' has no conjugate partner" % m
             for m in ("1+", "2+", "3+", "4+", "5+", "6+")]
+# integer and conjugate-pair marks in one mark set
+MIXED = {1: 0, "1+": 0, "2+": 0, 2: 1, "3+": 1, "3-": 1}
 
 
 class TestInvalidTrees:
@@ -120,8 +125,11 @@ class TestInvalidTrees:
         # a vertex that is no integer: no connectivity walk, no valence
         ((2, [(0, 1.0)], {1: 0, 2: 0, 3: 1, 4: 1}), ["bad edge (0,1.0)"]),
         ((2, [(0, 1)], {1: 0, 2: 0, 3: 1.5, 4: 1}), ["mark 3 at bad vertex 1.5"]),
+        # mark_key ties 1 with "1+", so the mark order would follow the
+        # hash seed
+        ((2, [(0, 1)], MIXED), ["marks mix integers and conjugate pairs"]),
     ], ids=["bad_edge", "no_vertices", "edge_count", "duplicate", "valence",
-            "float_edge_end", "float_mark_vertex"])
+            "float_edge_end", "float_mark_vertex", "mixed_kinds"])
     def test_complex(self, args, defects):
         with pytest.raises(trees.TreeError) as err:
             MarkedTree(*args)
@@ -152,13 +160,33 @@ class TestInvalidTrees:
          UNPAIRED),
         ((2, [(0, 1)], {"1+": 0, "2+": 0, "3+": 0, "4+": 1, "5+": 0, "6+": 1}),
          UNPAIRED),
+        ((2, [(0, 1)], MIXED), ["marks mix integers and conjugate pairs"]),
     ], ids=["bad_edge", "edge_count", "not_closed", "not_closed_path", "unpaired",
-            "unpaired_split"])
+            "unpaired_split", "mixed_kinds"])
     def test_real_without_phi(self, args, defects):
         # phi is derived only from a structure that passes the complex check
         with pytest.raises(trees.TreeError) as err:
             trees.RealMarkedTree(*args)
         assert str(err.value) == "invalid tree: %r" % (defects,)
+
+    def test_mixed_kinds_do_not_depend_on_the_hash_seed(self):
+        # with phi, the real checks list the marks in mu's order
+        code = ("from artifact import trees\n"
+                "for args in ((2, [(0, 1)], %r), (2, [(0, 1)], %r, [1, 0])):\n"
+                "    try:\n"
+                "        trees.RealMarkedTree(*args)\n"
+                "    except trees.TreeError as e:\n"
+                "        print(e)\n" % (MIXED, MIXED))
+        out = []
+        for seed in ("1", "6"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            out.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                      capture_output=True, text=True).stdout)
+        assert out[0] == out[1]
+        assert out[0].splitlines()[1].startswith(
+            "invalid tree: ['marks mix integers and conjugate pairs', "
+            "'mark 1 has no conjugate partner', ")
 
     def test_from_json(self):
         d = {"v": 1, "l": 4, "real": False, "edges": [[0, 1]],
