@@ -613,7 +613,7 @@ def _key_layout(t: MarkedTree) -> Tuple:
     coordinates, so the shape is the text "v<rank>{<ref>=inf;...}" of
     the vertices, joined by "|", with "%s" for each later slot's value;
     frames lists (reference indices, later slot indices) per vertex with
-    later slots."""
+    later slots.  No mark's text holds a "%": mark_key rejects it."""
     if t._key_layout is None:
         order = canonical_vertex_order(t)
         bits = t.mark_bits()  # bit order is mark_key order
