@@ -8,6 +8,14 @@ finite point shares the integers of its affine value and infinity is
 one gcd reduction per result.  The cross ratio is computed on homogeneous
 pairs, so degenerate 2|2 coincidence patterns fall out of the algebra
 instead of needing case analysis.
+
+The reduced triple (p, q, d) is a scalar's key.  One scalar kernel,
+``_add``, ``_sub``, ``_mul`` and ``_div``, maps keys to keys.
+:class:`GaussRat` holds a key, and its operators wrap the kernel, taking
+the key of the other operand and building one object for the result.
+Code that chains many operations, such as the local-model chart algebra,
+calls the kernel on keys and builds GaussRat objects only at its
+boundary.
 """
 
 from __future__ import annotations
@@ -55,6 +63,45 @@ def _reduced(p: int, q: int, d: int):
     return p, q, d
 
 
+# The scalar kernel: sums, differences, products and quotients of keys,
+# each reduced by one gcd.
+
+def _add(a, b):
+    p1, q1, d1 = a
+    p2, q2, d2 = b
+    p, q, d = p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2
+    g = gcd(p, q, d)
+    return (p, q, d) if g == 1 else (p // g, q // g, d // g)
+
+
+def _sub(a, b):
+    p1, q1, d1 = a
+    p2, q2, d2 = b
+    p, q, d = p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2
+    g = gcd(p, q, d)
+    return (p, q, d) if g == 1 else (p // g, q // g, d // g)
+
+
+def _mul(a, b):
+    p1, q1, d1 = a
+    p2, q2, d2 = b
+    p, q, d = p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2
+    g = gcd(p, q, d)
+    return (p, q, d) if g == 1 else (p // g, q // g, d // g)
+
+
+def _div(a, b):
+    p1, q1, d1 = a
+    p2, q2, d2 = b
+    n = p2 * p2 + q2 * q2
+    if n == 0:
+        raise DivisionByZero("division by zero GaussRat")
+    # (p1 + q1*i)/d1 * d2/(p2 + q2*i) = (p1 + q1*i)(p2 - q2*i) d2 / (d1 n)
+    p, q, d = (p1 * p2 + q1 * q2) * d2, (q1 * p2 - p1 * q2) * d2, d1 * n
+    g = gcd(p, q, d)
+    return (p, q, d) if g == 1 else (p // g, q // g, d // g)
+
+
 def _text(key) -> str:
     # canonical text form "a/b+c/d*i" of (p + q*i)/d, each part reduced
     p, q, d = key
@@ -96,45 +143,25 @@ class GaussRat:
         return Fraction(self._k[1], self._k[2])
 
     def __add__(self, other):
-        p1, q1, d1 = self._k
-        p2, q2, d2 = (other if type(other) is GaussRat else _coerce(other))._k
-        p, q, d = p1 * d2 + p2 * d1, q1 * d2 + q2 * d1, d1 * d2
-        g = gcd(p, q, d)
-        return _gauss((p, q, d) if g == 1 else (p // g, q // g, d // g))
+        return _gauss(_add(self._k, _key(other)))
 
     def __sub__(self, other):
-        p1, q1, d1 = self._k
-        p2, q2, d2 = (other if type(other) is GaussRat else _coerce(other))._k
-        p, q, d = p1 * d2 - p2 * d1, q1 * d2 - q2 * d1, d1 * d2
-        g = gcd(p, q, d)
-        return _gauss((p, q, d) if g == 1 else (p // g, q // g, d // g))
+        return _gauss(_sub(self._k, _key(other)))
 
     def __mul__(self, other):
-        p1, q1, d1 = self._k
-        p2, q2, d2 = (other if type(other) is GaussRat else _coerce(other))._k
-        p, q, d = p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2
-        g = gcd(p, q, d)
-        return _gauss((p, q, d) if g == 1 else (p // g, q // g, d // g))
+        return _gauss(_mul(self._k, _key(other)))
 
     def __truediv__(self, other):
-        p1, q1, d1 = self._k
-        p2, q2, d2 = (other if type(other) is GaussRat else _coerce(other))._k
-        n = p2 * p2 + q2 * q2
-        if n == 0:
-            raise DivisionByZero("division by zero GaussRat")
-        # (p1 + q1*i)/d1 * d2/(p2 + q2*i) = (p1 + q1*i)(p2 - q2*i) d2 / (d1 n)
-        p, q, d = (p1 * p2 + q1 * q2) * d2, (q1 * p2 - p1 * q2) * d2, d1 * n
-        g = gcd(p, q, d)
-        return _gauss((p, q, d) if g == 1 else (p // g, q // g, d // g))
+        return _gauss(_div(self._k, _key(other)))
 
     __radd__ = __add__
     __rmul__ = __mul__
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        return _gauss(_sub(_key(other), self._k))
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        return _gauss(_div(_key(other), self._k))
 
     def __neg__(self):
         p, q, d = self._k
@@ -194,6 +221,11 @@ def _gauss(key) -> GaussRat:
     z = _new(GaussRat)
     _gauss_k(z, key)
     return z
+
+
+def _key(x):
+    """The key of a GaussRat, int or Fraction operand."""
+    return x._k if type(x) is GaussRat else _coerce(x)._k
 
 
 def _coerce(x) -> GaussRat:
@@ -328,11 +360,6 @@ PP_ONE = ProjPoint(ONE)
 def pp(x) -> ProjPoint:
     """Finite point shortcut."""
     return ProjPoint(_coerce(x))
-
-
-def gauss_rat(p: int, q: int, d: int) -> GaussRat:
-    """The scalar (p + q*i)/d for integers p, q and d > 0, reduced by one gcd."""
-    return _gauss(_reduced(p, q, d))
 
 
 def finite_point(p: int, q: int, d: int) -> ProjPoint:

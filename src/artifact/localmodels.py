@@ -16,9 +16,13 @@ Three model families are provided:
                    bundle over RP^{c1}; the two families are glued where
                    the v-block is nonzero.
 
-All scalars are exact :class:`~artifact.exactfield.GaussRat`; real models
-enforce a zero imaginary part.  Every operation is exact -- equality of
-points and of blowdown images is literal equality of rationals.
+The chart algebra runs on keys: a scalar is the reduced integer triple
+(p, q, d) of a :class:`~artifact.exactfield.GaussRat`, combined by the
+scalar kernel of :mod:`~artifact.exactfield`, and a point is its chart and
+its coordinates' keys, so equal points and images are equal integer
+tuples.  The public functions take and give :class:`BlowupPoint` with
+``GaussRat`` coordinates (real models enforce a zero imaginary part) and
+convert at the boundary; :func:`verify_model` calls the key functions.
 """
 
 from __future__ import annotations
@@ -28,13 +32,17 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .exactfield import GaussRat, ZERO, ONE, gauss_rat, randbelow
+from .exactfield import GaussRat, _add, _div, _gauss, _key, _mul, _reduced, randbelow
 
 Scalar = GaussRat
 _set = object.__setattr__
 ChartId = Tuple[int, int]
+#: the key (p, q, d) of a scalar, and the keys of a point's coordinates
+Key = Tuple[int, int, int]
+Keys = Tuple[Key, ...]
 #: the fiber part of line data: a scale, or a second-family direction
-Fiber = Union[Scalar, List[Scalar]]
+Fiber = Union[Key, List[Key]]
+_ZERO, _ONE = (0, 0, 1), (1, 0, 1)
 
 
 class LocalModelError(Exception):
@@ -154,6 +162,14 @@ class BlowupPoint:
         )
 
 
+def _keys(p: BlowupPoint) -> Keys:
+    return tuple([z._k for z in p.coords])
+
+
+def _scalars(u: Keys) -> Tuple[Scalar, ...]:
+    return tuple(map(_gauss, u))
+
+
 # ---------------------------------------------------------------------------
 # blowdown maps
 # ---------------------------------------------------------------------------
@@ -168,17 +184,21 @@ def blowdown(p: BlowupPoint) -> Tuple[Scalar, ...]:
     block to r_0 * lam_{j-c1}, the first-family image of its glued line
     data, which this formula extends over the v-block zero locus.
     """
-    line, x = _line_data(p)
-    if p.chart[0] == 2:
+    return _scalars(_blowdown(p.model, p.chart, _keys(p)))
+
+
+def _blowdown(m: Model, chart: ChartId, u: Keys) -> Keys:
+    line, x = _line_data(m, chart, u)
+    if chart[0] == 2:
         s2 = _sum_sq(x)
-        line, x = [rj * s2 for rj in line[1:]] + x, line[0]
-    return tuple(x * rj for rj in line) + p.base
+        line, x = [_mul(rj, s2) for rj in line[1:]] + x, line[0]
+    return tuple([_mul(x, rj) for rj in line]) + u[m.c:]
 
 
-def _sum_sq(vals: Sequence[Scalar]) -> Scalar:
-    acc = ZERO
+def _sum_sq(vals: Sequence[Key]) -> Key:
+    acc = _ZERO
     for z in vals:
-        acc = acc + z * z
+        acc = _add(acc, _mul(z, z))
     return acc
 
 
@@ -187,48 +207,42 @@ def _sum_sq(vals: Sequence[Scalar]) -> Scalar:
 # ---------------------------------------------------------------------------
 
 
-def _line_data(p: BlowupPoint) -> Tuple[List[Scalar], Fiber]:
-    """(line, x) of ``p``.
+def _line_data(m: Model, chart: ChartId, u: Keys) -> Tuple[List[Key], Fiber]:
+    """(line, x) of the point with coordinate keys ``u`` in ``chart``.
 
     Standard or first-family chart i: the line rho with rho_i = 1 and the
     fiber scale x = u_i, so model slot j carries x * rho_j.  Second-family
     chart i: the line r = (r_0, .., r_{c1}) with r_i = 1, whose other
     entries the chart lists in order, and x = lam, the v-row after them.
     """
-    m = p.model
-    k, i = p.chart
+    k, i = chart
     if k == 1:
-        line = list(p.coords[: m.c])
-        line[i - 1] = ONE
-        return line, p.u(i)
-    return (list(p.coords[:i]) + [ONE] + list(p.coords[i: m.c1]),
-            list(p.coords[m.c1: m.c]))
+        line = list(u[: m.c])
+        line[i - 1] = _ONE
+        return line, u[i - 1]
+    return list(u[:i]) + [_ONE] + list(u[i: m.c1]), list(u[m.c1: m.c])
 
 
-def _in_chart(model: Model, target: ChartId, line: List[Scalar], x: Fiber,
-              base: Tuple[Scalar, ...]) -> BlowupPoint:
-    """The point with line data (line, x) in chart ``target``, where the
-    target's line coordinate must not vanish.  The line need not be
-    normalized: rescaling it (and x inversely) is the same point."""
+def _in_chart(target: ChartId, line: List[Key], x: Fiber, base: Keys) -> Keys:
+    """The coordinate keys of the point with line data (line, x) in chart
+    ``target``, where the target's line coordinate must not vanish.  The
+    line need not be normalized: rescaling it (and x inversely) is the
+    same point."""
     k, it = target
     slot = it - 1 if k == 1 else it
     ri = line[slot]
-    if ri.is_zero():
-        raise TransitionDomainError(
-            "line coordinate %d vanishes; chart %r unreachable" % (it, target)
-        )
-    out = [rj / ri for j, rj in enumerate(line) if j != slot]
+    if ri == _ZERO:
+        raise TransitionDomainError("line coordinate %d vanishes; chart %r unreachable"
+                                    % (it, target))
+    out = [_div(rj, ri) for j, rj in enumerate(line) if j != slot]
     if k == 1:
-        out.insert(slot, x * ri)
+        out.insert(slot, _mul(x, ri))
     else:
-        out += [ri * lam for lam in x]
-    # target is a chart of model, and the coordinates are GaussRats from
-    # a valid point, real where it is
-    return BlowupPoint._of(model, target, tuple(out) + base)
+        out += [_mul(ri, lam) for lam in x]
+    return tuple(out) + base
 
 
-def _glued(model: Model, k: int, line: List[Scalar], x: Fiber
-           ) -> Tuple[List[Scalar], Fiber]:
+def _glued(m: Model, k: int, line: List[Key], x: Fiber) -> Tuple[List[Key], Fiber]:
     """Line data of family ``k`` moved to the other augmented family.
 
     Second-family (r, lam) glues, where the v-block is nonzero, to the
@@ -238,16 +252,15 @@ def _glued(model: Model, k: int, line: List[Scalar], x: Fiber
     """
     if k == 2:
         s2 = _sum_sq(x)
-        if s2.is_zero():
+        if s2 == _ZERO:
             raise TransitionDomainError("v-block vanishes; point not glued to first family")
-        return [rj * s2 for rj in line[1:]] + x, line[0]
-    lam = line[model.c1:]
+        return [_mul(rj, s2) for rj in line[1:]] + x, line[0]
+    lam = line[m.c1:]
     s2 = _sum_sq(lam)
-    if s2.is_zero():
+    if s2 == _ZERO:
         raise TransitionDomainError(
-            "second-block direction vanishes; point not glued to second family"
-        )
-    return [x] + [rj / s2 for rj in line[: model.c1]], lam
+            "second-block direction vanishes; point not glued to second family")
+    return [x] + [_div(rj, s2) for rj in line[: m.c1]], lam
 
 
 def transition(p: BlowupPoint, target: ChartId) -> BlowupPoint:
@@ -264,19 +277,33 @@ def transition(p: BlowupPoint, target: ChartId) -> BlowupPoint:
         raise LocalModelError("chart %r not in model" % (target,))
     if target == p.chart:
         return p
-    line, x = _line_data(p)
-    if target[0] != p.chart[0]:
-        line, x = _glued(m, p.chart[0], line, x)
-    return _in_chart(m, target, line, x, p.base)
+    return BlowupPoint._of(m, target, _scalars(_transition(m, p.chart, _keys(p), target)))
+
+
+def _transition(m: Model, chart: ChartId, u: Keys, target: ChartId) -> Keys:
+    """The keys ``u`` of a point of ``chart`` written in chart ``target``
+    of the model (``u`` itself when the two agree)."""
+    if target == chart:
+        return u
+    line, x = _line_data(m, chart, u)
+    if target[0] != chart[0]:
+        line, x = _glued(m, chart[0], line, x)
+    return _in_chart(target, line, x, u[m.c:])
 
 
 def chart_moves(p: BlowupPoint) -> Dict[ChartId, Optional[BlowupPoint]]:
     """``p`` moved into every chart of its model (``p`` itself in its own
     chart), or None where the point is outside that chart's domain."""
-    moves: Dict[ChartId, Optional[BlowupPoint]] = {}
-    for target in p.model.charts():
+    m = p.model
+    return {t: p if t == p.chart else None if u is None else BlowupPoint._of(m, t, _scalars(u))
+            for t, u in _moves(m, p.chart, _keys(p)).items()}
+
+
+def _moves(m: Model, chart: ChartId, u: Keys) -> Dict[ChartId, Optional[Keys]]:
+    moves: Dict[ChartId, Optional[Keys]] = {}
+    for target in m.charts():
         try:
-            moves[target] = transition(p, target)
+            moves[target] = _transition(m, chart, u, target)
         except TransitionDomainError:
             moves[target] = None
     return moves
@@ -293,13 +320,16 @@ def cocycle_check(
     to ``a``.  Raises :class:`TransitionDomainError` when p is outside the
     triple-overlap domain.
     """
+    model = next((q.model for q in moves.values() if q is not None), None)
+    return _cocycle(model, {t: q and _keys(q) for t, q in moves.items()}, a, a1)
+
+
+def _cocycle(m: Model, moves: Dict[ChartId, Optional[Keys]], a: ChartId, a1: ChartId) -> bool:
     direct, q1 = moves[a], moves[a1]
     if direct is None or q1 is None:
-        raise TransitionDomainError(
-            "point outside the overlap of charts %r and %r" % (a, a1)
-        )
-    via = transition(q1, a)
-    return direct.coords == via.coords and direct.chart == via.chart
+        raise TransitionDomainError("point outside the overlap of charts %r and %r"
+                                    % (a, a1))
+    return direct == _transition(m, a1, q1, a)
 
 
 # ---------------------------------------------------------------------------
@@ -322,13 +352,17 @@ def exceptional_classify(p: BlowupPoint) -> str:
     vanishes and "E-" iff the line coordinate r_0 vanishes (chart 0
     normalizes r_0 = 1 and misses E- entirely).
     """
-    line, x = _line_data(p)
-    if p.chart[0] == 1:
-        if not x.is_zero():
+    return _classify(p.model, p.chart, _keys(p))
+
+
+def _classify(m: Model, chart: ChartId, u: Keys) -> str:
+    line, x = _line_data(m, chart, u)
+    if chart[0] == 1:
+        if x != _ZERO:
             return OFF
-        return E_MINUS if p.model.kind == "augmented" else EXC
-    e0 = all(v.is_zero() for v in x)
-    em = line[0].is_zero()
+        return E_MINUS if m.kind == "augmented" else EXC
+    e0 = all(v == _ZERO for v in x)
+    em = line[0] == _ZERO
     return {(False, False): OFF, (True, False): E_ZERO,
             (False, True): E_MINUS, (True, True): E_BOTH}[e0, em]
 
@@ -359,39 +393,37 @@ def lemma_hypothesis_check(
     chart presentation exposes a corrupted chart.  Returns a report dict
     with one boolean per relation and ``all_ok``.
     """
-    img = blowdown(p) if image is None else image
-    report: Dict[str, object] = dict(_relations(p, img))
+    m, u = p.model, _keys(p)
+    img = _blowdown(m, p.chart, u) if image is None else tuple(map(_key, image))
+    report: Dict[str, object] = dict(_relations(m, p.chart, u, img))
     report["all_ok"] = all(report.values())
     return report
 
 
-def _relations(p: BlowupPoint, img: Tuple[Scalar, ...]) -> Iterator[Tuple[str, bool]]:
+def _relations(m: Model, chart: ChartId, u: Keys, img: Keys) -> Iterator[Tuple[str, bool]]:
     """(name, holds) for each relation of lemma_hypothesis_check, in
     report order; each expected value is computed as it is reached, so a
     caller that stops at the first failure computes no more."""
-    m = p.model
-    k, i = p.chart
+    k, i = chart
     if m.kind != "augmented" or k == 1:
-        t = p.u(i)
+        t = u[i - 1]
         for j in range(1, m.c + 1):
-            yield "slot%d" % j, img[j - 1] == (t if j == i else p.u(j) * t)
+            yield "slot%d" % j, img[j - 1] == (t if j == i else _mul(u[j - 1], t))
     else:
-        s2 = _sum_sq([p.u(m.c1 + jp) for jp in range(1, m.c2 + 1)])
-        r0 = ONE if i == 0 else p.u(1)
+        s2 = _sum_sq(u[m.c1: m.c])
+        r0 = _ONE if i == 0 else u[0]
         for j in range(1, m.c1 + 1):
             if i == 0:
-                expect = s2 * p.u(j)
+                expect = _mul(s2, u[j - 1])
             elif j == i:
-                expect = s2 * p.u(1)
-            elif j > i:
-                expect = s2 * p.u(1) * p.u(j)
+                expect = _mul(s2, u[0])
             else:
-                expect = s2 * p.u(1) * p.u(j + 1)
+                expect = _mul(_mul(s2, u[0]), u[j - 1] if j > i else u[j])
             yield "slot%d" % j, img[j - 1] == expect
         for j in range(m.c1 + 1, m.c + 1):
-            yield "slot%d" % j, img[j - 1] == r0 * p.u(j)
+            yield "slot%d" % j, img[j - 1] == _mul(r0, u[j - 1])
     for j in range(m.c + 1, m.c + m.m + 1):
-        yield "base%d" % (j - m.c), img[j - 1] == p.coords[j - 1]
+        yield "base%d" % (j - m.c), img[j - 1] == u[j - 1]
 
 
 def corrupted_chart_control(p: BlowupPoint,
@@ -405,15 +437,17 @@ def corrupted_chart_control(p: BlowupPoint,
     Returns True iff the relations fail; the check stops at the first
     relation that does.
     """
-    swapped = list(p.coords)
-    swapped[0], swapped[1] = swapped[1], swapped[0]
-    if tuple(swapped) == p.coords:
-        swapped[0] = swapped[0] + ONE
-    # both swapped slots are blown-up slots (c >= 2), so the point is as
-    # valid as p
-    q = BlowupPoint._of(p.model, p.chart, tuple(swapped))
-    img = blowdown(p) if image is None else image
-    return not all(ok for _name, ok in _relations(q, img))
+    m, u = p.model, _keys(p)
+    img = _blowdown(m, p.chart, u) if image is None else tuple(map(_key, image))
+    return _control(m, p.chart, u, img)
+
+
+def _control(m: Model, chart: ChartId, u: Keys, img: Keys) -> bool:
+    swapped = list(u)
+    swapped[0], swapped[1] = u[1], u[0]
+    if u[0] == u[1]:
+        swapped[0] = _add(swapped[0], _ONE)
+    return not all(ok for _name, ok in _relations(m, chart, tuple(swapped), img))
 
 
 # ---------------------------------------------------------------------------
@@ -427,7 +461,10 @@ def sample_point(
 ) -> BlowupPoint:
     """A random exact point of ``chart``; ``avoid_zero`` makes every
     coordinate nonzero (convenient for overlap sampling)."""
+    return BlowupPoint(model, chart, _scalars(_sample(model, rng, bound, avoid_zero)))
 
+
+def _sample(model: Model, rng: random.Random, bound: int, avoid_zero: bool) -> Keys:
     def frac() -> Tuple[int, int]:
         # n in [-bound, bound] (a zero redrawn as a sign times [1, bound]),
         # the denominator in [1, bound]
@@ -436,18 +473,15 @@ def sample_point(
             n = (-1, 1)[randbelow(rng, 2)] * (randbelow(rng, bound) + 1)
         return n, randbelow(rng, bound) + 1
 
-    def scalar(cplx: bool) -> Scalar:
+    def scalar(cplx: bool) -> Key:
         p, d = frac()
         if not cplx:
-            return gauss_rat(p, 0, d)
+            return _reduced(p, 0, d)
         q, e = frac()
-        return gauss_rat(p * e, q * d, d * e)
+        return _reduced(p * e, q * d, d * e)
 
-    coords = tuple(
-        scalar(model.is_complex and j < model.c)
-        for j in range(model.c + model.m)
-    )
-    return BlowupPoint(model, chart, coords)
+    return tuple([scalar(model.is_complex and j < model.c)
+                  for j in range(model.c + model.m)])
 
 
 def verify_model(
@@ -462,8 +496,9 @@ def verify_model(
     Each point is blown down once and moved into each chart once; the
     invariance and cocycle checks read those moves, and a triple whose
     middle chart a1 is the point's own chart reads the stored move into a
-    as its route.  Returns a JSON-ready report with per-relation pass
-    counts.
+    as its route.  Points and images are tuples of keys; a point becomes a
+    :class:`BlowupPoint` only to be written into a failure.  Returns a
+    JSON-ready report with per-relation pass counts.
     """
     model = PRESETS[preset]
     rng = random.Random("%s:%r" % (preset, seed))
@@ -474,42 +509,40 @@ def verify_model(
     invariance_pass = invariance_total = 0
     control_pass = control_total = 0
     failures: List[str] = []
-    image_index: Dict[Tuple[Scalar, ...], BlowupPoint] = {}
+    image_index: Dict[Keys, Tuple[ChartId, Keys]] = {}
     injective = True
+
+    def text(chart: ChartId, u: Keys) -> str:
+        return BlowupPoint._of(model, chart, _scalars(u)).serialize()
 
     for n in range(n_samples):
         chart = charts[n % len(charts)]
-        p = sample_point(model, chart, rng, bound=bound, avoid_zero=True)
-        img = blowdown(p)
-        rep = lemma_hypothesis_check(p, image=img)
-        for name, ok in rep.items():
-            if name == "all_ok":
-                continue
+        u = _sample(model, rng, bound, True)
+        img = _blowdown(model, chart, u)
+        for name, ok in _relations(model, chart, u, img):
             key = "%s:k%d:%s" % (preset, chart[0], name)
             relation_total[key] = relation_total.get(key, 0) + 1
-            relation_pass[key] = relation_pass.get(key, 0) + bool(ok)
+            relation_pass[key] = relation_pass.get(key, 0) + ok
             if not ok:
-                failures.append("relation %s at %s" % (name, p.serialize()))
+                failures.append("relation %s at %s" % (name, text(chart, u)))
         control_total += 1
-        if corrupted_chart_control(p, img):
+        if _control(model, chart, u, img):
             control_pass += 1
         else:
-            failures.append("negative control passed at %s" % p.serialize())
-        moves = chart_moves(p)
+            failures.append("negative control passed at %s" % text(chart, u))
+        moves = _moves(model, chart, u)
         for target in charts:
             q = moves[target]
             if q is None:
                 continue
             invariance_total += 1
-            # p in its own chart is p, whose image is img
-            if q is p or blowdown(q) == img:
+            # the point in its own chart is u, whose image is img
+            if target == chart or _blowdown(model, target, q) == img:
                 invariance_pass += 1
             else:
-                failures.append(
-                    "blowdown not invariant %r -> %r" % (p.chart, target)
-                )
+                failures.append("blowdown not invariant %r -> %r" % (chart, target))
         for a, a1 in itertools.product(charts, repeat=2):
-            if a1 == p.chart:
+            if a1 == chart:
                 if a == a1:
                     continue
                 # p -> a1 is the identity, so the route p -> a1 -> a is
@@ -520,25 +553,23 @@ def verify_model(
                 ok = True
             else:
                 try:
-                    ok = cocycle_check(moves, a, a1)
+                    ok = _cocycle(model, moves, a, a1)
                 except TransitionDomainError:
                     continue
             cocycle_total += 1
-            cocycle_pass += bool(ok)
+            cocycle_pass += ok
             if not ok:
-                failures.append(
-                    "cocycle %r,%r,%r at %s" % (a, a1, p.chart, p.serialize())
-                )
-        if exceptional_classify(p) == OFF:
+                failures.append("cocycle %r,%r,%r at %s" % (a, a1, chart, text(chart, u)))
+        if _classify(model, chart, u) == OFF:
             prev = image_index.get(img)
             if prev is None:
-                image_index[img] = p
+                image_index[img] = (chart, u)
             # distinct chart presentations of one point share the image;
             # that is not an injectivity failure, so compare as points
-            elif not _same_point(prev, p):
+            elif not _same_point(model, prev, (chart, u)):
                 injective = False
                 failures.append("blowdown collision %s vs %s"
-                                % (prev.serialize(), p.serialize()))
+                                % (text(*prev), text(chart, u)))
 
     return {
         "v": 1,
@@ -558,11 +589,10 @@ def verify_model(
     }
 
 
-def _same_point(p1: BlowupPoint, p2: BlowupPoint) -> bool:
-    """Whether two points coincide in the blown-up space."""
-    if p1.chart == p2.chart:
-        return p1.coords == p2.coords
+def _same_point(m: Model, p1: Tuple[ChartId, Keys], p2: Tuple[ChartId, Keys]) -> bool:
+    """Whether two (chart, keys) points coincide in the blown-up space."""
+    (c1, u1), (c2, u2) = p1, p2
     try:
-        return transition(p1, p2.chart).coords == p2.coords
+        return _transition(m, c1, u1, c2) == u2
     except TransitionDomainError:
         return False

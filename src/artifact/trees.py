@@ -31,7 +31,10 @@ def mark_key(m) -> Tuple[int, int]:
     if isinstance(m, int):
         return (m, 0)
     if isinstance(m, str) and len(m) >= 2 and m[-1] in "+-":
-        return (int(m[:-1]), 0 if m[-1] == "+" else 1)
+        try:
+            return (int(m[:-1]), 0 if m[-1] == "+" else 1)
+        except ValueError:
+            pass
     raise TreeError("bad mark %r" % (m,))
 
 
@@ -48,8 +51,15 @@ def sort_marks(ms) -> List:
 
 @functools.lru_cache(maxsize=None)
 def _mark_bits(marks: FrozenSet) -> Dict:
-    """mark -> bit, in mark_key order: bit i stands for the i-th mark."""
-    return {m: 1 << i for i, m in enumerate(sort_marks(marks))}
+    """mark -> bit, in mark_key order: bit i stands for the i-th mark.
+    Raises TreeError for a bad mark, and for a conjugate-pair mark not
+    spelt str(int(stem)) + sign, such as "01+", which mark_key ties with
+    "1+"; the least such spelling (in string order) is named."""
+    order = sort_marks(marks)
+    bad = [m for m in order if type(m) is str and "%d%s" % (int(m[:-1]), m[-1]) != m]
+    if bad:
+        raise TreeError("bad mark %r" % (min(bad),))
+    return {m: 1 << i for i, m in enumerate(order)}
 
 
 def _marks_of_mask(bits: Dict, mask: int) -> List:

@@ -1,5 +1,8 @@
 """Exact scalar and projective-line arithmetic."""
 
+import itertools
+import operator
+import random
 import re
 
 import pytest
@@ -19,6 +22,10 @@ from artifact.exactfield import (
     IndeterminateProduct,
     ParseError,
     UnstableConfiguration,
+    _add,
+    _div,
+    _mul,
+    _sub,
     cross_ratio,
     mobius,
     pp,
@@ -102,6 +109,80 @@ class TestGaussRat:
         assert (a * b).conj() == a.conj() * b.conj()
         assert (a + b).conj() == a.conj() + b.conj()
         assert a.conj().conj() == a
+
+
+def _seeded_scalars(seed, n=36):
+    """Zero, negative, purely imaginary and mixed values, then seeded ones."""
+    rng = random.Random(seed)
+    zs = [GaussRat(0), GaussRat(-3), GaussRat(Fraction(-5, 4)), GaussRat(0, 1),
+          GaussRat(0, Fraction(-2, 7)), GaussRat(Fraction(5, 6), Fraction(-1, 4))]
+    while len(zs) < n:
+        re_ = Fraction(rng.randint(-30, 30), rng.randint(1, 30))
+        im = Fraction(rng.randint(-30, 30), rng.randint(1, 30)) if rng.random() < 0.7 else 0
+        zs.append(GaussRat(re_, im))
+    return zs
+
+
+def _by_fractions(op, a, b):
+    """a op b on (re, im) pairs of Fractions."""
+    (ar, ai), (br, bi) = a, b
+    if op == "+":
+        return ar + br, ai + bi
+    if op == "-":
+        return ar - br, ai - bi
+    if op == "*":
+        return ar * br - ai * bi, ar * bi + ai * br
+    n = br * br + bi * bi
+    return (ar * br + ai * bi) / n, (ai * br - ar * bi) / n
+
+
+# operator: (key op, Python operator, reflected dunder)
+KERNEL = {"+": (_add, operator.add, "__radd__"), "-": (_sub, operator.sub, "__rsub__"),
+          "*": (_mul, operator.mul, "__rmul__"), "/": (_div, operator.truediv, "__rtruediv__")}
+
+
+class TestKernel:
+    """GaussRat's operators are the key ops of the scalar kernel: on seeded
+    values each equals the key op and Fraction arithmetic, reflected and
+    with int and Fraction operands too."""
+
+    @pytest.mark.parametrize("op", sorted(KERNEL))
+    def test_operators_match_key_ops_and_fractions(self, op):
+        key_op, py_op, reflected = KERNEL[op]
+        zs = _seeded_scalars("kernel:" + op)
+        others = [3, -2, 0, Fraction(-7, 3), Fraction(0)]
+        checked = 0
+        for a, b in itertools.product(zs, zs + [GaussRat(x) for x in others]):
+            if op == "/" and b.is_zero():
+                continue
+            want = _by_fractions(op, (a.re, a.im), (b.re, b.im))
+            for got in (py_op(a, b), getattr(b, reflected)(a)):
+                assert type(got) is GaussRat
+                assert got._k == key_op(a._k, b._k) == GaussRat(*want)._k
+                assert (got.re, got.im) == want
+            checked += 1
+        for a, x in itertools.product(zs, others):
+            if op == "/" and x == 0:
+                continue
+            want = _by_fractions(op, (a.re, a.im), (Fraction(x), Fraction(0)))
+            assert py_op(a, x)._k == key_op(a._k, GaussRat(x)._k) == GaussRat(*want)._k
+            if a.is_zero() and op == "/":
+                continue
+            back = _by_fractions(op, (Fraction(x), Fraction(0)), (a.re, a.im))
+            assert py_op(x, a)._k == key_op(GaussRat(x)._k, a._k) == GaussRat(*back)._k
+            checked += 1
+        assert checked > 1000
+
+    def test_division_by_zero(self):
+        for z in _seeded_scalars("kernel:zero")[:12]:
+            for zero in (GaussRat(0), 0, Fraction(0)):
+                with pytest.raises(DivisionByZero):
+                    z / zero
+            with pytest.raises(DivisionByZero):
+                _div(z._k, (0, 0, 1))
+            for x in (z, 1, Fraction(1, 2)):
+                with pytest.raises(DivisionByZero):
+                    x / GaussRat(0)
 
 
 class TestProjPoint:

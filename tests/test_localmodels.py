@@ -8,7 +8,7 @@ import random
 import pytest
 
 from artifact import cli, localmodels
-from artifact.exactfield import GaussRat
+from artifact.exactfield import ONE, GaussRat, _add
 from artifact.localmodels import (
     PRESETS,
     BlowupPoint,
@@ -227,7 +227,14 @@ class TestVerifyModel:
         assert all(v["pass"] == v["total"] for v in rep["relations"].values())
 
 
+def _off_by_one(u):
+    """Keys u with the last (base) coordinate plus one."""
+    return u[:-1] + (_add(u[-1], ONE._k),)
+
+
 class TestNonVacuity:
+    """Planted faults in the key functions that verify_model calls."""
+
     # one chart move per preset; its base coordinate is made off by one
     ROUTES = {
         "real3": ((1, 2), (1, 1)),
@@ -239,36 +246,35 @@ class TestNonVacuity:
     def test_one_wrong_route_fails(self, preset, monkeypatch):
         honest_rep = verify_model(preset, n_samples=30)
         src, dst = self.ROUTES[preset]
-        honest = localmodels.transition
+        honest = localmodels._transition
 
-        def perturbed(p, target):
-            q = honest(p, target)
-            if p.chart == src and target == dst:
-                q = BlowupPoint(q.model, q.chart, q.coords[:-1] + (q.coords[-1] + 1,))
+        def perturbed(m, chart, u, target):
+            q = honest(m, chart, u, target)
+            if chart == src and target == dst:
+                q = _off_by_one(q)
             return q
 
-        monkeypatch.setattr(localmodels, "transition", perturbed)
+        monkeypatch.setattr(localmodels, "_transition", perturbed)
         rep = verify_model(preset, n_samples=30)
         assert rep["ok"] is False
         for check in ("cocycle", "blowdown_invariance"):
             assert rep[check]["total"] == honest_rep[check]["total"]
             assert 0 < rep[check]["pass"] < rep[check]["total"]
 
-
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_wrong_transition_into_one_family_fails(self, preset, monkeypatch):
         # every move into the last chart family (the second family of
         # aug31) gets its base coordinate off by one
         family = PRESETS[preset].charts()[-1][0]
-        honest = localmodels.transition
+        honest = localmodels._transition
 
-        def wrong(p, target):
-            q = honest(p, target)
-            if target[0] == family and q is not p:
-                q = BlowupPoint(q.model, q.chart, q.coords[:-1] + (q.coords[-1] + 1,))
+        def wrong(m, chart, u, target):
+            q = honest(m, chart, u, target)
+            if target[0] == family and q is not u:
+                q = _off_by_one(q)
             return q
 
-        monkeypatch.setattr(localmodels, "transition", wrong)
+        monkeypatch.setattr(localmodels, "_transition", wrong)
         rep = verify_model(preset, n_samples=30)
         assert rep["ok"] is False
         for check in ("cocycle", "blowdown_invariance"):
@@ -276,23 +282,23 @@ class TestNonVacuity:
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_wrong_blowdown_of_moved_points_fails(self, preset, monkeypatch):
-        # the points transition moves out of their chart blow down with
+        # the points _transition moves out of their chart blow down with
         # the base coordinate off by one; sampled points blow down honestly
         moved = {}
-        honest_transition, honest_blowdown = localmodels.transition, localmodels.blowdown
+        honest_transition, honest_blowdown = localmodels._transition, localmodels._blowdown
 
-        def recording(p, target):
-            q = honest_transition(p, target)
-            if q is not p:
+        def recording(m, chart, u, target):
+            q = honest_transition(m, chart, u, target)
+            if q is not u:
                 moved[id(q)] = q  # kept, so that no id is reused
             return q
 
-        def wrong(p):
-            img = honest_blowdown(p)
-            return img[:-1] + (img[-1] + 1,) if id(p) in moved else img
+        def wrong(m, chart, u):
+            img = honest_blowdown(m, chart, u)
+            return _off_by_one(img) if id(u) in moved else img
 
-        monkeypatch.setattr(localmodels, "transition", recording)
-        monkeypatch.setattr(localmodels, "blowdown", wrong)
+        monkeypatch.setattr(localmodels, "_transition", recording)
+        monkeypatch.setattr(localmodels, "_blowdown", wrong)
         rep = verify_model(preset, n_samples=30)
         assert rep["ok"] is False
         # only the own-chart entries, one per sample, stay invariant
@@ -302,15 +308,15 @@ class TestNonVacuity:
 
 
 class TestVerifierWork:
-    """Calls per 500 samples.  A point is blown down once, and once more in
-    each other chart; it is written into each other chart once, and once
-    more per cocycle triple (a, a1) with a1 neither its own chart nor a;
-    the triples through its own chart read the stored moves."""
+    """Key-function calls per 500 samples.  A point is blown down once, and
+    once more in each other chart; it is written into each other chart
+    once, and once more per cocycle triple (a, a1) with a1 neither its own
+    chart nor a; the triples through its own chart read the stored moves."""
 
     CALLS_AT_500 = {
-        "real3": {"_in_chart": 3000, "blowdown": 1500},
-        "complex2": {"_in_chart": 1000, "blowdown": 1000},
-        "aug31": {"_in_chart": 3000, "blowdown": 1500},
+        "real3": {"_in_chart": 3000, "_blowdown": 1500},
+        "complex2": {"_in_chart": 1000, "_blowdown": 1000},
+        "aug31": {"_in_chart": 3000, "_blowdown": 1500},
     }
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -420,3 +426,68 @@ class TestChartAlgebraPinned:
         assert errors == {"line", "v-block", "second-block"}
         assert tags == {"off", "E", "E0", "E-", "E0&E-"}
         assert h.hexdigest() == CHART_ALGEBRA_SHA256
+
+
+def _keys(p):
+    return tuple(z._k for z in p.coords)
+
+
+def _outcome(f, *args):
+    """f(*args), or the TransitionDomainError it raises."""
+    try:
+        return f(*args)
+    except TransitionDomainError as e:
+        return e
+
+
+def _same_outcome(got, want):
+    if isinstance(want, TransitionDomainError):
+        return type(got) is type(want) and str(got) == str(want)
+    return not isinstance(got, Exception) and got == want
+
+
+class TestWrappersMatchKeyFunctions:
+    """Each public function is its key function behind a conversion: the
+    same values, and the same TransitionDomainError types and texts."""
+
+    @pytest.mark.parametrize("m", CHART_ALGEBRA_MODELS, ids=repr)
+    def test_every_chart(self, m):
+        rng = random.Random("wrappers:%r" % (m,))
+        charts = m.charts()
+        errors = set()
+        for chart in charts:
+            for bound in (1, 3):
+                for avoid_zero in (False, True):
+                    state = rng.getstate()
+                    p = sample_point(m, chart, rng, bound=bound, avoid_zero=avoid_zero)
+                    rng.setstate(state)
+                    assert _keys(p) == localmodels._sample(m, rng, bound, avoid_zero)
+            for p in TestChartAlgebraPinned._points(m, chart, rng):
+                u = _keys(p)
+                img = localmodels._blowdown(m, chart, u)
+                assert tuple(z._k for z in blowdown(p)) == img
+                assert exceptional_classify(p) == localmodels._classify(m, chart, u)
+                wrong = tuple(z + 1 for z in blowdown(p))
+                for image, keys in ((None, img), (wrong, tuple(z._k for z in wrong))):
+                    rels = dict(localmodels._relations(m, chart, u, keys))
+                    assert lemma_hypothesis_check(p, image) == dict(
+                        rels, all_ok=all(rels.values()))
+                    assert corrupted_chart_control(p, image) == localmodels._control(
+                        m, chart, u, keys)
+                moves, key_moves = chart_moves(p), localmodels._moves(m, chart, u)
+                assert list(moves) == list(key_moves) == charts
+                for t in charts:
+                    want = _outcome(localmodels._transition, m, chart, u, t)
+                    got = _outcome(transition, p, t)
+                    if isinstance(want, TransitionDomainError):
+                        errors.add(str(want).split(" ")[0])
+                        assert _same_outcome(got, want)
+                        assert moves[t] is None and key_moves[t] is None
+                    else:
+                        assert got.chart == t and _keys(got) == want
+                        assert moves[t] == got and key_moves[t] == want
+                for a, a1 in itertools.product(charts, repeat=2):
+                    assert _same_outcome(_outcome(cocycle_check, moves, a, a1),
+                                         _outcome(localmodels._cocycle, m, key_moves, a, a1))
+        # each model reaches a domain error of the transitions
+        assert errors

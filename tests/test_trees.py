@@ -7,6 +7,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import weakref
@@ -187,6 +188,44 @@ class TestInvalidTrees:
         assert out[0].splitlines()[1].startswith(
             "invalid tree: ['marks mix integers and conjugate pairs', "
             "'mark 1 has no conjugate partner', ")
+
+    @pytest.mark.parametrize("mark", ["a+", "+-", "1.0-"])
+    def test_pair_mark_with_no_integer_stem(self, mark):
+        with pytest.raises(trees.TreeError, match="^%s$" % re.escape("bad mark %r" % (mark,))):
+            mark_key(mark)
+        with pytest.raises(trees.TreeError, match="^%s$" % re.escape("bad mark %r" % (mark,))):
+            MarkedTree(1, [], {mark: 0, "1+": 0, "2+": 0})
+
+    @pytest.mark.parametrize("mark,twin", [("01+", "1+"), (" 1+", "1+"), ("1_0+", "10+"),
+                                           ("+2-", "2-")])
+    def test_pair_mark_spelt_another_way(self, mark, twin):
+        # mark_key ties mark with twin; the mark set is rejected, so no
+        # mark order follows the hash seed
+        assert mark_key(mark) == mark_key(twin)
+        for mu in ({mark: 0, twin: 0, "3+": 0}, {mark: 0, "3+": 0, "4+": 0}):
+            with pytest.raises(trees.TreeError, match="^%s$" % re.escape("bad mark %r" % (mark,))):
+                MarkedTree(1, [], mu)
+        # of two bad marks, the first in string order is named
+        first = min(mark, bar_mark(mark))
+        with pytest.raises(trees.TreeError, match="^%s$" % re.escape("bad mark %r" % (first,))):
+            trees.RealMarkedTree(1, [], {mark: 0, bar_mark(mark): 0, twin: 0,
+                                         bar_mark(twin): 0})
+
+    def test_spelt_marks_do_not_depend_on_the_hash_seed(self):
+        code = ("from artifact import trees\n"
+                "for mu in (%r, %r):\n"
+                "    try:\n"
+                "        print(trees.MarkedTree(1, [], mu).marks())\n"
+                "    except trees.TreeError as e:\n"
+                "        print(type(e).__name__, e)\n"
+                % ({"1+": 0, "01+": 0, "2+": 0}, {"a+": 0, "1+": 0, "2+": 0}))
+        out = []
+        for seed in ("1", "2", "3"):
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(sys.path))
+            out.append(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                      capture_output=True, text=True).stdout)
+        assert out == ["TreeError bad mark '01+'\nTreeError bad mark 'a+'\n"] * 3
 
     def test_from_json(self):
         d = {"v": 1, "l": 4, "real": False, "edges": [[0, 1]],
