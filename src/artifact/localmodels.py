@@ -321,7 +321,8 @@ def cocycle_check(
     triple-overlap domain.
     """
     model = next((q.model for q in moves.values() if q is not None), None)
-    return _cocycle(model, {t: q and _keys(q) for t, q in moves.items()}, a, a1)
+    keys = {t: None if q is None else _keys(q) for t, q in moves.items()}
+    return _cocycle(model, keys, a, a1)
 
 
 def _cocycle(m: Model, moves: Dict[ChartId, Optional[Keys]], a: ChartId, a1: ChartId) -> bool:
@@ -566,7 +567,7 @@ def verify_model(
                 image_index[img] = (chart, u)
             # distinct chart presentations of one point share the image;
             # that is not an injectivity failure, so compare as points
-            elif not _same_point(model, prev, (chart, u)):
+            elif not _same_point(model, *prev, chart, u):
                 injective = False
                 failures.append("blowdown collision %s vs %s"
                                 % (text(*prev), text(chart, u)))
@@ -589,9 +590,8 @@ def verify_model(
     }
 
 
-def _same_point(m: Model, p1: Tuple[ChartId, Keys], p2: Tuple[ChartId, Keys]) -> bool:
-    """Whether two (chart, keys) points coincide in the blown-up space."""
-    (c1, u1), (c2, u2) = p1, p2
+def _same_point(m: Model, c1: ChartId, u1: Keys, c2: ChartId, u2: Keys) -> bool:
+    """Whether u1 in chart c1 and u2 in chart c2 are one blown-up point."""
     try:
         return _transition(m, c1, u1, c2) == u2
     except TransitionDomainError:

@@ -245,6 +245,7 @@ class TestNonVacuity:
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_one_wrong_route_fails(self, preset, monkeypatch):
         honest_rep = verify_model(preset, n_samples=30)
+        assert honest_rep["ok"]
         src, dst = self.ROUTES[preset]
         honest = localmodels._transition
 
@@ -266,6 +267,7 @@ class TestNonVacuity:
         # every move into the last chart family (the second family of
         # aug31) gets its base coordinate off by one
         family = PRESETS[preset].charts()[-1][0]
+        assert verify_model(preset, n_samples=30)["ok"]
         honest = localmodels._transition
 
         def wrong(m, chart, u, target):
