@@ -147,11 +147,6 @@ def _rand_pp(rng: random.Random, bound: int) -> ProjPoint:
     return finite_point(p * e, q * d, d * e)
 
 
-def _neg_over_one_minus(x: ProjPoint) -> ProjPoint:
-    # [a:b] -> -x/(1-x) = [-a : b-a]
-    return ProjPoint(-x.a, x.b - x.a)
-
-
 def verify_cr_suite(samples: int = 1000, seed: int = 0, bound: int = 50) -> dict:
     """Exact symmetry and cocycle relations of the cross ratio on random
     Gaussian-rational quintuples."""
@@ -167,14 +162,15 @@ def verify_cr_suite(samples: int = 1000, seed: int = 0, bound: int = 50) -> dict
         zi, zj, zk, zm, zn = pts
         try:
             cr = cross_ratio(zi, zj, zk, zm)
+            neg = cr.one_minus().inv().one_minus()  # -x/(1-x), exact at 0, 1 and inf
             rel = [
                 cross_ratio(zk, zm, zi, zj) == cr,
                 cross_ratio(zj, zi, zk, zm) == cr.inv(),
                 cross_ratio(zi, zj, zm, zk) == cr.inv(),
                 cross_ratio(zm, zj, zk, zi) == cr.one_minus(),
                 cross_ratio(zi, zk, zj, zm) == cr.one_minus(),
-                cross_ratio(zk, zj, zi, zm) == _neg_over_one_minus(cr),
-                cross_ratio(zi, zm, zk, zj) == _neg_over_one_minus(cr),
+                cross_ratio(zk, zj, zi, zm) == neg,
+                cross_ratio(zi, zm, zk, zj) == neg,
             ]
             try:
                 lhs = cross_ratio(zi, zj, zk, zn)

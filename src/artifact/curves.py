@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import random
-import weakref
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, cross_ratio, finite_point,
@@ -55,9 +54,9 @@ class SlotLayout:
     slots in bit order.  On a real tree, partner[i] is the index of the
     conjugate of slot i (the conjugate mark where it sits, or the image
     of the edge at phi(v)), i itself for a self-conjugate slot; only it
-    needs a (vertex, slot) -> index dict.  A layout refers to no tree,
-    and its slot tuples are shared between layouts, so a layout can be
-    kept for a tree that is built again later.
+    needs a (vertex, slot) -> index dict.  A layout is built once per
+    tree, and its slot tuples are shared between the layouts of all
+    trees.
     """
 
     partner: Optional[Tuple[int, ...]] = None
@@ -266,41 +265,25 @@ class _Gather:
     (None on a complex tree), a {(vertex, slot): index} map and the
     output vertices to check.
 
-    gather[i] is the index, in the input points followed by the caller's
-    extra points, of the point that the output takes for its slot i.
-    ranges holds the slot ranges of the vertices to check.  The output
-    tree is built and checked once, when the plan is made (an invalid one
-    raises its TreeError there), and every curve of the plan shares it.
-    The plan holds it only through a weakref, so that it goes with its
-    last curve; tree() rebuilds it unchecked (mu in the plan's insertion
-    order, which repr shows) with the kept slot layout, moduli-key layout
-    and edge_of_mask() table, none of which refers to a tree; so a
-    rebuilt tree does not build its split index again to find its edges.
+    tree is the output tree, built and checked once, when the plan is
+    made (an invalid one raises its TreeError there); every curve of the
+    plan shares it, and it lives as long as the plan, so its slot layout,
+    moduli-key layout and edge table are computed once.  gather[i] is the
+    index, in the input points followed by the caller's extra points, of
+    the point that the output takes for its slot i.  ranges holds the
+    slot ranges of the vertices to check.
     """
 
-    __slots__ = ("ref", "args", "layout", "key_layout", "edge_of", "gather", "ranges")
+    __slots__ = ("tree", "gather", "ranges")
 
     def __init__(self, vertex_count: int, edges, mu: Dict, phi, index: Dict, check=()):
         if phi is None:
-            nt = MarkedTree(vertex_count, edges, mu)
+            self.tree = MarkedTree(vertex_count, edges, mu)
         else:
-            nt = RealMarkedTree(vertex_count, edges, mu, phi)
-        self.ref = weakref.ref(nt)
-        self.args = (type(nt), nt.vertex_count, nt.edges, mu) + ((nt.phi,) if nt.is_real else ())
-        self.layout = lay = slot_layout(nt)
+            self.tree = RealMarkedTree(vertex_count, edges, mu, phi)
+        lay = slot_layout(self.tree)
         self.gather = tuple([index[vs] for vs in zip(lay.vertex, lay.slots)])
-        self.key_layout = _key_layout(nt)
-        self.edge_of = nt.edge_of_mask()
         self.ranges = tuple((lay.offsets[w], lay.offsets[w + 1]) for w in check)
-
-    def tree(self) -> MarkedTree:
-        nt = self.ref()
-        if nt is None:
-            cls, *args = self.args
-            nt = cls._of(*args)
-            nt._layout, nt._key_layout, nt._edge_of = self.layout, self.key_layout, self.edge_of
-            self.ref = weakref.ref(nt)
-        return nt
 
 
 def _derive(c: StableCurve, key, plan_fn, extra: Tuple = ()) -> Tuple[StableCurve, List[str]]:
@@ -320,7 +303,7 @@ def _derive(c: StableCurve, key, plan_fn, extra: Tuple = ()) -> Tuple[StableCurv
         plan = plans[key] = plan_fn(t, key)
     pts = c.points + extra
     new = tuple([pts[i] for i in plan.gather])
-    out = StableCurve._of(plan.tree(), new)
+    out = StableCurve._of(plan.tree, new)
     if all(len({z._k for z in new[a:b]}) == b - a for a, b in plan.ranges):
         return out, []
     return out, out.validate()

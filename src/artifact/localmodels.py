@@ -145,14 +145,6 @@ class BlowupPoint:
         _set(p, "coords", coords)
         return p
 
-    def u(self, j: int) -> Scalar:
-        """1-based access to the blown-up chart coordinates."""
-        return self.coords[j - 1]
-
-    @property
-    def base(self) -> Tuple[Scalar, ...]:
-        return self.coords[self.model.c:]
-
     def serialize(self) -> str:
         return "%s;k%d;i%d;%s" % (
             self.model.kind,

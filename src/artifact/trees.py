@@ -95,7 +95,10 @@ class MarkedTree:
     mask -> edge table, canonical vertex ranks, canonical form and
     structural key are computed on first use and kept on the object, as
     are the tables and gather plans that curves on the tree share (see
-    curves.py) and its chart plans (see quotient.py).
+    curves.py) and its chart plans (see quotient.py).  A gather plan
+    holds its output tree, so a tree keeps the trees derived from it
+    (placed or stabilized) for as long as it lives; no tree refers to
+    itself, so they all go with the last reference to it.
     """
 
     def __init__(self, *args):

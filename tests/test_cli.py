@@ -6,7 +6,8 @@ import os
 
 import pytest
 
-from artifact import cli, quotient, trees
+from artifact import cli, curves, quotient, trees
+from artifact.exactfield import PP_ONE, PP_ZERO, ProjPoint
 
 
 def run_json(argv, tmp_path, name="report.json"):
@@ -25,6 +26,13 @@ class TestEnumerationCommands:
         status, rep = run_json(["strata", "--l", "3", "--real"], tmp_path)
         assert status == 0
         assert rep["count"] == 2 ** 5 - 7
+
+    @pytest.mark.parametrize("l,count", [(5, 10), (6, 25)])
+    def test_strata_complex(self, tmp_path, l, count):
+        status, rep = run_json(["strata", "--l", str(l)], tmp_path)
+        assert status == 0 and rep["real"] is False
+        assert rep["count"] == count == rep["formula"]
+        assert rep["ok"] is True
 
     def test_schedule_l5(self, tmp_path):
         status, rep = run_json(["schedule", "--l", "5"], tmp_path)
@@ -183,3 +191,37 @@ class TestNonVacuity:
             ["verify-quotient", "--l", "4", "--samples", "10"], tmp_path
         )
         assert status == 1 and rep["ok"] is False
+
+    def test_cr_failure_is_written(self, monkeypatch):
+        # 1 - x computed as 1/x: the two relations on 1 - x and the two on
+        # -x/(1-x), which is computed through 1 - x, fail at every sample
+        honest = cli.verify_cr_suite(samples=5, seed=3)
+        assert honest["ok"] and honest["failures"] == []
+        monkeypatch.setattr(ProjPoint, "one_minus", ProjPoint.inv)
+        rep = cli.verify_cr_suite(samples=5, seed=3)
+        assert rep["ok"] is False
+        assert rep["relations_checked"] == honest["relations_checked"]
+        assert rep["relations_failed"] == 4 * 5
+        # one entry per failing sample: its five points
+        assert len(rep["failures"]) == 5
+        for entry in rep["failures"]:
+            pts = [ProjPoint.parse(z) for z in entry.split(",")]
+            assert len(set(pts)) == 5
+
+    def test_basis_mismatches_are_counted(self, monkeypatch):
+        # the direct cross ratio of the first quadruple is wrong on every
+        # curve; the reconstruction table reads its own values
+        honest = curves.cross_ratio_q
+
+        def wrong(c, q):
+            v = honest(c, q)
+            if tuple(q) != (1, 2, 3, 4):
+                return v
+            return PP_ONE if v == PP_ZERO else PP_ZERO
+
+        monkeypatch.setattr(curves, "cross_ratio_q", wrong)
+        rep = cli.verify_basis_suite(5, samples=2)
+        assert rep["ok"] is False
+        assert rep["mismatches"] == rep["trees"] * 2
+        assert [c["mismatches"] for c in rep["cases"]] == [2] * rep["trees"]
+

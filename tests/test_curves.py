@@ -565,13 +565,11 @@ class TestForgetErrors:
 
 
 class TestForgetPlan:
-    def test_plan_replayed_after_its_tree_is_freed(self, monkeypatch):
+    def test_plan_replayed_on_its_tree_and_freed_with_the_input_tree(self, monkeypatch):
         import gc
         import weakref
 
-        t = trees.enumerate_trees(5)[-1]
-        c = sample_curve(t, 30, ("forget-replay",))
-        # a count of tree checks; holding the trees would keep them alive
+        # a count of tree checks
         checks = []
         defects = trees.MarkedTree._defects
         monkeypatch.setattr(trees.MarkedTree, "_defects",
@@ -579,26 +577,31 @@ class TestForgetPlan:
         gc.collect()
         gc.disable()
         try:
+            t = trees.enumerate_trees(5)[-1]
+            c = sample_curve(t, 30, ("forget-replay",))
+            made = []
             for keep in _keep_sets(t):
+                checks.clear()
                 a = forget(c, keep)
-                if a.tree == t:
-                    continue  # forgetting nothing gives the source tree
+                # the plan checks its output tree once, when it is made
+                assert checks == [1]
                 want = "%s %r" % (json.dumps(a.to_json(), sort_keys=True), a.tree)
-                layouts = (a.tree._layout, a.tree._key_layout)
-                # the source tree holds the output tree only weakly
-                ref = weakref.ref(a.tree)
+                made.append(weakref.ref(a.tree))
                 del a
-                assert ref() is None
+                # the plan holds its tree, with no curve on it
+                assert made[-1]() is t._gathers[frozenset(keep)].tree
                 checks.clear()
                 b = forget(c, keep)
-                # the plan checked the tree when it was made, so the
-                # rebuild does not check it again
+                # the replay checks no tree and its curve shares the plan's
                 assert checks == []
+                assert b.tree is made[-1]()
                 assert "%s %r" % (json.dumps(b.to_json(), sort_keys=True), b.tree) == want
                 assert b.validate() == []
-                # the kept layouts go to the rebuilt tree
-                assert b.tree._layout is layouts[0] and b.tree._key_layout is layouts[1]
                 del b
+            # the forgotten trees go with the last reference to the input
+            # tree, with no collection
+            del c, t
+            assert [r() for r in made] == [None] * len(made)
         finally:
             gc.enable()
 

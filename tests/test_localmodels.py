@@ -309,6 +309,84 @@ class TestNonVacuity:
         assert rep["cocycle"]["pass"] == rep["cocycle"]["total"]
 
 
+def _first_sample(preset, seed=0, bound=20):
+    """(chart, keys, text) of the first point that verify_model(preset,
+    seed=seed, bound=bound) samples: its generator's first draw, in the
+    model's first chart."""
+    model = PRESETS[preset]
+    chart = model.charts()[0]
+    u = localmodels._sample(model, random.Random("%s:%r" % (preset, seed)), bound, True)
+    return chart, u, _text(model, chart, u)
+
+
+def _text(model, chart, u):
+    return BlowupPoint._of(model, chart, localmodels._scalars(u)).serialize()
+
+
+class TestFailureEntries:
+    """Each failure entry of verify_model, written for a planted fault in
+    a key function that it calls."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_failed_relation(self, preset, monkeypatch):
+        # the first relation of every point fails
+        model = PRESETS[preset]
+        honest = localmodels._relations
+
+        def first_fails(m, chart, u, img):
+            for k, (name, ok) in enumerate(honest(m, chart, u, img)):
+                yield name, ok and k > 0
+
+        chart, u, text = _first_sample(preset)
+        name = next(honest(model, chart, u, localmodels._blowdown(model, chart, u)))[0]
+        monkeypatch.setattr(localmodels, "_relations", first_fails)
+        rep = verify_model(preset, n_samples=30)
+        assert rep["ok"] is False
+        assert rep["failures"][0] == "relation %s at %s" % (name, text)
+        rel = rep["relations"]["%s:k%d:%s" % (preset, chart[0], name)]
+        assert rel["pass"] == 0 < rel["total"]
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_negative_control_passed(self, preset, monkeypatch):
+        # the swapped point satisfies every relation
+        monkeypatch.setattr(localmodels, "_control", lambda m, chart, u, img: False)
+        rep = verify_model(preset, n_samples=30)
+        assert rep["ok"] is False
+        assert rep["negative_control"] == {"pass": 0, "total": 30}
+        assert rep["failures"][0] == "negative control passed at %s" % (_first_sample(preset)[2],)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_blowdown_collision(self, preset, monkeypatch):
+        # at bound 1 samples repeat, so images repeat; honestly each repeat
+        # is the same point, and with the point comparison broken each is
+        # a collision
+        model = PRESETS[preset]
+        honest = localmodels._same_point
+        seen = []
+
+        def recording(*args):
+            seen.append(args[1:])
+            return honest(*args)
+
+        monkeypatch.setattr(localmodels, "_same_point", recording)
+        rep = verify_model(preset, n_samples=60, bound=1)
+        assert rep["ok"] and rep["injective_off_exceptional"]
+        assert seen
+        pairs, seen[:] = seen[:], []
+
+        def broken(*args):
+            seen.append(args[1:])
+            return False
+
+        monkeypatch.setattr(localmodels, "_same_point", broken)
+        rep = verify_model(preset, n_samples=60, bound=1)
+        assert seen == pairs
+        assert rep["ok"] is False and rep["injective_off_exceptional"] is False
+        assert rep["failures"] == [
+            "blowdown collision %s vs %s" % (_text(model, c1, u1), _text(model, c2, u2))
+            for c1, u1, c2, u2 in pairs][:20]
+
+
 class TestVerifierWork:
     """Key-function calls per 500 samples.  A point is blown down once, and
     once more in each other chart; it is written into each other chart

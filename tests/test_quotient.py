@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from artifact import charts, curves, exactfield, quotient, strata, trees
+from artifact import charts, cli, curves, exactfield, quotient, strata, trees
 from artifact.charts import ChartDomainError
 from artifact.curves import (
     cross_ratio_q,
@@ -163,6 +163,42 @@ class TestInjectivity:
         rep = verify_injectivity(t, (), n_samples=40, seed=13, real=True)
         assert rep["key_collisions_across_classes"] == 0
         assert rep["intra_class_key_splits"] == 0
+
+    def _planted(self, monkeypatch, keys):
+        """verify_injectivity on the nodal complex l=4 tree with the cut,
+        with class_key replaced by the next of keys, and its closure
+        classes."""
+        closures = []
+        closure = quotient.relation_closure
+        monkeypatch.setattr(quotient, "relation_closure",
+                            lambda *a, **k: closures.append(closure(*a, **k)) or closures[-1])
+        monkeypatch.setattr(quotient, "class_key", lambda c, *a, **k: next(keys))
+        rep = verify_injectivity(tree_with_split(4, RHO), RHO, n_samples=40, seed=12)
+        assert rep["classes"] == len(closures[0]) >= 2
+        return rep, closures[0]
+
+    def test_constant_key_collides_across_classes(self, monkeypatch):
+        rep, classes = self._planted(monkeypatch, itertools.repeat("k"))
+        # every class after the first meets the first's key
+        assert rep["intra_class_key_splits"] == 0
+        assert rep["key_collisions_across_classes"] == len(classes) - 1
+        assert rep["cases"] == [{"type": "key_collision_across_classes", "classes": [0, ci]}
+                                for ci in range(1, len(classes))]
+
+    def test_alternating_key_splits_classes(self, monkeypatch):
+        rep, classes = self._planted(monkeypatch, itertools.cycle("ab"))
+        # sample i gets key "ab"[i % 2]: a class of both parities splits
+        split = [cls for cls in classes if len({i % 2 for i in cls}) == 2]
+        assert split
+        assert rep["intra_class_key_splits"] == len(split)
+        assert [c for c in rep["cases"] if c["type"] == "intra_class_key_split"] == [
+            {"type": "intra_class_key_split", "members": cls[:6], "distinct_keys": 2}
+            for cls in split]
+
+    def test_planted_collision_fails_the_suite(self, monkeypatch):
+        monkeypatch.setattr(quotient, "class_key", lambda c, *a, **k: "k")
+        rep = cli.verify_quotient_suite(4, samples=10)
+        assert rep["ok"] is False and rep["key_collisions_across_classes"] > 0
 
     def test_real_flag_mismatch(self):
         t = trees.enumerate_trees(4)[0]
@@ -416,6 +452,24 @@ class TestMemoEquivalence:
             gc.enable()
 
 
+    def test_warm_case_constructs_no_tree(self, monkeypatch):
+        # the gather plans on the base tree hold the placed trees and
+        # their plans the forgotten ones, so a second case on the same
+        # tree and cut builds none: every tree, checked or not, is filled
+        # by MarkedTree._fill
+        built = []
+        fill = trees.MarkedTree._fill
+        monkeypatch.setattr(trees.MarkedTree, "_fill",
+                            lambda self, *args: built.append(1) or fill(self, *args))
+        t = trees.enumerate_trees(3, real=True)[12]
+        cut = strata.build_a_ell_real(3)[1][0].rho_set
+        verify_injectivity(t, cut, n_samples=40, seed=0, real=True)
+        assert built
+        built.clear()
+        rep = verify_injectivity(t, cut, n_samples=40, seed=1, real=True)
+        assert rep["samples"] >= 40
+        assert built == []
+
     def test_warm_case_reads_the_plans_locus_masks(self, monkeypatch):
         # the locus masks of the excluded labels are kept on the chart
         # plan, so a case whose plan and label table exist computes none
@@ -543,14 +597,14 @@ class TestTooFewSamples:
 
 
 class TestSharedTrees:
-    def test_add_mark_curves_share_one_tree_and_leave_no_tree_behind(self):
+    def test_add_mark_curves_share_one_tree_freed_with_the_base_tree(self):
         import gc
         import weakref
 
-        t = [x for x in trees.enumerate_trees(3, real=True) if x.edges][0]
         gc.collect()
         gc.disable()
         try:
+            t = [x for x in trees.enumerate_trees(3, real=True) if x.edges][0]
             base = sample_curve(t, 30, ("shared",))
             a = add_mark(base, 0, pp(GaussRat(1, 2)))
             b = add_mark(base, 0, pp(GaussRat(3, 1)))
@@ -568,6 +622,11 @@ class TestSharedTrees:
             assert curves.forget(a, a.tree.mu).tree == a.tree
             made = [weakref.ref(a.tree), weakref.ref(f.tree)]
             del a, b, base, f
+            # the plans hold the placed and the forgotten tree while the
+            # base tree lives, and they go with its last reference, with
+            # no collection
+            assert None not in [r() for r in made]
+            del t
             assert [r() for r in made] == [None, None]
         finally:
             gc.enable()
@@ -796,13 +855,11 @@ class TestPlacementsAgainstReference:
                 "invalid curve: ['vertex 0: special points not pairwise distinct']")):
             curves.curve_from_json(d)
 
-    def test_plan_replayed_after_its_tree_is_freed(self, monkeypatch):
+    def test_plan_replayed_on_its_tree_and_freed_with_the_base_tree(self, monkeypatch):
         import gc
         import weakref
 
-        t = [x for x in trees.enumerate_trees(3, real=True) if len(x.edges) > 1][0]
-        base = sample_curve(t, 30, ("replay",))
-        # a count of tree checks; holding the trees would keep them alive
+        # a count of tree checks
         checks = []
         defects = trees.MarkedTree._defects
         monkeypatch.setattr(trees.MarkedTree, "_defects",
@@ -810,22 +867,26 @@ class TestPlacementsAgainstReference:
         gc.collect()
         gc.disable()
         try:
+            t = [x for x in trees.enumerate_trees(3, real=True) if len(x.edges) > 1][0]
+            base = sample_curve(t, 30, ("replay",))
+            made = []
             for e in t.edges:
                 a = mark_at_node(base, e, pp(GaussRat(2, 5)))
                 want = _curve_text(a)
-                layout, key_layout = a.tree._layout, a.tree._key_layout
-                # the base tree holds the placed tree only weakly
-                ref = weakref.ref(a.tree)
+                made.append(weakref.ref(a.tree))
                 del a
-                assert ref() is None
+                # the plan holds its tree, with no curve on it
+                assert made[-1]() is not None
                 checks.clear()
                 b = mark_at_node(base, e, pp(GaussRat(2, 5)))
-                # the plan checked the tree when it was made, so the
-                # rebuild does not check it again
+                # the replay checks no tree and its curve shares the plan's
                 assert checks == []
+                assert b.tree is made[-1]()
                 assert _curve_text(b) == want and b.validate() == []
-                # the kept layouts go to the rebuilt tree
-                assert b.tree._layout is layout and b.tree._key_layout is key_layout
                 del b
+            # the placed trees go with the last reference to the base
+            # tree, with no collection
+            del base, t
+            assert [r() for r in made] == [None] * len(made)
         finally:
             gc.enable()
