@@ -16,6 +16,15 @@ relation CR_{ijkn} = CR_{ijkm} * CR_{ijmn}, skipping routes whose two
 factors are 0 and inf, an indeterminate product.  Failure to determine a
 value signals a point outside the chart domain.
 
+The table runs on point keys (p, q, d) through the exactfield kernel:
+the vertex models are keys, their cross ratios are exactfield._cross,
+the anharmonic maps take keys to keys and the closure multiplies with
+exactfield._pmul.  A table takes ProjPoint basis values and builds a
+ProjPoint only in value(q); value_key(q) reads the key itself.  The basis
+check (cli.verify_basis_suite) reads the slots of each quadruple
+(curves.quad_slots) once per tree, and compares value_key(q) with
+exactfield._cross on the curve's point keys at those slots.
+
 The routes depend on the number of marks alone: `_routes(n)`, built once
 per n, lists for each 4-bit mask K its 6 * (n - 4) routes, one per
 unordered pair {i, j} in K and mark m outside K, as the two factor masks
@@ -37,8 +46,8 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .curves import cross_ratio_q
-from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint,
-                         UnstableConfiguration, _normal, _point, cross_ratio)
+from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, UnstableConfiguration,
+                         _cross, _normal, _one_minus, _pinv, _pmul, _point)
 from .strata import _admissible, _universe, order_key
 from .trees import (MarkedTree, _marks_of_mask, bar_mark, sort_marks,
                     split_marks)
@@ -109,16 +118,20 @@ def gamma_basis(t: MarkedTree) -> ChartBasis:
     def least(mask):
         return marks[(mask & -mask).bit_length() - 1]
 
+    # each edge (u, w), u < w, oriented with the smaller index as the near
+    # vertex: u's branch mask towards w is the far side.  Vertices ascending
+    # and neighbours ascending give the edges in t.edges order.
     edge_quads: Dict[Tuple[int, int], Tuple] = {}
-    for e in t.edges:
-        u, w = e  # oriented with the smaller index as the near vertex
-        near = t.side_masks(u, w)[0]
-        far = full ^ near
-        i, j = near & -near, far & -far
-        k, m = gamma[u] & near & ~i, gamma[w] & far & ~j
-        if not k or not m:
-            raise ChartError("cannot complete edge quadruple at %r" % (e,))
-        edge_quads[e] = (least(i), least(j), least(k), least(m))
+    for u, (nbrs, sides) in enumerate(zip(t.adjacency(), t.split_index()[0])):
+        for w, far in zip(nbrs, sides):
+            if w < u:
+                continue
+            near = full ^ far
+            i, j = near & -near, far & -far
+            k, m = gamma[u] & near & ~i, gamma[w] & far & ~j
+            if not k or not m:
+                raise ChartError("cannot complete edge quadruple at %r" % ((u, w),))
+            edge_quads[u, w] = (least(i), least(j), least(k), least(m))
     return ChartBasis(gamma_v, vertex_quads, edge_quads)
 
 
@@ -133,31 +146,31 @@ def basis_values(curve, basis: ChartBasis) -> Dict[Tuple, ProjPoint]:
 # CR of ref reordered to (ref[s0], ref[s1], ref[s2], ref[s3]) as a function of
 # x = CR_ref.  Orderings that start with ref[0] give the six anharmonic maps;
 # the double transpositions of positions fix the cross ratio and carry each
-# of the 24 orderings to one of these.  Each map is one integer formula on
-# the key (p, q, d) of x = [p + q*i : d] that builds one point (1/x and 1-x
-# are ProjPoint.inv and one_minus); no pair below is [0 : 0], so each map
-# is exact at 0, 1 and inf.
+# of the 24 orderings to one of these.  Each map is one integer formula from
+# the key (p, q, d) of x = [p + q*i : d] to the key of its value (1/x and
+# 1-x are exactfield._pinv and _one_minus); no pair below is [0 : 0], so
+# each map is exact at 0, 1 and inf.
 
 
-def _recip_one_minus(x: ProjPoint) -> ProjPoint:
-    p, q, d = x._k
-    return _point(_normal(d, 0, d - p, -q))  # 1/(1-x) = [d : d-p-qi]
+def _recip_one_minus(x):
+    p, q, d = x
+    return _normal(d, 0, d - p, -q)  # 1/(1-x) = [d : d-p-qi]
 
 
-def _one_minus_recip(x: ProjPoint) -> ProjPoint:
-    p, q, d = x._k
-    return _point(_normal(p - d, q, p, q))  # (x-1)/x = [p-d+qi : p+qi]
+def _one_minus_recip(x):
+    p, q, d = x
+    return _normal(p - d, q, p, q)  # (x-1)/x = [p-d+qi : p+qi]
 
 
-def _over_x_minus_one(x: ProjPoint) -> ProjPoint:
-    p, q, d = x._k
-    return _point(_normal(p, q, p - d, q))  # x/(x-1) = [p+qi : p-d+qi]
+def _over_x_minus_one(x):
+    p, q, d = x
+    return _normal(p, q, p - d, q)  # x/(x-1) = [p+qi : p-d+qi]
 
 
 _ANHARMONIC = {
     (0, 1, 2, 3): lambda x: x,
-    (0, 1, 3, 2): ProjPoint.inv,                # 1/x = [d : p+qi]
-    (0, 2, 1, 3): ProjPoint.one_minus,          # 1-x = [d-p-qi : d]
+    (0, 1, 3, 2): _pinv,                        # 1/x = [d : p+qi]
+    (0, 2, 1, 3): _one_minus,                   # 1-x = [d-p-qi : d]
     (0, 2, 3, 1): _recip_one_minus,             # 1/(1-x)
     (0, 3, 1, 2): _one_minus_recip,             # (x-1)/x
     (0, 3, 2, 1): _over_x_minus_one,            # x/(x-1)
@@ -165,13 +178,12 @@ _ANHARMONIC = {
 _KLEIN = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 _PERMUTED = {tuple(s[k] for k in v): f
              for s, f in _ANHARMONIC.items() for v in _KLEIN}
-# the keys of 0 and inf, the two factors whose product is indeterminate
-_ENDS = (PP_ZERO._k, PP_INF._k)
 
 
 def _perm(ref: Tuple, q: Tuple):
-    """The anharmonic map taking CR_ref to CR_q, for a reordering q of ref;
-    exact on all of the projective line, including 0, 1 and inf."""
+    """The anharmonic map taking the key of CR_ref to the key of CR_q, for
+    a reordering q of ref; exact on all of the projective line, including
+    0, 1 and inf."""
     return _PERMUTED[tuple(ref.index(x) for x in q)]
 
 
@@ -205,12 +217,16 @@ def _routes(n: int) -> Tuple[Tuple[int, Tuple[Tuple, ...]], ...]:
     return tuple(rows)
 
 
+_INF, _ZERO, _ONE = PP_INF._k, PP_ZERO._k, PP_ONE._k
+
+
 class ReconstructionTable:
     """Known cross-ratio values, one per 4-subset of marks.
 
     The table is keyed by the OR of the four marks' bits (t.mark_bits()),
-    so every key has exactly four bits set; each entry is the cross ratio
-    of the four marks in increasing bit order.
+    so every key has exactly four bits set; each entry is the point key
+    (p, q, d) of the cross ratio of the four marks in increasing bit
+    order.  value(q) builds the ProjPoint of value_key(q).
     """
 
     def __init__(self, t: MarkedTree, values: Dict[Tuple, ProjPoint],
@@ -219,7 +235,7 @@ class ReconstructionTable:
         self.basis = basis if basis is not None else gamma_basis(t)
         self.values = dict(values)
         self.bits = t.mark_bits()
-        self.table: Dict[int, ProjPoint] = {}
+        self.table: Dict[int, Tuple[int, int, int]] = {}
         self._build()
 
     def _mask(self, q: Tuple) -> int:
@@ -236,6 +252,11 @@ class ReconstructionTable:
         return self._mask(tuple(q)) in self.table
 
     def value(self, q) -> ProjPoint:
+        return _point(self.value_key(q))
+
+    def value_key(self, q) -> Tuple[int, int, int]:
+        """The point key of CR_q, or ChartDomainError when the table does
+        not know it."""
         q = tuple(q)
         bits = self.bits
         try:
@@ -274,23 +295,23 @@ class ReconstructionTable:
         # each vertex in normalized local coordinates: its first three basis
         # marks at inf, 0 and 1, each further mark at its basis value
         for v, ms in basis.gamma_v.items():
-            model = {ms[0]: PP_INF, ms[1]: PP_ZERO, ms[2]: PP_ONE}
+            model = {ms[0]: _INF, ms[1]: _ZERO, ms[2]: _ONE}
             for q in basis.vertex_quads[v]:
                 val = values.get(q)
                 if val is not None:
-                    model[q[3]] = val
+                    model[q[3]] = val._k
             for a, b, c, d in itertools.combinations(sorted(model, key=rank), 4):
                 key = bits[a] | bits[b] | bits[c] | bits[d]
                 if key not in table:
                     try:
-                        table[key] = cross_ratio(model[a], model[b], model[c], model[d])
+                        table[key] = _cross(model[a], model[b], model[c], model[d])
                     except UnstableConfiguration:
                         pass
         for qe in basis.edge_quads.values():
             val = values.get(qe)
             key = self._mask(qe)
             if val is not None and key not in table:
-                table[key] = _perm(qe, sorted(qe, key=rank))(val)
+                table[key] = _perm(qe, sorted(qe, key=rank))(val._k)
         # the cocycle closure; any pass order reaches the same least fixpoint
         # (see the module docstring)
         pending = [row for row in _routes(len(bits)) if row[0] not in table]
@@ -304,10 +325,10 @@ class ReconstructionTable:
                     x2 = table.get(e2)
                     if x2 is None:
                         continue
-                    y1, y2 = f1(x1), f2(x2)
-                    if y1._k in _ENDS and y2._k in _ENDS and y1._k != y2._k:
+                    y = _pmul(f1(x1), f2(x2))
+                    if y is None:
                         continue  # 0 * inf
-                    table[row[0]] = g(y1.mul(y2))
+                    table[row[0]] = g(y)
                     break
                 else:
                     left.append(row)

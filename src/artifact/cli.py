@@ -26,6 +26,7 @@ from .exactfield import (
     ProjPoint,
     UnstableConfiguration,
     IndeterminateProduct,
+    _cross,
     cross_ratio,
     finite_point,
     randbelow,
@@ -197,27 +198,45 @@ def verify_cr_suite(samples: int = 1000, seed: int = 0, bound: int = 50) -> dict
 def verify_basis_suite(l: int, samples: int = 200, seed: int = 0,
                        bound: int = 40, real: bool = False) -> dict:
     """Per-tree comparison of the reconstruction recursion against the
-    direct cross ratio, for every 4-subset of marks."""
+    direct cross ratio, for every 4-subset of marks.
+
+    Both sides are compared as point keys: the table's value_key(q) and
+    exactfield._cross on the curve's points at the slots of q
+    (curves.quad_slots, read once per tree).  A case with mismatches also
+    gives its index, "case", and the "seed" of its first mismatching
+    sample, a list: curves.sample_curve(t, bound, tuple(seed)) replays it.
+    """
     ts = trees.enumerate_trees(l, real=real)
     marks = trees.sort_marks(trees.real_marks(l) if real else trees.complex_marks(l))
     quads = list(itertools.combinations(marks, 4))
 
     def case(idx, t):
         basis = charts.gamma_basis(t)
+        slots = [curves.quad_slots(t, q) for q in quads]
         mismatches = 0
+        first = None
         for s in range(samples):
-            c = curves.sample_curve(t, bound, (str(seed), "basis", idx, s))
+            case_seed = (str(seed), "basis", idx, s)
+            c = curves.sample_curve(t, bound, case_seed)
             vals = charts.basis_values(c, basis)
-            table = charts.ReconstructionTable(t, values=vals, basis=basis)
-            for q in quads:
-                if table.value(q) != curves.cross_ratio_q(c, q):
-                    mismatches += 1
-        return {
+            value_key = charts.ReconstructionTable(t, values=vals, basis=basis).value_key
+            pts = c.points
+            bad = 0
+            for q, (a, b, x, y) in zip(quads, slots):
+                if value_key(q) != _cross(pts[a]._k, pts[b]._k, pts[x]._k, pts[y]._k):
+                    bad += 1
+            if bad and first is None:
+                first = list(case_seed)
+            mismatches += bad
+        entry = {
             "tree": trees.canonical_form(t),
             "basis_size": len(basis.quadruples),
             "samples": samples,
             "mismatches": mismatches,
         }
+        if mismatches:
+            entry.update(case=idx, seed=first)
+        return entry
 
     cases = [case(idx, t) for idx, t in enumerate(ts)]
     total = sum(c["mismatches"] for c in cases)

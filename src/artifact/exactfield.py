@@ -9,13 +9,16 @@ one gcd reduction per result.  The cross ratio is computed on homogeneous
 pairs, so degenerate 2|2 coincidence patterns fall out of the algebra
 instead of needing case analysis.
 
-The reduced triple (p, q, d) is a scalar's key.  One scalar kernel,
-``_add``, ``_sub``, ``_mul`` and ``_div``, maps keys to keys.
-:class:`GaussRat` holds a key, and its operators wrap the kernel, taking
-the key of the other operand and building one object for the result.
-Code that chains many operations, such as the local-model chart algebra,
-calls the kernel on keys and builds GaussRat objects only at its
-boundary.
+The reduced triple (p, q, d) is a scalar's key, and a point's key is
+its triple with d >= 0.  One kernel maps keys to keys: ``_add``,
+``_sub``, ``_mul`` and ``_div`` on scalars, and on points the cross ratio
+``_cross``, the projective product ``_pmul`` (None for 0 * inf), the
+reciprocal ``_pinv`` and ``_one_minus``.  :class:`GaussRat` and
+:class:`ProjPoint` hold a key, and their operators and
+:func:`cross_ratio` wrap the kernel, building one object for the result.
+Code that chains many operations, such as the local-model chart algebra
+and the reconstruction table, calls the kernel on keys and builds objects
+only at its boundary.
 """
 
 from __future__ import annotations
@@ -255,6 +258,53 @@ def _normal(ar: int, ai: int, br: int, bi: int):
     return _reduced(ar * br + ai * bi, ai * br - ar * bi, br * br + bi * bi)
 
 
+# The point kernel: cross ratios, products, reciprocals and 1 - x of
+# point keys, each returning a canonical key.
+
+def _cross(k1, k2, k3, k4):
+    """The key of CR(z1, z2, z3, z4) for the points with keys k1..k4: see
+    cross_ratio."""
+    p1, q1, d1 = k1
+    p2, q2, d2 = k2
+    p3, q3, d3 = k3
+    p4, q4, d4 = k4
+    r13, i13 = p1 * d3 - p3 * d1, q1 * d3 - q3 * d1
+    r24, i24 = p2 * d4 - p4 * d2, q2 * d4 - q4 * d2
+    r14, i14 = p1 * d4 - p4 * d1, q1 * d4 - q4 * d1
+    r23, i23 = p2 * d3 - p3 * d2, q2 * d3 - q3 * d2
+    nr, ni = r13 * r24 - i13 * i24, r13 * i24 + i13 * r24
+    dr, di = r14 * r23 - i14 * i23, r14 * i23 + i14 * r23
+    if nr == 0 and ni == 0 and dr == 0 and di == 0:
+        raise UnstableConfiguration("three or more coincident points")
+    return _normal(nr, ni, dr, di)
+
+
+def _pmul(a, b):
+    """The key of the projective product [a:b]*[c:d] = [ac:bd], or None
+    for 0*inf, the one indeterminate product."""
+    p1, q1, d1 = a
+    p2, q2, d2 = b
+    ar, ai, br = p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2
+    if ar == 0 and ai == 0 and br == 0:
+        return None
+    return _normal(ar, ai, br, 0)
+
+
+def _pinv(k):
+    """The key of 1/x = [d : p+qi] for x = [p+qi : d]."""
+    p, q, d = k
+    return _normal(d, 0, p, q)
+
+
+def _one_minus(k):
+    """The key of 1 - x = [d-p-qi : d]; 1 - inf is inf, the key itself."""
+    p, q, d = k
+    if d == 0:
+        return k
+    # gcd(d - p, q, d) = gcd(p, q, d) = 1: already canonical
+    return d - p, -q, d
+
+
 class ProjPoint:
     """A point [a : b] of the projective line over Q(i).
 
@@ -302,24 +352,18 @@ class ProjPoint:
 
     def mul(self, other: "ProjPoint") -> "ProjPoint":
         """Projective product [a:b]*[c:d] = [ac:bd]; 0*inf is an error."""
-        p1, q1, d1 = self._k
-        p2, q2, d2 = other._k
-        ar, ai, br = p1 * p2 - q1 * q2, p1 * q2 + q1 * p2, d1 * d2
-        if ar == 0 and ai == 0 and br == 0:
+        key = _pmul(self._k, other._k)
+        if key is None:
             raise IndeterminateProduct("0*inf product")
-        return _point(_normal(ar, ai, br, 0))
+        return _point(key)
 
     def inv(self) -> "ProjPoint":
-        p, q, d = self._k
-        return _point(_normal(d, 0, p, q))
+        return _point(_pinv(self._k))
 
     def one_minus(self) -> "ProjPoint":
         """1 - [a:b] = [b-a : b]; 1 - inf = inf."""
-        p, q, d = self._k
-        if d == 0:
-            return self
-        # gcd(d - p, q, d) = gcd(p, q, d) = 1: already canonical
-        return _point((d - p, -q, d))
+        key = _one_minus(self._k)
+        return self if key is self._k else _point(key)
 
     def serialize(self) -> str:
         return point_text(self._k)
@@ -389,19 +433,7 @@ def cross_ratio(z1: ProjPoint, z2: ProjPoint, z3: ProjPoint, z4: ProjPoint) -> P
     formula; three or more coincident points give [0:0] and raise
     UnstableConfiguration.
     """
-    p1, q1, d1 = z1._k
-    p2, q2, d2 = z2._k
-    p3, q3, d3 = z3._k
-    p4, q4, d4 = z4._k
-    r13, i13 = p1 * d3 - p3 * d1, q1 * d3 - q3 * d1
-    r24, i24 = p2 * d4 - p4 * d2, q2 * d4 - q4 * d2
-    r14, i14 = p1 * d4 - p4 * d1, q1 * d4 - q4 * d1
-    r23, i23 = p2 * d3 - p3 * d2, q2 * d3 - q3 * d2
-    nr, ni = r13 * r24 - i13 * i24, r13 * i24 + i13 * r24
-    dr, di = r14 * r23 - i14 * i23, r14 * i23 + i14 * r23
-    if nr == 0 and ni == 0 and dr == 0 and di == 0:
-        raise UnstableConfiguration("three or more coincident points")
-    return _point(_normal(nr, ni, dr, di))
+    return _point(_cross(z1._k, z2._k, z3._k, z4._k))
 
 
 def frame(r0: ProjPoint, r1: ProjPoint, r2: ProjPoint):

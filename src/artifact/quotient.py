@@ -23,7 +23,7 @@ from .charts import (ChartDomainError, a_gamma, extended_basis,
 from .curves import (StableCurve, _derive, _edge_slot, _Gather, forget, in_D_tilde,
                      in_divisor, key_text, moduli_tuple, quad_slots, sample_curve,
                      slot_layout)
-from .exactfield import (PP_INF, PP_ZERO, GaussRat, ProjPoint, cross_ratio, finite_point,
+from .exactfield import (PP_INF, PP_ZERO, GaussRat, ProjPoint, _cross, finite_point,
                          point_text, randbelow)
 from .strata import (_labels, build_a_ell, build_a_ell_real, is_admissible,
                      order_key)
@@ -315,7 +315,7 @@ def class_key(c: StableCurve, rho_star=(), real: bool = False,
     if idx is None:
         idx = slots[plan] = tuple([quad_slots(c.tree, q) for _text, q in plan.quads])
     pts = c.points
-    values = tuple([cross_ratio(pts[i], pts[j], pts[k], pts[n])._k for i, j, k, n in idx])
+    values = tuple([_cross(pts[i]._k, pts[j]._k, pts[k]._k, pts[n]._k) for i, j, k, n in idx])
     return ClassKey(moduli_tuple(b), plan.tree, plan.v_rank, values, plan.quads)
 
 

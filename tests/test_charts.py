@@ -5,11 +5,12 @@ import hashlib
 import itertools
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from artifact import charts, curves, trees
+from artifact import charts, curves, exactfield, trees
 from artifact.charts import (
     ChartBasis,
     ReconstructionTable,
@@ -20,7 +21,7 @@ from artifact.charts import (
     real_slice_check,
     v_gamma,
 )
-from artifact.exactfield import (PP_INF, PP_ONE, PP_ZERO, GaussRat, ProjPoint,
+from artifact.exactfield import (PP_INF, PP_ONE, PP_ZERO, GaussRat, ProjPoint, _pmul,
                                  cross_ratio, finite_point, pp)
 
 
@@ -174,13 +175,47 @@ class TestReconstruction:
     ], ids=ProjPoint.serialize)
     def test_permuted_value_matches_model_points(self, x):
         # model points (ref_i, ref_j, ref_k, ref_m) -> (x, 1, 0, inf) have
-        # CR_ref = x; every reordering of ref must agree with their cross ratio
+        # CR_ref = x; every reordering of ref must agree with their cross
+        # ratio, as keys
         ref = (2, 5, 1, 4)
         model = {ref[0]: x, ref[1]: PP_ONE, ref[2]: PP_ZERO, ref[3]: PP_INF}
         orderings = list(itertools.permutations(ref))
         assert len(set(orderings)) == 24
         for q in orderings:
-            assert charts._perm(ref, q)(x) == cross_ratio(*(model[m] for m in q))
+            assert charts._perm(ref, q)(x._k) == cross_ratio(*(model[m] for m in q))._k
+
+    def test_build_makes_no_point(self, monkeypatch):
+        # a table holds keys: building it from ProjPoint basis values makes
+        # no ProjPoint, and value(q) makes one, the point of value_key(q)
+        made = []
+        honest_init, honest_point = ProjPoint.__init__, exactfield._point
+
+        def init(self, *args):
+            made.append("ProjPoint")
+            honest_init(self, *args)
+
+        def point(key):
+            made.append("_point")
+            return honest_point(key)
+
+        monkeypatch.setattr(ProjPoint, "__init__", init)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("artifact.") and getattr(module, "_point", None) is honest_point:
+                monkeypatch.setattr(module, "_point", point)
+        for l, real in ((5, False), (6, False), (3, True)):
+            marks = trees.real_marks(l) if real else trees.complex_marks(l)
+            quads = list(itertools.combinations(marks, 4))
+            for idx, t in enumerate(trees.enumerate_trees(l, real=real)[::7]):
+                basis = gamma_basis(t)
+                vals = basis_values(curves.sample_curve(t, 30, ("no-point", idx)), basis)
+                del made[:]
+                table = ReconstructionTable(t, values=vals, basis=basis)
+                assert made == [], (l, real, idx)
+                for q in quads[:6]:
+                    for qq in (q, q[::-1]):
+                        assert table.value(qq)._k == table.value_key(qq)
+                        assert made == ["_point"]
+                        del made[:]
 
     def test_tables_pinned(self):
         # every table of complex l = 4, 5, 6 and real l = 2, 3, built from the
@@ -257,7 +292,7 @@ def test_anharmonic_maps_match_chains():
     for s, chain in _CHAINS.items():
         f = charts._ANHARMONIC[s]
         for x in xs:
-            assert f(x)._k == chain(x)._k, (s, x)
+            assert f(x._k) == chain(x)._k, (s, x)
 
 
 class TestRouteTable:
@@ -279,15 +314,15 @@ class TestRouteTable:
     @settings(max_examples=30, deadline=None)
     @given(model_points())
     def test_routes_match_direct_cross_ratio(self, zs):
-        # g(f1(CR_e1) * f2(CR_e2)) is CR_K, all in increasing bit order;
-        # distinct points have no cross ratio 0 or inf, so every product is
-        # determinate
+        # g(f1(CR_e1) * f2(CR_e2)) is CR_K, all in increasing bit order and
+        # as keys; distinct points have no cross ratio 0 or inf, so every
+        # product is determinate
         n = len(zs)
-        direct = {mask: cross_ratio(*(z for b, z in enumerate(zs) if mask >> b & 1))
+        direct = {mask: cross_ratio(*(z for b, z in enumerate(zs) if mask >> b & 1))._k
                   for mask in range(1 << n) if mask.bit_count() == 4}
         for mask, routes in charts._routes(n):
             for e1, f1, e2, f2, g in routes:
-                assert g(f1(direct[e1]).mul(f2(direct[e2]))) == direct[mask]
+                assert g(_pmul(f1(direct[e1]), f2(direct[e2]))) == direct[mask]
 
 
 class TestExtendedCharts:

@@ -1,12 +1,13 @@
 """Command-line front end: subcommands, reports, guardrails, determinism."""
 
 import hashlib
+import itertools
 import json
 import os
 
 import pytest
 
-from artifact import cli, curves, quotient, trees
+from artifact import charts, cli, curves, quotient, trees
 from artifact.exactfield import PP_ONE, PP_ZERO, ProjPoint
 
 
@@ -171,6 +172,20 @@ class TestReports:
         assert rep1 == rep2
 
 
+def _replayed_mismatches(t, seed):
+    """The quadruples on which the curve sample_curve(t, 40, seed) replays
+    a mismatch of verify_basis_suite: its table's key against cli._cross
+    on the curve's points, in the suite's order."""
+    c = curves.sample_curve(t, 40, tuple(seed))
+    basis = charts.gamma_basis(t)
+    table = charts.ReconstructionTable(t, values=charts.basis_values(c, basis), basis=basis)
+    marks = trees.sort_marks(trees.complex_marks(t.l))
+    pts = c.points
+    return [q for q in itertools.combinations(marks, 4)
+            if table.value_key(q) != cli._cross(
+                *(pts[i]._k for i in curves.quad_slots(t, q)))]
+
+
 class TestNonVacuity:
     def test_all_rejects_ignored_flags(self):
         assert cli.run(["all", "--samples", "5"]) == 2
@@ -210,18 +225,60 @@ class TestNonVacuity:
 
     def test_basis_mismatches_are_counted(self, monkeypatch):
         # the direct cross ratio of the first quadruple is wrong on every
-        # curve; the reconstruction table reads its own values
-        honest = curves.cross_ratio_q
+        # curve; the reconstruction table reads its own values.  The suite
+        # compares each curve's 5 quadruples in order, (1, 2, 3, 4) first,
+        # through cli._cross, so every fifth call is the first quadruple's
+        honest = cli._cross
+        calls = itertools.count()
 
-        def wrong(c, q):
-            v = honest(c, q)
-            if tuple(q) != (1, 2, 3, 4):
+        def wrong(*keys):
+            v = honest(*keys)
+            if next(calls) % 5:
                 return v
-            return PP_ONE if v == PP_ZERO else PP_ZERO
+            return PP_ONE._k if v == PP_ZERO._k else PP_ZERO._k
 
-        monkeypatch.setattr(curves, "cross_ratio_q", wrong)
+        monkeypatch.setattr(cli, "_cross", wrong)
         rep = cli.verify_basis_suite(5, samples=2)
         assert rep["ok"] is False
         assert rep["mismatches"] == rep["trees"] * 2
         assert [c["mismatches"] for c in rep["cases"]] == [2] * rep["trees"]
+        ts = trees.enumerate_trees(5)
+        for idx, entry in enumerate(rep["cases"]):
+            assert entry["case"] == idx
+            assert entry["seed"] == ["0", "basis", idx, 0]
+            # the calls are still aligned: the replayed curve's first
+            # quadruple is the one that mismatches
+            assert _replayed_mismatches(ts[idx], entry["seed"]) == [(1, 2, 3, 4)]
+        monkeypatch.setattr(cli, "_cross", honest)
+        assert _replayed_mismatches(ts[0], rep["cases"][0]["seed"]) == []
+
+    def test_basis_mismatches_on_the_table_side(self, monkeypatch):
+        # the table's anharmonic map for the reordering (1, 0, 2, 3), 1/x,
+        # computed as 1 - x: the edge values of the trees whose edge
+        # quadruple needs it are wrong.  The route table is built first,
+        # honestly, since it keeps the maps it was built with; so the fault
+        # reaches the edge values alone
+        charts._routes(5)
+        honest = cli.verify_basis_suite(5, samples=2)
+        assert honest["ok"] is True
+        assert all(set(c) == {"tree", "basis_size", "samples", "mismatches"}
+                   for c in honest["cases"])
+        monkeypatch.setitem(charts._PERMUTED, (1, 0, 2, 3), charts._ANHARMONIC[0, 2, 1, 3])
+        rep = cli.verify_basis_suite(5, samples=2)
+        assert rep["ok"] is False
+        assert rep["mismatches"] == 16
+        ts = trees.enumerate_trees(5)
+        failing = []
+        for idx, (entry, clean) in enumerate(zip(rep["cases"], honest["cases"])):
+            if not entry["mismatches"]:
+                assert entry == clean
+                continue
+            failing.append(idx)
+            assert entry["case"] == idx
+            assert entry["seed"][:3] == ["0", "basis", idx]
+            assert _replayed_mismatches(ts[idx], entry["seed"])
+        assert len(failing) == 4
+        monkeypatch.undo()
+        for idx in failing:
+            assert _replayed_mismatches(ts[idx], rep["cases"][idx]["seed"]) == []
 

@@ -23,6 +23,7 @@ from artifact.exactfield import (
     ParseError,
     UnstableConfiguration,
     _add,
+    _cross,
     _div,
     _mul,
     _sub,
@@ -141,10 +142,32 @@ KERNEL = {"+": (_add, operator.add, "__radd__"), "-": (_sub, operator.sub, "__rs
           "*": (_mul, operator.mul, "__rmul__"), "/": (_div, operator.truediv, "__rtruediv__")}
 
 
+def _cross_by_fractions(keys):
+    """The cross ratio of four point keys by the determinant formula
+    (z1-z3)(z2-z4) : (z1-z4)(z2-z3), zi-zj = ai*bj - aj*bi, on the
+    homogeneous pairs [p + q*i : d] as (re, im) pairs of Fractions: the
+    key of the value, or None for [0 : 0]."""
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def det(z, w):
+        (ar, ai), (br, bi) = mul(z[0], w[1]), mul(w[0], z[1])
+        return ar - br, ai - bi
+
+    z1, z2, z3, z4 = [((Fraction(p), Fraction(q)), (Fraction(d), Fraction(0)))
+                      for p, q, d in keys]
+    num = mul(det(z1, z3), det(z2, z4))
+    den = mul(det(z1, z4), det(z2, z3))
+    if den == (0, 0):
+        return None if num == (0, 0) else PP_INF._k
+    return GaussRat(*_by_fractions("/", num, den))._k
+
+
 class TestKernel:
     """GaussRat's operators are the key ops of the scalar kernel: on seeded
     values each equals the key op and Fraction arithmetic, reflected and
-    with int and Fraction operands too."""
+    with int and Fraction operands too.  cross_ratio is the point kernel's
+    _cross on keys."""
 
     @pytest.mark.parametrize("op", sorted(KERNEL))
     def test_operators_match_key_ops_and_fractions(self, op):
@@ -183,6 +206,48 @@ class TestKernel:
             for x in (z, 1, Fraction(1, 2)):
                 with pytest.raises(DivisionByZero):
                     x / GaussRat(0)
+
+    def test_cross_matches_cross_ratio_and_fractions(self):
+        # seeded quadruples from a pool of 0, 1, inf and twelve seeded
+        # points, so that coincidences, and with them the 2|2 values and
+        # the unstable case, are common
+        rng = random.Random("kernel:cross")
+        pool = [PP_ZERO, PP_ONE, PP_INF] + [
+            ProjPoint(z) for z in _seeded_scalars("kernel:cross-points", 12)[3:]]
+        seen = set()
+        for _ in range(3000):
+            q = [rng.choice(pool) for _ in range(4)]
+            keys = [z._k for z in q]
+            want = _cross_by_fractions(keys)
+            if want is None:
+                for f in (cross_ratio, lambda *zs: _cross(*(z._k for z in zs))):
+                    with pytest.raises(UnstableConfiguration):
+                        f(*q)
+                seen.add("unstable")
+                continue
+            got = _cross(*keys)
+            assert got == want == cross_ratio(*q)._k
+            seen.add(len(set(keys)))
+        assert seen == {"unstable", 2, 3, 4}
+
+    def test_cross_at_0_1_inf_and_the_2_2_patterns(self):
+        # the frame (x, 1, 0, inf) gives x, at 0, 1 and inf too; the three
+        # 2|2 coincidence patterns give 0, inf and 1; three coincident
+        # points are unstable
+        frame = (PP_ONE._k, PP_ZERO._k, PP_INF._k)
+        for x in [PP_ZERO, PP_ONE, PP_INF] + [ProjPoint(z) for z in
+                                             _seeded_scalars("kernel:frame", 9)[1:]]:
+            assert _cross(x._k, *frame) == x._k
+        for z in _seeded_scalars("kernel:two-two", 12):
+            pairs = [(ProjPoint(z)._k, PP_INF._k), (PP_ZERO._k, ProjPoint(z + 1)._k)]
+            for a, b in [(a, b) for a, b in pairs if a != b]:
+                assert _cross(a, b, a, b) == PP_ZERO._k == _cross_by_fractions((a, b, a, b))
+                assert _cross(a, b, b, a) == PP_INF._k == _cross_by_fractions((a, b, b, a))
+                assert _cross(a, a, b, b) == PP_ONE._k == _cross_by_fractions((a, a, b, b))
+                for keys in ((a, a, a, b), (b, a, b, b), (a, a, a, a)):
+                    assert _cross_by_fractions(keys) is None
+                    with pytest.raises(UnstableConfiguration):
+                        _cross(*keys)
 
 
 class TestProjPoint:
