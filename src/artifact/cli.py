@@ -204,7 +204,7 @@ def verify_basis_suite(l: int, samples: int = 200, seed: int = 0,
     exactfield._cross on the curve's points at the slots of q
     (curves.quad_slots, read once per tree).  A case with mismatches also
     gives its index, "case", and the "seed" of its first mismatching
-    sample, a list: curves.sample_curve(t, bound, tuple(seed)) replays it.
+    sample, which curves.sample_curve(t, bound, seed) replays.
     """
     ts = trees.enumerate_trees(l, real=real)
     marks = trees.sort_marks(trees.real_marks(l) if real else trees.complex_marks(l))

@@ -494,10 +494,13 @@ def sample_curve(t: MarkedTree, bound: int, seed) -> StableCurve:
     """Deterministic random curve with the given dual graph.
 
     Coordinate magnitudes are bounded by `bound`; real trees receive
-    conjugation-symmetric coordinates by construction.
+    conjugation-symmetric coordinates by construction.  Every list in the
+    seed counts as a tuple, so a seed read back from a JSON report draws
+    the curve that the report names.
     """
     if bound < 2:
         raise CurveError("bound too small")
+    seed = _tuples(seed)
     rng = random.Random(repr(seed))
     lay = slot_layout(t)
     off = lay.offsets
@@ -520,6 +523,13 @@ def sample_curve(t: MarkedTree, bound: int, seed) -> StableCurve:
             return c
     raise CurveError("%s: bound too small to fit distinct special points"
                      % (_case(t, seed),))
+
+
+def _tuples(seed):
+    """seed with each list in it, at any depth, made a tuple."""
+    if type(seed) is list or type(seed) is tuple:
+        return tuple([_tuples(x) for x in seed])
+    return seed
 
 
 def _case(t: MarkedTree, seed) -> str:

@@ -74,16 +74,24 @@ def _real_kind(mask: int, n: int) -> Optional[str]:
 
 
 def _labels(l: int, real: bool) -> Iterator[Tuple[int, Tuple]]:
-    """(mask, rho) for each admissible label, in order_key order:
-    combinations of the sorted marks come out lexicographically, size by
-    size."""
+    """(mask, rho) for each admissible label, in order_key order.
+
+    Combinations of the sorted marks come out lexicographically, size by
+    size, and within a size the admissible ones (two of the anchor bits
+    0, 1, 2) are three runs: those that start 0, 1, then those that start
+    0, 2 and avoid bit 1, then those that start 1, 2 and avoid bit 0.  A
+    label of size r <= n - 2 leaves two marks outside."""
     marks, _ = _universe(l, real)
     n = len(marks)
+    # (the run's anchor bits, their marks, the least bit that may follow)
+    runs = [(3, marks[:2], 2), (5, marks[:1] + marks[2:3], 3), (6, marks[1:3], 3)]
     for r in range(2, n - 1):
-        for combo in itertools.combinations(range(n), r):
-            mask = sum(1 << i for i in combo)
-            if _admissible(mask, n):
-                yield mask, tuple([marks[i] for i in combo])
+        for head, rho, low in runs:
+            for combo in itertools.combinations(range(low, n), r - 2):
+                mask = head
+                for i in combo:
+                    mask |= 1 << i
+                yield mask, rho + tuple([marks[i] for i in combo])
 
 
 def _mask_of(rho, l: int, real: bool) -> Optional[int]:

@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 Edge = Tuple[int, int]
 
@@ -101,25 +101,27 @@ class MarkedTree:
     itself, so they all go with the last reference to it.
     """
 
-    def __init__(self, *args):
-        self._fill(*args)
+    def __init__(self, vertex_count, edges, mu, *rest):
+        self._fill(int(vertex_count), tuple(sorted(tuple(sorted(e)) for e in edges)),
+                   dict(mu), *rest)
         bad = self._defects()
         if bad:
             raise TreeError("invalid tree: %r" % (bad,))
 
     @classmethod
     def _of(cls, *args) -> "MarkedTree":
-        """The tree of args, unchecked: the caller knows it is valid."""
+        """The tree of args, unchecked: the caller knows it is valid and
+        passes the vertex count as an int, the edges as the tree keeps
+        them (a tuple of (low, high) pairs in increasing order) and a mu
+        dict that it gives up to the tree."""
         t = cls.__new__(cls)
         t._fill(*args)
         return t
 
-    def _fill(self, vertex_count: int, edges: Iterable[Edge], mu: Dict) -> None:
-        self.vertex_count = int(vertex_count)
-        self.edges: Tuple[Edge, ...] = tuple(
-            sorted(tuple(sorted(e)) for e in edges)
-        )
-        self.mu: Dict = dict(mu)
+    def _fill(self, vertex_count: int, edges: Tuple[Edge, ...], mu: Dict) -> None:
+        self.vertex_count = vertex_count
+        self.edges: Tuple[Edge, ...] = edges
+        self.mu: Dict = mu
         self._adj: Optional[List[List[int]]] = None
         self._mu_inv: Optional[Dict[int, List]] = None
         self._bits: Optional[Dict] = None
@@ -439,30 +441,33 @@ def _conj_mask(mask: int, even: int) -> int:
     return (mask & even) << 1 | (mask >> 1) & even
 
 
-def _tree_from_family(n_marks: int, family: Sequence[int]) -> Tuple[List[int], List[int]]:
-    """(parent, at) of the tree with the given splits, which are in (size,
-    lexicographic) order: parent[v] is vertex v's parent (-1 at vertex 0)
-    and at[b] is the vertex of the mark of bit b.  Vertex i + 1 is the side
-    of family[i] at its edge; its parent is the side of the first later
-    superset, else vertex 0, and a mark sits at the first side that holds
-    its bit, else at vertex 0.  A split comes after its subsets, so
-    1, ..., len(family), 0 lists each vertex after its children."""
+def _tree_from_family(n_marks: int, family: Sequence[int]) -> Tuple[List[int], List[int], List[int]]:
+    """(parent, at, own) of the tree with the given splits, which are in
+    (size, lexicographic) order: parent[v] is vertex v's parent (-1 at
+    vertex 0), at[b] is the vertex of the mark of bit b and own[v] is the
+    mask of the marks at vertex v.  Vertex i + 1 is the side of family[i]
+    at its edge; its parent is the side of the first later superset, else
+    vertex 0, and a mark sits at the first side that holds its bit, else
+    at vertex 0.  A split comes after its subsets, so 1, ..., len(family),
+    0 lists each vertex after its children."""
     k = len(family)
     parent = [-1] + [0] * k
     at = [0] * n_marks
+    own = [0] * (k + 1)
     free = (1 << n_marks) - 1  # the bits no earlier side holds
     for i, s in enumerate(family):
         for j in range(i + 1, k):
             if family[j] & s == s:
                 parent[i + 1] = j + 1
                 break
-        new = s & free
+        own[i + 1] = new = s & free
         free ^= new
         while new:
             low = new & -new
             at[low.bit_length() - 1] = i + 1
             new ^= low
-    return parent, at
+    own[0] = free
+    return parent, at, own
 
 
 def _phi_from_structure(t: MarkedTree) -> List[int]:
@@ -570,7 +575,6 @@ def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
     n = len(marks)
     mark_set = frozenset(marks)
     bits = _mark_bits(mark_set)
-    names = [str(m) for m in marks]
     head = "%s%d:" % ("RT" if real else "T", l)
     full = (1 << n) - 1
     even = full // 3  # the bits of the + marks, for _conj_mask
@@ -602,22 +606,33 @@ def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
                 mask |= 1 << w
         compat.append(mask)
 
+    # a vertex's mark string, by the mask of its own marks; filled on
+    # first use of each mask
+    texts = {0: ""}
+    orders = [[*range(1, k + 1), 0] for k in range(n)]  # see _tree_from_family
+
     # depth-first over compatible families; an explicit stack, so no
-    # closure holds the result list in a cycle
+    # closure holds the result list in a cycle.  Units come out in
+    # increasing rank, so a complex family's candidates are in order; a
+    # real unit's conjugate split can rank after later units' splits
     results: List[MarkedTree] = []
     stack: List[Tuple[int, Tuple[int, ...]]] = [((1 << len(units)) - 1, ())]
     while stack:
         avail, chosen = stack.pop()
-        family = [cands[i] for i in sorted(chosen)]
+        family = [cands[i] for i in (sorted(chosen) if real else chosen)]
         k = len(family)
-        parent, at = _tree_from_family(n, family)
-        edges = [(parent[v], v) for v in range(1, k + 1)]
+        parent, at, own = _tree_from_family(n, family)
+        # parent[v] is 0 or greater than v: the edges as the tree keeps them
+        edges = tuple([(0, v) for v in range(1, k + 1) if not parent[v]]
+                      + [(v, p) for v, p in enumerate(parent) if p > 0])
         mu = dict(zip(marks, at))
-        own: List[List[str]] = [[] for _ in range(k + 1)]
-        for name, v in zip(names, at):
-            own[v].append(name)
-        here = [",".join(a) for a in own]
-        form = head + _ahu(here, parent, [*range(1, k + 1), 0])
+        here = []
+        for mask in own:
+            text = texts.get(mask)
+            if text is None:
+                text = texts[mask] = ",".join(map(str, _marks_of_mask(bits, mask)))
+            here.append(text)
+        form = head + _ahu(here, parent, orders[k])
         if real:
             # vertex 0 holds the mark 1+ (bit 0), so phi(0) holds 1- (bit
             # 1).  The image of vertex i + 1 is the side of the conjugate
@@ -659,53 +674,60 @@ def _node(here: str, kids: List[str]) -> str:
     return "(" + here + ("|" + ";".join(kids) if kids else "") + ")"
 
 
-def _ahu(here: List[str], parent: List[int], order: Iterable[int]) -> str:
+def _ahu(here: List[str], parent: List[int], order: Sequence[int]) -> str:
     """The AHU string of a tree rooted at a centroid (the smaller string,
     if there are two), vertex v written with its mark string here[v].
 
     parent[v] is v's parent in some rooting of the tree (-1 at its root),
-    and order lists every vertex after its children.  One pass over order
-    gives every branch's size and its string in that rooting.  A centroid
-    other than the root is re-rooted only along its path to the root: each
-    vertex on it swaps the string of the branch towards the centroid for
-    the one towards the root.
+    and order lists every vertex after its children.  One integer pass
+    over order gives every branch's size.  The vertices with more than
+    half of the tree below them form a path down from the root, and the
+    last of them, the first in order, is a centroid c; a second centroid
+    is a child of c with exactly half below it.  Each string is then
+    written once, rooted at c: a vertex off the path from c to the root
+    keeps its children, and along that path each vertex's parent becomes
+    its child.  Rooting at the second centroid re-roots only the edge it
+    shares with c.
     """
     n = len(here)
     size = [1] * n
-    heavy = [0] * n  # the most vertices in a branch below v
-    kids: List[List[str]] = [[] for _ in range(n)]
-    down = [""] * n  # the string of v's branch away from the root
     for v in order:
-        ks = kids[v]
-        ks.sort()
-        down[v] = d = _node(here[v], ks)
         p = parent[v]
         if p >= 0:
-            s = size[v]
-            size[p] += s
-            if s > heavy[p]:
-                heavy[p] = s
-            kids[p].append(d)
-    heavy = [h if h > n - s else n - s for h, s in zip(heavy, size)]
-    least = min(heavy)
-    bodies = []
-    for c in range(n):
-        if heavy[c] != least:
-            continue
-        path = [c]  # c, parent[c], ..., the root
-        while parent[path[-1]] >= 0:
-            path.append(parent[path[-1]])
-        up = None  # the string of the branch at path[j] away from path[j - 1]
-        for j in range(len(path) - 1, 0, -1):
-            ks = list(kids[path[j]])
-            ks.remove(down[path[j - 1]])
-            if up is not None:
-                ks.append(up)
-                ks.sort()
-            up = _node(here[path[j]], ks)
-        ks = kids[c] if up is None else sorted(kids[c] + [up])
-        bodies.append(_node(here[c], ks))
-    return min(bodies)
+            size[p] += size[v]
+    for c in order:
+        if 2 * size[c] > n:
+            break
+    path = [c]  # c, parent[c], ..., the root
+    while parent[path[-1]] >= 0:
+        path.append(parent[path[-1]])
+    kids: List[List[str]] = [[] for _ in range(n)]
+    for v in order:
+        if v not in path:
+            ks = kids[v]
+            ks.sort()
+            kids[parent[v]].append(_node(here[v], ks))
+    up = None  # the string of v's branch away from c; at c, the tree's
+    for v in reversed(path):
+        ks = kids[v]
+        if up is not None:
+            ks.append(up)
+        ks.sort()
+        up = _node(here[v], ks)
+    if n & 1:
+        return up
+    for w in order:
+        if 2 * size[w] == n:
+            break
+    else:
+        return up
+    # w's children and c's branch away from w, c's children but w's
+    ks = kids[w]
+    rest = list(kids[c])
+    rest.remove(_node(here[w], ks))
+    ks.append(_node(here[c], rest))
+    ks.sort()
+    return min(up, _node(here[w], ks))
 
 
 @functools.lru_cache(maxsize=None)
@@ -762,7 +784,7 @@ def canonical_form(t: MarkedTree) -> str:
             if w != parent[v]:
                 parent[w] = v
                 order.append(w)
-    out = "%s%d:%s" % ("RT" if t.is_real else "T", t.l, _ahu(here, parent, reversed(order)))
+    out = "%s%d:%s" % ("RT" if t.is_real else "T", t.l, _ahu(here, parent, order[::-1]))
     if t.is_real:
         out += _phi_suffix(here, t.split_index()[0], t.phi, frozenset(t.mu))
     t._canon = out

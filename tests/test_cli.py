@@ -176,7 +176,7 @@ def _replayed_mismatches(t, seed):
     """The quadruples on which the curve sample_curve(t, 40, seed) replays
     a mismatch of verify_basis_suite: its table's key against cli._cross
     on the curve's points, in the suite's order."""
-    c = curves.sample_curve(t, 40, tuple(seed))
+    c = curves.sample_curve(t, 40, seed)
     basis = charts.gamma_basis(t)
     table = charts.ReconstructionTable(t, values=charts.basis_values(c, basis), basis=basis)
     marks = trees.sort_marks(trees.complex_marks(t.l))

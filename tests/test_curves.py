@@ -538,6 +538,28 @@ class TestSamplingErrors:
         assert "conjugation symmetry fails at vertex 0 slot ('e', (0, 1))" in msg
 
 
+class TestSeedReplay:
+    """A seed read back from a JSON report, where every tuple became a
+    list, draws the curve of the seed that was written."""
+
+    @pytest.mark.parametrize("l,real", [(5, False), (3, True)])
+    def test_list_seed_draws_the_tuple_seeds_curve(self, l, real):
+        for idx, t in enumerate(trees.enumerate_trees(l, real=real)[:12]):
+            for seed in [("0", "basis", idx, 0), ("pin", (idx, "x"), ((1, ()), 2))]:
+                listed = json.loads(json.dumps(seed))
+                assert type(listed) is list
+                assert (sample_curve(t, 40, listed).to_json()
+                        == sample_curve(t, 40, seed).to_json())
+
+    def test_failure_names_the_tuple_seed(self, monkeypatch):
+        monkeypatch.setattr(curves, "_rand_point", lambda *args, **kwargs: PP_INF)
+        t = trees.enumerate_trees(5)[3]
+        with pytest.raises(curves.CurveError) as err:
+            sample_curve(t, 30, ["crowded", [7]])
+        assert str(err.value).startswith("seed ('crowded', (7,)), tree %s:"
+                                         % (trees.canonical_form(t),))
+
+
 class TestForgetErrors:
     """A bad keep set raises on every call: its error is not kept as a
     plan."""

@@ -20,7 +20,7 @@ from artifact.strata import (
     StrataError,
     stratum_edge,
 )
-from artifact.trees import bar_mark, real_marks
+from artifact.trees import bar_mark, complex_marks, real_marks
 
 
 class TestClosedForms:
@@ -89,6 +89,97 @@ class TestRealClassification:
             if not is_admissible(q, l, real=True):
                 q = univ - q
             assert q == rho
+
+
+class TestLabelOracle:
+    """The label builders against every subset of the marks, filtered by
+    the definition of an admissible label (two anchor marks in rho, two
+    marks outside it) and sorted by order_key."""
+
+    @staticmethod
+    def _admissible(marks, anchor):
+        labels = []
+        for r in range(len(marks) + 1):
+            for rho in itertools.combinations(marks, r):
+                if len(anchor & set(rho)) >= 2 and len(marks) - len(rho) >= 2:
+                    labels.append(rho)
+        return sorted(labels, key=order_key)
+
+    @pytest.mark.parametrize("l", range(3, 9))
+    def test_complex(self, l):
+        got = build_a_ell(l)
+        assert [lab.rho for lab in got] == self._admissible(complex_marks(l), {1, 2, 3})
+        assert all(lab.kind == "Complex" for lab in got)
+
+    @pytest.mark.parametrize("l", range(1, 7))
+    def test_real(self, l):
+        got = [lab.rho for lab in build_a_ell_real(l)[0]]
+        assert got == self._admissible(real_marks(l), {"1+", "1-", "2+"})
+
+
+def _split(side, univ):
+    """The split of the marks univ into side and its complement."""
+    return frozenset({frozenset(side), univ - frozenset(side)})
+
+
+# per l: the labels of A_l^R of each kind, and the distinct divisors
+KIND_TABLE = {
+    2: ({"H": 1, "E": 2, "D1": 0, "D2": 0, "D3": 0}, 0),
+    3: ({"H": 3, "E": 4, "D1": 2, "D2": 2, "D3": 8}, 6),
+    4: ({"H": 7, "E": 8, "D1": 10, "D2": 10, "D3": 36}, 28),
+    5: ({"H": 15, "E": 16, "D1": 38, "D2": 38, "D3": 124}, 100),
+}
+
+
+class TestKindsOnRealTrees:
+    """Each real kind has its shape among the real trees of the same l:
+
+    | kind   | one-edge tree, split rho | two-edge tree, splits rho, rho-bar | marks              |
+    | H      | real, phi fixes both     | -                                  | rho-bar = rho      |
+    | E      | real, phi swaps them     | -                                  | rho-bar = rho^c    |
+    | D1     | not real                 | real                               | rho, rho-bar apart |
+    | D2, D3 | not real                 | real                               | rho u rho-bar = all; D2 iff rho-bar^c is admissible |
+
+    A label of no kind falls in no row.  The trees come from
+    enumerate_trees and their phi, the kinds from strata, and the mark
+    conditions are written on sets."""
+
+    @pytest.mark.parametrize("l", sorted(KIND_TABLE))
+    def test_each_label_in_exactly_its_row(self, l):
+        univ = frozenset(real_marks(l))
+        one_edge, two_edge = {}, set()  # split -> phi; pairs of splits
+        for t in trees.enumerate_trees(l, real=True):
+            if len(t.edges) == 1:
+                one_edge[_split(trees.split_marks(t, t.edges[0]), univ)] = t.phi
+            elif len(t.edges) == 2:
+                two_edge.add(frozenset(_split(trees.split_marks(t, e), univ)
+                                       for e in t.edges))
+
+        def admissible(rho):
+            return len(rho & {"1+", "1-", "2+"}) >= 2 and len(univ - rho) >= 2
+
+        counts = dict.fromkeys(["H", "E", "D1", "D2", "D3"], 0)
+        divisors = set()
+        for lab in build_a_ell_real(l)[0]:
+            rho = lab.rho_set
+            bar = frozenset(map(bar_mark, rho))
+            phi = one_edge.get(_split(rho, univ))
+            pair = frozenset({_split(rho, univ), _split(bar, univ)})
+            d = phi is None and pair in two_edge
+            rows = {
+                "H": phi == (0, 1) and bar == rho,
+                "E": phi == (1, 0) and bar == univ - rho,
+                "D1": d and not rho & bar,
+                "D2": d and rho | bar == univ and admissible(univ - bar),
+                "D3": d and rho | bar == univ and not admissible(univ - bar),
+            }
+            assert [k for k, hit in rows.items() if hit] == ([lab.kind] if lab.kind else [])
+            if lab.kind:
+                counts[lab.kind] += 1
+            if d:
+                divisors.add(pair)
+        assert (counts, len(divisors)) == KIND_TABLE[l]
+        assert len(divisors) == distinct_real_divisors(l)
 
 
 class TestSchedules:

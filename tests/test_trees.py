@@ -545,6 +545,14 @@ class TestFromFamily:
             assert t2._canon is None
             assert canonical_form(t2) == t._canon
 
+    @pytest.mark.parametrize("l,real", FAMILY_CASES)
+    def test_edges_kept_as_the_checked_tree_keeps_them(self, l, real):
+        # enumeration hands MarkedTree._of its edges unnormalised
+        for t in enumerate_trees(l, real=real):
+            assert t.edges == tuple(sorted(tuple(sorted(e)) for e in t.edges))
+            args = (t.vertex_count, t.edges, t.mu) + ((t.phi,) if real else ())
+            assert type(t)(*args) == t
+
     @pytest.mark.parametrize("l", [2, 3, 4, 5])
     def test_phi_equals_phi_from_structure(self, l):
         for t in enumerate_trees(l, real=True):
