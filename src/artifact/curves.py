@@ -494,13 +494,14 @@ def sample_curve(t: MarkedTree, bound: int, seed) -> StableCurve:
     """Deterministic random curve with the given dual graph.
 
     Coordinate magnitudes are bounded by `bound`; real trees receive
-    conjugation-symmetric coordinates by construction.  Every list in the
-    seed counts as a tuple, so a seed read back from a JSON report draws
-    the curve that the report names.
+    conjugation-symmetric coordinates by construction.  A list seed counts
+    as a tuple, and so does every list in it, so a seed read back from a
+    JSON report draws the curve that the report names.
     """
     if bound < 2:
         raise CurveError("bound too small")
-    seed = _tuples(seed)
+    if type(seed) is list:
+        seed = _tuples(seed)
     rng = random.Random(repr(seed))
     lay = slot_layout(t)
     off = lay.offsets
