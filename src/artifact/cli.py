@@ -254,7 +254,9 @@ def verify_basis_suite(l: int, samples: int = 200, seed: int = 0,
 def verify_quotient_suite(l: int, real: bool = False, samples: int = 60,
                           seed: int = 0, bound: int = 40) -> dict:
     """Injectivity of chart class keys on relation-closure classes, for
-    every dual tree and every cut label (including the empty one)."""
+    every dual tree and every cut label (including the empty one).  A
+    failing case also gives its index, "case", and its "seed", with which
+    quotient.verify_injectivity replays it."""
     ts = trees.enumerate_trees(l, real=real)
     if real:
         _, ordered = strata.build_a_ell_real(l)
@@ -269,8 +271,15 @@ def verify_quotient_suite(l: int, real: bool = False, samples: int = 60,
         )
         for idx, (t, rho_star) in enumerate(itertools.product(ts, rho_stars))
     ]
-    collisions = sum(r["key_collisions_across_classes"] for r in reports)
-    splits = sum(r["intra_class_key_splits"] for r in reports)
+    cases = [{k: r[k] for k in ("tree", "rho_star", "samples", "in_domain",
+                                "classes", "classes_out_of_domain",
+                                "key_collisions_across_classes",
+                                "intra_class_key_splits")} for r in reports]
+    for idx, r in enumerate(cases):
+        if r["key_collisions_across_classes"] or r["intra_class_key_splits"] or not r["in_domain"]:
+            r.update(case=idx, seed=[str(seed), idx])
+    collisions = sum(r["key_collisions_across_classes"] for r in cases)
+    splits = sum(r["intra_class_key_splits"] for r in cases)
     return {
         "l": l,
         "real": real,
@@ -279,15 +288,9 @@ def verify_quotient_suite(l: int, real: bool = False, samples: int = 60,
         "samples_per_case": samples,
         "key_collisions_across_classes": collisions,
         "intra_class_key_splits": splits,
-        "cases": [
-            {k: r[k] for k in ("tree", "rho_star", "samples", "in_domain",
-                               "classes", "classes_out_of_domain",
-                               "key_collisions_across_classes",
-                               "intra_class_key_splits")}
-            for r in reports
-        ],
+        "cases": cases,
         "ok": (collisions == 0 and splits == 0
-               and all(r["in_domain"] > 0 for r in reports)),
+               and all(r["in_domain"] > 0 for r in cases)),
     }
 
 

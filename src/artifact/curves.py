@@ -13,8 +13,8 @@ import json
 import random
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, cross_ratio, finite_point,
-                         frame, point_text, randbelow)
+from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, _frame, cross_ratio,
+                         finite_point, point_text, randbelow)
 from .strata import classify_real, is_admissible, stratum_edge
 from .trees import (MarkedTree, RealMarkedTree, bar_mark, canonical_form,
                     canonical_vertex_order, real_marks, sort_marks, tree_from_json)
@@ -72,7 +72,7 @@ class SlotLayout:
             vertex += [v] * (len(slots) - offsets[-1])
             offsets.append(len(slots))
         self.slots, self.vertex, self.offsets = tuple(slots), tuple(vertex), tuple(offsets)
-        # kept by quotient.class_key: chart plan -> the quad_slots of its quadruples
+        # kept by quotient.class_key per chart plan (see quotient._chart_slots)
         self.chart_slots: Dict = {}
         n = len(t.mark_bits())
         full = (1 << n) - 1
@@ -304,9 +304,10 @@ def _derive(c: StableCurve, key, plan_fn, extra: Tuple = ()) -> Tuple[StableCurv
     pts = c.points + extra
     new = tuple([pts[i] for i in plan.gather])
     out = StableCurve._of(plan.tree, new)
-    if all(len({z._k for z in new[a:b]}) == b - a for a, b in plan.ranges):
-        return out, []
-    return out, out.validate()
+    for a, b in plan.ranges:
+        if len({z._k for z in new[a:b]}) != b - a:
+            return out, out.validate()
+    return out, []
 
 
 # ---------------------------------------------------------------------------
@@ -578,12 +579,12 @@ def moduli_tuple(c: StableCurve) -> Tuple:
     when the moduli_key strings are; computed once per curve."""
     if c._moduli_key is None:
         pts = c.points
-        shape, frames = _key_layout(c.tree)
+        shape, frames = c.tree._key_layout or _key_layout(c.tree)
         key = [shape]
         for (a, b, d), rest in frames:
             # the references -> (inf, 0, 1); the shape already holds their text
-            to_frame = frame(pts[a], pts[b], pts[d])
-            key += [to_frame(pts[i])._k for i in rest]
+            to_frame = _frame(pts[a]._k, pts[b]._k, pts[d]._k)
+            key += [to_frame(pts[i]._k) for i in rest]
         c._moduli_key = tuple(key)
     return c._moduli_key
 

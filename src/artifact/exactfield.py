@@ -13,12 +13,12 @@ The reduced triple (p, q, d) is a scalar's key, and a point's key is
 its triple with d >= 0.  One kernel maps keys to keys: ``_add``,
 ``_sub``, ``_mul`` and ``_div`` on scalars, and on points the cross ratio
 ``_cross``, the projective product ``_pmul`` (None for 0 * inf), the
-reciprocal ``_pinv`` and ``_one_minus``.  :class:`GaussRat` and
-:class:`ProjPoint` hold a key, and their operators and
-:func:`cross_ratio` wrap the kernel, building one object for the result.
-Code that chains many operations, such as the local-model chart algebra
-and the reconstruction table, calls the kernel on keys and builds objects
-only at its boundary.
+reciprocal ``_pinv``, ``_one_minus`` and the framing map ``_frame``.
+:class:`GaussRat` and :class:`ProjPoint` hold a key; their operators,
+:func:`cross_ratio` and :func:`frame` wrap the kernel, building one object
+for the result.  Code that chains many operations, such as the local-model
+chart algebra and the reconstruction table, calls the kernel on keys and
+builds objects only at its boundary.
 """
 
 from __future__ import annotations
@@ -258,8 +258,8 @@ def _normal(ar: int, ai: int, br: int, bi: int):
     return _reduced(ar * br + ai * bi, ai * br - ar * bi, br * br + bi * bi)
 
 
-# The point kernel: cross ratios, products, reciprocals and 1 - x of
-# point keys, each returning a canonical key.
+# The point kernel: cross ratios, products, reciprocals, 1 - x and the
+# framing map of point keys, each returning a canonical key.
 
 def _cross(k1, k2, k3, k4):
     """The key of CR(z1, z2, z3, z4) for the points with keys k1..k4: see
@@ -303,6 +303,30 @@ def _one_minus(k):
         return k
     # gcd(d - p, q, d) = gcd(p, q, d) = 1: already canonical
     return d - p, -q, d
+
+
+def _frame(k0, k1, k2):
+    """The Mobius map sending the points r0, r1, r2 with keys k0, k1, k2
+    to inf, 0 and 1, as a map of keys: z's key to that of CR(z, r2, r1,
+    r0), by _cross's formula with the two differences free of z computed
+    once."""
+    p0, q0, d0 = k0
+    p1, q1, d1 = k1
+    p2, q2, d2 = k2
+    r20, i20 = p2 * d0 - p0 * d2, q2 * d0 - q0 * d2
+    r21, i21 = p2 * d1 - p1 * d2, q2 * d1 - q1 * d2
+
+    def apply(k):
+        p, q, d = k
+        rz1, iz1 = p * d1 - p1 * d, q * d1 - q1 * d
+        rz0, iz0 = p * d0 - p0 * d, q * d0 - q0 * d
+        nr, ni = rz1 * r20 - iz1 * i20, rz1 * i20 + iz1 * r20
+        dr, di = rz0 * r21 - iz0 * i21, rz0 * i21 + iz0 * r21
+        if nr == 0 and ni == 0 and dr == 0 and di == 0:
+            raise UnstableConfiguration("three or more coincident points")
+        return _normal(nr, ni, dr, di)
+
+    return apply
 
 
 class ProjPoint:
@@ -437,28 +461,10 @@ def cross_ratio(z1: ProjPoint, z2: ProjPoint, z3: ProjPoint, z4: ProjPoint) -> P
 
 
 def frame(r0: ProjPoint, r1: ProjPoint, r2: ProjPoint):
-    """The Mobius map sending r0, r1, r2 to inf, 0, 1, as a function of z.
-
-    Its value at z is cross_ratio(z, r2, r1, r0), by the same homogeneous
-    formula with the two differences free of z computed once.
-    """
-    p0, q0, d0 = r0._k
-    p1, q1, d1 = r1._k
-    p2, q2, d2 = r2._k
-    r20, i20 = p2 * d0 - p0 * d2, q2 * d0 - q0 * d2
-    r21, i21 = p2 * d1 - p1 * d2, q2 * d1 - q1 * d2
-
-    def apply(z: ProjPoint) -> ProjPoint:
-        p, q, d = z._k
-        rz1, iz1 = p * d1 - p1 * d, q * d1 - q1 * d
-        rz0, iz0 = p * d0 - p0 * d, q * d0 - q0 * d
-        nr, ni = rz1 * r20 - iz1 * i20, rz1 * i20 + iz1 * r20
-        dr, di = rz0 * r21 - iz0 * i21, rz0 * i21 + iz0 * r21
-        if nr == 0 and ni == 0 and dr == 0 and di == 0:
-            raise UnstableConfiguration("three or more coincident points")
-        return _point(_normal(nr, ni, dr, di))
-
-    return apply
+    """The Mobius map sending r0, r1, r2 to inf, 0, 1, as a function of z
+    (see _frame)."""
+    apply = _frame(r0._k, r1._k, r2._k)
+    return lambda z: _point(apply(z._k))
 
 
 def mobius(z: ProjPoint, al, be, ga, de) -> ProjPoint:

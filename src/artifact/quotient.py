@@ -20,9 +20,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .charts import (ChartDomainError, a_gamma, extended_basis,
                      near_vertices)
-from .curves import (StableCurve, _derive, _edge_slot, _Gather, forget, in_D_tilde,
-                     in_divisor, key_text, moduli_tuple, quad_slots, sample_curve,
-                     slot_layout)
+from .curves import (StableCurve, _derive, _edge_slot, _Gather, _mark_slot, _tuples,
+                     forget, in_D_tilde, in_divisor, key_text, moduli_tuple, quad_slots,
+                     sample_curve, slot_layout)
 from .exactfield import (PP_INF, PP_ZERO, GaussRat, ProjPoint, _cross, finite_point,
                          point_text, randbelow)
 from .strata import (_labels, build_a_ell, build_a_ell_real, is_admissible,
@@ -130,12 +130,15 @@ def relation_closure(samples: Sequence[StableCurve], rho_star=(),
     # each label whose locus holds it, the first sample with its base key
     # there
     first: Dict = {}
+    real = bool(real)
     for i, c in enumerate(samples):
-        if c.tree.mark_bits() != bits or bool(c.is_real) != bool(real):
+        t = c.tree
+        own = t._bits or t.mark_bits()
+        if (own is not bits and own != bits) or (t.phi is not None) != real:
             raise QuotientError("samples must share one mark set and the real flag")
-        base = moduli_tuple(base_of(c))
-        for key in [moduli_tuple(c)] + [(base, label_of[mask]) for mask in c.tree.edge_of_mask()
-                                      if mask in label_of]:
+        rhos = [rho for rho in map(label_of.get, t._edge_of or t.edge_of_mask()) if rho]
+        base = moduli_tuple(base_of(c)) if rhos else None
+        for key in [moduli_tuple(c)] + [(base, rho) for rho in rhos]:
             j = first.setdefault(key, i)
             if j != i:
                 union(j, i)
@@ -173,16 +176,10 @@ def _locus_masks(bits: Dict, rho, real: bool, l1: int) -> Tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # chart domain and class keys
 
-def excluded_labels(t: MarkedTree, v_plus: int, rho_star=()) -> List[FrozenSet]:
-    """Splits seen from v_plus's side of any node, minus the admissible
-    splits realized above rho*.  The boundary loci over these labels are
-    removed from the chart domain of (t, v_plus)."""
-    return _excluded(t, v_plus, a_gamma(t, rho_star))
-
-
 def _excluded(t: MarkedTree, v_plus: int, labels) -> List[FrozenSet]:
     """The tail-side mark masks of the edges whose tail side holds v_plus,
-    minus those of the a_gamma labels, as labels sorted by order_key."""
+    minus those of the labels a_gamma(t, rho*), as labels sorted by
+    order_key: their loci are removed from the chart domain of (t, v_plus)."""
     allowed = {t.side_masks(*e)[0] for _rho, e in labels}
     bits = t.mark_bits()
     out = {side
@@ -230,16 +227,16 @@ class ClassKey:
 @dataclass(frozen=True, eq=False)
 class ChartPlan:
     """The part of a class key fixed by the base tree, rho* and the rank
-    choice: the chart vertex, the excluded labels (sorted by order_key),
-    the tail-side mark masks of each excluded label's locus on a curve
-    over the tree (see _locus_masks) and the extended-basis quadruples,
-    sorted, with their text.  A plan hashes by identity: curves' slot
-    layouts key the quadruples' slot indices by it."""
+    choice: the chart vertex, per excluded label (by order_key) the text of
+    class_key's ChartDomainError and the tail-side mark masks of its locus
+    on a curve over the tree (see _locus_masks), and the extended-basis
+    quadruples, sorted, with their text.  A plan hashes by identity:
+    curves' slot layouts key what they keep per plan by it."""
 
     tree: str
     v_plus: int
     v_rank: int
-    excluded: Tuple[FrozenSet, ...]
+    excluded_text: Tuple[str, ...]
     excluded_masks: Tuple[Tuple[int, ...], ...]
     quads: Tuple[Tuple[str, Tuple], ...]
 
@@ -278,14 +275,16 @@ def _make_plan(t: MarkedTree, rho_star: FrozenSet,
             raise QuotientError(
                 "no admissible chart vertex with rank %r" % (v_plus_rank,))
         v_plus = match[0]
-    excluded = tuple(_excluded(t, v_plus, labels))
+    excluded = _excluded(t, v_plus, labels)
+    texts = tuple("curve lies on the excluded boundary locus of rho=%r" % (sort_marks(rho),)
+                  for rho in excluded)
     # a curve over t has t's marks and the next mark(s)
     bits = _mark_bits(frozenset(t.mu) | frozenset(_next_marks(t)))
     masks = tuple(_locus_masks(bits, rho, t.is_real, t.l + 1) for rho in excluded)
     basis = extended_basis(t, v_plus, rho_star)
     quads = sorted(set(basis.all_quadruples),
                    key=lambda q: tuple(mark_key(m) for m in q))
-    return ChartPlan(canonical_form(t), v_plus, order[v_plus], excluded, masks,
+    return ChartPlan(canonical_form(t), v_plus, order[v_plus], texts, masks,
                      tuple((",".join(str(m) for m in q), q) for q in quads))
 
 
@@ -293,30 +292,35 @@ def class_key(c: StableCurve, rho_star=(), real: bool = False,
               v_plus_rank: Optional[int] = None) -> ClassKey:
     """The chart tuple of the curve's class, over the tree of its base.
 
-    The chart vertex, excluded labels and quadruples come from the chart
-    plan of the base tree (see chart_plan); only the membership tests
-    and the cross ratios are evaluated on the curve, on the slot indices
-    of the quadruples (curves.quad_slots), which the curve's slot layout
-    keeps per plan.  Raises ChartDomainError when the curve lies on an
-    excluded boundary locus.
+    The chart vertex, excluded loci and quadruples come from the chart
+    plan of the base tree (see chart_plan); the curve's slot layout keeps
+    per plan what depends only on its tree (_chart_slots), so only the
+    cross ratios are evaluated on the curve.  Raises ChartDomainError,
+    with the plan's text, when the curve lies on an excluded locus.
     """
-    if bool(c.is_real) != bool(real):
+    if (c.tree.phi is not None) != bool(real):
         raise QuotientError("real flag does not match the curve")
     b = base_of(c)
     plan = chart_plan(b.tree, rho_star, v_plus_rank)
-    edges = c.tree.edge_of_mask()
-    for rho, masks in zip(plan.excluded, plan.excluded_masks):
-        if any(mask in edges for mask in masks):
-            raise ChartDomainError(
-                "curve lies on the excluded boundary locus of rho=%r"
-                % (sort_marks(rho),))
     slots = (c.tree._layout or slot_layout(c.tree)).chart_slots
     idx = slots.get(plan)
     if idx is None:
-        idx = slots[plan] = tuple([quad_slots(c.tree, q) for _text, q in plan.quads])
+        idx = slots[plan] = _chart_slots(c.tree, plan)
+    if type(idx) is str:
+        raise ChartDomainError(idx)
     pts = c.points
     values = tuple([_cross(pts[i]._k, pts[j]._k, pts[k]._k, pts[n]._k) for i, j, k, n in idx])
     return ClassKey(moduli_tuple(b), plan.tree, plan.v_rank, values, plan.quads)
+
+
+def _chart_slots(t: MarkedTree, plan: ChartPlan):
+    """The text of the first excluded locus of the plan that a curve over
+    t lies on, or else the quad_slots of the plan's quadruples on t."""
+    edges = t.edge_of_mask()
+    for text, masks in zip(plan.excluded_text, plan.excluded_masks):
+        if any(mask in edges for mask in masks):
+            return text
+    return tuple([quad_slots(t, q) for _text, q in plan.quads])
 
 
 def y_membership(c: StableCurve, rho, bullet: str) -> bool:
@@ -421,10 +425,7 @@ def add_mark(c: StableCurve, v: int, point: ProjPoint) -> StableCurve:
     t = c.tree
     if v not in range(t.vertex_count):
         raise QuotientError("no vertex %r" % (v,))
-    sites = [(v, None)]
-    if t.is_real:
-        sites.append((t.phi[v], None))
-    return _place(c, sites, point)
+    return _place(c, _vertex_sites(t, v), point)
 
 
 def bubble_at_mark(c: StableCurve, m, point: ProjPoint) -> StableCurve:
@@ -439,10 +440,7 @@ def bubble_at_mark(c: StableCurve, m, point: ProjPoint) -> StableCurve:
         raise QuotientError("no mark %r" % (m,))
     if point in (PP_ZERO, PP_INF):
         raise QuotientError("bubble position must avoid the node and m")
-    sites = [(t.mu[m], ("m", m))]
-    if t.is_real:
-        sites.append((t.mu[bar_mark(m)], ("m", bar_mark(m))))
-    return _place(c, sites, point)
+    return _place(c, _mark_sites(t, m), point)
 
 
 def mark_at_node(c: StableCurve, e, point: ProjPoint) -> StableCurve:
@@ -452,11 +450,41 @@ def mark_at_node(c: StableCurve, e, point: ProjPoint) -> StableCurve:
     e = tuple(sorted(e))
     if e not in set(t.edges):
         raise QuotientError("no edge %r" % (e,))
+    return _place(c, _node_sites(t, e), point)
+
+
+# The sites that the builders above and fiber_samples give _place, one
+# rule per kind of placement.
+
+def _vertex_sites(t: MarkedTree, v: int) -> Tuple:
+    """Component v, and on a real tree phi(v)."""
+    return ((v, None), (t.phi[v], None)) if t.is_real else ((v, None),)
+
+
+def _mark_sites(t: MarkedTree, m) -> Tuple:
+    """The slot of mark m, and on a real tree that of its conjugate."""
+    return tuple([(t.mu[x], _mark_slot(x)) for x in ((m, bar_mark(m)) if t.is_real else (m,))])
+
+
+def _node_sites(t: MarkedTree, e) -> Tuple:
+    """The slot of the edge e = (u, x), u < x, at u, and on a real tree
+    that of its image at phi(u)."""
     u, x = e
-    sites = [(u, ("e", e))]
-    if t.is_real:
-        sites.append((t.phi[u], _edge_slot((t.phi[u], t.phi[x]))))
-    return _place(c, sites, point)
+    site = (u, _edge_slot(e))
+    return (site, (t.phi[u], _edge_slot((t.phi[u], t.phi[x])))) if t.is_real else (site,)
+
+
+def _fiber_sites(t: MarkedTree) -> Tuple:
+    """The sites of fiber_samples's placements on t, in order, kept on t:
+    each vertex, each mark in mark_key order and each node, on a real tree
+    only the first (t.edges is sorted) of each conjugate pair of nodes."""
+    if t._fiber_sites is None:
+        t._fiber_sites = tuple(
+            [_vertex_sites(t, v) for v in range(t.vertex_count)]
+            + [_mark_sites(t, m) for m in t.mark_bits()]
+            + [_node_sites(t, e) for e in t.edges
+               if not t.is_real or e <= _edge_slot((t.phi[e[0]], t.phi[e[1]]))[1]])
+    return t._fiber_sites
 
 
 def _rand_pos(rng: random.Random, bound: int) -> ProjPoint:
@@ -472,32 +500,18 @@ def fiber_samples(base: StableCurve, rng: random.Random, per_site: int = 2,
                   bound: int = 40) -> List[StableCurve]:
     """Extra-mark placements over one fixed base: generic positions on each
     component, bubbles at each mark, and insertions at each node.  These
-    exercise every boundary case of the injectivity arguments."""
-    t = base.tree
+    exercise every boundary case of the injectivity arguments.  Each site
+    (_fiber_sites) gets per_site placements, each drawing positions until
+    one places, at most 40 times.  A position is never 0 or infinity."""
     out: List[StableCurve] = []
-
-    def attempt(build):
-        for _try in range(40):
-            try:
-                out.append(build(_rand_pos(rng, bound)))
-                return
-            except QuotientError:
-                continue
-
-    for v in range(t.vertex_count):
+    for sites in _fiber_sites(base.tree):
         for _ in range(per_site):
-            attempt(lambda p, v=v: add_mark(base, v, p))
-    for m in sort_marks(t.mu.keys()):
-        for _ in range(per_site):
-            attempt(lambda p, m=m: bubble_at_mark(base, m, p))
-    seen = set()
-    for e in t.edges:
-        if e in seen:
-            continue
-        if t.is_real:
-            seen.add(tuple(sorted((t.phi[e[0]], t.phi[e[1]]))))
-        for _ in range(per_site):
-            attempt(lambda p, e=e: mark_at_node(base, e, p))
+            for _try in range(40):
+                try:
+                    out.append(_place(base, sites, _rand_pos(rng, bound)))
+                    break
+                except QuotientError:
+                    pass
     return out
 
 
@@ -514,10 +528,13 @@ def verify_injectivity(t: MarkedTree, rho_star=(), v_plus: Optional[int] = None,
     domain check; classes touching an excluded locus are counted and
     skipped, since the removed loci are saturated under the relations.
     A v_plus outside the admissible vertex set raises QuotientError,
-    naming the seed, the tree and rho*, before any curve is sampled.
+    naming the seed, the tree and rho*, before any curve is sampled.  A
+    list seed counts as a tuple, as in sample_curve, so that it replays.
     """
     if bool(t.is_real) != bool(real):
         raise QuotientError("real flag does not match the tree")
+    if type(seed) is list:
+        seed = _tuples(seed)
     case = "seed %r, tree %s, rho_star %r" % (
         seed, canonical_form(t), [str(m) for m in sort_marks(rho_star)])
     try:

@@ -95,7 +95,7 @@ class MarkedTree:
     mask -> edge table, canonical vertex ranks, canonical form and
     structural key are computed on first use and kept on the object, as
     are the tables and gather plans that curves on the tree share (see
-    curves.py) and its chart plans (see quotient.py).  A gather plan
+    curves.py) and its chart plans and placement sites (see quotient.py).  A gather plan
     holds its output tree, so a tree keeps the trees derived from it
     (placed or stabilized) for as long as it lives; no tree refers to
     itself, so they all go with the last reference to it.
@@ -143,6 +143,8 @@ class MarkedTree:
     _gathers: Optional[Dict] = None
     # kept by quotient.chart_plan: (rho*, rank) -> chart plan
     _chart_plans: Optional[Dict] = None
+    # kept by quotient.fiber_samples: the sites of its placements, in order
+    _fiber_sites: Optional[Tuple] = None
 
     @property
     def is_real(self) -> bool:

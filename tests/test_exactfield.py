@@ -25,9 +25,11 @@ from artifact.exactfield import (
     _add,
     _cross,
     _div,
+    _frame,
     _mul,
     _sub,
     cross_ratio,
+    frame,
     mobius,
     pp,
     randbelow,
@@ -229,6 +231,37 @@ class TestKernel:
             assert got == want == cross_ratio(*q)._k
             seen.add(len(set(keys)))
         assert seen == {"unstable", 2, 3, 4}
+
+    def test_frame_matches_frame_and_cross(self):
+        # seeded references and points from a pool of 0, 1, inf and nine
+        # seeded points, so that inf is often a reference and coincident
+        # inputs are common: the key map _frame equals frame() and the
+        # cross ratio CR(z, r2, r1, r0), and raises where it is unstable
+        rng = random.Random("kernel:frame-map")
+        pool = [PP_ZERO, PP_ONE, PP_INF] + [
+            ProjPoint(z) for z in _seeded_scalars("kernel:frame-points", 12)[3:]]
+        seen = set()
+        for _ in range(2000):
+            refs = [rng.choice(pool) for _ in range(3)]
+            z = rng.choice(pool)
+            to_key, to_point = _frame(*(r._k for r in refs)), frame(*refs)
+            want = _cross_by_fractions((z._k, refs[2]._k, refs[1]._k, refs[0]._k))
+            if want is None:
+                with pytest.raises(UnstableConfiguration):
+                    to_key(z._k)
+                with pytest.raises(UnstableConfiguration):
+                    to_point(z)
+                seen.add("unstable")
+                continue
+            got = to_point(z)
+            assert type(got) is ProjPoint
+            assert to_key(z._k) == got._k == want
+            seen.add("inf reference" if PP_INF in refs else "finite references")
+        assert seen == {"unstable", "inf reference", "finite references"}
+        # the references themselves go to inf, 0 and 1
+        refs = [PP_INF, pp(Fraction(-2, 3)), ProjPoint(GaussRat(1, 4))]
+        to_key = _frame(*(r._k for r in refs))
+        assert [to_key(r._k) for r in refs] == [PP_INF._k, PP_ZERO._k, PP_ONE._k]
 
     def test_cross_at_0_1_inf_and_the_2_2_patterns(self):
         # the frame (x, 1, 0, inf) gives x, at 0, 1 and inf too; the three

@@ -25,7 +25,6 @@ from artifact.quotient import (
     bubble_at_mark,
     class_key,
     equivalent,
-    excluded_labels,
     extra_marks,
     fiber_samples,
     mark_at_node,
@@ -200,6 +199,33 @@ class TestInjectivity:
         rep = cli.verify_quotient_suite(4, samples=10)
         assert rep["ok"] is False and rep["key_collisions_across_classes"] > 0
 
+    def test_failing_entries_replay(self, monkeypatch):
+        # under a constant key every case with two or more classes fails;
+        # its entry names its index and seed, and the seed, a list as read
+        # from the JSON report, replays the case: the same samples and the
+        # same entry
+        monkeypatch.setattr(quotient, "class_key", lambda c, *a, **k: "k")
+        sampled = []
+        closure = quotient.relation_closure
+        monkeypatch.setattr(quotient, "relation_closure", lambda samples, *a, **k: (
+            sampled.append([(c.tree, c.points) for c in samples]) or closure(samples, *a, **k)))
+        rep = json.loads(json.dumps(cli.verify_quotient_suite(4, samples=10)))
+        ts = trees.enumerate_trees(4)
+        cuts = [frozenset()] + [s.rho_set for s in strata.build_a_ell(4)]
+        failing = 0
+        for idx, entry in enumerate(rep["cases"]):
+            if not entry["key_collisions_across_classes"]:
+                assert "case" not in entry and "seed" not in entry
+                continue
+            failing += 1
+            assert entry["case"] == idx and entry["seed"] == ["0", idx]
+            t, cut = ts[idx // len(cuts)], cuts[idx % len(cuts)]
+            replayed = verify_injectivity(t, cut, n_samples=10, seed=entry["seed"])
+            assert sampled[-1] == sampled[idx]
+            assert {k: replayed[k] for k in entry if k not in ("case", "seed")} == {
+                k: v for k, v in entry.items() if k not in ("case", "seed")}
+        assert failing >= 5
+
     def test_real_flag_mismatch(self):
         t = trees.enumerate_trees(4)[0]
         with pytest.raises(QuotientError):
@@ -207,9 +233,9 @@ class TestInjectivity:
 
 
 # sha256 over enumerate_trees(l, real) and every cut (the empty one and
-# each scheduled label) of a_gamma, v_gamma and excluded_labels at each
-# admissible vertex, one JSON line per (tree, cut); pinned while they were
-# computed from split_marks and subtree_split
+# each scheduled label) of a_gamma, v_gamma and the excluded labels
+# (quotient._excluded) at each admissible vertex, one JSON line per (tree,
+# cut); pinned while they were computed from split_marks and subtree_split
 CHART_LABEL_DIGESTS = {
     (6, False): "f4a14f98c60f59a55ed50746c145ac8b8981f1740b95b0353e894abb39846615",
     (3, True): "b6c5837fe746706fbc34075f49e170fcf268abb38b82869e89bd86633dec9c20",
@@ -228,7 +254,7 @@ class TestExcludedLabels:
         rho_max = max((lab.rho_set for lab in strata.build_a_ell(4)),
                       key=strata.order_key)
         vp = charts.v_gamma(t, rho_max)[0]
-        labels = excluded_labels(t, vp, rho_max)
+        labels = quotient._excluded(t, vp, charts.a_gamma(t, rho_max))
         assert any(r in (RHO, frozenset({3, 4})) for r in labels)
 
     @pytest.mark.parametrize("l,real", sorted(CHART_LABEL_DIGESTS))
@@ -244,7 +270,7 @@ class TestExcludedLabels:
                     _labels_text(rho for rho, _e in labels),
                     [list(e) for _rho, e in labels],
                     verts,
-                    [_labels_text(excluded_labels(t, v, cut)) for v in verts],
+                    [_labels_text(quotient._excluded(t, v, labels)) for v in verts],
                 ])
                 h.update(line.encode() + b"\n")
         assert h.hexdigest() == CHART_LABEL_DIGESTS[(l, real)]
@@ -556,6 +582,34 @@ class TestMemoEquivalence:
         assert len(bare) > 1
 
 
+# the ChartDomainError texts of class_key on the fiber of one real l=3
+# base, with the sample indices that raise each, taken before the texts
+# were kept on the chart plan
+DOMAIN_TEXTS = {
+    "curve lies on the excluded boundary locus of rho=['1+', '1-', '3+', '3-']":
+        [2, 3, 10, 11, 12, 13, 18, 19],
+    "curve lies on the excluded boundary locus of rho=['1+', '1-', '2+', '2-']":
+        [4, 5, 14, 15, 16, 17, 20, 21],
+}
+
+
+class TestDomainErrorText:
+    def test_texts_pinned(self):
+        t = trees.enumerate_trees(3, real=True)[3]
+        cut = strata.build_a_ell_real(3)[1][12].rho_set
+        base = sample_curve(t, 40, ("domain-text", 3))
+        samples = fiber_samples(base, random.Random("domain-text:3"))
+        # a first pass builds what the sampled trees keep, a second reads it
+        for _ in range(2):
+            texts = {}
+            for k, c in enumerate(samples):
+                try:
+                    class_key(c, cut, real=True)
+                except ChartDomainError as e:
+                    texts.setdefault(str(e), []).append(k)
+            assert texts == DOMAIN_TEXTS
+
+
 class TestInadmissibleVPlus:
     # the {1,2,3}|{4,5} tree at the cut {1,2}: only vertex 0 is admissible
     T = trees.enumerate_trees(5)[1]
@@ -654,6 +708,77 @@ class TestPlaceThenForget:
                 assert base_of(c) is base
                 n += 1
         assert n >= 10 * len(idxs)
+
+
+def _reference_fiber_samples(base, rng, per_site=2, bound=40):
+    """fiber_samples built on the public builders: per vertex, mark (in
+    mark_key order) and node (on a real tree one of each conjugate pair),
+    per_site placements through add_mark, bubble_at_mark or mark_at_node,
+    each drawing positions until one places, at most 40 times."""
+    t = base.tree
+    builds = [lambda p, v=v: add_mark(base, v, p) for v in range(t.vertex_count)]
+    builds += [lambda p, m=m: bubble_at_mark(base, m, p) for m in trees.sort_marks(t.mu)]
+    seen = set()
+    for e in t.edges:
+        if e in seen:
+            continue
+        if t.is_real:
+            seen.add(tuple(sorted((t.phi[e[0]], t.phi[e[1]]))))
+        builds.append(lambda p, e=e: mark_at_node(base, e, p))
+    out = []
+    for build in builds:
+        for _ in range(per_site):
+            for _try in range(40):
+                try:
+                    out.append(build(quotient._rand_pos(rng, bound)))
+                    break
+                except QuotientError:
+                    pass
+    return out
+
+
+class TestFiberSites:
+    # every tree of real l=3 and complex l=5; positions bounded by 2 make
+    # some draws collide, so that retries are replayed too
+    @pytest.mark.parametrize("l,real", [(3, True), (5, False)])
+    def test_sites_kept_on_the_tree_place_as_the_builders(self, l, real, monkeypatch):
+        draws = []
+        rand_pos = quotient._rand_pos
+        monkeypatch.setattr(quotient, "_rand_pos",
+                            lambda rng, bound: draws.append(1) or rand_pos(rng, bound))
+        placed = 0
+        for idx, t in enumerate(trees.enumerate_trees(l, real=real)):
+            for bound in (40, 2):
+                base = sample_curve(t, 3, ("fiber-sites", idx))
+                a, b = random.Random("fiber-sites:%d" % idx), random.Random("fiber-sites:%d" % idx)
+                want = _reference_fiber_samples(base, a, bound=bound)
+                got = fiber_samples(base, b, bound=bound)
+                assert [(c.tree, c.points) for c in got] == [(c.tree, c.points) for c in want]
+                assert all(base_of(c) is base for c in got)
+                assert a.getstate() == b.getstate()
+                placed += len(got)
+        assert 0 < placed < len(draws) / 2
+
+    def test_a_site_that_never_places_takes_40_draws(self, monkeypatch):
+        # the smooth real l=3 curve with its marks at a + i and a - i for
+        # a = -1, 0, 1: positions bounded by 1 are these a + i, so every
+        # draw on the component collides, and each of its 2 placements
+        # gives up after 40 draws; each of the 12 bubbles places at once
+        t = [x for x in trees.enumerate_trees(3, real=True) if not x.edges][0]
+        at = {"1+": GaussRat(0, 1), "2+": GaussRat(1, 1), "3+": GaussRat(-1, 1)}
+        at.update({trees.bar_mark(m): z.conj() for m, z in list(at.items())})
+        base = curves.StableCurve(t, {0: {("m", m): pp(z) for m, z in at.items()}})
+        draws = []
+        rand_pos = quotient._rand_pos
+        monkeypatch.setattr(quotient, "_rand_pos",
+                            lambda rng, bound: draws.append(1) or rand_pos(rng, bound))
+        a, b = random.Random("never-places"), random.Random("never-places")
+        want = _reference_fiber_samples(base, a, bound=1)
+        draws.clear()
+        got = fiber_samples(base, b, bound=1)
+        assert len(draws) == 2 * 40 + 12 == len(got) + 80
+        assert [(c.tree, c.points) for c in got] == [(c.tree, c.points) for c in want]
+        assert a.getstate() == b.getstate()
 
 
 class TestRelationLabels:
