@@ -42,6 +42,8 @@ Key = Tuple[int, int, int]
 Keys = Tuple[Key, ...]
 #: the fiber part of line data: a scale, or a second-family direction
 Fiber = Union[Key, List[Key]]
+#: a point presentation read once (see _read): line, x, s2, glued, base
+Reading = Tuple[List[Key], Fiber, Optional[Key], Optional[Tuple[List[Key], Fiber]], Keys]
 _ZERO, _ONE = (0, 0, 1), (1, 0, 1)
 
 
@@ -60,7 +62,9 @@ class Model:
     ``c`` is the codimension of the center (number of blown-up slots),
     ``c1`` the size of the first block for augmented models (None
     otherwise) and ``m`` the number of untouched base slots.
-    ``chart_set`` holds the ids of :meth:`charts` for membership tests.
+    ``chart_set`` holds the ids of :meth:`charts` for membership tests and
+    ``relation_names`` the names of the blowup-recognition relations
+    ("slot1", .., "base1", ..), which every chart checks in that order.
     """
 
     kind: str
@@ -68,6 +72,7 @@ class Model:
     m: int
     c1: Optional[int] = None
     chart_set: FrozenSet[ChartId] = field(init=False, repr=False, compare=False)
+    relation_names: Tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("real", "complex", "augmented"):
@@ -79,7 +84,10 @@ class Model:
                 raise LocalModelError("augmented model needs 1 <= c1 < c")
         elif self.c1 is not None:
             raise LocalModelError("c1 only applies to augmented models")
-        object.__setattr__(self, "chart_set", frozenset(self.charts()))
+        _set(self, "chart_set", frozenset(self.charts()))
+        _set(self, "relation_names",
+             tuple(["slot%d" % j for j in range(1, self.c + 1)]
+                   + ["base%d" % j for j in range(1, self.m + 1)]))
 
     @property
     def c2(self) -> int:
@@ -163,39 +171,7 @@ def _scalars(u: Keys) -> Tuple[Scalar, ...]:
 
 
 # ---------------------------------------------------------------------------
-# blowdown maps
-# ---------------------------------------------------------------------------
-
-
-def blowdown(p: BlowupPoint) -> Tuple[Scalar, ...]:
-    """Image of ``p`` in the model space R^c x R^m (or C^c x R^m).
-
-    With the line data (line, x) of :func:`_line_data`, a standard or
-    first-family chart maps slot j to x * rho_j.  A second-family chart
-    maps the first block of slots to r_0 * r_j * |lam|^2 and the second
-    block to r_0 * lam_{j-c1}, the first-family image of its glued line
-    data, which this formula extends over the v-block zero locus.
-    """
-    return _scalars(_blowdown(p.model, p.chart, _keys(p)))
-
-
-def _blowdown(m: Model, chart: ChartId, u: Keys) -> Keys:
-    line, x = _line_data(m, chart, u)
-    if chart[0] == 2:
-        s2 = _sum_sq(x)
-        line, x = [_mul(rj, s2) for rj in line[1:]] + x, line[0]
-    return tuple([_mul(x, rj) for rj in line]) + u[m.c:]
-
-
-def _sum_sq(vals: Sequence[Key]) -> Key:
-    acc = _ZERO
-    for z in vals:
-        acc = _add(acc, _mul(z, z))
-    return acc
-
-
-# ---------------------------------------------------------------------------
-# chart transitions
+# readings of a chart presentation
 # ---------------------------------------------------------------------------
 
 
@@ -213,6 +189,73 @@ def _line_data(m: Model, chart: ChartId, u: Keys) -> Tuple[List[Key], Fiber]:
         line[i - 1] = _ONE
         return line, u[i - 1]
     return list(u[:i]) + [_ONE] + list(u[i: m.c1]), list(u[m.c1: m.c])
+
+
+def _read(m: Model, chart: ChartId, u: Keys) -> Reading:
+    """The reading (line, x, s2, glued, base) of the point with coordinate
+    keys ``u`` in ``chart``: its line data, on an augmented model the sum
+    of squares s2 of its fiber direction and its line data glued to the
+    other family (None elsewhere), and its base keys.
+
+    Second-family (r, lam) glues, where the v-block is nonzero, to the
+    first-family direction (r_j * |lam|^2)_{j in [c1]} followed by lam,
+    with fiber scale r_0; s2 = |lam|^2.  The inverse needs a nonzero
+    second-block direction lam = rho[c1:], with s2 = |lam|^2; it gives
+    r = (x, rho_j / s2)_{j in [c1]}, and no glued data where s2 = 0.
+    """
+    line, x = _line_data(m, chart, u)
+    base = u[m.c:]
+    if m.kind != "augmented":
+        return line, x, None, None, base
+    if chart[0] == 2:
+        s2 = _sum_sq(x)
+        return line, x, s2, ([_mul(rj, s2) for rj in line[1:]] + x, line[0]), base
+    lam = line[m.c1:]
+    s2 = _sum_sq(lam)
+    glued = None if s2 == _ZERO else ([x] + [_div(rj, s2) for rj in line[: m.c1]], lam)
+    return line, x, s2, glued, base
+
+
+def _sum_sq(vals: Sequence[Key]) -> Key:
+    """The sum of the squares of the keys ``vals``, of which there is at
+    least one."""
+    it = iter(vals)
+    z = next(it)
+    acc = _mul(z, z)
+    for z in it:
+        acc = _add(acc, _mul(z, z))
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# blowdown maps
+# ---------------------------------------------------------------------------
+
+
+def blowdown(p: BlowupPoint) -> Tuple[Scalar, ...]:
+    """Image of ``p`` in the model space R^c x R^m (or C^c x R^m).
+
+    With the line data (line, x) of :func:`_line_data`, a standard or
+    first-family chart maps slot j to x * rho_j.  A second-family chart
+    maps the first block of slots to r_0 * r_j * |lam|^2 and the second
+    block to r_0 * lam_{j-c1}, the first-family image of its glued line
+    data, which this formula extends over the v-block zero locus.
+    """
+    return _scalars(_blowdown(p.model, p.chart, _keys(p)))
+
+
+def _blowdown(m: Model, chart: ChartId, u: Keys, read: Optional[Reading] = None) -> Keys:
+    """The image keys of ``u`` in ``chart``, from its reading ``read``
+    (:func:`_read` of ``u`` when not given)."""
+    line, x, _s2, glued, base = _read(m, chart, u) if read is None else read
+    if chart[0] == 2:
+        line, x = glued
+    return tuple([_mul(x, rj) for rj in line]) + base
+
+
+# ---------------------------------------------------------------------------
+# chart transitions
+# ---------------------------------------------------------------------------
 
 
 def _in_chart(target: ChartId, line: List[Key], x: Fiber, base: Keys) -> Keys:
@@ -234,25 +277,23 @@ def _in_chart(target: ChartId, line: List[Key], x: Fiber, base: Keys) -> Keys:
     return tuple(out) + base
 
 
-def _glued(m: Model, k: int, line: List[Key], x: Fiber) -> Tuple[List[Key], Fiber]:
-    """Line data of family ``k`` moved to the other augmented family.
+#: the domain error of a move out of chart family k into the other family
+_UNGLUED = {
+    2: "v-block vanishes; point not glued to first family",
+    1: "second-block direction vanishes; point not glued to second family",
+}
 
-    Second-family (r, lam) glues, where the v-block is nonzero, to the
-    first-family direction (r_j * |lam|^2)_{j in [c1]} followed by lam,
-    with fiber scale r_0.  The inverse needs a nonzero second-block
-    direction lam = rho[c1:]; it gives r = (x, rho_j / |lam|^2)_{j in [c1]}.
-    """
-    if k == 2:
-        s2 = _sum_sq(x)
+
+def _move(chart: ChartId, read: Reading, target: ChartId) -> Keys:
+    """The point with reading ``read`` in ``chart`` written into
+    ``target``, another chart of the model: through its glued line data
+    when the two charts' families differ, which needs s2 != 0."""
+    line, x, s2, glued, base = read
+    if target[0] != chart[0]:
         if s2 == _ZERO:
-            raise TransitionDomainError("v-block vanishes; point not glued to first family")
-        return [_mul(rj, s2) for rj in line[1:]] + x, line[0]
-    lam = line[m.c1:]
-    s2 = _sum_sq(lam)
-    if s2 == _ZERO:
-        raise TransitionDomainError(
-            "second-block direction vanishes; point not glued to second family")
-    return [x] + [_div(rj, s2) for rj in line[: m.c1]], lam
+            raise TransitionDomainError(_UNGLUED[chart[0]])
+        line, x = glued
+    return _in_chart(target, line, x, base)
 
 
 def transition(p: BlowupPoint, target: ChartId) -> BlowupPoint:
@@ -277,10 +318,7 @@ def _transition(m: Model, chart: ChartId, u: Keys, target: ChartId) -> Keys:
     of the model (``u`` itself when the two agree)."""
     if target == chart:
         return u
-    line, x = _line_data(m, chart, u)
-    if target[0] != chart[0]:
-        line, x = _glued(m, chart[0], line, x)
-    return _in_chart(target, line, x, u[m.c:])
+    return _move(chart, _read(m, chart, u), target)
 
 
 def chart_moves(p: BlowupPoint) -> Dict[ChartId, Optional[BlowupPoint]]:
@@ -292,10 +330,14 @@ def chart_moves(p: BlowupPoint) -> Dict[ChartId, Optional[BlowupPoint]]:
 
 
 def _moves(m: Model, chart: ChartId, u: Keys) -> Dict[ChartId, Optional[Keys]]:
+    read = _read(m, chart, u)
     moves: Dict[ChartId, Optional[Keys]] = {}
     for target in m.charts():
+        if target == chart:
+            moves[target] = u
+            continue
         try:
-            moves[target] = _transition(m, chart, u, target)
+            moves[target] = _move(chart, read, target)
         except TransitionDomainError:
             moves[target] = None
     return moves
@@ -349,7 +391,11 @@ def exceptional_classify(p: BlowupPoint) -> str:
 
 
 def _classify(m: Model, chart: ChartId, u: Keys) -> str:
-    line, x = _line_data(m, chart, u)
+    return _tag(m, chart, *_line_data(m, chart, u))
+
+
+def _tag(m: Model, chart: ChartId, line: List[Key], x: Fiber) -> str:
+    """The locus tag of the point with line data (line, x) in ``chart``."""
     if chart[0] == 1:
         if x != _ZERO:
             return OFF
@@ -396,12 +442,15 @@ def lemma_hypothesis_check(
 def _relations(m: Model, chart: ChartId, u: Keys, img: Keys) -> Iterator[Tuple[str, bool]]:
     """(name, holds) for each relation of lemma_hypothesis_check, in
     report order; each expected value is computed as it is reached, so a
-    caller that stops at the first failure computes no more."""
+    caller that stops at the first failure computes no more.  The sum of
+    squares S is taken from ``u`` here, not from a reading, so that the
+    relations check the blowdown's S independently."""
     k, i = chart
+    names = m.relation_names
     if m.kind != "augmented" or k == 1:
         t = u[i - 1]
-        for j in range(1, m.c + 1):
-            yield "slot%d" % j, img[j - 1] == (t if j == i else _mul(u[j - 1], t))
+        for j in range(m.c):
+            yield names[j], img[j] == (t if j == i - 1 else _mul(u[j], t))
     else:
         s2 = _sum_sq(u[m.c1: m.c])
         r0 = _ONE if i == 0 else u[0]
@@ -412,11 +461,11 @@ def _relations(m: Model, chart: ChartId, u: Keys, img: Keys) -> Iterator[Tuple[s
                 expect = _mul(s2, u[0])
             else:
                 expect = _mul(_mul(s2, u[0]), u[j - 1] if j > i else u[j])
-            yield "slot%d" % j, img[j - 1] == expect
-        for j in range(m.c1 + 1, m.c + 1):
-            yield "slot%d" % j, img[j - 1] == _mul(r0, u[j - 1])
-    for j in range(m.c + 1, m.c + m.m + 1):
-        yield "base%d" % (j - m.c), img[j - 1] == u[j - 1]
+            yield names[j - 1], img[j - 1] == expect
+        for j in range(m.c1, m.c):
+            yield names[j], img[j] == _mul(r0, u[j])
+    for j in range(m.c, m.c + m.m):
+        yield names[j], img[j] == u[j]
 
 
 def corrupted_chart_control(p: BlowupPoint,
@@ -486,16 +535,25 @@ def verify_model(
     relations in every chart, blowdown invariance and the cocycle
     identity over all chart triples (on overlap points), and injectivity
     of the blowdown off the exceptional locus (by hashing images).
-    Each point is blown down once and moved into each chart once; the
-    invariance and cocycle checks read those moves, and a triple whose
-    middle chart a1 is the point's own chart reads the stored move into a
-    as its route.  Points and images are tuples of keys; a point becomes a
-    :class:`BlowupPoint` only to be written into a failure.  Returns a
-    JSON-ready report with per-relation pass counts.
+    Each chart presentation of a point, the sampled one and each move of
+    it into another chart, is read once (:func:`_read`): its line data
+    and, on the augmented model, its sum of squares and its glued line
+    data.  That reading gives the presentation's image and its moves: the
+    sampled point's moves into every chart, and for a triple (a, a1) the
+    route from the stored move into a1 on to a.  A triple with a1 the
+    point's own chart, or with a = a1, has a stored move as its route and
+    is counted without routing.  Points and images are tuples of keys; a
+    point becomes a :class:`BlowupPoint` only to be written into a
+    failure.  Returns a JSON-ready report with per-relation pass counts.
     """
     model = PRESETS[preset]
     rng = random.Random("%s:%r" % (preset, seed))
     charts = model.charts()
+    pairs = list(itertools.product(charts, repeat=2))
+    # the report key of each relation, per chart family
+    relation_keys = {k: {name: "%s:k%d:%s" % (preset, k, name)
+                         for name in model.relation_names}
+                     for k in {t[0] for t in charts}}
     relation_pass: Dict[str, int] = {}
     relation_total: Dict[str, int] = {}
     cocycle_pass = cocycle_total = 0
@@ -511,9 +569,11 @@ def verify_model(
     for n in range(n_samples):
         chart = charts[n % len(charts)]
         u = _sample(model, rng, bound, True)
-        img = _blowdown(model, chart, u)
+        read = _read(model, chart, u)
+        img = _blowdown(model, chart, u, read)
+        keys = relation_keys[chart[0]]
         for name, ok in _relations(model, chart, u, img):
-            key = "%s:k%d:%s" % (preset, chart[0], name)
+            key = keys[name]
             relation_total[key] = relation_total.get(key, 0) + 1
             relation_pass[key] = relation_pass.get(key, 0) + ok
             if not ok:
@@ -523,37 +583,41 @@ def verify_model(
             control_pass += 1
         else:
             failures.append("negative control passed at %s" % text(chart, u))
-        moves = _moves(model, chart, u)
+        moves: Dict[ChartId, Optional[Keys]] = {chart: u}
+        reads = {chart: read}
         for target in charts:
-            q = moves[target]
-            if q is None:
-                continue
+            if target != chart:
+                try:
+                    q = _move(chart, read, target)
+                except TransitionDomainError:
+                    moves[target] = None
+                    continue
+                moves[target], reads[target] = q, _read(model, target, q)
             invariance_total += 1
             # the point in its own chart is u, whose image is img
-            if target == chart or _blowdown(model, target, q) == img:
+            if target == chart or _blowdown(model, target, q, reads[target]) == img:
                 invariance_pass += 1
             else:
                 failures.append("blowdown not invariant %r -> %r" % (chart, target))
-        for a, a1 in itertools.product(charts, repeat=2):
-            if a1 == chart:
-                if a == a1:
-                    continue
-                # p -> a1 is the identity, so the route p -> a1 -> a is
-                # the stored move into a: the triple is counted, with no
-                # route of its own to compare
-                if moves[a] is None:
-                    continue
+        for a, a1 in pairs:
+            direct, q1 = moves[a], moves[a1]
+            if direct is None or q1 is None or a == a1 == chart:
+                continue
+            if a1 == chart or a == a1:
+                # one leg of p -> a1 -> a is the identity, so its route is
+                # a stored move: the triple is counted, with no route of
+                # its own to compare
                 ok = True
             else:
                 try:
-                    ok = _cocycle(model, moves, a, a1)
+                    ok = _move(a1, reads[a1], a) == direct
                 except TransitionDomainError:
                     continue
             cocycle_total += 1
             cocycle_pass += ok
             if not ok:
                 failures.append("cocycle %r,%r,%r at %s" % (a, a1, chart, text(chart, u)))
-        if _classify(model, chart, u) == OFF:
+        if _tag(model, chart, read[0], read[1]) == OFF:
             prev = image_index.get(img)
             if prev is None:
                 image_index[img] = (chart, u)

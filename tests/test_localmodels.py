@@ -233,7 +233,9 @@ def _off_by_one(u):
 
 
 class TestNonVacuity:
-    """Planted faults in the key functions that verify_model calls."""
+    """Planted faults in the key functions that verify_model calls: every
+    move of a point out of its chart, into the sampled point's charts and
+    along each cocycle route, is a _move call."""
 
     # one chart move per preset; its base coordinate is made off by one
     ROUTES = {
@@ -247,15 +249,15 @@ class TestNonVacuity:
         honest_rep = verify_model(preset, n_samples=30)
         assert honest_rep["ok"]
         src, dst = self.ROUTES[preset]
-        honest = localmodels._transition
+        honest = localmodels._move
 
-        def perturbed(m, chart, u, target):
-            q = honest(m, chart, u, target)
+        def perturbed(chart, read, target):
+            q = honest(chart, read, target)
             if chart == src and target == dst:
                 q = _off_by_one(q)
             return q
 
-        monkeypatch.setattr(localmodels, "_transition", perturbed)
+        monkeypatch.setattr(localmodels, "_move", perturbed)
         rep = verify_model(preset, n_samples=30)
         assert rep["ok"] is False
         for check in ("cocycle", "blowdown_invariance"):
@@ -268,15 +270,15 @@ class TestNonVacuity:
         # aug31) gets its base coordinate off by one
         family = PRESETS[preset].charts()[-1][0]
         assert verify_model(preset, n_samples=30)["ok"]
-        honest = localmodels._transition
+        honest = localmodels._move
 
-        def wrong(m, chart, u, target):
-            q = honest(m, chart, u, target)
-            if target[0] == family and q is not u:
+        def wrong(chart, read, target):
+            q = honest(chart, read, target)
+            if target[0] == family:
                 q = _off_by_one(q)
             return q
 
-        monkeypatch.setattr(localmodels, "_transition", wrong)
+        monkeypatch.setattr(localmodels, "_move", wrong)
         rep = verify_model(preset, n_samples=30)
         assert rep["ok"] is False
         for check in ("cocycle", "blowdown_invariance"):
@@ -284,22 +286,21 @@ class TestNonVacuity:
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_wrong_blowdown_of_moved_points_fails(self, preset, monkeypatch):
-        # the points _transition moves out of their chart blow down with
-        # the base coordinate off by one; sampled points blow down honestly
+        # the points _move writes into another chart blow down with the
+        # base coordinate off by one; sampled points blow down honestly
         moved = {}
-        honest_transition, honest_blowdown = localmodels._transition, localmodels._blowdown
+        honest_move, honest_blowdown = localmodels._move, localmodels._blowdown
 
-        def recording(m, chart, u, target):
-            q = honest_transition(m, chart, u, target)
-            if q is not u:
-                moved[id(q)] = q  # kept, so that no id is reused
+        def recording(chart, read, target):
+            q = honest_move(chart, read, target)
+            moved[id(q)] = q  # kept, so that no id is reused
             return q
 
-        def wrong(m, chart, u):
-            img = honest_blowdown(m, chart, u)
+        def wrong(m, chart, u, *read):
+            img = honest_blowdown(m, chart, u, *read)
             return _off_by_one(img) if id(u) in moved else img
 
-        monkeypatch.setattr(localmodels, "_transition", recording)
+        monkeypatch.setattr(localmodels, "_move", recording)
         monkeypatch.setattr(localmodels, "_blowdown", wrong)
         rep = verify_model(preset, n_samples=30)
         assert rep["ok"] is False
@@ -307,6 +308,25 @@ class TestNonVacuity:
         inv = rep["blowdown_invariance"]
         assert inv["pass"] == 30 < inv["total"]
         assert rep["cocycle"]["pass"] == rep["cocycle"]["total"]
+
+    def test_wrong_glued_fiber_scale_fails(self, monkeypatch):
+        # aug31: the fiber scale r_0 of every second-family presentation
+        # glued to the first family is off by one; the blowdown of a
+        # second-family chart and every move out of it read that scale
+        assert verify_model("aug31", n_samples=30)["ok"]
+        honest = localmodels._read
+
+        def wrong(m, chart, u):
+            line, x, s2, glued, base = honest(m, chart, u)
+            if chart[0] == 2:
+                glued = glued[0], _add(glued[1], ONE._k)
+            return line, x, s2, glued, base
+
+        monkeypatch.setattr(localmodels, "_read", wrong)
+        rep = verify_model("aug31", n_samples=30)
+        assert rep["ok"] is False
+        for check in ("cocycle", "blowdown_invariance"):
+            assert 0 < rep[check]["pass"] < rep[check]["total"]
 
 
 def _first_sample(preset, seed=0, bound=20):
@@ -388,15 +408,21 @@ class TestFailureEntries:
 
 
 class TestVerifierWork:
-    """Key-function calls per 500 samples.  A point is blown down once, and
-    once more in each other chart; it is written into each other chart
-    once, and once more per cocycle triple (a, a1) with a1 neither its own
-    chart nor a; the triples through its own chart read the stored moves."""
+    """Key-function calls per 500 samples.  Each chart presentation of a
+    point, the sampled one and its move into each other chart, has its
+    line data read once (and, on aug31, its sum of squares taken once) and
+    is blown down once.  A point is written into each other chart once,
+    and once more per cocycle triple (a, a1) with a1 neither its own chart
+    nor a, from the reading of the stored move into a1; the triples
+    through its own chart read the stored moves.  On aug31 the relations
+    and the negative control of a second-family point each take the sum
+    of squares of its coordinates for themselves (333 + 333 of the 2,166),
+    so that they check the blowdown independently of its reading."""
 
     CALLS_AT_500 = {
-        "real3": {"_in_chart": 3000, "_blowdown": 1500},
-        "complex2": {"_in_chart": 1000, "_blowdown": 1000},
-        "aug31": {"_in_chart": 3000, "_blowdown": 1500},
+        "real3": {"_in_chart": 3000, "_blowdown": 1500, "_line_data": 1500, "_sum_sq": 0},
+        "complex2": {"_in_chart": 1000, "_blowdown": 1000, "_line_data": 1000, "_sum_sq": 0},
+        "aug31": {"_in_chart": 3000, "_blowdown": 1500, "_line_data": 1500, "_sum_sq": 2166},
     }
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
