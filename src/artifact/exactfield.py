@@ -465,11 +465,3 @@ def frame(r0: ProjPoint, r1: ProjPoint, r2: ProjPoint):
     (see _frame)."""
     apply = _frame(r0._k, r1._k, r2._k)
     return lambda z: _point(apply(z._k))
-
-
-def mobius(z: ProjPoint, al, be, ga, de) -> ProjPoint:
-    """[a:b] -> [al*a+be*b : ga*a+de*b]; requires al*de - be*ga != 0."""
-    al, be, ga, de = map(_coerce, (al, be, ga, de))
-    if (al * de - be * ga).is_zero():
-        raise ExactFieldError("singular Mobius transformation")
-    return ProjPoint(al * z.a + be * z.b, ga * z.a + de * z.b)

@@ -468,23 +468,15 @@ def _relations(m: Model, chart: ChartId, u: Keys, img: Keys) -> Iterator[Tuple[s
         yield names[j], img[j] == u[j]
 
 
-def corrupted_chart_control(p: BlowupPoint,
-                            image: Optional[Tuple[Scalar, ...]] = None) -> bool:
+def _control(m: Model, chart: ChartId, u: Keys, img: Keys) -> bool:
     """Negative control: a chart with two swapped coordinates must fail.
 
-    Swaps the first two chart coordinates of ``p`` (perturbing one of
-    them if they happen to coincide) and checks that the corrupted chart
-    no longer satisfies the blowup-recognition relations against the
-    honest blowdown image, ``image`` if given, else ``blowdown(p)``.
-    Returns True iff the relations fail; the check stops at the first
-    relation that does.
+    Swaps the first two chart coordinates of ``u`` (perturbing one of them
+    if they coincide) and checks that the corrupted chart no longer
+    satisfies the blowup-recognition relations against the honest image
+    ``img``.  Returns True iff the relations fail; the check stops at the
+    first relation that does.
     """
-    m, u = p.model, _keys(p)
-    img = _blowdown(m, p.chart, u) if image is None else tuple(map(_key, image))
-    return _control(m, p.chart, u, img)
-
-
-def _control(m: Model, chart: ChartId, u: Keys, img: Keys) -> bool:
     swapped = list(u)
     swapped[0], swapped[1] = u[1], u[0]
     if u[0] == u[1]:

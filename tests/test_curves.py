@@ -26,7 +26,7 @@ from artifact.curves import (
     sample_curve,
 )
 from artifact.exactfield import (PP_INF, PP_ONE, PP_ZERO, GaussRat, ParseError,
-                                 UnstableConfiguration, cross_ratio,
+                                 ProjPoint, UnstableConfiguration, cross_ratio,
                                  finite_point, frame, pp)
 from artifact.quotient import fiber_samples
 
@@ -37,6 +37,12 @@ def tree_with_split(l, rho, real=False):
         if len(t.edges) == 1 and strata.stratum_edge(t, rho) is not None:
             return t
     raise AssertionError("no tree with split %r" % (sorted(map(str, rho)),))
+
+
+def _mobius(z, al, be, ga, de):
+    """[a:b] -> [al*a + be*b : ga*a + de*b], for GaussRat coefficients with
+    al*de - be*ga != 0."""
+    return ProjPoint(al * z.a + be * z.b, ga * z.a + de * z.b)
 
 
 class TestSamplingAndValidation:
@@ -310,13 +316,11 @@ class TestModuliKey:
         assert moduli_key(c) == moduli_key(curve_from_json(c.to_json()))
 
     def test_mobius_invariance_on_smooth(self):
-        from artifact.exactfield import mobius, GaussRat
-
         t = [x for x in trees.enumerate_trees(4) if not x.edges][0]
         c = sample_curve(t, 30, ("mob",))
         moved = StableCurve(
             t,
-            {0: {s: mobius(z, GaussRat(2), GaussRat(1), GaussRat(1), GaussRat(1))
+            {0: {s: _mobius(z, GaussRat(2), GaussRat(1), GaussRat(1), GaussRat(1))
                  for s, z in c.coords[0].items()}},
         )
         assert moduli_key(moved) == moduli_key(c)

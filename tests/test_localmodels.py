@@ -18,7 +18,6 @@ from artifact.localmodels import (
     blowdown,
     chart_moves,
     cocycle_check,
-    corrupted_chart_control,
     exceptional_classify,
     lemma_hypothesis_check,
     sample_point,
@@ -199,7 +198,8 @@ class TestLemmaRelations:
         for n in range(40):
             p = sample_point(m, m.charts()[n % len(m.charts())], rng,
                              avoid_zero=True)
-            assert corrupted_chart_control(p)
+            u = _keys(p)
+            assert localmodels._control(m, p.chart, u, localmodels._blowdown(m, p.chart, u))
 
 
 class TestInjectivity:
@@ -476,7 +476,8 @@ def test_control_reads_the_given_image():
         m = PRESETS[preset]
         rng = random.Random("control-image:" + preset)
         p = sample_point(m, m.charts()[0], rng, avoid_zero=True)
-        assert corrupted_chart_control(p, blowdown(p))
+        u = _keys(p)
+        assert localmodels._control(m, p.chart, u, localmodels._blowdown(m, p.chart, u))
         # a wrong image fails the honest chart too, so the control reads it
         wrong = tuple(z + 1 for z in blowdown(p))
         assert not lemma_hypothesis_check(p, image=wrong)["all_ok"]
@@ -552,6 +553,16 @@ def _same_outcome(got, want):
     return not isinstance(got, Exception) and got == want
 
 
+def _corrupted(p):
+    """``p`` with its first two coordinates swapped, the first one plus one
+    if they are equal: the chart that the negative control checks."""
+    coords = list(p.coords)
+    coords[0], coords[1] = p.coords[1], p.coords[0]
+    if p.coords[0] == p.coords[1]:
+        coords[0] = coords[0] + 1
+    return BlowupPoint(p.model, p.chart, tuple(coords))
+
+
 class TestWrappersMatchKeyFunctions:
     """Each public function is its key function behind a conversion: the
     same values, and the same TransitionDomainError types and texts."""
@@ -574,12 +585,15 @@ class TestWrappersMatchKeyFunctions:
                 assert tuple(z._k for z in blowdown(p)) == img
                 assert exceptional_classify(p) == localmodels._classify(m, chart, u)
                 wrong = tuple(z + 1 for z in blowdown(p))
+                corrupted = _corrupted(p)
                 for image, keys in ((None, img), (wrong, tuple(z._k for z in wrong))):
                     rels = dict(localmodels._relations(m, chart, u, keys))
                     assert lemma_hypothesis_check(p, image) == dict(
                         rels, all_ok=all(rels.values()))
-                    assert corrupted_chart_control(p, image) == localmodels._control(
-                        m, chart, u, keys)
+                    # the negative control fails exactly when the public
+                    # check passes the corrupted chart against the image
+                    assert localmodels._control(m, chart, u, keys) == (
+                        not lemma_hypothesis_check(corrupted, image or blowdown(p))["all_ok"])
                 moves, key_moves = chart_moves(p), localmodels._moves(m, chart, u)
                 assert list(moves) == list(key_moves) == charts
                 for t in charts:
