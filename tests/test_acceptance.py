@@ -224,6 +224,9 @@ def test_criterion_10_local_models():
     for p in ("real3", "complex2"):
         assert reports[p]["cocycle"]["total"] >= 500
         assert reports[p]["cocycle"]["pass"] == reports[p]["cocycle"]["total"]
+    # triples whose route p -> a1 -> a is not a stored move
+    for p in ("real3", "complex2", "aug31"):
+        assert reports[p]["cocycle"]["routed"] >= 500
     _report(10, "cocycle exact on 500+ overlap points; relation tables green "
                 "for real3/complex2/aug31; corrupted chart rejected; "
                 "blowdown injective off the exceptional locus")

@@ -152,13 +152,13 @@ class TestReports:
 
     def test_all_report_pinned(self, tmp_path):
         # sha256 of the sorted-key JSON of `dm-lab all --seed 0` without its
-        # timestamp, pinned before the local-model verifier reused its moves
+        # timestamp, pinned when the local-model reports gained cocycle.routed
         status, rep = run_json(["all", "--seed", "0"], tmp_path)
         assert status == 0
         rep.pop("timestamp")
         text = json.dumps(rep, sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "b71695dd5b6905fee0b08a0fb4abd66a58dfb40771d860f2bd3d25fbfdbfba3d")
+            "1afdbd134b8a47edd279425b32bb87f014cc9644aa8912e1b264242c5d56316b")
 
     def test_verify_quotient_deterministic(self, tmp_path):
         _, rep1 = run_json(

@@ -437,16 +437,20 @@ class TestVerifierWork:
         rep = verify_model(preset, n_samples=500)
         assert rep["ok"]
         assert counts == self.CALLS_AT_500[preset]
+        # each routed cocycle triple writes one point beyond the sampled
+        # point's moves into the other charts
+        moves = 500 * (len(PRESETS[preset].charts()) - 1)
+        assert rep["cocycle"]["routed"] == counts["_in_chart"] - moves > 0
 
 
 # sha256 of the serialized sample_point output (50 points per preset, chart,
-# bound and avoid_zero flag) and of the sorted-key JSON of
-# verify_localmodels_suite(300, seed=5, bound=3), pinned when sampling drew
-# its scalars through Fraction and the verifier moved each point per check
+# bound and avoid_zero flag), pinned when sampling drew its scalars through
+# Fraction, and of the sorted-key JSON of verify_localmodels_suite(300,
+# seed=5, bound=3), pinned when the report gained cocycle.routed
 SAMPLE_POINTS_SHA256 = (
     "03e310a69b5a7e759e88c5af4ba638b4b127b901e11700f52bc147ff616100ba")
 SUITE_SHA256 = (
-    "e8e9d65a71dd774d852124bce5e6769b7e0794c162e401aa1db3d8dcc7bbdee4")
+    "2fe464eb4f046f5a002efc6536e9c225a0871aa7141250abfdce4d96f8ed9f05")
 
 
 class TestPinnedOutputs:
