@@ -20,9 +20,15 @@ The chart algebra runs on keys: a scalar is the reduced integer triple
 (p, q, d) of a :class:`~artifact.exactfield.GaussRat`, combined by the
 scalar kernel of :mod:`~artifact.exactfield`, and a point is its chart and
 its coordinates' keys, so equal points and images are equal integer
-tuples.  The public functions take and give :class:`BlowupPoint` with
-``GaussRat`` coordinates (real models enforce a zero imaginary part) and
-convert at the boundary; :func:`verify_model` calls the key functions.
+tuples.  A chart presentation of a point is read once (:func:`_read`):
+its line data, its base keys and, on an augmented model, the sum of
+squares of its fiber direction and its line data glued to the other chart
+family.  Its image (:func:`_blowdown`) and its moves into other charts
+(:func:`_move`) come from that reading.  The public functions take and
+give :class:`BlowupPoint` with ``GaussRat`` coordinates (real models
+enforce a zero imaginary part) and convert at the boundary;
+:func:`verify_model` calls the key functions, reads each presentation of
+a sampled point once and reports how many cocycle triples it routes.
 """
 
 from __future__ import annotations
