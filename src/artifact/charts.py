@@ -248,9 +248,6 @@ class ReconstructionTable:
         except (ValueError, KeyError):  # not four marks of the tree
             return 0
 
-    def known(self, q) -> bool:
-        return self._mask(tuple(q)) in self.table
-
     def value(self, q) -> ProjPoint:
         return _point(self.value_key(q))
 

@@ -358,9 +358,6 @@ class ProjPoint:
     def b(self) -> GaussRat:
         return ZERO if self._k[2] == 0 else ONE
 
-    def is_infinity(self):
-        return self._k[2] == 0
-
     def __eq__(self, other):
         if not isinstance(other, ProjPoint):
             return NotImplemented
@@ -439,7 +436,10 @@ def randbelow(rng, n: int) -> int:
     """A uniform draw from range(n), n >= 1: getrandbits(n.bit_length())
     until below n.  It is the draw that random.Random's randrange, randint
     and choice make, so rng.randint(a, b) is a + randbelow(rng, b - a + 1)
-    on the same stream, without their frames."""
+    on the same stream, without their frames.  Like randrange, raises
+    ValueError for an empty range (n < 1)."""
+    if n < 1:
+        raise ValueError("empty range for randbelow(%r)" % (n,))
     k = n.bit_length()
     r = rng.getrandbits(k)
     while r >= n:

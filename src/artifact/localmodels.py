@@ -20,15 +20,15 @@ The chart algebra runs on keys: a scalar is the reduced integer triple
 (p, q, d) of a :class:`~artifact.exactfield.GaussRat`, combined by the
 scalar kernel of :mod:`~artifact.exactfield`, and a point is its chart and
 its coordinates' keys, so equal points and images are equal integer
-tuples.  A chart presentation of a point is read once (:func:`_read`):
-its line data, its base keys and, on an augmented model, the sum of
-squares of its fiber direction and its line data glued to the other chart
-family.  Its image (:func:`_blowdown`) and its moves into other charts
-(:func:`_move`) come from that reading.  The public functions take and
-give :class:`BlowupPoint` with ``GaussRat`` coordinates (real models
-enforce a zero imaginary part) and convert at the boundary;
-:func:`verify_model` calls the key functions, reads each presentation of
-a sampled point once and reports how many cocycle triples it routes.
+tuples.  The key functions form one layer.  :func:`_read` reads a chart
+presentation once into its line data, its base keys and, on an augmented
+model, the sum of squares of its fiber direction and its line data glued
+to the other chart family.  Its image (:func:`_blowdown`), its locus tag
+(:func:`_tag`) and its moves (:func:`_move`; :func:`_moves` into every
+chart) are computed from that reading.  The public functions take and give
+:class:`BlowupPoint` with ``GaussRat`` coordinates (real models enforce a
+zero imaginary part), convert at the boundary and call the key functions,
+as :func:`verify_model` does.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from .exactfield import GaussRat, _add, _div, _gauss, _key, _mul, _reduced, randbelow
 
@@ -68,7 +68,7 @@ class Model:
     ``c`` is the codimension of the center (number of blown-up slots),
     ``c1`` the size of the first block for augmented models (None
     otherwise) and ``m`` the number of untouched base slots.
-    ``chart_set`` holds the ids of :meth:`charts` for membership tests and
+    ``chart_ids`` holds the ids of :meth:`charts`, in that order, and
     ``relation_names`` the names of the blowup-recognition relations
     ("slot1", .., "base1", ..), which every chart checks in that order.
     """
@@ -77,7 +77,7 @@ class Model:
     c: int
     m: int
     c1: Optional[int] = None
-    chart_set: FrozenSet[ChartId] = field(init=False, repr=False, compare=False)
+    chart_ids: Tuple[ChartId, ...] = field(init=False, repr=False, compare=False)
     relation_names: Tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -90,14 +90,15 @@ class Model:
                 raise LocalModelError("augmented model needs 1 <= c1 < c")
         elif self.c1 is not None:
             raise LocalModelError("c1 only applies to augmented models")
-        _set(self, "chart_set", frozenset(self.charts()))
+        if self.kind == "augmented":
+            ids = [(1, i) for i in range(1, self.c1 + 1)]
+            ids += [(2, i) for i in range(self.c1 + 1)]
+        else:
+            ids = [(1, i) for i in range(1, self.c + 1)]
+        _set(self, "chart_ids", tuple(ids))
         _set(self, "relation_names",
              tuple(["slot%d" % j for j in range(1, self.c + 1)]
                    + ["base%d" % j for j in range(1, self.m + 1)]))
-
-    @property
-    def c2(self) -> int:
-        return self.c - self.c1 if self.c1 is not None else 0
 
     @property
     def is_complex(self) -> bool:
@@ -105,11 +106,7 @@ class Model:
 
     def charts(self) -> List[ChartId]:
         """All chart ids: (1, i) for first-family, (2, i) for second."""
-        if self.kind == "augmented":
-            first = [(1, i) for i in range(1, self.c1 + 1)]
-            second = [(2, i) for i in range(0, self.c1 + 1)]
-            return first + second
-        return [(1, i) for i in range(1, self.c + 1)]
+        return list(self.chart_ids)
 
 
 #: first-class model instances used by the verification suites
@@ -134,7 +131,7 @@ class BlowupPoint:
 
     def __post_init__(self):
         m = self.model
-        if self.chart not in m.chart_set:
+        if self.chart not in m.chart_ids:
             raise LocalModelError("chart %r not in model" % (self.chart,))
         if len(self.coords) != m.c + m.m:
             raise LocalModelError(
@@ -181,27 +178,16 @@ def _scalars(u: Keys) -> Tuple[Scalar, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _line_data(m: Model, chart: ChartId, u: Keys) -> Tuple[List[Key], Fiber]:
-    """(line, x) of the point with coordinate keys ``u`` in ``chart``.
+def _read(m: Model, chart: ChartId, u: Keys) -> Reading:
+    """The reading (line, x, s2, glued, base) of the point with coordinate
+    keys ``u`` in ``chart``: its line data (line, x), on an augmented model
+    the sum of squares s2 of its fiber direction and its line data glued
+    to the other family (None elsewhere), and its base keys.
 
     Standard or first-family chart i: the line rho with rho_i = 1 and the
     fiber scale x = u_i, so model slot j carries x * rho_j.  Second-family
     chart i: the line r = (r_0, .., r_{c1}) with r_i = 1, whose other
     entries the chart lists in order, and x = lam, the v-row after them.
-    """
-    k, i = chart
-    if k == 1:
-        line = list(u[: m.c])
-        line[i - 1] = _ONE
-        return line, u[i - 1]
-    return list(u[:i]) + [_ONE] + list(u[i: m.c1]), list(u[m.c1: m.c])
-
-
-def _read(m: Model, chart: ChartId, u: Keys) -> Reading:
-    """The reading (line, x, s2, glued, base) of the point with coordinate
-    keys ``u`` in ``chart``: its line data, on an augmented model the sum
-    of squares s2 of its fiber direction and its line data glued to the
-    other family (None elsewhere), and its base keys.
 
     Second-family (r, lam) glues, where the v-block is nonzero, to the
     first-family direction (r_j * |lam|^2)_{j in [c1]} followed by lam,
@@ -209,13 +195,16 @@ def _read(m: Model, chart: ChartId, u: Keys) -> Reading:
     second-block direction lam = rho[c1:], with s2 = |lam|^2; it gives
     r = (x, rho_j / s2)_{j in [c1]}, and no glued data where s2 = 0.
     """
-    line, x = _line_data(m, chart, u)
+    k, i = chart
     base = u[m.c:]
-    if m.kind != "augmented":
-        return line, x, None, None, base
-    if chart[0] == 2:
+    if k == 2:
+        line, x = list(u[:i]) + [_ONE] + list(u[i: m.c1]), list(u[m.c1: m.c])
         s2 = _sum_sq(x)
         return line, x, s2, ([_mul(rj, s2) for rj in line[1:]] + x, line[0]), base
+    line, x = list(u[: m.c]), u[i - 1]
+    line[i - 1] = _ONE
+    if m.kind != "augmented":
+        return line, x, None, None, base
     lam = line[m.c1:]
     s2 = _sum_sq(lam)
     glued = None if s2 == _ZERO else ([x] + [_div(rj, s2) for rj in line[: m.c1]], lam)
@@ -241,19 +230,18 @@ def _sum_sq(vals: Sequence[Key]) -> Key:
 def blowdown(p: BlowupPoint) -> Tuple[Scalar, ...]:
     """Image of ``p`` in the model space R^c x R^m (or C^c x R^m).
 
-    With the line data (line, x) of :func:`_line_data`, a standard or
+    With the line data (line, x) of :func:`_read`, a standard or
     first-family chart maps slot j to x * rho_j.  A second-family chart
     maps the first block of slots to r_0 * r_j * |lam|^2 and the second
     block to r_0 * lam_{j-c1}, the first-family image of its glued line
     data, which this formula extends over the v-block zero locus.
     """
-    return _scalars(_blowdown(p.model, p.chart, _keys(p)))
+    return _scalars(_blowdown(p.chart, _read(p.model, p.chart, _keys(p))))
 
 
-def _blowdown(m: Model, chart: ChartId, u: Keys, read: Optional[Reading] = None) -> Keys:
-    """The image keys of ``u`` in ``chart``, from its reading ``read``
-    (:func:`_read` of ``u`` when not given)."""
-    line, x, _s2, glued, base = _read(m, chart, u) if read is None else read
+def _blowdown(chart: ChartId, read: Reading) -> Keys:
+    """The image keys of the point with reading ``read`` in ``chart``."""
+    line, x, _s2, glued, base = read
     if chart[0] == 2:
         line, x = glued
     return tuple([_mul(x, rj) for rj in line]) + base
@@ -312,41 +300,42 @@ def transition(p: BlowupPoint, target: ChartId) -> BlowupPoint:
     cross-family move needs a nonzero v-block / second-block direction).
     """
     m = p.model
-    if target not in m.chart_set:
+    if target not in m.chart_ids:
         raise LocalModelError("chart %r not in model" % (target,))
     if target == p.chart:
         return p
-    return BlowupPoint._of(m, target, _scalars(_transition(m, p.chart, _keys(p), target)))
-
-
-def _transition(m: Model, chart: ChartId, u: Keys, target: ChartId) -> Keys:
-    """The keys ``u`` of a point of ``chart`` written in chart ``target``
-    of the model (``u`` itself when the two agree)."""
-    if target == chart:
-        return u
-    return _move(chart, _read(m, chart, u), target)
+    q = _move(p.chart, _read(m, p.chart, _keys(p)), target)
+    return BlowupPoint._of(m, target, _scalars(q))
 
 
 def chart_moves(p: BlowupPoint) -> Dict[ChartId, Optional[BlowupPoint]]:
     """``p`` moved into every chart of its model (``p`` itself in its own
     chart), or None where the point is outside that chart's domain."""
-    m = p.model
-    return {t: p if t == p.chart else None if u is None else BlowupPoint._of(m, t, _scalars(u))
-            for t, u in _moves(m, p.chart, _keys(p)).items()}
+    m, u = p.model, _keys(p)
+    moves = _moves(m, p.chart, u, _read(m, p.chart, u))[0]
+    return {t: p if t == p.chart else None if q is None else BlowupPoint._of(m, t, _scalars(q))
+            for t, q in moves.items()}
 
 
-def _moves(m: Model, chart: ChartId, u: Keys) -> Dict[ChartId, Optional[Keys]]:
-    read = _read(m, chart, u)
+def _moves(m: Model, chart: ChartId, u: Keys, read: Reading
+           ) -> Tuple[Dict[ChartId, Optional[Keys]], Dict[ChartId, Reading]]:
+    """The keys ``u`` of a point of ``chart``, with reading ``read``, moved
+    into every chart of the model (``u`` itself in ``chart``), or None
+    where the point is outside that chart's domain; and the reading of
+    each presentation that exists."""
     moves: Dict[ChartId, Optional[Keys]] = {}
-    for target in m.charts():
+    reads = {chart: read}
+    for target in m.chart_ids:
         if target == chart:
             moves[target] = u
             continue
         try:
-            moves[target] = _move(chart, read, target)
+            q = _move(chart, read, target)
         except TransitionDomainError:
             moves[target] = None
-    return moves
+            continue
+        moves[target], reads[target] = q, _read(m, target, q)
+    return moves, reads
 
 
 def cocycle_check(
@@ -360,17 +349,12 @@ def cocycle_check(
     to ``a``.  Raises :class:`TransitionDomainError` when p is outside the
     triple-overlap domain.
     """
-    model = next((q.model for q in moves.values() if q is not None), None)
-    keys = {t: None if q is None else _keys(q) for t, q in moves.items()}
-    return _cocycle(model, keys, a, a1)
-
-
-def _cocycle(m: Model, moves: Dict[ChartId, Optional[Keys]], a: ChartId, a1: ChartId) -> bool:
     direct, q1 = moves[a], moves[a1]
     if direct is None or q1 is None:
         raise TransitionDomainError("point outside the overlap of charts %r and %r"
                                     % (a, a1))
-    return direct == _transition(m, a1, q1, a)
+    u1 = _keys(q1)
+    return _keys(direct) == (u1 if a1 == a else _move(a1, _read(q1.model, a1, u1), a))
 
 
 # ---------------------------------------------------------------------------
@@ -393,15 +377,12 @@ def exceptional_classify(p: BlowupPoint) -> str:
     vanishes and "E-" iff the line coordinate r_0 vanishes (chart 0
     normalizes r_0 = 1 and misses E- entirely).
     """
-    return _classify(p.model, p.chart, _keys(p))
+    return _tag(p.model, p.chart, _read(p.model, p.chart, _keys(p)))
 
 
-def _classify(m: Model, chart: ChartId, u: Keys) -> str:
-    return _tag(m, chart, *_line_data(m, chart, u))
-
-
-def _tag(m: Model, chart: ChartId, line: List[Key], x: Fiber) -> str:
-    """The locus tag of the point with line data (line, x) in ``chart``."""
+def _tag(m: Model, chart: ChartId, read: Reading) -> str:
+    """The locus tag of the point with reading ``read`` in ``chart``."""
+    line, x = read[:2]
     if chart[0] == 1:
         if x != _ZERO:
             return OFF
@@ -438,9 +419,9 @@ def lemma_hypothesis_check(
     chart presentation exposes a corrupted chart.  Returns a report dict
     with one boolean per relation and ``all_ok``.
     """
-    m, u = p.model, _keys(p)
-    img = _blowdown(m, p.chart, u) if image is None else tuple(map(_key, image))
-    report: Dict[str, object] = dict(_relations(m, p.chart, u, img))
+    m, chart, u = p.model, p.chart, _keys(p)
+    img = _blowdown(chart, _read(m, chart, u)) if image is None else tuple(map(_key, image))
+    report: Dict[str, object] = dict(_relations(m, chart, u, img))
     report["all_ok"] = all(report.values())
     return report
 
@@ -533,18 +514,19 @@ def verify_model(
     relations in every chart, blowdown invariance and the cocycle
     identity over all chart triples (on overlap points), and injectivity
     of the blowdown off the exceptional locus (by hashing images).
-    Each chart presentation of a point, the sampled one and each move of
-    it into another chart, is read once (:func:`_read`): its line data
-    and, on the augmented model, its sum of squares and its glued line
-    data.  That reading gives the presentation's image and its moves: the
-    sampled point's moves into every chart, and for a triple (a, a1) the
-    route from the stored move into a1 on to a.  A triple with a1 the
-    point's own chart, or with a = a1, has a stored move as its route and
-    is counted without routing; ``cocycle.routed`` counts the others.
-    Points and images are tuples of keys; a point becomes a
-    :class:`BlowupPoint` only to be written into a failure.  Returns a
-    JSON-ready report with per-relation pass counts.
+    The sampled point is moved into every chart by :func:`_moves`, which
+    reads each presentation once (:func:`_read`).  That reading gives the
+    presentation's image, and for a triple (a, a1) the route from the
+    stored move into a1 on to a.  A triple with a1 the point's own chart,
+    or with a = a1, has a stored move as its route and is counted without
+    routing; ``cocycle.routed`` counts the others.  Points and images are
+    tuples of keys; a point becomes a :class:`BlowupPoint` only to be
+    written into a failure.  Returns a JSON-ready report with
+    per-relation pass counts.  Raises :class:`LocalModelError` for
+    ``n_samples`` < 1, where no check would run.
     """
+    if n_samples < 1:
+        raise LocalModelError("need n_samples >= 1, got %r" % (n_samples,))
     model = PRESETS[preset]
     rng = random.Random("%s:%r" % (preset, seed))
     charts = model.charts()
@@ -569,7 +551,7 @@ def verify_model(
         chart = charts[n % len(charts)]
         u = _sample(model, rng, bound, True)
         read = _read(model, chart, u)
-        img = _blowdown(model, chart, u, read)
+        img = _blowdown(chart, read)
         keys = relation_keys[chart[0]]
         for name, ok in _relations(model, chart, u, img):
             key = keys[name]
@@ -582,19 +564,12 @@ def verify_model(
             control_pass += 1
         else:
             failures.append("negative control passed at %s" % text(chart, u))
-        moves: Dict[ChartId, Optional[Keys]] = {chart: u}
-        reads = {chart: read}
-        for target in charts:
-            if target != chart:
-                try:
-                    q = _move(chart, read, target)
-                except TransitionDomainError:
-                    moves[target] = None
-                    continue
-                moves[target], reads[target] = q, _read(model, target, q)
+        moves, reads = _moves(model, chart, u, read)
+        # reads holds the presentations that exist, the own chart first
+        for target, r in reads.items():
             invariance_total += 1
             # the point in its own chart is u, whose image is img
-            if target == chart or _blowdown(model, target, q, reads[target]) == img:
+            if target == chart or _blowdown(target, r) == img:
                 invariance_pass += 1
             else:
                 failures.append("blowdown not invariant %r -> %r" % (chart, target))
@@ -617,7 +592,7 @@ def verify_model(
             cocycle_pass += ok
             if not ok:
                 failures.append("cocycle %r,%r,%r at %s" % (a, a1, chart, text(chart, u)))
-        if _tag(model, chart, read[0], read[1]) == OFF:
+        if _tag(model, chart, read) == OFF:
             prev = image_index.get(img)
             if prev is None:
                 image_index[img] = (chart, u)
@@ -647,8 +622,9 @@ def verify_model(
 
 
 def _same_point(m: Model, c1: ChartId, u1: Keys, c2: ChartId, u2: Keys) -> bool:
-    """Whether u1 in chart c1 and u2 in chart c2 are one blown-up point."""
+    """Whether u1 in chart c1 and u2 in chart c2 are one blown-up point:
+    False where u1 has no presentation in c2."""
     try:
-        return _transition(m, c1, u1, c2) == u2
+        return _move(c1, _read(m, c1, u1), c2) == u2
     except TransitionDomainError:
         return False

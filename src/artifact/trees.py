@@ -178,13 +178,6 @@ class MarkedTree:
     def valence(self, v: int) -> int:
         return len(self.mu_inv(v)) + len(self.adjacency()[v])
 
-    def oriented_edges(self) -> List[Edge]:
-        out = []
-        for u, v in self.edges:
-            out.append((u, v))
-            out.append((v, u))
-        return out
-
     def has_edge(self, u: int, v: int) -> bool:
         return 0 <= u < self.vertex_count and v in self.adjacency()[u]
 

@@ -54,7 +54,7 @@ def test_criterion_02_boundary_values_l4():
     nodal = [t for t in trees.enumerate_trees(4) if t.edges]
     assert len(nodal) == 3
     for t in nodal:
-        e = t.oriented_edges()[0]
+        e = t.edges[0]
         rho = trees.split_marks(t, e)
         key = rho if 1 in rho else frozenset(q) - rho
         c = curves.sample_curve(t, 30, ("c2", tuple(sorted(map(str, rho)))))
@@ -243,7 +243,7 @@ def test_criterion_11_real_slice():
             accepted += 1
             for q in basis.quadruples:
                 z = vals[q]
-                if z.is_infinity():
+                if z == PP_INF:
                     perturbed = [ProjPoint(GaussRat(0)), ProjPoint(GaussRat(1)),
                                  ProjPoint(GaussRat(0, 1))]
                 else:

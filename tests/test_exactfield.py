@@ -286,7 +286,7 @@ class TestProjPoint:
     def test_normal_form(self):
         p = ProjPoint(GaussRat(2), GaussRat(4))
         assert p.a == GaussRat(Fraction(1, 2)) and p.b == GaussRat(1)
-        assert PP_INF.is_infinity()
+        assert PP_INF.a == GaussRat(1) and PP_INF.b == GaussRat(0)
 
     def test_serialize_text(self):
         # (1+2i)/(3-4i) = -1/5 + 2/5 i
@@ -352,6 +352,14 @@ class TestRandbelow:
                 assert a.choice(seq) == seq[randbelow(b, n)]
             assert a.getstate() == b.getstate()
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_empty_range_raises(self, n):
+        # as randrange does; getrandbits(0) is 0, which is never below 0
+        with pytest.raises(ValueError):
+            random.Random(0).randrange(n)
+        with pytest.raises(ValueError):
+            randbelow(random.Random(0), n)
+
 
 def _distinct(ps):
     return len(set(ps)) == len(ps)
@@ -402,7 +410,7 @@ class TestCrossRatio:
             return
         cr = cross_ratio(*q)
         if den.is_zero():
-            assert cr.is_infinity() and cr == PP_INF
+            assert cr == PP_INF
         else:
             assert cr.a == num / den and cr.b == ONE
 

@@ -199,7 +199,7 @@ class TestLemmaRelations:
             p = sample_point(m, m.charts()[n % len(m.charts())], rng,
                              avoid_zero=True)
             u = _keys(p)
-            assert localmodels._control(m, p.chart, u, localmodels._blowdown(m, p.chart, u))
+            assert localmodels._control(m, p.chart, u, _image(m, p.chart, u))
 
 
 class TestInjectivity:
@@ -225,6 +225,22 @@ class TestVerifyModel:
         assert rep["injective_off_exceptional"]
         assert rep["negative_control"]["pass"] == rep["negative_control"]["total"]
         assert all(v["pass"] == v["total"] for v in rep["relations"].values())
+
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_no_samples_raises(self, n_samples):
+        # no check would run, so the report could not fail
+        with pytest.raises(LocalModelError):
+            verify_model("real3", n_samples=n_samples)
+        with pytest.raises(LocalModelError):
+            cli.verify_localmodels_suite(n_samples)
+
+
+@pytest.mark.parametrize("avoid_zero", [False, True])
+def test_sample_point_bound_0_raises(avoid_zero):
+    # a denominator in [1, 0] is an empty draw
+    m = PRESETS["real3"]
+    with pytest.raises(ValueError):
+        sample_point(m, (1, 1), random.Random(0), bound=0, avoid_zero=avoid_zero)
 
 
 def _off_by_one(u):
@@ -288,19 +304,27 @@ class TestNonVacuity:
     def test_wrong_blowdown_of_moved_points_fails(self, preset, monkeypatch):
         # the points _move writes into another chart blow down with the
         # base coordinate off by one; sampled points blow down honestly
-        moved = {}
-        honest_move, honest_blowdown = localmodels._move, localmodels._blowdown
+        moved, moved_reads = {}, {}
+        honest_move, honest_read = localmodels._move, localmodels._read
+        honest_blowdown = localmodels._blowdown
 
         def recording(chart, read, target):
             q = honest_move(chart, read, target)
             moved[id(q)] = q  # kept, so that no id is reused
             return q
 
-        def wrong(m, chart, u, *read):
-            img = honest_blowdown(m, chart, u, *read)
-            return _off_by_one(img) if id(u) in moved else img
+        def reading(m, chart, u):
+            read = honest_read(m, chart, u)
+            if id(u) in moved:
+                moved_reads[id(read)] = read
+            return read
+
+        def wrong(chart, read):
+            img = honest_blowdown(chart, read)
+            return _off_by_one(img) if id(read) in moved_reads else img
 
         monkeypatch.setattr(localmodels, "_move", recording)
+        monkeypatch.setattr(localmodels, "_read", reading)
         monkeypatch.setattr(localmodels, "_blowdown", wrong)
         rep = verify_model(preset, n_samples=30)
         assert rep["ok"] is False
@@ -358,7 +382,7 @@ class TestFailureEntries:
                 yield name, ok and k > 0
 
         chart, u, text = _first_sample(preset)
-        name = next(honest(model, chart, u, localmodels._blowdown(model, chart, u)))[0]
+        name = next(honest(model, chart, u, _image(model, chart, u)))[0]
         monkeypatch.setattr(localmodels, "_relations", first_fails)
         rep = verify_model(preset, n_samples=30)
         assert rep["ok"] is False
@@ -408,10 +432,11 @@ class TestFailureEntries:
 
 
 class TestVerifierWork:
-    """Key-function calls per 500 samples.  Each chart presentation of a
-    point, the sampled one and its move into each other chart, has its
-    line data read once (and, on aug31, its sum of squares taken once) and
-    is blown down once.  A point is written into each other chart once,
+    """Key-function calls per 500 samples.  Each sampled point is moved
+    into the other charts by one _moves call.  Each chart presentation of
+    a point, the sampled one and its move into each other chart, is read
+    once (and, on aug31, its sum of squares taken once) and is blown down
+    once.  A point is written into each other chart once,
     and once more per cocycle triple (a, a1) with a1 neither its own chart
     nor a, from the reading of the stored move into a1; the triples
     through its own chart read the stored moves.  On aug31 the relations
@@ -420,9 +445,12 @@ class TestVerifierWork:
     so that they check the blowdown independently of its reading."""
 
     CALLS_AT_500 = {
-        "real3": {"_in_chart": 3000, "_blowdown": 1500, "_line_data": 1500, "_sum_sq": 0},
-        "complex2": {"_in_chart": 1000, "_blowdown": 1000, "_line_data": 1000, "_sum_sq": 0},
-        "aug31": {"_in_chart": 3000, "_blowdown": 1500, "_line_data": 1500, "_sum_sq": 2166},
+        "real3": {"_in_chart": 3000, "_blowdown": 1500, "_read": 1500, "_moves": 500,
+                  "_sum_sq": 0},
+        "complex2": {"_in_chart": 1000, "_blowdown": 1000, "_read": 1000, "_moves": 500,
+                     "_sum_sq": 0},
+        "aug31": {"_in_chart": 3000, "_blowdown": 1500, "_read": 1500, "_moves": 500,
+                  "_sum_sq": 2166},
     }
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -481,7 +509,7 @@ def test_control_reads_the_given_image():
         rng = random.Random("control-image:" + preset)
         p = sample_point(m, m.charts()[0], rng, avoid_zero=True)
         u = _keys(p)
-        assert localmodels._control(m, p.chart, u, localmodels._blowdown(m, p.chart, u))
+        assert localmodels._control(m, p.chart, u, _image(m, p.chart, u))
         # a wrong image fails the honest chart too, so the control reads it
         wrong = tuple(z + 1 for z in blowdown(p))
         assert not lemma_hypothesis_check(p, image=wrong)["all_ok"]
@@ -543,6 +571,21 @@ def _keys(p):
     return tuple(z._k for z in p.coords)
 
 
+def _image(m, chart, u):
+    """The image keys of the keys u in chart."""
+    return localmodels._blowdown(chart, localmodels._read(m, chart, u))
+
+
+def _key_cocycle(moves, reads, a, a1):
+    """The cocycle identity on the key moves and readings of one point:
+    the move into a against the move into a1 moved on to a."""
+    direct, q1 = moves[a], moves[a1]
+    if direct is None or q1 is None:
+        raise TransitionDomainError("point outside the overlap of charts %r and %r"
+                                    % (a, a1))
+    return direct == (q1 if a == a1 else localmodels._move(a1, reads[a1], a))
+
+
 def _outcome(f, *args):
     """f(*args), or the TransitionDomainError it raises."""
     try:
@@ -585,9 +628,10 @@ class TestWrappersMatchKeyFunctions:
                     assert _keys(p) == localmodels._sample(m, rng, bound, avoid_zero)
             for p in TestChartAlgebraPinned._points(m, chart, rng):
                 u = _keys(p)
-                img = localmodels._blowdown(m, chart, u)
+                read = localmodels._read(m, chart, u)
+                img = localmodels._blowdown(chart, read)
                 assert tuple(z._k for z in blowdown(p)) == img
-                assert exceptional_classify(p) == localmodels._classify(m, chart, u)
+                assert exceptional_classify(p) == localmodels._tag(m, chart, read)
                 wrong = tuple(z + 1 for z in blowdown(p))
                 corrupted = _corrupted(p)
                 for image, keys in ((None, img), (wrong, tuple(z._k for z in wrong))):
@@ -598,10 +642,13 @@ class TestWrappersMatchKeyFunctions:
                     # check passes the corrupted chart against the image
                     assert localmodels._control(m, chart, u, keys) == (
                         not lemma_hypothesis_check(corrupted, image or blowdown(p))["all_ok"])
-                moves, key_moves = chart_moves(p), localmodels._moves(m, chart, u)
+                moves = chart_moves(p)
+                key_moves, reads = localmodels._moves(m, chart, u, read)
                 assert list(moves) == list(key_moves) == charts
+                assert reads == {t: localmodels._read(m, t, q)
+                                 for t, q in key_moves.items() if q is not None}
                 for t in charts:
-                    want = _outcome(localmodels._transition, m, chart, u, t)
+                    want = u if t == chart else _outcome(localmodels._move, chart, read, t)
                     got = _outcome(transition, p, t)
                     if isinstance(want, TransitionDomainError):
                         errors.add(str(want).split(" ")[0])
@@ -612,6 +659,35 @@ class TestWrappersMatchKeyFunctions:
                         assert moves[t] == got and key_moves[t] == want
                 for a, a1 in itertools.product(charts, repeat=2):
                     assert _same_outcome(_outcome(cocycle_check, moves, a, a1),
-                                         _outcome(localmodels._cocycle, m, key_moves, a, a1))
+                                         _outcome(_key_cocycle, key_moves, reads, a, a1))
         # each model reaches a domain error of the transitions
         assert errors
+
+
+class TestSamePoint:
+    """_same_point, which verify_model calls on each repeated image off the
+    exceptional locus, compares two chart presentations as points."""
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_moves_and_changed_copies(self, preset):
+        m = PRESETS[preset]
+        rng = random.Random("same-point:" + preset)
+        same, undefined = localmodels._same_point, 0
+        for chart in m.charts():
+            for p in TestChartAlgebraPinned._points(m, chart, rng):
+                u = _keys(p)
+                moves = localmodels._moves(m, chart, u, localmodels._read(m, chart, u))[0]
+                for t, q in moves.items():
+                    if q is None:
+                        # the point has no presentation in t
+                        undefined += 1
+                        assert same(m, chart, u, t, u) is False
+                        continue
+                    assert same(m, chart, u, t, q) is True
+                    assert same(m, t, q, chart, u) is True
+                    # a chart is a coordinate system, so a copy with one
+                    # coordinate changed is another point
+                    for j in range(len(q)):
+                        changed = q[:j] + (_add(q[j], ONE._k),) + q[j + 1:]
+                        assert same(m, chart, u, t, changed) is False
+        assert undefined

@@ -83,7 +83,7 @@ class TestEnumeration:
         smooth = [t for t in ts if not t.edges]
         nodal = [t for t in ts if t.edges]
         assert len(smooth) == 1 and len(nodal) == 3
-        splits = {frozenset(map(str, split_marks(t, t.oriented_edges()[0])))
+        splits = {frozenset(map(str, split_marks(t, t.edges[0])))
                   for t in nodal}
         assert len(splits) == 3
 
@@ -292,17 +292,19 @@ class TestSplits:
     def test_split_sides_partition(self):
         for t in enumerate_trees(5):
             marks = set(map(str, t.marks()))
-            for e in t.oriented_edges():
-                rho = set(map(str, split_marks(t, e)))
-                co = set(map(str, split_marks(t, (e[1], e[0]))))
-                assert rho | co == marks and not (rho & co)
+            for a, b in t.edges:
+                for e in ((a, b), (b, a)):
+                    rho = set(map(str, split_marks(t, e)))
+                    co = set(map(str, split_marks(t, (e[1], e[0]))))
+                    assert rho | co == marks and not (rho & co)
 
     def test_subtree_split_components(self):
         for t in enumerate_trees(5):
-            for u, v in t.oriented_edges():
-                near, far = subtree_split(t, (u, v))
-                assert u in near and v in far
-                assert not (near & far)
+            for a, b in t.edges:
+                for u, v in ((a, b), (b, a)):
+                    near, far = subtree_split(t, (u, v))
+                    assert u in near and v in far
+                    assert not (near & far)
 
 
 class TestGeometryHelpers:
@@ -378,12 +380,13 @@ class TestSplitIndex:
     def test_sides_and_marks(self):
         for name, t in _index_cases():
             n = t.vertex_count
-            for u, v in t.oriented_edges():
-                side = _bfs_side(t, u, v)
-                assert subtree_split(t, (u, v)) == (
-                    frozenset(side), frozenset(range(n)) - side), name
-                assert split_marks(t, (u, v)) == frozenset(
-                    m for m, w in t.mu.items() if w in side), name
+            for a, b in t.edges:
+                for u, v in ((a, b), (b, a)):
+                    side = _bfs_side(t, u, v)
+                    assert subtree_split(t, (u, v)) == (
+                        frozenset(side), frozenset(range(n)) - side), name
+                    assert split_marks(t, (u, v)) == frozenset(
+                        m for m, w in t.mu.items() if w in side), name
 
     def test_missing_edge_rejected(self):
         for name, t in _index_cases():
@@ -441,9 +444,10 @@ class TestSplitIndex:
     def test_stratum_edge(self):
         for name, t in _index_cases():
             splits = {}
-            for u, v in t.oriented_edges():
-                side = _bfs_side(t, u, v)
-                splits[frozenset(m for m, w in t.mu.items() if w in side)] = (u, v)
+            for a, b in t.edges:
+                for u, v in ((a, b), (b, a)):
+                    side = _bfs_side(t, u, v)
+                    splits[frozenset(m for m, w in t.mu.items() if w in side)] = (u, v)
             marks = t.marks()
             for r in range(len(marks) + 1):
                 for rho in itertools.combinations(marks, r):
