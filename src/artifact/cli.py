@@ -77,7 +77,6 @@ def _write_report(report: dict, out: Optional[str]) -> None:
 
 
 def cmd_trees(cfg) -> dict:
-    _check_l(cfg.l, cfg.real, verify=False, override=cfg.max_l_override)
     if cfg.max_l_override is None:
         count = trees.real_tree_count if cfg.real else trees.stable_tree_count
         projected = count(cfg.l)
@@ -100,7 +99,6 @@ def cmd_trees(cfg) -> dict:
 
 
 def cmd_strata(cfg) -> dict:
-    _check_l(cfg.l, cfg.real, verify=False, override=cfg.max_l_override)
     if cfg.real:
         labels, ordered = strata.build_a_ell_real(cfg.l)
         kinds = strata.kind_counts(ordered)
@@ -125,7 +123,6 @@ def cmd_strata(cfg) -> dict:
 
 
 def cmd_schedule(cfg) -> dict:
-    _check_l(cfg.l, cfg.real, verify=False, override=cfg.max_l_override)
     sched = strata.schedule(cfg.l, real=cfg.real)
     rep = sched.to_json()
     rep["ok"] = True
@@ -150,7 +147,10 @@ def _rand_pp(rng: random.Random, bound: int) -> ProjPoint:
 
 def verify_cr_suite(samples: int = 1000, seed: int = 0, bound: int = 50) -> dict:
     """Exact symmetry and cocycle relations of the cross ratio on random
-    Gaussian-rational quintuples."""
+    Gaussian-rational quintuples.  Raises UsageError for samples < 1,
+    where no relation would be checked."""
+    if samples < 1:
+        raise UsageError("need samples >= 1, got %r" % (samples,))
     rng = random.Random("cr:%r" % (seed,))
     checked = failed = 0
     fail_cases: List[str] = []
@@ -204,8 +204,11 @@ def verify_basis_suite(l: int, samples: int = 200, seed: int = 0,
     exactfield._cross on the curve's points at the slots of q
     (curves.quad_slots, read once per tree).  A case with mismatches also
     gives its index, "case", and the "seed" of its first mismatching
-    sample, which curves.sample_curve(t, bound, seed) replays.
+    sample, which curves.sample_curve(t, bound, seed) replays.  Raises
+    UsageError for samples < 1, where no value would be compared.
     """
+    if samples < 1:
+        raise UsageError("need samples >= 1, got %r" % (samples,))
     ts = trees.enumerate_trees(l, real=real)
     marks = trees.sort_marks(trees.real_marks(l) if real else trees.complex_marks(l))
     quads = list(itertools.combinations(marks, 4))
@@ -306,9 +309,33 @@ def verify_localmodels_suite(samples: int = 500, seed: int = 0,
     }
 
 
+def cmd_all(cfg) -> dict:
+    parts = {
+        "cr": verify_cr_suite(1000, cfg.seed),
+        "basis": verify_basis_suite(5, 50, cfg.seed),
+        "quotient": verify_quotient_suite(4, False, 60, cfg.seed),
+        "quotient_real": verify_quotient_suite(2, True, 60, cfg.seed),
+        "localmodels": verify_localmodels_suite(500, cfg.seed),
+    }
+    return {"suites": parts, "ok": all(p["ok"] for p in parts.values())}
+
+
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
+
+COMMANDS = {
+    "trees": cmd_trees,
+    "strata": cmd_strata,
+    "schedule": cmd_schedule,
+    "verify-cr": lambda cfg: verify_cr_suite(cfg.samples, cfg.seed, cfg.bound),
+    "verify-basis": lambda cfg: verify_basis_suite(
+        cfg.l, cfg.samples, cfg.seed, cfg.bound, cfg.real),
+    "verify-quotient": lambda cfg: verify_quotient_suite(
+        cfg.l, cfg.real, cfg.samples, cfg.seed, cfg.bound),
+    "verify-localmodels": lambda cfg: verify_localmodels_suite(cfg.samples, cfg.seed, cfg.bound),
+    "all": cmd_all,
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -369,37 +396,10 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
             raise UsageError("--samples must be at least 1")
         if getattr(cfg, "bound", 2) < 2:
             raise UsageError("--bound must be at least 2")
-        if cfg.command == "trees":
-            report = cmd_trees(cfg)
-        elif cfg.command == "strata":
-            report = cmd_strata(cfg)
-        elif cfg.command == "schedule":
-            report = cmd_schedule(cfg)
-        elif cfg.command == "verify-cr":
-            report = verify_cr_suite(cfg.samples, cfg.seed, cfg.bound)
-        elif cfg.command == "verify-basis":
-            _check_l(cfg.l, cfg.real, verify=True, override=cfg.max_l_override)
-            report = verify_basis_suite(
-                cfg.l, cfg.samples, cfg.seed, cfg.bound, cfg.real
-            )
-        elif cfg.command == "verify-quotient":
-            _check_l(cfg.l, cfg.real, verify=True, override=cfg.max_l_override)
-            report = verify_quotient_suite(
-                cfg.l, cfg.real, cfg.samples, cfg.seed, cfg.bound
-            )
-        elif cfg.command == "verify-localmodels":
-            report = verify_localmodels_suite(cfg.samples, cfg.seed, cfg.bound)
-        elif cfg.command == "all":
-            parts = {
-                "cr": verify_cr_suite(1000, cfg.seed),
-                "basis": verify_basis_suite(5, 50, cfg.seed),
-                "quotient": verify_quotient_suite(4, False, 60, cfg.seed),
-                "quotient_real": verify_quotient_suite(2, True, 60, cfg.seed),
-                "localmodels": verify_localmodels_suite(500, cfg.seed),
-            }
-            report = {"suites": parts, "ok": all(p["ok"] for p in parts.values())}
-        else:  # pragma: no cover
-            raise UsageError("unknown command %r" % (cfg.command,))
+        if hasattr(cfg, "l"):
+            _check_l(cfg.l, cfg.real, verify=cfg.command.startswith("verify-"),
+                     override=cfg.max_l_override)
+        report = COMMANDS[cfg.command](cfg)
     except UsageError as e:
         sys.stderr.write("error: %s\n" % (e,))
         return 2

@@ -57,9 +57,20 @@ class SlotLayout:
     needs a (vertex, slot) -> index dict.  A layout is built once per
     tree, and its slot tuples are shared between the layouts of all
     trees.
+
+    The layout also keeps, each filled on first use, what is derived from
+    its tree alone: key_layout (see _key_layout), the gather plans
+    (gathers, see _derive) and the quotient's chart_plans, chart_slots
+    and fiber_sites.  A gather plan holds its output tree, so a tree
+    keeps the trees derived from it (placed or stabilized) for as long
+    as it lives; no layout refers to its own tree, so they all go with
+    the last reference to it.
     """
 
     partner: Optional[Tuple[int, ...]] = None
+    # filled on first use
+    key_layout: Optional[Tuple] = None
+    fiber_sites: Optional[Tuple] = None
 
     def __init__(self, t: MarkedTree):
         adj = t.adjacency()
@@ -72,7 +83,8 @@ class SlotLayout:
             vertex += [v] * (len(slots) - offsets[-1])
             offsets.append(len(slots))
         self.slots, self.vertex, self.offsets = tuple(slots), tuple(vertex), tuple(offsets)
-        # kept by quotient.class_key per chart plan (see quotient._chart_slots)
+        self.gathers: Dict = {}
+        self.chart_plans: Dict = {}
         self.chart_slots: Dict = {}
         n = len(t.mark_bits())
         full = (1 << n) - 1
@@ -127,8 +139,8 @@ class StableCurve:
     moduli_tuple and its stabilized base (see quotient.base_of),
     which a curve built by placing the extra mark(s) on a base holds
     from the start and any other curve gets by forgetting them.  What
-    depends only on the tree (the slot layout, the moduli-key layout,
-    the edge table and the gather plans) is kept on the tree.
+    depends only on the tree is kept on the tree: its edge table, and on
+    its slot layout the moduli-key layout and the gather plans.
     """
 
     # filled on first use
@@ -290,14 +302,12 @@ def _derive(c: StableCurve, key, plan_fn, extra: Tuple = ()) -> Tuple[StableCurv
     """(the curve that the gather plan of c's tree at key builds from
     c's points followed by extra, what is wrong with it).
 
-    plan_fn(tree, key) makes the plan on first use, kept in the tree's
-    one dict of gather plans; errors are not kept.  c is a valid curve,
-    so only the plan's ranges are checked; when one fails, the output is
-    validated in full for the list."""
+    plan_fn(tree, key) makes the plan on first use, kept in the gather
+    plans of the tree's slot layout; errors are not kept.  c is a valid
+    curve, so only the plan's ranges are checked; when one fails, the
+    output is validated in full for the list."""
     t = c.tree
-    plans = t._gathers
-    if plans is None:
-        plans = t._gathers = {}
+    plans = (t._layout or slot_layout(t)).gathers
     plan = plans.get(key)
     if plan is None:
         plan = plans[key] = plan_fn(t, key)
@@ -578,8 +588,8 @@ def moduli_tuple(c: StableCurve) -> Tuple:
     """The moduli key as (shape, key of each framed value), equal exactly
     when the moduli_key strings are; computed once per curve."""
     if c._moduli_key is None:
-        pts = c.points
-        shape, frames = c.tree._key_layout or _key_layout(c.tree)
+        pts, t = c.points, c.tree
+        shape, frames = (t._layout or slot_layout(t)).key_layout or _key_layout(t)
         key = [shape]
         for (a, b, d), rest in frames:
             # the references -> (inf, 0, 1); the shape already holds their text
@@ -600,7 +610,8 @@ _REF_TEXTS = (PP_INF.serialize(), PP_ZERO.serialize(), PP_ONE.serialize())
 
 
 def _key_layout(t: MarkedTree) -> Tuple:
-    """What moduli_tuple reads off the tree, kept on it: (shape, frames).
+    """What moduli_tuple reads off the tree, kept on its slot layout:
+    (shape, frames).
     Vertices and their slots are in canonical order: marks first in
     mark_key order, then edges by the rank of the neighbour; each is
     written "m<mark>=" or "e<rank>-<rank>=" and its framed value.  The
@@ -609,10 +620,10 @@ def _key_layout(t: MarkedTree) -> Tuple:
     the vertices, joined by "|", with "%s" for each later slot's value;
     frames lists (reference indices, later slot indices) per vertex with
     later slots.  No mark's text holds a "%": mark_key rejects it."""
-    if t._key_layout is None:
+    lay = slot_layout(t)
+    if lay.key_layout is None:
         order = canonical_vertex_order(t)
         bits = t.mark_bits()  # bit order is mark_key order
-        lay = slot_layout(t)
         parts, frames = [], []
         for v in sorted(order, key=order.get):
             def k(i):
@@ -634,5 +645,5 @@ def _key_layout(t: MarkedTree) -> Tuple:
             parts.append("v%d{%s}" % (order[v], ";".join(texts)))
             if idx[3:]:
                 frames.append((tuple(idx[:3]), tuple(idx[3:])))
-        t._key_layout = ("|".join(parts), tuple(frames))
-    return t._key_layout
+        lay.key_layout = ("|".join(parts), tuple(frames))
+    return lay.key_layout

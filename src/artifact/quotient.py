@@ -244,17 +244,15 @@ class ChartPlan:
 def chart_plan(t: MarkedTree, rho_star=(),
                v_plus_rank: Optional[int] = None) -> ChartPlan:
     """The chart plan of base tree t at cut rho*, computed once per tree
-    and kept on it, so every base on t, the tree that a verifier case
-    samples on, uses it.
+    and kept on its slot layout, so every base on t, the tree that a
+    verifier case samples on, uses it.
 
     Without a rank, the chart vertex is the admissible vertex of least
     canonical rank, so equal bases yield the same choice regardless of
     vertex numbering.  Raises QuotientError when no admissible vertex has
     the given rank; errors are not kept.
     """
-    plans = t._chart_plans
-    if plans is None:
-        plans = t._chart_plans = {}
+    plans = (t._layout or slot_layout(t)).chart_plans
     key = (frozenset(rho_star), v_plus_rank)
     plan = plans.get(key)
     if plan is None:
@@ -475,16 +473,18 @@ def _node_sites(t: MarkedTree, e) -> Tuple:
 
 
 def _fiber_sites(t: MarkedTree) -> Tuple:
-    """The sites of fiber_samples's placements on t, in order, kept on t:
-    each vertex, each mark in mark_key order and each node, on a real tree
-    only the first (t.edges is sorted) of each conjugate pair of nodes."""
-    if t._fiber_sites is None:
-        t._fiber_sites = tuple(
+    """The sites of fiber_samples's placements on t, in order, kept on
+    t's slot layout: each vertex, each mark in mark_key order and each
+    node, on a real tree only the first (t.edges is sorted) of each
+    conjugate pair of nodes."""
+    lay = t._layout or slot_layout(t)
+    if lay.fiber_sites is None:
+        lay.fiber_sites = tuple(
             [_vertex_sites(t, v) for v in range(t.vertex_count)]
             + [_mark_sites(t, m) for m in t.mark_bits()]
             + [_node_sites(t, e) for e in t.edges
                if not t.is_real or e <= _edge_slot((t.phi[e[0]], t.phi[e[1]]))[1]])
-    return t._fiber_sites
+    return lay.fiber_sites
 
 
 def _rand_pos(rng: random.Random, bound: int) -> ProjPoint:
@@ -528,11 +528,14 @@ def verify_injectivity(t: MarkedTree, rho_star=(), v_plus: Optional[int] = None,
     domain check; classes touching an excluded locus are counted and
     skipped, since the removed loci are saturated under the relations.
     A v_plus outside the admissible vertex set raises QuotientError,
-    naming the seed, the tree and rho*, before any curve is sampled.  A
-    list seed counts as a tuple, as in sample_curve, so that it replays.
+    naming the seed, the tree and rho*, before any curve is sampled, and
+    so does n_samples < 1, where no class would be compared.  A list seed
+    counts as a tuple, as in sample_curve, so that it replays.
     """
     if bool(t.is_real) != bool(real):
         raise QuotientError("real flag does not match the tree")
+    if n_samples < 1:
+        raise QuotientError("need n_samples >= 1, got %r" % (n_samples,))
     if type(seed) is list:
         seed = _tuples(seed)
     case = "seed %r, tree %s, rho_star %r" % (

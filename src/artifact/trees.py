@@ -91,14 +91,10 @@ class MarkedTree:
 
     MarkedTree(vertex_count, edges, mu) raises TreeError("invalid tree:
     [...]") listing the defects of anything but a stable tree.  A tree is
-    not mutated after construction: its adjacency, split-mask index,
-    mask -> edge table, canonical vertex ranks, canonical form and
-    structural key are computed on first use and kept on the object, as
-    are the tables and gather plans that curves on the tree share (see
-    curves.py) and its chart plans and placement sites (see quotient.py).
-    A gather plan holds its output tree, so a tree keeps the trees derived
-    from it (placed or stabilized) for as long as it lives; no tree refers
-    to itself, so they all go with the last reference to it.
+    not mutated after construction: its adjacency, mark bits, split-mask
+    index, mask -> edge table and canonical form are computed on first use
+    and kept on the object.  Other modules keep what they derive from a
+    tree on its one slot layout (_layout, see curves.SlotLayout).
     """
 
     def __init__(self, vertex_count, edges, mu, *rest):
@@ -123,7 +119,6 @@ class MarkedTree:
         self.edges: Tuple[Edge, ...] = edges
         self.mu: Dict = mu
         self._adj: Optional[List[List[int]]] = None
-        self._mu_inv: Optional[Dict[int, List]] = None
         self._bits: Optional[Dict] = None
         self._index: Optional[Tuple] = None
 
@@ -131,20 +126,8 @@ class MarkedTree:
     # filled on first use; class defaults keep trees that never use them
     # as small as before
     _edge_of: Optional[Dict[int, Edge]] = None
-    _order: Optional[Dict[int, int]] = None
-    _skey: Optional[Tuple] = None
     _canon: Optional[str] = None
-    # kept for the curves on the tree by curves.py: the slot layout, the
-    # moduli-key layout and the gather plans of the curves derived from
-    # them (curves._derive), keyed by the frozenset of kept marks for
-    # forget and by the tuple of sites for quotient._place
-    _layout = None
-    _key_layout: Optional[Tuple] = None
-    _gathers: Optional[Dict] = None
-    # kept by quotient.chart_plan: (rho*, rank) -> chart plan
-    _chart_plans: Optional[Dict] = None
-    # kept by quotient.fiber_samples: the sites of its placements, in order
-    _fiber_sites: Optional[Tuple] = None
+    _layout = None  # set by curves.slot_layout
 
     @property
     def is_real(self) -> bool:
@@ -168,12 +151,9 @@ class MarkedTree:
         return self._adj
 
     def mu_inv(self, v: int) -> List:
-        if self._mu_inv is None:
-            inv: Dict[int, List] = {u: [] for u in range(self.vertex_count)}
-            for m in self.mark_bits():  # mark_key order
-                inv[self.mu[m]].append(m)
-            self._mu_inv = inv
-        return self._mu_inv[v]
+        """The marks at v, in mark_key order."""
+        mu = self.mu
+        return [m for m in self.mark_bits() if mu[m] == v]
 
     def valence(self, v: int) -> int:
         return len(self.mu_inv(v)) + len(self.adjacency()[v])
@@ -310,10 +290,8 @@ class MarkedTree:
     # structural (labeled) equality; use canonical_form for isomorphism
     def _key(self):
         """(vertex count, edges, mu items in mark_key order, phi)."""
-        if self._skey is None:
-            self._skey = (self.vertex_count, self.edges,
-                          tuple([(m, self.mu[m]) for m in self.mark_bits()]), self.phi)
-        return self._skey
+        return (self.vertex_count, self.edges,
+                tuple([(m, self.mu[m]) for m in self.mark_bits()]), self.phi)
 
     def __eq__(self, other):
         if not isinstance(other, MarkedTree):
@@ -793,10 +771,7 @@ def canonical_vertex_order(t: MarkedTree) -> Dict[int, int]:
 
     Two trees that differ only by a vertex relabeling assign the same rank
     to corresponding vertices, so ranks identify vertices canonically.
-    Computed once per tree; callers must not modify the returned dict.
     """
-    if t._order is not None:
-        return t._order
     root = t.mu[next(iter(t.mark_bits()))]
     adj, marks = t.adjacency(), t.split_index()[0]
     order = {root: 0}
@@ -807,5 +782,4 @@ def canonical_vertex_order(t: MarkedTree) -> Dict[int, int]:
         for _low, w in kids:
             order[w] = len(order)
             queue.append(w)
-    t._order = order
     return order

@@ -96,6 +96,15 @@ class TestGuardrailsAndErrors:
     def test_verify_guardrail(self):
         assert cli.run(["verify-basis", "--l", "9"]) == 2
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_suites_called_with_no_samples_raise(self, samples):
+        # with no sample a suite checks nothing, and its report would pass
+        text = r"^need samples >= 1, got %d$" % samples
+        with pytest.raises(cli.UsageError, match=text):
+            cli.verify_cr_suite(samples=samples)
+        with pytest.raises(cli.UsageError, match=text):
+            cli.verify_basis_suite(5, samples=samples)
+
     @pytest.mark.parametrize("command", [["verify-cr"],
                                          ["verify-basis", "--l", "4"],
                                          ["verify-quotient", "--l", "4"],

@@ -580,7 +580,7 @@ class TestForgetErrors:
         for _call in range(2):
             with pytest.raises(curves.CurveError, match=text):
                 forget(c, keep)
-        assert frozenset(keep) not in (t._gathers or {})
+        assert frozenset(keep) not in curves.slot_layout(t).gathers
 
     def test_plan_shared_by_curves_on_one_tree(self):
         t = trees.enumerate_trees(3, real=True)[-1]
@@ -615,7 +615,7 @@ class TestForgetPlan:
                 made.append(weakref.ref(a.tree))
                 del a
                 # the plan holds its tree, with no curve on it
-                assert made[-1]() is t._gathers[frozenset(keep)].tree
+                assert made[-1]() is curves.slot_layout(t).gathers[frozenset(keep)].tree
                 checks.clear()
                 b = forget(c, keep)
                 # the replay checks no tree and its curve shares the plan's

@@ -469,7 +469,8 @@ class TestMemoEquivalence:
                     verify_injectivity(t, cut, n_samples=20, seed=seed, real=True)
             # one plan per cut, built on t, which the bases of every call share
             assert made == [(id(t), (cut, None)) for cut in cuts]
-            refs = [weakref.ref(t)] + [weakref.ref(p) for p in t._chart_plans.values()]
+            refs = [weakref.ref(t)] + [weakref.ref(p) for p in
+                                       curves.slot_layout(t).chart_plans.values()]
             # the plans go with the last reference to the tree, with no
             # collection
             del t
@@ -648,6 +649,15 @@ class TestTooFewSamples:
         assert str(err.value) == (
             "seed ('few', 3), tree %s, rho_star ['1', '2']: could not build"
             " enough samples" % (trees.canonical_form(t),))
+
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_no_samples_raises(self, n_samples):
+        # with no sample no class is compared, and the report would pass
+        t = trees.enumerate_trees(3)[0]
+        with pytest.raises(QuotientError, match=r"^need n_samples >= 1, got %d$" % n_samples):
+            verify_injectivity(t, (), n_samples=n_samples)
+        with pytest.raises(QuotientError, match=r"^need n_samples >= 1, got %d$" % n_samples):
+            cli.verify_quotient_suite(3, samples=n_samples)
 
 
 class TestSharedTrees:

@@ -111,6 +111,18 @@ UNPAIRED = ["mark '%s' has no conjugate partner" % m
 MIXED = {1: 0, "1+": 0, "2+": 0, 2: 1, "3+": 1, "3-": 1}
 
 
+class TestMuInv:
+    @pytest.mark.parametrize("l,real", [(3, False), (4, False), (5, False), (6, False),
+                                        (2, True), (3, True), (4, True)])
+    def test_marks_and_valence_at_each_vertex(self, l, real):
+        for t in enumerate_trees(l, real=real):
+            for v in range(t.vertex_count):
+                marks = sort_marks([m for m, w in t.mu.items() if w == v])
+                degree = sum(v in e for e in t.edges)
+                assert t.mu_inv(v) == marks
+                assert t.valence(v) == len(marks) + degree
+
+
 class TestInvalidTrees:
     """The constructors raise TreeError listing the defects of anything
     but a stable tree."""
