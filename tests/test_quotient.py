@@ -654,9 +654,10 @@ class TestTooFewSamples:
     def test_no_samples_raises(self, n_samples):
         # with no sample no class is compared, and the report would pass
         t = trees.enumerate_trees(3)[0]
-        with pytest.raises(QuotientError, match=r"^need n_samples >= 1, got %d$" % n_samples):
+        text = r"^need n_samples >= 1, got %d$" % n_samples
+        with pytest.raises(QuotientError, match=text):
             verify_injectivity(t, (), n_samples=n_samples)
-        with pytest.raises(QuotientError, match=r"^need n_samples >= 1, got %d$" % n_samples):
+        with pytest.raises(QuotientError, match=text):
             cli.verify_quotient_suite(3, samples=n_samples)
 
 
