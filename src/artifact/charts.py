@@ -21,9 +21,9 @@ the vertex models are keys, their cross ratios are exactfield._cross,
 the anharmonic maps take keys to keys and the closure multiplies with
 exactfield._pmul.  A table takes ProjPoint basis values and builds a
 ProjPoint only in value(q); value_key(q) reads the key itself.  The basis
-check (cli.verify_basis_suite) reads the slots of each quadruple
-(curves.quad_slots) once per tree, and compares value_key(q) with
-exactfield._cross on the curve's point keys at those slots.
+check (cli.verify_basis_suite) compares the table's keys with the direct
+ones, which it reads where an edge splits the quadruple 2|2
+(curves.split_key) and computes with exactfield._cross elsewhere.
 
 The routes depend on the number of marks alone: `_routes(n)`, built once
 per n, lists for each 4-bit mask K its 6 * (n - 4) routes, one per
@@ -31,11 +31,16 @@ unordered pair {i, j} in K and mark m outside K, as the two factor masks
 and the anharmonic maps between increasing bit order and the orderings
 the relation uses.  After the vertex seeds and the edge values, the
 closure passes over the masks still unknown until a pass fills nothing.
-Every filled value is the true cross ratio, and whether a route applies
-depends only on its two factor values, so the known masks are the least
-fixpoint of the routes: the fill order changes no value and no known set.
-At the verify guardrail, 12 marks (real l = 6), the table has 495 masks
-and 23,760 routes.
+A step whose two factors are both 0, 1 or inf is read from the route's
+3x3 step table (`_step_table`, built from the route's own maps and
+shared per map triple; `_steps(n)` pairs each route with its table), and
+any other step is computed: its product is never 0 * inf, since the
+anharmonic maps keep 0, 1 and inf among themselves.  Every filled value
+is the true cross ratio, and whether a route applies depends only on its
+two factor values, so the known masks are the least fixpoint of the
+routes: the fill order changes no value and no known set.  At the verify
+guardrail, 12 marks (real l = 6), the table has 495 masks and 23,760
+routes.
 """
 
 from __future__ import annotations
@@ -218,6 +223,32 @@ def _routes(n: int) -> Tuple[Tuple[int, Tuple[Tuple, ...]], ...]:
 
 
 _INF, _ZERO, _ONE = PP_INF._k, PP_ZERO._k, PP_ONE._k
+# the position of each of the constants 0, 1 and inf in a step table
+_CONSTANT = {_ZERO: 0, _ONE: 1, _INF: 2}
+
+
+@functools.lru_cache(maxsize=None)
+def _step_table(f1, f2, g) -> Tuple[Tuple, ...]:
+    """The closure step g(f1(x1) * f2(x2)) of a route with maps f1, f2
+    and g, for x1 and x2 each 0, 1 or inf: table[i][j] for the constants
+    at positions i and j of _CONSTANT, None where the product is 0 * inf.
+    Kept per (f1, f2, g), so routes with the same maps share one."""
+    out = []
+    for x1 in _CONSTANT:
+        row = []
+        for x2 in _CONSTANT:
+            y = _pmul(f1(x1), f2(x2))
+            row.append(None if y is None else g(y))
+        out.append(tuple(row))
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _steps(n: int) -> Tuple[Tuple[int, Tuple[Tuple, ...]], ...]:
+    """The rows of _routes(n), each route with its step table appended:
+    (e1, f1, e2, f2, g, _step_table(f1, f2, g))."""
+    return tuple((mask, tuple([(*r, _step_table(r[1], r[3], r[4])) for r in routes]))
+                 for mask, routes in _routes(n))
 
 
 class ReconstructionTable:
@@ -311,21 +342,30 @@ class ReconstructionTable:
                 table[key] = _perm(qe, sorted(qe, key=rank))(val._k)
         # the cocycle closure; any pass order reaches the same least fixpoint
         # (see the module docstring)
-        pending = [row for row in _routes(len(bits)) if row[0] not in table]
+        pending = [row for row in _steps(len(bits)) if row[0] not in table]
+        constant = _CONSTANT.get
         while pending:
             left = []
             for row in pending:
-                for e1, f1, e2, f2, g in row[1]:
+                for e1, f1, e2, f2, g, fixed in row[1]:
                     x1 = table.get(e1)
                     if x1 is None:
                         continue
                     x2 = table.get(e2)
                     if x2 is None:
                         continue
-                    y = _pmul(f1(x1), f2(x2))
+                    i = constant(x1)
+                    j = None if i is None else constant(x2)
+                    if j is None:
+                        # the anharmonic maps keep 0, 1 and inf among
+                        # themselves, so with a factor off them the
+                        # product is no 0 * inf
+                        table[row[0]] = g(_pmul(f1(x1), f2(x2)))
+                        break
+                    y = fixed[i][j]
                     if y is None:
                         continue  # 0 * inf
-                    table[row[0]] = g(y)
+                    table[row[0]] = y
                     break
                 else:
                     left.append(row)

@@ -60,8 +60,9 @@ class SlotLayout:
 
     The layout also keeps, each filled on first use, what is derived from
     its tree alone: key_layout (see _key_layout), the gather plans
-    (gathers, see _derive) and the quotient's chart_plans, chart_slots
-    and fiber_sites.  A gather plan holds its output tree, so a tree
+    (gathers, see _derive) and the quotient's chart_plans, chart_slots,
+    fiber_sites and labels (the relation labels whose loci hold a curve
+    over the tree, per label table; see quotient.relation_closure).  A gather plan holds its output tree, so a tree
     keeps the trees derived from it (placed or stabilized) for as long
     as it lives; no layout refers to its own tree, so they all go with
     the last reference to it.
@@ -71,6 +72,7 @@ class SlotLayout:
     # filled on first use
     key_layout: Optional[Tuple] = None
     fiber_sites: Optional[Tuple] = None
+    labels: Optional[Dict] = None
 
     def __init__(self, t: MarkedTree):
         adj = t.adjacency()
@@ -396,12 +398,40 @@ def _plan_forget(t: MarkedTree, keep: FrozenSet) -> _Gather:
 def cross_ratio_q(c: StableCurve, q) -> ProjPoint:
     """CR_q via projection to a component seeing >= 3 distinct directions.
 
-    Agrees with the cross ratio of the 4-marked stabilization; exactly two
-    coincident projections resolve by the degenerate 2|2 value table.
+    Agrees with the cross ratio of the 4-marked stabilization.  Exactly
+    two coincident projections (an edge splits q 2|2) give a constant, 0,
+    1 or inf, which split_key reads off the slots; only four distinct
+    slots go through exactfield.cross_ratio.
     """
     a, b, x, y = quad_slots(c.tree, q)
+    k = split_key(a, b, x, y)
+    if k is not None:
+        return _SPLIT_POINTS[k]
     pts = c.points
     return cross_ratio(pts[a], pts[b], pts[x], pts[y])
+
+
+_ZERO_K, _ONE_K, _INF_K = PP_ZERO._k, PP_ONE._k, PP_INF._k
+_SPLIT_POINTS = {PP_ZERO._k: PP_ZERO, PP_ONE._k: PP_ONE, PP_INF._k: PP_INF}
+
+
+def split_key(a: int, b: int, x: int, y: int):
+    """The point key of CR_q at the slots (a, b, x, y) that quad_slots
+    gives for q, when two of them coincide, else None: 1 if a = b or
+    x = y, 0 if a = x or b = y, inf if a = y or b = x.
+
+    quad_slots gives three or more distinct slots, and two coincide
+    exactly when an edge splits q 2|2, so this is the value that
+    exactfield._cross computes from a curve's points there; it depends
+    on the tree alone.
+    """
+    if a == b or x == y:
+        return _ONE_K
+    if a == x or b == y:
+        return _ZERO_K
+    if a == y or b == x:
+        return _INF_K
+    return None
 
 
 def quad_slots(t: MarkedTree, q) -> Tuple[int, int, int, int]:

@@ -22,7 +22,7 @@ from .charts import (ChartDomainError, a_gamma, extended_basis,
                      near_vertices)
 from .curves import (StableCurve, _derive, _edge_slot, _Gather, _mark_slot, _tuples,
                      forget, in_D_tilde, in_divisor, key_text, moduli_tuple, quad_slots,
-                     sample_curve, slot_layout)
+                     sample_curve, slot_layout, split_key)
 from .exactfield import (PP_INF, PP_ZERO, GaussRat, ProjPoint, _cross, finite_point,
                          point_text, randbelow)
 from .strata import (_labels, build_a_ell, build_a_ell_real, is_admissible,
@@ -111,7 +111,8 @@ def relation_closure(samples: Sequence[StableCurve], rho_star=(),
         return []
     l = samples[0].tree.l - 1
     bits = samples[0].tree.mark_bits()
-    label_of = _label_table(frozenset(bits), l, tuple(sort_marks(rho_star)), bool(real))
+    args = (frozenset(bits), l, tuple(sort_marks(rho_star)), bool(real))
+    label_of = _label_table(*args)
 
     parent = list(range(n))
 
@@ -128,7 +129,8 @@ def relation_closure(samples: Sequence[StableCurve], rho_star=(),
 
     # each sample joins the first sample with its moduli key and, for
     # each label whose locus holds it, the first sample with its base key
-    # there
+    # there.  Those labels depend only on the sample's tree, whose slot
+    # layout keeps them per label table (by _label_table's arguments)
     first: Dict = {}
     real = bool(real)
     for i, c in enumerate(samples):
@@ -136,7 +138,14 @@ def relation_closure(samples: Sequence[StableCurve], rho_star=(),
         own = t._bits or t.mark_bits()
         if (own is not bits and own != bits) or (t.phi is not None) != real:
             raise QuotientError("samples must share one mark set and the real flag")
-        rhos = [rho for rho in map(label_of.get, t._edge_of or t.edge_of_mask()) if rho]
+        lay = t._layout or slot_layout(t)
+        kept = lay.labels
+        if kept is None:
+            kept = lay.labels = {}
+        rhos = kept.get(args)
+        if rhos is None:
+            rhos = kept[args] = tuple(
+                [rho for rho in map(label_of.get, t._edge_of or t.edge_of_mask()) if rho])
         base = moduli_tuple(base_of(c)) if rhos else None
         for key in [moduli_tuple(c)] + [(base, rho) for rho in rhos]:
             j = first.setdefault(key, i)
@@ -292,9 +301,11 @@ def class_key(c: StableCurve, rho_star=(), real: bool = False,
 
     The chart vertex, excluded loci and quadruples come from the chart
     plan of the base tree (see chart_plan); the curve's slot layout keeps
-    per plan what depends only on its tree (_chart_slots), so only the
-    cross ratios are evaluated on the curve.  Raises ChartDomainError,
-    with the plan's text, when the curve lies on an excluded locus.
+    per plan what depends only on its tree (_chart_slots): the values of
+    the quadruples that an edge splits 2|2, read off their slots, and the
+    slots of the others, so only those cross ratios are computed on the
+    curve.  Raises ChartDomainError, with the plan's text, when the curve
+    lies on an excluded locus.
     """
     if (c.tree.phi is not None) != bool(real):
         raise QuotientError("real flag does not match the curve")
@@ -306,19 +317,31 @@ def class_key(c: StableCurve, rho_star=(), real: bool = False,
         idx = slots[plan] = _chart_slots(c.tree, plan)
     if type(idx) is str:
         raise ChartDomainError(idx)
+    read, computed = idx
     pts = c.points
-    values = tuple([_cross(pts[i]._k, pts[j]._k, pts[k]._k, pts[n]._k) for i, j, k, n in idx])
-    return ClassKey(moduli_tuple(b), plan.tree, plan.v_rank, values, plan.quads)
+    values = list(read)
+    for p, i, j, k, n in computed:
+        values[p] = _cross(pts[i]._k, pts[j]._k, pts[k]._k, pts[n]._k)
+    return ClassKey(moduli_tuple(b), plan.tree, plan.v_rank, tuple(values), plan.quads)
 
 
 def _chart_slots(t: MarkedTree, plan: ChartPlan):
     """The text of the first excluded locus of the plan that a curve over
-    t lies on, or else the quad_slots of the plan's quadruples on t."""
+    t lies on, or else (read, computed) for the plan's quadruples on t:
+    read holds, in the plan's order, the key that curves.split_key reads
+    off the quad_slots of each quadruple, None where the four slots are
+    distinct, and computed lists (position, slots) of those."""
     edges = t.edge_of_mask()
     for text, masks in zip(plan.excluded_text, plan.excluded_masks):
         if any(mask in edges for mask in masks):
             return text
-    return tuple([quad_slots(t, q) for _text, q in plan.quads])
+    read, computed = [], []
+    for p, (_text, q) in enumerate(plan.quads):
+        slots = quad_slots(t, q)
+        read.append(split_key(*slots))
+        if read[-1] is None:
+            computed.append((p, *slots))
+    return tuple(read), tuple(computed)
 
 
 def y_membership(c: StableCurve, rho, bullet: str) -> bool:

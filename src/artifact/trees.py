@@ -275,15 +275,19 @@ class MarkedTree:
         for v in range(n):
             if phi[phi[v]] != v:
                 bad.append("phi not an involution at %d" % v)
+        # an edge end or mark vertex that is no vertex is a defect of its
+        # own (see _defects), and phi is not read there
         eset = set(self.edges)
         for u, v in self.edges:
+            if not (_vertex_ok(u, n) and _vertex_ok(v, n)):
+                continue
             if tuple(sorted((phi[u], phi[v]))) not in eset:
                 bad.append("phi does not map edge (%d,%d) to an edge" % (u, v))
         for m, v in self.mu.items():
             mb = bar_mark(m)
             if mb == m or mb not in self.mu:
                 bad.append("mark %r has no conjugate partner" % (m,))
-            elif self.mu[mb] != phi[v]:
+            elif _vertex_ok(v, n) and self.mu[mb] != phi[v]:
                 bad.append("phi(mu(%r)) != mu(%r)" % (m, mb))
         return bad
 
@@ -345,7 +349,9 @@ def tree_from_json(d: dict) -> MarkedTree:
         ends = [x for e in edges for x in e]
         if any(len(e) != 2 for e in edges):
             raise ValueError("an edge is not a pair")
-        if any(type(x) is not int for x in [*mu.values(), *ends, *(phi or ())]):
+        # a phi that is not None must iterate: a falsy one such as 0 too
+        if any(type(x) is not int for x in [*mu.values(), *ends,
+                                             *(() if phi is None else phi)]):
             raise TypeError("a vertex, edge end or phi entry is not an integer")
         n = 1 + max([max(e) for e in edges], default=max(mu.values()))
     except (KeyError, TypeError, ValueError, AttributeError) as e:

@@ -181,18 +181,23 @@ class TestReports:
         assert rep1 == rep2
 
 
+def _quads(t):
+    """Every 4-subset of t's marks, in the basis suite's order."""
+    return list(itertools.combinations(trees.sort_marks(trees.complex_marks(t.l)), 4))
+
+
 def _replayed_mismatches(t, seed):
     """The quadruples on which the curve sample_curve(t, 40, seed) replays
-    a mismatch of verify_basis_suite: its table's key against cli._cross
-    on the curve's points, in the suite's order."""
+    a mismatch of verify_basis_suite: its table's key against the direct
+    side's (cli._direct_keys on cli._split_quads's plan), in the suite's
+    order."""
     c = curves.sample_curve(t, 40, seed)
     basis = charts.gamma_basis(t)
     table = charts.ReconstructionTable(t, values=charts.basis_values(c, basis), basis=basis)
-    marks = trees.sort_marks(trees.complex_marks(t.l))
-    pts = c.points
-    return [q for q in itertools.combinations(marks, 4)
-            if table.value_key(q) != cli._cross(
-                *(pts[i]._k for i in curves.quad_slots(t, q)))]
+    quads = _quads(t)
+    masks, read, computed = cli._split_quads(t, quads)
+    direct = cli._direct_keys(read, computed, c.points)
+    return [q for q, mask in zip(quads, masks) if table.value_key(q) != direct[mask]]
 
 
 class TestNonVacuity:
@@ -233,32 +238,37 @@ class TestNonVacuity:
             assert len(set(pts)) == 5
 
     def test_basis_mismatches_are_counted(self, monkeypatch):
-        # the direct cross ratio of the first quadruple is wrong on every
-        # curve; the reconstruction table reads its own values.  The suite
-        # compares each curve's 5 quadruples in order, (1, 2, 3, 4) first,
-        # through cli._cross, so every fifth call is the first quadruple's
-        honest = cli._cross
-        calls = itertools.count()
+        # the direct value of the first quadruple, (1, 2, 3, 4), is wrong
+        # on every curve, whether the suite reads it off the slots (an edge
+        # splits it 2|2) or computes it; the reconstruction table reads its
+        # own values.  The fault sits in cli._direct_keys, which builds
+        # each curve's direct {mask: key} dict from both kinds
+        honest = cli._direct_keys
+        first = 0b1111  # the mask of (1, 2, 3, 4)
 
-        def wrong(*keys):
-            v = honest(*keys)
-            if next(calls) % 5:
-                return v
-            return PP_ONE._k if v == PP_ZERO._k else PP_ZERO._k
+        def wrong(read, computed, pts):
+            direct = honest(read, computed, pts)
+            v = direct[first]
+            direct[first] = PP_ONE._k if v == PP_ZERO._k else PP_ZERO._k
+            return direct
 
-        monkeypatch.setattr(cli, "_cross", wrong)
+        monkeypatch.setattr(cli, "_direct_keys", wrong)
         rep = cli.verify_basis_suite(5, samples=2)
         assert rep["ok"] is False
         assert rep["mismatches"] == rep["trees"] * 2
         assert [c["mismatches"] for c in rep["cases"]] == [2] * rep["trees"]
         ts = trees.enumerate_trees(5)
+        # the fault is reached both ways: on some trees an edge splits
+        # (1, 2, 3, 4) 2|2 and on others it is computed
+        read = [first in cli._split_quads(t, _quads(t))[1] for t in ts]
+        assert any(read) and not all(read)
         for idx, entry in enumerate(rep["cases"]):
             assert entry["case"] == idx
             assert entry["seed"] == ["0", "basis", idx, 0]
-            # the calls are still aligned: the replayed curve's first
-            # quadruple is the one that mismatches
+            # the replayed curve's first quadruple is the one that
+            # mismatches
             assert _replayed_mismatches(ts[idx], entry["seed"]) == [(1, 2, 3, 4)]
-        monkeypatch.setattr(cli, "_cross", honest)
+        monkeypatch.setattr(cli, "_direct_keys", honest)
         assert _replayed_mismatches(ts[0], rep["cases"][0]["seed"]) == []
 
     def test_basis_mismatches_on_the_table_side(self, monkeypatch):

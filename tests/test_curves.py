@@ -155,6 +155,24 @@ class TestMalformedJson:
             curve_from_json(d)
 
 
+class TestRealJsonOffTheTree:
+    """A real curve's JSON with a mark off the tree or a falsy phi raises
+    TreeError, not the IndexError of reading phi at a vertex that is not
+    there or the TypeError of filling the tree with a phi that does not
+    iterate."""
+
+    @pytest.mark.parametrize("edit,match", [
+        (lambda d: {**d, "mu": {**d["mu"], "2-": 10 ** 6}},
+         "mark '2-' at bad vertex 1000000"),
+        (lambda d: {**d, "phi": 0}, "malformed tree JSON"),
+    ], ids=["mark_off_the_tree", "phi_zero"])
+    def test_typed_error(self, edit, match):
+        t = [x for x in trees.enumerate_trees(3, real=True) if x.edges][0]
+        d = edit(sample_curve(t, 30, ("off the tree",)).to_json())
+        with pytest.raises(trees.TreeError, match=re.escape(match)):
+            curve_from_json(d)
+
+
 LAYOUT_CASES = [(5, False), (2, True), (3, True), (4, True)]
 
 
@@ -291,6 +309,50 @@ class TestCrossRatioQ:
             c = sample_curve(t, 30, ("fgt", i))
             base = forget(c, [1, 2, 3, 4])
             assert cross_ratio_q(base, (1, 2, 3, 4)) == cross_ratio_q(c, (1, 2, 3, 4))
+
+
+SPLIT_KEY_SPACES = [(l, False) for l in range(4, 8)] + [(l, True) for l in range(2, 5)]
+
+
+class TestSplitKey:
+    """curves.split_key against the tree's splits, with no sampling in the
+    check of the constants: a constant exactly when an edge splits q 2|2,
+    and the one that criterion 2's table gives."""
+
+    @pytest.mark.parametrize("l,real", SPLIT_KEY_SPACES,
+                             ids=["%s%d" % ("real" if r else "complex", l)
+                                  for l, r in SPLIT_KEY_SPACES])
+    def test_constant_exactly_on_a_2_2_split(self, l, real):
+        marks = trees.sort_marks(trees.real_marks(l) if real else trees.complex_marks(l))
+        quads = list(itertools.combinations(marks, 4))
+        # the first mark's partner on its side of the split: the second
+        # gives 1, the third 0 and the fourth inf
+        by_partner = (None, PP_ONE._k, PP_ZERO._k, PP_INF._k)
+        constants = 0
+        for idx, t in enumerate(trees.enumerate_trees(l, real=real)):
+            bits = t.mark_bits()
+            splits = list(t.edge_of_mask())
+            c = sample_curve(t, 40, ("split_key", l, real, idx))
+            for q in quads:
+                qb = [bits[m] for m in q]
+                qmask = sum(qb)
+                partners = set()
+                for side in splits:
+                    if (side & qmask).bit_count() == 2:
+                        if not side & qb[0]:
+                            side = qmask ^ (side & qmask)
+                        partners |= {r for r in (1, 2, 3) if side & qb[r]}
+                slots = curves.quad_slots(t, q)
+                got = curves.split_key(*slots)
+                if not partners:
+                    assert got is None, (idx, q)
+                else:
+                    # compatible splits pair q's marks alike
+                    assert len(partners) == 1, (idx, q)
+                    assert got == by_partner[partners.pop()], (idx, q)
+                    constants += 1
+                assert cross_ratio_q(c, q) == cross_ratio(*(c.points[i] for i in slots))
+        assert constants > 0
 
 
 class TestMembership:

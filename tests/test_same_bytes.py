@@ -1,0 +1,124 @@
+"""The output digests and the base-against-head comparison of
+tools/same_bytes.py."""
+
+import hashlib
+import importlib.util
+import json
+import os
+import re
+import subprocess
+
+_TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+_spec = importlib.util.spec_from_file_location("same_bytes",
+                                               os.path.join(_TOOLS, "same_bytes.py"))
+same_bytes = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(same_bytes)
+
+
+class TestDigest:
+    def test_timestamp_dropped_and_dumped_as_ci_dumps(self):
+        report = {"ok": True, "l": 4, "timestamp": "2026-01-01T00:00:00"}
+        want = hashlib.sha256(
+            json.dumps({"l": 4, "ok": True}, indent=2, sort_keys=True).encode()).hexdigest()
+        assert same_bytes.digest(json.dumps(report).encode()) == want
+        report["timestamp"] = "2027-06-30T12:00:00"
+        assert same_bytes.digest(json.dumps(report, indent=2).encode() + b"\n") == want
+
+    def test_one_byte_of_a_report_counts(self):
+        a = json.dumps({"count": 4, "timestamp": "x"}).encode()
+        b = json.dumps({"count": 5, "timestamp": "x"}).encode()
+        assert same_bytes.digest(a) != same_bytes.digest(b)
+
+    def test_text_is_hashed_as_it_is(self):
+        for out in (b"", b"5-marked dual trees: 26\n", b"[1, 2]"):
+            assert same_bytes.digest(out) == hashlib.sha256(out).hexdigest()
+
+    def test_differing_names_in_order(self):
+        base = {"a": (0, "x", "e"), "b": (0, "y", "e"), "c": (2, "z", "e")}
+        head = {"a": (0, "x", "e"), "b": (0, "Y", "e"), "c": (1, "z", "e")}
+        assert same_bytes.differing(base, head) == ["b", "c"]
+        assert same_bytes.differing(base, dict(base)) == []
+
+    def test_commands_are_ci_and_the_demos(self):
+        # the dm-lab commands are exactly those of CI's steps (any --out
+        # dropped), each once, and the demos are every file in demos/
+        names = [name for name, _args in same_bytes.COMMANDS]
+        assert len(set(names)) == len(names)
+        ci = set()
+        with open(os.path.join(os.path.dirname(_TOOLS), ".github", "workflows",
+                               "tier1.yml")) as f:
+            for line in f:
+                if not line.strip().startswith("- name:"):
+                    for m in re.finditer(r"dm-lab ([a-z][a-z-]*(?: --[a-z-]+(?: \d+)?)*)", line):
+                        ci.add("dm-lab " + re.sub(r" --out$", "", m.group(1)))
+        assert {n for n in names if n.startswith("dm-lab ")} == ci
+        assert "dm-lab all --seed 0" in ci
+        demos = sorted(f for f in os.listdir(os.path.join(os.path.dirname(_TOOLS), "demos"))
+                       if f.endswith(".py"))
+        assert [n for n in names if not n.startswith("dm-lab ")] == ["demos/" + f for f in demos]
+
+
+def _git(root, *args):
+    return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                          cwd=root, capture_output=True, text=True, check=True).stdout
+
+
+# prints the report in r.json with a fresh timestamp and exits with the
+# code in code.txt
+_SCRIPT = """import json, sys, time
+r = json.load(open("r.json"))
+r["timestamp"] = repr(time.time())
+print(json.dumps(r))
+sys.exit(int(open("code.txt").read()))
+"""
+
+
+def _repo(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    _git(repo, "init", "-q")
+    (repo / "report.py").write_text(_SCRIPT)
+    (repo / "r.json").write_text('{"count": 4}')
+    (repo / "code.txt").write_text("0")
+    _git(repo, "add", ".")
+    _git(repo, "commit", "-q", "-m", "base")
+    return repo, _git(repo, "rev-parse", "HEAD").strip()
+
+
+COMMANDS = (("report", ("report.py",)),)
+
+
+def test_same_report_passes_and_leaves_no_worktree(tmp_path):
+    repo, rev = _repo(tmp_path)
+    diff, base, head = same_bytes.compare(str(repo), rev, COMMANDS)
+    assert diff == [] and base == head and base["report"][0] == 0
+    assert _git(repo, "worktree", "list").count("\n") == 1
+
+
+def test_one_byte_change_fails(tmp_path):
+    repo, rev = _repo(tmp_path)
+    (repo / "r.json").write_text('{"count": 5}')
+    diff, base, head = same_bytes.compare(str(repo), rev, COMMANDS)
+    assert diff == ["report"]
+    assert base["report"][0] == head["report"][0] == 0
+
+
+def test_exit_code_change_fails(tmp_path):
+    repo, rev = _repo(tmp_path)
+    (repo / "code.txt").write_text("1")
+    diff, base, head = same_bytes.compare(str(repo), rev, COMMANDS)
+    assert diff == ["report"] and (base["report"][0], head["report"][0]) == (0, 1)
+    assert base["report"][1:] == head["report"][1:]
+
+
+def test_main_prints_pass(tmp_path, monkeypatch, capsys):
+    repo, rev = _repo(tmp_path)
+    monkeypatch.setattr(same_bytes, "ROOT", str(repo))
+    monkeypatch.setattr(same_bytes, "COMMANDS", COMMANDS)
+    monkeypatch.setattr(same_bytes.signal, "signal", lambda *args: None)
+    assert same_bytes.main(["--base", rev]) == 0
+    assert capsys.readouterr().out.endswith("1 commands against %s: pass\n" % (rev,))
+    (repo / "r.json").write_text('{"count": 44}')
+    assert same_bytes.main(["--base", rev]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("differs: report\n") and out.endswith(": fail\n")
