@@ -412,7 +412,7 @@ def cross_ratio_q(c: StableCurve, q) -> ProjPoint:
 
 
 _ZERO_K, _ONE_K, _INF_K = PP_ZERO._k, PP_ONE._k, PP_INF._k
-_SPLIT_POINTS = {PP_ZERO._k: PP_ZERO, PP_ONE._k: PP_ONE, PP_INF._k: PP_INF}
+_SPLIT_POINTS = {p._k: p for p in (PP_ZERO, PP_ONE, PP_INF)}
 
 
 def split_key(a: int, b: int, x: int, y: int):

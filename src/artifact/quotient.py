@@ -338,8 +338,9 @@ def _chart_slots(t: MarkedTree, plan: ChartPlan):
     read, computed = [], []
     for p, (_text, q) in enumerate(plan.quads):
         slots = quad_slots(t, q)
-        read.append(split_key(*slots))
-        if read[-1] is None:
+        key = split_key(*slots)
+        read.append(key)
+        if key is None:
             computed.append((p, *slots))
     return tuple(read), tuple(computed)
 
