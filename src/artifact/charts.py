@@ -105,29 +105,31 @@ class ChartBasis:
 def gamma_basis(t: MarkedTree) -> ChartBasis:
     """The basis of cross-ratio coordinates attached to t under the
     systematic marking, which sends each oriented edge to the least mark
-    beyond it: the lowest set bit of that branch's mark mask."""
-    bits = t.mark_bits()
+    beyond it: the lowest set bit of that branch's mark mask.  Each mark
+    is read off t.marks() by its bit position."""
     marks = t.marks()  # marks[b] has bit 1 << b
     full = (1 << len(marks)) - 1
+    index = t.split_index()[0]
     gamma: List[int] = []  # [Gamma]_v as a mark mask
     gamma_v: Dict[int, List] = {}
     vertex_quads: Dict[int, List[Tuple]] = {}
-    for v, sides in enumerate(t.split_index()[0]):
+    for v, sides in enumerate(index):
         mask = full
         for side in sides:
             mask ^= side ^ (side & -side)  # keep only the branch's least mark
         gamma.append(mask)
-        ms = gamma_v[v] = _marks_of_mask(bits, mask)
+        ms = gamma_v[v] = []
+        while mask:
+            low = mask & -mask
+            ms.append(marks[low.bit_length() - 1])
+            mask ^= low
         vertex_quads[v] = [(ms[0], ms[1], ms[2], ms[r]) for r in range(3, len(ms))]
-
-    def least(mask):
-        return marks[(mask & -mask).bit_length() - 1]
 
     # each edge (u, w), u < w, oriented with the smaller index as the near
     # vertex: u's branch mask towards w is the far side.  Vertices ascending
     # and neighbours ascending give the edges in t.edges order.
     edge_quads: Dict[Tuple[int, int], Tuple] = {}
-    for u, (nbrs, sides) in enumerate(zip(t.adjacency(), t.split_index()[0])):
+    for u, (nbrs, sides) in enumerate(zip(t.adjacency(), index)):
         for w, far in zip(nbrs, sides):
             if w < u:
                 continue
@@ -136,7 +138,9 @@ def gamma_basis(t: MarkedTree) -> ChartBasis:
             k, m = gamma[u] & near & ~i, gamma[w] & far & ~j
             if not k or not m:
                 raise ChartError("cannot complete edge quadruple at %r" % ((u, w),))
-            edge_quads[u, w] = (least(i), least(j), least(k), least(m))
+            edge_quads[u, w] = (marks[i.bit_length() - 1], marks[j.bit_length() - 1],
+                                marks[(k & -k).bit_length() - 1],
+                                marks[(m & -m).bit_length() - 1])
     return ChartBasis(gamma_v, vertex_quads, edge_quads)
 
 

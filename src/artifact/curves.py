@@ -9,6 +9,7 @@ coordinates as one tuple, numbered by its tree's slot layout.
 
 from __future__ import annotations
 
+import functools
 import json
 import random
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -44,28 +45,34 @@ def _mark_slot(m) -> Slot:
 class SlotLayout:
     """The one numbering of a tree's coordinate slots, kept on the tree.
 
-    Slots go vertex by vertex: its marks in mu_inv order, then its edges
-    by neighbour.  slots[i] is the slot with index i and vertex[i] its
-    vertex; the slots of v are offsets[v]:offsets[v + 1].  rows[v] lists
-    in bit order the index through which v sees each mark (the mark's
-    own slot at its vertex, else the edge into the mark's branch), built
-    in one pass over v's branch masks: each bit of branch j maps to v's
-    edge slot j, and v's own marks, the bits in no branch, are its first
-    slots in bit order.  On a real tree, partner[i] is the index of the
-    conjugate of slot i (the conjugate mark where it sits, or the image
-    of the edge at phi(v)), i itself for a self-conjugate slot; only it
-    needs a (vertex, slot) -> index dict.  A layout is built once per
-    tree, and its slot tuples are shared between the layouts of all
-    trees.
+    Slots go vertex by vertex: its own marks in bit order (mark_key
+    order), then one edge slot per branch, by neighbour.  The layout is
+    built from the branch mark masks of the tree's split-mask index
+    alone: a vertex has popcount(own marks) + degree slots, its own marks
+    being the bits in none of its branches, and the slots of v are
+    offsets[v]:offsets[v + 1].  rows[v] lists in bit order the index
+    through which v sees each mark (the mark's own slot at its vertex,
+    else the edge into the mark's branch): each bit of branch j maps to
+    v's edge slot j.  offsets and rows are all that sampling, validation
+    and quad_slots read, and all that a layout builds at construction.
+
+    slots[i], the name of slot i (("m", mark) or ("e", (u, v)), interned
+    in _SLOTS so that the layouts of all trees share them), and
+    vertex[i], its vertex, are built on first read, from the rows and
+    the tree's adjacency, mu and mark bits, which the layout keeps in
+    place of the tree.  On a real tree they are built at construction, since
+    partner needs them: partner[i] is the index of the conjugate of slot
+    i (the conjugate mark where it sits, or the image of the edge at
+    phi(v)), i itself for a self-conjugate slot.
 
     The layout also keeps, each filled on first use, what is derived from
     its tree alone: key_layout (see _key_layout), the gather plans
     (gathers, see _derive) and the quotient's chart_plans, chart_slots,
     fiber_sites and labels (the relation labels whose loci hold a curve
-    over the tree, per label table; see quotient.relation_closure).  A gather plan holds its output tree, so a tree
-    keeps the trees derived from it (placed or stabilized) for as long
-    as it lives; no layout refers to its own tree, so they all go with
-    the last reference to it.
+    over the tree, per label table; see quotient.relation_closure).  A
+    gather plan holds its output tree, so a tree keeps the trees derived
+    from it (placed or stabilized) for as long as it lives; no layout
+    refers to its own tree, so they all go with the last reference to it.
     """
 
     partner: Optional[Tuple[int, ...]] = None
@@ -75,48 +82,61 @@ class SlotLayout:
     labels: Optional[Dict] = None
 
     def __init__(self, t: MarkedTree):
-        adj = t.adjacency()
-        slots: List[Slot] = []
-        vertex: List[int] = []
-        offsets = [0]
-        for v in range(t.vertex_count):
-            slots += [_mark_slot(m) for m in t.mu_inv(v)]
-            slots += [_edge_slot((v, w)) for w in adj[v]]
-            vertex += [v] * (len(slots) - offsets[-1])
-            offsets.append(len(slots))
-        self.slots, self.vertex, self.offsets = tuple(slots), tuple(vertex), tuple(offsets)
-        self.gathers: Dict = {}
-        self.chart_plans: Dict = {}
-        self.chart_slots: Dict = {}
-        n = len(t.mark_bits())
+        self._adj, self._mu, self._bits = t.adjacency(), t.mu, t.mark_bits()
+        n = len(self._bits)
         full = (1 << n) - 1
+        offsets = [0]
         rows = []
-        for v, sides in enumerate(t.split_index()[0]):
-            row = [0] * n
+        for sides in t.split_index()[0]:
             own = full
-            i = offsets[v + 1] - len(sides)  # the edges are v's last slots
             for side in sides:
                 own ^= side
-                while side:
-                    low = side & -side
-                    row[low.bit_length() - 1] = i
-                    side ^= low
-                i += 1
-            i = offsets[v]  # v's own marks are its first slots, in bit order
+            i = offsets[-1]
+            edge = i + own.bit_count()  # v's edge slots follow its own marks
+            offsets.append(edge + len(sides))
+            row = [0] * n
             while own:
                 low = own & -own
                 row[low.bit_length() - 1] = i
                 own ^= low
                 i += 1
+            for side in sides:
+                while side:
+                    low = side & -side
+                    row[low.bit_length() - 1] = edge
+                    side ^= low
+                edge += 1
             rows.append(tuple(row))
+        self.offsets: Tuple[int, ...] = tuple(offsets)
         self.rows: Tuple[Tuple[int, ...], ...] = tuple(rows)
+        self.gathers: Dict = {}
+        self.chart_plans: Dict = {}
+        self.chart_slots: Dict = {}
         if t.is_real:
+            vertex, slots = self.vertex, self.slots  # partner needs the names
             index = {vs: i for i, vs in enumerate(zip(vertex, slots))}
-            phi = t.phi
+            mu, phi = t.mu, t.phi
             self.partner = tuple([
-                index[t.mu[bar_mark(x)], ("m", bar_mark(x))] if kind == "m"
+                index[mu[bar_mark(x)], ("m", bar_mark(x))] if kind == "m"
                 else index[phi[v], _edge_slot((phi[x[0]], phi[x[1]]))]
                 for v, (kind, x) in zip(vertex, slots)])
+
+    @functools.cached_property
+    def slots(self) -> Tuple[Slot, ...]:
+        """Each mark at its row entry on its own vertex, each edge after
+        its vertex's marks, by neighbour."""
+        off, rows, mu = self.offsets, self.rows, self._mu
+        slots: List[Slot] = [None] * off[-1]
+        for v, nbrs in enumerate(self._adj):
+            slots[off[v + 1] - len(nbrs):off[v + 1]] = [_edge_slot((v, w)) for w in nbrs]
+        for m, b in self._bits.items():
+            slots[rows[mu[m]][b.bit_length() - 1]] = _mark_slot(m)
+        return tuple(slots)
+
+    @functools.cached_property
+    def vertex(self) -> Tuple[int, ...]:
+        off = self.offsets
+        return tuple([v for v in range(len(off) - 1) for _ in range(off[v + 1] - off[v])])
 
 
 def slot_layout(t: MarkedTree) -> SlotLayout:

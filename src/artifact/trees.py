@@ -98,8 +98,14 @@ class MarkedTree:
     """
 
     def __init__(self, vertex_count, edges, mu, *rest):
-        self._fill(int(vertex_count), tuple(sorted(tuple(sorted(e)) for e in edges)),
-                   dict(mu), *rest)
+        try:
+            edges = tuple(sorted(tuple(sorted(e)) for e in edges))
+            if any(len(e) != 2 for e in edges):
+                raise ValueError("an edge is not a pair")
+            args = (int(vertex_count), edges, dict(mu))
+        except (TypeError, ValueError, OverflowError) as e:
+            raise TreeError("invalid tree: %r" % (["malformed arguments: %s" % (e,)],)) from e
+        self._fill(*args, *rest)
         bad = self._defects()
         if bad:
             raise TreeError("invalid tree: %r" % (bad,))
@@ -234,7 +240,9 @@ class MarkedTree:
         bad = ["bad edge (%r,%r)" % (u, v) for u, v in self.edges
                if not (_vertex_ok(u, n) and _vertex_ok(v, n) and u != v)]
         ends_ok = not bad  # the connectivity walk indexes by edge ends
-        if len(set(self.edges)) != len(self.edges):
+        # the edges are sorted, so equal ones are adjacent; an end need not
+        # be hashable
+        if any(e == f for e, f in zip(self.edges, self.edges[1:])):
             bad.append("duplicate edges")
         if len(self.edges) != n - 1:
             bad.append("edge count %d != %d (not a tree)" % (len(self.edges), n - 1))
@@ -250,6 +258,11 @@ class MarkedTree:
                         stack.append(w)
             if len(seen) != n:
                 bad.append("not connected")
+        # mark_bits is cached on the mark set, in which 0, 0.0 and False
+        # are one key, so a mark of another type is refused first
+        for m in self.mu:
+            if type(m) is not int and type(m) is not str:
+                raise TreeError("bad mark %r" % (m,))
         self.mark_bits()  # raises TreeError for a bad mark
         if len({isinstance(m, int) for m in self.mu}) > 1:  # mark_key ties 1 and "1+"
             bad.append("marks mix integers and conjugate pairs")
@@ -270,7 +283,7 @@ class MarkedTree:
         n = self.vertex_count
         if len(phi) != n:
             return ["phi has wrong length"]
-        if sorted(phi) != list(range(n)):
+        if not all(_vertex_ok(x, n) for x in phi) or len(set(phi)) != n:
             return ["phi is not a permutation"]
         for v in range(n):
             if phi[phi[v]] != v:
@@ -333,6 +346,11 @@ class RealMarkedTree(MarkedTree):
     def __init__(self, vertex_count, edges, mu, phi: Optional[Sequence[int]] = None):
         if phi is None:
             phi = _phi_from_structure(MarkedTree(vertex_count, edges, mu))
+        else:
+            try:
+                phi = tuple(phi)
+            except TypeError as e:
+                raise TreeError("invalid tree: %r" % (["phi is not a sequence"],)) from e
         super().__init__(vertex_count, edges, mu, phi)
 
     def _fill(self, vertex_count, edges, mu, phi: Sequence[int]) -> None:

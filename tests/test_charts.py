@@ -46,46 +46,131 @@ class TestBasisDimension:
                 assert len(set(q)) == 4
 
 
+def _branch(t, v, w):
+    """The marks on the branch at v through its neighbour w, found by a
+    search over the adjacency lists and mu."""
+    adj = t.adjacency()
+    seen, queue = {v, w}, [w]
+    for x in queue:
+        for y in adj[x]:
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    seen.discard(v)
+    return {m for m, x in t.mu.items() if x in seen}
+
+
+def reference_basis(t):
+    """([Gamma]_v per vertex, edge quadruples) from the definition."""
+    least = functools.partial(min, key=trees.mark_key)
+    adj = t.adjacency()
+    # own marks plus the least mark beyond each edge out of v
+    gamma = {v: trees.sort_marks([m for m, x in t.mu.items() if x == v]
+                                 + [least(_branch(t, v, w)) for w in adj[v]])
+             for v in range(t.vertex_count)}
+    quads = {}
+    for u, w in t.edges:  # u < w: the smaller index is the near vertex
+        near = _branch(t, w, u)  # the marks on the u side
+        far = set(t.mu) - near
+        i, j = least(near), least(far)
+        k = least(m for m in gamma[u] if m in near and m != i)
+        m = least(x for x in gamma[w] if x in far and x != j)
+        quads[(u, w)] = (i, j, k, m)
+    return gamma, quads
+
+
+BASIS_CASES = [(l, False) for l in range(3, 8)] + [(l, True) for l in range(2, 5)]
+
+
 class TestReferenceBasis:
     """[Gamma]_v and the edge quadruples from the definition, with the
     branch sides found by a search over the adjacency lists and mu."""
 
-    @staticmethod
-    def _branch(t, v, w):
-        # the marks on the branch at v through its neighbour w
-        adj = t.adjacency()
-        seen, queue = {v, w}, [w]
-        for x in queue:
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    queue.append(y)
-        seen.discard(v)
-        return {m for m, x in t.mu.items() if x in seen}
-
-    @pytest.mark.parametrize("l,real", [(l, False) for l in range(3, 8)]
-                             + [(l, True) for l in range(2, 5)])
+    @pytest.mark.parametrize("l,real", BASIS_CASES)
     def test_basis_matches_definition(self, l, real):
-        least = functools.partial(min, key=trees.mark_key)
         for t in trees.enumerate_trees(l, real=real):
-            adj = t.adjacency()
-            # own marks plus the least mark beyond each edge out of v
-            gamma = {v: trees.sort_marks([m for m, x in t.mu.items() if x == v]
-                                         + [least(self._branch(t, v, w)) for w in adj[v]])
-                     for v in range(t.vertex_count)}
-            quads = {}
-            for u, w in t.edges:  # u < w: the smaller index is the near vertex
-                near = self._branch(t, w, u)  # the marks on the u side
-                far = set(t.mu) - near
-                i, j = least(near), least(far)
-                k = least(m for m in gamma[u] if m in near and m != i)
-                m = least(x for x in gamma[w] if x in far and x != j)
-                quads[(u, w)] = (i, j, k, m)
+            gamma, quads = reference_basis(t)
             basis = gamma_basis(t)
             assert basis.gamma_v == gamma
             assert basis.edge_quads == quads
             assert all(len(set(q)) == 4 for q in quads.values())
             assert all(len(ms) >= 3 for ms in gamma.values())
+
+
+def names_first_layout(t):
+    """(offsets, rows, slots, vertex, partner) built as curves.SlotLayout
+    built them before it read the mark masks alone: the slot names first,
+    vertex by vertex (the marks at v in mu_inv order, then its edges by
+    neighbour), the rows from the names' offsets and the branch masks,
+    and partner through a (vertex, slot) -> index dict."""
+    adj = t.adjacency()
+    slots, vertex, offsets = [], [], [0]
+    for v in range(t.vertex_count):
+        slots += [("m", m) for m in t.mu_inv(v)]
+        slots += [("e", (min(v, w), max(v, w))) for w in adj[v]]
+        vertex += [v] * (len(slots) - offsets[-1])
+        offsets.append(len(slots))
+    n = len(t.mark_bits())
+    full = (1 << n) - 1
+    rows = []
+    for v, sides in enumerate(t.split_index()[0]):
+        row = [0] * n
+        own = full
+        i = offsets[v + 1] - len(sides)
+        for side in sides:
+            own ^= side
+            while side:
+                low = side & -side
+                row[low.bit_length() - 1] = i
+                side ^= low
+            i += 1
+        i = offsets[v]
+        while own:
+            low = own & -own
+            row[low.bit_length() - 1] = i
+            own ^= low
+            i += 1
+        rows.append(tuple(row))
+    partner = None
+    if t.is_real:
+        index = {vs: i for i, vs in enumerate(zip(vertex, slots))}
+        phi = t.phi
+        partner = tuple([
+            index[t.mu[trees.bar_mark(x)], ("m", trees.bar_mark(x))] if kind == "m"
+            else index[phi[v], ("e", tuple(sorted((phi[x[0]], phi[x[1]]))))]
+            for v, (kind, x) in zip(vertex, slots)])
+    return tuple(offsets), tuple(rows), tuple(slots), tuple(vertex), partner
+
+
+class TestLayoutAndBasisFromMasks:
+    """The slot layout and the basis, both read off the branch mark masks,
+    equal the names-first layout and the basis from the definition; a
+    complex tree's layout builds its slot names only when they are read."""
+
+    @pytest.mark.parametrize("l,real", BASIS_CASES)
+    def test_equal_to_the_references(self, l, real):
+        for t in trees.enumerate_trees(l, real=real):
+            lay = curves.SlotLayout(t)
+            got = (lay.offsets, lay.rows, lay.slots, lay.vertex, lay.partner)
+            assert got == names_first_layout(t), t
+            basis = gamma_basis(t)
+            assert (basis.gamma_v, basis.edge_quads) == reference_basis(t), t
+            assert basis.vertex_quads == {
+                v: [tuple(ms[:3]) + (m,) for m in ms[3:]] for v, ms in basis.gamma_v.items()}
+
+    def test_names_built_on_first_read(self):
+        marks = trees.complex_marks(6)
+        for i, t in enumerate(trees.enumerate_trees(6)):
+            curves.sample_curve(t, 40, ("names", i))
+            for q in itertools.combinations(marks, 4):
+                curves.quad_slots(t, q)
+            lay = t._layout
+            assert "slots" not in vars(lay) and "vertex" not in vars(lay)
+            assert lay.slots == names_first_layout(t)[2]
+            assert "slots" in vars(lay)
+        for t in trees.enumerate_trees(3, real=True):
+            lay = curves.SlotLayout(t)
+            assert "slots" in vars(lay) and "vertex" in vars(lay)
 
 
 # sha256 of ChartBasis.to_json() (sorted-key JSON, one line per tree) over

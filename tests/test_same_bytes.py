@@ -8,6 +8,8 @@ import os
 import re
 import subprocess
 
+import pytest
+
 _TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
 _spec = importlib.util.spec_from_file_location("same_bytes",
                                                os.path.join(_TOOLS, "same_bytes.py"))
@@ -122,3 +124,52 @@ def test_main_prints_pass(tmp_path, monkeypatch, capsys):
     assert same_bytes.main(["--base", rev]) == 1
     out = capsys.readouterr().out
     assert out.startswith("differs: report\n") and out.endswith(": fail\n")
+
+
+# prints a report whose "order" is the iteration order of a set of
+# strings, which follows the hash seed, when order.txt says so
+_SEEDED = """import json
+words = ["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta"]
+seeded = open("order.txt").read() == "set"
+print(json.dumps({"order": list(set(words)) if seeded else sorted(words)}))
+"""
+
+SEEDED_COMMANDS = (("seeded", ("seeded.py",)),)
+
+
+def _seeded_repo(tmp_path, order):
+    repo = tmp_path / "seeded"
+    repo.mkdir()
+    (repo / "seeded.py").write_text(_SEEDED)
+    (repo / "order.txt").write_text(order)
+    return repo
+
+
+def test_report_that_follows_the_hash_seed_fails(tmp_path):
+    repo = _seeded_repo(tmp_path, "set")
+    first, runs = same_bytes.compare_seeds(str(repo), ["1", "2"], SEEDED_COMMANDS)
+    [(seed, diff, results)] = runs
+    assert seed == "2" and diff == ["seeded"]
+    assert first["seeded"][0] == results["seeded"][0] == 0
+
+
+def test_report_that_ignores_the_hash_seed_passes(tmp_path):
+    repo = _seeded_repo(tmp_path, "sorted")
+    first, runs = same_bytes.compare_seeds(str(repo), ["1", "2", "3"], SEEDED_COMMANDS)
+    assert [(seed, diff) for seed, diff, _results in runs] == [("2", []), ("3", [])]
+
+
+def test_main_hash_seeds(tmp_path, monkeypatch, capsys):
+    repo = _seeded_repo(tmp_path, "set")
+    monkeypatch.setattr(same_bytes, "ROOT", str(repo))
+    monkeypatch.setattr(same_bytes, "COMMANDS", SEEDED_COMMANDS)
+    assert same_bytes.main(["--hash-seeds", "1,2"]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("differs: seeded\n  seed 1: exit 0")
+    assert out.endswith("1 commands under hash seeds 1,2: fail\n")
+    (repo / "order.txt").write_text("sorted")
+    assert same_bytes.main(["--hash-seeds", "1,2"]) == 0
+    assert capsys.readouterr().out == "1 commands under hash seeds 1,2: pass\n"
+    for bad in ("1", "1,x", "1,-2"):
+        with pytest.raises(SystemExit):
+            same_bytes.main(["--hash-seeds", bad])

@@ -1,0 +1,114 @@
+"""Every failure at an input boundary is one of the package's typed errors.
+
+Small valid inputs (trees, their JSON and the JSON of curves on them) are
+mutated by hypothesis, derandomized so that each run draws the same
+cases: a value anywhere in the input is replaced by a small JSON-like
+value, an integer moved by a little, a list entry or dict key dropped or
+a dict key renamed.  The checked MarkedTree and RealMarkedTree
+constructors, trees.tree_from_json and curves.curve_from_json either
+accept the result or raise a TreeError, CurveError or ExactFieldError.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from artifact import curves, exactfield, trees
+
+TYPED = (trees.TreeError, curves.CurveError, exactfield.ExactFieldError)
+
+ATOMS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 8),
+    st.floats(-4, 4, allow_nan=False), st.text(max_size=3),
+    st.sampled_from(["1+", "2-", "3+", "01+", "1", "0", "mark:1", "mark:1+", "edge:0-1",
+                     "edge:1", "1/2", "[1:0]", "[0:0]", "inf", "2+3i"]))
+VALUES = st.recursive(
+    ATOMS, lambda kids: st.lists(kids, max_size=3)
+    | st.dictionaries(st.sampled_from(["1", "2+", "0", "mark:1", "x"]), kids, max_size=2),
+    max_leaves=4)
+
+# fuzzing budget per test; all four run in a few seconds
+FUZZ = settings(max_examples=250, derandomize=True, deadline=None, database=None,
+                suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
+
+
+def _mutate(data, x, depth=0):
+    """x with one value in it changed, drawn from data."""
+    how = data.draw(st.integers(0, 3)) if depth < 4 else 0
+    if isinstance(x, dict) and x and how:
+        y = dict(x)
+        k = data.draw(st.sampled_from(sorted(x, key=repr)))
+        if how == 1:
+            del y[k]
+        elif how == 2:
+            y[k] = _mutate(data, x[k], depth + 1)
+        else:
+            y[data.draw(ATOMS)] = y.pop(k)
+        return y
+    if isinstance(x, (list, tuple)) and x and how:
+        y = list(x)
+        i = data.draw(st.integers(0, len(x) - 1))
+        if how == 1:
+            del y[i]
+        else:
+            y[i] = _mutate(data, x[i], depth + 1)
+        return type(x)(y)
+    if type(x) is int and how:
+        return x + data.draw(st.integers(-2, 2))
+    return data.draw(VALUES)
+
+
+def _small_trees():
+    return ([t for l in (3, 4, 5) for t in trees.enumerate_trees(l)][::3]
+            + [t for l in (2, 3) for t in trees.enumerate_trees(l, real=True)][::2])
+
+
+TREES = _small_trees()
+TREE_ARGS = [[t.vertex_count, [list(e) for e in t.edges], dict(t.mu), t.phi and list(t.phi)]
+             for t in TREES]
+TREE_JSON = [t.to_json() for t in TREES]
+CURVE_JSON = [curves.sample_curve(t, 5, ("fuzz", i)).to_json() for i, t in enumerate(TREES)]
+
+
+def _typed_or_nothing(fn, *args):
+    try:
+        fn(*args)
+    except TYPED:
+        pass
+
+
+@FUZZ
+@given(st.data())
+def test_marked_tree_constructor(data):
+    args = _mutate(data, data.draw(st.sampled_from(TREE_ARGS)))
+    if isinstance(args, list) and len(args) >= 3:
+        _typed_or_nothing(trees.MarkedTree, *args[:3])
+
+
+@FUZZ
+@given(st.data())
+def test_real_marked_tree_constructor(data):
+    args = _mutate(data, data.draw(st.sampled_from([a for a in TREE_ARGS if a[3]])))
+    if isinstance(args, list) and len(args) >= 3:
+        _typed_or_nothing(trees.RealMarkedTree, *args[:4])
+
+
+@FUZZ
+@given(st.data())
+def test_tree_from_json(data):
+    _typed_or_nothing(trees.tree_from_json, _mutate(data, data.draw(st.sampled_from(TREE_JSON))))
+
+
+@FUZZ
+@given(st.data())
+def test_curve_from_json(data):
+    _typed_or_nothing(curves.curve_from_json,
+                      _mutate(data, data.draw(st.sampled_from(CURVE_JSON))))
+
+
+@pytest.mark.parametrize("phi", [["a", 0], 5, (0.0, 1.0)], ids=["str_entry", "int", "floats"])
+def test_bad_phi_of_the_checked_real_constructor(phi):
+    # each raised TypeError before: from sorting mixed entries, filling
+    # the tree with a phi that does not iterate, and indexing by a float
+    t = [x for x in trees.enumerate_trees(3, real=True) if x.vertex_count == 2][0]
+    with pytest.raises(trees.TreeError, match=r"^invalid tree: \[.+\]$"):
+        trees.RealMarkedTree(t.vertex_count, t.edges, t.mu, phi)

@@ -2,8 +2,9 @@
 """Check that this checkout writes the same outputs as an earlier commit.
 
     python3 tools/same_bytes.py --base REV
+    python3 tools/same_bytes.py --hash-seeds 1,2
 
-Checks REV out with `git worktree` into a temporary directory outside the
+With --base, it checks REV out with `git worktree` into a temporary directory outside the
 checkout (tools/bench_pairs.worktree, which removes it again on every
 exit path).  Then it runs one command list at REV and in this checkout
 (the head), each command from the root of its checkout with that
@@ -14,8 +15,12 @@ output and of the standard error.  A JSON report on standard output is
 hashed without its `timestamp`, dumped as CI dumps it (indent 2, sorted
 keys); other output is hashed as it is, with the checkout's path in
 standard error written as <root>.  It prints pass, or each command that
-differs with both sides, and exits 0 on pass and 1 otherwise.  Nothing
-in CI runs it.
+differs with both sides, and exits 0 on pass and 1 otherwise.
+
+With --hash-seeds, it runs the same command list in this checkout once
+under each PYTHONHASHSEED given and compares each seed's results with
+the first seed's, in the same way, so an output that depends on the hash
+seed fails.  Nothing in CI runs it.
 """
 
 import argparse
@@ -77,10 +82,10 @@ def digest(out: bytes) -> str:
     return hashlib.sha256(out).hexdigest()
 
 
-def run_all(root, commands):
+def run_all(root, commands, hash_seed="0"):
     """{name: (exit code, stdout digest, stderr digest)} of each command
-    run from root with root/src on PYTHONPATH."""
-    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED="0")
+    run from root with root/src on PYTHONPATH, under hash_seed."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"), PYTHONHASHSEED=hash_seed)
     out = {}
     for name, args in commands:
         res = subprocess.run([sys.executable, *args], cwd=root, env=env, capture_output=True)
@@ -103,16 +108,52 @@ def compare(root, rev, commands):
     return differing(base, head), base, head
 
 
+def compare_seeds(root, seeds, commands):
+    """(the first seed's results, [(seed, differing names, its results)]
+    for each later seed) of the commands run in the checkout at root."""
+    first = run_all(root, commands, seeds[0])
+    out = []
+    for seed in seeds[1:]:
+        results = run_all(root, commands, seed)
+        out.append((seed, differing(first, results), results))
+    return first, out
+
+
+def _seeds(text):
+    seeds = text.split(",")
+    if len(seeds) < 2 or not all(s.isdigit() and int(s) <= 4294967295 for s in seeds):
+        raise SystemExit("--hash-seeds needs two or more seeds in 0..4294967295, got %r"
+                         % (text,))
+    return seeds
+
+
+def _print_diff(name, a_side, a, b_side, b):
+    print("differs: %s\n  %s: exit %d stdout %s stderr %s\n  %s: exit %d stdout %s stderr %s"
+          % ((name, a_side) + a + (b_side,) + b))
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--base", required=True)
+    which = ap.add_mutually_exclusive_group(required=True)
+    which.add_argument("--base")
+    which.add_argument("--hash-seeds")
     args = ap.parse_args(argv)
+    if args.hash_seeds is not None:
+        seeds = _seeds(args.hash_seeds)
+        first, runs = compare_seeds(ROOT, seeds, COMMANDS)
+        failed = False
+        for seed, diff, results in runs:
+            for name in diff:
+                _print_diff(name, "seed " + seeds[0], first[name], "seed " + seed, results[name])
+            failed = failed or bool(diff)
+        print("%d commands under hash seeds %s: %s" % (len(COMMANDS), ",".join(seeds),
+                                                       "fail" if failed else "pass"))
+        return 1 if failed else 0
     # SIGTERM unwinds like Ctrl-C, so the worktree goes on that path too
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     diff, base, head = compare(ROOT, args.base, COMMANDS)
     for name in diff:
-        print("differs: %s\n  base: exit %d stdout %s stderr %s\n  head: exit %d stdout %s stderr %s"
-              % ((name,) + base[name] + head[name]))
+        _print_diff(name, "base", base[name], "head", head[name])
     print("%d commands against %s: %s" % (len(COMMANDS), args.base,
                                           "fail" if diff else "pass"))
     return 1 if diff else 0
