@@ -9,7 +9,6 @@ coordinates as one tuple, numbered by its tree's slot layout.
 
 from __future__ import annotations
 
-import functools
 import json
 import random
 from typing import Dict, FrozenSet, List, Optional, Tuple
@@ -121,22 +120,32 @@ class SlotLayout:
                 else index[phi[v], _edge_slot((phi[x[0]], phi[x[1]]))]
                 for v, (kind, x) in zip(vertex, slots)])
 
-    @functools.cached_property
+    # filled on first read; properties, since writing a cached value into
+    # the instance __dict__ makes every later attribute read slower
+    _slots: Optional[Tuple[Slot, ...]] = None
+    _vertex: Optional[Tuple[int, ...]] = None
+
+    @property
     def slots(self) -> Tuple[Slot, ...]:
         """Each mark at its row entry on its own vertex, each edge after
         its vertex's marks, by neighbour."""
-        off, rows, mu = self.offsets, self.rows, self._mu
-        slots: List[Slot] = [None] * off[-1]
-        for v, nbrs in enumerate(self._adj):
-            slots[off[v + 1] - len(nbrs):off[v + 1]] = [_edge_slot((v, w)) for w in nbrs]
-        for m, b in self._bits.items():
-            slots[rows[mu[m]][b.bit_length() - 1]] = _mark_slot(m)
-        return tuple(slots)
+        if self._slots is None:
+            off, rows, mu = self.offsets, self.rows, self._mu
+            slots: List[Slot] = [None] * off[-1]
+            for v, nbrs in enumerate(self._adj):
+                slots[off[v + 1] - len(nbrs):off[v + 1]] = [_edge_slot((v, w)) for w in nbrs]
+            for m, b in self._bits.items():
+                slots[rows[mu[m]][b.bit_length() - 1]] = _mark_slot(m)
+            self._slots = tuple(slots)
+        return self._slots
 
-    @functools.cached_property
+    @property
     def vertex(self) -> Tuple[int, ...]:
-        off = self.offsets
-        return tuple([v for v in range(len(off) - 1) for _ in range(off[v + 1] - off[v])])
+        if self._vertex is None:
+            off = self.offsets
+            self._vertex = tuple([v for v in range(len(off) - 1)
+                                  for _ in range(off[v + 1] - off[v])])
+        return self._vertex
 
 
 def slot_layout(t: MarkedTree) -> SlotLayout:

@@ -165,12 +165,12 @@ class TestLayoutAndBasisFromMasks:
             for q in itertools.combinations(marks, 4):
                 curves.quad_slots(t, q)
             lay = t._layout
-            assert "slots" not in vars(lay) and "vertex" not in vars(lay)
+            assert lay._slots is None and lay._vertex is None
             assert lay.slots == names_first_layout(t)[2]
-            assert "slots" in vars(lay)
+            assert lay._slots is not None
         for t in trees.enumerate_trees(3, real=True):
             lay = curves.SlotLayout(t)
-            assert "slots" in vars(lay) and "vertex" in vars(lay)
+            assert lay._slots is not None and lay._vertex is not None
 
 
 # sha256 of ChartBasis.to_json() (sorted-key JSON, one line per tree) over
