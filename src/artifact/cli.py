@@ -27,6 +27,7 @@ from .exactfield import (
     UnstableConfiguration,
     IndeterminateProduct,
     _cross,
+    _point,
     cross_ratio,
     finite_point,
     randbelow,
@@ -200,36 +201,50 @@ def verify_basis_suite(l: int, samples: int = 200, seed: int = 0,
     """Per-tree comparison of the reconstruction recursion against the
     direct cross ratio, for every 4-subset of marks.
 
-    Both sides are compared as point keys.  The direct side is read or
-    computed per tree (_split_quads): a quadruple that an edge splits 2|2
+    Both sides are compared as point keys.  Every tree of the suite has
+    the same mark bits, so each 4-subset's bit positions and table mask
+    are resolved once per suite.  Per tree, one curves.quad_plan call
+    gives the slots of the 4-subsets and of the basis quadruples, and
+    _split_quads splits each list: a quadruple that an edge splits 2|2
     has the constant that curves.split_key reads off its slots, and only
-    the others are computed, by exactfield._cross on the curve's points
-    at their slots (_direct_keys).  Each curve's direct {mask: key} dict
-    is compared with the table's own in one comparison; only when they
-    differ is value_key(q) walked in quadruple order, which counts the
-    mismatches and raises ChartDomainError for a value the table leaves
-    undetermined.  A case with mismatches also gives its index, "case",
-    and the "seed" of its first mismatching sample, which
-    curves.sample_curve(t, bound, seed) replays.  Raises UsageError for
-    samples < 1, where no value would be compared.
+    the others are computed, per curve, by exactfield._cross on its
+    points at their slots.  That gives the basis values that the table
+    is built from and the direct {mask: key} dict (_direct_keys).  Each
+    curve's direct dict is compared with the table's own in one
+    comparison; only when they differ is value_key(q) walked in
+    quadruple order, which counts the mismatches and raises
+    ChartDomainError for a value the table leaves undetermined.  A case
+    with mismatches also gives its index, "case", and the "seed" of its
+    first mismatching sample, which curves.sample_curve(t, bound, seed)
+    replays.  Raises UsageError for samples < 1, where no value would be
+    compared.
     """
     if samples < 1:
         raise UsageError("need samples >= 1, got %r" % (samples,))
     ts = trees.enumerate_trees(l, real=real)
     marks = trees.sort_marks(trees.real_marks(l) if real else trees.complex_marks(l))
+    bits = trees._mark_bits(frozenset(marks))  # the mark_bits() of every tree in ts
     quads = list(itertools.combinations(marks, 4))
+    masks = [bits[i] | bits[j] | bits[k] | bits[m] for i, j, k, m in quads]
+    positions = [_positions(bits, q) for q in quads]
 
     def case(idx, t):
         basis = charts.gamma_basis(t)
-        masks, read, computed = _split_quads(t, quads)
+        basis_quads = basis.all_quadruples
+        slots = curves.quad_plan(t, positions + [_positions(bits, q) for q in basis_quads])
+        read, computed = _split_quads(masks, slots)
+        basis_read, basis_computed = _split_quads(basis_quads, slots[len(quads):])
+        basis_read = {q: _point(key) for q, key in basis_read.items()}
         mismatches = 0
         first = None
         for s in range(samples):
             case_seed = (str(seed), "basis", idx, s)
-            c = curves.sample_curve(t, bound, case_seed)
-            vals = charts.basis_values(c, basis)
+            pts = curves.sample_curve(t, bound, case_seed).points
+            vals = dict(basis_read)
+            for q, (a, b, x, y) in basis_computed:
+                vals[q] = _point(_cross(pts[a]._k, pts[b]._k, pts[x]._k, pts[y]._k))
             table = charts.ReconstructionTable(t, values=vals, basis=basis)
-            direct = _direct_keys(read, computed, c.points)
+            direct = _direct_keys(read, computed, pts)
             if direct == table.table:
                 continue
             value_key = table.value_key
@@ -263,24 +278,24 @@ def verify_basis_suite(l: int, samples: int = 200, seed: int = 0,
     }
 
 
-def _split_quads(t: trees.MarkedTree, quads):
-    """The direct side's plan on tree t, for quadruples in increasing mark
-    order: (masks, read, computed).  masks[i] is the table key of
-    quads[i]; read is {mask: constant key} of the quadruples that an edge
-    splits 2|2, and computed lists (mask, slots) for the others."""
-    bits = t.mark_bits()
-    masks, read, computed = [], {}, []
-    for q in quads:
-        i, j, k, m = q
-        mask = bits[i] | bits[j] | bits[k] | bits[m]
-        masks.append(mask)
-        slots = curves.quad_slots(t, q)
-        key = curves.split_key(*slots)
-        if key is None:
-            computed.append((mask, slots))
+def _positions(bits: Dict, q) -> tuple:
+    """The bit positions of the marks of q, in q's order."""
+    return tuple([bits[m].bit_length() - 1 for m in q])
+
+
+def _split_quads(keys, slots):
+    """(read, computed) for quadruples with the given keys and their
+    curves.quad_plan slots, paired in order: read is {key: constant key}
+    of the quadruples that an edge splits 2|2, and computed lists (key,
+    slots) for the others."""
+    read, computed = {}, []
+    for key, s in zip(keys, slots):
+        k = curves.split_key(*s)
+        if k is None:
+            computed.append((key, s))
         else:
-            read[mask] = key
-    return masks, read, computed
+            read[key] = k
+    return read, computed
 
 
 def _direct_keys(read, computed, pts) -> Dict:

@@ -14,7 +14,7 @@ import random
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, _frame, cross_ratio,
-                         finite_point, point_text, randbelow)
+                         finite_point, point_text)
 from .strata import classify_real, is_admissible, stratum_edge
 from .trees import (MarkedTree, RealMarkedTree, bar_mark, canonical_form,
                     canonical_vertex_order, real_marks, sort_marks, tree_from_json)
@@ -53,7 +53,7 @@ class SlotLayout:
     through which v sees each mark (the mark's own slot at its vertex,
     else the edge into the mark's branch): each bit of branch j maps to
     v's edge slot j.  offsets and rows are all that sampling, validation
-    and quad_slots read, and all that a layout builds at construction.
+    and quad_plan read, and all that a layout builds at construction.
 
     slots[i], the name of slot i (("m", mark) or ("e", (u, v)), interned
     in _SLOTS so that the layouts of all trees share them), and
@@ -161,7 +161,7 @@ class StableCurve:
     pairwise distinct special points (every tree is valid, so each
     component has three or more slots) and, on a real tree, the points
     are conjugation-symmetric.  The dict constructor checks this in
-    full; the other builders keep it (sample_curve validates what it
+    full; the other builders keep it (sample_curve checks what it
     draws, _derive checks what it gathers and conjugate_curve maps a
     curve to a curve).
 
@@ -445,11 +445,11 @@ _SPLIT_POINTS = {p._k: p for p in (PP_ZERO, PP_ONE, PP_INF)}
 
 
 def split_key(a: int, b: int, x: int, y: int):
-    """The point key of CR_q at the slots (a, b, x, y) that quad_slots
+    """The point key of CR_q at the slots (a, b, x, y) that quad_plan
     gives for q, when two of them coincide, else None: 1 if a = b or
     x = y, 0 if a = x or b = y, inf if a = y or b = x.
 
-    quad_slots gives three or more distinct slots, and two coincide
+    quad_plan gives three or more distinct slots, and two coincide
     exactly when an edge splits q 2|2, so this is the value that
     exactfield._cross computes from a curve's points there; it depends
     on the tree alone.
@@ -463,13 +463,31 @@ def split_key(a: int, b: int, x: int, y: int):
     return None
 
 
-def quad_slots(t: MarkedTree, q) -> Tuple[int, int, int, int]:
+def quad_plan(t: MarkedTree, positions) -> List[Tuple[int, int, int, int]]:
     """The slot indices of the four points whose cross ratio is CR_q on a
-    curve over t: those through which the first component, in layout
-    order, that separates three or more of the marks q sees them."""
+    curve over t, for each q given as the bit positions (t.mark_bits())
+    of its four distinct marks, in q's order: those through which the
+    first component, in layout order, that separates three or more of
+    the marks sees them."""
+    rows = slot_layout(t).rows
+    out = []
+    for i, j, k, n in positions:
+        for row in rows:
+            a, b, x, y = row[i], row[j], row[k], row[n]
+            if len({a, b, x, y}) >= 3:
+                out.append((a, b, x, y))
+                break
+        else:
+            raise CurveError("no component separates three of the marks")  # unreachable
+    return out
+
+
+def quad_slots(t: MarkedTree, q) -> Tuple[int, int, int, int]:
+    """quad_plan's slots of the quadruple of marks q, or CurveError for
+    a q that is not four distinct marks of t."""
     if type(q) is not tuple:
         q = tuple(q)
-    bits = t._bits or t.mark_bits()
+    bits = t.mark_bits()
     try:
         a, b, x, y = q
         a, b, x, y = bits[a], bits[b], bits[x], bits[y]
@@ -477,13 +495,8 @@ def quad_slots(t: MarkedTree, q) -> Tuple[int, int, int, int]:
         a = b = x = y = 0
     if (a | b | x | y).bit_count() != 4:
         _bad_quadruple(q, bits)
-    i, j = a.bit_length() - 1, b.bit_length() - 1
-    k, n = x.bit_length() - 1, y.bit_length() - 1
-    for row in (t._layout or slot_layout(t)).rows:
-        a, b, x, y = row[i], row[j], row[k], row[n]
-        if len({a, b, x, y}) >= 3:
-            return a, b, x, y
-    raise CurveError("no component separates three of the marks")  # unreachable
+    return quad_plan(t, [(a.bit_length() - 1, b.bit_length() - 1,
+                          x.bit_length() - 1, y.bit_length() - 1)])[0]
 
 
 def _bad_quadruple(q: Tuple, bits: Dict) -> None:
@@ -548,14 +561,32 @@ def in_D_tilde(c: StableCurve, rho, bullet: str) -> bool:
 
 def _rand_point(rng: random.Random, bound: int, real_only=False) -> ProjPoint:
     # infinity shows up with small probability so charts get exercised
-    # there; p and q in [-bound, bound], d and e in [1, bound]
-    if randbelow(rng, 12) == 0:
+    # there; p and q in [-bound, bound], d and e in [1, bound], for
+    # bound >= 1.  Each draw is exactfield.randbelow's, made inline: the
+    # same getrandbits calls in the same order, so the stream is the same
+    bits = rng.getrandbits
+    r = bits(4)
+    while r >= 12:
+        r = bits(4)
+    if r == 0:
         return PP_INF
     width = 2 * bound + 1
-    p, d = randbelow(rng, width) - bound, randbelow(rng, bound) + 1
+    kw, kb = width.bit_length(), bound.bit_length()
+    p = bits(kw)
+    while p >= width:
+        p = bits(kw)
+    d = bits(kb)
+    while d >= bound:
+        d = bits(kb)
     if real_only:
-        return finite_point(p, 0, d)
-    q, e = randbelow(rng, width) - bound, randbelow(rng, bound) + 1
+        return finite_point(p - bound, 0, d + 1)
+    q = bits(kw)
+    while q >= width:
+        q = bits(kw)
+    e = bits(kb)
+    while e >= bound:
+        e = bits(kb)
+    p, d, q, e = p - bound, d + 1, q - bound, e + 1
     # p/d + (q/e)*i = (p*e + q*d*i) / (d*e)
     return finite_point(p * e, q * d, d * e)
 
@@ -564,9 +595,12 @@ def sample_curve(t: MarkedTree, bound: int, seed) -> StableCurve:
     """Deterministic random curve with the given dual graph.
 
     Coordinate magnitudes are bounded by `bound`; real trees receive
-    conjugation-symmetric coordinates by construction.  A list seed counts
-    as a tuple, and so does every list in it, so a seed read back from a
-    JSON report draws the curve that the report names.
+    conjugation-symmetric coordinates by construction.  The points are
+    redrawn, up to 200 times, until each component's are pairwise
+    distinct; that check is the curve's validation, and a real curve is
+    also checked for conjugation symmetry (_validate_real).  A list seed
+    counts as a tuple, and so does every list in it, so a seed read back
+    from a JSON report draws the curve that the report names.
     """
     if bound < 2:
         raise CurveError("bound too small")
@@ -578,17 +612,20 @@ def sample_curve(t: MarkedTree, bound: int, seed) -> StableCurve:
     # each conjugate pair is drawn at its first slot; on a complex tree
     # each slot is its own
     partner = lay.partner or range(off[-1])
+    real = t.is_real
     for _attempt in range(200):
         pts: List[ProjPoint] = [PP_INF] * len(partner)
         for i, j in enumerate(partner):
             if j == i:
-                pts[i] = _rand_point(rng, bound, real_only=t.is_real)
+                pts[i] = _rand_point(rng, bound, real)
             elif j > i:
                 pts[i] = val = _rand_point(rng, bound)
                 pts[j] = val.conj()
+        # this check is the distinctness half of validate, so only a real
+        # curve is validated further, for conjugation symmetry
         if all(len({z._k for z in pts[a:b]}) == b - a for a, b in zip(off, off[1:])):
             c = StableCurve._of(t, tuple(pts))
-            bad = c.validate()
+            bad = c._validate_real() if real else []
             if bad:
                 raise CurveError("%s: sampled invalid curve: %r" % (_case(t, seed), bad))
             return c

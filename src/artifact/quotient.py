@@ -21,10 +21,10 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .charts import (ChartDomainError, a_gamma, extended_basis,
                      near_vertices)
 from .curves import (StableCurve, _derive, _edge_slot, _Gather, _mark_slot, _tuples,
-                     forget, in_D_tilde, in_divisor, key_text, moduli_tuple, quad_slots,
+                     forget, in_D_tilde, in_divisor, key_text, moduli_tuple, quad_plan,
                      sample_curve, slot_layout, split_key)
 from .exactfield import (PP_INF, PP_ZERO, GaussRat, ProjPoint, _cross, finite_point,
-                         point_text, randbelow)
+                         point_text)
 from .strata import (_labels, build_a_ell, build_a_ell_real, is_admissible,
                      order_key)
 from .trees import (MarkedTree, TreeError, _mark_bits, _marks_of_mask, bar_mark,
@@ -329,15 +329,16 @@ def _chart_slots(t: MarkedTree, plan: ChartPlan):
     """The text of the first excluded locus of the plan that a curve over
     t lies on, or else (read, computed) for the plan's quadruples on t:
     read holds, in the plan's order, the key that curves.split_key reads
-    off the quad_slots of each quadruple, None where the four slots are
-    distinct, and computed lists (position, slots) of those."""
+    off the curves.quad_plan slots of each quadruple, None where the four
+    slots are distinct, and computed lists (position, slots) of those."""
     edges = t.edge_of_mask()
     for text, masks in zip(plan.excluded_text, plan.excluded_masks):
         if any(mask in edges for mask in masks):
             return text
+    bits = t.mark_bits()
+    positions = [tuple([bits[m].bit_length() - 1 for m in q]) for _text, q in plan.quads]
     read, computed = [], []
-    for p, (_text, q) in enumerate(plan.quads):
-        slots = quad_slots(t, q)
+    for p, slots in enumerate(quad_plan(t, positions)):
         key = split_key(*slots)
         read.append(key)
         if key is None:
@@ -514,9 +515,24 @@ def _fiber_sites(t: MarkedTree) -> Tuple:
 def _rand_pos(rng: random.Random, bound: int) -> ProjPoint:
     # nonzero imaginary part keeps the position legal in every real
     # configuration (conjugate-distinct) and is harmless for complex ones;
-    # a in [-bound, bound], b, c and d in [1, bound]
-    a, b = randbelow(rng, 2 * bound + 1) - bound, randbelow(rng, bound) + 1
-    c, d = randbelow(rng, bound) + 1, randbelow(rng, bound) + 1
+    # a in [-bound, bound], b, c and d in [1, bound], for bound >= 1.  Each
+    # draw is exactfield.randbelow's, made inline as in curves._rand_point
+    bits = rng.getrandbits
+    width = 2 * bound + 1
+    kw, kb = width.bit_length(), bound.bit_length()
+    a = bits(kw)
+    while a >= width:
+        a = bits(kw)
+    b = bits(kb)
+    while b >= bound:
+        b = bits(kb)
+    c = bits(kb)
+    while c >= bound:
+        c = bits(kb)
+    d = bits(kb)
+    while d >= bound:
+        d = bits(kb)
+    a, b, c, d = a - bound, b + 1, c + 1, d + 1
     return finite_point(a * d, c * b, b * d)
 
 
@@ -526,7 +542,10 @@ def fiber_samples(base: StableCurve, rng: random.Random, per_site: int = 2,
     component, bubbles at each mark, and insertions at each node.  These
     exercise every boundary case of the injectivity arguments.  Each site
     (_fiber_sites) gets per_site placements, each drawing positions until
-    one places, at most 40 times.  A position is never 0 or infinity."""
+    one places, at most 40 times.  A position is never 0 or infinity.
+    Raises QuotientError for bound < 1, where no position can be drawn."""
+    if bound < 1:
+        raise QuotientError("need bound >= 1, got %r" % (bound,))
     out: List[StableCurve] = []
     for sites in _fiber_sites(base.tree):
         for _ in range(per_site):

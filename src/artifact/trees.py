@@ -102,7 +102,10 @@ class MarkedTree:
             edges = tuple(sorted(tuple(sorted(e)) for e in edges))
             if any(len(e) != 2 for e in edges):
                 raise ValueError("an edge is not a pair")
-            args = (int(vertex_count), edges, dict(mu))
+            # not int(): it would take 2.9, "2" and True as vertex counts
+            if type(vertex_count) is not int:
+                raise TypeError("vertex count %r is not an int" % (vertex_count,))
+            args = (vertex_count, edges, dict(mu))
         except (TypeError, ValueError, OverflowError) as e:
             raise TreeError("invalid tree: %r" % (["malformed arguments: %s" % (e,)],)) from e
         self._fill(*args, *rest)

@@ -186,18 +186,27 @@ def _quads(t):
     return list(itertools.combinations(trees.sort_marks(trees.complex_marks(t.l)), 4))
 
 
+def _direct_plan(t):
+    """(masks, read, computed): the table key of each quadruple of _quads(t)
+    and cli._split_quads's split of their curves.quad_plan slots, as
+    verify_basis_suite makes them for the direct side."""
+    bits = t.mark_bits()
+    quads = _quads(t)
+    masks = [bits[i] | bits[j] | bits[k] | bits[m] for i, j, k, m in quads]
+    slots = curves.quad_plan(t, [cli._positions(bits, q) for q in quads])
+    return (masks, *cli._split_quads(masks, slots))
+
+
 def _replayed_mismatches(t, seed):
     """The quadruples on which the curve sample_curve(t, 40, seed) replays
     a mismatch of verify_basis_suite: its table's key against the direct
-    side's (cli._direct_keys on cli._split_quads's plan), in the suite's
-    order."""
+    side's (cli._direct_keys on the suite's plan), in the suite's order."""
     c = curves.sample_curve(t, 40, seed)
     basis = charts.gamma_basis(t)
     table = charts.ReconstructionTable(t, values=charts.basis_values(c, basis), basis=basis)
-    quads = _quads(t)
-    masks, read, computed = cli._split_quads(t, quads)
+    masks, read, computed = _direct_plan(t)
     direct = cli._direct_keys(read, computed, c.points)
-    return [q for q, mask in zip(quads, masks) if table.value_key(q) != direct[mask]]
+    return [q for q, mask in zip(_quads(t), masks) if table.value_key(q) != direct[mask]]
 
 
 class TestNonVacuity:
@@ -260,7 +269,7 @@ class TestNonVacuity:
         ts = trees.enumerate_trees(5)
         # the fault is reached both ways: on some trees an edge splits
         # (1, 2, 3, 4) 2|2 and on others it is computed
-        read = [first in cli._split_quads(t, _quads(t))[1] for t in ts]
+        read = [first in _direct_plan(t)[1] for t in ts]
         assert any(read) and not all(read)
         for idx, entry in enumerate(rep["cases"]):
             assert entry["case"] == idx

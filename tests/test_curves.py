@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from artifact import curves, strata, trees
+from artifact import charts, curves, strata, trees
 from artifact.curves import (
     StableCurve,
     conjugate_curve,
@@ -27,7 +27,7 @@ from artifact.curves import (
 )
 from artifact.exactfield import (PP_INF, PP_ONE, PP_ZERO, GaussRat, ParseError,
                                  ProjPoint, UnstableConfiguration, cross_ratio,
-                                 finite_point, frame, pp)
+                                 finite_point, frame, pp, randbelow)
 from artifact.quotient import fiber_samples
 
 
@@ -80,6 +80,37 @@ class TestSamplingAndValidation:
                 assert StableCurve(o.tree, o.coords).points == o.points
                 count += 1
         assert count == 4 + 36 + 520
+
+
+# bounds that are powers of two and bounds just past them, where
+# getrandbits draws past the range most often
+DRAW_BOUNDS = (2, 3, 4, 7, 8, 16, 40, 64)
+
+
+def _reference_point(rng, bound, real_only=False):
+    """curves._rand_point as one randbelow call per draw."""
+    if randbelow(rng, 12) == 0:
+        return PP_INF
+    width = 2 * bound + 1
+    p, d = randbelow(rng, width) - bound, randbelow(rng, bound) + 1
+    if real_only:
+        return finite_point(p, 0, d)
+    q, e = randbelow(rng, width) - bound, randbelow(rng, bound) + 1
+    return finite_point(p * e, q * d, d * e)
+
+
+class TestInlineDraws:
+    @pytest.mark.parametrize("bound", DRAW_BOUNDS)
+    def test_rand_point_draws_as_randbelow(self, bound):
+        # the same points, and the generator left in the same state
+        # after each one, so every later draw of a stream is the same too
+        for seed in range(40):
+            a, b = random.Random("draws:%d" % seed), random.Random("draws:%d" % seed)
+            for n in range(30):
+                real_only = n % 3 == 0
+                assert curves._rand_point(a, bound, real_only) == _reference_point(
+                    b, bound, real_only)
+                assert a.getstate() == b.getstate()
 
 
 class TestJsonKeys:
@@ -353,6 +384,52 @@ class TestSplitKey:
                     constants += 1
                 assert cross_ratio_q(c, q) == cross_ratio(*(c.points[i] for i in slots))
         assert constants > 0
+
+
+PLAN_SPACES = [(l, False) for l in range(3, 8)] + [(l, True) for l in range(2, 5)]
+
+
+def _plan_quads(t):
+    """Every 4-subset of t's marks in increasing order, then every
+    quadruple of t's Γ-basis in the basis's own order, with the bit
+    positions of each quadruple's marks."""
+    bits = t.mark_bits()
+    quads = list(itertools.combinations(bits, 4)) + charts.gamma_basis(t).all_quadruples
+    return quads, [tuple(bits[m].bit_length() - 1 for m in q) for q in quads]
+
+
+class TestQuadPlan:
+    """curves.quad_plan gives the slots of many quadruples in one scan of
+    the slot layout's rows; quad_slots is its one-quadruple case."""
+
+    @pytest.mark.parametrize("l,real", PLAN_SPACES,
+                             ids=["%s%d" % ("real" if r else "complex", l)
+                                  for l, r in PLAN_SPACES])
+    def test_equals_quad_slots(self, l, real):
+        for t in trees.enumerate_trees(l, real=real):
+            quads, positions = _plan_quads(t)
+            assert curves.quad_plan(t, positions) == [curves.quad_slots(t, q) for q in quads]
+
+    @pytest.mark.parametrize("l,real", PLAN_SPACES,
+                             ids=["%s%d" % ("real" if r else "complex", l)
+                                  for l, r in PLAN_SPACES])
+    def test_first_vertex_that_separates_three_marks(self, l, real):
+        # the projection rule, written with trees.direction and the slot
+        # names: the first vertex at which the four marks lie in three or
+        # more directions, and the slots of those directions there
+        for t in trees.enumerate_trees(l, real=real):
+            lay = curves.slot_layout(t)
+            index = {vs: i for i, vs in enumerate(zip(lay.vertex, lay.slots))}
+            quads, positions = _plan_quads(t)
+            want = []
+            for q in quads:
+                for v in range(t.vertex_count):
+                    dirs = [trees.direction(t, v, m) for m in q]
+                    if len(set(dirs)) >= 3:
+                        want.append(tuple(index[v, d if d[0] == "m" else ("e", tuple(sorted(d[1])))]
+                                          for d in dirs))
+                        break
+            assert curves.quad_plan(t, positions) == want
 
 
 class TestMembership:

@@ -792,6 +792,33 @@ class TestFiberSites:
         assert a.getstate() == b.getstate()
 
 
+def _reference_pos(rng, bound):
+    """quotient._rand_pos as one randbelow call per draw."""
+    a, b = exactfield.randbelow(rng, 2 * bound + 1) - bound, exactfield.randbelow(rng, bound) + 1
+    c, d = exactfield.randbelow(rng, bound) + 1, exactfield.randbelow(rng, bound) + 1
+    return exactfield.finite_point(a * d, c * b, b * d)
+
+
+class TestInlineDraws:
+    # powers of two and bounds just past them, where getrandbits draws
+    # past the range most often
+    @pytest.mark.parametrize("bound", [2, 3, 4, 7, 8, 16, 40, 64])
+    def test_rand_pos_draws_as_randbelow(self, bound):
+        # the same positions, and the generator left in the same state
+        # after each one, so every later draw of a stream is the same too
+        for seed in range(40):
+            a, b = random.Random("pos:%d" % seed), random.Random("pos:%d" % seed)
+            for _ in range(30):
+                assert quotient._rand_pos(a, bound) == _reference_pos(b, bound)
+                assert a.getstate() == b.getstate()
+
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_no_position_below_bound_1(self, bound):
+        base = sample_curve(trees.enumerate_trees(4)[0], 30, ("no-position",))
+        with pytest.raises(QuotientError, match=re.escape("need bound >= 1, got %d" % bound)):
+            fiber_samples(base, random.Random("no-position"), bound=bound)
+
+
 class TestRelationLabels:
     @pytest.mark.parametrize("l,real", [(3, True), (4, True), (4, False), (5, False)])
     def test_matches_the_order_key_filter(self, l, real):

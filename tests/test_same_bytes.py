@@ -42,19 +42,22 @@ class TestDigest:
         assert same_bytes.differing(base, dict(base)) == []
 
     def test_commands_are_ci_and_the_demos(self):
-        # the dm-lab commands are exactly those of CI's steps (any --out
-        # dropped), each once, and the demos are every file in demos/
+        # every dm-lab command of CI's steps (any --out dropped) is in the
+        # list, each name once, CI runs the tool under two hash seeds, and
+        # the demos are every file in demos/
         names = [name for name, _args in same_bytes.COMMANDS]
         assert len(set(names)) == len(names)
         ci = set()
+        runs_tool = False
         with open(os.path.join(os.path.dirname(_TOOLS), ".github", "workflows",
                                "tier1.yml")) as f:
             for line in f:
                 if not line.strip().startswith("- name:"):
                     for m in re.finditer(r"dm-lab ([a-z][a-z-]*(?: --[a-z-]+(?: \d+)?)*)", line):
                         ci.add("dm-lab " + re.sub(r" --out$", "", m.group(1)))
-        assert {n for n in names if n.startswith("dm-lab ")} == ci
-        assert "dm-lab all --seed 0" in ci
+                    runs_tool |= line.strip() == "run: python tools/same_bytes.py --hash-seeds 1,2"
+        assert ci and ci <= set(names)
+        assert runs_tool
         demos = sorted(f for f in os.listdir(os.path.join(os.path.dirname(_TOOLS), "demos"))
                        if f.endswith(".py"))
         assert [n for n in names if not n.startswith("dm-lab ")] == ["demos/" + f for f in demos]

@@ -112,3 +112,13 @@ def test_bad_phi_of_the_checked_real_constructor(phi):
     t = [x for x in trees.enumerate_trees(3, real=True) if x.vertex_count == 2][0]
     with pytest.raises(trees.TreeError, match=r"^invalid tree: \[.+\]$"):
         trees.RealMarkedTree(t.vertex_count, t.edges, t.mu, phi)
+
+
+@pytest.mark.parametrize("count", [2.9, "2", 2.0, True], ids=["float", "str", "whole_float",
+                                                              "bool"])
+def test_vertex_count_that_is_no_int(count):
+    # int() took each of these before, and 2.9 and "2" built a 2-vertex tree
+    mu = {1: 0, 2: 0, 3: 1, 4: 1}
+    assert trees.MarkedTree(2, [(0, 1)], mu).vertex_count == 2
+    with pytest.raises(trees.TreeError, match=r"^invalid tree: \[.+\]$"):
+        trees.MarkedTree(count, [(0, 1)], mu)

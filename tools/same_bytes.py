@@ -20,7 +20,7 @@ differs with both sides, and exits 0 on pass and 1 otherwise.
 With --hash-seeds, it runs the same command list in this checkout once
 under each PYTHONHASHSEED given and compares each seed's results with
 the first seed's, in the same way, so an output that depends on the hash
-seed fails.  Nothing in CI runs it.
+seed fails.  CI's hash-seed step runs it with --hash-seeds 1,2.
 """
 
 import argparse
@@ -41,8 +41,10 @@ def _dm_lab(*args):
     return ("dm-lab " + " ".join(args), ("-c", DM_LAB, *args))
 
 
-# every dm-lab command of CI's installed-script and hash-seed steps, each
-# once, the two refusals among them (exit 2), then the demos
+# every dm-lab command of CI's installed-script step, the two refusals
+# among them (exit 2), and three more reports (all --seed 0, the local
+# models at seed 5 and bound 3, the real l = 6 schedule), each once, then
+# the demos
 COMMANDS = (
     _dm_lab("all", "--seed", "0"),
     _dm_lab("verify-quotient", "--l", "2", "--real", "--samples", "10"),
