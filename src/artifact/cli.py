@@ -234,13 +234,13 @@ def verify_basis_suite(l: int, samples: int = 200, seed: int = 0,
         slots = curves.quad_plan(t, positions + [_positions(bits, q) for q in basis_quads])
         read, computed = _split_quads(masks, slots)
         basis_read, basis_computed = _split_quads(basis_quads, slots[len(quads):])
-        basis_read = {q: _point(key) for q, key in basis_read.items()}
+        constants = {q: _point(key) for q, key in basis_read.items()}
         mismatches = 0
         first = None
         for s in range(samples):
             case_seed = (str(seed), "basis", idx, s)
             pts = curves.sample_curve(t, bound, case_seed).points
-            vals = dict(basis_read)
+            vals = dict(constants)
             for q, (a, b, x, y) in basis_computed:
                 vals[q] = _point(_cross(pts[a]._k, pts[b]._k, pts[x]._k, pts[y]._k))
             table = charts.ReconstructionTable(t, values=vals, basis=basis)
