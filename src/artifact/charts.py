@@ -21,9 +21,10 @@ the vertex models are keys, their cross ratios are exactfield._cross,
 the anharmonic maps take keys to keys and the closure multiplies with
 exactfield._pmul.  A table takes ProjPoint basis values and builds a
 ProjPoint only in value(q); value_key(q) reads the key itself.  The basis
-check (cli.verify_basis_suite) compares the table's keys with the direct
-ones, which it reads where an edge splits the quadruple 2|2
-(curves.split_key) and computes with exactfield._cross elsewhere.
+values and the direct keys that the basis check (cli.verify_basis_suite)
+compares with the table's come from curves.quad_plan and quad_keys: read
+where an edge splits the quadruple 2|2, computed with exactfield._cross
+elsewhere.
 
 The routes depend on the number of marks alone: `_routes(n)`, built once
 per n, lists for each 4-bit mask K its 6 * (n - 4) routes, one per
@@ -50,7 +51,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .curves import cross_ratio_q
+from .curves import quad_keys, quad_plan, quad_positions
 from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, UnstableConfiguration,
                          _cross, _normal, _one_minus, _pinv, _pmul, _point)
 from .strata import _admissible, _universe, order_key
@@ -145,8 +146,11 @@ def gamma_basis(t: MarkedTree) -> ChartBasis:
 
 
 def basis_values(curve, basis: ChartBasis) -> Dict[Tuple, ProjPoint]:
-    """Evaluate every basis quadruple on a curve (curves.cross_ratio_q)."""
-    return {q: cross_ratio_q(curve, q) for q in basis.all_quadruples}
+    """Evaluate every basis quadruple on a curve, by one curves.quad_plan
+    of them all on its tree."""
+    quads = basis.all_quadruples
+    plan = quad_plan(curve.tree, quad_positions(curve.tree.mark_bits(), quads))
+    return {q: _point(k) for q, k in zip(quads, quad_keys(plan, curve.points))}
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .exactfield import (
     ProjPoint,
     UnstableConfiguration,
     IndeterminateProduct,
-    _cross,
     _point,
     cross_ratio,
     finite_point,
@@ -203,48 +202,45 @@ def verify_basis_suite(l: int, samples: int = 200, seed: int = 0,
 
     Both sides are compared as point keys.  Every tree of the suite has
     the same mark bits, so each 4-subset's bit positions and table mask
-    are resolved once per suite.  Per tree, one curves.quad_plan call
-    gives the slots of the 4-subsets and of the basis quadruples, and
-    _split_quads splits each list: a quadruple that an edge splits 2|2
-    has the constant that curves.split_key reads off its slots, and only
-    the others are computed, per curve, by exactfield._cross on its
-    points at their slots.  That gives the basis values that the table
-    is built from and the direct {mask: key} dict (_direct_keys).  Each
-    curve's direct dict is compared with the table's own in one
-    comparison; only when they differ is value_key(q) walked in
-    quadruple order, which counts the mismatches and raises
-    ChartDomainError for a value the table leaves undetermined.  A case
-    with mismatches also gives its index, "case", and the "seed" of its
-    first mismatching sample, which curves.sample_curve(t, bound, seed)
-    replays.  Raises UsageError for samples < 1, where no value would be
+    are resolved once per suite.  Per tree, one curves.quad_plan of the
+    4-subsets and the basis quadruples reads the values of those that an
+    edge splits 2|2; per curve, curves.quad_keys computes the others.
+    That gives the basis values that the table is built from and the
+    direct {mask: key} dict (_direct_keys).  Each curve's direct dict is
+    compared with the table's own in one comparison; only when they
+    differ is value_key(q) walked in quadruple order, which counts the
+    mismatches and raises ChartDomainError for a value the table leaves
+    undetermined.  A case with mismatches also gives its index, "case",
+    and the "seed" of its first mismatching sample, which
+    curves.sample_curve(t, bound, seed) replays.  Raises UsageError for
+    samples < 1 or marks with no 4-subset, where no value would be
     compared.
     """
     if samples < 1:
         raise UsageError("need samples >= 1, got %r" % (samples,))
-    ts = trees.enumerate_trees(l, real=real)
     marks = trees.sort_marks(trees.real_marks(l) if real else trees.complex_marks(l))
+    if len(marks) < 4:
+        raise UsageError("need 4 or more marks to compare a cross ratio, got %d"
+                         % (len(marks),))
+    ts = trees.enumerate_trees(l, real=real)
     bits = trees._mark_bits(frozenset(marks))  # the mark_bits() of every tree in ts
     quads = list(itertools.combinations(marks, 4))
     masks = [bits[i] | bits[j] | bits[k] | bits[m] for i, j, k, m in quads]
-    positions = [_positions(bits, q) for q in quads]
+    positions = curves.quad_positions(bits, quads)
+    n = len(quads)
 
     def case(idx, t):
         basis = charts.gamma_basis(t)
         basis_quads = basis.all_quadruples
-        slots = curves.quad_plan(t, positions + [_positions(bits, q) for q in basis_quads])
-        read, computed = _split_quads(masks, slots)
-        basis_read, basis_computed = _split_quads(basis_quads, slots[len(quads):])
-        constants = {q: _point(key) for q, key in basis_read.items()}
+        plan = curves.quad_plan(t, positions + curves.quad_positions(bits, basis_quads))
         mismatches = 0
         first = None
         for s in range(samples):
             case_seed = (str(seed), "basis", idx, s)
-            pts = curves.sample_curve(t, bound, case_seed).points
-            vals = dict(constants)
-            for q, (a, b, x, y) in basis_computed:
-                vals[q] = _point(_cross(pts[a]._k, pts[b]._k, pts[x]._k, pts[y]._k))
+            keys = curves.quad_keys(plan, curves.sample_curve(t, bound, case_seed).points)
+            vals = {q: _point(k) for q, k in zip(basis_quads, keys[n:])}
             table = charts.ReconstructionTable(t, values=vals, basis=basis)
-            direct = _direct_keys(read, computed, pts)
+            direct = _direct_keys(masks, keys)
             if direct == table.table:
                 continue
             value_key = table.value_key
@@ -278,34 +274,10 @@ def verify_basis_suite(l: int, samples: int = 200, seed: int = 0,
     }
 
 
-def _positions(bits: Dict, q) -> tuple:
-    """The bit positions of the marks of q, in q's order."""
-    return tuple([bits[m].bit_length() - 1 for m in q])
-
-
-def _split_quads(keys, slots):
-    """(read, computed) for quadruples with the given keys and their
-    curves.quad_plan slots, paired in order: read is {key: constant key}
-    of the quadruples that an edge splits 2|2, and computed lists (key,
-    slots) for the others."""
-    read, computed = {}, []
-    for key, s in zip(keys, slots):
-        k = curves.split_key(*s)
-        if k is None:
-            computed.append((key, s))
-        else:
-            read[key] = k
-    return read, computed
-
-
-def _direct_keys(read, computed, pts) -> Dict:
-    """The direct {mask: key} of a curve with points pts, on the plan of
-    _split_quads: the read constants and exactfield._cross at the slots
-    of the others."""
-    direct = dict(read)
-    for mask, (a, b, x, y) in computed:
-        direct[mask] = _cross(pts[a]._k, pts[b]._k, pts[x]._k, pts[y]._k)
-    return direct
+def _direct_keys(masks, keys) -> Dict:
+    """The direct {mask: key} of a curve: the table mask of each 4-subset
+    with its key among the quad_keys of the suite's plan."""
+    return dict(zip(masks, keys))
 
 
 def verify_quotient_suite(l: int, real: bool = False, samples: int = 60,

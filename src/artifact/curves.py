@@ -13,7 +13,7 @@ import json
 import random
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, _frame, cross_ratio,
+from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, _cross, _frame, _point,
                          finite_point, point_text)
 from .strata import classify_real, is_admissible, stratum_edge
 from .trees import (MarkedTree, RealMarkedTree, bar_mark, canonical_form,
@@ -427,29 +427,32 @@ def _plan_forget(t: MarkedTree, keep: FrozenSet) -> _Gather:
 def cross_ratio_q(c: StableCurve, q) -> ProjPoint:
     """CR_q via projection to a component seeing >= 3 distinct directions.
 
-    Agrees with the cross ratio of the 4-marked stabilization.  Exactly
-    two coincident projections (an edge splits q 2|2) give a constant, 0,
-    1 or inf, which split_key reads off the slots; only four distinct
-    slots go through exactfield.cross_ratio.
+    Agrees with the cross ratio of the 4-marked stabilization: the one
+    quadruple's case of quad_plan and quad_keys.  Raises CurveError for
+    a q that is not four distinct marks of the curve.
     """
-    a, b, x, y = quad_slots(c.tree, q)
-    k = split_key(a, b, x, y)
-    if k is not None:
-        return _SPLIT_POINTS[k]
-    pts = c.points
-    return cross_ratio(pts[a], pts[b], pts[x], pts[y])
+    if type(q) is not tuple:
+        q = tuple(q)
+    bits = c.tree.mark_bits()
+    try:
+        a, b, x, y = q
+        a, b, x, y = bits[a], bits[b], bits[x], bits[y]
+    except (ValueError, KeyError, TypeError):
+        a = b = x = y = 0
+    if (a | b | x | y).bit_count() != 4:
+        _bad_quadruple(q, bits)
+    return _point(quad_keys(quad_plan(c.tree, quad_positions(bits, [q])), c.points)[0])
 
 
 _ZERO_K, _ONE_K, _INF_K = PP_ZERO._k, PP_ONE._k, PP_INF._k
-_SPLIT_POINTS = {p._k: p for p in (PP_ZERO, PP_ONE, PP_INF)}
 
 
 def split_key(a: int, b: int, x: int, y: int):
     """The point key of CR_q at the slots (a, b, x, y) that quad_plan
-    gives for q, when two of them coincide, else None: 1 if a = b or
+    projects q to, when two of them coincide, else None: 1 if a = b or
     x = y, 0 if a = x or b = y, inf if a = y or b = x.
 
-    quad_plan gives three or more distinct slots, and two coincide
+    The projection has three or more distinct slots, and two coincide
     exactly when an edge splits q 2|2, so this is the value that
     exactfield._cross computes from a curve's points there; it depends
     on the tree alone.
@@ -463,40 +466,50 @@ def split_key(a: int, b: int, x: int, y: int):
     return None
 
 
-def quad_plan(t: MarkedTree, positions) -> List[Tuple[int, int, int, int]]:
-    """The slot indices of the four points whose cross ratio is CR_q on a
-    curve over t, for each q given as the bit positions (t.mark_bits())
-    of its four distinct marks, in q's order: those through which the
-    first component, in layout order, that separates three or more of
-    the marks sees them."""
+def quad_positions(bits: Dict, quads) -> List[Tuple[int, ...]]:
+    """The bit positions in bits (a tree's mark_bits()) of the marks of
+    each quadruple, in order: the input of quad_plan."""
+    return [tuple([bits[m].bit_length() - 1 for m in q]) for q in quads]
+
+
+def quad_plan(t: MarkedTree, positions) -> Tuple[Tuple, Tuple]:
+    """The plan (read, computed) of the cross ratios CR_q on curves over
+    t, for each q given as the bit positions (quad_positions) of its four
+    distinct marks.
+
+    Each q projects to the slots through which the first component, in
+    layout order, that separates three or more of its marks sees them.
+    read holds, in q's order, the key that split_key reads off those
+    slots (None where the four are distinct), and computed lists
+    (index, a, b, x, y) for each q with four distinct slots a, b, x, y.
+    One scan of the slot layout's rows per q; quad_keys evaluates the
+    plan on a curve's points.
+    """
     rows = slot_layout(t).rows
-    out = []
-    for i, j, k, n in positions:
+    read, computed = [], []
+    for p, (i, j, k, n) in enumerate(positions):
         for row in rows:
             a, b, x, y = row[i], row[j], row[k], row[n]
             if len({a, b, x, y}) >= 3:
-                out.append((a, b, x, y))
                 break
         else:
             raise CurveError("no component separates three of the marks")  # unreachable
-    return out
+        key = split_key(a, b, x, y)
+        read.append(key)
+        if key is None:
+            computed.append((p, a, b, x, y))
+    return tuple(read), tuple(computed)
 
 
-def quad_slots(t: MarkedTree, q) -> Tuple[int, int, int, int]:
-    """quad_plan's slots of the quadruple of marks q, or CurveError for
-    a q that is not four distinct marks of t."""
-    if type(q) is not tuple:
-        q = tuple(q)
-    bits = t.mark_bits()
-    try:
-        a, b, x, y = q
-        a, b, x, y = bits[a], bits[b], bits[x], bits[y]
-    except (ValueError, KeyError, TypeError):
-        a = b = x = y = 0
-    if (a | b | x | y).bit_count() != 4:
-        _bad_quadruple(q, bits)
-    return quad_plan(t, [(a.bit_length() - 1, b.bit_length() - 1,
-                          x.bit_length() - 1, y.bit_length() - 1)])[0]
+def quad_keys(plan: Tuple[Tuple, Tuple], pts) -> List[Tuple[int, int, int]]:
+    """The point keys of the quadruples of a quad_plan on a curve with
+    points pts (StableCurve.points), in the plan's order: the read keys,
+    and exactfield._cross at the slots of the others."""
+    read, computed = plan
+    keys = list(read)
+    for p, a, b, x, y in computed:
+        keys[p] = _cross(pts[a]._k, pts[b]._k, pts[x]._k, pts[y]._k)
+    return keys
 
 
 def _bad_quadruple(q: Tuple, bits: Dict) -> None:

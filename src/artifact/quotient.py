@@ -21,10 +21,9 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from .charts import (ChartDomainError, a_gamma, extended_basis,
                      near_vertices)
 from .curves import (StableCurve, _derive, _edge_slot, _Gather, _mark_slot, _tuples,
-                     forget, in_D_tilde, in_divisor, key_text, moduli_tuple, quad_plan,
-                     sample_curve, slot_layout, split_key)
-from .exactfield import (PP_INF, PP_ZERO, GaussRat, ProjPoint, _cross, finite_point,
-                         point_text)
+                     forget, in_D_tilde, in_divisor, key_text, moduli_tuple, quad_keys,
+                     quad_plan, quad_positions, sample_curve, slot_layout)
+from .exactfield import PP_INF, PP_ZERO, GaussRat, ProjPoint, finite_point, point_text
 from .strata import (_labels, build_a_ell, build_a_ell_real, is_admissible,
                      order_key)
 from .trees import (MarkedTree, TreeError, _mark_bits, _marks_of_mask, bar_mark,
@@ -301,11 +300,11 @@ def class_key(c: StableCurve, rho_star=(), real: bool = False,
 
     The chart vertex, excluded loci and quadruples come from the chart
     plan of the base tree (see chart_plan); the curve's slot layout keeps
-    per plan what depends only on its tree (_chart_slots): the values of
-    the quadruples that an edge splits 2|2, read off their slots, and the
-    slots of the others, so only those cross ratios are computed on the
-    curve.  Raises ChartDomainError, with the plan's text, when the curve
-    lies on an excluded locus.
+    per plan what depends only on its tree (_chart_slots): the
+    curves.quad_plan of the plan's quadruples, so that only the cross
+    ratios that an edge does not fix at 0, 1 or inf are computed on the
+    curve (curves.quad_keys).  Raises ChartDomainError, with the plan's
+    text, when the curve lies on an excluded locus.
     """
     if (c.tree.phi is not None) != bool(real):
         raise QuotientError("real flag does not match the curve")
@@ -317,33 +316,19 @@ def class_key(c: StableCurve, rho_star=(), real: bool = False,
         idx = slots[plan] = _chart_slots(c.tree, plan)
     if type(idx) is str:
         raise ChartDomainError(idx)
-    read, computed = idx
-    pts = c.points
-    values = list(read)
-    for p, i, j, k, n in computed:
-        values[p] = _cross(pts[i]._k, pts[j]._k, pts[k]._k, pts[n]._k)
-    return ClassKey(moduli_tuple(b), plan.tree, plan.v_rank, tuple(values), plan.quads)
+    return ClassKey(moduli_tuple(b), plan.tree, plan.v_rank,
+                    tuple(quad_keys(idx, c.points)), plan.quads)
 
 
 def _chart_slots(t: MarkedTree, plan: ChartPlan):
     """The text of the first excluded locus of the plan that a curve over
-    t lies on, or else (read, computed) for the plan's quadruples on t:
-    read holds, in the plan's order, the key that curves.split_key reads
-    off the curves.quad_plan slots of each quadruple, None where the four
-    slots are distinct, and computed lists (position, slots) of those."""
+    t lies on, or else the curves.quad_plan on t of the plan's
+    quadruples, in the plan's order."""
     edges = t.edge_of_mask()
     for text, masks in zip(plan.excluded_text, plan.excluded_masks):
         if any(mask in edges for mask in masks):
             return text
-    bits = t.mark_bits()
-    positions = [tuple([bits[m].bit_length() - 1 for m in q]) for _text, q in plan.quads]
-    read, computed = [], []
-    for p, slots in enumerate(quad_plan(t, positions)):
-        key = split_key(*slots)
-        read.append(key)
-        if key is None:
-            computed.append((p, *slots))
-    return tuple(read), tuple(computed)
+    return quad_plan(t, quad_positions(t.mark_bits(), [q for _text, q in plan.quads]))
 
 
 def y_membership(c: StableCurve, rho, bullet: str) -> bool:

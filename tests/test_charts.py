@@ -162,8 +162,8 @@ class TestLayoutAndBasisFromMasks:
         marks = trees.complex_marks(6)
         for i, t in enumerate(trees.enumerate_trees(6)):
             curves.sample_curve(t, 40, ("names", i))
-            for q in itertools.combinations(marks, 4):
-                curves.quad_slots(t, q)
+            curves.quad_plan(t, curves.quad_positions(t.mark_bits(),
+                                                      itertools.combinations(marks, 4)))
             lay = t._layout
             assert lay._slots is None and lay._vertex is None
             assert lay.slots == names_first_layout(t)[2]

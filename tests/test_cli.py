@@ -187,25 +187,25 @@ def _quads(t):
 
 
 def _direct_plan(t):
-    """(masks, read, computed): the table key of each quadruple of _quads(t)
-    and cli._split_quads's split of their curves.quad_plan slots, as
-    verify_basis_suite makes them for the direct side."""
+    """(masks, plan): the table key of each quadruple of _quads(t) and
+    their curves.quad_plan on t, as verify_basis_suite makes them for the
+    direct side."""
     bits = t.mark_bits()
     quads = _quads(t)
     masks = [bits[i] | bits[j] | bits[k] | bits[m] for i, j, k, m in quads]
-    slots = curves.quad_plan(t, [cli._positions(bits, q) for q in quads])
-    return (masks, *cli._split_quads(masks, slots))
+    return masks, curves.quad_plan(t, curves.quad_positions(bits, quads))
 
 
 def _replayed_mismatches(t, seed):
     """The quadruples on which the curve sample_curve(t, 40, seed) replays
     a mismatch of verify_basis_suite: its table's key against the direct
-    side's (cli._direct_keys on the suite's plan), in the suite's order."""
+    side's (cli._direct_keys on the quad_keys of the suite's plan), in the
+    suite's order."""
     c = curves.sample_curve(t, 40, seed)
     basis = charts.gamma_basis(t)
     table = charts.ReconstructionTable(t, values=charts.basis_values(c, basis), basis=basis)
-    masks, read, computed = _direct_plan(t)
-    direct = cli._direct_keys(read, computed, c.points)
+    masks, plan = _direct_plan(t)
+    direct = cli._direct_keys(masks, curves.quad_keys(plan, c.points))
     return [q for q, mask in zip(_quads(t), masks) if table.value_key(q) != direct[mask]]
 
 
@@ -251,12 +251,12 @@ class TestNonVacuity:
         # on every curve, whether the suite reads it off the slots (an edge
         # splits it 2|2) or computes it; the reconstruction table reads its
         # own values.  The fault sits in cli._direct_keys, which builds
-        # each curve's direct {mask: key} dict from both kinds
+        # each curve's direct {mask: key} dict from the keys of both kinds
         honest = cli._direct_keys
         first = 0b1111  # the mask of (1, 2, 3, 4)
 
-        def wrong(read, computed, pts):
-            direct = honest(read, computed, pts)
+        def wrong(masks, keys):
+            direct = honest(masks, keys)
             v = direct[first]
             direct[first] = PP_ONE._k if v == PP_ZERO._k else PP_ZERO._k
             return direct
@@ -268,8 +268,10 @@ class TestNonVacuity:
         assert [c["mismatches"] for c in rep["cases"]] == [2] * rep["trees"]
         ts = trees.enumerate_trees(5)
         # the fault is reached both ways: on some trees an edge splits
-        # (1, 2, 3, 4) 2|2 and on others it is computed
-        read = [first in _direct_plan(t)[1] for t in ts]
+        # (1, 2, 3, 4) 2|2 and on others it is computed: the plan's read
+        # key of the first quadruple is set on the first and None on the
+        # others
+        read = [_direct_plan(t)[1][0][0] is not None for t in ts]
         assert any(read) and not all(read)
         for idx, entry in enumerate(rep["cases"]):
             assert entry["case"] == idx
@@ -279,6 +281,18 @@ class TestNonVacuity:
             assert _replayed_mismatches(ts[idx], entry["seed"]) == [(1, 2, 3, 4)]
         monkeypatch.setattr(cli, "_direct_keys", honest)
         assert _replayed_mismatches(ts[0], rep["cases"][0]["seed"]) == []
+
+    def test_basis_with_no_quadruple_is_a_usage_error(self, tmp_path):
+        # complex l = 3 has three marks, so no cross ratio to compare: an
+        # "ok" report of 0 quadruples per curve would pass vacuously
+        with pytest.raises(cli.UsageError, match="4 or more marks"):
+            cli.verify_basis_suite(3, samples=1)
+        out = tmp_path / "r.json"
+        assert cli.run(["verify-basis", "--l", "3", "--out", str(out)]) == 2
+        assert not out.exists()
+        # the least spaces with a 4-subset still run
+        assert cli.verify_basis_suite(4, samples=1)["quadruples_per_curve"] == 1
+        assert cli.verify_basis_suite(2, samples=1, real=True)["quadruples_per_curve"] == 1
 
     def test_basis_mismatches_on_the_table_side(self, monkeypatch):
         # the table's anharmonic map for the reordering (1, 0, 2, 3), 1/x,

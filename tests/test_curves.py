@@ -26,7 +26,7 @@ from artifact.curves import (
     sample_curve,
 )
 from artifact.exactfield import (PP_INF, PP_ONE, PP_ZERO, GaussRat, ParseError,
-                                 ProjPoint, UnstableConfiguration, cross_ratio,
+                                 ProjPoint, UnstableConfiguration, _cross, cross_ratio,
                                  finite_point, frame, pp, randbelow)
 from artifact.quotient import fiber_samples
 
@@ -346,9 +346,10 @@ SPLIT_KEY_SPACES = [(l, False) for l in range(4, 8)] + [(l, True) for l in range
 
 
 class TestSplitKey:
-    """curves.split_key against the tree's splits, with no sampling in the
-    check of the constants: a constant exactly when an edge splits q 2|2,
-    and the one that criterion 2's table gives."""
+    """curves.split_key, through the curves.quad_plan that reads it,
+    against the tree's splits, with no sampling in the check of the
+    constants: a constant exactly when an edge splits q 2|2, and the one
+    that criterion 2's table gives."""
 
     @pytest.mark.parametrize("l,real", SPLIT_KEY_SPACES,
                              ids=["%s%d" % ("real" if r else "complex", l)
@@ -364,7 +365,9 @@ class TestSplitKey:
             bits = t.mark_bits()
             splits = list(t.edge_of_mask())
             c = sample_curve(t, 40, ("split_key", l, real, idx))
-            for q in quads:
+            plan = curves.quad_plan(t, curves.quad_positions(bits, quads))
+            keys = curves.quad_keys(plan, c.points)
+            for p, q in enumerate(quads):
                 qb = [bits[m] for m in q]
                 qmask = sum(qb)
                 partners = set()
@@ -373,8 +376,7 @@ class TestSplitKey:
                         if not side & qb[0]:
                             side = qmask ^ (side & qmask)
                         partners |= {r for r in (1, 2, 3) if side & qb[r]}
-                slots = curves.quad_slots(t, q)
-                got = curves.split_key(*slots)
+                got = plan[0][p]
                 if not partners:
                     assert got is None, (idx, q)
                 else:
@@ -382,7 +384,8 @@ class TestSplitKey:
                     assert len(partners) == 1, (idx, q)
                     assert got == by_partner[partners.pop()], (idx, q)
                     constants += 1
-                assert cross_ratio_q(c, q) == cross_ratio(*(c.points[i] for i in slots))
+                # cross_ratio_q is the plan's one-quadruple case
+                assert cross_ratio_q(c, q)._k == keys[p]
         assert constants > 0
 
 
@@ -399,16 +402,22 @@ def _plan_quads(t):
 
 
 class TestQuadPlan:
-    """curves.quad_plan gives the slots of many quadruples in one scan of
-    the slot layout's rows; quad_slots is its one-quadruple case."""
+    """curves.quad_plan plans many quadruples in one scan of the slot
+    layout's rows for each, and quad_keys evaluates the plan on a curve."""
 
     @pytest.mark.parametrize("l,real", PLAN_SPACES,
                              ids=["%s%d" % ("real" if r else "complex", l)
                                   for l, r in PLAN_SPACES])
     def test_equals_quad_slots(self, l, real):
+        # the plan of many quadruples is their one-quadruple plans (the
+        # case that cross_ratio_q plans, once quad_slots), in order
         for t in trees.enumerate_trees(l, real=real):
             quads, positions = _plan_quads(t)
-            assert curves.quad_plan(t, positions) == [curves.quad_slots(t, q) for q in quads]
+            assert curves.quad_positions(t.mark_bits(), quads) == positions
+            read, computed = curves.quad_plan(t, positions)
+            ones = [curves.quad_plan(t, [pos]) for pos in positions]
+            assert read == tuple(r for (r,), _c in ones)
+            assert computed == tuple((p, *c[0][1:]) for p, (_r, c) in enumerate(ones) if c)
 
     @pytest.mark.parametrize("l,real", PLAN_SPACES,
                              ids=["%s%d" % ("real" if r else "complex", l)
@@ -416,8 +425,10 @@ class TestQuadPlan:
     def test_first_vertex_that_separates_three_marks(self, l, real):
         # the projection rule, written with trees.direction and the slot
         # names: the first vertex at which the four marks lie in three or
-        # more directions, and the slots of those directions there
-        for t in trees.enumerate_trees(l, real=real):
+        # more directions, and the slots of those directions there.  The
+        # plan reads split_key at those slots and computes the rest, and
+        # either way the key is the cross ratio of a curve's points there
+        for idx, t in enumerate(trees.enumerate_trees(l, real=real)):
             lay = curves.slot_layout(t)
             index = {vs: i for i, vs in enumerate(zip(lay.vertex, lay.slots))}
             quads, positions = _plan_quads(t)
@@ -429,7 +440,12 @@ class TestQuadPlan:
                         want.append(tuple(index[v, d if d[0] == "m" else ("e", tuple(sorted(d[1])))]
                                           for d in dirs))
                         break
-            assert curves.quad_plan(t, positions) == want
+            plan = curves.quad_plan(t, positions)
+            assert plan == (tuple(curves.split_key(*s) for s in want),
+                            tuple((p, *s) for p, s in enumerate(want)
+                                  if curves.split_key(*s) is None))
+            pts = sample_curve(t, 40, ("quad_plan", l, real, idx)).points
+            assert curves.quad_keys(plan, pts) == [_cross(*(pts[i]._k for i in s)) for s in want]
 
 
 class TestMembership:

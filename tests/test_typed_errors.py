@@ -7,12 +7,21 @@ value, an integer moved by a little, a list entry or dict key dropped or
 a dict key renamed.  The checked MarkedTree and RealMarkedTree
 constructors, trees.tree_from_json and curves.curve_from_json either
 accept the result or raise a TreeError, CurveError or ExactFieldError.
+
+Two more boundaries take text: the serialize() literals of GaussRat and
+ProjPoint, with characters inserted, dropped or replaced, parse or raise
+an ExactFieldError; and the argv of cheap dm-lab commands, with a flag
+value made a non-integer or empty, a value dropped or an unknown flag
+added, makes cli.run return 0, 1 or 2 and raise nothing.  No mutation
+makes a valid integer, so no large --l or --samples is drawn.
 """
 
 import pytest
+from fractions import Fraction
+
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from artifact import curves, exactfield, trees
+from artifact import cli, curves, exactfield, trees
 
 TYPED = (trees.TreeError, curves.CurveError, exactfield.ExactFieldError)
 
@@ -26,7 +35,7 @@ VALUES = st.recursive(
     | st.dictionaries(st.sampled_from(["1", "2+", "0", "mark:1", "x"]), kids, max_size=2),
     max_leaves=4)
 
-# fuzzing budget per test; all four run in a few seconds
+# fuzzing budget per test; all six run in a few seconds
 FUZZ = settings(max_examples=250, derandomize=True, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 
@@ -103,6 +112,82 @@ def test_tree_from_json(data):
 def test_curve_from_json(data):
     _typed_or_nothing(curves.curve_from_json,
                       _mutate(data, data.draw(st.sampled_from(CURVE_JSON))))
+
+
+GR = exactfield.GaussRat
+LITERALS = ([GR(0).serialize(), GR(Fraction(-3, 4), 2).serialize(),
+             GR(5, Fraction(-1, 6)).serialize()],
+            [exactfield.PP_INF.serialize(), exactfield.PP_ZERO.serialize(),
+             exactfield.ProjPoint(GR(Fraction(1, 2), -3), GR(2, 1)).serialize()])
+CHARS = st.one_of(st.sampled_from("0123456789/+-*i:[] "), st.characters())
+
+
+def _edit(data, text):
+    """text with one to three characters inserted, dropped or replaced."""
+    chars = list(text)
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, len(chars)))
+        how = data.draw(st.integers(0, 2)) if i < len(chars) else 0
+        if how == 0:
+            chars.insert(i, data.draw(CHARS))
+        elif how == 1:
+            del chars[i]
+        else:
+            chars[i] = data.draw(CHARS)
+    return "".join(chars)
+
+
+@FUZZ
+@given(st.data())
+def test_mutated_literals_parse_or_raise_exact_field_errors(data):
+    kind = data.draw(st.integers(0, 1))
+    parse = (GR.parse, exactfield.ProjPoint.parse)[kind]
+    text = _edit(data, data.draw(st.sampled_from(LITERALS[kind])))
+    try:
+        parse(text)
+    except exactfield.ExactFieldError:
+        pass
+
+
+# cheap commands: each runs in well under a second as given
+ARGV = [["trees", "--l", "4"], ["strata", "--l", "4", "--real"], ["schedule", "--l", "5"],
+        ["verify-cr", "--samples", "5", "--seed", "2"],
+        ["verify-basis", "--l", "4", "--samples", "1"],
+        ["verify-quotient", "--l", "3", "--samples", "2", "--bound", "10"],
+        ["verify-localmodels", "--samples", "5"], ["all", "--seed", "1"]]
+
+
+def _is_int(s):
+    try:
+        int(s)
+    except ValueError:
+        return False
+    return True
+
+
+NON_INTS = st.one_of(st.sampled_from(["", " ", "x", "1.5", "4x", "-", "--", "1e3", "None"]),
+                     st.text(max_size=4).filter(lambda s: not _is_int(s)))
+UNKNOWN_FLAGS = st.sampled_from(["--foo", "--samplez", "--l2", "-q", "--real=1", "--seed-x"])
+
+
+VALUED = {"--l", "--samples", "--seed", "--bound"}
+
+
+@settings(FUZZ, max_examples=120)
+@given(data=st.data())
+def test_mutated_argv_gives_an_exit_code(tmp_path_factory, data):
+    argv = list(data.draw(st.sampled_from(ARGV)))
+    for _ in range(data.draw(st.integers(1, 2))):
+        values = [i for i in range(1, len(argv)) if argv[i - 1] in VALUED]
+        how = data.draw(st.integers(0, 2)) if values else 2
+        if how == 0:
+            argv[data.draw(st.sampled_from(values))] = data.draw(NON_INTS)
+        elif how == 1:
+            del argv[data.draw(st.sampled_from(values))]
+        else:
+            argv.insert(data.draw(st.integers(1, len(argv))), data.draw(UNKNOWN_FLAGS))
+    out = str(tmp_path_factory.mktemp("argv") / "r.json")
+    assert cli.run(argv + ["--out", out]) in (0, 1, 2)
 
 
 @pytest.mark.parametrize("phi", [["a", 0], 5, (0.0, 1.0)], ids=["str_entry", "int", "floats"])

@@ -9,13 +9,13 @@ checkout (tools/bench_pairs.worktree, which removes it again on every
 exit path).  Then it runs one command list at REV and in this checkout
 (the head), each command from the root of its checkout with that
 checkout's `src` on PYTHONPATH and PYTHONHASHSEED=0: every `dm-lab`
-command that CI runs, `dm-lab all --seed 0` and the three demos.  For
-each command it compares the exit code and the sha256 of the standard
-output and of the standard error.  A JSON report on standard output is
-hashed without its `timestamp`, dumped as CI dumps it (indent 2, sorted
-keys); other output is hashed as it is, with the checkout's path in
-standard error written as <root>.  It prints pass, or each command that
-differs with both sides, and exits 0 on pass and 1 otherwise.
+command that CI runs and the three demos.  For each command it
+compares the exit code and the sha256 of the standard output and of the
+standard error.  A JSON report on standard output is hashed without its
+`timestamp`, dumped as CI dumps it (indent 2, sorted keys); other
+output is hashed as it is, with the checkout's path in standard error
+written as <root>.  It prints pass, or each command that differs with
+both sides, and exits 0 on pass and 1 otherwise.
 
 With --hash-seeds, it runs the same command list in this checkout once
 under each PYTHONHASHSEED given and compares each seed's results with
@@ -42,9 +42,7 @@ def _dm_lab(*args):
 
 
 # every dm-lab command of CI's installed-script step, the two refusals
-# among them (exit 2), and three more reports (all --seed 0, the local
-# models at seed 5 and bound 3, the real l = 6 schedule), each once, then
-# the demos
+# among them (exit 2), each once, then the demos
 COMMANDS = (
     _dm_lab("all", "--seed", "0"),
     _dm_lab("verify-quotient", "--l", "2", "--real", "--samples", "10"),
