@@ -409,8 +409,9 @@ class TestQuadPlan:
                              ids=["%s%d" % ("real" if r else "complex", l)
                                   for l, r in PLAN_SPACES])
     def test_equals_quad_slots(self, l, real):
-        # the plan of many quadruples is their one-quadruple plans (the
-        # case that cross_ratio_q plans, once quad_slots), in order
+        # the plan of many quadruples is their one-quadruple plans, the
+        # case that cross_ratio_q plans, in order (the name is that of
+        # the one-quadruple function this case had)
         for t in trees.enumerate_trees(l, real=real):
             quads, positions = _plan_quads(t)
             assert curves.quad_positions(t.mark_bits(), quads) == positions
