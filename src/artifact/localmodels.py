@@ -35,10 +35,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from .exactfield import GaussRat, _add, _div, _gauss, _key, _mul, _reduced, randbelow
+from .exactfield import GaussRat, _add, _div, _gauss, _key, _mul, _reduced
 
 Scalar = GaussRat
 _set = object.__setattr__
@@ -263,7 +264,7 @@ def _in_chart(target: ChartId, line: List[Key], x: Fiber, base: Keys) -> Keys:
     if ri == _ZERO:
         raise TransitionDomainError("line coordinate %d vanishes; chart %r unreachable"
                                     % (it, target))
-    out = [_div(rj, ri) for j, rj in enumerate(line) if j != slot]
+    out = [_div(rj, ri) for rj in line[:slot] + line[slot + 1:]]
     if k == 1:
         out.insert(slot, _mul(x, ri))
     else:
@@ -486,23 +487,43 @@ def sample_point(
 
 
 def _sample(model: Model, rng: random.Random, bound: int, avoid_zero: bool) -> Keys:
-    def frac() -> Tuple[int, int]:
-        # n in [-bound, bound] (a zero redrawn as a sign times [1, bound]),
-        # the denominator in [1, bound]
-        n = randbelow(rng, 2 * bound + 1) - bound
-        if avoid_zero and n == 0:
-            n = (-1, 1)[randbelow(rng, 2)] * (randbelow(rng, bound) + 1)
-        return n, randbelow(rng, bound) + 1
-
-    def scalar(cplx: bool) -> Key:
-        p, d = frac()
-        if not cplx:
-            return _reduced(p, 0, d)
-        q, e = frac()
-        return _reduced(p * e, q * d, d * e)
-
-    return tuple([scalar(model.is_complex and j < model.c)
-                  for j in range(model.c + model.m)])
+    # one fraction per real scalar and two (real and imaginary part) per
+    # complex one: n in [-bound, bound] (a zero redrawn, under avoid_zero,
+    # as a sign times [1, bound]) over a denominator in [1, bound].  Each
+    # draw is exactfield.randbelow's, made inline as in curves._rand_point:
+    # the same getrandbits calls in the same order, so the stream is the
+    # same; the sign is randbelow(rng, 2), a getrandbits(2) below 2
+    if bound < 1:
+        raise ValueError("need bound >= 1, got %r" % (bound,))
+    bits = rng.getrandbits
+    width = 2 * bound + 1
+    kw, kb = width.bit_length(), bound.bit_length()
+    cplx = model.c if model.is_complex else 0
+    fracs = []
+    for _ in range(model.c + model.m + cplx):
+        n = bits(kw)
+        while n >= width:
+            n = bits(kw)
+        n -= bound
+        if n == 0 and avoid_zero:
+            sign = bits(2)
+            while sign >= 2:
+                sign = bits(2)
+            n = bits(kb)
+            while n >= bound:
+                n = bits(kb)
+            n = n + 1 if sign else -n - 1
+        d = bits(kb)
+        while d >= bound:
+            d = bits(kb)
+        fracs.append((n, d + 1))
+    out = []
+    for j in range(cplx):
+        (p, d), (q, e) = fracs[2 * j], fracs[2 * j + 1]
+        out.append(_reduced(p * e, q * d, d * e))
+    for p, d in fracs[2 * cplx:]:
+        out.append(_reduced(p, 0, d))
+    return tuple(out)
 
 
 def verify_model(
@@ -518,28 +539,36 @@ def verify_model(
     reads each presentation once (:func:`_read`).  That reading gives the
     presentation's image, and for a triple (a, a1) the route from the
     stored move into a1 on to a.  A triple with a1 the point's own chart,
-    or with a = a1, has a stored move as its route and is counted without
-    routing; ``cocycle.routed`` counts the others.  Points and images are
-    tuples of keys; a point becomes a :class:`BlowupPoint` only to be
-    written into a failure.  Returns a JSON-ready report with
-    per-relation pass counts.  Raises :class:`LocalModelError` for
-    ``n_samples`` < 1, where no check would run.
+    or with a = a1, has a stored move as its route and always passes:
+    there are 2 * (P - 1) of them at a point with P presentations, counted
+    without a loop; ``cocycle.routed`` counts the others, which are
+    checked.  Each chart checks every relation, so a relation's total is
+    the number of points sampled in its chart family, and only failures
+    are counted.  Points and images are tuples of keys; a point becomes a
+    :class:`BlowupPoint` only to be written into a failure.  Returns a
+    JSON-ready report with per-relation pass counts.  Raises
+    :class:`LocalModelError` for ``n_samples`` < 1, where no check would
+    run, and for ``bound`` < 1, where no point can be drawn.
     """
     if n_samples < 1:
         raise LocalModelError("need n_samples >= 1, got %r" % (n_samples,))
+    if bound < 1:
+        raise LocalModelError("need bound >= 1, got %r" % (bound,))
     model = PRESETS[preset]
     rng = random.Random("%s:%r" % (preset, seed))
     charts = model.charts()
-    pairs = list(itertools.product(charts, repeat=2))
-    # the report key of each relation, per chart family
-    relation_keys = {k: {name: "%s:k%d:%s" % (preset, k, name)
-                         for name in model.relation_names}
-                     for k in {t[0] for t in charts}}
-    relation_pass: Dict[str, int] = {}
-    relation_total: Dict[str, int] = {}
+    # per sampled chart, the triples (a, a1) that need a route of their
+    # own: a != a1 and a1 not the sampled chart, in product order
+    routes = {chart: [(a, a1) for a, a1 in itertools.product(charts, repeat=2)
+                      if a != a1 and a1 != chart]
+              for chart in charts}
+    # the points sampled per chart family; the n-th point is in chart
+    # n mod len(charts)
+    family_points = Counter(charts[n % len(charts)][0] for n in range(n_samples))
+    relation_fail: Dict[Tuple[int, str], int] = {}
     cocycle_pass = cocycle_total = cocycle_routed = 0
     invariance_pass = invariance_total = 0
-    control_pass = control_total = 0
+    control_pass = 0
     failures: List[str] = []
     image_index: Dict[Keys, Tuple[ChartId, Keys]] = {}
     injective = True
@@ -552,14 +581,11 @@ def verify_model(
         u = _sample(model, rng, bound, True)
         read = _read(model, chart, u)
         img = _blowdown(chart, read)
-        keys = relation_keys[chart[0]]
         for name, ok in _relations(model, chart, u, img):
-            key = keys[name]
-            relation_total[key] = relation_total.get(key, 0) + 1
-            relation_pass[key] = relation_pass.get(key, 0) + ok
             if not ok:
+                key = chart[0], name
+                relation_fail[key] = relation_fail.get(key, 0) + 1
                 failures.append("relation %s at %s" % (name, text(chart, u)))
-        control_total += 1
         if _control(model, chart, u, img):
             control_pass += 1
         else:
@@ -573,24 +599,24 @@ def verify_model(
                 invariance_pass += 1
             else:
                 failures.append("blowdown not invariant %r -> %r" % (chart, target))
-        for a, a1 in pairs:
-            direct, q1 = moves[a], moves[a1]
-            if direct is None or q1 is None or a == a1 == chart:
+        # the triples whose route is a stored move: p -> a1 -> a with
+        # a1 = chart (a another presentation) or a = a1 (a not chart)
+        stored = 2 * (len(reads) - 1)
+        cocycle_total += stored
+        cocycle_pass += stored
+        for a, a1 in routes[chart]:
+            direct, r1 = moves[a], reads.get(a1)
+            if direct is None or r1 is None:
                 continue
-            if a1 == chart or a == a1:
-                # one leg of p -> a1 -> a is the identity, so its route is
-                # a stored move: the triple is counted, with no route of
-                # its own to compare
-                ok = True
-            else:
-                try:
-                    ok = _move(a1, reads[a1], a) == direct
-                except TransitionDomainError:
-                    continue
-                cocycle_routed += 1
+            try:
+                ok = _move(a1, r1, a) == direct
+            except TransitionDomainError:
+                continue
+            cocycle_routed += 1
             cocycle_total += 1
-            cocycle_pass += ok
-            if not ok:
+            if ok:
+                cocycle_pass += 1
+            else:
                 failures.append("cocycle %r,%r,%r at %s" % (a, a1, chart, text(chart, u)))
         if _tag(model, chart, read) == OFF:
             prev = image_index.get(img)
@@ -603,17 +629,18 @@ def verify_model(
                 failures.append("blowdown collision %s vs %s"
                                 % (text(*prev), text(chart, u)))
 
+    relations = {"%s:k%d:%s" % (preset, k, name):
+                 {"pass": points - relation_fail.get((k, name), 0), "total": points}
+                 for k, points in family_points.items()
+                 for name in model.relation_names}
     return {
         "v": 1,
         "preset": preset,
         "samples": n_samples,
         "seed": seed,
-        "relations": {
-            k: {"pass": relation_pass[k], "total": relation_total[k]}
-            for k in sorted(relation_total)
-        },
+        "relations": dict(sorted(relations.items())),
         "cocycle": {"pass": cocycle_pass, "routed": cocycle_routed, "total": cocycle_total},
-        "negative_control": {"pass": control_pass, "total": control_total},
+        "negative_control": {"pass": control_pass, "total": n_samples},
         "blowdown_invariance": {"pass": invariance_pass, "total": invariance_total},
         "injective_off_exceptional": injective,
         "failures": failures[:20],

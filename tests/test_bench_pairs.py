@@ -61,14 +61,19 @@ def _git(root, *args):
                           cwd=root, capture_output=True, text=True, check=True).stdout
 
 
-def test_worktree_removed_on_error(tmp_path):
+def _repo(tmp_path):
+    """A repository with one commit of the file f, and that commit."""
     repo = tmp_path / "repo"
     repo.mkdir()
     _git(repo, "init", "-q")
     (repo / "f").write_text("base\n")
     _git(repo, "add", "f")
     _git(repo, "commit", "-q", "-m", "base")
-    rev = _git(repo, "rev-parse", "HEAD").strip()
+    return repo, _git(repo, "rev-parse", "HEAD").strip()
+
+
+def test_worktree_removed_on_error(tmp_path):
+    repo, rev = _repo(tmp_path)
     (repo / "f").write_text("head\n")
     seen = []
     with pytest.raises(RuntimeError):
@@ -77,4 +82,24 @@ def test_worktree_removed_on_error(tmp_path):
             assert open(os.path.join(path, "f")).read() == "base\n"
             raise RuntimeError("a failed run")
     assert not os.path.exists(os.path.dirname(seen[0]))
+    assert _git(repo, "worktree", "list").count("\n") == 1
+
+
+def test_head_runs_from_a_stash_of_the_working_tree(tmp_path):
+    repo, rev = _repo(tmp_path)
+    assert bench_pairs.head_stash(str(repo)) is None
+    (repo / "f").write_text("head\n")
+    (repo / "g").write_text("staged\n")
+    _git(repo, "add", "g")
+    (repo / "u").write_text("untracked\n")
+    stash = bench_pairs.head_stash(str(repo))
+    assert stash != rev
+    with bench_pairs.worktree(str(repo), stash) as path:
+        assert open(os.path.join(path, "f")).read() == "head\n"
+        assert open(os.path.join(path, "g")).read() == "staged\n"
+        assert not os.path.exists(os.path.join(path, "u"))
+    # the checkout, its index and the stash list are as they were
+    assert (repo / "f").read_text() == "head\n"
+    assert _git(repo, "status", "--porcelain") == " M f\nA  g\n?? u\n"
+    assert _git(repo, "stash", "list") == ""
     assert _git(repo, "worktree", "list").count("\n") == 1

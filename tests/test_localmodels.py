@@ -8,7 +8,7 @@ import random
 import pytest
 
 from artifact import cli, localmodels
-from artifact.exactfield import ONE, GaussRat, _add
+from artifact.exactfield import ONE, GaussRat, _add, _reduced, randbelow
 from artifact.localmodels import (
     PRESETS,
     BlowupPoint,
@@ -235,6 +235,54 @@ class TestVerifyModel:
             cli.verify_localmodels_suite(n_samples)
 
 
+    @pytest.mark.parametrize("bound", [0, -3])
+    def test_no_bound_below_1(self, bound):
+        # no point can be drawn; the error comes before any draw
+        text = r"^need bound >= 1, got %d$" % bound
+        with pytest.raises(LocalModelError, match=text):
+            verify_model("real3", 5, bound=bound)
+        with pytest.raises(LocalModelError, match=text):
+            cli.verify_localmodels_suite(5, bound=bound)
+
+
+def _reference_sample(model, rng, bound, avoid_zero):
+    """localmodels._sample as one randbelow call per draw."""
+    def frac():
+        n = randbelow(rng, 2 * bound + 1) - bound
+        if avoid_zero and n == 0:
+            n = (-1, 1)[randbelow(rng, 2)] * (randbelow(rng, bound) + 1)
+        return n, randbelow(rng, bound) + 1
+
+    keys = []
+    for j in range(model.c + model.m):
+        p, d = frac()
+        if model.is_complex and j < model.c:
+            q, e = frac()
+            keys.append(_reduced(p * e, q * d, d * e))
+        else:
+            keys.append(_reduced(p, 0, d))
+    return tuple(keys)
+
+
+class TestInlineDraws:
+    # bound 1, powers of two and bounds just past them, where getrandbits
+    # draws past the range most often, and the verifier's default 20
+    @pytest.mark.parametrize("avoid_zero", [False, True])
+    @pytest.mark.parametrize("bound", [1, 2, 3, 7, 20, 40])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_sample_draws_as_randbelow(self, preset, bound, avoid_zero):
+        # the same keys, and the generator left in the same state after
+        # each point, so every later draw of a stream is the same too
+        model = PRESETS[preset]
+        for seed in range(20):
+            a = random.Random("sample:%s:%d" % (preset, seed))
+            b = random.Random("sample:%s:%d" % (preset, seed))
+            for _ in range(20):
+                assert localmodels._sample(model, a, bound, avoid_zero) == _reference_sample(
+                    model, b, bound, avoid_zero)
+                assert a.getstate() == b.getstate()
+
+
 @pytest.mark.parametrize("avoid_zero", [False, True])
 def test_sample_point_bound_0_raises(avoid_zero):
     # a denominator in [1, 0] is an empty draw
@@ -351,6 +399,85 @@ class TestNonVacuity:
         assert rep["ok"] is False
         for check in ("cocycle", "blowdown_invariance"):
             assert 0 < rep[check]["pass"] < rep[check]["total"]
+
+
+def _verifier_points(preset, n_samples, seed=0, bound=20):
+    """The points that verify_model(preset, n_samples, seed, bound)
+    samples, drawn again with the public sample_point."""
+    model = PRESETS[preset]
+    charts = model.charts()
+    rng = random.Random("%s:%r" % (preset, seed))
+    return [sample_point(model, charts[n % len(charts)], rng, bound=bound, avoid_zero=True)
+            for n in range(n_samples)]
+
+
+def _routed(p):
+    """The triples (a, a1) of p that have a route of their own, in
+    product order: a != a1, a1 not p's chart, and p in the domain of
+    cocycle_check."""
+    moves = chart_moves(p)
+    out = []
+    for a, a1 in itertools.product(p.model.charts(), repeat=2):
+        if a == a1 or a1 == p.chart:
+            continue
+        try:
+            cocycle_check(moves, a, a1)
+        except TransitionDomainError:
+            continue
+        out.append((a, a1))
+    return out
+
+
+class TestStoredRoutes:
+    """verify_model counts the cocycle triples whose route is a stored move
+    (a1 the point's own chart, or a = a1) as 2 * (P - 1) per point, P its
+    presentations, and loops only over the others."""
+
+    @pytest.mark.parametrize("bound", [2, 20])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_closed_form_count(self, preset, bound):
+        rep = verify_model(preset, n_samples=100, bound=bound)
+        assert rep["ok"]
+        points = _verifier_points(preset, 100, bound=bound)
+        presentations = [sum(q is not None for q in chart_moves(p).values()) for p in points]
+        cocycle = rep["cocycle"]
+        assert cocycle["total"] - cocycle["routed"] == 2 * sum(n - 1 for n in presentations)
+        assert cocycle["routed"] == sum(len(_routed(p)) for p in points)
+        assert cocycle["pass"] == cocycle["total"]
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_wrong_routes_into_one_chart_fail_in_product_order(self, preset, monkeypatch):
+        # every route into the model's first chart gets its base
+        # coordinate off by one; the moves of _moves stay honest
+        target = PRESETS[preset].charts()[0]
+        honest_move, honest_moves = localmodels._move, localmodels._moves
+        inside = []
+
+        def moves(*args):
+            inside.append(True)
+            try:
+                return honest_moves(*args)
+            finally:
+                inside.pop()
+
+        def move(chart, read, to):
+            q = honest_move(chart, read, to)
+            return _off_by_one(q) if to == target and not inside else q
+
+        honest = verify_model(preset, n_samples=30)
+        monkeypatch.setattr(localmodels, "_moves", moves)
+        monkeypatch.setattr(localmodels, "_move", move)
+        rep = verify_model(preset, n_samples=30)
+        assert rep["ok"] is False
+        want = ["cocycle %r,%r,%r at %s" % (a, a1, p.chart, p.serialize())
+                for p in _verifier_points(preset, 30)
+                for a, a1 in _routed(p) if a == target]
+        assert rep["failures"] == want[:20]
+        assert want
+        assert rep["cocycle"]["pass"] == honest["cocycle"]["pass"] - len(want)
+        assert rep["cocycle"]["total"] == honest["cocycle"]["total"]
+        for check in ("relations", "negative_control", "blowdown_invariance"):
+            assert rep[check] == honest[check]
 
 
 def _first_sample(preset, seed=0, bound=20):

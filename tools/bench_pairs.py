@@ -4,9 +4,13 @@
     python3 tools/bench_pairs.py --base REV --workload W --pairs N --seeds A-B --tag T
 
 Checks REV out with `git worktree` into a temporary directory outside the
-checkout, and removes that worktree again on every exit path.  Then it
-runs `perfbench/run.py --trace 0` on workload W in N pairs, one run of
-the base and one of this checkout (the head) per pair, pair i at seed
+checkout, and the head the same way: `git stash create` of the working
+tree's changes to tracked files, or HEAD when there are none, so both
+sides run from the same kind of location.  Untracked files are not in
+the head; stage a new file with `git add` to take it along.  Both
+worktrees are removed again on every exit path.  Then it runs
+`perfbench/run.py --trace 0` on workload W in N pairs, one run of the
+base and one of the head per pair, pair i at seed
 A + i (so B - A + 1 must be N), each run as long as BENCHMARK.json's
 `run_seconds`.  The base goes first in even pairs and the head in odd
 ones, so drift over the session falls on both sides alike.
@@ -16,7 +20,8 @@ pair's raw `items_per_s`, `setup_s` and `peak_rss_mib` and each run's
 `correct` and `failed`; per metric the medians and quartiles of both
 sides and the head's wins (pairs where the head is better, in the
 metric's direction in BENCHMARK.json); both commits, `dirty` (the head's
-working tree differs from its commit), the number of usable CPUs and
+working tree differs from its commit) and `stash` (the commit the head
+ran from when it did, else null), the number of usable CPUs and
 the Python version.  The gate on `items_per_s` is the one that speed
 claims use: the head wins at least 9 of every 10 pairs, and its median
 is better than the base's by more than the base's interquartile range.
@@ -60,6 +65,13 @@ def worktree(root, rev):
                        capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
         subprocess.run(["git", "worktree", "prune"], cwd=root, capture_output=True)
+
+
+def head_stash(root):
+    """`git stash create` of the working tree at root: a commit of its
+    tracked files, staged or not, that leaves the tree and the stash list
+    as they are; None when the tree matches HEAD."""
+    return _git(root, "stash", "create") or None
 
 
 def quartiles(values):
@@ -125,11 +137,12 @@ def main(argv=None):
         raise SystemExit("unknown workload %r" % (args.workload,))
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     seconds = bench["run_seconds"]
-    # SIGTERM unwinds like Ctrl-C, so the worktree goes on that path too
+    # SIGTERM unwinds like Ctrl-C, so the worktrees go on that path too
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     pairs = []
-    with worktree(ROOT, args.base) as base_root:
-        roots = {"base": base_root, "head": ROOT}
+    stash = head_stash(ROOT)
+    with worktree(ROOT, args.base) as base_root, worktree(ROOT, stash or "HEAD") as head_root:
+        roots = {"base": base_root, "head": head_root}
         for i, seed in enumerate(seeds):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
             pair = {"seed": seed, "first": order[0]}
@@ -155,7 +168,8 @@ def main(argv=None):
         "seconds": seconds,
         "base": {"rev": args.base, "commit": base_commit},
         "head": {"commit": _git(ROOT, "rev-parse", "HEAD"),
-                 "dirty": bool(_git(ROOT, "status", "--porcelain", "--untracked-files=no"))},
+                 "dirty": bool(_git(ROOT, "status", "--porcelain", "--untracked-files=no")),
+                 "stash": stash},
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
         "pairs": pairs,
