@@ -234,7 +234,6 @@ class TestVerifyModel:
         with pytest.raises(LocalModelError):
             cli.verify_localmodels_suite(n_samples)
 
-
     @pytest.mark.parametrize("bound", [0, -3])
     def test_no_bound_below_1(self, bound):
         # no point can be drawn; the error comes before any draw

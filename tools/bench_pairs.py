@@ -20,9 +20,9 @@ pair's raw `items_per_s`, `setup_s` and `peak_rss_mib` and each run's
 `correct` and `failed`; per metric the medians and quartiles of both
 sides and the head's wins (pairs where the head is better, in the
 metric's direction in BENCHMARK.json); both commits, `dirty` (the head's
-working tree differs from its commit) and `stash` (the commit the head
-ran from when it did, else null), the number of usable CPUs and
-the Python version.  The gate on `items_per_s` is the one that speed
+tracked files differed from its commit when the runs began) and `stash`
+(the commit the head ran from when they did, else null), the number of
+usable CPUs and the Python version.  The gate on `items_per_s` is the one that speed
 claims use: the head wins at least 9 of every 10 pairs, and its median
 is better than the base's by more than the base's interquartile range.
 It prints pass or fail, and exits 0 on pass and 1 on fail.  Nothing in
@@ -168,7 +168,7 @@ def main(argv=None):
         "seconds": seconds,
         "base": {"rev": args.base, "commit": base_commit},
         "head": {"commit": _git(ROOT, "rev-parse", "HEAD"),
-                 "dirty": bool(_git(ROOT, "status", "--porcelain", "--untracked-files=no")),
+                 "dirty": stash is not None,
                  "stash": stash},
         "python": platform.python_version(),
         "nproc": len(os.sched_getaffinity(0)),
