@@ -29,6 +29,7 @@ from .exactfield import (
     _point,
     cross_ratio,
     finite_point,
+    randbelow,
 )
 
 MAX_L_ENUM = 10       # tree/stratum enumeration guardrail (complex)
@@ -135,40 +136,21 @@ def cmd_schedule(cfg) -> dict:
 
 def _rand_pp(rng: random.Random, bound: int) -> ProjPoint:
     """Infinity with probability 1/20, else (p/d) + (q/e)i for integers
-    drawn in [-bound, bound] and [1, bound], for bound >= 1.  Each integer
-    is exactfield.randbelow's draw, made inline as in curves._rand_point:
-    the same getrandbits calls in the same order, so the stream is the
-    same."""
+    drawn in [-bound, bound] and [1, bound]."""
     if rng.random() < Fraction(1, 20):
         return PP_INF
-    bits = rng.getrandbits
     width = 2 * bound + 1
-    kw, kb = width.bit_length(), bound.bit_length()
-    p = bits(kw)
-    while p >= width:
-        p = bits(kw)
-    d = bits(kb)
-    while d >= bound:
-        d = bits(kb)
-    q = bits(kw)
-    while q >= width:
-        q = bits(kw)
-    e = bits(kb)
-    while e >= bound:
-        e = bits(kb)
-    p, d, q, e = p - bound, d + 1, q - bound, e + 1
+    p, d = randbelow(rng, width) - bound, randbelow(rng, bound) + 1
+    q, e = randbelow(rng, width) - bound, randbelow(rng, bound) + 1
     return finite_point(p * e, q * d, d * e)
 
 
 def verify_cr_suite(samples: int = 1000, seed: int = 0, bound: int = 50) -> dict:
     """Exact symmetry and cocycle relations of the cross ratio on random
     Gaussian-rational quintuples.  Raises UsageError for samples < 1,
-    where no relation would be checked, and for bound < 1, where no
-    point can be drawn."""
+    where no relation would be checked."""
     if samples < 1:
         raise UsageError("need samples >= 1, got %r" % (samples,))
-    if bound < 1:
-        raise UsageError("need bound >= 1, got %r" % (bound,))
     rng = random.Random("cr:%r" % (seed,))
     checked = failed = 0
     fail_cases: List[str] = []

@@ -437,8 +437,9 @@ def randbelow(rng, n: int) -> int:
     until below n.  It is the draw that random.Random's randrange, randint
     and choice make, so rng.randint(a, b) is a + randbelow(rng, b - a + 1)
     on the same stream, without their frames.  Like randrange, raises
-    ValueError for an empty range (n < 1).  No sampler calls it: each
-    makes this draw inline, and the draw tests compare them with it."""
+    ValueError for an empty range (n < 1).  verify-cr's point draw calls
+    it; the other samplers make this draw inline, and the draw tests
+    compare them with it."""
     if n < 1:
         raise ValueError("empty range for randbelow(%r)" % (n,))
     k = n.bit_length()

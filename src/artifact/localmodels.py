@@ -482,7 +482,10 @@ def sample_point(
     avoid_zero: bool = False,
 ) -> BlowupPoint:
     """A random exact point of ``chart``; ``avoid_zero`` makes every
-    coordinate nonzero (convenient for overlap sampling)."""
+    coordinate nonzero (convenient for overlap sampling).  Raises
+    ValueError for ``bound`` < 1, where no coordinate can be drawn."""
+    if bound < 1:
+        raise ValueError("need bound >= 1, got %r" % (bound,))
     return BlowupPoint(model, chart, _scalars(_sample(model, rng, bound, avoid_zero)))
 
 
@@ -492,9 +495,8 @@ def _sample(model: Model, rng: random.Random, bound: int, avoid_zero: bool) -> K
     # as a sign times [1, bound]) over a denominator in [1, bound].  Each
     # draw is exactfield.randbelow's, made inline as in curves._rand_point:
     # the same getrandbits calls in the same order, so the stream is the
-    # same; the sign is randbelow(rng, 2), a getrandbits(2) below 2
-    if bound < 1:
-        raise ValueError("need bound >= 1, got %r" % (bound,))
+    # same; the sign is randbelow(rng, 2), a getrandbits(2) below 2.
+    # Callers keep bound >= 1: at bound 0 no draw is below the bound
     bits = rng.getrandbits
     width = 2 * bound + 1
     kw, kb = width.bit_length(), bound.bit_length()

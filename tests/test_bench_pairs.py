@@ -93,7 +93,8 @@ def test_head_runs_from_a_stash_of_the_working_tree(tmp_path):
     _git(repo, "add", "g")
     (repo / "u").write_text("untracked\n")
     stash = bench_pairs.head_stash(str(repo))
-    assert stash != rev
+    # the stash's parent is the commit it was made on, which the report names
+    assert stash != rev and _git(repo, "rev-parse", stash + "^").strip() == rev
     with bench_pairs.worktree(str(repo), stash) as path:
         assert open(os.path.join(path, "f")).read() == "head\n"
         assert open(os.path.join(path, "g")).read() == "staged\n"

@@ -4,13 +4,11 @@ import hashlib
 import itertools
 import json
 import os
-import random
-from fractions import Fraction
 
 import pytest
 
 from artifact import charts, cli, curves, quotient, trees
-from artifact.exactfield import PP_INF, PP_ONE, PP_ZERO, ProjPoint, finite_point, randbelow
+from artifact.exactfield import PP_ONE, PP_ZERO, ProjPoint
 
 
 def run_json(argv, tmp_path, name="report.json"):
@@ -18,30 +16,6 @@ def run_json(argv, tmp_path, name="report.json"):
     status = cli.run(argv + ["--out", out])
     with open(out) as f:
         return status, json.load(f)
-
-
-def _reference_pp(rng, bound):
-    """cli._rand_pp as one randbelow call per integer."""
-    if rng.random() < Fraction(1, 20):
-        return PP_INF
-    width = 2 * bound + 1
-    p, d = randbelow(rng, width) - bound, randbelow(rng, bound) + 1
-    q, e = randbelow(rng, width) - bound, randbelow(rng, bound) + 1
-    return finite_point(p * e, q * d, d * e)
-
-
-class TestInlineDraws:
-    # bound 1, powers of two and bounds just past them, where getrandbits
-    # draws past the range most often, and verify-cr's default 50
-    @pytest.mark.parametrize("bound", [1, 2, 3, 4, 7, 8, 16, 50, 64])
-    def test_rand_pp_draws_as_randbelow(self, bound):
-        # the same points, and the generator left in the same state after
-        # each one, so every later draw of a stream is the same too
-        for seed in range(40):
-            a, b = random.Random("cr-draws:%d" % seed), random.Random("cr-draws:%d" % seed)
-            for _ in range(30):
-                assert cli._rand_pp(a, bound) == _reference_pp(b, bound)
-                assert a.getstate() == b.getstate()
 
 
 class TestEnumerationCommands:
@@ -130,12 +104,6 @@ class TestGuardrailsAndErrors:
             cli.verify_cr_suite(samples=samples)
         with pytest.raises(cli.UsageError, match=text):
             cli.verify_basis_suite(5, samples=samples)
-
-    @pytest.mark.parametrize("bound", [0, -3])
-    def test_cr_suite_called_with_no_bound_raises(self, bound):
-        # no point can be drawn
-        with pytest.raises(cli.UsageError, match=r"^need bound >= 1, got %d$" % bound):
-            cli.verify_cr_suite(samples=5, bound=bound)
 
     @pytest.mark.parametrize("command", [["verify-cr"],
                                          ["verify-basis", "--l", "4"],

@@ -141,7 +141,11 @@ def main(argv=None):
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     pairs = []
     stash = head_stash(ROOT)
-    with worktree(ROOT, args.base) as base_root, worktree(ROOT, stash or "HEAD") as head_root:
+    # the commit the head runs: the stash's parent, or HEAD when the tree
+    # is clean; read now, so a commit made during the runs is not named
+    head_commit = _git(ROOT, "rev-parse", stash + "^" if stash else "HEAD")
+    with worktree(ROOT, args.base) as base_root, \
+            worktree(ROOT, stash or head_commit) as head_root:
         roots = {"base": base_root, "head": head_root}
         for i, seed in enumerate(seeds):
             order = ("base", "head") if i % 2 == 0 else ("head", "base")
@@ -167,7 +171,7 @@ def main(argv=None):
         "workload": args.workload,
         "seconds": seconds,
         "base": {"rev": args.base, "commit": base_commit},
-        "head": {"commit": _git(ROOT, "rev-parse", "HEAD"),
+        "head": {"commit": head_commit,
                  "dirty": stash is not None,
                  "stash": stash},
         "python": platform.python_version(),
