@@ -4,7 +4,9 @@ A curve is a tree of projective lines: each vertex of the dual graph
 carries coordinates for its marks and for the node of every incident
 edge.  A node is stored twice, once on each of the two components it
 joins; no global coordinate exists on a nodal curve.  A curve holds its
-coordinates as one tuple, numbered by its tree's slot layout.
+coordinates as one tuple of point keys (p, q, d) (see exactfield),
+numbered by its tree's slot layout; a ProjPoint is built only where a
+point leaves the curve (coords, to_json, cross_ratio_q).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from .exactfield import (PP_INF, PP_ONE, PP_ZERO, ProjPoint, _cross, _frame, _point,
-                         finite_point, point_text)
+                         _reduced, point_text)
 from .strata import classify_real, is_admissible, stratum_edge
 from .trees import (MarkedTree, RealMarkedTree, bar_mark, canonical_form,
                     canonical_vertex_order, real_marks, sort_marks, tree_from_json)
@@ -155,7 +157,7 @@ def slot_layout(t: MarkedTree) -> SlotLayout:
 
 
 class StableCurve:
-    """tree + one tuple of points, numbered by the tree's slot layout.
+    """tree + one tuple of point keys, numbered by the tree's slot layout.
 
     Every curve is a stable curve: each component has three or more
     pairwise distinct special points (every tree is valid, so each
@@ -199,18 +201,18 @@ class StableCurve:
                            + sorted(coords[v].keys() - set(want), key=repr))
                     bad.append("vertex %d: slots %r != expected %r" % (v, got, list(want)))
                 else:
-                    bad += _vertex_problems(v, list(coords[v].values()))
+                    bad += _vertex_problems(v, [z._k for z in coords[v].values()])
         if not bad:
-            self.points = tuple([coords[v][s] for v, s in zip(lay.vertex, lay.slots)])
+            self.points = tuple([coords[v][s]._k for v, s in zip(lay.vertex, lay.slots)])
             if tree.is_real:
                 bad = self._validate_real()
         if bad:
             raise CurveError("invalid curve: %r" % (bad,))
 
     @classmethod
-    def _of(cls, tree: MarkedTree, points: Tuple[ProjPoint, ...]) -> "StableCurve":
-        """The curve with the given points, in the tree's slot order; the
-        caller checks them."""
+    def _of(cls, tree: MarkedTree, points: Tuple[Tuple[int, int, int], ...]) -> "StableCurve":
+        """The curve with the given point keys, in the tree's slot order;
+        the caller checks them."""
         c = cls.__new__(cls)
         c.tree = tree
         c.points = points
@@ -218,11 +220,11 @@ class StableCurve:
 
     @property
     def coords(self) -> Dict[int, Dict[Slot, ProjPoint]]:
-        """A fresh {vertex: {slot: point}} copy of the coordinates, each
-        vertex's slots in layout order; changing it leaves the curve as
-        it is."""
+        """A fresh {vertex: {slot: ProjPoint}} copy of the coordinates,
+        each vertex's slots in layout order; changing it leaves the curve
+        as it is."""
         lay, pts = slot_layout(self.tree), self.points
-        return {v: dict(zip(lay.slots[a:b], pts[a:b]))
+        return {v: dict(zip(lay.slots[a:b], map(_point, pts[a:b])))
                 for v, (a, b) in enumerate(zip(lay.offsets, lay.offsets[1:]))}
 
     @property
@@ -241,16 +243,16 @@ class StableCurve:
         return bad
 
     def _validate_real(self) -> List[str]:
-        """Each conjugate pair is checked once, on the integer keys:
-        conjugation maps (p, q, d) to (p, -q, d).  On a failure both slots
-        of every failing pair are reported, in slot order."""
+        """Each conjugate pair is checked once: conjugation maps the key
+        (p, q, d) to (p, -q, d).  On a failure both slots of every failing
+        pair are reported, in slot order."""
         pts = self.points
         fails = set()
         lay = slot_layout(self.tree)
         for i, j in enumerate(lay.partner):
             if j >= i:
-                p, q, d = pts[i]._k
-                if pts[j]._k != (p, -q, d):
+                p, q, d = pts[i]
+                if pts[j] != (p, -q, d):
                     fails.update((i, j))
         return ["conjugation symmetry fails at vertex %d slot %r" % (lay.vertex[i], lay.slots[i])
                 for i in sorted(fails)]
@@ -267,9 +269,9 @@ class StableCurve:
         return "StableCurve(%s)" % (json.dumps(self.to_json(), sort_keys=True),)
 
 
-def _vertex_problems(v: int, pts) -> List[str]:
-    """What is wrong with the points of component v."""
-    if len({z._k for z in pts}) != len(pts):
+def _vertex_problems(v: int, keys) -> List[str]:
+    """What is wrong with the point keys of component v."""
+    if len(set(keys)) != len(keys):
         return ["vertex %d: special points not pairwise distinct" % v]
     return []
 
@@ -303,17 +305,17 @@ def _slot_of_key(key: str, real: bool) -> Slot:
 # curves derived by a gather of points
 
 class _Gather:
-    """How to build a curve from the points of a curve on one tree (see
-    _derive), made from the output tree's vertex count, edges, mu and phi
-    (None on a complex tree), a {(vertex, slot): index} map and the
-    output vertices to check.
+    """How to build a curve from the point keys of a curve on one tree
+    (see _derive), made from the output tree's vertex count, edges, mu
+    and phi (None on a complex tree), a {(vertex, slot): index} map and
+    the output vertices to check.
 
     tree is the output tree, built and checked once, when the plan is
     made (an invalid one raises its TreeError there); every curve of the
     plan shares it, and it lives as long as the plan, so its slot layout,
     moduli-key layout and edge table are computed once.  gather[i] is the
-    index, in the input points followed by the caller's extra points, of
-    the point that the output takes for its slot i.  ranges holds the
+    index, in the input keys followed by the caller's extra keys, of the
+    key that the output takes for its slot i.  ranges holds the
     slot ranges of the vertices to check.
     """
 
@@ -331,7 +333,7 @@ class _Gather:
 
 def _derive(c: StableCurve, key, plan_fn, extra: Tuple = ()) -> Tuple[StableCurve, List[str]]:
     """(the curve that the gather plan of c's tree at key builds from
-    c's points followed by extra, what is wrong with it).
+    c's point keys followed by the keys extra, what is wrong with it).
 
     plan_fn(tree, key) makes the plan on first use, kept in the gather
     plans of the tree's slot layout; errors are not kept.  c is a valid
@@ -346,7 +348,7 @@ def _derive(c: StableCurve, key, plan_fn, extra: Tuple = ()) -> Tuple[StableCurv
     new = tuple([pts[i] for i in plan.gather])
     out = StableCurve._of(plan.tree, new)
     for a, b in plan.ranges:
-        if len({z._k for z in new[a:b]}) != b - a:
+        if len(set(new[a:b])) != b - a:
             return out, out.validate()
     return out, []
 
@@ -503,12 +505,12 @@ def quad_plan(t: MarkedTree, positions) -> Tuple[Tuple, Tuple]:
 
 def quad_keys(plan: Tuple[Tuple, Tuple], pts) -> List[Tuple[int, int, int]]:
     """The point keys of the quadruples of a quad_plan on a curve with
-    points pts (StableCurve.points), in the plan's order: the read keys,
-    and exactfield._cross at the slots of the others."""
+    point keys pts (StableCurve.points), in the plan's order: the read
+    keys, and exactfield._cross at the slots of the others."""
     read, computed = plan
     keys = list(read)
     for p, a, b, x, y in computed:
-        keys[p] = _cross(pts[a]._k, pts[b]._k, pts[x]._k, pts[y]._k)
+        keys[p] = _cross(pts[a], pts[b], pts[x], pts[y])
     return keys
 
 
@@ -572,17 +574,17 @@ def in_D_tilde(c: StableCurve, rho, bullet: str) -> bool:
 # ---------------------------------------------------------------------------
 # sampling
 
-def _rand_point(rng: random.Random, bound: int, real_only=False) -> ProjPoint:
-    # infinity shows up with small probability so charts get exercised
-    # there; p and q in [-bound, bound], d and e in [1, bound], for
-    # bound >= 1.  Each draw is exactfield.randbelow's, made inline: the
+def _rand_point(rng: random.Random, bound: int, real_only=False) -> Tuple[int, int, int]:
+    # the key of a point; infinity shows up with small probability so
+    # charts get exercised there; p and q in [-bound, bound], d and e in
+    # [1, bound], for bound >= 1.  Each draw is exactfield.randbelow's, made inline: the
     # same getrandbits calls in the same order, so the stream is the same
     bits = rng.getrandbits
     r = bits(4)
     while r >= 12:
         r = bits(4)
     if r == 0:
-        return PP_INF
+        return _INF_K
     width = 2 * bound + 1
     kw, kb = width.bit_length(), bound.bit_length()
     p = bits(kw)
@@ -592,7 +594,7 @@ def _rand_point(rng: random.Random, bound: int, real_only=False) -> ProjPoint:
     while d >= bound:
         d = bits(kb)
     if real_only:
-        return finite_point(p - bound, 0, d + 1)
+        return _reduced(p - bound, 0, d + 1)
     q = bits(kw)
     while q >= width:
         q = bits(kw)
@@ -601,7 +603,7 @@ def _rand_point(rng: random.Random, bound: int, real_only=False) -> ProjPoint:
         e = bits(kb)
     p, d, q, e = p - bound, d + 1, q - bound, e + 1
     # p/d + (q/e)*i = (p*e + q*d*i) / (d*e)
-    return finite_point(p * e, q * d, d * e)
+    return _reduced(p * e, q * d, d * e)
 
 
 def sample_curve(t: MarkedTree, bound: int, seed) -> StableCurve:
@@ -627,16 +629,16 @@ def sample_curve(t: MarkedTree, bound: int, seed) -> StableCurve:
     partner = lay.partner or range(off[-1])
     real = t.is_real
     for _attempt in range(200):
-        pts: List[ProjPoint] = [PP_INF] * len(partner)
+        pts: List[Tuple[int, int, int]] = [_INF_K] * len(partner)
         for i, j in enumerate(partner):
             if j == i:
                 pts[i] = _rand_point(rng, bound, real)
             elif j > i:
-                pts[i] = val = _rand_point(rng, bound)
-                pts[j] = val.conj()
+                p, q, d = pts[i] = _rand_point(rng, bound)
+                pts[j] = (p, -q, d)
         # this check is the distinctness half of validate, so only a real
         # curve is validated further, for conjugation symmetry
-        if all(len({z._k for z in pts[a:b]}) == b - a for a, b in zip(off, off[1:])):
+        if all(len(set(pts[a:b])) == b - a for a, b in zip(off, off[1:])):
             c = StableCurve._of(t, tuple(pts))
             bad = c._validate_real() if real else []
             if bad:
@@ -670,11 +672,11 @@ def conjugate_curve(c: StableCurve) -> StableCurve:
     else:
         nt = MarkedTree(t.vertex_count, t.edges, new_mu)
     # marks of the new curve at v are bar of the old ones at v
-    was, pts = slot_layout(t), c.points
+    was, conj = slot_layout(t), [(p, -q, d) for p, q, d in c.points]
     old = {vs: i for i, vs in enumerate(zip(was.vertex, was.slots))}
     lay = slot_layout(nt)
     return StableCurve._of(nt, tuple([
-        pts[old[v, ("m", bar_mark(s[1])) if s[0] == "m" else s]].conj()
+        conj[old[v, ("m", bar_mark(s[1])) if s[0] == "m" else s]]
         for v, s in zip(lay.vertex, lay.slots)]))
 
 
@@ -702,8 +704,8 @@ def moduli_tuple(c: StableCurve) -> Tuple:
         key = [shape]
         for (a, b, d), rest in frames:
             # the references -> (inf, 0, 1); the shape already holds their text
-            to_frame = _frame(pts[a]._k, pts[b]._k, pts[d]._k)
-            key += [to_frame(pts[i]._k) for i in rest]
+            to_frame = _frame(pts[a], pts[b], pts[d])
+            key += [to_frame(pts[i]) for i in rest]
         c._moduli_key = tuple(key)
     return c._moduli_key
 

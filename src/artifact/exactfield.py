@@ -17,8 +17,8 @@ reciprocal ``_pinv``, ``_one_minus`` and the framing map ``_frame``.
 :class:`GaussRat` and :class:`ProjPoint` hold a key; their operators,
 :func:`cross_ratio` and :func:`frame` wrap the kernel, building one object
 for the result.  Code that chains many operations, such as the local-model
-chart algebra and the reconstruction table, calls the kernel on keys and
-builds objects only at its boundary.
+chart algebra, the reconstruction table and the curves, whose points are
+keys, calls the kernel on keys and builds objects only at its boundary.
 """
 
 from __future__ import annotations

@@ -20,10 +20,13 @@ The chart algebra runs on keys: a scalar is the reduced integer triple
 (p, q, d) of a :class:`~artifact.exactfield.GaussRat`, combined by the
 scalar kernel of :mod:`~artifact.exactfield`, and a point is its chart and
 its coordinates' keys, so equal points and images are equal integer
-tuples.  The key functions form one layer.  :func:`_read` reads a chart
-presentation once into its line data, its base keys and, on an augmented
-model, the sum of squares of its fiber direction and its line data glued
-to the other chart family.  Its image (:func:`_blowdown`), its locus tag
+tuples.  The key functions form one layer, which reaches the kernel only
+through the module globals ``_add``, ``_mul``, ``_div``, ``_ONE`` and
+``_ZERO``, its seam: a test swaps them for sympy operations to prove the
+formulas at a generic point.  :func:`_read` reads a chart presentation
+once into its line data, its base keys and, on an augmented model, the
+sum of squares of its fiber direction and its line data glued to the
+other chart family.  Its image (:func:`_blowdown`), its locus tag
 (:func:`_tag`) and its moves (:func:`_move`; :func:`_moves` into every
 chart) are computed from that reading.  The public functions take and give
 :class:`BlowupPoint` with ``GaussRat`` coordinates (real models enforce a

@@ -7,7 +7,8 @@ share the same stabilized base curve and both lie in the boundary locus
 attached to rho.  The class key pairs the base curve's moduli key with
 the exact chart values, including the extended quadruple at a
 canonically chosen vertex; equal keys are expected to characterize the
-closure classes inside the chart domain.  Both compare on integer keys;
+closure classes inside the chart domain.  Both compare on integer keys,
+the verifier on each sample's case_key under its case's chart plan;
 text is written only for reports (moduli_key, ClassKey.to_json).
 """
 
@@ -20,10 +21,10 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .charts import (ChartDomainError, a_gamma, extended_basis,
                      near_vertices)
-from .curves import (StableCurve, _derive, _edge_slot, _Gather, _mark_slot, _tuples,
-                     forget, in_D_tilde, in_divisor, key_text, moduli_tuple, quad_keys,
-                     quad_plan, quad_positions, sample_curve, slot_layout)
-from .exactfield import PP_INF, PP_ZERO, GaussRat, ProjPoint, finite_point, point_text
+from .curves import (_INF_K, _ZERO_K, StableCurve, _derive, _edge_slot, _Gather, _mark_slot,
+                     _tuples, forget, in_D_tilde, in_divisor, key_text, moduli_tuple,
+                     quad_keys, quad_plan, quad_positions, sample_curve, slot_layout)
+from .exactfield import ProjPoint, _reduced, point_text
 from .strata import (_labels, build_a_ell, build_a_ell_real, is_admissible,
                      order_key)
 from .trees import (MarkedTree, TreeError, _mark_bits, _marks_of_mask, bar_mark,
@@ -296,28 +297,38 @@ def _make_plan(t: MarkedTree, rho_star: FrozenSet,
 
 def class_key(c: StableCurve, rho_star=(), real: bool = False,
               v_plus_rank: Optional[int] = None) -> ClassKey:
-    """The chart tuple of the curve's class, over the tree of its base.
-
-    The chart vertex, excluded loci and quadruples come from the chart
-    plan of the base tree (see chart_plan); the curve's slot layout keeps
-    per plan what depends only on its tree (_chart_slots): the
-    curves.quad_plan of the plan's quadruples, so that only the cross
-    ratios that an edge does not fix at 0, 1 or inf are computed on the
-    curve (curves.quad_keys).  Raises ChartDomainError, with the plan's
-    text, when the curve lies on an excluded locus.
+    """The chart tuple of the curve's class, over the tree of its base:
+    its case_key under the chart plan of the base tree (see chart_plan),
+    with the plan's tree, rank and quadruples.  Raises ChartDomainError,
+    with the plan's text, when the curve lies on an excluded locus.
     """
     if (c.tree.phi is not None) != bool(real):
         raise QuotientError("real flag does not match the curve")
-    b = base_of(c)
-    plan = chart_plan(b.tree, rho_star, v_plus_rank)
+    plan = chart_plan(base_of(c).tree, rho_star, v_plus_rank)
+    key = case_key(c, plan)
+    if type(key) is str:
+        raise ChartDomainError(key)
+    return ClassKey(key[0], plan.tree, plan.v_rank, key[1], plan.quads)
+
+
+def case_key(c: StableCurve, plan: ChartPlan):
+    """(moduli_tuple of the base, chart value keys) of the curve under
+    plan, a chart plan of its base's tree, or the plan's text of the
+    first excluded locus that the curve lies on.
+
+    The curve's slot layout keeps per plan what depends only on its tree
+    (_chart_slots): the curves.quad_plan of the plan's quadruples, so
+    that only the cross ratios that an edge does not fix at 0, 1 or inf
+    are computed on the curve (curves.quad_keys).  Under one plan, two
+    curves' case keys are equal exactly when their class keys are.
+    """
     slots = (c.tree._layout or slot_layout(c.tree)).chart_slots
     idx = slots.get(plan)
     if idx is None:
         idx = slots[plan] = _chart_slots(c.tree, plan)
     if type(idx) is str:
-        raise ChartDomainError(idx)
-    return ClassKey(moduli_tuple(b), plan.tree, plan.v_rank,
-                    tuple(quad_keys(idx, c.points)), plan.quads)
+        return idx
+    return moduli_tuple(base_of(c)), tuple(quad_keys(idx, c.points))
 
 
 def _chart_slots(t: MarkedTree, plan: ChartPlan):
@@ -351,16 +362,15 @@ def y_membership(c: StableCurve, rho, bullet: str) -> bool:
 # ---------------------------------------------------------------------------
 # engineered placements of the extra mark over a fixed base
 
-# the nodes of a middle component whose two sides conjugation swaps sit
-# at i and -i
-_I = ProjPoint(GaussRat(0, 1))
-_I_BAR = _I.conj()
+# the keys of i and -i, where the nodes of a middle component whose two
+# sides conjugation swaps sit
+_I, _I_BAR = (0, 1, 1), (0, -1, 1)
 
 
-def _place(c: StableCurve, sites, point: ProjPoint) -> StableCurve:
+def _place(c: StableCurve, sites, point: Tuple[int, int, int]) -> StableCurve:
     """c with the next mark placed at sites[0], and on a real curve its
-    conjugate at sites[1], the conjugate site; the first mark is at
-    `point`, the second at point.conj().
+    conjugate at sites[1], the conjugate site; the first mark is at the
+    point with key `point`, the second at its conjugate.
 
     A site (v, None) is a point of component v.  A site (v, slot) splits
     a new component off v's mark or edge slot: on it the node to v is at
@@ -376,8 +386,9 @@ def _place(c: StableCurve, sites, point: ProjPoint) -> StableCurve:
     gives back c's tree and points, so c is the result's base (see
     base_of).  Raises QuotientError when the result is not a valid curve.
     """
+    p, q, d = point
     out, bad = _derive(c, tuple(sites), _plan_place,
-                       (point, point.conj(), PP_INF, PP_ZERO, _I, _I_BAR))
+                       (point, (p, -q, d), _INF_K, _ZERO_K, _I, _I_BAR))
     if bad:
         raise QuotientError("bad placement: %r" % (bad,))
     out._base = c
@@ -387,8 +398,8 @@ def _place(c: StableCurve, sites, point: ProjPoint) -> StableCurve:
 def _plan_place(t: MarkedTree, sites: Tuple) -> _Gather:
     """The gather plan of the placement at sites on tree t (see _place):
     the base's {(vertex, slot): index} is edited as the placement edits
-    coordinates, with (point, point.conj(), inf, 0, i, -i) indexed after
-    the base's points."""
+    coordinates, with the keys of (point, its conjugate, inf, 0, i, -i)
+    indexed after the base's points."""
     lay = slot_layout(t)
     n, size = t.vertex_count, lay.offsets[-1]
     point, conj, inf, zero, i, i_bar = range(size, size + 6)
@@ -433,7 +444,7 @@ def add_mark(c: StableCurve, v: int, point: ProjPoint) -> StableCurve:
     t = c.tree
     if v not in range(t.vertex_count):
         raise QuotientError("no vertex %r" % (v,))
-    return _place(c, _vertex_sites(t, v), point)
+    return _place(c, _vertex_sites(t, v), _key_of(point))
 
 
 def bubble_at_mark(c: StableCurve, m, point: ProjPoint) -> StableCurve:
@@ -446,9 +457,10 @@ def bubble_at_mark(c: StableCurve, m, point: ProjPoint) -> StableCurve:
     t = c.tree
     if m not in t.mu:
         raise QuotientError("no mark %r" % (m,))
-    if point in (PP_ZERO, PP_INF):
+    k = _key_of(point)
+    if k in (_ZERO_K, _INF_K):
         raise QuotientError("bubble position must avoid the node and m")
-    return _place(c, _mark_sites(t, m), point)
+    return _place(c, _mark_sites(t, m), k)
 
 
 def mark_at_node(c: StableCurve, e, point: ProjPoint) -> StableCurve:
@@ -458,7 +470,14 @@ def mark_at_node(c: StableCurve, e, point: ProjPoint) -> StableCurve:
     e = tuple(sorted(e))
     if e not in set(t.edges):
         raise QuotientError("no edge %r" % (e,))
-    return _place(c, _node_sites(t, e), point)
+    return _place(c, _node_sites(t, e), _key_of(point))
+
+
+def _key_of(point) -> Tuple[int, int, int]:
+    """The key of a builder's position, which must be a ProjPoint."""
+    if not isinstance(point, ProjPoint):
+        raise QuotientError("position must be a ProjPoint, got %r" % (point,))
+    return point._k
 
 
 # The sites that the builders above and fiber_samples give _place, one
@@ -497,11 +516,12 @@ def _fiber_sites(t: MarkedTree) -> Tuple:
     return lay.fiber_sites
 
 
-def _rand_pos(rng: random.Random, bound: int) -> ProjPoint:
-    # nonzero imaginary part keeps the position legal in every real
-    # configuration (conjugate-distinct) and is harmless for complex ones;
-    # a in [-bound, bound], b, c and d in [1, bound], for bound >= 1.  Each
-    # draw is exactfield.randbelow's, made inline as in curves._rand_point
+def _rand_pos(rng: random.Random, bound: int) -> Tuple[int, int, int]:
+    # the key of a position; a nonzero imaginary part keeps it legal in
+    # every real configuration (conjugate-distinct) and is harmless for
+    # complex ones; a in [-bound, bound], b, c and d in [1, bound], for
+    # bound >= 1.  Each draw is exactfield.randbelow's, made inline as in
+    # curves._rand_point
     bits = rng.getrandbits
     width = 2 * bound + 1
     kw, kb = width.bit_length(), bound.bit_length()
@@ -518,7 +538,7 @@ def _rand_pos(rng: random.Random, bound: int) -> ProjPoint:
     while d >= bound:
         d = bits(kb)
     a, b, c, d = a - bound, b + 1, c + 1, d + 1
-    return finite_point(a * d, c * b, b * d)
+    return _reduced(a * d, c * b, b * d)
 
 
 def fiber_samples(base: StableCurve, rng: random.Random, per_site: int = 2,
@@ -590,12 +610,9 @@ def verify_injectivity(t: MarkedTree, rho_star=(), v_plus: Optional[int] = None,
 
     classes = relation_closure(samples, rho_star, real=real)
 
-    keys: List[Optional[ClassKey]] = []
-    for c in samples:
-        try:
-            keys.append(class_key(c, rho_star, real=real, v_plus_rank=v_rank))
-        except ChartDomainError:
-            keys.append(None)
+    # every sample's class key has the plan's tree and rank, so case keys
+    # compare as class keys do; a str is a domain text
+    keys = [None if type(k) is str else k for k in (case_key(c, plan) for c in samples)]
 
     cases: List[dict] = []
     in_classes: List[List[int]] = []
@@ -608,7 +625,7 @@ def verify_injectivity(t: MarkedTree, rho_star=(), v_plus: Optional[int] = None,
 
     intra = 0
     collisions = 0
-    key_to_class: Dict[ClassKey, int] = {}
+    key_to_class: Dict[Tuple, int] = {}
     for ci, cls in enumerate(in_classes):
         ks = {keys[i] for i in cls}
         if len(ks) > 1:

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import re
@@ -13,7 +14,7 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from artifact import charts, curves, strata, trees
+from artifact import charts, curves, quotient, strata, trees
 from artifact.curves import (
     StableCurve,
     conjugate_curve,
@@ -27,7 +28,7 @@ from artifact.curves import (
 )
 from artifact.exactfield import (PP_INF, PP_ONE, PP_ZERO, GaussRat, ParseError,
                                  ProjPoint, UnstableConfiguration, _cross, cross_ratio,
-                                 finite_point, frame, pp, randbelow)
+                                 finite_point, frame, point_text, pp, randbelow)
 from artifact.quotient import fiber_samples
 
 
@@ -109,8 +110,46 @@ class TestInlineDraws:
             for n in range(30):
                 real_only = n % 3 == 0
                 assert curves._rand_point(a, bound, real_only) == _reference_point(
-                    b, bound, real_only)
+                    b, bound, real_only)._k
                 assert a.getstate() == b.getstate()
+
+
+def _built_curves():
+    """Curves from every builder: sample_curve, the three placement
+    builders, forget, conjugate_curve, curve_from_json and the dict
+    constructor, on complex l=4 and real l=2, 3 trees."""
+    out = []
+    for l, real in ((4, False), (2, True), (3, True)):
+        for idx, t in enumerate(trees.enumerate_trees(l, real=real)):
+            c = sample_curve(t, 30, ("keys", l, real, idx))
+            placed = [quotient.add_mark(c, 0, pp(GaussRat(1, 2))),
+                      quotient.bubble_at_mark(c, trees.sort_marks(t.mu)[0], pp(GaussRat(-2, 3)))]
+            placed += [quotient.mark_at_node(c, e, pp(GaussRat(3, 1))) for e in t.edges[:1]]
+            out += [c, curve_from_json(c.to_json()), StableCurve(t, c.coords)] + placed
+            out += [forget(x, list(t.mu)) for x in placed]
+            if real:
+                out += [conjugate_curve(x) for x in [c] + placed]
+    return out
+
+
+class TestPointsAreKeys:
+    def test_points_are_canonical_keys(self):
+        built = _built_curves()
+        assert len(built) > 500
+        for c in built:
+            for k in c.points:
+                assert type(k) is tuple and len(k) == 3 and all(type(x) is int for x in k)
+                p, q, d = k
+                assert d >= 0 and math.gcd(p, q, d) == 1 and (d > 0 or k == (1, 0, 0))
+                assert ProjPoint.parse(point_text(k))._k == k
+            # coords gives fresh ProjPoints whose keys are the points
+            lay = curves.slot_layout(c.tree)
+            coords = c.coords
+            assert all(type(z) is ProjPoint for cv in coords.values() for z in cv.values())
+            assert tuple(coords[v][s]._k for v, s in zip(lay.vertex, lay.slots)) == c.points
+            coords[0].clear()
+            assert c.coords[0] and c.coords is not coords
+            assert curve_from_json(c.to_json()).points == c.points
 
 
 class TestJsonKeys:
@@ -446,7 +485,7 @@ class TestQuadPlan:
                             tuple((p, *s) for p, s in enumerate(want)
                                   if curves.split_key(*s) is None))
             pts = sample_curve(t, 40, ("quad_plan", l, real, idx)).points
-            assert curves.quad_keys(plan, pts) == [_cross(*(pts[i]._k for i in s)) for s in want]
+            assert curves.quad_keys(plan, pts) == [_cross(*(pts[i] for i in s)) for s in want]
 
 
 class TestMembership:
@@ -674,7 +713,7 @@ class TestSamplingErrors:
     """A sampling failure names its seed and the tree's canonical form."""
 
     def test_no_room_for_distinct_points(self, monkeypatch):
-        monkeypatch.setattr(curves, "_rand_point", lambda *args, **kwargs: PP_INF)
+        monkeypatch.setattr(curves, "_rand_point", lambda *args, **kwargs: PP_INF._k)
         t = trees.enumerate_trees(5)[3]
         with pytest.raises(curves.CurveError) as err:
             sample_curve(t, 30, ("crowded", 7))
@@ -687,7 +726,7 @@ class TestSamplingErrors:
         # asked for: self-conjugate slots then break conjugation symmetry
         nums = itertools.count(1)
         monkeypatch.setattr(curves, "_rand_point",
-                            lambda *args, **kwargs: finite_point(next(nums), 1, 1))
+                            lambda *args, **kwargs: (next(nums), 1, 1))
         t = [x for x in trees.enumerate_trees(3, real=True) if x.edges][0]
         with pytest.raises(curves.CurveError) as err:
             sample_curve(t, 30, ("non-real", 1))
@@ -712,7 +751,7 @@ class TestSeedReplay:
                         == sample_curve(t, 40, seed).to_json())
 
     def test_failure_names_the_tuple_seed(self, monkeypatch):
-        monkeypatch.setattr(curves, "_rand_point", lambda *args, **kwargs: PP_INF)
+        monkeypatch.setattr(curves, "_rand_point", lambda *args, **kwargs: PP_INF._k)
         t = trees.enumerate_trees(5)[3]
         with pytest.raises(curves.CurveError) as err:
             sample_curve(t, 30, ["crowded", [7]])

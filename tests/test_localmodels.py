@@ -817,3 +817,56 @@ class TestSamePoint:
                         changed = q[:j] + (_add(q[j], ONE._k),) + q[j + 1:]
                         assert same(m, chart, u, t, changed) is False
         assert undefined
+
+
+class TestChartAlgebraSymbolic:
+    """The chart algebra proved at the generic point of every chart: the
+    shipped key functions run on sympy rational functions of the chart's
+    coordinate symbols, through the kernel seam (_add, _mul, _div, _ONE
+    and _ZERO), with no transcription of their formulas.
+
+    A generic point meets no domain guard, so every move exists.  Over
+    CHART_ALGEBRA_MODELS: blowdown invariance for each (chart, target)
+    pair, the cocycle for each (start, a, a1) triple, every _relations
+    entry at each chart's generic point, and each chart's _control,
+    which must fail the relations."""
+
+    def test_generic_points(self, monkeypatch):
+        import time
+
+        from sympy import Integer, cancel, symbols
+
+        start = time.perf_counter()
+        monkeypatch.setattr(localmodels, "_add", lambda a, b: cancel(a + b))
+        monkeypatch.setattr(localmodels, "_mul", lambda a, b: cancel(a * b))
+        monkeypatch.setattr(localmodels, "_div", lambda a, b: cancel(a / b))
+        monkeypatch.setattr(localmodels, "_ONE", Integer(1))
+        monkeypatch.setattr(localmodels, "_ZERO", Integer(0))
+        identities = relations = controls = 0
+        failed = []
+        for m in CHART_ALGEBRA_MODELS:
+            u = tuple(symbols("u0:%d" % (m.c + m.m)))
+            charts = m.charts()
+            for start_chart in charts:
+                read = localmodels._read(m, start_chart, u)
+                img = localmodels._blowdown(start_chart, read)
+                moves, reads = localmodels._moves(m, start_chart, u, read)
+                assert None not in moves.values()
+                for target in charts:
+                    identities += 1
+                    if localmodels._blowdown(target, reads[target]) != img:
+                        failed.append(("invariance", m, start_chart, target))
+                for a, a1 in itertools.product(charts, repeat=2):
+                    identities += 1
+                    if not _key_cocycle(moves, reads, a, a1):
+                        failed.append(("cocycle", m, start_chart, a, a1))
+                for name, ok in localmodels._relations(m, start_chart, u, img):
+                    relations += 1
+                    if not ok:
+                        failed.append(("relation", m, start_chart, name))
+                controls += 1
+                if not localmodels._control(m, start_chart, u, img):
+                    failed.append(("control", m, start_chart))
+        assert failed == []
+        assert (identities, relations, controls) == (626, 90, 20)
+        assert time.perf_counter() - start < 30

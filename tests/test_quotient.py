@@ -165,19 +165,19 @@ class TestInjectivity:
 
     def _planted(self, monkeypatch, keys):
         """verify_injectivity on the nodal complex l=4 tree with the cut,
-        with class_key replaced by the next of keys, and its closure
-        classes."""
+        with the per-sample key function case_key replaced by the next of
+        keys, and its closure classes."""
         closures = []
         closure = quotient.relation_closure
         monkeypatch.setattr(quotient, "relation_closure",
                             lambda *a, **k: closures.append(closure(*a, **k)) or closures[-1])
-        monkeypatch.setattr(quotient, "class_key", lambda c, *a, **k: next(keys))
+        monkeypatch.setattr(quotient, "case_key", lambda c, plan: next(keys))
         rep = verify_injectivity(tree_with_split(4, RHO), RHO, n_samples=40, seed=12)
         assert rep["classes"] == len(closures[0]) >= 2
         return rep, closures[0]
 
     def test_constant_key_collides_across_classes(self, monkeypatch):
-        rep, classes = self._planted(monkeypatch, itertools.repeat("k"))
+        rep, classes = self._planted(monkeypatch, itertools.repeat(("k",)))
         # every class after the first meets the first's key
         assert rep["intra_class_key_splits"] == 0
         assert rep["key_collisions_across_classes"] == len(classes) - 1
@@ -185,8 +185,9 @@ class TestInjectivity:
                                 for ci in range(1, len(classes))]
 
     def test_alternating_key_splits_classes(self, monkeypatch):
-        rep, classes = self._planted(monkeypatch, itertools.cycle("ab"))
-        # sample i gets key "ab"[i % 2]: a class of both parities splits
+        rep, classes = self._planted(monkeypatch, itertools.cycle([("a",), ("b",)]))
+        # sample i gets key ("a",) or ("b",) by i % 2: a class of both
+        # parities splits
         split = [cls for cls in classes if len({i % 2 for i in cls}) == 2]
         assert split
         assert rep["intra_class_key_splits"] == len(split)
@@ -195,7 +196,7 @@ class TestInjectivity:
             for cls in split]
 
     def test_planted_collision_fails_the_suite(self, monkeypatch):
-        monkeypatch.setattr(quotient, "class_key", lambda c, *a, **k: "k")
+        monkeypatch.setattr(quotient, "case_key", lambda c, plan: ("k",))
         rep = cli.verify_quotient_suite(4, samples=10)
         assert rep["ok"] is False and rep["key_collisions_across_classes"] > 0
 
@@ -204,7 +205,7 @@ class TestInjectivity:
         # its entry names its index and seed, and the seed, a list as read
         # from the JSON report, replays the case: the same samples and the
         # same entry
-        monkeypatch.setattr(quotient, "class_key", lambda c, *a, **k: "k")
+        monkeypatch.setattr(quotient, "case_key", lambda c, plan: ("k",))
         sampled = []
         closure = quotient.relation_closure
         monkeypatch.setattr(quotient, "relation_closure", lambda samples, *a, **k: (
@@ -504,7 +505,7 @@ class TestMemoEquivalence:
         cut = strata.build_a_ell_real(3)[1][7].rho_set
         verify_injectivity(t, cut, n_samples=20, seed=0, real=True)
         assert quotient.chart_plan(t, cut).excluded_masks == ((15, 143),)
-        calls = {"_locus_masks": 0, "class_key": 0}
+        calls = {"_locus_masks": 0, "case_key": 0}
         for name in calls:
             def counting(*args, _honest=getattr(quotient, name), _name=name, **kw):
                 calls[_name] += 1
@@ -512,7 +513,7 @@ class TestMemoEquivalence:
 
             monkeypatch.setattr(quotient, name, counting)
         verify_injectivity(t, cut, n_samples=20, seed=1, real=True)
-        assert calls["class_key"] >= 20
+        assert calls["case_key"] >= 20
         assert calls["_locus_masks"] == 0
 
     def test_warm_case_compares_no_trees(self, monkeypatch):
@@ -741,7 +742,7 @@ def _reference_fiber_samples(base, rng, per_site=2, bound=40):
         for _ in range(per_site):
             for _try in range(40):
                 try:
-                    out.append(build(quotient._rand_pos(rng, bound)))
+                    out.append(build(exactfield._point(quotient._rand_pos(rng, bound))))
                     break
                 except QuotientError:
                     pass
@@ -809,7 +810,7 @@ class TestInlineDraws:
         for seed in range(40):
             a, b = random.Random("pos:%d" % seed), random.Random("pos:%d" % seed)
             for _ in range(30):
-                assert quotient._rand_pos(a, bound) == _reference_pos(b, bound)
+                assert quotient._rand_pos(a, bound) == _reference_pos(b, bound)._k
                 assert a.getstate() == b.getstate()
 
     @pytest.mark.parametrize("bound", [0, -3])
@@ -983,6 +984,11 @@ def _placed(place, c, sites, point):
     return _curve_text(out)
 
 
+def _place_key(c, sites, point):
+    """quotient._place at the key of point."""
+    return quotient._place(c, sites, point._k)
+
+
 # positions on top of the fixed node positions 0, inf, i and -i, and of a
 # base's framed points 0, 1 and inf
 REFERENCE_POINTS = PLACE_POINTS + [pp(GaussRat(0, -1))]
@@ -1000,7 +1006,7 @@ class TestPlacementsAgainstReference:
                             # the reference first, so that its tree is
                             # built from its own mu, and gone before _place
                             want = _placed(_reference_place, base, sites, p)
-                            got = _placed(quotient._place, base, sites, p)
+                            got = _placed(_place_key, base, sites, p)
                             assert got == want, (l, real, idx, sites, p)
                             counts["ERR" if got.startswith("ERR") else "ok"] += 1
         assert counts["ok"] > 0 and counts["ERR"] > 0
@@ -1053,3 +1059,59 @@ class TestPlacementsAgainstReference:
             assert [r() for r in made] == [None] * len(made)
         finally:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# case keys against class keys
+
+def _case_samples(monkeypatch, t, cut, seed, real):
+    """The samples of verify_injectivity(t, cut) at seed, 40 of them with
+    positions bounded by 40, as the quotient_real benchmark draws them."""
+    seen = []
+    closure = quotient.relation_closure
+    with monkeypatch.context() as m:
+        m.setattr(quotient, "relation_closure",
+                  lambda samples, *a, **k: seen.append(samples) or closure(samples, *a, **k))
+        verify_injectivity(t, cut, n_samples=40, seed=seed, real=real, bound=40)
+    return seen[0]
+
+
+def _real_l3_cases():
+    """The quotient_real benchmark's cases: real l=3 tree i with cut
+    label i mod 20 (the empty cut, then the scheduled labels)."""
+    cuts = [frozenset()] + [lab.rho_set for lab in strata.build_a_ell_real(3)[1]]
+    return [(t, cuts[i % len(cuts)], True)
+            for i, t in enumerate(trees.enumerate_trees(3, real=True))]
+
+
+class TestCaseKey:
+    # the 36 real l=3 cases of the quotient_real benchmark and every
+    # complex l=5 tree with the empty cut, at one seed each
+    @pytest.mark.parametrize("space", ["real3", "complex5"])
+    def test_partitions_as_class_keys(self, space, monkeypatch):
+        cases = (_real_l3_cases() if space == "real3"
+                 else [(t, frozenset(), False) for t in trees.enumerate_trees(5)])
+        in_domain = out_of_domain = shared = 0
+        for idx, (t, cut, real) in enumerate(cases):
+            plan = quotient.chart_plan(t, cut)
+            by_case, by_class = {}, {}
+            samples = _case_samples(monkeypatch, t, cut, ("case-key", space, idx), real)
+            for i, c in enumerate(samples):
+                key = quotient.case_key(c, plan)
+                try:
+                    want = class_key(c, cut, real=real)
+                except ChartDomainError as e:
+                    # no case key exactly when the class key raises, with
+                    # the same text
+                    assert key == str(e)
+                    out_of_domain += 1
+                    continue
+                assert type(key) is tuple
+                assert quotient.chart_plan(base_of(c).tree, cut) is plan
+                by_case.setdefault(key, set()).add(i)
+                by_class.setdefault(want, set()).add(i)
+                in_domain += 1
+            # equal case keys exactly when the class keys are equal
+            assert sorted(map(sorted, by_case.values())) == sorted(map(sorted, by_class.values()))
+            shared += sum(len(group) > 1 for group in by_case.values())
+        assert in_domain > 0 and shared > 0 and (out_of_domain > 0 or space == "complex5")

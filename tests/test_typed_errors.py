@@ -8,6 +8,12 @@ a dict key renamed.  The checked MarkedTree and RealMarkedTree
 constructors, trees.tree_from_json and curves.curve_from_json either
 accept the result or raise a TreeError, CurveError or ExactFieldError.
 
+The placement builders quotient.add_mark, bubble_at_mark and
+mark_at_node, at a valid site of a sampled curve, take a position drawn
+from the same values, Gaussian rationals and projective points: they
+place it or raise a QuotientError, and one that is not a ProjPoint always
+raises.
+
 Two more boundaries take text: the serialize() literals of GaussRat and
 ProjPoint, with characters inserted, dropped or replaced, parse or raise
 an ExactFieldError; and the argv of cheap dm-lab commands, with a flag
@@ -21,7 +27,7 @@ from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from artifact import cli, curves, exactfield, trees
+from artifact import cli, curves, exactfield, quotient, trees
 
 TYPED = (trees.TreeError, curves.CurveError, exactfield.ExactFieldError)
 
@@ -35,7 +41,7 @@ VALUES = st.recursive(
     | st.dictionaries(st.sampled_from(["1", "2+", "0", "mark:1", "x"]), kids, max_size=2),
     max_leaves=4)
 
-# fuzzing budget per test; all six run in a few seconds
+# fuzzing budget per test; all seven run in a few seconds
 FUZZ = settings(max_examples=250, derandomize=True, deadline=None, database=None,
                 suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
 
@@ -115,6 +121,33 @@ def test_curve_from_json(data):
 
 
 GR = exactfield.GaussRat
+PP = exactfield.ProjPoint
+BASES = [curves.curve_from_json(d) for d in CURVE_JSON]
+POSITIONS = st.one_of(
+    VALUES, st.builds(GR, st.integers(-3, 3), st.integers(-3, 3)),
+    st.builds(lambda a, b: PP(GR(a, b)), st.integers(-3, 3), st.integers(-3, 3)),
+    st.sampled_from([exactfield.PP_INF, exactfield.PP_ZERO]))
+
+
+@FUZZ
+@given(st.data())
+def test_placement_builders(data):
+    c = data.draw(st.sampled_from(BASES))
+    t = c.tree
+    builds = [(quotient.add_mark, list(range(t.vertex_count))),
+              (quotient.bubble_at_mark, trees.sort_marks(t.mu))]
+    if t.edges:
+        builds.append((quotient.mark_at_node, list(t.edges)))
+    build, sites = data.draw(st.sampled_from(builds))
+    point = data.draw(POSITIONS)
+    try:
+        out = build(c, data.draw(st.sampled_from(sites)), point)
+    except quotient.QuotientError:
+        return
+    assert isinstance(point, PP)
+    assert curves.curve_from_json(out.to_json()).points == out.points
+
+
 LITERALS = ([GR(0).serialize(), GR(Fraction(-3, 4), 2).serialize(),
              GR(5, Fraction(-1, 6)).serialize()],
             [exactfield.PP_INF.serialize(), exactfield.PP_ZERO.serialize(),
