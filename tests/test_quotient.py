@@ -1106,7 +1106,8 @@ class TestCaseKey:
                     assert key == str(e)
                     out_of_domain += 1
                     continue
-                assert type(key) is tuple
+                assert key == (want.base_key, want.values)
+                assert want.base == moduli_key(base_of(c))
                 assert quotient.chart_plan(base_of(c).tree, cut) is plan
                 by_case.setdefault(key, set()).add(i)
                 by_class.setdefault(want, set()).add(i)
