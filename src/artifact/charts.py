@@ -26,22 +26,22 @@ compares with the table's come from curves.quad_plan and quad_keys: read
 where an edge splits the quadruple 2|2, computed with exactfield._cross
 elsewhere.
 
-The routes depend on the number of marks alone: `_routes(n)`, built once
-per n, lists for each 4-bit mask K its 6 * (n - 4) routes, one per
-unordered pair {i, j} in K and mark m outside K, as the two factor masks
-and the anharmonic maps between increasing bit order and the orderings
-the relation uses.  After the vertex seeds and the edge values, the
-closure passes over the masks still unknown until a pass fills nothing.
-A step whose two factors are both 0, 1 or inf is read from the route's
-3x3 step table (`_step_table`, built from the route's own maps and
-shared per map triple; `_steps(n)` pairs each route with its table), and
-any other step is computed: its product is never 0 * inf, since the
-anharmonic maps keep 0, 1 and inf among themselves.  Every filled value
-is the true cross ratio, and whether a route applies depends only on its
-two factor values, so the known masks are the least fixpoint of the
-routes: the fill order changes no value and no known set.  At the verify
-guardrail, 12 marks (real l = 6), the table has 495 masks and 23,760
-routes.
+The routes depend on the number of marks alone: `_routes(n)` lists for
+each 4-bit mask K its 6 * (n - 4) routes, one per unordered pair {i, j}
+in K and mark m outside K, as the two factor masks and the anharmonic
+maps between increasing bit order and the orderings the relation uses.
+After the vertex seeds and the edge values, the closure passes over the
+masks still unknown until a pass fills nothing.  A step whose two
+factors are both 0, 1 or inf is read from the route's 3x3 step table
+(`_step_table`, built from the route's own maps and shared per map
+triple; `_steps(n)`, kept per n, pairs each route with its table, so
+`_routes(n)` is built once per n), and any other step is computed: its
+product is never 0 * inf, since the anharmonic maps keep 0, 1 and inf
+among themselves.  Every filled value is the true cross ratio, and
+whether a route applies depends only on its two factor values, so the
+known masks are the least fixpoint of the routes: the fill order changes
+no value and no known set.  At the verify guardrail, 12 marks (real
+l = 6), the table has 495 masks and 23,760 routes.
 """
 
 from __future__ import annotations
@@ -200,7 +200,6 @@ def _perm(ref: Tuple, q: Tuple):
     return _PERMUTED[tuple(ref.index(x) for x in q)]
 
 
-@functools.lru_cache(maxsize=None)
 def _routes(n: int) -> Tuple[Tuple[int, Tuple[Tuple, ...]], ...]:
     """The cocycle routes for n marks (bits 0..n-1), one row (K, routes) per
     4-bit mask K.

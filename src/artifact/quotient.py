@@ -25,10 +25,10 @@ from .curves import (_INF_K, _ZERO_K, StableCurve, _derive, _edge_slot, _Gather,
                      _tuples, forget, in_D_tilde, in_divisor, key_text, moduli_tuple,
                      quad_keys, quad_plan, quad_positions, sample_curve, slot_layout)
 from .exactfield import ProjPoint, _reduced, point_text
-from .strata import (_labels, build_a_ell, build_a_ell_real, is_admissible,
+from .strata import (_labels, _universe, build_a_ell, build_a_ell_real, is_admissible,
                      order_key)
-from .trees import (MarkedTree, TreeError, _mark_bits, _marks_of_mask, bar_mark,
-                    canonical_form, canonical_vertex_order, mark_key, sort_marks)
+from .trees import (MarkedTree, TreeError, _mark_bits, _marks_of_mask, _vertex_ok,
+                    bar_mark, canonical_form, canonical_vertex_order, mark_key, sort_marks)
 
 
 class QuotientError(Exception):
@@ -86,7 +86,8 @@ def equivalent(c1: StableCurve, c2: StableCurve, rho, real: bool = False) -> boo
 
 def relation_labels(l: int, rho_star=(), real: bool = False) -> List[FrozenSet]:
     """The labels rho > rho* whose relations are active in the quotient,
-    in order_key order.
+    in order_key order.  Raises QuotientError when rho* has a mark that
+    is not one of the base's (see _check_cut).
 
     The labels are read off strata's label masks, as build_a_ell and
     build_a_ell_real read them, and not through those two, which are
@@ -97,8 +98,18 @@ def relation_labels(l: int, rho_star=(), real: bool = False) -> List[FrozenSet]:
     """
     if l < (1 if real else 3):
         (build_a_ell_real if real else build_a_ell)(l)  # raises StrataError
+    _check_cut(rho_star, l, real)
     cut = order_key(rho_star)
     return [frozenset(rho) for _mask, rho in _labels(l, bool(real)) if order_key(rho) > cut]
+
+
+def _check_cut(rho_star, l: int, real: bool) -> None:
+    """Raise QuotientError when the cut rho* has a mark that is not one of
+    the l marks (l conjugate pairs if real) of a base curve."""
+    marks = _universe(l, bool(real))[1]
+    bad = [m for m in rho_star if not (type(m) is int or type(m) is str) or m not in marks]
+    if bad:
+        raise QuotientError("cut label has marks not on the base: %r" % (sorted(bad, key=repr),))
 
 
 def relation_closure(samples: Sequence[StableCurve], rho_star=(),
@@ -259,7 +270,7 @@ def chart_plan(t: MarkedTree, rho_star=(),
     Without a rank, the chart vertex is the admissible vertex of least
     canonical rank, so equal bases yield the same choice regardless of
     vertex numbering.  Raises QuotientError when no admissible vertex has
-    the given rank; errors are not kept.
+    the given rank, or when rho* has a mark not on t; errors are not kept.
     """
     plans = (t._layout or slot_layout(t)).chart_plans
     key = (frozenset(rho_star), v_plus_rank)
@@ -271,6 +282,7 @@ def chart_plan(t: MarkedTree, rho_star=(),
 
 def _make_plan(t: MarkedTree, rho_star: FrozenSet,
                v_plus_rank: Optional[int]) -> ChartPlan:
+    _check_cut(rho_star, t.l, t.is_real)
     order = canonical_vertex_order(t)
     labels = a_gamma(t, rho_star)
     cands = near_vertices(t, labels)
@@ -442,7 +454,7 @@ def add_mark(c: StableCurve, v: int, point: ProjPoint) -> StableCurve:
     """Attach the next mark at `point` on component v (with its conjugate
     at phi(v) for real curves)."""
     t = c.tree
-    if v not in range(t.vertex_count):
+    if not _vertex_ok(v, t.vertex_count):
         raise QuotientError("no vertex %r" % (v,))
     return _place(c, _vertex_sites(t, v), _key_of(point))
 
@@ -455,7 +467,7 @@ def bubble_at_mark(c: StableCurve, m, point: ProjPoint) -> StableCurve:
     the conjugate bubble at the conjugate mark.
     """
     t = c.tree
-    if m not in t.mu:
+    if not (type(m) is int or type(m) is str) or m not in t.mu:
         raise QuotientError("no mark %r" % (m,))
     k = _key_of(point)
     if k in (_ZERO_K, _INF_K):
@@ -467,9 +479,11 @@ def mark_at_node(c: StableCurve, e, point: ProjPoint) -> StableCurve:
     """Insert the next mark on a new component separating the two sides of
     the node e; `point` is its position on the middle component."""
     t = c.tree
-    e = tuple(sorted(e))
-    if e not in set(t.edges):
+    if not (type(e) in (tuple, list) and len(e) == 2
+            and all(_vertex_ok(v, t.vertex_count) for v in e)
+            and tuple(sorted(e)) in set(t.edges)):
         raise QuotientError("no edge %r" % (e,))
+    e = tuple(sorted(e))
     return _place(c, _node_sites(t, e), _key_of(point))
 
 
@@ -577,7 +591,8 @@ def verify_injectivity(t: MarkedTree, rho_star=(), v_plus: Optional[int] = None,
     skipped, since the removed loci are saturated under the relations.
     A v_plus outside the admissible vertex set raises QuotientError,
     naming the seed, the tree and rho*, before any curve is sampled, and
-    so does n_samples < 1, where no class would be compared.  A list seed
+    so does a rho* with a mark not on t; so does n_samples < 1, where no
+    class would be compared.  A list seed
     counts as a tuple, as in sample_curve, so that it replays.
     """
     if bool(t.is_real) != bool(real):

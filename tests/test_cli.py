@@ -297,10 +297,10 @@ class TestNonVacuity:
     def test_basis_mismatches_on_the_table_side(self, monkeypatch):
         # the table's anharmonic map for the reordering (1, 0, 2, 3), 1/x,
         # computed as 1 - x: the edge values of the trees whose edge
-        # quadruple needs it are wrong.  The route table is built first,
+        # quadruple needs it are wrong.  The step table is built first,
         # honestly, since it keeps the maps it was built with; so the fault
         # reaches the edge values alone
-        charts._routes(5)
+        charts._steps(5)
         honest = cli.verify_basis_suite(5, samples=2)
         assert honest["ok"] is True
         assert all(set(c) == {"tree", "basis_size", "samples", "mismatches"}

@@ -836,6 +836,21 @@ class TestRelationLabels:
         with pytest.raises(strata.StrataError):
             relation_labels(l, (), real)
 
+    @pytest.mark.parametrize("l,real,cut", [(4, False, {99}), (4, False, {1, 2, 5}),
+                                            (3, True, {"1+", "9-"}), (3, True, {1, 2})])
+    def test_cut_with_a_mark_not_on_the_base(self, l, real, cut):
+        # relation_labels, chart_plan (through verify_injectivity and
+        # class_key) and relation_closure each refuse it
+        t = trees.enumerate_trees(l, real=real)[-1]
+        c = fiber_samples(sample_curve(t, 30, ("cut",)), random.Random(0))[0]
+        text = re.escape("cut label has marks not on the base: ")
+        for call in (lambda: relation_labels(l, cut, real),
+                     lambda: verify_injectivity(t, cut, n_samples=5, real=real),
+                     lambda: class_key(c, cut, real),
+                     lambda: relation_closure([c], cut, real)):
+            with pytest.raises(QuotientError, match=text):
+                call()
+
 
 class TestPlacementErrors:
     @pytest.mark.parametrize("real", [False, True])

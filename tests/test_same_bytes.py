@@ -5,7 +5,6 @@ import hashlib
 import importlib.util
 import json
 import os
-import re
 import subprocess
 
 import pytest
@@ -42,25 +41,20 @@ class TestDigest:
         assert same_bytes.differing(base, dict(base)) == []
 
     def test_commands_are_ci_and_the_demos(self):
-        # the dm-lab commands of CI's steps (any --out dropped) are those of
-        # the list, each name once, CI runs the tool under two hash seeds,
-        # and the demos are every file in demos/
-        names = [name for name, _args in same_bytes.COMMANDS]
+        # each name once and every demo listed; CI runs the list under two
+        # hash seeds, and no dm-lab command but the console-script smoke
+        # line, so the list is the one place a command is added
+        names = [name for name, _args, _code in same_bytes.COMMANDS]
         assert len(set(names)) == len(names)
-        ci = set()
-        runs_tool = False
+        demos = os.listdir(os.path.join(os.path.dirname(_TOOLS), "demos"))
+        assert {"demos/" + f for f in demos if f.endswith(".py")} <= set(names)
         with open(os.path.join(os.path.dirname(_TOOLS), ".github", "workflows",
                                "tier1.yml")) as f:
-            for line in f:
-                if not line.strip().startswith("- name:"):
-                    for m in re.finditer(r"dm-lab ([a-z][a-z-]*(?: --[a-z-]+(?: \d+)?)*)", line):
-                        ci.add("dm-lab " + re.sub(r" --out$", "", m.group(1)))
-                    runs_tool |= line.strip() == "run: python tools/same_bytes.py --hash-seeds 1,2"
-        assert ci == {n for n in names if n.startswith("dm-lab ")}
-        assert runs_tool
-        demos = sorted(f for f in os.listdir(os.path.join(os.path.dirname(_TOOLS), "demos"))
-                       if f.endswith(".py"))
-        assert [n for n in names if not n.startswith("dm-lab ")] == ["demos/" + f for f in demos]
+            run = [line.strip().removeprefix("run: ") for line in f
+                   if not line.strip().startswith(("#", "- name:"))]
+        assert [line for line in run if "same_bytes.py" in line] == [
+            "python tools/same_bytes.py --hash-seeds 1,2"]
+        assert [line for line in run if "dm-lab" in line] == ["dm-lab all --seed 0 > /dev/null"]
 
 
 def _git(root, *args):
@@ -78,19 +72,19 @@ sys.exit(int(open("code.txt").read()))
 """
 
 
-def _repo(tmp_path):
+def _repo(tmp_path, code="0"):
     repo = tmp_path / "repo"
     repo.mkdir()
     _git(repo, "init", "-q")
     (repo / "report.py").write_text(_SCRIPT)
     (repo / "r.json").write_text('{"count": 4}')
-    (repo / "code.txt").write_text("0")
+    (repo / "code.txt").write_text(code)
     _git(repo, "add", ".")
     _git(repo, "commit", "-q", "-m", "base")
     return repo, _git(repo, "rev-parse", "HEAD").strip()
 
 
-COMMANDS = (("report", ("report.py",)),)
+COMMANDS = (("report", ("report.py",), 0),)
 
 
 def test_same_report_passes_and_leaves_no_worktree(tmp_path):
@@ -129,6 +123,21 @@ def test_main_prints_pass(tmp_path, monkeypatch, capsys):
     assert out.startswith("differs: report\n") and out.endswith(": fail\n")
 
 
+@pytest.mark.parametrize("code, expected", [("0", 2), ("1", 0)])
+def test_wrong_exit_code_fails_both_modes(tmp_path, monkeypatch, capsys, code, expected):
+    # the command gives one exit code at base and head and under each
+    # seed, so only the code it must give can fail it
+    repo, rev = _repo(tmp_path, code)
+    monkeypatch.setattr(same_bytes, "ROOT", str(repo))
+    monkeypatch.setattr(same_bytes, "COMMANDS", (("report", ("report.py",), expected),))
+    monkeypatch.setattr(same_bytes.signal, "signal", lambda *args: None)
+    wrong = "wrong exit code: report\n  %%s: got %s, expected %d\n" % (code, expected)
+    assert same_bytes.main(["--base", rev]) == 1
+    assert capsys.readouterr().out == wrong % "head" + "1 commands against %s: fail\n" % rev
+    assert same_bytes.main(["--hash-seeds", "1,2"]) == 1
+    assert capsys.readouterr().out == wrong % "seed 1" + "1 commands under hash seeds 1,2: fail\n"
+
+
 # prints a report whose "order" is the iteration order of a set of
 # strings, which follows the hash seed, when order.txt says so
 _SEEDED = """import json
@@ -137,7 +146,7 @@ seeded = open("order.txt").read() == "set"
 print(json.dumps({"order": list(set(words)) if seeded else sorted(words)}))
 """
 
-SEEDED_COMMANDS = (("seeded", ("seeded.py",)),)
+SEEDED_COMMANDS = (("seeded", ("seeded.py",), 0),)
 
 
 def _seeded_repo(tmp_path, order):

@@ -9,10 +9,11 @@ constructors, trees.tree_from_json and curves.curve_from_json either
 accept the result or raise a TreeError, CurveError or ExactFieldError.
 
 The placement builders quotient.add_mark, bubble_at_mark and
-mark_at_node, at a valid site of a sampled curve, take a position drawn
-from the same values, Gaussian rationals and projective points: they
-place it or raise a QuotientError, and one that is not a ProjPoint always
-raises.
+mark_at_node take a site of a sampled curve, valid or drawn from the same
+values, and a position drawn from those values, Gaussian rationals and
+projective points: they place it or raise a QuotientError, and a site
+that is not one of the curve's vertices, marks or nodes (1.0 is not
+vertex 1), or a position that is not a ProjPoint, always raises.
 
 Two more boundaries take text: the serialize() literals of GaussRat and
 ProjPoint, with characters inserted, dropped or replaced, parse or raise
@@ -139,13 +140,25 @@ def test_placement_builders(data):
     if t.edges:
         builds.append((quotient.mark_at_node, list(t.edges)))
     build, sites = data.draw(st.sampled_from(builds))
+    site = data.draw(st.one_of(st.sampled_from(sites), VALUES,
+                               st.sampled_from(sites).map(_mistyped)))
     point = data.draw(POSITIONS)
     try:
-        out = build(c, data.draw(st.sampled_from(sites)), point)
+        out = build(c, site, point)
     except quotient.QuotientError:
         return
     assert isinstance(point, PP)
     assert curves.curve_from_json(out.to_json()).points == out.points
+
+
+def _mistyped(site):
+    """site with each int in it made a bool if it is 0 or 1, else a float:
+    equal to the site, but no vertex, mark or node."""
+    if isinstance(site, tuple):
+        return tuple(_mistyped(x) for x in site)
+    if type(site) is int:
+        return bool(site) if site in (0, 1) else float(site)
+    return site
 
 
 LITERALS = ([GR(0).serialize(), GR(Fraction(-3, 4), 2).serialize(),
