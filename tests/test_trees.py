@@ -588,12 +588,18 @@ ENUMERATION_DIGESTS = {
     (7, False): (
         "dc14edb5e8c2de1408d28c62c79432cdb9f1e99cfa14a1d281353e3353e82634",
         "38263d442db2bf318b1beecd3bba76c6b619627de6078af227e4fc366bbe17cf"),
+    (8, False): (
+        "d131ffcc2d1a2a7c4157052e3ddb78c3b5fce530e28553e9b8f4018b8d33a70e",
+        "5145fe197363bb1d2cfdb6791e123d1f8c3bdd951a6899e4fd34195071e36690"),
     (3, True): (
         "50a708cddae9273c8dd37ffa4d2f57a72e771c5186514ac5b11fac322796ecdb",
         "a40e3246a80be8c0d63842ba5965ef3078a202ef4b967eea709cf480c21391eb"),
     (4, True): (
         "ec5f97875766f3efc96fbcff008725675c6c57a1bffe284a2941ceb2a819b374",
         "a1bded9ccb3cfe9af87acf03dc6baa552a234085752a92c83463381051e7aeff"),
+    (5, True): (
+        "1473acae98162bc10f95465408730d0c6b226fdd342ea82329e888e640330e66",
+        "79f6d0c00ec0f24f78d060a9e4e83ecf9623daee8213c44a423e585fc37f6560"),
 }
 
 
