@@ -121,6 +121,8 @@ def relation_closure(samples: Sequence[StableCurve], rho_star=(),
     if n == 0:
         return []
     l = samples[0].tree.l - 1
+    # before _label_table's lookup, whose key (True, 2) equals (1, 2)
+    _check_cut(rho_star, l, real)
     bits = samples[0].tree.mark_bits()
     args = (frozenset(bits), l, tuple(sort_marks(rho_star)), bool(real))
     label_of = _label_table(*args)
@@ -272,6 +274,8 @@ def chart_plan(t: MarkedTree, rho_star=(),
     vertex numbering.  Raises QuotientError when no admissible vertex has
     the given rank, or when rho* has a mark not on t; errors are not kept.
     """
+    # before the lookup: the key is a set, in which True is the mark 1
+    _check_cut(rho_star, t.l, t.is_real)
     plans = (t._layout or slot_layout(t)).chart_plans
     key = (frozenset(rho_star), v_plus_rank)
     plan = plans.get(key)
@@ -282,7 +286,6 @@ def chart_plan(t: MarkedTree, rho_star=(),
 
 def _make_plan(t: MarkedTree, rho_star: FrozenSet,
                v_plus_rank: Optional[int]) -> ChartPlan:
-    _check_cut(rho_star, t.l, t.is_real)
     order = canonical_vertex_order(t)
     labels = a_gamma(t, rho_star)
     cands = near_vertices(t, labels)

@@ -10,6 +10,7 @@ Every tree here is trivalent: |mu^-1(v)| + deg(v) >= 3 at each vertex.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -441,35 +442,6 @@ def _conj_mask(mask: int, even: int) -> int:
     return (mask & even) << 1 | (mask >> 1) & even
 
 
-def _tree_from_family(n_marks: int, family: Sequence[int]) -> Tuple[List[int], List[int], List[int]]:
-    """(parent, at, own) of the tree with the given splits, which are in
-    (size, lexicographic) order: parent[v] is vertex v's parent (-1 at
-    vertex 0), at[b] is the vertex of the mark of bit b and own[v] is the
-    mask of the marks at vertex v.  Vertex i + 1 is the side of family[i]
-    at its edge; its parent is the side of the first later superset, else
-    vertex 0, and a mark sits at the first side that holds its bit, else
-    at vertex 0.  A split comes after its subsets, so 1, ..., len(family),
-    0 lists each vertex after its children."""
-    k = len(family)
-    parent = [-1] + [0] * k
-    at = [0] * n_marks
-    own = [0] * (k + 1)
-    free = (1 << n_marks) - 1  # the bits no earlier side holds
-    for i, s in enumerate(family):
-        for j in range(i + 1, k):
-            if family[j] & s == s:
-                parent[i + 1] = j + 1
-                break
-        own[i + 1] = new = s & free
-        free ^= new
-        while new:
-            low = new & -new
-            at[low.bit_length() - 1] = i + 1
-            new ^= low
-    own[0] = free
-    return parent, at, own
-
-
 def _phi_from_structure(t: MarkedTree) -> List[int]:
     """The unique involution of t's vertices compatible with mark
     conjugation, read off t's split-mask index.  Raises TreeError("invalid
@@ -560,9 +532,28 @@ def real_tree_count(l: int) -> int:
 def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
     """One tree per label-preserving isomorphism class, deterministic order.
 
-    Each tree's phi and canonical form are read off its family of splits
-    as the tree is built, so enumeration builds no adjacency or split-mask
-    index: a tree builds them on first use.
+    A depth-first search over compatible families of splits adds one
+    split (complex) or one conjugation orbit of splits (real) per step,
+    and each stack entry carries the state of its family's tree, so a
+    tree is never rebuilt from its family.  Vertex 0 is the side of bit
+    0 and vertex i + 1 the side of the family's i-th split at its edge,
+    in (size, lexicographic) order, so 1, ..., k, 0 lists each vertex
+    after its children.  Per vertex v the state holds v's split, its
+    parent (the side of the first later superset, else vertex 0), the
+    mask of its own marks, the vertex count of its branch, and, with the
+    tree rooted at vertex 0, the AHU string of its branch and the sorted
+    strings of its children's branches; a real tree's state also holds
+    v as the "/phi:" part writes it (_phi_id).  A step writes the strings
+    of each added split once, and those of its parent and, where a real
+    split lands inside an earlier one, that split's ancestors; the
+    splits an added split swallows change only their parent.
+
+    An emitted tree reads its edges, mu and phi off the state.  Its AHU
+    string is written on the path from vertex 0 to a centroid, which
+    flips, and at the second centroid's re-rooted edge, if any: every
+    vertex off that path gives its carried string, which is the string
+    _ahu writes for it.  So enumeration builds no adjacency or
+    split-mask index: a tree builds them on first use.
     """
     if real:
         if l < 2:
@@ -579,23 +570,29 @@ def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
     full = (1 << n) - 1
     even = full // 3  # the bits of the + marks, for _conj_mask
     # candidate splits: 2..n-2 of the bits 1..n-1; combinations come out
-    # size by size in lexicographic order, the order of _tree_from_family
+    # size by size in lexicographic order, the order of a family's vertices
     cands = [sum(1 << i for i in c) for r in range(2, n - 1)
              for c in itertools.combinations(range(1, n), r)]
+    rank = {s: i for i, s in enumerate(cands)}
     if real:
         # a unit is a conjugation orbit of splits, as candidate ranks; an
-        # orbit whose two splits cross can never appear
-        rank = {s: i for i, s in enumerate(cands)}
+        # orbit whose two splits cross can never appear.  image[s] is
+        # (the split of the conjugate edge, whether that split is the
+        # complement of s's conjugate, which then holds bit 0)
         units = []
+        image = {}
         for i, s in enumerate(cands):
             sb = _conj_mask(s, even)
             j = rank[sb ^ full if sb & 1 else sb]
+            image[s] = (cands[j], sb & 1)
             if j == i:
                 units.append((i,))
             elif j > i and _laminar(s, cands[j]):
                 units.append((i, j))
     else:
         units = [(i,) for i in range(len(cands))]
+    rank[full] = -1  # vertex 0 comes first
+    by_rank = rank.__getitem__
     # compat[u]: bitmask of the later units whose splits are all laminar
     # with those of unit u
     compat = []
@@ -606,50 +603,148 @@ def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
                 mask |= 1 << w
         compat.append(mask)
 
-    # a vertex's mark string, by the mask of its own marks; filled on
-    # first use of each mask
-    texts = {0: ""}
-    orders = [[*range(1, k + 1), 0] for k in range(n)]  # see _tree_from_family
+    # a vertex's mark string, by the mask of its own marks, and a mark
+    # set's "{...}"; filled on first use of each mask
+    texts = _MaskTexts(bits)
+    sets = _set_texts(mark_set)
 
     # depth-first over compatible families; an explicit stack, so no
-    # closure holds the result list in a cycle.  Units come out in
-    # increasing rank, so a complex family's candidates are in order; a
-    # real unit's conjugate split can rank after later units' splits
+    # closure holds the result list in a cycle.  An entry is (the units
+    # still compatible, the parent family's state, the unit to add); a
+    # child copies the state and adds its unit.  The state is (fam, par,
+    # own, size, text, kids, ids, at), lists by vertex (see the
+    # docstring; fam[0] is every bit, text[0] is not kept and ids is
+    # empty on the complex side) but at: at[b] is the vertex of the mark
+    # of bit b.  Units come out in increasing rank, so a complex family's
+    # split is added last; a real unit's splits can rank before later
+    # units' splits, and then renumber them
     results: List[MarkedTree] = []
-    stack: List[Tuple[int, Tuple[int, ...]]] = [((1 << len(units)) - 1, ())]
+    stack = [((1 << len(units)) - 1,
+              ([full], [-1], [full], [1], [""], [[]],
+               [_phi_id(texts[full], (), sets)] if real else [], [0] * n), ())]
     while stack:
-        avail, chosen = stack.pop()
-        family = [cands[i] for i in (sorted(chosen) if real else chosen)]
-        k = len(family)
-        parent, at, own = _tree_from_family(n, family)
-        # parent[v] is 0 or greater than v: the edges as the tree keeps them
-        edges = tuple([(0, v) for v in range(1, k + 1) if not parent[v]]
-                      + [(v, p) for v, p in enumerate(parent) if p > 0])
+        avail, state, unit = stack.pop()
+        fam, par, own, size, text, kids, ids, at = state
+        fam = fam[:]
+        par = par[:]
+        own = own[:]
+        size = size[:]
+        text = text[:]
+        kids = kids[:]
+        ids = ids[:]
+        at = at[:]
+        for r in unit:
+            s = cands[r]
+            v = bisect.bisect(fam, r, key=by_rank)
+            if v < len(fam):
+                par = [p + (p >= v) for p in par]
+                at = [a + (a >= v) for a in at]
+            fam.insert(v, s)
+            par.insert(v, 0)
+            own.insert(v, 0)
+            size.insert(v, 1)
+            text.insert(v, "")
+            kids.insert(v, [])
+            for p in range(v + 1, len(fam)):
+                if fam[p] & s == s:
+                    break
+            else:
+                p = 0
+            par[v] = p
+            # the children of p inside s become s's children; sides are
+            # the mark masks of the branches at s
+            ks = kids[v]
+            sides = [full ^ s]
+            for u in range(1, v):
+                if par[u] == p and fam[u] & s == fam[u]:
+                    par[u] = v
+                    ks.append(text[u])
+                    sides.append(fam[u])
+                    size[v] += size[u]
+            ks.sort()
+            own[v] = mine = s & own[p]
+            own[p] ^= mine
+            text[v] = new = _node(texts[mine], ks)
+            while mine:
+                low = mine & -mine
+                at[low.bit_length() - 1] = v
+                mine ^= low
+            if real:
+                ids.insert(v, _phi_id(texts[own[v]], sides, sets))
+                sides = [fam[u] for u in range(1, len(fam)) if par[u] == p]
+                if p:
+                    sides.append(full ^ fam[p])
+                ids[p] = _phi_id(texts[own[p]], sides, sets)
+            # p's children lose the swallowed strings and gain s's, and p
+            # and its ancestors but vertex 0 have new strings
+            gone = ks
+            while True:
+                pk = kids[p][:]
+                for x in gone:
+                    pk.remove(x)
+                bisect.insort(pk, new)
+                kids[p] = pk
+                size[p] += 1
+                if not p:
+                    break
+                gone = [text[p]]
+                text[p] = new = _node(texts[own[p]], pk)
+                p = par[p]
+        state = (fam, par, own, size, text, kids, ids, at)
+        k = len(fam) - 1
+        # the canonical form: c, the last vertex with more than half of
+        # the tree in its branch, is a centroid, and rooting at c flips
+        # the path from vertex 0 to c; a second centroid is a child of c
+        # with exactly half the tree in its branch
+        for c in range(1, k + 1):
+            if 2 * size[c] > k + 1:
+                break
+        else:
+            c = 0
+        path = [c]
+        while path[-1]:
+            path.append(par[path[-1]])
+        up = None  # the string of the branch above the path vertex
+        for i in range(len(path) - 1, -1, -1):
+            pk = kids[path[i]][:]
+            if i:
+                pk.remove(text[path[i - 1]])
+            if up is not None:
+                bisect.insort(pk, up)
+            up = _node(texts[own[path[i]]], pk)
+        form = up
+        if k & 1:  # an even vertex count
+            for w in range(1, k + 1):
+                if 2 * size[w] == k + 1:
+                    rest = pk[:]
+                    rest.remove(text[w])
+                    wk = kids[w][:]
+                    bisect.insort(wk, _node(texts[own[c]], rest))
+                    form = min(form, _node(texts[own[w]], wk))
+                    break
+        form = head + form
+        # par[v] is 0 or greater than v: the edges as the tree keeps them
+        low = []
+        high = []
+        for v in range(1, k + 1):
+            p = par[v]
+            if p:
+                high.append((v, p))
+            else:
+                low.append((0, v))
+        edges = tuple(low + high)
         mu = dict(zip(marks, at))
-        here = []
-        for mask in own:
-            text = texts.get(mask)
-            if text is None:
-                text = texts[mask] = ",".join(map(str, _marks_of_mask(bits, mask)))
-            here.append(text)
-        form = head + _ahu(here, parent, orders[k])
         if real:
             # vertex 0 holds the mark 1+ (bit 0), so phi(0) holds 1- (bit
             # 1).  The image of vertex i + 1 is the side of the conjugate
             # split sb at its edge: vertex pos[sb] if sb avoids bit 0,
             # else the parent of the vertex of its complement
-            pos = {s: i + 1 for i, s in enumerate(family)}
+            pos = {s: v for v, s in enumerate(fam)}
             phi = [at[1]]
-            for s in family:
-                sb = _conj_mask(s, even)
-                phi.append(parent[pos[sb ^ full]] if sb & 1 else pos[sb])
-            # the branches at a vertex: its children's splits and, towards
-            # its parent, the complement of its own
-            sides: List[List[int]] = [[] for _ in range(k + 1)]
-            for v, s in enumerate(family, 1):
-                sides[parent[v]].append(s)
-                sides[v].append(full ^ s)
-            form += _phi_suffix(here, sides, phi, mark_set)
+            for s in fam[1:]:
+                sb, flip = image[s]
+                phi.append(par[pos[sb]] if flip else pos[sb])
+            form += _phi_orbits(ids, phi)
             t = RealMarkedTree._of(k + 1, edges, mu, phi)
         else:
             t = MarkedTree._of(k + 1, edges, mu)
@@ -660,7 +755,7 @@ def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
             low = avail & -avail
             avail ^= low
             u = low.bit_length() - 1
-            stack.append((avail & compat[u], chosen + units[u]))
+            stack.append((avail & compat[u], state, units[u]))
     results.sort(key=canonical_form)
     return results
 
@@ -676,7 +771,8 @@ def _node(here: str, kids: List[str]) -> str:
 
 def _ahu(here: List[str], parent: List[int], order: Sequence[int]) -> str:
     """The AHU string of a tree rooted at a centroid (the smaller string,
-    if there are two), vertex v written with its mark string here[v].
+    if there are two), vertex v written with its mark string here[v];
+    canonical_form's builder.
 
     parent[v] is v's parent in some rooting of the tree (-1 at its root),
     and order lists every vertex after its children.  One integer pass
@@ -687,7 +783,8 @@ def _ahu(here: List[str], parent: List[int], order: Sequence[int]) -> str:
     written once, rooted at c: a vertex off the path from c to the root
     keeps its children, and along that path each vertex's parent becomes
     its child.  Rooting at the second centroid re-roots only the edge it
-    shares with c.
+    shares with c.  enumerate_trees writes the same strings from the
+    state its search carries.
     """
     n = len(here)
     size = [1] * n
@@ -730,33 +827,49 @@ def _ahu(here: List[str], parent: List[int], order: Sequence[int]) -> str:
     return min(up, _node(here[w], ks))
 
 
+class _MaskTexts(dict):
+    """mark mask -> its marks in mark_key order, joined by "," between
+    the strings left and right; filled on first use of each mask."""
+
+    def __init__(self, bits: Dict, left: str = "", right: str = ""):
+        super().__init__()
+        self.bits = bits
+        self.left = left
+        self.right = right
+
+    def __missing__(self, mask: int) -> str:
+        text = self[mask] = (self.left + ",".join(map(str, _marks_of_mask(self.bits, mask)))
+                             + self.right)
+        return text
+
+
 @functools.lru_cache(maxsize=None)
-def _set_texts(marks: FrozenSet) -> Dict[int, str]:
+def _set_texts(marks: FrozenSet) -> _MaskTexts:
     """mark mask -> "{m,...}", its marks in mark_key order, for one mark
-    set; filled by _phi_suffix on first use of each mask."""
-    return {}
+    set."""
+    return _MaskTexts(_mark_bits(marks), "{", "}")
 
 
-def _phi_suffix(here: List[str], sides: Sequence[Sequence[int]], phi: Sequence[int],
-                marks: FrozenSet) -> str:
+def _phi_id(here: str, sides: Sequence[int], texts: Dict[int, str]) -> str:
+    """A vertex as the "/phi:" part writes it: its mark string here and
+    the mark sets of its branches, whose mark masks are sides, written
+    by texts (_set_texts)."""
+    parts = list(map(texts.__getitem__, sides))
+    parts.append(here)
+    parts.sort()
+    return "[" + "|".join(parts) + "]"
+
+
+def _phi_orbits(ids: Sequence[str], phi: Sequence[int]) -> str:
     """The "/phi:" part of a real tree's canonical form: the orbits of phi,
-    vertex v written with its mark string here[v] and the mark sets of its
-    branches, whose mark masks over the mark set marks are sides[v]."""
-    bits = _mark_bits(marks)
-    texts = _set_texts(marks)
-    ids = []
-    for v, masks in enumerate(sides):
-        parts = [here[v]]
-        for s in masks:
-            text = texts.get(s)
-            if text is None:
-                text = texts[s] = "{" + ",".join(map(str, _marks_of_mask(bits, s))) + "}"
-            parts.append(text)
-        parts.sort()
-        ids.append("[" + "|".join(parts) + "]")
-    return "/phi:" + ";".join(sorted(
-        "~".join(sorted((ids[v], ids[phi[v]]))) for v in range(len(ids)) if v <= phi[v]
-    ))
+    vertex v written as ids[v] (_phi_id)."""
+    orbits = []
+    for v, w in enumerate(phi):
+        if v <= w:
+            a, b = ids[v], ids[w]
+            orbits.append(a + "~" + b if a <= b else b + "~" + a)
+    orbits.sort()
+    return "/phi:" + ";".join(orbits)
 
 
 def canonical_form(t: MarkedTree) -> str:
@@ -765,9 +878,10 @@ def canonical_form(t: MarkedTree) -> str:
     The AHU string of the tree rooted at a centroid (the smaller string,
     if there are two), each vertex written with its marks; a real tree adds
     the orbits of phi, each vertex written with its marks and the mark
-    sets of its branches.  Computed once per tree: from a traversal from
-    vertex 0 and the split-mask index here, and by enumerate_trees from
-    the tree's family of splits.
+    sets of its branches (_phi_id, _phi_orbits).  Computed once per tree
+    and kept on it: here by _ahu from a traversal from vertex 0 and by
+    _phi_id from the split-mask index, and for an enumerated tree by
+    enumerate_trees, from the state its search carries.
     """
     if t._canon is not None:
         return t._canon
@@ -786,7 +900,9 @@ def canonical_form(t: MarkedTree) -> str:
                 order.append(w)
     out = "%s%d:%s" % ("RT" if t.is_real else "T", t.l, _ahu(here, parent, order[::-1]))
     if t.is_real:
-        out += _phi_suffix(here, t.split_index()[0], t.phi, frozenset(t.mu))
+        texts = _set_texts(frozenset(t.mu))
+        out += _phi_orbits([_phi_id(h, sides, texts)
+                            for h, sides in zip(here, t.split_index()[0])], t.phi)
     t._canon = out
     return out
 

@@ -850,6 +850,16 @@ class TestRelationLabels:
                      lambda: relation_closure([c], cut, real)):
             with pytest.raises(QuotientError, match=text):
                 call()
+        if not real:
+            # True equals the mark 1 in a set and a sorted tuple, so [True,
+            # 2] is refused also after [1, 2] has run and its plan and
+            # label table are kept
+            for call in (lambda cut: verify_injectivity(t, cut, n_samples=5),
+                         lambda cut: class_key(c, cut),
+                         lambda cut: relation_closure([c], cut)):
+                call([1, 2])
+                with pytest.raises(QuotientError, match=text):
+                    call([True, 2])
 
 
 class TestPlacementErrors:

@@ -544,9 +544,10 @@ FAMILY_CASES = [(4, False), (5, False), (6, False), (7, False),
 
 
 class TestFromFamily:
-    """enumerate_trees reads each tree's phi and canonical form off its
-    family of splits; these must equal what the tree's own structure
-    gives, and no enumerated tree may keep an adjacency or index."""
+    """enumerate_trees reads each tree's phi and canonical form off the
+    state its search carries for the tree's family of splits; these must
+    equal what the tree's own structure gives, and no enumerated tree may
+    keep an adjacency or index, or any of the search's state."""
 
     @pytest.mark.parametrize("l,real", FAMILY_CASES)
     def test_no_adjacency_or_index_kept(self, l, real):
@@ -554,6 +555,15 @@ class TestFromFamily:
             assert t._adj is None and t._index is None
 
     @pytest.mark.parametrize("l,real", FAMILY_CASES)
+    def test_holds_only_its_own_attributes(self, l, real):
+        want = {"vertex_count", "edges", "mu", "_adj", "_bits", "_index", "_canon"}
+        if real:
+            want.add("phi")
+        for t in enumerate_trees(l, real=real):
+            assert set(vars(t)) == want
+
+    # complex l = 8 is the first size with six-vertex trees
+    @pytest.mark.parametrize("l,real", FAMILY_CASES + [(8, False)])
     def test_form_equals_rebuilt_tree_form(self, l, real):
         for t in enumerate_trees(l, real=real):
             args = (t.vertex_count, t.edges, t.mu) + ((t.phi,) if real else ())
