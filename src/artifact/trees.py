@@ -14,6 +14,7 @@ import bisect
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
@@ -109,7 +110,7 @@ class MarkedTree:
             args = (vertex_count, edges, dict(mu))
         except (TypeError, ValueError, OverflowError) as e:
             raise TreeError("invalid tree: %r" % (["malformed arguments: %s" % (e,)],)) from e
-        self._fill(*args, *rest)
+        self._fill(*args, *rest, None, None)  # no mark bits or form yet
         bad = self._defects()
         if bad:
             raise TreeError("invalid tree: %r" % (bad,))
@@ -118,25 +119,28 @@ class MarkedTree:
     def _of(cls, *args) -> "MarkedTree":
         """The tree of args, unchecked: the caller knows it is valid and
         passes the vertex count as an int, the edges as the tree keeps
-        them (a tuple of (low, high) pairs in increasing order) and a mu
-        dict that it gives up to the tree."""
+        them (a tuple of (low, high) pairs in increasing order), a mu
+        dict that it gives up to the tree, on a real tree phi as a tuple,
+        and the tree's mark bits and canonical form, each None if not
+        known."""
         t = cls.__new__(cls)
         t._fill(*args)
         return t
 
-    def _fill(self, vertex_count: int, edges: Tuple[Edge, ...], mu: Dict) -> None:
+    def _fill(self, vertex_count: int, edges: Tuple[Edge, ...], mu: Dict,
+              bits: Optional[Dict], canon: Optional[str]) -> None:
         self.vertex_count = vertex_count
         self.edges: Tuple[Edge, ...] = edges
         self.mu: Dict = mu
         self._adj: Optional[List[List[int]]] = None
-        self._bits: Optional[Dict] = None
+        self._bits: Optional[Dict] = bits
         self._index: Optional[Tuple] = None
+        self._canon: Optional[str] = canon
 
     phi = None  # real subclass overrides
     # filled on first use; class defaults keep trees that never use them
     # as small as before
     _edge_of: Optional[Dict[int, Edge]] = None
-    _canon: Optional[str] = None
     _layout = None  # set by curves.slot_layout
 
     @property
@@ -349,7 +353,7 @@ class RealMarkedTree(MarkedTree):
 
     def __init__(self, vertex_count, edges, mu, phi: Optional[Sequence[int]] = None):
         if phi is None:
-            phi = _phi_from_structure(MarkedTree(vertex_count, edges, mu))
+            phi = tuple(_phi_from_structure(MarkedTree(vertex_count, edges, mu)))
         else:
             try:
                 phi = tuple(phi)
@@ -357,9 +361,9 @@ class RealMarkedTree(MarkedTree):
                 raise TreeError("invalid tree: %r" % (["phi is not a sequence"],)) from e
         super().__init__(vertex_count, edges, mu, phi)
 
-    def _fill(self, vertex_count, edges, mu, phi: Sequence[int]) -> None:
-        super()._fill(vertex_count, edges, mu)
-        self.phi: Tuple[int, ...] = tuple(phi)
+    def _fill(self, vertex_count, edges, mu, phi: Tuple[int, ...], bits, canon) -> None:
+        MarkedTree._fill(self, vertex_count, edges, mu, bits, canon)
+        self.phi: Tuple[int, ...] = phi
 
 
 def tree_from_json(d: dict) -> MarkedTree:
@@ -487,11 +491,22 @@ def _a000311(n: int) -> List[int]:
     return a[:n + 1]
 
 
+def _check_size(l, real: bool) -> None:
+    """Raise TreeError unless l is an int (not a bool: kept tables are
+    looked up by l, and 7.0 and True hash as 7 and 1) of at least 2
+    (real) or 3 (complex)."""
+    if type(l) is not int:
+        raise TreeError("l must be an int, not %r" % (l,))
+    if real and l < 2:
+        raise TreeError("real enumeration requires l >= 2")
+    if not real and l < 3:
+        raise TreeError("complex enumeration requires l >= 3")
+
+
 def stable_tree_count(l: int) -> int:
     """len(enumerate_trees(l)) for l >= 3 complex marks, without building
     a tree: A000311(l - 1)."""
-    if l < 3:
-        raise TreeError("complex enumeration requires l >= 3")
+    _check_size(l, False)
     return _a000311(l - 1)[l - 1]
 
 
@@ -516,8 +531,7 @@ def real_tree_count(l: int) -> int:
     - F^2/2 - B, less the phi-fixed edges, plus the trees whose phi
     reverses an edge.  As exp(F + B) - 1 - F = F, that is F - F^2 - x.
     """
-    if l < 2:
-        raise TreeError("real enumeration requires l >= 2")
+    _check_size(l, True)
     a = _a000311(l)
     b = [Fraction(0)] + [Fraction(2 ** (k - 1) * a[k], math.factorial(k))
                          for k in range(1, l + 1)]
@@ -527,6 +541,75 @@ def real_tree_count(l: int) -> int:
         f = [Fraction(0)] + [e[m] - f[m] for m in range(1, l + 1)]
     f2 = sum(f[k] * f[l - k] for k in range(l + 1))
     return int((f[l] - f2) * math.factorial(l))
+
+
+@functools.lru_cache(maxsize=None)
+def _search_tables(l: int, real: bool) -> Tuple:
+    """What enumerate_trees(l, real) reads, built once per size: (marks,
+    mark bits, the canonical form's head, the full mark mask, the
+    candidate splits, their rank lookup, units, image, compat, the
+    mark-text and set-text tables and the edge sets); only the last
+    three grow, each entry filled on first use."""
+    marks = real_marks(l) if real else complex_marks(l)
+    n = len(marks)
+    mark_set = frozenset(marks)
+    full = (1 << n) - 1
+    even = full // 3  # the bits of the + marks, for _conj_mask
+    # candidate splits: 2..n-2 of the bits 1..n-1; combinations come out
+    # size by size in lexicographic order, the order of a family's vertices
+    cands = [sum(1 << i for i in c) for r in range(2, n - 1)
+             for c in itertools.combinations(range(1, n), r)]
+    rank = {s: i for i, s in enumerate(cands)}
+    image = {}
+    if real:
+        # a unit is a conjugation orbit of splits, as candidate ranks; an
+        # orbit whose two splits cross can never appear.  image[s] is
+        # (the split of the conjugate edge, whether that split is the
+        # complement of s's conjugate, which then holds bit 0)
+        units = []
+        for i, s in enumerate(cands):
+            sb = _conj_mask(s, even)
+            j = rank[sb ^ full if sb & 1 else sb]
+            image[s] = (cands[j], sb & 1)
+            if j == i:
+                units.append((i,))
+            elif j > i and _laminar(s, cands[j]):
+                units.append((i, j))
+    else:
+        units = [(i,) for i in range(len(cands))]
+    rank[full] = -1  # vertex 0 comes first
+    # compat[u]: bitmask of the later units whose splits are all laminar
+    # with those of unit u
+    compat = []
+    for u, unit in enumerate(units):
+        mask = 0
+        for w in range(u + 1, len(units)):
+            if all(_laminar(cands[a], cands[b]) for a in unit for b in units[w]):
+                mask |= 1 << w
+        compat.append(mask)
+    return (marks, _mark_bits(mark_set), "%s%d:" % ("RT" if real else "T", l), full,
+            cands, rank.__getitem__, units, image, compat, _mark_texts(mark_set),
+            _set_texts(mark_set), _EdgeSets(n - 2))  # at most n - 2 vertices
+
+
+class _EdgeSets(dict):
+    """Parents tuple (par[0] = -1, par[v] 0 or greater than v) -> the
+    edges as a tree keeps them, the pairs (0, v) first; filled on first
+    use of each tuple.  Every edge set takes its pairs from one table,
+    pairs[v][p] = (v, p) and pairs[v][0] = (0, v), v and p below n."""
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.pairs = [[(0, v)] + [(v, p) for p in range(1, n)] for v in range(n)]
+
+    def __missing__(self, par: Tuple[int, ...]) -> Tuple[Edge, ...]:
+        low = []
+        high = []
+        for v in range(1, len(par)):
+            p = par[v]
+            (high if p else low).append(self.pairs[v][p])
+        edges = self[par] = tuple(low + high)
+        return edges
 
 
 def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
@@ -553,60 +636,23 @@ def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
     flips, and at the second centroid's re-rooted edge, if any: every
     vertex off that path gives its carried string, which is the string
     _ahu writes for it.  So enumeration builds no adjacency or
-    split-mask index: a tree builds them on first use.
-    """
-    if real:
-        if l < 2:
-            raise TreeError("real enumeration requires l >= 2")
-        marks = real_marks(l)
-    else:
-        if l < 3:
-            raise TreeError("complex enumeration requires l >= 3")
-        marks = complex_marks(l)
-    n = len(marks)
-    mark_set = frozenset(marks)
-    bits = _mark_bits(mark_set)
-    head = "%s%d:" % ("RT" if real else "T", l)
-    full = (1 << n) - 1
-    even = full // 3  # the bits of the + marks, for _conj_mask
-    # candidate splits: 2..n-2 of the bits 1..n-1; combinations come out
-    # size by size in lexicographic order, the order of a family's vertices
-    cands = [sum(1 << i for i in c) for r in range(2, n - 1)
-             for c in itertools.combinations(range(1, n), r)]
-    rank = {s: i for i, s in enumerate(cands)}
-    if real:
-        # a unit is a conjugation orbit of splits, as candidate ranks; an
-        # orbit whose two splits cross can never appear.  image[s] is
-        # (the split of the conjugate edge, whether that split is the
-        # complement of s's conjugate, which then holds bit 0)
-        units = []
-        image = {}
-        for i, s in enumerate(cands):
-            sb = _conj_mask(s, even)
-            j = rank[sb ^ full if sb & 1 else sb]
-            image[s] = (cands[j], sb & 1)
-            if j == i:
-                units.append((i,))
-            elif j > i and _laminar(s, cands[j]):
-                units.append((i, j))
-    else:
-        units = [(i,) for i in range(len(cands))]
-    rank[full] = -1  # vertex 0 comes first
-    by_rank = rank.__getitem__
-    # compat[u]: bitmask of the later units whose splits are all laminar
-    # with those of unit u
-    compat = []
-    for u, unit in enumerate(units):
-        mask = 0
-        for w in range(u + 1, len(units)):
-            if all(_laminar(cands[a], cands[b]) for a in unit for b in units[w]):
-                mask |= 1 << w
-        compat.append(mask)
+    split-mask index: a tree builds them on first use.  Each tree is
+    filled once, with its canonical form and mark bits, and the list is
+    sorted on the kept forms.
 
-    # a vertex's mark string, by the mask of its own marks, and a mark
-    # set's "{...}"; filled on first use of each mask
-    texts = _MaskTexts(bits)
-    sets = _set_texts(mark_set)
+    What depends only on (l, real) is kept per size (_search_tables):
+    the candidate splits, units and compat masks, the mark-text and
+    set-text tables (_mark_texts, _set_texts) and the edge sets.  So the
+    trees of one size share their mark bits, and trees with the same
+    parents share their edges tuple, whose pairs all trees share; that
+    is safe because a tree is never mutated.  Each call returns new
+    trees, each with its own mu and phi.
+    """
+    real = bool(real)
+    _check_size(l, real)
+    (marks, bits, head, full, cands, by_rank, units, image, compat, texts, sets,
+     edge_sets) = _search_tables(l, real)
+    n = len(marks)
 
     # depth-first over compatible families; an explicit stack, so no
     # closure holds the result list in a cycle.  An entry is (the units
@@ -723,16 +769,7 @@ def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
                     form = min(form, _node(texts[own[w]], wk))
                     break
         form = head + form
-        # par[v] is 0 or greater than v: the edges as the tree keeps them
-        low = []
-        high = []
-        for v in range(1, k + 1):
-            p = par[v]
-            if p:
-                high.append((v, p))
-            else:
-                low.append((0, v))
-        edges = tuple(low + high)
+        edges = edge_sets[tuple(par)]
         mu = dict(zip(marks, at))
         if real:
             # vertex 0 holds the mark 1+ (bit 0), so phi(0) holds 1- (bit
@@ -744,19 +781,17 @@ def enumerate_trees(l: int, real: bool = False) -> List[MarkedTree]:
             for s in fam[1:]:
                 sb, flip = image[s]
                 phi.append(par[pos[sb]] if flip else pos[sb])
-            form += _phi_orbits(ids, phi)
-            t = RealMarkedTree._of(k + 1, edges, mu, phi)
+            phi = tuple(phi)
+            results.append(RealMarkedTree._of(k + 1, edges, mu, phi, bits,
+                                              form + _phi_orbits(ids, phi)))
         else:
-            t = MarkedTree._of(k + 1, edges, mu)
-        t._bits = bits
-        t._canon = form
-        results.append(t)
+            results.append(MarkedTree._of(k + 1, edges, mu, bits, form))
         while avail:
             low = avail & -avail
             avail ^= low
             u = low.bit_length() - 1
             stack.append((avail & compat[u], state, units[u]))
-    results.sort(key=canonical_form)
+    results.sort(key=operator.attrgetter("_canon"))
     return results
 
 
@@ -841,6 +876,13 @@ class _MaskTexts(dict):
         text = self[mask] = (self.left + ",".join(map(str, _marks_of_mask(self.bits, mask)))
                              + self.right)
         return text
+
+
+@functools.lru_cache(maxsize=None)
+def _mark_texts(marks: FrozenSet) -> _MaskTexts:
+    """mark mask -> "m,...", its marks in mark_key order, for one mark
+    set."""
+    return _MaskTexts(_mark_bits(marks))
 
 
 @functools.lru_cache(maxsize=None)
