@@ -613,13 +613,52 @@ ENUMERATION_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("l,real", sorted(ENUMERATION_DIGESTS))
-def test_enumeration_pinned(l, real):
-    ts = enumerate_trees(l, real=real)
+def _digests(ts):
     forms = "\n".join(canonical_form(t) for t in ts)
     blobs = "\n".join(json.dumps(t.to_json(), sort_keys=True) for t in ts)
-    assert (hashlib.sha256(forms.encode()).hexdigest(),
-            hashlib.sha256(blobs.encode()).hexdigest()) == ENUMERATION_DIGESTS[(l, real)]
+    return (hashlib.sha256(forms.encode()).hexdigest(),
+            hashlib.sha256(blobs.encode()).hexdigest())
+
+
+@pytest.mark.parametrize("l,real", sorted(ENUMERATION_DIGESTS))
+def test_enumeration_pinned(l, real):
+    assert _digests(enumerate_trees(l, real=real)) == ENUMERATION_DIGESTS[(l, real)]
+
+
+class TestKeptTables:
+    """enumerate_trees keeps its search tables, text tables and edge sets
+    per size; what it keeps must not leak from one call into another."""
+
+    @pytest.mark.parametrize("l,real", [(7, False), (4, True)])
+    def test_calls_return_equal_but_distinct_trees(self, l, real):
+        a, b = enumerate_trees(l, real=real), enumerate_trees(l, real=real)
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert x is not y and x.mu is not y.mu
+            assert (x.edges, x.mu, x.phi) == (y.edges, y.mu, y.phi)
+            assert canonical_form(x) == canonical_form(y)
+
+    @pytest.mark.parametrize("l,real", [(6, False), (3, True)])
+    def test_lazy_tables_stay_on_their_tree(self, l, real):
+        a, b = enumerate_trees(l, real=real), enumerate_trees(l, real=real)
+        for x in a:
+            x.split_index()
+            curves.slot_layout(x)
+        for x, y in zip(a, b):
+            assert x._index is not None and x._layout is not None
+            assert y._adj is None and y._index is None and y._layout is None
+
+    def test_interleaved_sizes_match_the_pins(self):
+        for l, real in [(7, False), (4, True), (7, False), (5, True)]:
+            assert _digests(enumerate_trees(l, real=real)) == ENUMERATION_DIGESTS[(l, real)]
+
+    @pytest.mark.parametrize("l,real", FAMILY_CASES)
+    def test_edge_pairs_are_shared(self, l, real):
+        ts = enumerate_trees(l, real=real)
+        pairs = [e for t in ts for e in t.edges]
+        # every tree is alive, so equal ids are one object
+        assert len({id(e) for e in pairs}) == len(set(pairs))
+        assert len({id(t.edges) for t in ts}) == len({t.edges for t in ts})
 
 
 class TestSerialization:

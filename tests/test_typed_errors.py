@@ -253,3 +253,24 @@ def test_vertex_count_that_is_no_int(count):
     assert trees.MarkedTree(2, [(0, 1)], mu).vertex_count == 2
     with pytest.raises(trees.TreeError, match=r"^invalid tree: \[.+\]$"):
         trees.MarkedTree(count, [(0, 1)], mu)
+
+
+
+# each size function with a size it takes, small enough to enumerate
+SIZES = {"enumerate": (trees.enumerate_trees, 7),
+         "stable_count": (trees.stable_tree_count, 7),
+         "real_count": (trees.real_tree_count, 7),
+         "enumerate_real": (lambda l: trees.enumerate_trees(l, real=True), 4)}
+
+
+@pytest.mark.parametrize("name", sorted(SIZES))
+@pytest.mark.parametrize("kind", [float, bool, str, type(None)],
+                         ids=["float", "bool", "str", "none"])
+def test_size_that_is_no_int(name, kind):
+    # l = 7.0 raised a bare TypeError before; enumeration keeps its tables
+    # by size, under which 7.0 hashes as 7 and True as 1, so a warm call
+    # with the int must not let the other value through
+    count, l = SIZES[name]
+    count(l)
+    with pytest.raises(trees.TreeError, match=r"^l must be an int, not "):
+        count(None if kind is type(None) else kind(l))

@@ -75,6 +75,9 @@ COMMANDS = (
     _dm_lab("schedule", "--l", "6", "--real"),
     _dm_lab("schedule", "--l", "6"),
     _dm_lab("trees", "--l", "7"),
+    # complex l = 8, 39,208 trees under MAX_TREES: the largest size CI
+    # enumerates, where trees share the most of their size's kept tables
+    _dm_lab("trees", "--l", "8"),
     # the real tree list, each tree built from its family of splits
     _dm_lab("trees", "--l", "5", "--real"),
     # l = 11 is over the size guardrail: a usage error
