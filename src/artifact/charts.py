@@ -17,9 +17,10 @@ factors are 0 and inf, an indeterminate product.  Failure to determine a
 value signals a point outside the chart domain.
 
 The table runs on point keys (p, q, d) through the exactfield kernel:
-the vertex models are keys, their cross ratios are exactfield._cross,
-the anharmonic maps take keys to keys and the closure multiplies with
-exactfield._pmul.  A table takes ProjPoint basis values and builds a
+the vertex models are keys, their cross ratios are exactfield._cross
+(a four-mark vertex's one value is its basis value), the anharmonic maps
+take keys to keys and the closure multiplies with exactfield._pmul.  A
+table takes ProjPoint basis values, makes them keys once, and builds a
 ProjPoint only in value(q); value_key(q) reads the key itself.  The basis
 values and the direct keys that the basis check (cli.verify_basis_suite)
 compares with the table's come from curves.quad_plan and quad_keys: read
@@ -191,6 +192,9 @@ _ANHARMONIC = {
 _KLEIN = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 _PERMUTED = {tuple(s[k] for k in v): f
              for s, f in _ANHARMONIC.items() for v in _KLEIN}
+# the bit ranks r of an ordering's marks -> the ordering r.index(0..3) that
+# _PERMUTED maps to increasing bit order, as _perm(q, sorted(q)) does
+_TO_SORTED = {r: tuple(r.index(k) for k in range(4)) for r in _PERMUTED}
 
 
 def _perm(ref: Tuple, q: Tuple):
@@ -274,17 +278,7 @@ class ReconstructionTable:
         self.values = dict(values)
         self.bits = t.mark_bits()
         self.table: Dict[int, Tuple[int, int, int]] = {}
-        self._build()
-
-    def _mask(self, q: Tuple) -> int:
-        """The table key of q; it has four bits set only if q is four
-        distinct marks of the tree."""
-        bits = self.bits
-        try:
-            i, j, k, m = q
-            return bits[i] | bits[j] | bits[k] | bits[m]
-        except (ValueError, KeyError):  # not four marks of the tree
-            return 0
+        self._build({q: x._k for q, x in self.values.items()})
 
     def value(self, q) -> ProjPoint:
         return _point(self.value_key(q))
@@ -324,29 +318,48 @@ class ReconstructionTable:
             msg += " (point outside the chart domain: %s)" % "; ".join(bad)
         return msg
 
-    def _build(self) -> None:
-        bits, table, values, basis = self.bits, self.table, self.values, self.basis
-        rank = bits.__getitem__
+    def _build(self, keys: Dict[Tuple, Tuple[int, int, int]]) -> None:
+        """Fill the table from the basis values' point keys."""
+        bits, table, basis = self.bits, self.table, self.basis
         # each vertex in normalized local coordinates: its first three basis
-        # marks at inf, 0 and 1, each further mark at its basis value
+        # marks at inf, 0 and 1, each further mark at its basis value.
+        # gamma_v lists a vertex's marks in bit order, so the model, as
+        # (bit, key) pairs, is in bit order too
         for v, ms in basis.gamma_v.items():
-            model = {ms[0]: _INF, ms[1]: _ZERO, ms[2]: _ONE}
+            if len(ms) < 4:
+                continue
+            model = [(bits[ms[0]], _INF), (bits[ms[1]], _ZERO), (bits[ms[2]], _ONE)]
             for q in basis.vertex_quads[v]:
-                val = values.get(q)
-                if val is not None:
-                    model[q[3]] = val._k
-            for a, b, c, d in itertools.combinations(sorted(model, key=rank), 4):
-                key = bits[a] | bits[b] | bits[c] | bits[d]
+                x = keys.get(q)
+                if x is not None:
+                    model.append((bits[q[3]], x))
+            if len(model) == 4:
+                # the one 4-subset is the vertex quadruple: CR(inf, 0, 1, x) = x
+                key = model[0][0] | model[1][0] | model[2][0] | model[3][0]
+                table.setdefault(key, model[3][1])
+                continue
+            for (a, ka), (b, kb), (c, kc), (d, kd) in itertools.combinations(model, 4):
+                key = a | b | c | d
                 if key not in table:
                     try:
-                        table[key] = _cross(model[a], model[b], model[c], model[d])
+                        table[key] = _cross(ka, kb, kc, kd)
                     except UnstableConfiguration:
                         pass
+        # each edge value carried to increasing bit order by the map read by
+        # the bit ranks of the edge quadruple's marks, as in value_key, from
+        # _PERMUTED as it is when the build runs: a fault planted there
+        # reaches the edge values
         for qe in basis.edge_quads.values():
-            val = values.get(qe)
-            key = self._mask(qe)
-            if val is not None and key not in table:
-                table[key] = _perm(qe, sorted(qe, key=rank))(val._k)
+            x = keys.get(qe)
+            if x is None:
+                continue
+            i, j, k, m = qe
+            bi, bj, bk, bm = bits[i], bits[j], bits[k], bits[m]
+            key = bi | bj | bk | bm
+            if key not in table:
+                table[key] = _PERMUTED[_TO_SORTED[
+                    (key & (bi - 1)).bit_count(), (key & (bj - 1)).bit_count(),
+                    (key & (bk - 1)).bit_count(), (key & (bm - 1)).bit_count()]](x)
         # the cocycle closure; any pass order reaches the same least fixpoint
         # (see the module docstring)
         pending = [row for row in _steps(len(bits)) if row[0] not in table]

@@ -253,7 +253,7 @@ def verify_basis_suite(l: int, samples: int = 200, seed: int = 0,
             mismatches += bad
         entry = {
             "tree": trees.canonical_form(t),
-            "basis_size": len(basis.quadruples),
+            "basis_size": len(basis_quads),
             "samples": samples,
             "mismatches": mismatches,
         }

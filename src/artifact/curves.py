@@ -624,18 +624,20 @@ def sample_curve(t: MarkedTree, bound: int, seed) -> StableCurve:
     rng = random.Random(repr(seed))
     lay = slot_layout(t)
     off = lay.offsets
-    # each conjugate pair is drawn at its first slot; on a complex tree
-    # each slot is its own
-    partner = lay.partner or range(off[-1])
+    n = off[-1]
     real = t.is_real
     for _attempt in range(200):
-        pts: List[Tuple[int, int, int]] = [_INF_K] * len(partner)
-        for i, j in enumerate(partner):
-            if j == i:
-                pts[i] = _rand_point(rng, bound, real)
-            elif j > i:
-                p, q, d = pts[i] = _rand_point(rng, bound)
-                pts[j] = (p, -q, d)
+        if real:
+            # each conjugate pair is drawn at its first slot
+            pts: List[Tuple[int, int, int]] = [_INF_K] * n
+            for i, j in enumerate(lay.partner):
+                if j == i:
+                    pts[i] = _rand_point(rng, bound, True)
+                elif j > i:
+                    p, q, d = pts[i] = _rand_point(rng, bound)
+                    pts[j] = (p, -q, d)
+        else:
+            pts = [_rand_point(rng, bound) for _ in range(n)]
         # this check is the distinctness half of validate, so only a real
         # curve is validated further, for conjugation symmetry
         if all(len(set(pts[a:b])) == b - a for a, b in zip(off, off[1:])):

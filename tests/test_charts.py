@@ -270,6 +270,39 @@ class TestReconstruction:
         for q in orderings:
             assert charts._perm(ref, q)(x._k) == cross_ratio(*(model[m] for m in q))._k
 
+    @pytest.mark.parametrize("x", [
+        PP_ZERO, PP_ONE, PP_INF, pp(GaussRat(3, -2)), pp(GaussRat(-7, 5) / 3),
+        pp(-4), pp(GaussRat(0, 1)), pp(GaussRat(0, -3) / 7), pp(GaussRat(-1, -1) / 2),
+    ], ids=ProjPoint.serialize)
+    def test_four_mark_seed_is_the_value(self, x):
+        # a vertex with four basis marks is seeded with its vertex
+        # quadruple's value, not by _cross: CR(inf, 0, 1, x) = x, as keys,
+        # at 0, 1 and inf too
+        assert exactfield._cross(charts._INF, charts._ZERO, charts._ONE, x._k) == x._k
+
+    @pytest.mark.parametrize("l,real", ((5, False), (3, True)))
+    def test_rank_lookup_is_the_sorting_map(self, l, real):
+        # for all 24 orderings q of four marks, the map the build reads by
+        # the bit ranks of q's marks is _perm(q, sorted(q)), the one that
+        # carries CR_q to increasing bit order
+        t = trees.enumerate_trees(l, real=real)[0]
+        bits = t.mark_bits()
+        four = t.marks()[1:5]
+        for q in itertools.permutations(four):
+            key = bits[q[0]] | bits[q[1]] | bits[q[2]] | bits[q[3]]
+            ranks = tuple((key & (bits[m] - 1)).bit_count() for m in q)
+            want = charts._perm(q, sorted(q, key=bits.__getitem__))
+            assert charts._PERMUTED[charts._TO_SORTED[ranks]] is want, q
+
+    def test_pinned_tables_seed_both_vertex_kinds(self):
+        # complex l = 6, which TABLES_DIGEST pins, has vertices with exactly
+        # four basis marks (seeded with the value itself) and with five or
+        # more (seeded by _cross), so the pin reads both kinds of seed
+        sizes = {len(ms) for t in trees.enumerate_trees(6)
+                 for ms in gamma_basis(t).gamma_v.values()}
+        assert 4 in sizes
+        assert max(sizes) >= 5
+
     def test_build_makes_no_point(self, monkeypatch):
         # a table holds keys: building it from ProjPoint basis values makes
         # no ProjPoint, and value(q) makes one, the point of value_key(q)

@@ -59,6 +59,10 @@ COMMANDS = (
     _dm_lab("verify-basis", "--l", "6", "--samples", "1"),
     # every real l = 4 tree through the same table
     _dm_lab("verify-basis", "--l", "4", "--real", "--samples", "2"),
+    # the basis suite's two refusals: complex l = 3 has no 4-subset of
+    # marks, and no sample compares nothing
+    _dm_lab("verify-basis", "--l", "3", "--samples", "1", code=2),
+    _dm_lab("verify-basis", "--l", "5", "--samples", "0", code=2),
     # every local-model preset through the chart algebra
     _dm_lab("verify-localmodels", "--samples", "50"),
     # at bound 2 sampled images repeat across charts, so the verifier
